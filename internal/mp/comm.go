@@ -21,6 +21,18 @@ type engine struct {
 	pendSends  map[uint64]*Request // rendezvous sends awaiting CTS, by own seq
 	rndvRecvs  map[rndvKey]*Request
 	stats      OpStats
+	scratch    []float64 // reduction temporaries, see (*engine).tmp
+}
+
+// tmp returns n float64s of reduction scratch with unspecified contents,
+// valid until the next tmp call on this rank: an algorithm that needs
+// two live temporaries takes both in one call. Callers only ever read
+// elements a copy or a receive has just written.
+func (eng *engine) tmp(n int) []float64 {
+	if cap(eng.scratch) < n {
+		eng.scratch = make([]float64, n)
+	}
+	return eng.scratch[:n]
 }
 
 type rndvKey struct {
@@ -37,6 +49,7 @@ type Comm struct {
 	ctx       uint64 // context id separating communicators' traffic
 	rank      int    // rank within this communicator
 	ranks     []int  // global rank of each member; ranks[rank] == self
+	inv       []int  // global rank -> rank here or -1; nil on world (identity)
 	collEpoch uint64 // collective invocation counter
 	splitSeq  uint64 // Split invocation counter (for child ctx derivation)
 }
@@ -78,12 +91,10 @@ func (c *Comm) global(r int) int { return c.ranks[r] }
 
 // localOf translates a global rank to this communicator's rank, or -1.
 func (c *Comm) localOf(g int) int {
-	for i, r := range c.ranks {
-		if r == g {
-			return i
-		}
+	if c.inv == nil {
+		return g
 	}
-	return -1
+	return c.inv[g]
 }
 
 // Status describes a completed receive (or a probe match).
@@ -413,6 +424,7 @@ func (c *Comm) deliver(req *Request, pkt transport.Packet) {
 	if len(pkt.Data) > len(req.buf) {
 		req.err = ErrTruncated
 	}
+	transport.Release(pkt.Data) // copied out; nothing below reads it
 	if pkt.Type == transport.Data {
 		req.actualSrc = req.c.localOf(pkt.Src)
 		req.actualTag = pkt.Tag

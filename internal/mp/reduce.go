@@ -75,14 +75,12 @@ func (c *Comm) Reduce(root int, op Op, sendBuf, recvBuf []float64) error {
 	n := len(sendBuf)
 
 	// acc is this rank's running partial result.
-	var acc []float64
+	scratch := c.eng.tmp(2 * n)
+	tmp, acc := scratch[:n], scratch[n:]
 	if c.rank == root {
 		acc = recvBuf
-		copy(acc, sendBuf)
-	} else {
-		acc = append([]float64(nil), sendBuf...)
 	}
-	tmp := make([]float64, n)
+	copy(acc, sendBuf)
 
 	vrank := (c.rank - root + c.Size()) % c.Size()
 	round := 0
@@ -152,7 +150,6 @@ func (c *Comm) foldToPow2(op Op, acc []float64, tag int) (newRank, pow2 int, toR
 		r *= 2
 	}
 	rem := p - r
-	tmp := make([]float64, len(acc))
 	switch {
 	case c.rank < 2*rem && c.rank%2 == 0:
 		if err := c.sendInternal(c.rank+1, tag, f64bytes(acc)); err != nil {
@@ -160,6 +157,7 @@ func (c *Comm) foldToPow2(op Op, acc []float64, tag int) (newRank, pow2 int, toR
 		}
 		newRank = -1
 	case c.rank < 2*rem:
+		tmp := c.eng.tmp(len(acc))
 		if _, err := c.Recv(c.rank-1, tag, f64bytes(tmp)); err != nil {
 			return 0, 0, nil, err
 		}
@@ -203,7 +201,7 @@ func (c *Comm) allreduceRecDoubling(op Op, acc []float64, tag int) error {
 		return fmt.Errorf("mp: allreduce fold: %w", err)
 	}
 	if newRank >= 0 {
-		tmp := make([]float64, len(acc))
+		tmp := c.eng.tmp(len(acc))
 		round := 1
 		for mask := 1; mask < r; mask <<= 1 {
 			peer := toReal(newRank ^ mask)
@@ -232,7 +230,7 @@ func (c *Comm) allreduceRabenseifner(op Op, acc []float64, tag int) error {
 		n := len(acc)
 		// Block b of the r blocks spans [cut(b), cut(b+1)).
 		cut := func(b int) int { return b * n / r }
-		tmp := make([]float64, n)
+		tmp := c.eng.tmp(n)
 
 		// Reduce-scatter by recursive halving: at each round the
 		// active window [lo, hi) of blocks halves; this rank keeps
@@ -293,7 +291,7 @@ func (c *Comm) allreduceRing(op Op, acc []float64, tag int) error {
 	}
 	right := (c.rank + 1) % p
 	left := (c.rank - 1 + p) % p
-	tmp := make([]float64, n/p+1)
+	tmp := c.eng.tmp(n/p + 1)
 
 	// Reduce-scatter phase: after p-1 steps, rank r owns the fully
 	// reduced chunk (r+1) mod p.
@@ -332,8 +330,9 @@ func (c *Comm) ReduceScatterBlock(op Op, sendBuf, recvBuf []float64) error {
 	}
 	tag := c.nextCollTag()
 	bs := len(recvBuf)
-	acc := append([]float64(nil), sendBuf...)
-	tmp := make([]float64, bs)
+	scratch := c.eng.tmp(len(sendBuf) + bs)
+	acc, tmp := scratch[:len(sendBuf)], scratch[len(sendBuf):]
+	copy(acc, sendBuf)
 	right := (c.rank + 1) % p
 	left := (c.rank - 1 + p) % p
 	// After p-1 ring steps, rank r holds the reduced block r... the
@@ -368,8 +367,8 @@ func (c *Comm) Scan(op Op, sendBuf, recvBuf []float64) error {
 	}
 	tag := c.nextCollTag()
 	n := len(sendBuf)
-	tmp := make([]float64, n)
-	snapshot := make([]float64, n)
+	scratch := c.eng.tmp(2 * n)
+	tmp, snapshot := scratch[:n], scratch[n:]
 	round := 0
 	for mask := 1; mask < c.Size(); mask <<= 1 {
 		copy(snapshot, recvBuf) // value to forward this round

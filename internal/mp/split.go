@@ -52,9 +52,14 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	})
 
 	ranks := make([]int, len(members))
+	inv := make([]int, c.eng.ep.Size())
+	for g := range inv {
+		inv[g] = -1
+	}
 	myRank := -1
 	for i, m := range members {
 		ranks[i] = c.global(m.parentRank)
+		inv[ranks[i]] = i
 		if m.parentRank == c.rank {
 			myRank = i
 		}
@@ -68,6 +73,7 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		ctx:   childCtx(c.ctx, c.splitSeq, color),
 		rank:  myRank,
 		ranks: ranks,
+		inv:   inv,
 	}, nil
 }
 

@@ -20,20 +20,21 @@ type DistSample struct {
 // unrelated traffic); on real fabrics it captures scheduler and stack
 // jitter.
 func LatencyDistribution(c *mp.Comm, opts Options) ([]DistSample, error) {
-	opts = opts.normalize(c.Size())
+	opts = opts.normalize()
 	if err := checkPair(c, opts); err != nil {
 		return nil, err
 	}
 	var out []DistSample
+	me, peer := pairRole(c, opts)
+	maxBuf := payloadBuf(me >= 0, opts.Sizes)
 	for _, size := range opts.Sizes {
 		warm, iters := opts.loops(size)
-		buf := make([]byte, size)
 		if err := c.Barrier(); err != nil {
 			return nil, err
 		}
-		me, peer := pairRole(c, opts)
 		var series []float64
-		if me == 0 || me == 1 {
+		if me >= 0 {
+			buf := maxBuf[:size]
 			for i := 0; i < warm+iters; i++ {
 				t0 := c.Time()
 				if me == 0 {

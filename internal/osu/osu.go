@@ -37,7 +37,7 @@ type Options struct {
 	PairA, PairB int
 }
 
-func (o Options) normalize(size int) Options {
+func (o Options) normalize() Options {
 	if o.Sizes == nil {
 		o.Sizes = DefaultSizes()
 	}
@@ -53,7 +53,6 @@ func (o Options) normalize(size int) Options {
 	if o.PairB == 0 && o.PairA == 0 {
 		o.PairB = 1
 	}
-	_ = size
 	return o
 }
 
@@ -94,19 +93,20 @@ const benchTag = 7001
 // PairB, returning one sample per size: half round-trip time in
 // seconds. Every rank must call it; non-pair ranks only synchronize.
 func Latency(c *mp.Comm, opts Options) ([]Sample, error) {
-	opts = opts.normalize(c.Size())
+	opts = opts.normalize()
 	if err := checkPair(c, opts); err != nil {
 		return nil, err
 	}
 	var out []Sample
+	me, peer := pairRole(c, opts)
+	maxBuf := payloadBuf(me >= 0, opts.Sizes)
 	for _, size := range opts.Sizes {
 		warm, iters := opts.loops(size)
-		buf := make([]byte, size)
 		if err := c.Barrier(); err != nil {
 			return nil, err
 		}
-		me, peer := pairRole(c, opts)
-		if me == 0 || me == 1 {
+		if me >= 0 {
+			buf := maxBuf[:size]
 			var t0 float64
 			for i := 0; i < warm+iters; i++ {
 				if i == warm {
@@ -142,23 +142,24 @@ func Latency(c *mp.Comm, opts Options) ([]Sample, error) {
 // window of nonblocking sends, PairB a window of receives followed by a
 // 4-byte acknowledgement. Returns bytes/s per size.
 func Bandwidth(c *mp.Comm, opts Options) ([]Sample, error) {
-	opts = opts.normalize(c.Size())
+	opts = opts.normalize()
 	if err := checkPair(c, opts); err != nil {
 		return nil, err
 	}
 	var out []Sample
 	ack := make([]byte, 4)
+	me, peer := pairRole(c, opts)
+	maxBuf := payloadBuf(me >= 0, opts.Sizes)
 	for _, size := range opts.Sizes {
 		if size == 0 {
 			continue // bandwidth of empty messages is undefined
 		}
 		warm, iters := opts.loops(size)
-		buf := make([]byte, size)
 		if err := c.Barrier(); err != nil {
 			return nil, err
 		}
-		me, peer := pairRole(c, opts)
-		if me == 0 || me == 1 {
+		if me >= 0 {
+			buf := maxBuf[:size]
 			var t0 float64
 			reqs := make([]*mp.Request, opts.Window)
 			for i := 0; i < warm+iters; i++ {
@@ -215,23 +216,23 @@ func Bandwidth(c *mp.Comm, opts Options) ([]Sample, error) {
 // window concurrently; the reported value counts traffic in both
 // directions, as osu_bibw does.
 func BiBandwidth(c *mp.Comm, opts Options) ([]Sample, error) {
-	opts = opts.normalize(c.Size())
+	opts = opts.normalize()
 	if err := checkPair(c, opts); err != nil {
 		return nil, err
 	}
 	var out []Sample
+	me, peer := pairRole(c, opts)
+	maxSend, maxRecv := payloadBuf(me >= 0, opts.Sizes), payloadBuf(me >= 0, opts.Sizes)
 	for _, size := range opts.Sizes {
 		if size == 0 {
 			continue
 		}
 		warm, iters := opts.loops(size)
-		sbuf := make([]byte, size)
-		rbuf := make([]byte, size)
 		if err := c.Barrier(); err != nil {
 			return nil, err
 		}
-		me, peer := pairRole(c, opts)
-		if me == 0 || me == 1 {
+		if me >= 0 {
+			sbuf, rbuf := maxSend[:size], maxRecv[:size]
 			var t0 float64
 			sreqs := make([]*mp.Request, opts.Window)
 			rreqs := make([]*mp.Request, opts.Window)
@@ -281,32 +282,33 @@ func BiBandwidth(c *mp.Comm, opts Options) ([]Sample, error) {
 // rank i+pairs. Returns aggregate bytes/s per size. All ranks call it;
 // requires size >= 2*pairs.
 func MultiPairBandwidth(c *mp.Comm, pairs int, opts Options) ([]Sample, error) {
-	opts = opts.normalize(c.Size())
+	opts = opts.normalize()
 	if pairs < 1 || 2*pairs > c.Size() {
 		return nil, fmt.Errorf("osu: %d pairs need %d ranks, have %d", pairs, 2*pairs, c.Size())
 	}
 	var out []Sample
 	ack := make([]byte, 4)
+	sender := c.Rank() < pairs
+	receiver := c.Rank() >= pairs && c.Rank() < 2*pairs
+	var peer int
+	if sender {
+		peer = c.Rank() + pairs
+	} else if receiver {
+		peer = c.Rank() - pairs
+	}
+	maxBuf := payloadBuf(sender || receiver, opts.Sizes)
+	reqs := make([]*mp.Request, opts.Window)
 	for _, size := range opts.Sizes {
 		if size == 0 {
 			continue
 		}
 		warm, iters := opts.loops(size)
-		buf := make([]byte, size)
 		if err := c.Barrier(); err != nil {
 			return nil, err
 		}
-		sender := c.Rank() < pairs
-		receiver := c.Rank() >= pairs && c.Rank() < 2*pairs
-		var peer int
-		if sender {
-			peer = c.Rank() + pairs
-		} else if receiver {
-			peer = c.Rank() - pairs
-		}
 		var t0 float64
-		reqs := make([]*mp.Request, opts.Window)
 		if sender || receiver {
+			buf := maxBuf[:size]
 			for i := 0; i < warm+iters; i++ {
 				if i == warm {
 					t0 = c.Time()
@@ -393,6 +395,21 @@ func checkPair(c *mp.Comm, opts Options) error {
 		return fmt.Errorf("osu: pair (%d,%d) out of range for %d ranks", opts.PairA, opts.PairB, c.Size())
 	}
 	return nil
+}
+
+// payloadBuf returns the one message buffer a kernel reslices for every
+// size: as large as the largest size on ranks that move data, nil on
+// ranks that only synchronize (a sweep on a full machine would otherwise
+// zero a max-size buffer per idle rank per size).
+func payloadBuf(active bool, sizes []int) []byte {
+	if !active {
+		return nil
+	}
+	n := 0
+	for _, s := range sizes {
+		n = max(n, s)
+	}
+	return make([]byte, n)
 }
 
 // pairRole returns (0, peer) on PairA, (1, peer) on PairB and (-1, -1)

@@ -274,7 +274,7 @@ func TestDefaultSizes(t *testing.T) {
 }
 
 func TestLoopScaling(t *testing.T) {
-	o := Options{Warmup: 10, Iters: 100}.normalize(2)
+	o := Options{Warmup: 10, Iters: 100}.normalize()
 	w, it := o.loops(100)
 	if w != 10 || it != 100 {
 		t.Errorf("small loops = %d/%d", w, it)

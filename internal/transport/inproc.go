@@ -6,8 +6,9 @@ import (
 )
 
 // InProcFabric connects n ranks inside one process through shared
-// mailboxes. Payloads are copied on Send so senders can immediately
-// reuse their buffers (MPI buffered-send semantics for the eager path).
+// mailboxes. Payloads are copied on Send (into a pooled buffer, see
+// Release) so senders can immediately reuse their buffers (MPI
+// buffered-send semantics for the eager path).
 type InProcFabric struct {
 	boxes []*mailbox
 	start time.Time
@@ -54,12 +55,7 @@ func (e *inprocEP) Send(dst int, pkt Packet) error {
 		return ErrBadRank
 	}
 	pkt.Src = e.rank
-	if len(pkt.Data) > 0 {
-		// Copy: the sender owns its buffer again once Send returns.
-		buf := make([]byte, len(pkt.Data))
-		copy(buf, pkt.Data)
-		pkt.Data = buf
-	}
+	pkt.Data = clonePayload(pkt.Data)
 	if !e.f.boxes[dst].put(pkt) {
 		return ErrClosed
 	}

@@ -32,6 +32,7 @@ type SimFabric struct {
 	boxes  []*mailbox
 	clocks []simClock
 	nics   []nic // one per node: egress serialization point
+	nodes  []int // node of each rank
 	paths  [][]cluster.LogGP
 }
 
@@ -66,13 +67,20 @@ func NewSim(n int, model *cluster.Model) (*SimFabric, error) {
 		boxes:  make([]*mailbox, n),
 		clocks: make([]simClock, n),
 		nics:   make([]nic, model.Topo.Nodes),
+		nodes:  make([]int, n),
 		paths:  make([][]cluster.LogGP, n),
 	}
 	for i := range f.boxes {
 		f.boxes[i] = newMailbox()
 	}
-	// Precompute the path matrix so Send is just table lookups.
+	// Precompute placement and the path matrix so Send is just table
+	// lookups.
 	for a := 0; a < n; a++ {
+		loc, err := model.Topo.Place(a, n, model.Placement)
+		if err != nil {
+			return nil, err
+		}
+		f.nodes[a] = loc.Node
 		f.paths[a] = make([]cluster.LogGP, n)
 		for b := 0; b < n; b++ {
 			p, _, err := model.PathBetween(a, b, n)
@@ -104,11 +112,6 @@ func (f *SimFabric) Close() error {
 	return nil
 }
 
-func (f *SimFabric) nodeOf(rank int) int {
-	loc, _ := f.model.Topo.Place(rank, f.n, f.model.Placement)
-	return loc.Node
-}
-
 type simEP struct {
 	f    *SimFabric
 	rank int
@@ -130,7 +133,7 @@ func (e *simEP) Send(dst int, pkt Packet) error {
 	clk.mu.Unlock()
 
 	inject := now + p.O
-	srcNode, dstNode := e.f.nodeOf(e.rank), e.f.nodeOf(dst)
+	srcNode, dstNode := e.f.nodes[e.rank], e.f.nodes[dst]
 	if srcNode != dstNode {
 		// Inter-node messages serialize through the node's NIC.
 		n := &e.f.nics[srcNode]
@@ -165,11 +168,7 @@ func (e *simEP) Send(dst int, pkt Packet) error {
 	}
 	clk.mu.Unlock()
 
-	if len(pkt.Data) > 0 {
-		buf := make([]byte, len(pkt.Data))
-		copy(buf, pkt.Data)
-		pkt.Data = buf
-	}
+	pkt.Data = clonePayload(pkt.Data)
 	if !e.f.boxes[dst].put(pkt) {
 		return ErrClosed
 	}

@@ -105,7 +105,7 @@ func (f *TCPFabric) readLoop(rank int, conn net.Conn) {
 		}
 		dataLen := int(binary.LittleEndian.Uint32(hdr[33:37]))
 		if dataLen > 0 {
-			pkt.Data = make([]byte, dataLen)
+			pkt.Data = getPayload(dataLen)
 			if _, err := io.ReadFull(r, pkt.Data); err != nil {
 				return
 			}

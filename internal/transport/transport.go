@@ -59,6 +59,10 @@ func (t PacketType) String() string {
 // Sim fabric, Arrival is the virtual time (seconds) at which the packet
 // reaches the receiver and RecvO the receiver-side CPU overhead to
 // charge; both are zero on real-time fabrics.
+//
+// Data of a received packet is a pooled buffer owned by the receiving
+// rank: it copies the bytes out, hands the buffer back with Release, and
+// never retains or reads the slice after that.
 type Packet struct {
 	Type    PacketType
 	Src     int
@@ -77,9 +81,10 @@ type Endpoint interface {
 	Rank() int
 	// Size returns the number of ranks on the fabric.
 	Size() int
-	// Send delivers pkt to dst. The payload is owned by the transport
-	// after the call returns (callers must not reuse pkt.Data unless
-	// they passed a private copy). Send never blocks on the receiver;
+	// Send delivers pkt to dst. Every fabric copies pkt.Data (or
+	// writes it to the wire) before returning, so the caller still owns
+	// its slice and may reuse it as soon as Send returns; an empty
+	// payload arrives as nil. Send never blocks on the receiver;
 	// mailboxes are unbounded.
 	Send(dst int, pkt Packet) error
 	// Recv returns the next incoming packet, blocking if block is
