@@ -73,8 +73,6 @@ func main() {
 	outDir := flag.String("out", "", "also write each experiment's output to <dir>/<id>.txt")
 	jFlag := flag.Int("j", 1, "worker pool size: run up to j experiments concurrently")
 	cacheDir := flag.String("cache-dir", "", "share the disk-persistent results cache (see charhpcd)")
-	migrateLegacy := flag.Bool("migrate-legacy", false,
-		"migrate pre-versioning cache entries instead of purging them; set ONLY when the binary upgrade changes no experiment, platform, or scale definition")
 	traceFlag := flag.Bool("trace", false, "print each run's timing tree (per-platform and per-phase spans) after its output")
 	traceJSON := flag.String("trace-json", "", "append each run's span tree as one JSON line to this file ('-' = stdout)")
 	submitFlag := flag.String("submit", "", "submit to a charhpcd daemon at this address (POST /runs) instead of running locally")
@@ -197,11 +195,7 @@ func main() {
 	if *cacheDir != "" {
 		var err error
 		store, err = diskcache.Open(*cacheDir,
-			diskcache.Fingerprints{
-				Global:        core.Fingerprint(),
-				PerID:         core.Fingerprints(),
-				MigrateLegacy: *migrateLegacy,
-			}, 0)
+			diskcache.Fingerprints{Global: core.Fingerprint(), PerID: core.Fingerprints()}, 0)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "charhpc: %v\n", err)
 			os.Exit(1)

@@ -69,8 +69,6 @@ func main() {
 	scaleLimit := flag.String("scale-limit", "quick", "largest scale served: quick or full")
 	cacheDir := flag.String("cache-dir", "", "persist the results cache under this directory (empty = memory only)")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "evict least-recently-used cache entries beyond this many bytes (0 = unbounded)")
-	migrateLegacy := flag.Bool("migrate-legacy", false,
-		"migrate pre-versioning cache entries instead of purging them; set ONLY when this deploy changes no experiment, platform, or scale definition (legacy entries cannot prove which experiments an upgrade changed)")
 	platformDir := flag.String("platform-dir", "", "preload custom platform specs (*.json) from this directory and persist POST /platforms registrations into it")
 	customCacheMax := flag.Int64("custom-cache-max-bytes", 0, "byte budget for custom-platform entries in the disk cache (0 = inherit -cache-max-bytes; presets are never evicted by customs either way)")
 	jobsFlag := flag.Int("jobs", serve.DefaultJobWorkers, "async run jobs (POST /runs) executing concurrently; further submissions queue")
@@ -100,11 +98,7 @@ func main() {
 	var store *diskcache.Store
 	if *cacheDir != "" {
 		var err error
-		fps := diskcache.Fingerprints{
-			Global:        core.Fingerprint(),
-			PerID:         core.Fingerprints(),
-			MigrateLegacy: *migrateLegacy,
-		}
+		fps := diskcache.Fingerprints{Global: core.Fingerprint(), PerID: core.Fingerprints()}
 		store, err = diskcache.Open(*cacheDir, fps, *cacheMax)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "charhpcd: %v\n", err)
@@ -113,7 +107,7 @@ func main() {
 		store.SetCustomQuota(*customCacheMax)
 		logger.Info("results cache open",
 			"dir", store.Dir(), "entries", store.Len(),
-			"stale_purged", store.StalePurged(), "migrated", store.Migrated(),
+			"stale_purged", store.StalePurged(),
 			"fingerprint", store.Fingerprint()[:12])
 	}
 

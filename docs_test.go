@@ -120,6 +120,84 @@ func TestReadmeCoversRegistry(t *testing.T) {
 	}
 }
 
+// flagDef matches one flag definition in a command's source, e.g.
+// flag.Int("jobs-history", ...).
+var flagDef = regexp.MustCompile(`flag\.[A-Z][A-Za-z0-9]*\("([a-z0-9-]+)"`)
+
+// TestReadmeCoversFlags keeps the serving commands' flag surface and
+// the docs in step: every flag charhpcd, charhpc-router and charhpc
+// define is mentioned as -name in README.md or the serve README, and a
+// retired flag is mentioned nowhere but the change history.
+func TestReadmeCoversFlags(t *testing.T) {
+	var docs string
+	for _, f := range []string{"README.md", filepath.Join("internal", "serve", "README.md")} {
+		body, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs += string(body)
+	}
+	for _, cmd := range []string{"charhpcd", "charhpc-router", "charhpc"} {
+		srcs, err := filepath.Glob(filepath.Join("cmd", cmd, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defined := 0
+		for _, src := range srcs {
+			body, err := os.ReadFile(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range flagDef.FindAllStringSubmatch(string(body), -1) {
+				defined++
+				// -j must not pass on the strength of -jobs, nor -warm on
+				// -warm-platforms.
+				mention := regexp.MustCompile(`(^|[^A-Za-z0-9-])-` + regexp.QuoteMeta(m[1]) + `($|[^A-Za-z0-9-])`)
+				if !mention.MatchString(docs) {
+					t.Errorf("%s flag -%s is documented in neither README.md nor internal/serve/README.md", cmd, m[1])
+				}
+			}
+		}
+		if defined == 0 {
+			t.Errorf("found no flag definitions under cmd/%s — did the flag idiom change?", cmd)
+		}
+	}
+
+	// Spelled in two halves so this file is not itself a mention.
+	retired := "migrate" + "-legacy"
+	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == ".git" || d.Name() == ".bench_build" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		switch filepath.Ext(path) {
+		case ".go", ".md", ".yml":
+		default:
+			return nil
+		}
+		if history[path] {
+			return nil
+		}
+		body, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if strings.Contains(string(body), retired) {
+			t.Errorf("%s still mentions the retired -%s flag", path, retired)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // splitExpID splits an experiment ID like "F13" into family letter(s)
 // and number, mirroring core's internal ID collation.
 func splitExpID(id string) (string, int) {

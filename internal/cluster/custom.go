@@ -31,6 +31,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/lru"
 	"repro/internal/mem"
 )
 
@@ -289,9 +290,8 @@ func (ms *MemSpec) build() (*mem.Model, error) {
 var customs = struct {
 	mu    sync.Mutex
 	limit int
-	specs map[string]*Spec
-	order []string // LRU order, least recently used first
-}{limit: DefaultCustomLimit, specs: map[string]*Spec{}}
+	specs *lru.Cache[string, *Spec]
+}{limit: DefaultCustomLimit, specs: lru.New[string, *Spec](DefaultCustomLimit)}
 
 // RegisterCustom adds a validated spec to the custom registry and
 // returns its content-addressed name. Registering the same machine
@@ -304,39 +304,17 @@ func RegisterCustom(s *Spec) (name string, existed bool) {
 	name = s.Name()
 	customs.mu.Lock()
 	defer customs.mu.Unlock()
-	if _, ok := customs.specs[name]; ok {
-		touchLocked(name)
+	if _, ok := customs.specs.Get(name); ok {
 		return name, true
 	}
-	customs.specs[name] = s
-	customs.order = append(customs.order, name)
-	for customs.limit > 0 && len(customs.order) > customs.limit {
-		evicted := customs.order[0]
-		customs.order = customs.order[1:]
-		delete(customs.specs, evicted)
-	}
+	customs.specs.Put(name, s)
 	return name, false
-}
-
-// touchLocked moves name to the most-recently-used end. Callers hold
-// customs.mu.
-func touchLocked(name string) {
-	for i, n := range customs.order {
-		if n == name {
-			customs.order = append(customs.order[:i], customs.order[i+1:]...)
-			customs.order = append(customs.order, name)
-			return
-		}
-	}
 }
 
 // lookupCustom resolves a registered custom name to a fresh Model.
 func lookupCustom(name string) (*Model, bool) {
 	customs.mu.Lock()
-	s, ok := customs.specs[name]
-	if ok {
-		touchLocked(name)
-	}
+	s, ok := customs.specs.Get(name)
 	customs.mu.Unlock()
 	if !ok {
 		return nil, false
@@ -349,19 +327,15 @@ func lookupCustom(name string) (*Model, bool) {
 func CustomSpec(name string) (*Spec, bool) {
 	customs.mu.Lock()
 	defer customs.mu.Unlock()
-	s, ok := customs.specs[name]
-	return s, ok
+	return customs.specs.Peek(name)
 }
 
 // CustomNames returns every registered custom platform name, sorted —
 // content hashes have no meaningful registration order to preserve.
 func CustomNames() []string {
 	customs.mu.Lock()
-	defer customs.mu.Unlock()
-	out := make([]string, 0, len(customs.specs))
-	for n := range customs.specs {
-		out = append(out, n)
-	}
+	out := customs.specs.Keys()
+	customs.mu.Unlock()
 	sort.Strings(out)
 	return out
 }
@@ -370,7 +344,7 @@ func CustomNames() []string {
 func CustomCount() int {
 	customs.mu.Lock()
 	defer customs.mu.Unlock()
-	return len(customs.specs)
+	return customs.specs.Len()
 }
 
 // SetCustomLimit bounds the custom registry, evicting least recently
@@ -383,11 +357,7 @@ func SetCustomLimit(n int) {
 	customs.mu.Lock()
 	defer customs.mu.Unlock()
 	customs.limit = n
-	for len(customs.order) > customs.limit {
-		evicted := customs.order[0]
-		customs.order = customs.order[1:]
-		delete(customs.specs, evicted)
-	}
+	customs.specs.Resize(n)
 }
 
 // PurgeCustoms empties the custom registry (test isolation; a daemon
@@ -395,6 +365,5 @@ func SetCustomLimit(n int) {
 func PurgeCustoms() {
 	customs.mu.Lock()
 	defer customs.mu.Unlock()
-	customs.specs = map[string]*Spec{}
-	customs.order = nil
+	customs.specs = lru.New[string, *Spec](customs.limit)
 }

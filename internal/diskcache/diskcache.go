@@ -22,17 +22,11 @@
 //     deploy that changed one experiment cold-starts that experiment,
 //     not the store. Get re-validates per entry, so stale results can
 //     never be served even mid-race.
-//   - Format migration: entry files carry a format version. Legacy
-//     (pre-versioning) entries embedded the whole-store fingerprint,
-//     which cannot show what the upgrading deploy itself changed, so
-//     by default Open purges them (a one-time cold start). When the
-//     operator asserts the upgrade is registry-neutral
-//     (Fingerprints.MigrateLegacy), Open instead validates each
-//     against the store's recorded legacy generation once and
-//     rewrites it in the current format under its experiment's
-//     fingerprint. The rewrite is atomic, so a crash mid-migration
-//     leaves either the old valid file (re-migrated on the next Open)
-//     or the new valid file — never corruption.
+//   - Format versioning: entry files carry a format version. An entry
+//     in any other format — older (the pre-versioning layout embedded
+//     the whole-store fingerprint, which cannot show what a deploy
+//     changed) or unknown — reads as a miss and is purged by the next
+//     reconcile, counted under reason="format".
 //   - Bounded size: with a positive maxBytes budget, Put evicts the
 //     least-recently-used (id, scale, platform) groups (Get touches
 //     the file's mtime; a group is as recent as its newest member)
@@ -66,9 +60,9 @@ const (
 
 // entryFormat is the current on-disk entry format version. Version 2
 // introduced the per-experiment fingerprint; legacy entries (no format
-// field) embedded the whole-store fingerprint and are migrated by
-// Open. Entries from a FUTURE format are treated as misses but never
-// deleted on Get — they may be a newer sibling binary's valid work.
+// field) embedded the whole-store fingerprint. Entries of any other
+// format are treated as misses but never deleted on Get — they may be
+// a newer sibling binary's valid work; Open's reconcile purges them.
 const entryFormat = 2
 
 // Fingerprints carries the caller's registry identity at both
@@ -83,19 +77,6 @@ const entryFormat = 2
 type Fingerprints struct {
 	Global string
 	PerID  map[string]string
-
-	// MigrateLegacy opts in to rewriting pre-versioning (v1) entries
-	// in the current format instead of purging them. A v1 entry
-	// embeds only the whole-store fingerprint, which proves it
-	// matched the registry of the PREVIOUS deploy — it cannot show
-	// which experiments the upgrade deploy itself changed. Setting
-	// this is the operator's assertion that the upgrading deploy is
-	// registry-neutral (no experiment, preset, or scale change rides
-	// along), so the old entries are still valid under the new
-	// per-experiment fingerprints. Unset (the default), legacy
-	// entries are purged as format invalidations — a one-time cold
-	// start, never a stale result.
-	MigrateLegacy bool
 }
 
 // For returns the fingerprint entries for the given experiment must
@@ -116,7 +97,7 @@ const (
 	// matches — its dependencies changed across a deploy.
 	ReasonExperiment = "experiment"
 	// ReasonFormat: the entry's format is not one this binary writes —
-	// a legacy entry that could not be migrated, or an unknown version.
+	// a legacy (pre-versioning) entry, or an unknown version.
 	ReasonFormat = "format"
 	// ReasonChecksum: the entry failed integrity validation — corrupt,
 	// truncated, misnamed, or unparseable.
@@ -181,7 +162,6 @@ type Store struct {
 	pending   map[string]int64 // invalidations counted before SetMetrics wired sinks
 
 	stalePurged int64 // entries removed by Open's generation reconcile
-	migrated    int64 // legacy entries rewritten in the current format by Open
 }
 
 // customPlatformPrefix mirrors cluster.CustomPrefix without importing
@@ -272,11 +252,9 @@ func (st *Store) noteInvalidated(reason string) {
 // fps.Global, nothing changed and every entry is kept untouched (the
 // fast path across a no-op restart). Otherwise Open reconciles the
 // delta: entries whose per-experiment fingerprint still validates are
-// kept, legacy-format entries that validate against the recorded old
-// generation are migrated in place (only with fps.MigrateLegacy set —
-// purged otherwise), and the rest are removed — StalePurged reports
-// how many. A positive maxBytes bounds the total
-// entry size via LRU eviction; 0 means unbounded.
+// kept and the rest are removed — StalePurged reports how many. A
+// positive maxBytes bounds the total entry size via LRU eviction; 0
+// means unbounded.
 func Open(dir string, fps Fingerprints, maxBytes int64) (*Store, error) {
 	if fps.Global == "" {
 		return nil, fmt.Errorf("diskcache: empty fingerprint")
@@ -295,15 +273,9 @@ func Open(dir string, fps Fingerprints, maxBytes int64) (*Store, error) {
 		// entry instead of purging the store, then record the new
 		// generation. The marker is written LAST, so a crash mid-
 		// reconcile re-runs it on the next Open — every step is
-		// idempotent (validated entries validate again, migrated
-		// entries are already current-format, removals are removals).
-		old := ""
-		if err == nil {
-			old = string(prev)
-		}
-		if err := st.reconcile(old); err != nil {
-			return nil, err
-		}
+		// idempotent (validated entries validate again, removals are
+		// removals).
+		st.reconcile()
 		if err := st.writeFile(fpFile, []byte(fps.Global)); err != nil {
 			return nil, err
 		}
@@ -313,20 +285,13 @@ func Open(dir string, fps Fingerprints, maxBytes int64) (*Store, error) {
 }
 
 // reconcile walks every entry after a generation change, keeping the
-// still-valid, migrating the legacy-valid, and removing the rest:
-//
-//   - current-format entries whose embedded fingerprint equals the
-//     caller's (non-empty) For(id) are untouched — the deploy didn't
-//     change their experiment; an id with no fingerprint (removed
-//     from the registry) can never validate and is purged;
-//   - legacy (unversioned) entries are, when the operator opted in
-//     via Fingerprints.MigrateLegacy, validated against the store's
-//     recorded old generation marker once, then atomically rewritten
-//     in the current format under their experiment's fingerprint;
-//   - everything else — stale or removed experiments, unmigratable or
-//     unknown formats, corrupt bodies — is removed and counted by
-//     reason.
-func (st *Store) reconcile(oldGeneration string) error {
+// still-valid and removing the rest, counted by reason: a
+// current-format entry survives when its embedded fingerprint equals
+// the caller's (non-empty) For(id) — the deploy didn't change its
+// experiment; an id with no fingerprint (removed from the registry)
+// can never validate. Stale or removed experiments, other formats and
+// corrupt bodies are purged.
+func (st *Store) reconcile() {
 	for _, de := range st.readDir() {
 		name := de.Name()
 		if !strings.HasSuffix(name, entryExt) {
@@ -347,40 +312,14 @@ func (st *Store) reconcile(oldGeneration string) error {
 			st.dropStale(path, ReasonChecksum)
 			continue
 		}
-		fp := st.fps.For(f.ID)
-		switch {
-		case f.Format == entryFormat:
-			if fp == "" || f.Fingerprint != fp {
-				st.dropStale(path, ReasonExperiment)
-			}
-		case f.Format == 0 && st.fps.MigrateLegacy && oldGeneration != "" &&
-			f.Fingerprint == oldGeneration:
-			// A legacy entry of the store's own previous generation,
-			// with the operator asserting (MigrateLegacy) that this
-			// upgrade deploy is registry-neutral: the entry matched its
-			// whole-store marker when written and nothing it depends on
-			// changed since, so re-stamp it under its experiment's
-			// current fingerprint, atomically. An experiment no longer
-			// in the registry has no fingerprint to migrate to.
-			if fp == "" {
-				st.dropStale(path, ReasonExperiment)
-				continue
-			}
-			f.Format = entryFormat
-			f.Fingerprint = fp
-			nb, err := json.Marshal(f)
-			if err != nil {
-				return fmt.Errorf("diskcache: %w", err)
-			}
-			if err := st.writeFile(name, append(nb, '\n')); err != nil {
-				return err
-			}
-			st.migrated++
-		default:
+		if f.Format != entryFormat {
 			st.dropStale(path, ReasonFormat)
+			continue
+		}
+		if fp := st.fps.For(f.ID); fp == "" || f.Fingerprint != fp {
+			st.dropStale(path, ReasonExperiment)
 		}
 	}
-	return nil
 }
 
 // dropStale removes one entry during reconcile, counting it as both an
@@ -405,10 +344,6 @@ func (st *Store) Fingerprint() string { return st.fps.Global }
 // same-generation open. Served on /healthz as stale_purged=N.
 func (st *Store) StalePurged() int64 { return st.stalePurged }
 
-// Migrated reports how many legacy-format entries Open rewrote in the
-// current format.
-func (st *Store) Migrated() int64 { return st.migrated }
-
 // Get loads the entry for k. Missing, corrupt (failed checksum or
 // parse), mismatched-key, wrong-format, or stale-fingerprint files all
 // read as a miss; corrupt files are deleted so the slot heals on the
@@ -429,8 +364,7 @@ func (st *Store) Get(k Key) (Entry, bool) {
 	if f.Format != entryFormat {
 		// A legacy or future-format entry: a miss, but NOT a delete —
 		// in a shared directory it may be another generation's valid
-		// work; Open's reconcile is where retired formats are migrated
-		// or purged.
+		// work; Open's reconcile is where retired formats are purged.
 		st.noteInvalidated(ReasonFormat)
 		return Entry{}, false
 	}

@@ -1,8 +1,9 @@
 // Package jobs runs long work asynchronously and makes it observable
 // while it happens: a registry of jobs with a bounded worker pool, a
 // bounded history of finished jobs, and — per job — an append-only
-// event log fed by a buffered progress channel, so the work's own
-// goroutines post cheap updates and never block on a slow consumer.
+// event log that the work's own goroutines append to under the job's
+// lock. Consumers read the log, never a queue, so an emitter never
+// blocks on a slow consumer.
 //
 // The serving layer (internal/serve) drives this for experiment runs:
 // POST /runs submits a job, GET /runs/{id}/events streams its log as
@@ -23,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -100,13 +102,10 @@ type Metrics struct {
 // Defaults for Registry sizing when New is given zeros.
 const (
 	DefaultWorkers = 2
-	DefaultHistory = 64
-
-	// progressBuffer sizes each job's progress channel. A full-scale
-	// characterization run emits a few hundred phase/section events;
-	// the buffer absorbs bursts (tight fit loops opening spans) so the
-	// run's goroutines virtually never block on the collector.
-	progressBuffer = 256
+	// DefaultHistory is sized so a submitter polling under load is not
+	// answered unknown_job for a job that finished milliseconds ago; a
+	// finished job retains only its event log.
+	DefaultHistory = 1024
 )
 
 // Registry owns the job table: a bounded worker pool executing
@@ -121,6 +120,8 @@ type Registry struct {
 	mu    sync.Mutex
 	jobs  map[string]*Job
 	order []string // submission order; the eviction scan walks it oldest-first
+
+	finished atomic.Int64 // terminal jobs in the table; settle counts up, eviction down
 }
 
 // New builds a registry running at most `workers` jobs concurrently
@@ -151,18 +152,15 @@ func (r *Registry) SetMetrics(m Metrics) { r.m = m }
 func (r *Registry) Submit(spec Spec, run RunFunc) *Job {
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &Job{
-		ID:       obs.NewRequestID(),
-		Spec:     spec,
-		Created:  time.Now(),
-		reg:      r,
-		cancel:   cancel,
-		state:    Pending,
-		notify:   make(chan struct{}),
-		progress: make(chan Event, progressBuffer),
-		drained:  make(chan struct{}),
+		ID:      obs.NewRequestID(),
+		Spec:    spec,
+		Created: time.Now(),
+		reg:     r,
+		cancel:  cancel,
+		state:   Pending,
+		notify:  make(chan struct{}),
 	}
-	go j.collect()
-	j.post(Event{Type: EventState, Data: map[string]string{"state": string(Pending)}})
+	j.Emit(EventState, map[string]string{"state": string(Pending)})
 
 	r.mu.Lock()
 	r.jobs[j.ID] = j
@@ -262,31 +260,27 @@ func (r *Registry) Counts() map[State]int {
 
 // evictLocked trims the finished-job history to the ring bound,
 // oldest first. Live (pending/running) jobs are never evicted, so the
-// table holds at most history + active entries. Caller holds r.mu.
+// table holds at most history + active entries. The walk stops at the
+// last job it has to remove — in steady state the oldest entry — so a
+// Submit does not pay for the size of the history. Caller holds r.mu.
 func (r *Registry) evictLocked() {
-	finished := 0
-	for _, id := range r.order {
-		if j, ok := r.jobs[id]; ok && j.terminal() {
-			finished++
-		}
-	}
-	if finished <= r.history {
+	excess := int(r.finished.Load()) - r.history
+	if excess <= 0 {
 		return
 	}
 	keep := r.order[:0]
-	for _, id := range r.order {
-		j, ok := r.jobs[id]
-		if !ok {
-			continue
-		}
-		if finished > r.history && j.terminal() {
+	i := 0
+	for ; i < len(r.order) && excess > 0; i++ {
+		id := r.order[i]
+		if r.jobs[id].State().Terminal() {
 			delete(r.jobs, id)
-			finished--
+			r.finished.Add(-1)
+			excess--
 			continue
 		}
 		keep = append(keep, id)
 	}
-	r.order = keep
+	r.order = append(keep, r.order[i:]...)
 }
 
 // Job is one asynchronous execution: identity, lifecycle state, and
@@ -306,97 +300,62 @@ type Job struct {
 	result   map[string]string // terminal event data (etag, tier, ...)
 	events   []Event
 	notify   chan struct{} // closed and replaced on every append (broadcast)
-
-	// The buffered progress channel feeding the log: Emit posts here
-	// from the work's goroutines; collect drains into events. closed
-	// guards the send-after-close race on cancel.
-	progress chan Event
-	closed   bool
-	feedMu   sync.RWMutex
-	drained  chan struct{} // closed when collect exits
 }
 
 // Emit posts one progress event from the job's work. Events are
 // dropped once the job is terminal (a canceled job's detached run
 // keeps computing; its stragglers go nowhere).
 func (j *Job) Emit(typ string, data map[string]string) {
-	j.post(Event{Type: typ, Data: data})
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.appendLocked(Event{Type: typ, Data: data})
 }
 
-// post sends into the progress channel unless the feed is closed.
-func (j *Job) post(ev Event) {
-	j.feedMu.RLock()
-	defer j.feedMu.RUnlock()
-	if j.closed {
+// appendLocked stamps ev with the next sequence number and the time,
+// appends it, and wakes subscribers. Nothing lands after the terminal
+// event: a settled job's stragglers are dropped. Caller holds j.mu.
+func (j *Job) appendLocked(ev Event) {
+	if n := len(j.events); n > 0 && j.events[n-1].Terminal() {
 		return
 	}
-	j.progress <- ev
+	ev.Seq = len(j.events)
+	ev.Time = time.Now()
+	j.events = append(j.events, ev)
+	close(j.notify)
+	j.notify = make(chan struct{})
+	j.reg.m.Events.Inc()
 }
 
-// closeFeed closes the progress channel exactly once. Waits out
-// in-flight posts via the feed lock, so it never races a send.
-func (j *Job) closeFeed() {
-	j.feedMu.Lock()
-	defer j.feedMu.Unlock()
-	if !j.closed {
-		j.closed = true
-		close(j.progress)
-	}
-}
-
-// collect is the job's single consumer: it drains the progress
-// channel, stamps sequence numbers and times, appends to the log, and
-// wakes subscribers. Once a terminal event lands, later stragglers
-// (posted concurrently with a cancel) are discarded.
-func (j *Job) collect() {
-	defer close(j.drained)
-	terminal := false
-	for ev := range j.progress {
-		if terminal {
-			continue
-		}
-		j.mu.Lock()
-		ev.Seq = len(j.events)
-		ev.Time = time.Now()
-		j.events = append(j.events, ev)
-		close(j.notify)
-		j.notify = make(chan struct{})
-		j.mu.Unlock()
-		j.reg.m.Events.Inc()
-		terminal = ev.Terminal()
-	}
-}
-
-// toRunning moves pending→running, posting the transition event.
-// False when the job settled (canceled) first.
+// toRunning moves pending→running and logs the transition in the same
+// critical section. False when the job settled (canceled) first.
 func (j *Job) toRunning() bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.state != Pending {
-		j.mu.Unlock()
 		return false
 	}
 	j.state = Running
 	j.started = time.Now()
-	j.mu.Unlock()
-	j.post(Event{Type: EventState, Data: map[string]string{"state": string(Running)}})
+	j.appendLocked(Event{Type: EventState, Data: map[string]string{"state": string(Running)}})
 	return true
 }
 
 // settle moves the job to a terminal state exactly once: the first
-// caller wins (Cancel racing a finishing run, or vice versa), posts
-// the terminal event, and closes the feed. Later calls no-op.
+// caller wins (Cancel racing a finishing run, or vice versa) and logs
+// the terminal event in the same critical section, so a reader never
+// sees a terminal state without its event or its counter. Later calls
+// no-op.
 func (j *Job) settle(st State, data map[string]string) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.state.Terminal() {
-		j.mu.Unlock()
 		return
 	}
 	j.state = st
 	j.finished = time.Now()
 	j.result = data
-	j.mu.Unlock()
-	j.post(Event{Type: string(st), Data: data})
-	j.closeFeed()
+	j.appendLocked(Event{Type: string(st), Data: data})
+	j.reg.finished.Add(1)
 	switch st {
 	case Done:
 		j.reg.m.Done.Inc()
@@ -414,13 +373,6 @@ func (j *Job) settle(st State, data map[string]string) {
 func (j *Job) Cancel() {
 	j.cancel()
 	j.settle(Canceled, map[string]string{"reason": "canceled by request"})
-}
-
-// terminal reports whether the job has settled.
-func (j *Job) terminal() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state.Terminal()
 }
 
 // State returns the job's current lifecycle state.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -256,7 +257,7 @@ func TestSubscribeReplayAndLive(t *testing.T) {
 		return Outcome{}
 	})
 
-	// Live consumer: collects everything as it lands.
+	// Live consumer: gathers everything as it lands.
 	var got []Event
 	seq := 0
 	consume := func() {
@@ -300,9 +301,9 @@ func TestSubscribeReplayAndLive(t *testing.T) {
 	}
 }
 
-// TestConcurrentEmitters: many goroutines emitting through one job's
-// buffered progress channel produce a dense, ordered log (run with
-// -race in CI).
+// TestConcurrentEmitters: many goroutines appending to one job's log
+// produce a dense, ordered log that ends with the terminal event, and
+// nothing emitted after it lands (run with -race in CI).
 func TestConcurrentEmitters(t *testing.T) {
 	const emitters, each = 8, 50
 	r := New(1, 4)
@@ -321,6 +322,16 @@ func TestConcurrentEmitters(t *testing.T) {
 		return Outcome{}
 	})
 	settled(t, j)
+	// Stragglers racing each other after the terminal event: all dropped.
+	var wg sync.WaitGroup
+	for e := 0; e < emitters; e++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			j.Emit(EventPhase, map[string]string{"name": "late"})
+		}()
+	}
+	wg.Wait()
 	evs, _ := j.EventsSince(0)
 	// pending + running + emitted + done
 	if want := emitters*each + 3; len(evs) != want {
@@ -330,5 +341,30 @@ func TestConcurrentEmitters(t *testing.T) {
 		if ev.Seq != i {
 			t.Fatalf("seq %d at index %d — log not dense", ev.Seq, i)
 		}
+		if ev.Terminal() != (i == len(evs)-1) {
+			t.Fatalf("event %d %q: only the last event may be terminal", i, ev.Type)
+		}
+	}
+}
+
+// TestSubmitAllocationBudget: a job costs its event log and two
+// goroutines' worth of bookkeeping, not a preallocated queue — a
+// per-job progress channel alone was 14 KiB.
+func TestSubmitAllocationBudget(t *testing.T) {
+	r := New(1, 4)
+	ctx := context.Background()
+	noop := func(context.Context, *Job) Outcome { return Outcome{} }
+	const rounds = 200
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		if err := r.Submit(Spec{Experiment: "T1"}, noop).WaitSettled(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perJob := (after.TotalAlloc - before.TotalAlloc) / rounds; perJob >= 4<<10 {
+		t.Errorf("Submit+settle of a no-op job allocates %d B, want < 4 KiB", perJob)
 	}
 }

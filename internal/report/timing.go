@@ -18,8 +18,3 @@ func (r *Recorder) SetSpan(s *obs.Span) { r.span = s }
 // (plain Recorders, rebuilt cache entries). All obs.Span methods are
 // nil-safe, so callers use the result unconditionally.
 func (r *Recorder) Span() *obs.Span { return r.span }
-
-// Timing returns the run's timing tree — the machine-readable timing
-// section of a recorded run. It is an alias of Span under the name the
-// serving layer's trace endpoint documents.
-func (r *Recorder) Timing() *obs.Span { return r.span }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/lru"
 	"repro/internal/obs"
 )
 
@@ -51,10 +52,10 @@ type cache struct {
 	mu      sync.Mutex
 	entries map[key]*entry
 
-	// customOrder holds the completed custom-platform keys, least
-	// recently used first; maxCustom bounds it (0 = unbounded).
-	customOrder []key
-	maxCustom   int
+	// custom orders the completed custom-platform keys by recency and
+	// bounds how many are held; nil means unbounded, which needs no
+	// order at all.
+	custom *lru.Cache[key, struct{}]
 
 	// waits, when set, records how long hits blocked on an entry's
 	// done channel: ~0 for filled entries, the remaining run time for
@@ -63,7 +64,11 @@ type cache struct {
 }
 
 func newCache(maxCustom int) *cache {
-	return &cache{entries: map[key]*entry{}, maxCustom: maxCustom}
+	c := &cache{entries: map[key]*entry{}}
+	if maxCustom > 0 {
+		c.custom = lru.New[key, struct{}](maxCustom)
+	}
+	return c
 }
 
 // noteCustom records a completed custom-platform entry as most
@@ -71,24 +76,12 @@ func newCache(maxCustom int) *cache {
 // finished entries are ever noted, so eviction never drops an
 // in-flight fill out from under its waiters.
 func (c *cache) noteCustom(k key) {
-	if !cluster.IsCustomName(k.req.Platform) {
+	if c.custom == nil || !cluster.IsCustomName(k.req.Platform) {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, o := range c.customOrder {
-		if o == k {
-			c.customOrder = append(c.customOrder[:i], c.customOrder[i+1:]...)
-			break
-		}
-	}
-	c.customOrder = append(c.customOrder, k)
-	if c.maxCustom <= 0 {
-		return
-	}
-	for len(c.customOrder) > c.maxCustom {
-		victim := c.customOrder[0]
-		c.customOrder = c.customOrder[1:]
+	if victim, evicted := c.custom.Put(k, struct{}{}); evicted {
 		delete(c.entries, victim)
 	}
 }

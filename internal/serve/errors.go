@@ -42,6 +42,9 @@ const (
 const (
 	CodeUnknownExperiment = codeUnknownExperiment
 	CodeUnknownPlatform   = codeUnknownPlatform
+	CodeBodyTooLarge      = codeBodyTooLarge
+	CodeBadRequest        = codeBadRequest
+	CodeInternal          = codeInternal
 )
 
 // APIError is one request-validation failure in the service's error

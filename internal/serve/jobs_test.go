@@ -166,6 +166,19 @@ func TestJobStreamRealRun(t *testing.T) {
 	}
 }
 
+// TestHealthzJobsDoneIsLifetimeCount: jobs_done keeps counting past
+// the finished-job history bound instead of saturating at it.
+func TestHealthzJobsDoneIsLifetimeCount(t *testing.T) {
+	var runs atomic.Int32
+	ts := newTestServer(t, Config{RunFunc: stubRun(&runs, 0), JobsHistory: 1})
+	for i := 0; i < 3; i++ {
+		drainSSE(t, ts.URL+submitJob(t, ts.URL, "id=T1").EventsURL, "")
+	}
+	if st := parseHealthz(t, ts.URL); st["jobs_done"] != "3" {
+		t.Errorf("healthz jobs_done = %s after 3 jobs with history 1, want 3", st["jobs_done"])
+	}
+}
+
 // parseHealthz splits the healthz line into its k=v tokens.
 func parseHealthz(t *testing.T, base string) map[string]string {
 	t.Helper()

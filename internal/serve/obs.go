@@ -1,6 +1,6 @@
-// The service's observability surface: the metric instruments, the
-// request middleware (request IDs, access logs, per-handler latency),
-// and the GET /metrics, GET /debug/traces, and /debug/pprof handlers.
+// The service's observability surface: the metric instruments and the
+// GET /metrics, GET /debug/traces, and /debug/pprof handlers (the
+// request middleware is middleware.go).
 // Metric names and label sets are documented in this package's README;
 // the CI smoke test greps them, so renames are breaking changes.
 package serve
@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/diskcache"
@@ -199,82 +198,4 @@ func (s *Server) EnablePprof() {
 	s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 	s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-}
-
-// statusWriter captures the status code and body size a handler
-// produced, for the request metrics and access log.
-type statusWriter struct {
-	http.ResponseWriter
-	code  int
-	bytes int64
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	n, err := w.ResponseWriter.Write(p)
-	w.bytes += int64(n)
-	return n, err
-}
-
-// Flush passes the streaming capability through the wrapper — without
-// it the SSE handler would see no http.Flusher and refuse to stream.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// handlerLabel maps a request path to a bounded metric label — never
-// the raw path, whose cardinality is caller-controlled.
-func handlerLabel(path string) string {
-	switch {
-	case path == "/healthz":
-		return "healthz"
-	case path == "/metrics":
-		return "metrics"
-	case path == "/debug/traces":
-		return "debug_traces"
-	case strings.HasPrefix(path, "/debug/pprof"):
-		return "pprof"
-	case path == "/experiments":
-		return "experiments_list"
-	case strings.HasPrefix(path, "/experiments/"):
-		return "experiment_get"
-	case path == "/platforms":
-		return "platforms"
-	case strings.HasPrefix(path, "/platforms/"):
-		return "platform_get"
-	case path == "/runs":
-		return "runs"
-	case strings.HasPrefix(path, "/runs/") && strings.HasSuffix(path, "/events"):
-		return "run_events"
-	case strings.HasPrefix(path, "/runs/"):
-		return "run_get"
-	default:
-		return "other"
-	}
-}
-
-// observe records one finished request into the metrics and the
-// access log.
-func (s *Server) observe(r *http.Request, sw *statusWriter, rid string, t0 time.Time) {
-	handler := handlerLabel(r.URL.Path)
-	elapsed := time.Since(t0)
-	s.m.reg.Counter("charhpc_requests_total", "HTTP requests served",
-		obs.L("handler", handler), obs.L("code", strconv.Itoa(sw.code))).Inc()
-	s.m.reg.Histogram("charhpc_request_seconds", "HTTP request latency", nil,
-		obs.L("handler", handler)).Observe(elapsed.Seconds())
-	s.accessLog.Info("request",
-		"request_id", rid,
-		"method", r.Method,
-		"path", r.URL.RequestURI(),
-		"status", sw.code,
-		"bytes", sw.bytes,
-		"elapsed_ms", float64(elapsed.Microseconds())/1e3,
-		"remote", r.RemoteAddr,
-	)
 }

@@ -146,6 +146,7 @@ type Server struct {
 	cache    *cache
 	jobs     *jobs.Registry
 	mux      *http.ServeMux
+	front    Middleware // request IDs, request metrics, access log around mux
 
 	m         *telemetry
 	traces    *obs.TraceBuffer
@@ -195,9 +196,6 @@ func New(cfg Config) *Server {
 	if maxCustom == 0 {
 		maxCustom = DefaultCustomCacheEntries
 	}
-	if maxCustom < 0 {
-		maxCustom = 0 // unbounded
-	}
 	s := &Server{
 		cfg:       cfg,
 		listReps:  buildListReps(),
@@ -210,6 +208,12 @@ func New(cfg Config) *Server {
 		accessLog: cfg.AccessLog,
 		start:     time.Now(),
 		fp:        core.Fingerprint(),
+	}
+	s.front = Middleware{
+		Next: s.mux, Registry: reg,
+		RequestsName: "charhpc_requests_total", RequestsHelp: "HTTP requests served",
+		LatencyName: "charhpc_request_seconds", LatencyHelp: "HTTP request latency",
+		Log: cfg.AccessLog, LogMsg: "request",
 	}
 	s.cache.waits = s.m.sfWait
 	s.jobs.SetMetrics(jobs.Metrics{
@@ -239,21 +243,10 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// ServeHTTP implements http.Handler: request-ID propagation (an
-// incoming X-Request-ID is honored, otherwise one is minted; the ID is
-// always echoed on the response), then the routed handler, then the
-// request metrics and one access-log line.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	rid := r.Header.Get("X-Request-ID")
-	if rid == "" {
-		rid = obs.NewRequestID()
-	}
-	w.Header().Set("X-Request-ID", rid)
-	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-	s.mux.ServeHTTP(sw, r)
-	s.observe(r, sw, rid, t0)
-}
+// ServeHTTP implements http.Handler: the routed handler behind the
+// shared front end (request-ID propagation, request metrics, one
+// access-log line).
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.front.ServeHTTP(w, r) }
 
 // handleHealthz reports liveness plus identity: the cache counters the
 // smoke test asserts, the registry fingerprint (so a shard router can
@@ -268,12 +261,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		diskEntries = s.cfg.Store.Len()
 		stalePurged = s.cfg.Store.StalePurged()
 	}
+	// jobs_done is the lifetime counter, not the retained-history count
+	// (which saturates at the history bound); active and queued are live.
 	jc := s.jobs.Counts()
 	fmt.Fprintf(w, "ok runs=%d mem_hits=%d disk_loads=%d disk_errs=%d fingerprint=%s uptime_seconds=%d mem_entries=%d disk_entries=%d jobs_active=%d jobs_queued=%d jobs_done=%d custom_platforms=%d stale_purged=%d\n",
 		st.Runs, st.MemHits, st.DiskLoads, st.DiskErrs,
 		s.fp, int(time.Since(s.start).Seconds()),
 		s.cache.len(), diskEntries,
-		jc[jobs.Running], jc[jobs.Pending], jc[jobs.Done],
+		jc[jobs.Running], jc[jobs.Pending], s.m.jobsDone.Value(),
 		cluster.CustomCount(), stalePurged)
 }
 

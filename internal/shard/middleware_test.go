@@ -1,0 +1,243 @@
+// The front end both tiers share (serve.Middleware), driven through
+// serve.New and shard.New alike: whatever holds for one must hold for
+// the other, so every assertion runs over both.
+package shard
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"regexp"
+	"sort"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/serve"
+)
+
+// lockedBuf is a log sink the test can read while handlers (and the
+// router's health loop) still write to it.
+type lockedBuf struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuf) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+// lines returns the JSON log lines whose msg is the given one.
+func (l *lockedBuf) lines(t *testing.T, msg string) []map[string]any {
+	t.Helper()
+	l.mu.Lock()
+	text := l.b.String()
+	l.mu.Unlock()
+	var out []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		if line == "" {
+			continue
+		}
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line is not JSON: %v\n%q", err, line)
+		}
+		if rec["msg"] == msg {
+			out = append(out, rec)
+		}
+	}
+	return out
+}
+
+// frontTier is one tier under test: its URL, its registry and request
+// counter name, and its access log.
+type frontTier struct {
+	name     string
+	url      string
+	reg      *obs.Registry
+	requests string
+	log      *lockedBuf
+	logMsg   string
+	upstream *lockedBuf // the tier behind this one, nil for the last
+}
+
+// newFrontTiers builds a charhpcd-shaped server alone and a router in
+// front of one. release unblocks the tiers' runs of M1 (every other
+// experiment returns at once), so a test can hold a job open.
+func newFrontTiers(t *testing.T) (tiers []frontTier, release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	stub := stubRun(nil)
+	run := func(e core.Experiment, r core.Request) core.Result {
+		if e.ID == "M1" {
+			<-gate
+		}
+		return stub(e, r)
+	}
+	newShard := func() (*httptest.Server, *obs.Registry, *lockedBuf) {
+		reg, log := obs.NewRegistry(), &lockedBuf{}
+		ts := httptest.NewServer(serve.New(serve.Config{
+			RunFunc: run, Metrics: reg, AccessLog: obs.NewLogger(log, obs.FormatJSON)}))
+		t.Cleanup(ts.Close)
+		return ts, reg, log
+	}
+	direct, directReg, directLog := newShard()
+	shard, _, shardLog := newShard()
+
+	reg, log := obs.NewRegistry(), &lockedBuf{}
+	rt, err := New(Config{Shards: []string{shard.URL}, Metrics: reg,
+		AccessLog: obs.NewLogger(log, obs.FormatJSON), HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	routed := httptest.NewServer(rt)
+	t.Cleanup(routed.Close)
+
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	return []frontTier{
+		{name: "serve", url: direct.URL, reg: directReg, requests: "charhpc_requests_total",
+			log: directLog, logMsg: "request"},
+		{name: "router", url: routed.URL, reg: reg, requests: "charhpc_router_requests_total",
+			log: log, logMsg: "routed", upstream: shardLog},
+	}, release
+}
+
+// eventually polls cond: the middleware records a request after the
+// handler returns, which can be after the client has the whole body.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestMiddlewareSharedByBothTiers: request-ID reuse and minting, the
+// handler-label vocabulary and the access-log field set are the same
+// whether a request enters at a daemon or at the router.
+func TestMiddlewareSharedByBothTiers(t *testing.T) {
+	tiers, _ := newFrontTiers(t)
+	labels := []struct{ path, handler string }{
+		{"/healthz", "healthz"},
+		{"/metrics", "metrics"},
+		{"/debug/traces", "debug_traces"},
+		{"/debug/pprof/", "pprof"},
+		{"/experiments", "experiments_list"},
+		{"/experiments/T1", "experiment_get"},
+		{"/platforms", "platforms"},
+		{"/platforms/bgp-64n", "platform_get"},
+		{"/runs", "runs"},
+		{"/runs/nope", "run_get"},
+		{"/runs/nope/events", "run_events"},
+		{"/nope", "other"},
+	}
+	var fieldSets []string
+	for _, tier := range tiers {
+		t.Run(tier.name, func(t *testing.T) {
+			for _, tc := range labels {
+				resp, _ := get(t, tier.url+tc.path, nil)
+				series := tier.reg.Counter(tier.requests, "",
+					obs.L("handler", tc.handler), obs.L("code", strconv.Itoa(resp.StatusCode)))
+				eventually(t, tc.path+" counted as handler="+tc.handler, func() bool { return series.Value() == 1 })
+			}
+
+			// An inbound ID is echoed once and reaches the tier behind.
+			resp, _ := get(t, tier.url+"/experiments/T2", map[string]string{"X-Request-ID": "rid-pinned"})
+			if got := resp.Header.Values("X-Request-Id"); len(got) != 1 || got[0] != "rid-pinned" {
+				t.Errorf("response X-Request-ID = %v, want exactly [rid-pinned]", got)
+			}
+			// None inbound: one is minted, echoed, logged and forwarded.
+			resp, _ = get(t, tier.url+"/experiments/T3", nil)
+			minted := resp.Header.Get("X-Request-Id")
+			if !regexp.MustCompile(`^[0-9a-f]{16}$`).MatchString(minted) {
+				t.Errorf("minted request id %q, want 16 hex chars", minted)
+			}
+			for _, rid := range []string{"rid-pinned", minted} {
+				logged := func(l *lockedBuf, msg string) func() bool {
+					return func() bool {
+						for _, rec := range l.lines(t, msg) {
+							if rec["request_id"] == rid {
+								return true
+							}
+						}
+						return false
+					}
+				}
+				eventually(t, tier.name+" access log line for "+rid, logged(tier.log, tier.logMsg))
+				if tier.upstream != nil {
+					eventually(t, "upstream access log line for "+rid, logged(tier.upstream, "request"))
+				}
+			}
+
+			var fields []string
+			for k := range tier.log.lines(t, tier.logMsg)[0] {
+				fields = append(fields, k)
+			}
+			sort.Strings(fields)
+			fieldSets = append(fieldSets, strings.Join(fields, " "))
+		})
+	}
+	const want = "bytes elapsed_ms level method msg path remote request_id status time"
+	for i, got := range fieldSets {
+		if got != want {
+			t.Errorf("%s access-log fields = %q, want %q", tiers[i].name, got, want)
+		}
+	}
+}
+
+// TestMiddlewarePassesFlush: SSE frames cross the wrapper while the
+// job is still running — the status-capturing writer must not hide
+// http.Flusher from the handler, on either tier.
+func TestMiddlewarePassesFlush(t *testing.T) {
+	tiers, release := newFrontTiers(t)
+	for _, tier := range tiers {
+		t.Run(tier.name, func(t *testing.T) {
+			resp, err := http.Post(tier.url+"/runs?"+url.Values{"id": {"M1"}}.Encode(), "", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sub struct {
+				EventsURL string `json:"events_url"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&sub)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("submit: %d %v", resp.StatusCode, err)
+			}
+			stream, err := http.Get(tier.url + sub.EventsURL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stream.Body.Close()
+			// The run is gated shut, so a frame read now was flushed, not
+			// released by the handler returning.
+			frame := make(chan string, 1)
+			go func() {
+				line, _ := bufio.NewReader(stream.Body).ReadString('\n')
+				frame <- line
+			}()
+			select {
+			case line := <-frame:
+				if !strings.HasPrefix(line, "id: 0") {
+					t.Errorf("first SSE line = %q, want the pending event's id", line)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("no SSE frame while the job was running: Flush did not reach the connection")
+			}
+		})
+	}
+	release()
+}

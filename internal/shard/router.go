@@ -17,13 +17,13 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/lru"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -34,14 +34,13 @@ import (
 const (
 	codeNoLiveShard    = "no_live_shard"
 	codeUpstreamFailed = "upstream_failed"
-	codeBadRequest     = "bad_request"
 )
 
 // DefaultMaxJobRoutes bounds the router's job→shard routing table
-// when Config leaves it zero. Entries past it evict oldest-first; an
-// evicted (or never-seen) job is re-located by probing the live
-// shards, so the bound trades a little lookup latency for memory, not
-// correctness.
+// when Config leaves it zero. Entries past it evict least recently
+// used first; an evicted (or never-seen) job is re-located by probing
+// the live shards, so the bound trades a little lookup latency for
+// memory, not correctness.
 const DefaultMaxJobRoutes = 4096
 
 // maxRunBody bounds a POST /runs body (the run parameters travel in
@@ -100,10 +99,15 @@ type Router struct {
 	ring   *Ring
 	hc     *health
 	client *http.Client
-	mux    *http.ServeMux
-	jobs   *jobTable
+	front  serve.Middleware // the same front end the shards wrap their mux in
 	log    *obs.Logger
 	start  time.Time
+
+	// jobs is the bounded job→shard routing memory: which shard accepted
+	// each submitted job, least recently used evicted first. A miss is
+	// recoverable (findJob), so eviction is safe.
+	jobsMu sync.Mutex
+	jobs   *lru.Cache[string, string]
 
 	reg           *obs.Registry
 	failovers     *obs.Counter
@@ -190,8 +194,7 @@ func New(cfg Config) (*Router, error) {
 		cfg:    cfg,
 		ring:   NewRing(cfg.VNodes),
 		client: client,
-		mux:    http.NewServeMux(),
-		jobs:   newJobTable(maxRoutes),
+		jobs:   lru.New[string, string](maxRoutes),
 		log:    cfg.AccessLog,
 		start:  time.Now(),
 		reg:    reg,
@@ -211,7 +214,6 @@ func New(cfg Config) (*Router, error) {
 		rt.log.Info("shard health change", "shard", shard, "up", up)
 	})
 	for _, s := range shards {
-		s := s
 		reg.GaugeFunc("charhpc_router_shard_up",
 			"1 while the labeled shard answers health probes",
 			func() float64 {
@@ -224,19 +226,26 @@ func New(cfg Config) (*Router, error) {
 	reg.GaugeFunc("charhpc_router_uptime_seconds", "seconds since the router was built",
 		func() float64 { return time.Since(rt.start).Seconds() })
 
-	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	rt.mux.HandleFunc("GET /experiments", rt.handleAny)
-	rt.mux.HandleFunc("GET /experiments/{id}", rt.handleExperiment)
-	rt.mux.HandleFunc("GET /platforms", rt.handleAny)
-	rt.mux.HandleFunc("GET /platforms/{name}", rt.handleAny)
-	rt.mux.HandleFunc("POST /platforms", rt.handlePlatformRegister)
-	rt.mux.HandleFunc("POST /runs", rt.handleSubmitRun)
-	rt.mux.HandleFunc("GET /runs", rt.handleJobList)
-	rt.mux.HandleFunc("GET /runs/{job}", rt.handleJob)
-	rt.mux.HandleFunc("DELETE /runs/{job}", rt.handleJob)
-	rt.mux.HandleFunc("GET /runs/{job}/events", rt.handleJob)
-	rt.mux.HandleFunc("GET /debug/traces", rt.handleAny)
+	mux := http.NewServeMux()
+	rt.front = serve.Middleware{
+		Next: mux, Registry: reg,
+		RequestsName: "charhpc_router_requests_total", RequestsHelp: "requests routed, by handler and status code",
+		LatencyName: "charhpc_router_proxy_seconds", LatencyHelp: "routed request latency, shard hop included",
+		Log: cfg.AccessLog, LogMsg: "routed",
+	}
+	mux.HandleFunc("GET /healthz", rt.handleHealthz)
+	mux.HandleFunc("GET /metrics", rt.handleMetrics)
+	mux.HandleFunc("GET /experiments", rt.handleAny)
+	mux.HandleFunc("GET /experiments/{id}", rt.handleExperiment)
+	mux.HandleFunc("GET /platforms", rt.handleAny)
+	mux.HandleFunc("GET /platforms/{name}", rt.handleAny)
+	mux.HandleFunc("POST /platforms", rt.handlePlatformRegister)
+	mux.HandleFunc("POST /runs", rt.handleSubmitRun)
+	mux.HandleFunc("GET /runs", rt.handleJobList)
+	mux.HandleFunc("GET /runs/{job}", rt.handleJob)
+	mux.HandleFunc("DELETE /runs/{job}", rt.handleJob)
+	mux.HandleFunc("GET /runs/{job}/events", rt.handleJob)
+	mux.HandleFunc("GET /debug/traces", rt.handleAny)
 	rt.hc.start()
 	return rt, nil
 }
@@ -244,38 +253,24 @@ func New(cfg Config) (*Router, error) {
 // Close stops the health loop.
 func (rt *Router) Close() { rt.hc.close() }
 
-// ServeHTTP implements http.Handler: request-ID handling (an inbound
-// X-Request-ID is reused on the shard hop — never re-minted — so one
-// ID greps across both the router's and the shard's access logs),
-// then the routed handler, then metrics and one access-log line.
-func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	rid := r.Header.Get("X-Request-ID")
-	if rid == "" {
-		rid = obs.NewRequestID()
-		// Stamped onto the inbound request so the proxy's header copy
-		// carries it to the shard — the one place the ID is minted.
-		r.Header.Set("X-Request-ID", rid)
-	}
-	w.Header().Set("X-Request-ID", rid)
-	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-	rt.mux.ServeHTTP(sw, r)
+// ServeHTTP implements http.Handler: the routed handler behind the
+// front end the shards use too. An inbound X-Request-ID is reused on
+// the shard hop — never re-minted — so one ID greps across both the
+// router's and the shard's access logs.
+func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.front.ServeHTTP(w, r) }
 
-	handler := handlerLabel(r.URL.Path)
-	elapsed := time.Since(t0)
-	rt.reg.Counter("charhpc_router_requests_total", "requests routed, by handler and status code",
-		obs.L("handler", handler), obs.L("code", strconv.Itoa(sw.code))).Inc()
-	rt.reg.Histogram("charhpc_router_proxy_seconds", "routed request latency, shard hop included", nil,
-		obs.L("handler", handler)).Observe(elapsed.Seconds())
-	rt.log.Info("routed",
-		"request_id", rid,
-		"method", r.Method,
-		"path", r.URL.RequestURI(),
-		"status", sw.code,
-		"bytes", sw.bytes,
-		"elapsed_ms", float64(elapsed.Microseconds())/1e3,
-		"remote", r.RemoteAddr,
-	)
+// routeJob remembers which shard owns a job.
+func (rt *Router) routeJob(job, shard string) {
+	rt.jobsMu.Lock()
+	defer rt.jobsMu.Unlock()
+	rt.jobs.Put(job, shard)
+}
+
+// jobRoute returns the shard remembered for a job.
+func (rt *Router) jobRoute(job string) (string, bool) {
+	rt.jobsMu.Lock()
+	defer rt.jobsMu.Unlock()
+	return rt.jobs.Get(job)
 }
 
 // handleHealthz aggregates the pool's health on one line: first token
@@ -372,7 +367,7 @@ func (rt *Router) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRunBody))
 	if err != nil {
 		serve.WriteAPIError(w, r, &serve.APIError{
-			Status: http.StatusBadRequest, Code: codeBadRequest,
+			Status: http.StatusBadRequest, Code: serve.CodeBadRequest,
 			Message: fmt.Sprintf("reading request body: %v", err)})
 		return
 	}
@@ -391,7 +386,7 @@ func (rt *Router) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 			Job string `json:"job"`
 		}
 		if json.Unmarshal(respBody, &sub) == nil && sub.Job != "" {
-			rt.jobs.put(sub.Job, target)
+			rt.routeJob(sub.Job, target)
 		}
 	})
 }
@@ -417,7 +412,7 @@ func runParam(r *http.Request, body []byte, name string) string {
 // saw the job.
 func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 	job := r.PathValue("job")
-	target, ok := rt.jobs.get(job)
+	target, ok := rt.jobRoute(job)
 	if !ok {
 		target, ok = rt.findJob(r.Context(), job)
 	}
@@ -453,7 +448,7 @@ func (rt *Router) findJob(ctx context.Context, job string) (string, bool) {
 		resp.Body.Close()
 		cancel()
 		if resp.StatusCode == http.StatusOK {
-			rt.jobs.put(job, s)
+			rt.routeJob(job, s)
 			return s, true
 		}
 	}
@@ -496,7 +491,7 @@ func (rt *Router) handleJobList(w http.ResponseWriter, r *http.Request) {
 	b, err := json.Marshal(all)
 	if err != nil {
 		serve.WriteAPIError(w, r, &serve.APIError{
-			Status: http.StatusInternalServerError, Code: "internal", Message: err.Error()})
+			Status: http.StatusInternalServerError, Code: serve.CodeInternal, Message: err.Error()})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -518,7 +513,7 @@ func (rt *Router) handlePlatformRegister(w http.ResponseWriter, r *http.Request)
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
 		serve.WriteAPIError(w, r, &serve.APIError{
-			Status: http.StatusRequestEntityTooLarge, Code: "body_too_large",
+			Status: http.StatusRequestEntityTooLarge, Code: serve.CodeBodyTooLarge,
 			Message: fmt.Sprintf("platform spec exceeds the %d-byte limit", limit)})
 		return
 	}
@@ -689,92 +684,5 @@ func flushCopy(w http.ResponseWriter, body io.Reader) {
 		if err != nil {
 			return
 		}
-	}
-}
-
-// jobTable is the bounded job→shard routing memory: which shard
-// accepted each submitted job, evicted oldest-first past max. A miss
-// is recoverable (findJob), so eviction is safe.
-type jobTable struct {
-	mu    sync.Mutex
-	m     map[string]string
-	order []string
-	max   int
-}
-
-func newJobTable(max int) *jobTable {
-	return &jobTable{m: make(map[string]string), max: max}
-}
-
-func (t *jobTable) put(job, shard string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.m[job]; !ok {
-		t.order = append(t.order, job)
-	}
-	t.m[job] = shard
-	for len(t.order) > t.max {
-		delete(t.m, t.order[0])
-		t.order = t.order[1:]
-	}
-}
-
-func (t *jobTable) get(job string) (string, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s, ok := t.m[job]
-	return s, ok
-}
-
-// statusWriter captures the status code and body size for the
-// router's metrics and access log, passing Flush through for SSE.
-type statusWriter struct {
-	http.ResponseWriter
-	code  int
-	bytes int64
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	n, err := w.ResponseWriter.Write(p)
-	w.bytes += int64(n)
-	return n, err
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// handlerLabel maps a request path to a bounded metric label (the
-// same vocabulary internal/serve uses, so dashboards join across the
-// tiers).
-func handlerLabel(path string) string {
-	switch {
-	case path == "/healthz":
-		return "healthz"
-	case path == "/metrics":
-		return "metrics"
-	case strings.HasPrefix(path, "/debug/"):
-		return "debug"
-	case path == "/experiments":
-		return "experiments_list"
-	case strings.HasPrefix(path, "/experiments/"):
-		return "experiment_get"
-	case strings.HasPrefix(path, "/platforms"):
-		return "platforms"
-	case path == "/runs":
-		return "runs"
-	case strings.HasPrefix(path, "/runs/") && strings.HasSuffix(path, "/events"):
-		return "run_events"
-	case strings.HasPrefix(path, "/runs/"):
-		return "run_get"
-	default:
-		return "other"
 	}
 }

@@ -617,22 +617,25 @@ func TestRouterConfigValidation(t *testing.T) {
 	}
 }
 
-// TestJobTableEviction pins the bounded routing memory: entries past
-// the cap evict oldest-first and re-resolve via the pool probe.
+// TestJobTableEviction pins that Config.MaxJobRoutes bounds the
+// routing memory: past it the least recently used route is dropped
+// (and re-resolves via the pool probe); lru's own test covers the
+// order in detail.
 func TestJobTableEviction(t *testing.T) {
-	tb := newJobTable(2)
-	tb.put("a", "s1")
-	tb.put("b", "s2")
-	tb.put("a", "s3") // update, not a new entry
-	if s, _ := tb.get("a"); s != "s3" {
-		t.Errorf("a -> %s, want s3", s)
+	rt, err := New(Config{Shards: []string{"host1:8080"}, HealthInterval: time.Hour, MaxJobRoutes: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	tb.put("c", "s4") // evicts a (oldest)
-	if _, ok := tb.get("a"); ok {
-		t.Error("oldest entry survived past the cap")
+	defer rt.Close()
+	rt.routeJob("a", "s1")
+	rt.routeJob("b", "s2")
+	rt.routeJob("a", "s3") // update, not a new entry; a is now the most recent
+	rt.routeJob("c", "s4") // evicts b
+	if _, ok := rt.jobRoute("b"); ok {
+		t.Error("least recently used route survived past the cap")
 	}
-	for job, want := range map[string]string{"b": "s2", "c": "s4"} {
-		if s, ok := tb.get(job); !ok || s != want {
+	for job, want := range map[string]string{"a": "s3", "c": "s4"} {
+		if s, ok := rt.jobRoute(job); !ok || s != want {
 			t.Errorf("%s -> %s,%v want %s", job, s, ok, want)
 		}
 	}
