@@ -47,9 +47,9 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/serve"
 	"repro/internal/shard"
 )
 
@@ -73,13 +73,8 @@ func main() {
 	}
 	logger := obs.NewLogger(os.Stderr, *logFormat)
 
-	var limit core.Scale
-	switch *scaleLimit {
-	case "quick":
-		limit = core.Quick
-	case "full":
-		limit = core.Full
-	default:
+	limit, ok := core.ParseScale(*scaleLimit)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "charhpc-router: unknown scale limit %q (want quick or full)\n", *scaleLimit)
 		os.Exit(2)
 	}
@@ -109,22 +104,10 @@ func main() {
 	}
 	defer rt.Close()
 
-	var platforms []string
-	for _, p := range strings.Split(*warmPlatforms, ",") {
-		p = strings.TrimSpace(p)
-		switch p {
-		case "":
-			continue
-		case "default":
-			platforms = append(platforms, "")
-		default:
-			if _, ok := cluster.Lookup(p); !ok {
-				fmt.Fprintf(os.Stderr, "charhpc-router: unknown warm-up platform %q (platforms: %v)\n", p,
-					append(cluster.Names(), cluster.CustomNames()...))
-				os.Exit(2)
-			}
-			platforms = append(platforms, p)
-		}
+	platforms, err := serve.ParseWarmPlatforms(*warmPlatforms)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "charhpc-router: %v\n", err)
+		os.Exit(2)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -99,16 +99,12 @@ func main() {
 		return
 	}
 
-	req := core.Request{Platform: *platformFlag}
-	switch *scaleFlag {
-	case "quick":
-		req.Scale = core.Quick
-	case "full":
-		req.Scale = core.Full
-	default:
+	scale, ok := core.ParseScale(*scaleFlag)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "charhpc: unknown scale %q (want quick or full)\n", *scaleFlag)
 		os.Exit(2)
 	}
+	req := core.Request{Scale: scale, Platform: *platformFlag}
 	// -platform-file registers a user-defined machine as data and runs
 	// on it under its content-hash name — the CLI half of the service's
 	// POST /platforms. The canonical bytes are kept so -submit can

@@ -49,11 +49,9 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/diskcache"
 	"repro/internal/obs"
@@ -84,13 +82,8 @@ func main() {
 	}
 	logger := obs.NewLogger(os.Stderr, *logFormat)
 
-	var limit core.Scale
-	switch *scaleLimit {
-	case "quick":
-		limit = core.Quick
-	case "full":
-		limit = core.Full
-	default:
+	limit, ok := core.ParseScale(*scaleLimit)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "charhpcd: unknown scale limit %q (want quick or full)\n", *scaleLimit)
 		os.Exit(2)
 	}
@@ -127,22 +120,10 @@ func main() {
 	// Resolve the warm-up platform axis after serve.New so names
 	// preloaded from -platform-dir resolve too; a typo still fails the
 	// start, not a background goroutine.
-	var platforms []string
-	for _, p := range strings.Split(*warmPlatforms, ",") {
-		p = strings.TrimSpace(p)
-		switch p {
-		case "":
-			continue
-		case "default":
-			platforms = append(platforms, "")
-		default:
-			if _, ok := cluster.Lookup(p); !ok {
-				fmt.Fprintf(os.Stderr, "charhpcd: unknown warm-up platform %q (platforms: %v)\n", p,
-					append(cluster.Names(), cluster.CustomNames()...))
-				os.Exit(2)
-			}
-			platforms = append(platforms, p)
-		}
+	platforms, err := serve.ParseWarmPlatforms(*warmPlatforms)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "charhpcd: %v\n", err)
+		os.Exit(2)
 	}
 
 	// The signal context is created before the warm-up starts so a

@@ -7,7 +7,7 @@
 // memory-hierarchy family M1-M6 (latency ladder, TLB stress, page-size
 // comparison, fitted-vs-truth, NUMA placement ladder, placement
 // slowdown; see internal/mem). cmd/charhpc runs the whole registry;
-// bench_test.go exposes one bench target per experiment.
+// the bench/ harness times each experiment as core.run_ms.<ID>.
 //
 // The platform is a request axis: every experiment runs against a
 // Request{Scale, Platform}, where Platform names a preset from
@@ -46,6 +46,19 @@ func (s Scale) String() string {
 		return "full"
 	}
 	return "quick"
+}
+
+// ParseScale is String's inverse — the one place the scale vocabulary
+// is spelled. The empty string is Quick, the default everywhere a
+// scale is optional; ok is false for anything else.
+func ParseScale(s string) (_ Scale, ok bool) {
+	switch s {
+	case "", Quick.String():
+		return Quick, true
+	case Full.String():
+		return Full, true
+	}
+	return Quick, false
 }
 
 // Request parameterizes one experiment execution: the sweep scale and

@@ -85,6 +85,24 @@ func TestScaleString(t *testing.T) {
 	}
 }
 
+func TestParseScale(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want Scale
+		ok   bool
+	}{
+		{"", Quick, true},
+		{"quick", Quick, true},
+		{"full", Full, true},
+		{"Full", Quick, false},
+		{"huge", Quick, false},
+	} {
+		if got, ok := ParseScale(c.in); got != c.want || ok != c.ok {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v, %v", c.in, got, ok, c.want, c.ok)
+		}
+	}
+}
+
 // The experiment smoke tests run each experiment at Quick scale and make
 // shape assertions on the rendered output — these are the "who wins"
 // checks from DESIGN.md.

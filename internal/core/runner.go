@@ -2,17 +2,17 @@
 // into Recorders, serially or on a worker pool. Experiments already
 // write to whatever writer they are handed and share no mutable
 // state, so independent runs compose freely across goroutines; the
-// pool here is what fills a cold results cache concurrently and what
-// cmd/charhpc's -j flag drives.
+// pool here is what cmd/charhpc's -j flag drives (the results
+// service fills its cold cache on the same par.ForEach).
 package core
 
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/report"
 )
 
@@ -144,38 +144,6 @@ func resolve(ids []string, r Request) ([]Experiment, error) {
 	return exps, nil
 }
 
-// runPool executes exps on `workers` goroutines via run, invoking fn
-// with the input index as each completes. fn is called from worker
-// goroutines and must be safe for concurrent use.
-func runPool(exps []Experiment, r Request, workers int, run func(Experiment, Request) Result, fn func(int, Result)) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(exps) {
-		workers = len(exps)
-	}
-	type job struct {
-		i int
-		e Experiment
-	}
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				fn(j.i, run(j.e, r))
-			}
-		}()
-	}
-	for i, e := range exps {
-		jobs <- job{i, e}
-	}
-	close(jobs)
-	wg.Wait()
-}
-
 // RunParallel executes the named experiments on a pool of `workers`
 // goroutines and returns their results in the order of ids. Per-run
 // errors are carried in each Result; the returned error is non-nil
@@ -187,7 +155,7 @@ func RunParallel(ids []string, r Request, workers int) ([]Result, error) {
 		return nil, err
 	}
 	out := make([]Result, len(exps))
-	runPool(exps, r, workers, Run, func(i int, res Result) { out[i] = res })
+	par.ForEach(len(exps), workers, func(i int) { out[i] = Run(exps[i], r) })
 	return out, nil
 }
 
@@ -197,17 +165,10 @@ func RunParallel(ids []string, r Request, workers int) ([]Result, error) {
 // call returned), or immediately with an error on an unknown ID or
 // incompatible platform.
 func RunParallelFunc(ids []string, r Request, workers int, fn func(Result)) error {
-	return RunParallelWith(ids, r, workers, Run, fn)
-}
-
-// RunParallelWith is RunParallelFunc with the per-experiment executor
-// swapped out — callers that wrap Run (instrumentation, limits, test
-// stubs) get the same worker pool driven through their wrapper.
-func RunParallelWith(ids []string, r Request, workers int, run func(Experiment, Request) Result, fn func(Result)) error {
 	exps, err := resolve(ids, r)
 	if err != nil {
 		return err
 	}
-	runPool(exps, r, workers, run, func(_ int, res Result) { fn(res) })
+	par.ForEach(len(exps), workers, func(i int) { fn(Run(exps[i], r)) })
 	return nil
 }

@@ -194,22 +194,6 @@ func TestRunAllExplicitPlatformSkipsIncompatible(t *testing.T) {
 	}
 }
 
-func TestRunParallelWith(t *testing.T) {
-	// The custom executor must be the one the pool drives.
-	var calls atomic.Int32
-	stub := func(e Experiment, r Request) Result {
-		calls.Add(1)
-		return Run(e, r)
-	}
-	err := RunParallelWith([]string{"T1", "M3"}, Request{Scale: Quick}, 2, stub, func(Result) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != 2 {
-		t.Errorf("custom executor called %d times, want 2", calls.Load())
-	}
-}
-
 func TestRunParallelFuncCompletionStream(t *testing.T) {
 	var calls atomic.Int32
 	var mu sync.Mutex

@@ -128,3 +128,65 @@ func TestSimPingPongAllocBudget(t *testing.T) {
 		t.Errorf("1 MiB Sim ping-pong allocates %d bytes per round trip, budget 4 KiB", perTrip)
 	}
 }
+
+// BenchmarkP2PPingPongInProc measures the runtime's real (wall-clock)
+// small-message half round trip on the in-process fabric.
+func BenchmarkP2PPingPongInProc(b *testing.B) {
+	for _, size := range []int{8, 4096, 65536} {
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			b.ReportAllocs()
+			err := Run(2, Config{Fabric: InProc}, func(c *Comm) error {
+				buf := make([]byte, size)
+				peer := 1 - c.Rank()
+				for i := 0; i < b.N; i++ {
+					if c.Rank() == 0 {
+						if err := c.Send(peer, 1, buf); err != nil {
+							return err
+						}
+						if _, err := c.Recv(peer, 1, buf); err != nil {
+							return err
+						}
+					} else {
+						if _, err := c.Recv(peer, 1, buf); err != nil {
+							return err
+						}
+						if err := c.Send(peer, 1, buf); err != nil {
+							return err
+						}
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkAllreduce measures the real cost of an 8-rank allreduce on
+// the in-process fabric for each algorithm.
+func BenchmarkAllreduce(b *testing.B) {
+	algos := map[string]AllreduceAlgo{
+		"recdoubling":  AllreduceRecursiveDoubling,
+		"rabenseifner": AllreduceRabenseifner,
+		"ring":         AllreduceRing,
+	}
+	for name, algo := range algos {
+		b.Run(name, func(b *testing.B) {
+			err := Run(8, Config{Fabric: InProc, Allreduce: algo}, func(c *Comm) error {
+				in := make([]float64, 4096)
+				out := make([]float64, 4096)
+				for i := 0; i < b.N; i++ {
+					if err := c.Allreduce(OpSum, in, out); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}

@@ -86,6 +86,18 @@ func For(n int, body func(i int)) {
 	})
 }
 
+// ForEach executes body(i) for every i in [0, n) on a pool of threads
+// workers (fewer than one means one) that take one index at a time —
+// the dynamic schedule, for tasks of uneven cost such as experiment
+// runs. It blocks until all iterations complete.
+func ForEach(n, threads int, body func(i int)) {
+	ForOpt(n, Options{Threads: max(threads, 1), Schedule: Dynamic}, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			body(i)
+		}
+	})
+}
+
 // ForOpt executes body over chunks of [0, n) according to opts. The body
 // receives a half-open index range [lo, hi) plus the worker id in
 // [0, Threads), which callers use for per-thread accumulators.

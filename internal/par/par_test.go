@@ -11,9 +11,13 @@ func TestForCoversAllIndices(t *testing.T) {
 	const n = 1000
 	hit := make([]int32, n)
 	For(n, func(i int) { atomic.AddInt32(&hit[i], 1) })
+	// ForEach at no, one (inline) and several workers: once more each.
+	for _, threads := range []int{0, 1, 4} {
+		ForEach(n, threads, func(i int) { atomic.AddInt32(&hit[i], 1) })
+	}
 	for i, h := range hit {
-		if h != 1 {
-			t.Fatalf("index %d visited %d times", i, h)
+		if h != 4 {
+			t.Fatalf("index %d visited %d times, want 4", i, h)
 		}
 	}
 }

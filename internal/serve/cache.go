@@ -141,33 +141,10 @@ func (c *cache) len() int {
 	return len(c.entries)
 }
 
-// claim reserves k if it is cold, returning the unfilled entry and
-// true. A reserved entry behaves like an in-flight fill to get():
-// concurrent requests wait on it. The caller must complete it with
-// finish(). Used by warm-up to batch cold keys through one worker
-// pool without losing the single-flight guarantee.
-func (c *cache) claim(k key) (*entry, bool) {
+// has reports whether k is cached or being filled.
+func (c *cache) has(k key) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[k]; ok {
-		return nil, false
-	}
-	e := &entry{done: make(chan struct{})}
-	c.entries[k] = e
-	return e, true
-}
-
-// finish completes a claimed entry, dropping it from the cache on
-// error so later requests retry.
-func (c *cache) finish(k key, e *entry, reps map[string]rep, elapsed time.Duration, err error) {
-	e.reps, e.elapsed, e.err = reps, elapsed, err
-	if err != nil {
-		c.mu.Lock()
-		delete(c.entries, k)
-		c.mu.Unlock()
-	}
-	close(e.done)
-	if err == nil {
-		c.noteCustom(k)
-	}
+	_, ok := c.entries[k]
+	return ok
 }

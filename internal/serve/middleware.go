@@ -26,9 +26,9 @@ type Middleware struct {
 	LogMsg string
 }
 
-// requestIDHeader is X-Request-ID in net/http's canonical spelling, so
+// RequestIDHeader is X-Request-ID in net/http's canonical spelling, so
 // Header.Get and Set need not re-canonicalise (and allocate) per call.
-const requestIDHeader = "X-Request-Id"
+const RequestIDHeader = "X-Request-Id"
 
 // ServeHTTP reuses an inbound X-Request-ID and mints one otherwise —
 // stamped on the inbound header too, so a proxying Next forwards the
@@ -36,12 +36,12 @@ const requestIDHeader = "X-Request-Id"
 // then runs Next and records the request.
 func (m *Middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
-	rid := r.Header.Get(requestIDHeader)
+	rid := r.Header.Get(RequestIDHeader)
 	if rid == "" {
 		rid = obs.NewRequestID()
-		r.Header.Set(requestIDHeader, rid)
+		r.Header.Set(RequestIDHeader, rid)
 	}
-	w.Header().Set(requestIDHeader, rid)
+	w.Header().Set(RequestIDHeader, rid)
 	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 	m.Next.ServeHTTP(sw, r)
 

@@ -29,13 +29,11 @@
 package serve
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -356,17 +354,13 @@ func CheckRunRequest(id, scaleV, platformV string, limit core.Scale) (core.Exper
 			Message: fmt.Sprintf("unknown experiment %q", id),
 			Hint:    "GET /experiments lists every registered experiment"}
 	}
-	req := core.Request{Scale: core.Quick}
-	switch scaleV {
-	case "", "quick":
-	case "full":
-		req.Scale = core.Full
-	default:
-		return e, req, &APIError{
+	scale, ok := core.ParseScale(scaleV)
+	if !ok {
+		return e, core.Request{}, &APIError{
 			Status: http.StatusBadRequest, Code: codeInvalidScale,
 			Message: fmt.Sprintf("unknown scale %q (want quick or full)", scaleV)}
 	}
-	req.Platform = platformV
+	req := core.Request{Scale: scale, Platform: platformV}
 	if err := e.CheckPlatform(req.Platform); err != nil {
 		status, code, hint := platformError(err)
 		return e, req, &APIError{Status: status, Code: code, Message: err.Error(), Hint: hint}
@@ -493,10 +487,11 @@ func renderResult(res core.Result) (map[string]rep, time.Duration, error) {
 // platform): load from the disk store when a valid entry generation
 // exists there, otherwise execute the experiment — observed through h
 // on the async job path — and write the rendering through to the
-// store. This is the only path that fills the in-memory cache, so the
-// memory layer is strictly a write-through front for the store. tier
-// reports how the result was produced ("disk" or "run"), for job
-// terminal events and the cache-tier metrics.
+// store. Every cache.get — blocking GET, async job, warm-up — fills
+// through here and nowhere else, so the memory layer is strictly a
+// write-through front for the store. tier reports how the result was
+// produced ("disk" or "run"), for job terminal events and the
+// cache-tier metrics.
 func (s *Server) fill(e core.Experiment, req core.Request, h core.RunHooks) (map[string]rep, time.Duration, string, error) {
 	if reps, elapsed, ok := s.loadStore(e.ID, req); ok {
 		s.m.diskLoads.Inc()
@@ -507,98 +502,6 @@ func (s *Server) fill(e core.Experiment, req core.Request, h core.RunHooks) (map
 		s.saveStore(e.ID, req, reps, elapsed)
 	}
 	return reps, elapsed, "run", err
-}
-
-// Warm fills the quick-scale cache for the given experiment IDs (nil
-// means every registered experiment) across the given platform axis
-// (nil means the default platform set only; "" in the list is the
-// default set). Incompatible (experiment, platform) pairs are skipped,
-// so warming the whole registry across explicit presets never errors.
-// Entries with a valid disk-store generation are loaded without
-// running; the rest execute on a core.RunParallel worker pool driven
-// through the server's RunFunc. Cold keys are claimed up front so
-// requests arriving mid-warm wait on the in-flight entry instead of
-// re-running — the single-flight guarantee holds across warm-up and
-// traffic. Already cached or in-flight keys are skipped.
-//
-// Canceling ctx stops the warm-up promptly: jobs not yet started are
-// skipped (their claims are released so later requests retry), and
-// only in-flight experiment runs are waited out. Returns the number of
-// experiments it actually executed — disk loads and canceled jobs
-// don't count.
-func (s *Server) Warm(ctx context.Context, ids []string, platforms []string, workers int) int {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if ids == nil {
-		for _, e := range core.All() {
-			ids = append(ids, e.ID)
-		}
-	}
-	if platforms == nil {
-		platforms = []string{""}
-	}
-	// Progress gauges: planned counts every claimed key (disk loads
-	// included), completed counts each as it resolves — loaded,
-	// executed, or canceled — so an operator watching /metrics sees
-	// warm-up advance and finish (warmup_running drops to 0).
-	s.m.warmRunning.Set(1)
-	defer s.m.warmRunning.Set(0)
-	total := 0
-	for _, platform := range platforms {
-		req := core.Request{Scale: core.Quick, Platform: platform}
-		claimed := map[string]*entry{}
-		var cold []string
-		for _, id := range ids {
-			e, ok := core.Get(id)
-			if !ok || e.CheckPlatform(platform) != nil {
-				continue
-			}
-			ent, ok := s.cache.claim(key{id, req})
-			if !ok {
-				continue
-			}
-			s.m.warmPlanned.Add(1)
-			if reps, elapsed, lok := s.loadStore(id, req); lok {
-				s.m.diskLoads.Inc()
-				s.cache.finish(key{id, req}, ent, reps, elapsed, nil)
-				s.m.warmCompleted.Add(1)
-				continue
-			}
-			claimed[id] = ent
-			cold = append(cold, id)
-		}
-		if len(cold) == 0 {
-			continue
-		}
-		// Unknown IDs and incompatible pairs were filtered above, so
-		// the pool cannot fail before running; each claimed entry is
-		// finished as its run completes. Driving the pool through
-		// safeRun keeps warm-up behind the same wrapper (limits,
-		// instrumentation, test stubs) as traffic, with the same panic
-		// containment — and guarantees r.Experiment.ID is the job's
-		// own, so every claimed entry is found and finished.
-		var ran atomic.Int64
-		run := func(e core.Experiment, rq core.Request) core.Result {
-			if err := ctx.Err(); err != nil {
-				return core.Result{Experiment: e, Req: rq,
-					Err: fmt.Errorf("warm-up canceled: %w", err)}
-			}
-			ran.Add(1)
-			return s.safeRun(e, rq, core.RunHooks{})
-		}
-		core.RunParallelWith(cold, req, workers, run, func(r core.Result) {
-			k := key{r.Experiment.ID, req}
-			reps, elapsed, err := renderResult(r)
-			if err == nil {
-				s.saveStore(r.Experiment.ID, req, reps, elapsed)
-			}
-			s.cache.finish(k, claimed[r.Experiment.ID], reps, elapsed, err)
-			s.m.warmCompleted.Add(1)
-		})
-		total += int(ran.Load())
-	}
-	return total
 }
 
 // safeRun drives one execution with the safety net both paths need: a

@@ -433,7 +433,7 @@ func (rt *Router) findJob(ctx context.Context, job string) (string, bool) {
 		if !rt.hc.isUp(s) {
 			continue
 		}
-		probeCtx, cancel := context.WithTimeout(ctx, rt.probeTimeout())
+		probeCtx, cancel := context.WithTimeout(ctx, rt.hc.timeout)
 		req, err := http.NewRequestWithContext(probeCtx, http.MethodGet, s+"/runs/"+url.PathEscape(job), nil)
 		if err != nil {
 			cancel()
@@ -455,13 +455,6 @@ func (rt *Router) findJob(ctx context.Context, job string) (string, bool) {
 	return "", false
 }
 
-func (rt *Router) probeTimeout() time.Duration {
-	if rt.cfg.HealthTimeout > 0 {
-		return rt.cfg.HealthTimeout
-	}
-	return DefaultHealthTimeout
-}
-
 // handleJobList merges every live shard's GET /runs into one JSON
 // array (shard order; each shard's own newest-first order preserved).
 func (rt *Router) handleJobList(w http.ResponseWriter, r *http.Request) {
@@ -474,7 +467,7 @@ func (rt *Router) handleJobList(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			continue
 		}
-		req.Header.Set("X-Request-ID", r.Header.Get("X-Request-ID"))
+		req.Header.Set(serve.RequestIDHeader, r.Header.Get(serve.RequestIDHeader))
 		resp, err := rt.client.Do(req)
 		if err != nil {
 			rt.hc.set(s, false)
@@ -547,7 +540,7 @@ func (rt *Router) fanOutPlatform(r *http.Request, target string, body []byte) er
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Request-ID", r.Header.Get("X-Request-ID"))
+	req.Header.Set(serve.RequestIDHeader, r.Header.Get(serve.RequestIDHeader))
 	resp, err := rt.client.Do(req)
 	if err != nil {
 		rt.hc.set(target, false)
@@ -595,13 +588,17 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, targets []string
 			continue
 		}
 		rt.routed(target, "ok")
-		rt.copyResponse(w, resp, onResponse, target)
+		rt.copyResponse(w, r, resp, onResponse, target)
 		return
 	}
+	rt.upstreamFailed(w, r, fmt.Sprintf("every candidate shard failed (last: %v)", lastErr))
+}
+
+// upstreamFailed answers the 502 envelope for a shard hop that failed.
+func (rt *Router) upstreamFailed(w http.ResponseWriter, r *http.Request, msg string) {
 	serve.WriteAPIError(w, r, &serve.APIError{
 		Status: http.StatusBadGateway, Code: codeUpstreamFailed,
-		Message: fmt.Sprintf("every candidate shard failed (last: %v)", lastErr),
-		Hint:    "GET /healthz reports per-shard liveness"})
+		Message: msg, Hint: "GET /healthz reports per-shard liveness"})
 }
 
 // send builds and performs the outbound request for one target. The
@@ -633,14 +630,29 @@ func (rt *Router) routed(target, outcome string) {
 
 // copyResponse relays one shard response: headers, status, body. SSE
 // bodies are flushed per chunk so progress frames reach the client as
-// the shard emits them, never held in a proxy buffer.
-func (rt *Router) copyResponse(w http.ResponseWriter, resp *http.Response, onResponse func(string, int, []byte), target string) {
+// the shard emits them, never held in a proxy buffer. On the buffered
+// (onResponse) path the body is read before anything is written, so a
+// shard that dies mid-body draws the 502 envelope — not its own
+// headers over net/http's implicit 200 and no bytes.
+func (rt *Router) copyResponse(w http.ResponseWriter, r *http.Request, resp *http.Response, onResponse func(string, int, []byte), target string) {
 	defer resp.Body.Close()
+	var body []byte
+	if onResponse != nil {
+		var err error
+		if body, err = io.ReadAll(resp.Body); err != nil {
+			if r.Context().Err() != nil {
+				return
+			}
+			rt.hc.set(target, false)
+			rt.upstreamFailed(w, r, fmt.Sprintf("shard %s failed mid-response: %v", target, err))
+			return
+		}
+	}
 	h := w.Header()
 	for k, vv := range resp.Header {
 		// Ours is already set from the inbound request — same value,
 		// since the shard echoes what the router sent.
-		if http.CanonicalHeaderKey(k) == "X-Request-Id" {
+		if http.CanonicalHeaderKey(k) == serve.RequestIDHeader {
 			continue
 		}
 		for _, v := range vv {
@@ -648,10 +660,6 @@ func (rt *Router) copyResponse(w http.ResponseWriter, resp *http.Response, onRes
 		}
 	}
 	if onResponse != nil {
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return
-		}
 		onResponse(target, resp.StatusCode, body)
 		w.WriteHeader(resp.StatusCode)
 		w.Write(body)

@@ -289,6 +289,41 @@ func TestAllShardsDown(t *testing.T) {
 	}
 }
 
+// TestTruncatedShardBody: on the buffered POST paths a shard that dies
+// mid-body must draw the router's 502 envelope (and be marked down) —
+// not the shard's own headers over an implicit 200 and no bytes.
+func TestTruncatedShardBody(t *testing.T) {
+	p := newTestPool(t, 1, Config{HealthInterval: time.Hour}, func(_ int, _ http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			conn, buf, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			buf.WriteString("HTTP/1.1 202 Accepted\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"job\":\"x")
+			buf.Flush()
+			conn.Close()
+		})
+	})
+	req, _ := http.NewRequest(http.MethodPost, p.proxy.URL+"/runs?id=T1", nil)
+	req.Header.Set("Accept", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadGateway || !strings.Contains(string(body), `"code":"upstream_failed"`) {
+		t.Errorf("truncated shard response relayed as %d %q, want 502 upstream_failed", resp.StatusCode, body)
+	}
+	if _, ok := p.router.jobRoute("x"); ok {
+		t.Error("a job route was learned from a truncated response")
+	}
+	if st := p.router.Stats(); st.ShardsUp != 0 {
+		t.Errorf("shards_up = %d after a mid-body failure, want 0", st.ShardsUp)
+	}
+}
+
 // TestRequestIDPropagation pins the cross-hop contract: an inbound
 // X-Request-ID is reused on the shard hop — never re-minted — so the
 // same ID appears at the client, the router, and the shard; absent

@@ -14,82 +14,37 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/par"
+	"repro/internal/serve"
 )
 
-// Warm fills the pool's quick-scale caches for the given experiment
-// IDs (nil means every registered experiment) across the given
-// platform axis (nil means the default platform set only; "" in the
-// list is the default set). Incompatible (experiment, platform) pairs
-// are skipped, mirroring serve.(*Server).Warm. Each key is requested
-// from its ring owner — with the usual failover order if the owner is
-// down — by a pool of workers issuing the ordinary blocking GET, so a
-// warmed key lands in exactly the cache that will serve it. Returns
-// the number of keys warmed successfully.
+// Warm fills the pool's quick-scale caches for serve.WarmPlan(ids,
+// platforms) — the plan serve.(*Server).Warm fills on one daemon. Each
+// key is requested from its ring owner — with the usual failover order
+// if the owner is down — by a pool of workers issuing the ordinary
+// blocking GET, so a warmed key lands in exactly the cache that will
+// serve it. Returns the number of keys warmed successfully.
 func (rt *Router) Warm(ctx context.Context, ids []string, platforms []string, workers int) int {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if ids == nil {
-		for _, e := range core.All() {
-			ids = append(ids, e.ID)
-		}
-	}
-	if platforms == nil {
-		platforms = []string{""}
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-
-	type task struct{ id, platform string }
-	var plan []task
-	for _, platform := range platforms {
-		for _, id := range ids {
-			e, ok := core.Get(id)
-			if !ok || e.CheckPlatform(platform) != nil {
-				continue
-			}
-			plan = append(plan, task{id, platform})
-		}
-	}
+	plan := serve.WarmPlan(ids, platforms)
 	rt.warmRunning.Set(1)
 	defer rt.warmRunning.Set(0)
 	rt.warmPlanned.Set(int64(len(plan)))
 	rt.warmCompleted.Set(0)
 
-	tasks := make(chan task)
-	var wg sync.WaitGroup
-	var warmed int64
-	var mu sync.Mutex
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range tasks {
-				ok := rt.warmOne(ctx, t.id, t.platform)
-				mu.Lock()
-				if ok {
-					warmed++
-				}
-				mu.Unlock()
-				rt.warmCompleted.Add(1)
-			}
-		}()
-	}
-loop:
-	for _, t := range plan {
-		select {
-		case tasks <- t:
-		case <-ctx.Done():
-			break loop
+	var warmed atomic.Int64
+	par.ForEach(len(plan), workers, func(i int) {
+		if rt.warmOne(ctx, plan[i].Exp.ID, plan[i].Req.Platform) {
+			warmed.Add(1)
 		}
-	}
-	close(tasks)
-	wg.Wait()
-	return int(warmed)
+		rt.warmCompleted.Add(1)
+	})
+	return int(warmed.Load())
 }
 
 // warmOne fills one key on its owning shard by issuing the blocking
