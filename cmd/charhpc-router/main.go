@@ -21,7 +21,6 @@
 //	charhpc-router -warm -j 8                # fan-out warm-up, partitioned by ring ownership
 //	charhpc-router -warm-platforms default,gige-8n
 //	charhpc-router -health-interval 1s -health-timeout 500ms
-//	charhpc-router -scale-limit full         # match the shards' -scale-limit
 //
 // Run the shards with -warm=false when the router drives -warm: the
 // router partitions the registry × platform plan by ring ownership so
@@ -36,19 +35,13 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
 	"strings"
-	"syscall"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/shard"
 )
@@ -57,7 +50,6 @@ func main() {
 	addr := flag.String("addr", ":8079", "listen address")
 	shardsFlag := flag.String("shards", "", "comma-separated charhpcd base URLs (required), e.g. http://10.0.0.1:8080,http://10.0.0.2:8080")
 	vnodes := flag.Int("vnodes", shard.DefaultVNodes, "virtual nodes per shard on the hash ring")
-	scaleLimit := flag.String("scale-limit", "quick", "largest scale routed: quick or full (match the shards' -scale-limit)")
 	healthInterval := flag.Duration("health-interval", shard.DefaultHealthInterval, "time between shard /healthz probes")
 	healthTimeout := flag.Duration("health-timeout", shard.DefaultHealthTimeout, "per-probe timeout")
 	warm := flag.Bool("warm", false, "drive the fan-out warm-up at startup, partitioned by ring ownership (run the shards with -warm=false)")
@@ -67,15 +59,9 @@ func main() {
 	logFormat := flag.String("log-format", "text", "log line format: text or json")
 	flag.Parse()
 
-	if *logFormat != obs.FormatText && *logFormat != obs.FormatJSON {
-		fmt.Fprintf(os.Stderr, "charhpc-router: unknown log format %q (want text or json)\n", *logFormat)
-		os.Exit(2)
-	}
-	logger := obs.NewLogger(os.Stderr, *logFormat)
-
-	limit, ok := core.ParseScale(*scaleLimit)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "charhpc-router: unknown scale limit %q (want quick or full)\n", *scaleLimit)
+	logger, err := serve.DaemonLogger(*logFormat)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "charhpc-router: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -93,7 +79,6 @@ func main() {
 	rt, err := shard.New(shard.Config{
 		Shards:         shards,
 		VNodes:         *vnodes,
-		ScaleLimit:     limit,
 		HealthInterval: *healthInterval,
 		HealthTimeout:  *healthTimeout,
 		AccessLog:      logger,
@@ -110,13 +95,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	warmDone := make(chan struct{})
-	if *warm {
-		go func() {
-			defer close(warmDone)
+	err = serve.RunDaemon(logger, *addr, rt,
+		func(ctx context.Context) {
+			if !*warm {
+				return
+			}
 			t0 := time.Now()
 			n := rt.Warm(ctx, nil, platforms, *workers)
 			if ctx.Err() != nil {
@@ -126,47 +109,14 @@ func main() {
 			logger.Info("fan-out warm-up complete",
 				"elapsed", time.Since(t0).Round(time.Millisecond).String(),
 				"warmed", n, "workers", *workers)
-		}()
-	} else {
-		close(warmDone)
-	}
-
-	// Same timeout posture as charhpcd: no WriteTimeout (a routed
-	// full-scale run or SSE stream legitimately holds a response open
-	// for minutes); header and idle timeouts fence slow clients.
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           rt,
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	start := time.Now()
-	errc := make(chan error, 1)
-	go func() {
-		logger.Info("routing", "addr", *addr, "shards", strings.Join(shards, ","), "scale_limit", limit.String())
-		errc <- hs.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errc:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			logger.Error("serve failed", "error", err.Error())
-			os.Exit(1)
-		}
-	case <-ctx.Done():
-		stop()
-		logger.Info("shutting down")
-		shctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(shctx); err != nil {
-			logger.Error("shutdown", "error", err.Error())
-		}
-		<-warmDone
-		st := rt.Stats()
-		logger.JSONLine("info", "exit summary",
-			"shards_up", st.ShardsUp, "shards_total", st.ShardsTotal,
-			"failovers", st.Failovers,
-			"uptime_seconds", int(time.Since(start).Seconds()))
+		},
+		func() { logger.Info("routing", "addr", *addr, "shards", strings.Join(shards, ",")) },
+		func() []any {
+			st := rt.Stats()
+			return []any{"shards_up", st.ShardsUp, "shards_total", st.ShardsTotal,
+				"failovers", st.Failovers}
+		})
+	if err != nil {
+		os.Exit(1)
 	}
 }

@@ -42,19 +42,14 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
-	"syscall"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/diskcache"
-	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -76,11 +71,11 @@ func main() {
 	logFormat := flag.String("log-format", "text", "log line format: text or json")
 	flag.Parse()
 
-	if *logFormat != obs.FormatText && *logFormat != obs.FormatJSON {
-		fmt.Fprintf(os.Stderr, "charhpcd: unknown log format %q (want text or json)\n", *logFormat)
+	logger, err := serve.DaemonLogger(*logFormat)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "charhpcd: %v\n", err)
 		os.Exit(2)
 	}
-	logger := obs.NewLogger(os.Stderr, *logFormat)
 
 	limit, ok := core.ParseScale(*scaleLimit)
 	if !ok {
@@ -126,16 +121,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The signal context is created before the warm-up starts so a
-	// SIGINT mid-warm cancels pending jobs instead of letting the
-	// pool run to completion.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	warmDone := make(chan struct{})
-	if *warm {
-		go func() {
-			defer close(warmDone)
+	err = serve.RunDaemon(logger, *addr, srv,
+		func(ctx context.Context) {
+			if !*warm {
+				return
+			}
 			t0 := time.Now()
 			n := srv.Warm(ctx, nil, platforms, *workers)
 			st := srv.Stats()
@@ -146,57 +136,14 @@ func main() {
 			logger.Info("warm-up complete",
 				"elapsed", time.Since(t0).Round(time.Millisecond).String(),
 				"runs", n, "disk_loads", st.DiskLoads, "workers", *workers)
-		}()
-	} else {
-		close(warmDone)
-	}
-
-	// No WriteTimeout: a full-scale experiment legitimately holds a
-	// response open for minutes. Header and idle timeouts are what
-	// keep slow clients from pinning goroutines and fds forever.
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           srv,
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	start := time.Now()
-	errc := make(chan error, 1)
-	go func() {
-		logger.Info("listening", "addr", *addr, "scale_limit", limit.String())
-		errc <- hs.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errc:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			logger.Error("serve failed", "error", err.Error())
-			os.Exit(1)
-		}
-	case <-ctx.Done():
-		// Restore default signal disposition right away: a second
-		// SIGINT force-kills instead of being swallowed while the
-		// graceful path waits out in-flight work.
-		stop()
-		logger.Info("shutting down")
-		shctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(shctx); err != nil {
-			logger.Error("shutdown", "error", err.Error())
-		}
-		// Wait for the warm-up to observe the cancellation: pending
-		// jobs are skipped, so this blocks at most for the in-flight
-		// runs — not the rest of the pool — and cache writes settle
-		// before exit.
-		<-warmDone
-		// Final summary: always one JSON line (even under -log-format
-		// text) so a supervisor's log scraper gets the lifetime totals
-		// without parsing the human format.
-		st := srv.Stats()
-		logger.JSONLine("info", "exit summary",
-			"runs", st.Runs, "mem_hits", st.MemHits,
-			"disk_loads", st.DiskLoads, "disk_errs", st.DiskErrs,
-			"uptime_seconds", int(time.Since(start).Seconds()))
+		},
+		func() { logger.Info("listening", "addr", *addr, "scale_limit", limit.String()) },
+		func() []any {
+			st := srv.Stats()
+			return []any{"runs", st.Runs, "mem_hits", st.MemHits,
+				"disk_loads", st.DiskLoads, "disk_errs", st.DiskErrs}
+		})
+	if err != nil {
+		os.Exit(1)
 	}
 }

@@ -18,23 +18,15 @@ type key struct {
 	req core.Request
 }
 
-// rep is one negotiated representation of a result: the rendered body
-// and its strong ETag (hash of exactly those bytes).
-type rep struct {
-	body []byte
-	etag string
-}
-
 // entry is one cache slot. done is closed when the fill completes;
 // until then, requests for the same key wait on it instead of
-// re-running the experiment. reps, elapsed and err are written before
+// re-running the experiment. set and err are written before
 // close(done) and never mutated after, so waiters read them without
 // further locking.
 type entry struct {
-	done    chan struct{}
-	reps    map[string]rep // content type → representation
-	elapsed time.Duration
-	err     error
+	done chan struct{}
+	set  resultSet
+	err  error
 }
 
 // cache is the per-(id, scale, platform) result store with
@@ -86,49 +78,46 @@ func (c *cache) noteCustom(k key) {
 	}
 }
 
-// get returns the entry for k, running fill exactly once if the key
-// is cold no matter how many goroutines ask concurrently. hit reports
-// whether the entry already existed (filled or in flight) — i.e. this
-// call did not trigger the fill.
-func (c *cache) get(k key, fill func() (map[string]rep, time.Duration, error)) (_ *entry, hit bool, _ error) {
+// get returns the result set for k, running fill exactly once if the
+// key is cold no matter how many goroutines ask concurrently. hit
+// reports whether the entry already existed (filled or in flight) —
+// i.e. this call did not trigger the fill. A failed fill's error (and
+// whatever set came with it) goes to its caller and every waiter.
+func (c *cache) get(k key, fill func() (resultSet, error)) (_ resultSet, hit bool, _ error) {
 	c.mu.Lock()
-	if e, ok := c.entries[k]; ok {
+	e, hit := c.entries[k]
+	if hit {
 		c.mu.Unlock()
 		t0 := time.Now()
 		<-e.done
 		c.waits.ObserveSince(t0)
-		if e.err != nil {
-			return nil, true, e.err
-		}
-		c.noteCustom(k)
-		return e, true, nil
-	}
-	e := &entry{done: make(chan struct{})}
-	c.entries[k] = e
-	c.mu.Unlock()
-
-	e.reps, e.elapsed, e.err = safeFill(fill)
-	if e.err != nil {
-		c.mu.Lock()
-		delete(c.entries, k)
+	} else {
+		e = &entry{done: make(chan struct{})}
+		c.entries[k] = e
 		c.mu.Unlock()
+
+		e.set, e.err = safeFill(fill)
+		if e.err != nil {
+			c.mu.Lock()
+			delete(c.entries, k)
+			c.mu.Unlock()
+		}
+		close(e.done)
 	}
-	close(e.done)
-	if e.err != nil {
-		return nil, false, e.err
+	if e.err == nil {
+		c.noteCustom(k)
 	}
-	c.noteCustom(k)
-	return e, false, nil
+	return e.set, hit, e.err
 }
 
 // safeFill converts a panicking fill into an error, so the entry is
 // always completed — a hung, never-closed done channel would block
 // every future request for the key (net/http recovers handler panics
 // and keeps the process serving).
-func safeFill(fill func() (map[string]rep, time.Duration, error)) (reps map[string]rep, elapsed time.Duration, err error) {
+func safeFill(fill func() (resultSet, error)) (rs resultSet, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			reps, elapsed, err = nil, 0, fmt.Errorf("experiment run panicked: %v", r)
+			rs, err = resultSet{}, fmt.Errorf("experiment run panicked: %v", r)
 		}
 	}()
 	return fill()

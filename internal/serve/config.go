@@ -1,0 +1,90 @@
+package serve
+
+import (
+	"repro/internal/core"
+	"repro/internal/diskcache"
+	"repro/internal/jobs"
+	"repro/internal/obs"
+)
+
+// Config parameterizes a Server.
+type Config struct {
+	// ScaleLimit is the largest scale the server will run; requests
+	// above it are rejected with 403. The zero value limits the
+	// server to Quick; set Full to also allow paper-scale runs.
+	ScaleLimit core.Scale
+
+	// RunFunc executes one experiment request; nil means core.Run
+	// (with live hooks on the async job path). Tests substitute it to
+	// count or stub executions; a stubbed run produces no live
+	// phase/section events, only the job's lifecycle ones.
+	RunFunc func(core.Experiment, core.Request) core.Result
+
+	// Jobs bounds how many async run jobs (POST /runs) execute
+	// concurrently; 0 means jobs.DefaultWorkers. Queued jobs wait in
+	// state "pending".
+	Jobs int
+
+	// JobsHistory bounds how many finished jobs GET /runs retains for
+	// inspection; 0 means jobs.DefaultHistory.
+	JobsHistory int
+
+	// Store, when non-nil, persists filled cache entries to disk and
+	// makes the in-memory cache a write-through front: a cold key
+	// loads from the store before it runs, and every successful fill
+	// is written back. The store must have been opened with
+	// core.Fingerprint() so entries from other binaries or registry
+	// shapes are rejected (see internal/diskcache).
+	Store *diskcache.Store
+
+	// Metrics, when non-nil, is the registry the server's instruments
+	// live in — pass one to share a scrape with the embedding binary's
+	// own metrics. Nil gets a private registry. GET /metrics always
+	// serves the server's registry either way, unless DisableMetrics.
+	Metrics *obs.Registry
+
+	// DisableMetrics leaves GET /metrics unregistered (charhpcd
+	// -metrics=false). Instruments still record; only the scrape
+	// endpoint is withheld.
+	DisableMetrics bool
+
+	// AccessLog, when non-nil, receives one structured line per
+	// request (request ID, method, path, status, bytes, latency).
+	// Nil disables access logging; a nil *obs.Logger is also safe.
+	AccessLog *obs.Logger
+
+	// TraceCapacity bounds the ring of recent run traces served by
+	// GET /debug/traces; 0 means DefaultTraceCapacity.
+	TraceCapacity int
+
+	// PlatformDir, when non-empty, is where custom platform specs
+	// live: every *.json file in it is registered at startup, and
+	// POST /platforms persists new registrations into it — so a
+	// restarted daemon resolves the same custom-<hash> names and its
+	// disk-cached custom results stay addressable.
+	PlatformDir string
+
+	// CustomCacheEntries bounds how many custom-platform results the
+	// in-memory cache retains (its own LRU namespace — preset entries
+	// are never evicted, however many customs churn). 0 means
+	// DefaultCustomCacheEntries; negative means unbounded.
+	CustomCacheEntries int
+
+	// MaxPlatformBody bounds POST /platforms request bodies in bytes;
+	// 0 means DefaultMaxPlatformBody.
+	MaxPlatformBody int64
+}
+
+// DefaultCustomCacheEntries is the memory cache's custom-platform
+// namespace quota when Config leaves it 0.
+const DefaultCustomCacheEntries = 128
+
+// DefaultTraceCapacity is the trace-ring size when Config leaves it 0.
+const DefaultTraceCapacity = 32
+
+// Job pool defaults, re-exported so binaries can use them as flag
+// defaults without importing internal/jobs directly.
+const (
+	DefaultJobWorkers = jobs.DefaultWorkers
+	DefaultJobHistory = jobs.DefaultHistory
+)

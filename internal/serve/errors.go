@@ -36,39 +36,14 @@ const (
 )
 
 // Exported aliases for the envelope codes a fronting router (see
-// internal/shard) branches on or re-emits. The unexported names stay
-// the package-internal vocabulary; these are the compatibility
-// surface a sibling package may depend on.
+// internal/shard) emits for the failures it answers itself. The
+// unexported names stay the package-internal vocabulary; these are
+// the compatibility surface a sibling package may depend on.
 const (
-	CodeUnknownExperiment = codeUnknownExperiment
-	CodeUnknownPlatform   = codeUnknownPlatform
-	CodeBodyTooLarge      = codeBodyTooLarge
-	CodeBadRequest        = codeBadRequest
-	CodeInternal          = codeInternal
+	CodeBodyTooLarge = codeBodyTooLarge
+	CodeBadRequest   = codeBadRequest
+	CodeInternal     = codeInternal
 )
-
-// APIError is one request-validation failure in the service's error
-// vocabulary: the HTTP status, the stable machine-readable code, the
-// human message, and an optional hint. It is the exported face of the
-// envelope so a fronting router can validate requests locally and
-// still produce byte-identical error responses (see CheckRunRequest
-// and WriteAPIError).
-type APIError struct {
-	Status  int
-	Code    string
-	Message string
-	Hint    string
-}
-
-// Error implements the error interface with the human message.
-func (e *APIError) Error() string { return e.Message }
-
-// WriteAPIError renders e exactly as serve's own handlers render the
-// same failure — negotiated envelope, same codes, same bytes — so
-// clients cannot tell a router-side rejection from a shard-side one.
-func WriteAPIError(w http.ResponseWriter, r *http.Request, e *APIError) {
-	writeError(w, r, e.Status, e.Code, e.Message, e.Hint)
-}
 
 // errorEnvelope is the JSON error body: the message, the stable code,
 // and an optional hint pointing at the endpoint that resolves the
@@ -79,11 +54,13 @@ type errorEnvelope struct {
 	Hint  string `json:"hint,omitempty"`
 }
 
-// writeError renders one failure in the client's negotiated shape:
+// WriteError renders one failure in the client's negotiated shape:
 // the JSON envelope when the Accept header resolves to JSON, otherwise
 // a one-line text rendering carrying the same code and hint. (CSV has
-// no error shape; CSV clients read the text line.)
-func writeError(w http.ResponseWriter, r *http.Request, status int, code, msg, hint string) {
+// no error shape; CSV clients read the text line.) It is exported so
+// the failures only a fronting router can have (an unreadable body, no
+// live shard) come out in the same shape as a shard's own.
+func WriteError(w http.ResponseWriter, r *http.Request, status int, code, msg, hint string) {
 	if negotiate(r.Header.Get("Accept")) == ctJSON {
 		w.Header().Set("Content-Type", ctJSON)
 		w.WriteHeader(status)

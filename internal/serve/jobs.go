@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/jobs"
@@ -86,16 +85,7 @@ func (s *Server) runJob(ctx context.Context, j *jobs.Job, e core.Experiment, req
 	if err := ctx.Err(); err != nil {
 		return jobs.Outcome{Err: err}
 	}
-	tier := "run"
-	ent, hit, err := s.cache.get(key{e.ID, req}, func() (map[string]rep, time.Duration, error) {
-		reps, elapsed, t, err := s.fill(e, req, jobHooks(j))
-		tier = t
-		return reps, elapsed, err
-	})
-	if hit {
-		tier = "mem"
-		s.m.memHits.Inc()
-	}
+	rs, err := s.result(e, req, j)
 	if err != nil {
 		return jobs.Outcome{Err: err}
 	}
@@ -105,11 +95,11 @@ func (s *Server) runJob(ctx context.Context, j *jobs.Job, e core.Experiment, req
 		return jobs.Outcome{Err: err}
 	}
 	return jobs.Outcome{Data: map[string]string{
-		"etag":            ent.reps[ctText].etag,
-		"etag_csv":        ent.reps[ctCSV].etag,
-		"etag_json":       ent.reps[ctJSON].etag,
-		"elapsed_seconds": fmt.Sprintf("%.6f", ent.elapsed.Seconds()),
-		"tier":            tier,
+		"etag":            rs.reps[ctText].etag,
+		"etag_csv":        rs.reps[ctCSV].etag,
+		"etag_json":       rs.reps[ctJSON].etag,
+		"elapsed_seconds": fmt.Sprintf("%.6f", rs.elapsed.Seconds()),
+		"tier":            rs.tier,
 		"url":             "/experiments/" + e.ID + "?scale=" + req.Scale.String() + platformQuery(req),
 	}}
 }
@@ -143,7 +133,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) (*jobs.Job, bool) {
 	j, ok := s.jobs.Get(r.PathValue("job"))
 	if !ok {
-		writeError(w, r, http.StatusNotFound, codeUnknownJob,
+		WriteError(w, r, http.StatusNotFound, codeUnknownJob,
 			fmt.Sprintf("unknown job %q", r.PathValue("job")),
 			"GET /runs lists the retained jobs")
 	}
@@ -192,7 +182,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, r, http.StatusInternalServerError, codeInternal,
+		WriteError(w, r, http.StatusInternalServerError, codeInternal,
 			"streaming unsupported by this connection", "")
 		return
 	}
@@ -238,8 +228,12 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 // into the owning job's progress events: span transitions become
 // "phase" events, completed report sections become "section" events,
 // and the run's trace is stamped with the job ID so /debug/traces
-// ties back to /runs/{id}.
+// ties back to /runs/{id}. No job (a blocking GET, warm-up) means no
+// hooks.
 func jobHooks(j *jobs.Job) core.RunHooks {
+	if j == nil {
+		return core.RunHooks{}
+	}
 	return core.RunHooks{
 		SpanAttrs: map[string]string{"job": j.ID},
 		Section: func(sec report.Section) {

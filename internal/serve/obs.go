@@ -166,7 +166,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("n"); v != "" {
 		i, err := strconv.Atoi(v)
 		if err != nil || i < 1 {
-			writeError(w, r, http.StatusBadRequest, codeBadRequest,
+			WriteError(w, r, http.StatusBadRequest, codeBadRequest,
 				fmt.Sprintf("bad n %q (want a positive integer)", v), "")
 			return
 		}

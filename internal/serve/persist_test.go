@@ -157,14 +157,14 @@ func TestPartialDiskEntrySetReadsAsMiss(t *testing.T) {
 	}
 	// Re-persist only two of three by round-tripping Get/Put.
 	res := run(mustGetExp(t, "T1"), core.Request{Scale: core.Quick})
-	reps, elapsed, err := renderResult(res)
+	rs, err := renderResult(res)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ct := range []string{ctText, ctJSON} {
-		rp := reps[ct]
+		rp := rs.reps[ct]
 		if err := store.Put(storeKey("T1", core.Request{Scale: core.Quick}, ct),
-			diskcache.Entry{ETag: rp.etag, Elapsed: elapsed, Body: rp.body}); err != nil {
+			diskcache.Entry{ETag: rp.etag, Elapsed: rs.elapsed, Body: rp.body}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,11 +192,11 @@ func TestMixedGenerationDiskSetReadsAsMiss(t *testing.T) {
 	mkReps := func(tag string) map[string]rep {
 		res := stubRun(&runs, 0)(mustGetExp(t, "T1"), core.Request{Scale: core.Quick})
 		res.Rec.Write([]byte(tag + "\n")) // perturb the rendered bytes
-		reps, _, err := renderResult(res)
+		rs, err := renderResult(res)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return reps
+		return rs.reps
 	}
 	repsA, repsB := mkReps("run A"), mkReps("run B")
 
@@ -308,16 +308,16 @@ func TestStoreLoadResultRoundTrip(t *testing.T) {
 	if got.Rec.Text() != res.Rec.Text() {
 		t.Errorf("text round trip:\n got %q\nwant %q", got.Rec.Text(), res.Rec.Text())
 	}
-	wantReps, _, err := renderResult(res)
+	want, err := renderResult(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotReps, _, err := renderResult(got)
+	round, err := renderResult(got)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ct := range offered {
-		if string(gotReps[ct].body) != string(wantReps[ct].body) || gotReps[ct].etag != wantReps[ct].etag {
+		if string(round.reps[ct].body) != string(want.reps[ct].body) || round.reps[ct].etag != want.reps[ct].etag {
 			t.Errorf("representation %s not byte-identical after round trip", ct)
 		}
 	}

@@ -95,46 +95,20 @@ func platformList() []platformInfo {
 // request — registrations change it — but it still carries a strong
 // ETag so pollers revalidate cheaply.
 func (s *Server) handlePlatformList(w http.ResponseWriter, r *http.Request) {
-	ct := negotiate(r.Header.Get("Accept"))
-	if ct == "" {
-		writeError(w, r, http.StatusNotAcceptable, codeNotAcceptable,
-			"acceptable types: text/plain, text/csv, application/json", "")
-		return
-	}
-	list := platformList()
-	var body []byte
-	switch ct {
-	case ctJSON:
-		b, _ := json.Marshal(list)
-		body = append(b, '\n')
-	default:
-		t := report.NewTable("platforms", "name", "kind", "topology", "caps", "experiments")
-		for _, p := range list {
-			caps := strings.Join(p.Caps, "+")
-			if caps == "" {
-				caps = "any"
+	writeNegotiated(w, r, func(ct string) (rep, bool) {
+		list := platformList()
+		return tableRep(ct, list, func() *report.Table {
+			t := report.NewTable("platforms", "name", "kind", "topology", "caps", "experiments")
+			for _, p := range list {
+				caps := strings.Join(p.Caps, "+")
+				if caps == "" {
+					caps = "any"
+				}
+				t.AddRow(p.Name, p.Kind, p.Topology, caps, strings.Join(p.Experiments, ","))
 			}
-			t.AddRow(p.Name, p.Kind, p.Topology, caps, strings.Join(p.Experiments, ","))
-		}
-		rec := report.NewRecorder()
-		t.Fprint(rec)
-		if ct == ctCSV {
-			var csvb strings.Builder
-			rec.Document().CSV(&csvb)
-			body = []byte(csvb.String())
-		} else {
-			body = rec.Bytes()
-		}
-	}
-	etag := etagOf(body)
-	w.Header().Set("Vary", "Accept")
-	w.Header().Set("ETag", etag)
-	if etagMatch(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	w.Header().Set("Content-Type", ct)
-	w.Write(body)
+			return t
+		}), true
+	})
 }
 
 // platformDetail is the GET /platforms/{name} body: the listing row
@@ -150,7 +124,7 @@ func (s *Server) handlePlatformGet(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	info, ok := infoFor(name)
 	if !ok {
-		writeError(w, r, http.StatusNotFound, codeUnknownPlatform,
+		WriteError(w, r, http.StatusNotFound, codeUnknownPlatform,
 			fmt.Sprintf("unknown platform %q", name),
 			"GET /platforms lists every preset and registered custom platform")
 		return
@@ -189,19 +163,19 @@ func (s *Server) handlePlatformRegister(w http.ResponseWriter, r *http.Request) 
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			s.m.customRejected.Inc()
-			writeError(w, r, http.StatusRequestEntityTooLarge, codeBodyTooLarge,
+			WriteError(w, r, http.StatusRequestEntityTooLarge, codeBodyTooLarge,
 				fmt.Sprintf("platform spec exceeds the %d-byte limit", limit), "")
 			return
 		}
 		s.m.customRejected.Inc()
-		writeError(w, r, http.StatusBadRequest, codeBadRequest,
+		WriteError(w, r, http.StatusBadRequest, codeBadRequest,
 			fmt.Sprintf("reading request body: %v", err), "")
 		return
 	}
 	spec, err := cluster.ParseSpec(body)
 	if err != nil {
 		s.m.customRejected.Inc()
-		writeError(w, r, http.StatusBadRequest, codeInvalidPlatform, err.Error(),
+		WriteError(w, r, http.StatusBadRequest, codeInvalidPlatform, err.Error(),
 			"see the bring-your-own-machine section of the README for the spec schema")
 		return
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/jobs"
 	"repro/internal/report"
 )
 
@@ -319,6 +320,56 @@ func TestFailedRunNotCached(t *testing.T) {
 	}
 }
 
+// TestFailedFillWaiterIsNotAHit: a request that waited on someone
+// else's fill only counts a memory hit if that fill succeeded. Both
+// waiting entry points — a blocking GET and an async job — park behind
+// one gated, failing run; each gets the failure, neither a hit.
+func TestFailedFillWaiterIsNotAHit(t *testing.T) {
+	var runs atomic.Int32
+	started, release := make(chan struct{}), make(chan struct{})
+	srv := New(Config{RunFunc: func(e core.Experiment, req core.Request) core.Result {
+		if runs.Add(1) == 1 {
+			close(started)
+		}
+		<-release
+		return core.Result{Err: io.ErrUnexpectedEOF}
+	}})
+	ts := newHTTPTestServer(t, srv)
+
+	var wg sync.WaitGroup
+	blockingGet := func() {
+		defer wg.Done()
+		if resp, _ := doGet(t, ts.URL+"/experiments/T1", "", ""); resp.StatusCode != http.StatusInternalServerError {
+			t.Errorf("GET behind a failing fill got %d, want 500", resp.StatusCode)
+		}
+	}
+	wg.Add(1)
+	go blockingGet() // owns the fill
+	<-started
+	wg.Add(1)
+	go blockingGet() // waits on it
+	sub := submitJob(t, ts.URL, "id=T1")
+	j, _ := srv.JobRegistry().Get(sub.Job)
+	for deadline := time.Now().Add(5 * time.Second); j.State() != jobs.Running; {
+		if time.Now().After(deadline) {
+			t.Fatal("job never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The pause only widens the window in which both waiters park on the
+	// entry; one arriving late fails a run of its own, still without a hit.
+	time.Sleep(100 * time.Millisecond)
+	close(release)
+	wg.Wait()
+	evs := drainSSE(t, ts.URL+sub.EventsURL, "")
+	if last := evs[len(evs)-1]; last.Event != string(jobs.Failed) {
+		t.Errorf("job behind a failing fill ended %q, want failed", last.Event)
+	}
+	if st := srv.Stats(); st.MemHits != 0 {
+		t.Errorf("mem_hits = %d after a failed fill, want 0", st.MemHits)
+	}
+}
+
 func TestPanickingRunDoesNotWedgeCache(t *testing.T) {
 	// A fill that panics must complete the cache entry (as an error)
 	// rather than leaving every future request blocked on it.
@@ -452,6 +503,14 @@ func TestNegotiate(t *testing.T) {
 		// Media types compare case-insensitively (RFC 9110 §12.5.1).
 		{"Application/JSON", ctJSON},
 		{"TEXT/CSV", ctCSV},
+		// A malformed q-value is ignored (the clause keeps q=1), never
+		// prefix-parsed; NaN is malformed too.
+		{"text/csv;q=0.5abc, application/json;q=0.9", ctCSV},
+		{"application/json;q=nan, text/csv;q=0.9", ctJSON},
+		{"text/csv;q=NaN", ctCSV},
+		{"application/json;q=, text/csv;q=0.9", ctJSON},
+		{"text/csv;q=-1, application/json;q=0.1", ctJSON},
+		{"text/csv;q=7, application/json;q=0.9", ctCSV},
 	}
 	for _, c := range cases {
 		if got := negotiate(c.accept); got != c.want {

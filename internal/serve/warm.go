@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -71,7 +70,7 @@ func ParseWarmPlatforms(list string) ([]string, error) {
 }
 
 // Warm fills the cache for WarmPlan(ids, platforms) on `workers`
-// goroutines, each making the cache.get call a request makes: warm-up
+// goroutines, each making the Server.result call a request makes: warm-up
 // and traffic share one fill, and a key runs once whoever asks first.
 // Keys already cached or in flight are left out; a request for a key
 // still queued behind the pool fills it itself and the worker later
@@ -104,13 +103,9 @@ func (s *Server) Warm(ctx context.Context, ids []string, platforms []string, wor
 	par.ForEach(len(cold), workers, func(i int) {
 		t := cold[i]
 		if ctx.Err() == nil {
-			s.cache.get(key{t.Exp.ID, t.Req}, func() (map[string]rep, time.Duration, error) {
-				reps, elapsed, tier, err := s.fill(t.Exp, t.Req, core.RunHooks{})
-				if tier == "run" {
-					ran.Add(1)
-				}
-				return reps, elapsed, err
-			})
+			if rs, _ := s.result(t.Exp, t.Req, nil); rs.tier == "run" {
+				ran.Add(1)
+			}
 		}
 		s.m.warmCompleted.Add(1)
 	})

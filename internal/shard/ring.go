@@ -10,13 +10,13 @@
 //     names the shard a key lives on; Successors(key, n) is the
 //     failover order — the next distinct shards clockwise, which is
 //     also where a key remaps when its owner leaves.
-//   - Router: the http.Handler. It validates run requests locally
-//     (reusing internal/serve's CheckRunRequest, so rejections are
-//     byte-identical to a shard's), reverse-proxies the blocking GET,
-//     the async job API with its SSE event streams, and the
-//     /platforms resource, fans custom-platform registrations out to
-//     every shard, health-checks the pool, and re-routes a failed
-//     request to the next live ring successor.
+//   - Router: the http.Handler. It hashes a run request's key and
+//     forwards — the owning shard validates, so a rejection is the
+//     shard's own bytes — reverse-proxying the blocking GET, the
+//     async job API with its SSE event streams, and the /platforms
+//     resource; it fans custom-platform registrations out to every
+//     shard, health-checks the pool, and re-routes a failed request
+//     to the next live ring successor.
 //   - Warm: the fan-out warm-up — the registry × platform plan
 //     partitioned by ring ownership, so each shard fills exactly its
 //     own slice (run the shards with -warm=false and let the router

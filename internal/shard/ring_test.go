@@ -160,3 +160,19 @@ func TestRingEmptyAndDefaults(t *testing.T) {
 		t.Error("drained ring claims an owner")
 	}
 }
+
+// BenchmarkRingOwner is the stage bench/ reports as shard.ring_owner_ns:
+// one key lookup on a two-shard ring at the default vnode count, the
+// pool shape the routed_warm workload runs.
+func BenchmarkRingOwner(b *testing.B) {
+	r := NewRing(0)
+	r.Add("http://127.0.0.1:8081")
+	r.Add("http://127.0.0.1:8082")
+	key := Key("T1", "quick", "gige-8n")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, ok := r.Owner(key); !ok {
+			b.Fatal("empty ring")
+		}
+	}
+}

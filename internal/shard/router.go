@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -21,7 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/lru"
 	"repro/internal/obs"
@@ -58,11 +58,6 @@ type Config struct {
 	// 0 means DefaultVNodes.
 	VNodes int
 
-	// ScaleLimit mirrors the shards' -scale-limit so the router
-	// rejects over-limit requests without a round trip. The zero
-	// value limits to Quick, matching charhpcd's default.
-	ScaleLimit core.Scale
-
 	// HealthInterval and HealthTimeout parameterize the periodic
 	// /healthz probes; zero means the Default* constants.
 	HealthInterval time.Duration
@@ -78,11 +73,6 @@ type Config struct {
 	// DefaultMaxJobRoutes.
 	MaxJobRoutes int
 
-	// MaxPlatformBody bounds POST /platforms request bodies in bytes;
-	// 0 means serve.DefaultMaxPlatformBody — the same limit the
-	// shards enforce.
-	MaxPlatformBody int64
-
 	// Metrics, when non-nil, is the registry the router's instruments
 	// live in. Nil gets a private registry. GET /metrics serves it
 	// either way.
@@ -95,7 +85,6 @@ type Config struct {
 
 // Router fronts the shard pool. It implements http.Handler.
 type Router struct {
-	cfg    Config
 	ring   *Ring
 	hc     *health
 	client *http.Client
@@ -191,7 +180,6 @@ func New(cfg Config) (*Router, error) {
 	}
 
 	rt := &Router{
-		cfg:    cfg,
 		ring:   NewRing(cfg.VNodes),
 		client: client,
 		jobs:   lru.New[string, string](maxRoutes),
@@ -334,50 +322,37 @@ func (rt *Router) handleAny(w http.ResponseWriter, r *http.Request) {
 	rt.proxy(w, r, rt.anyTargets(), nil, nil)
 }
 
-// handleExperiment validates the blocking GET locally — 404/400/403
-// without a shard round trip, byte-identical envelopes via
-// serve.CheckRunRequest — then routes it by its cache key.
-func (rt *Router) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	q := r.URL.Query()
-	_, req, apiErr := serve.CheckRunRequest(id, q.Get("scale"), q.Get("platform"), rt.cfg.ScaleLimit)
-	if apiErr != nil && !rt.deferToShard(apiErr, q.Get("platform")) {
-		serve.WriteAPIError(w, r, apiErr)
-		return
+// routeKey builds the ring key from a run request's raw parameters and
+// rules on nothing: the owning shard validates, so a rejection costs
+// one hop and is the shard's own bytes. Scale is normalised through
+// core.ParseScale so "" and "quick" hash alike; a scale that does not
+// parse is kept verbatim (any shard will answer its 400).
+func routeKey(id, scaleV, platform string) string {
+	if scale, ok := core.ParseScale(scaleV); ok {
+		scaleV = scale.String()
 	}
-	key := Key(id, req.Scale.String(), req.Platform)
+	return Key(id, scaleV, platform)
+}
+
+// handleExperiment routes the blocking GET by its cache key.
+func (rt *Router) handleExperiment(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	key := routeKey(r.PathValue("id"), q.Get("scale"), q.Get("platform"))
 	rt.proxy(w, r, rt.candidates(key), nil, nil)
 }
 
-// deferToShard reports whether a local validation failure should be
-// proxied instead of answered: a custom-<hash> platform this router
-// process has not seen may still be registered on the shards
-// (registered before the router started, or directly on a shard).
-// Routing needs only the name, so the owner gets to rule on it — and
-// its envelope proxies back byte-identical if it agrees the name is
-// unknown.
-func (rt *Router) deferToShard(apiErr *serve.APIError, platform string) bool {
-	return apiErr.Code == serve.CodeUnknownPlatform && cluster.IsCustomName(platform)
-}
-
-// handleSubmitRun validates like the blocking GET, routes the job to
-// the key's shard, and records which shard got it so the job's
-// status/cancel/events requests follow it there.
+// handleSubmitRun routes the job to its key's shard and records which
+// shard accepted it, so the job's status/cancel/events requests follow
+// it there.
 func (rt *Router) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRunBody))
 	if err != nil {
-		serve.WriteAPIError(w, r, &serve.APIError{
-			Status: http.StatusBadRequest, Code: serve.CodeBadRequest,
-			Message: fmt.Sprintf("reading request body: %v", err)})
+		serve.WriteError(w, r, http.StatusBadRequest, serve.CodeBadRequest,
+			fmt.Sprintf("reading request body: %v", err), "")
 		return
 	}
-	id := runParam(r, body, "id")
-	_, req, apiErr := serve.CheckRunRequest(id, runParam(r, body, "scale"), runParam(r, body, "platform"), rt.cfg.ScaleLimit)
-	if apiErr != nil && !rt.deferToShard(apiErr, runParam(r, body, "platform")) {
-		serve.WriteAPIError(w, r, apiErr)
-		return
-	}
-	key := Key(id, req.Scale.String(), req.Platform)
+	form := runParams(r, body)
+	key := routeKey(form.Get("id"), form.Get("scale"), form.Get("platform"))
 	rt.proxy(w, r, rt.candidates(key), body, func(target string, status int, respBody []byte) {
 		if status != http.StatusAccepted {
 			return
@@ -391,18 +366,19 @@ func (rt *Router) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// runParam reads one POST /runs parameter the way the shard's
-// FormValue does: query first, then an urlencoded form body.
-func runParam(r *http.Request, body []byte, name string) string {
-	if v := r.URL.Query().Get(name); v != "" {
-		return v
-	}
+// runParams reads the POST /runs parameters in the precedence the
+// shard's r.FormValue gives them: an urlencoded form body's values
+// first, then the query's — so the router keys the job by the same
+// experiment the shard will run.
+func runParams(r *http.Request, body []byte) url.Values {
+	form := url.Values{}
 	if strings.Contains(r.Header.Get("Content-Type"), "application/x-www-form-urlencoded") {
-		if vals, err := url.ParseQuery(string(body)); err == nil {
-			return vals.Get(name)
-		}
+		form, _ = url.ParseQuery(string(body)) // like ParseForm, keep what parsed
 	}
-	return ""
+	for k, vs := range r.URL.Query() {
+		form[k] = append(form[k], vs...)
+	}
+	return form
 }
 
 // handleJob routes a job subresource (status, cancel, events) to the
@@ -483,8 +459,7 @@ func (rt *Router) handleJobList(w http.ResponseWriter, r *http.Request) {
 	}
 	b, err := json.Marshal(all)
 	if err != nil {
-		serve.WriteAPIError(w, r, &serve.APIError{
-			Status: http.StatusInternalServerError, Code: serve.CodeInternal, Message: err.Error()})
+		serve.WriteError(w, r, http.StatusInternalServerError, serve.CodeInternal, err.Error(), "")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -496,32 +471,28 @@ func (rt *Router) handleJobList(w http.ResponseWriter, r *http.Request) {
 // shard's response (201 on first sighting, 200 on an idempotent
 // re-POST, 400 on an invalid spec — all byte-identical to the
 // single-daemon responses) answers the client; on success the spec is
-// then registered on the remaining shards and in the router's own
-// process, so later ?platform= validation resolves the name locally.
+// then registered on the remaining shards. The router only bounds
+// what it buffers, with the shards' own limit and error classes.
 func (rt *Router) handlePlatformRegister(w http.ResponseWriter, r *http.Request) {
-	limit := rt.cfg.MaxPlatformBody
-	if limit <= 0 {
-		limit = serve.DefaultMaxPlatformBody
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.DefaultMaxPlatformBody))
 	if err != nil {
-		serve.WriteAPIError(w, r, &serve.APIError{
-			Status: http.StatusRequestEntityTooLarge, Code: serve.CodeBodyTooLarge,
-			Message: fmt.Sprintf("platform spec exceeds the %d-byte limit", limit)})
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			serve.WriteError(w, r, http.StatusRequestEntityTooLarge, serve.CodeBodyTooLarge,
+				fmt.Sprintf("platform spec exceeds the %d-byte limit", serve.DefaultMaxPlatformBody), "")
+			return
+		}
+		serve.WriteError(w, r, http.StatusBadRequest, serve.CodeBadRequest,
+			fmt.Sprintf("reading request body: %v", err), "")
 		return
 	}
 	rt.proxy(w, r, rt.anyTargets(), body, func(target string, status int, respBody []byte) {
 		if status != http.StatusCreated && status != http.StatusOK {
 			return
 		}
-		// Mirror the registration into this process (router-side
-		// validation of future requests naming the custom)...
-		if spec, err := cluster.ParseSpec(body); err == nil {
-			cluster.RegisterCustom(spec)
-		}
-		// ...and onto every other shard, best-effort: a shard that
-		// misses the fan-out rejects requests for the custom until it
-		// is re-POSTed, it does not serve wrong bytes.
+		// Best-effort: a shard that misses the fan-out rejects requests
+		// for the custom until it is re-POSTed, it does not serve wrong
+		// bytes.
 		for _, s := range rt.ring.Shards() {
 			if s == target || !rt.hc.isUp(s) {
 				continue
@@ -563,10 +534,8 @@ func (rt *Router) fanOutPlatform(r *http.Request, target string, body []byte) er
 // that stream.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, targets []string, body []byte, onResponse func(target string, status int, body []byte)) {
 	if len(targets) == 0 {
-		serve.WriteAPIError(w, r, &serve.APIError{
-			Status: http.StatusServiceUnavailable, Code: codeNoLiveShard,
-			Message: "no shard is configured to serve this request",
-			Hint:    "GET /healthz reports per-shard liveness"})
+		serve.WriteError(w, r, http.StatusServiceUnavailable, codeNoLiveShard,
+			"no shard is configured to serve this request", "GET /healthz reports per-shard liveness")
 		return
 	}
 	var lastErr error
@@ -596,9 +565,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, targets []string
 
 // upstreamFailed answers the 502 envelope for a shard hop that failed.
 func (rt *Router) upstreamFailed(w http.ResponseWriter, r *http.Request, msg string) {
-	serve.WriteAPIError(w, r, &serve.APIError{
-		Status: http.StatusBadGateway, Code: codeUpstreamFailed,
-		Message: msg, Hint: "GET /healthz reports per-shard liveness"})
+	serve.WriteError(w, r, http.StatusBadGateway, codeUpstreamFailed, msg, "GET /healthz reports per-shard liveness")
 }
 
 // send builds and performs the outbound request for one target. The

@@ -510,6 +510,93 @@ func TestJobsThroughRouter(t *testing.T) {
 	}
 }
 
+// TestSubmitKeysOnBodyBeforeQuery: the shard's FormValue lets an
+// urlencoded body's parameters shadow the query's, so the router must
+// key a submit the same way — or a job would be routed as one
+// experiment and run as another.
+func TestSubmitKeysOnBodyBeforeQuery(t *testing.T) {
+	p := newTestPool(t, 2, Config{}, nil)
+	ring := p.mirror(0)
+	want := Key("T1", "quick", "")
+	owner, _ := ring.Owner(want)
+	// A query-string decoy owned by the other shard, so routing on the
+	// query would visibly land on the wrong one.
+	decoy := ""
+	for _, e := range core.All() {
+		if o, _ := ring.Owner(Key(e.ID, "quick", "")); o != owner {
+			decoy = e.ID
+			break
+		}
+	}
+	if decoy == "" {
+		t.Skip("one shard owns every default key on this run's ports")
+	}
+	resp, err := http.Post(p.proxy.URL+"/runs?id="+decoy, "application/x-www-form-urlencoded", strings.NewReader("id=T1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, body)
+	}
+	for i, u := range p.urls {
+		if u == owner {
+			eventually(t, "T1 to run on its owner", func() bool { return len(p.runs[i].list()) > 0 })
+		}
+	}
+	for i, u := range p.urls {
+		got := strings.Join(p.runs[i].list(), " ")
+		if u == owner && got != want {
+			t.Errorf("owner %s ran %q, want %q", u, got, want)
+		}
+		if u != owner && got != "" {
+			t.Errorf("non-owner %s ran %q, want nothing", u, got)
+		}
+	}
+}
+
+// failingBody is a request body whose read fails for a reason other
+// than size.
+type failingBody struct{}
+
+func (failingBody) Read([]byte) (int, error) { return 0, io.ErrUnexpectedEOF }
+func (failingBody) Close() error             { return nil }
+
+// TestPlatformBodyErrorsMatchShard: the router buffers POST /platforms
+// bodies under the shards' own bound and classifies read failures the
+// way a shard does — 413 body_too_large only for an oversized body,
+// 400 bad_request for any other read error — with the same bytes.
+func TestPlatformBodyErrorsMatchShard(t *testing.T) {
+	p := newTestPool(t, 1, Config{}, nil)
+	direct := serve.New(serve.Config{})
+	for _, c := range []struct {
+		name   string
+		body   func() io.ReadCloser
+		status int
+	}{
+		{"oversized", func() io.ReadCloser {
+			return io.NopCloser(strings.NewReader(strings.Repeat("x", serve.DefaultMaxPlatformBody+1)))
+		}, http.StatusRequestEntityTooLarge},
+		{"read error", func() io.ReadCloser { return failingBody{} }, http.StatusBadRequest},
+	} {
+		var got [2]*httptest.ResponseRecorder
+		for i, h := range []http.Handler{p.router, direct} {
+			req := httptest.NewRequest(http.MethodPost, "/platforms", nil)
+			req.Header.Set("Accept", "application/json")
+			req.Body = c.body()
+			got[i] = httptest.NewRecorder()
+			h.ServeHTTP(got[i], req)
+		}
+		if got[0].Code != c.status || got[1].Code != c.status {
+			t.Errorf("%s: router %d, shard %d, want %d", c.name, got[0].Code, got[1].Code, c.status)
+		}
+		if got[0].Body.String() != got[1].Body.String() {
+			t.Errorf("%s: router envelope %q differs from the shard's %q", c.name, got[0].Body, got[1].Body)
+		}
+	}
+}
+
 // TestPlatformFanout pins custom-platform registration through the
 // router: the client gets the shard's own 201/200 bytes, and the spec
 // reaches every shard (counted at each shard's front door) so any
