@@ -175,6 +175,9 @@ func TestReadmeCoversFlags(t *testing.T) {
 		{"BENCH_" + "baseline", "bench"},
 		{"CheckRun" + "Request", ""},
 		{"deferTo" + "Shard", ""},
+		{"runID" + "Of", ""},
+		{"group" + "Of", ""},
+		{"CHARHPC_FP_" + "SALT", ""},
 	}
 	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {

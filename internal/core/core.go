@@ -104,8 +104,8 @@ type Experiment struct {
 	// changed column — so cached results from the previous revision
 	// are invalidated. It is the only fingerprint input that captures
 	// implementation changes: the build identity deliberately excludes
-	// VCS stamps (see fingerprint.go), so without a Rev bump a
-	// code-only deploy reuses every cached result. The fingerprint
+	// everything VCS-derived (see fingerprint.go), so without a Rev
+	// bump a code-only deploy reuses every cached result. The fingerprint
 	// golden test pins each experiment's Rev, which makes a behavior
 	// change that forgot the bump at least visible in review whenever
 	// the dependency material moves.

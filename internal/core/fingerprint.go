@@ -24,30 +24,13 @@ import (
 	"repro/internal/cluster"
 )
 
-// Deploy-simulation hooks: when set, these environment variables salt
-// one slice of the fingerprint material, so the deploy-upgrade test
-// harness and the CI smoke job can stand in for a real dependency
-// change without rebuilding the binary. Unset (the normal case) they
-// contribute nothing.
-//
-//	CHARHPC_FP_SALT_BUILD           salts the build identity (all experiments)
-//	CHARHPC_FP_SALT_SCALE           salts the scale definitions (all experiments)
-//	CHARHPC_FP_SALT_EXP_<ID>        salts one experiment's identity
-//	CHARHPC_FP_SALT_PLATFORM_<NAME> salts one preset's shape (every
-//	                                experiment that can run on it)
-const (
-	saltBuildEnv    = "CHARHPC_FP_SALT_BUILD"
-	saltScaleEnv    = "CHARHPC_FP_SALT_SCALE"
-	saltExpEnv      = "CHARHPC_FP_SALT_EXP_"
-	saltPlatformEnv = "CHARHPC_FP_SALT_PLATFORM_"
-)
-
-// pinVCSEnv, when set non-empty, folds the VCS stamps (vcs.revision,
-// vcs.time, vcs.modified) back into the build identity: every deploy
-// from a new commit then invalidates the whole store, trading the
-// cross-deploy reuse this package exists for against zero reliance on
-// Experiment.Rev discipline. For operators who prefer conservative
-// per-commit invalidation over restart availability.
+// pinVCSEnv, when set non-empty, folds the VCS-derived build info (the
+// main module's version and sum, vcs.revision, vcs.time, vcs.modified)
+// back into the build identity: every deploy from a new commit then
+// invalidates the whole store, trading the cross-deploy reuse this
+// package exists for against zero reliance on Experiment.Rev
+// discipline. For operators who prefer conservative per-commit
+// invalidation over restart availability.
 const pinVCSEnv = "CHARHPC_FP_PIN_VCS"
 
 // Test seams: core's white-box fingerprint tests swap these to prove
@@ -60,29 +43,33 @@ var (
 
 // buildIdentity returns the build-identity lines shared by every
 // experiment's fingerprint: the Go toolchain and target platform, the
-// main module's path/version/sum, and any -tags the binary was built
-// with — the inputs that can change what ANY experiment computes.
+// main module's path, and any -tags the binary was built with — the
+// inputs that can change what ANY experiment computes.
 //
-// The VCS stamps (vcs.revision, vcs.time, vcs.modified) are
-// deliberately EXCLUDED by default — that exclusion is what
-// per-experiment invalidation exists for: redeploying the same
-// registry from a new commit must not cold-start the whole store. A
-// commit that changes what an experiment computes must therefore
-// announce itself in the registry material instead: bump that
-// experiment's Rev (the behavior revision carried in
+// Everything derived from the VCS — the vcs.* stamps and the main
+// module's version and sum (since Go 1.24 a pseudo-version naming the
+// commit and its dirtiness) — is deliberately EXCLUDED by default;
+// that exclusion is what per-experiment invalidation exists for:
+// redeploying the same registry from a new commit must not cold-start
+// the whole store. A commit that changes what an experiment computes
+// must therefore announce itself in the registry material instead:
+// bump that experiment's Rev (the behavior revision carried in
 // FingerprintMaterial) in the same change, or alter its identity, a
 // preset's parameters, or a scale definition. The fingerprint-material
 // golden test in this package pins that material per experiment so
 // dependency changes are visible in review. Operators who would
 // rather pay a full cold start per deploy than rely on Rev discipline
-// set CHARHPC_FP_PIN_VCS, which folds the VCS stamps back in.
+// set CHARHPC_FP_PIN_VCS, which folds all of it back in.
 func buildIdentity() []string {
 	lines := []string{
 		fmt.Sprintln("build", runtime.Version(), runtime.GOOS, runtime.GOARCH),
 	}
 	if bi, ok := debug.ReadBuildInfo(); ok {
-		lines = append(lines, fmt.Sprintln("build mod", bi.Main.Path, bi.Main.Version, bi.Main.Sum))
+		lines = append(lines, fmt.Sprintln("build mod", bi.Main.Path))
 		pinVCS := os.Getenv(pinVCSEnv) != ""
+		if pinVCS {
+			lines = append(lines, fmt.Sprintln("build mod version", bi.Main.Version, bi.Main.Sum))
+		}
 		for _, s := range bi.Settings {
 			switch {
 			case s.Key == "-tags":
@@ -91,9 +78,6 @@ func buildIdentity() []string {
 				lines = append(lines, fmt.Sprintln("build", s.Key, s.Value))
 			}
 		}
-	}
-	if salt := os.Getenv(saltBuildEnv); salt != "" {
-		lines = append(lines, fmt.Sprintln("build salt", salt))
 	}
 	return lines
 }
@@ -118,18 +102,12 @@ func FingerprintMaterial(id string) ([]string, bool) {
 		fmt.Sprintln("experiment", e.ID, e.Kind, e.Title, uint32(e.Needs), e.NoPlatform),
 		// The behavior revision: authors bump e.Rev when the Run
 		// implementation's output changes, which is the only way an
-		// implementation-only deploy reaches the fingerprint (VCS
-		// stamps are excluded from the build identity by default).
+		// implementation-only deploy reaches the fingerprint (nothing
+		// VCS-derived is in the build identity by default).
 		fmt.Sprintln("experiment rev", e.Rev),
-	}
-	if salt := os.Getenv(saltExpEnv + e.ID); salt != "" {
-		lines = append(lines, fmt.Sprintln("experiment salt", salt))
 	}
 	for _, s := range fpScales() {
 		lines = append(lines, fmt.Sprintln("scale", int(s), s.String()))
-	}
-	if salt := os.Getenv(saltScaleEnv); salt != "" {
-		lines = append(lines, fmt.Sprintln("scale salt", salt))
 	}
 	// The preset shapes this experiment's results can depend on: every
 	// preset satisfying its Needs (which includes the canonical default
@@ -145,9 +123,6 @@ func FingerprintMaterial(id string) ([]string, bool) {
 			continue
 		}
 		lines = append(lines, fmt.Sprintln("preset", shape))
-		if salt := os.Getenv(saltPlatformEnv + name); salt != "" {
-			lines = append(lines, fmt.Sprintln("preset salt", name, salt))
-		}
 	}
 	return lines, true
 }

@@ -127,8 +127,8 @@ func TestPinVCSFoldsStampsIntoBuildIdentity(t *testing.T) {
 		}
 	}
 	// Test binaries carry no vcs.* build settings, so the fingerprints
-	// only move when stamps exist; assert the salt-independence either
-	// way: toggling the env never changes WHICH experiments agree.
+	// only move when stamps exist; either way, toggling the env never
+	// changes WHICH experiments are fingerprinted.
 	after := Fingerprints()
 	if len(after) != len(before) {
 		t.Fatalf("experiment count changed under pin-VCS: %d vs %d", len(after), len(before))
@@ -185,58 +185,6 @@ func TestScaleDefChangeInvalidatesEverything(t *testing.T) {
 	changed := changedIDs(before, after)
 	if len(changed) != len(registry) {
 		t.Errorf("scale-def change moved %d of %d fingerprints", len(changed), len(registry))
-	}
-}
-
-// Salt hooks: the env-driven stand-ins the deploy-upgrade harness and
-// the CI smoke job use to simulate each mutation axis without editing
-// source. Each salt must perturb exactly the slice its axis owns.
-func TestSaltHooks(t *testing.T) {
-	depsOf := func(preset string) map[string]bool {
-		out := map[string]bool{}
-		for id, e := range registry {
-			for _, p := range e.Platforms() {
-				if p == preset {
-					out[id] = true
-				}
-			}
-		}
-		return out
-	}
-	allIDs := func() map[string]bool {
-		out := map[string]bool{}
-		for id := range registry {
-			out[id] = true
-		}
-		return out
-	}
-
-	cases := []struct {
-		name string
-		env  string
-		want map[string]bool // ids whose fingerprint must move
-	}{
-		{"experiment", saltExpEnv + "T1", map[string]bool{"T1": true}},
-		{"build", saltBuildEnv, allIDs()},
-		{"scale", saltScaleEnv, allIDs()},
-		{"platform", saltPlatformEnv + "gige-8n", depsOf("gige-8n")},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			before := Fingerprints()
-			t.Setenv(tc.env, "deploy-simulation")
-			changed := changedIDs(before, Fingerprints())
-			for id := range tc.want {
-				if !changed[id] {
-					t.Errorf("salt %s: %s's fingerprint did not move", tc.env, id)
-				}
-			}
-			for id := range changed {
-				if !tc.want[id] {
-					t.Errorf("salt %s: %s's fingerprint moved but should not have", tc.env, id)
-				}
-			}
-		})
 	}
 }
 

@@ -2,11 +2,12 @@
 // process restarts — the disk layer under internal/serve's in-memory
 // cache, shared by the charhpcd daemon and charhpc CLI runs.
 //
-// A Store is a flat directory of entry files, one per
-// (experiment id, scale, platform, content type), each carrying the
-// rendered body, its strong ETag, the run's wall time, and the
-// fingerprint of the experiment that produced it. Correctness
-// properties:
+// A Store is a flat directory of entry files, one per key, each
+// carrying an opaque body, the run's wall time, and the fingerprint of
+// the experiment that produced it. internal/serve keeps one file per
+// result — (experiment id, scale, platform) under a single content
+// type, all representations framed in the body — so whatever a reader
+// gets came from one writer's one rename. Correctness properties:
 //
 //   - Crash safety: entries are written to a temp file, fsynced, and
 //     renamed into place, so readers only ever see whole entries.
@@ -22,17 +23,13 @@
 //     deploy that changed one experiment cold-starts that experiment,
 //     not the store. Get re-validates per entry, so stale results can
 //     never be served even mid-race.
-//   - Format versioning: entry files carry a format version. An entry
-//     in any other format — older (the pre-versioning layout embedded
-//     the whole-store fingerprint, which cannot show what a deploy
-//     changed) or unknown — reads as a miss and is purged by the next
+//   - Format versioning: entry files carry a format version, and the
+//     generation marker names it. An entry in any other format — older
+//     or unknown — reads as a miss and is purged by the next
 //     reconcile, counted under reason="format".
 //   - Bounded size: with a positive maxBytes budget, Put evicts the
-//     least-recently-used (id, scale, platform) groups (Get touches
-//     the file's mtime; a group is as recent as its newest member)
-//     until the directory fits. Whole groups, because callers read one
-//     result's representations all-or-nothing — a partially evicted
-//     set could never serve while still consuming budget.
+//     least-recently-used entries (Get touches the file's mtime) until
+//     the directory fits.
 //
 // Multiple processes may share one directory: atomic renames make
 // concurrent writers last-one-wins per key, and validation makes
@@ -58,12 +55,18 @@ const (
 	fpFile   = "FINGERPRINT"
 )
 
-// entryFormat is the current on-disk entry format version. Version 2
-// introduced the per-experiment fingerprint; legacy entries (no format
-// field) embedded the whole-store fingerprint. Entries of any other
-// format are treated as misses but never deleted on Get — they may be
-// a newer sibling binary's valid work; Open's reconcile purges them.
-const entryFormat = 2
+// entryFormat is the current on-disk entry format version. Version 3
+// is one file per result (version 2 spread a result over one file per
+// content type; legacy entries had no format field). Entries of any
+// other format are treated as misses but never deleted on Get — they
+// may be a newer sibling binary's valid work; Open's reconcile purges
+// them.
+const entryFormat = 3
+
+// marker is the content of the directory's generation marker file: the
+// entry format and the global fingerprint, so a change to either one
+// triggers a reconcile.
+func marker(global string) string { return fmt.Sprintf("v%d %s", entryFormat, global) }
 
 // Fingerprints carries the caller's registry identity at both
 // granularities: Global is the hash of the whole per-experiment map
@@ -104,10 +107,11 @@ const (
 	ReasonChecksum = "checksum"
 )
 
-// Key identifies one persisted representation: which experiment, at
-// which scale, on which platform preset ("" is the experiment's
-// default platform set), rendered as which media type (e.g.
-// "text/plain").
+// Key identifies one persisted entry: which experiment, at which
+// scale, on which platform preset ("" is the experiment's default
+// platform set). ContentType is an opaque fourth component — serve
+// uses one constant for every result — that remains only because the
+// frozen bench/layers.go spells it in a Key literal.
 type Key struct {
 	ID          string
 	Scale       string
@@ -115,12 +119,10 @@ type Key struct {
 	ContentType string
 }
 
-// Entry is one persisted representation: the rendered body, the strong
-// ETag of exactly those bytes, and the wall time of the execution that
-// produced them. RunID is an opaque caller-chosen stamp shared by all
-// entries of one execution; callers persisting several entries per
-// logical result use it to reject mixed sets after concurrent
-// last-writer-wins races (the store itself does not interpret it).
+// Entry is one persisted entry: the body and the wall time of the
+// execution that produced it. ETag and RunID are opaque strings the
+// store round-trips and nothing in the program sets; they remain only
+// because the frozen bench/layers.go spells them in an Entry literal.
 type Entry struct {
 	ETag    string
 	RunID   string
@@ -130,10 +132,9 @@ type Entry struct {
 
 // fileEntry is the on-disk JSON form of an Entry plus everything
 // needed to validate it independently of the caller: the format
-// version (the entry header — absent means legacy v1), its own key
-// (so a renamed file can't impersonate another), the writer's
-// per-experiment fingerprint (whole-store fingerprint in legacy
-// entries), and a body checksum.
+// version (absent means legacy v1), its own key (so a renamed file
+// can't impersonate another), the writer's per-experiment fingerprint
+// and a body checksum.
 type fileEntry struct {
 	Format      int    `json:"format,omitempty"`
 	Fingerprint string `json:"fingerprint"`
@@ -141,7 +142,7 @@ type fileEntry struct {
 	Scale       string `json:"scale"`
 	Platform    string `json:"platform,omitempty"`
 	ContentType string `json:"content_type"`
-	ETag        string `json:"etag"`
+	ETag        string `json:"etag,omitempty"`
 	RunID       string `json:"run_id,omitempty"`
 	ElapsedNS   int64  `json:"elapsed_ns"`
 	SHA256      string `json:"sha256"`
@@ -249,8 +250,9 @@ func (st *Store) noteInvalidated(reason string) {
 
 // Open roots a Store at dir (created if absent) for a binary with the
 // given fingerprints. If the directory's recorded generation matches
-// fps.Global, nothing changed and every entry is kept untouched (the
-// fast path across a no-op restart). Otherwise Open reconciles the
+// this binary's (entry format and fps.Global), nothing changed and
+// every entry is kept untouched (the fast path across a no-op
+// restart). Otherwise Open reconciles the
 // delta: entries whose per-experiment fingerprint still validates are
 // kept and the rest are removed — StalePurged reports how many. A
 // positive maxBytes bounds the total entry size via LRU eviction; 0
@@ -266,7 +268,7 @@ func Open(dir string, fps Fingerprints, maxBytes int64) (*Store, error) {
 	st.sweepTemps()
 	prev, err := os.ReadFile(filepath.Join(dir, fpFile))
 	switch {
-	case err == nil && string(prev) == fps.Global:
+	case err == nil && string(prev) == marker(fps.Global):
 		// Same generation: every entry is still valid; keep them all.
 	default:
 		// New directory or a generation change: reconcile entry by
@@ -276,11 +278,11 @@ func Open(dir string, fps Fingerprints, maxBytes int64) (*Store, error) {
 		// idempotent (validated entries validate again, removals are
 		// removals).
 		st.reconcile()
-		if err := st.writeFile(fpFile, []byte(fps.Global)); err != nil {
+		if err := st.writeFile(fpFile, []byte(marker(fps.Global))); err != nil {
 			return nil, err
 		}
 	}
-	st.evict()
+	st.evictExcept("") // a reopened store may be over a smaller budget
 	return st, nil
 }
 
@@ -496,27 +498,11 @@ func (st *Store) sweepTemps() {
 	}
 }
 
-func (st *Store) evict() { st.evictExcept("") }
-
-// evictGroup is one eviction unit: all representations of one
-// (id, scale, platform) result.
-type evictGroup struct {
-	names []string
-	size  int64
-	mtime time.Time // newest member
-}
-
-// evictExcept removes least-recently-used entries until each namespace
-// fits its byte budget, never removing the named just-written file's
-// group. Eviction operates on whole (id, scale, platform) groups — the
-// filename's prefix before the content-type component — because
-// callers that persist one result as several representations read
-// them all-or-nothing: evicting a single file would orphan its
-// siblings into budget-consuming entries that can never serve. A
-// group's recency is its most recently used member (Get refreshes
-// mtimes). Sizes and times are re-scanned on every call — entries
-// number in the low hundreds at most, and a scan stays correct when
-// other processes share the directory.
+// evictExcept removes least-recently-used entries (Get refreshes
+// mtimes) until each namespace fits its byte budget, never removing
+// the named just-written file. Sizes and times are re-scanned on every
+// call — entries number in the low hundreds at most, and a scan stays
+// correct when other processes share the directory.
 //
 // Preset/default entries and custom-platform entries are separate
 // namespaces with separate budgets: presets against maxBytes, customs
@@ -534,9 +520,7 @@ func (st *Store) evictExcept(keep string) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	preset := map[string]*evictGroup{}
-	custom := map[string]*evictGroup{}
-	var presetTotal, customTotal int64
+	var preset, custom []os.FileInfo
 	for _, de := range st.readDir() {
 		if !strings.HasSuffix(de.Name(), entryExt) {
 			continue
@@ -545,61 +529,38 @@ func (st *Store) evictExcept(keep string) {
 		if err != nil {
 			continue // deleted under us by a sibling process
 		}
-		groups, total := preset, &presetTotal
 		if isCustomEntry(de.Name()) {
-			groups, total = custom, &customTotal
+			custom = append(custom, info)
+		} else {
+			preset = append(preset, info)
 		}
-		g := groups[groupOf(de.Name())]
-		if g == nil {
-			g = &evictGroup{}
-			groups[groupOf(de.Name())] = g
-		}
-		g.names = append(g.names, de.Name())
-		g.size += info.Size()
-		if info.ModTime().After(g.mtime) {
-			g.mtime = info.ModTime()
-		}
-		*total += info.Size()
 	}
-	st.evictNamespace(preset, presetTotal, st.maxBytes, keep)
-	st.evictNamespace(custom, customTotal, customBudget, keep)
+	st.evictNamespace(preset, st.maxBytes, keep)
+	st.evictNamespace(custom, customBudget, keep)
 }
 
-// evictNamespace drops one namespace's least-recently-used groups
-// until it fits its budget (0 = unbounded). Callers hold st.mu.
-func (st *Store) evictNamespace(groups map[string]*evictGroup, total, budget int64, keep string) {
+// evictNamespace drops one namespace's least-recently-used files until
+// it fits its budget (0 = unbounded). Callers hold st.mu.
+func (st *Store) evictNamespace(files []os.FileInfo, budget int64, keep string) {
 	if budget <= 0 {
 		return
 	}
-	ordered := make([]*evictGroup, 0, len(groups))
-	for _, g := range groups {
-		ordered = append(ordered, g)
+	var total int64
+	for _, f := range files {
+		total += f.Size()
 	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].mtime.Before(ordered[j].mtime) })
-	keepGroup := groupOf(keep)
-	for _, g := range ordered {
+	sort.Slice(files, func(i, j int) bool { return files[i].ModTime().Before(files[j].ModTime()) })
+	for _, f := range files {
 		if total <= budget {
 			return
 		}
-		if keep != "" && groupOf(g.names[0]) == keepGroup {
+		if f.Name() == keep {
 			continue
 		}
-		for _, name := range g.names {
-			os.Remove(filepath.Join(st.dir, name))
-			st.met.Evictions.Inc()
-		}
-		total -= g.size
+		os.Remove(filepath.Join(st.dir, f.Name()))
+		st.met.Evictions.Inc()
+		total -= f.Size()
 	}
-}
-
-// groupOf maps an entry filename to its eviction group: everything up
-// to the last '@' — i.e. the escaped (id, scale, platform) prefix,
-// shared by all of one result's representations.
-func groupOf(name string) string {
-	if i := strings.LastIndexByte(name, '@'); i >= 0 {
-		return name[:i]
-	}
-	return name
 }
 
 func (st *Store) readDir() []os.DirEntry {
@@ -616,7 +577,8 @@ func bodySum(b []byte) string {
 // entryName maps a key to its filename: the four escaped components
 // joined with '@' (never produced by the escape, so the mapping is
 // injective) plus the entry extension. A default-platform key keeps
-// an empty platform component — e.g. "T1@quick@@text%2Fplain.entry" —
+// an empty platform component — e.g.
+// "T1@quick@@application%2Fvnd.charhpc.result-set.entry" —
 // so default and platform-qualified entries can never collide.
 func entryName(k Key) string {
 	return escape(k.ID) + "@" + escape(k.Scale) + "@" + escape(k.Platform) + "@" + escape(k.ContentType) + entryExt

@@ -251,52 +251,6 @@ func TestLRUEvictionKeepsRecentlyRead(t *testing.T) {
 	}
 }
 
-func TestEvictionDropsWholeRepresentationSets(t *testing.T) {
-	// A result persisted as several content types must be evicted as
-	// a unit: readers load sets all-or-nothing, so a half-evicted set
-	// would consume budget while never serving.
-	dir := t.TempDir()
-	body := strings.Repeat("y", 2048)
-	cts := []string{"text/plain", "text/csv", "application/json"}
-
-	probe := mustOpen(t, dir, "fp1", 0)
-	if err := probe.Put(testKey, testEntry(body)); err != nil {
-		t.Fatal(err)
-	}
-	info, err := os.Stat(filepath.Join(dir, entryName(testKey)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	setSize := 3 * info.Size()
-	if err := probe.Purge(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Budget for one set plus change: writing a second set must evict
-	// the first one entirely, not shave single files off both.
-	st := mustOpen(t, dir, "fp1", setSize+setSize/2)
-	putSet := func(id string) {
-		t.Helper()
-		for _, ct := range cts {
-			if err := st.Put(Key{ID: id, Scale: "quick", ContentType: ct}, testEntry(body)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	putSet("A")
-	time.Sleep(10 * time.Millisecond)
-	putSet("B")
-
-	for _, ct := range cts {
-		if _, ok := st.Get(Key{ID: "A", Scale: "quick", ContentType: ct}); ok {
-			t.Errorf("evicted set A still has its %s member", ct)
-		}
-		if _, ok := st.Get(Key{ID: "B", Scale: "quick", ContentType: ct}); !ok {
-			t.Errorf("surviving set B lost its %s member", ct)
-		}
-	}
-}
-
 func TestConcurrentWritersSharingDirectory(t *testing.T) {
 	// The daemon and CLI case: two Store handles (as two processes
 	// would hold) over one directory, concurrently writing and
@@ -398,9 +352,5 @@ func TestPlatformQualifiedKeys(t *testing.T) {
 	}
 	if got, ok := st.Get(plat); !ok || string(got.Body) != "gige only" {
 		t.Errorf("platform key: ok=%v body=%q", ok, got.Body)
-	}
-	// Same group prefix rules: the two keys must evict independently.
-	if groupOf(entryName(def)) == groupOf(entryName(plat)) {
-		t.Error("default and platform-qualified entries share an eviction group")
 	}
 }

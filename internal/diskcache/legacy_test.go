@@ -1,6 +1,7 @@
-// Legacy (pre-versioning, format-absent) entries: no binary writes
-// them and none migrates them, so whatever generation they claim they
-// are a miss on Get and a reason="format" purge at the next reconcile.
+// Retired entry formats — legacy (pre-versioning, format-absent) and
+// format 2 (one file per content type): no binary writes them and none
+// migrates them, so whatever generation they claim they are a miss on
+// Get and a reason="format" purge at the next reconcile.
 package diskcache
 
 import (
@@ -114,5 +115,49 @@ func TestCrashLeavesTruncatedLegacyEntryReadsAsMiss(t *testing.T) {
 	}
 	if got, ok := st.Get(testKey); !ok || string(got.Body) != "fresh" {
 		t.Errorf("healed slot: ok=%v body=%q", ok, got.Body)
+	}
+}
+
+// TestFormatBumpAloneTriggersReconcile: the parent binary wrote
+// format-2 files — one per content type — under a bare-Global marker.
+// A binary whose registry is unchanged (same Global) but whose entry
+// format moved must still reconcile, or the old files would sit in an
+// unbounded store forever, each Get a counted miss.
+func TestFormatBumpAloneTriggersReconcile(t *testing.T) {
+	dir := t.TempDir()
+	fps := perIDFingerprints("gen1", map[string]string{"T1": "fpT1"})
+	e := testEntry("one of three representations")
+	for _, ct := range []string{"text/plain", "application/json", "text/csv"} {
+		f := fileEntry{Format: 2, Fingerprint: "fpT1", ID: "T1", Scale: "quick", ContentType: ct,
+			ETag: e.ETag, RunID: "one-run", ElapsedNS: int64(e.Elapsed), SHA256: bodySum(e.Body), Body: e.Body}
+		b, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := entryName(Key{ID: "T1", Scale: "quick", ContentType: ct})
+		if err := os.WriteFile(filepath.Join(dir, name), append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The parent's marker form, deliberately not writeMarker's.
+	if err := os.WriteFile(filepath.Join(dir, fpFile), []byte(fps.Global), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st := mustOpenFPS(t, dir, fps, 0)
+	format := obs.NewRegistry().Counter("inval", "", obs.L("reason", ReasonFormat))
+	st.SetMetrics(Metrics{InvalidatedFormat: format})
+	if n := st.StalePurged(); n != 3 {
+		t.Errorf("StalePurged = %d, want 3 (the format-2 set)", n)
+	}
+	if got := format.Value(); got != 3 {
+		t.Errorf("format invalidations = %d, want 3", got)
+	}
+	if n := st.Len(); n != 0 {
+		t.Errorf("%d format-2 files survived the reconcile", n)
+	}
+	// The marker now names this generation: the next open is the fast path.
+	if n := mustOpenFPS(t, dir, fps, 0).StalePurged(); n != 0 {
+		t.Errorf("StalePurged = %d on the following open, want 0", n)
 	}
 }

@@ -14,10 +14,11 @@ import (
 	"repro/internal/obs"
 )
 
-// writeMarker plants the store's FINGERPRINT generation marker.
+// writeMarker plants the store's FINGERPRINT generation marker as a
+// current-format binary with global fingerprint fp would record it.
 func writeMarker(t *testing.T, dir, fp string) {
 	t.Helper()
-	if err := os.WriteFile(filepath.Join(dir, fpFile), []byte(fp), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, fpFile), []byte(marker(fp)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,8 +1,9 @@
 // The deploy-upgrade test harness: table-driven "simulated deploy"
 // tests that warm a disk store under one registry generation, mutate
 // exactly ONE fingerprint dependency (an experiment's identity, one
-// preset's parameters, the scale defs, the build identity) via the
-// core salt hooks, restart the stack over the same directory, and
+// preset's parameters, the scale defs, the build identity) by
+// perturbing the fingerprints of exactly the experiments core proves
+// that axis moves, restart the stack over the same directory, and
 // assert the invalidation is exact — every affected key re-runs,
 // every other key replays from disk with its original ETag and
 // runs=0. A wrong fingerprint silently serves stale science, so the
@@ -79,12 +80,21 @@ func recordingStub(ran *sync.Map, runs *atomic.Int32) func(core.Experiment, core
 }
 
 // openDeployStore opens the store the way the daemon does: real
-// per-experiment fingerprints from core, so the salt hooks flow
-// through the same code path a production deploy exercises.
-func openDeployStore(t *testing.T, dir string) *diskcache.Store {
+// per-experiment fingerprints from core. moved names the experiments
+// whose dependencies the simulated deploy changed (nil: none): their
+// fingerprints, and so the global one, differ from this binary's —
+// which ids an axis moves is core's contract, proven by its white-box
+// fingerprint tests.
+func openDeployStore(t *testing.T, dir string, moved func(id string) bool) *diskcache.Store {
 	t.Helper()
-	st, err := diskcache.Open(dir,
-		diskcache.Fingerprints{Global: core.Fingerprint(), PerID: core.Fingerprints()}, 0)
+	fps := diskcache.Fingerprints{Global: core.Fingerprint(), PerID: core.Fingerprints()}
+	for id := range fps.PerID {
+		if moved != nil && moved(id) {
+			fps.PerID[id] += "-deploy-b"
+			fps.Global += "-deploy-b"
+		}
+	}
+	st, err := diskcache.Open(dir, fps, 0)
 	if err != nil {
 		t.Fatalf("diskcache.Open: %v", err)
 	}
@@ -98,13 +108,13 @@ func captureETags(t *testing.T, st *diskcache.Store, keys []deployKey) map[deplo
 	out := map[deployKey]map[string]string{}
 	for _, k := range keys {
 		req := core.Request{Scale: core.Quick, Platform: k.platform}
+		rs, ok := loadReps(st, k.id, req)
+		if !ok {
+			t.Fatalf("key %s missing from warmed store", k)
+		}
 		out[k] = map[string]string{}
 		for _, ct := range offered {
-			ent, ok := st.Get(storeKey(k.id, req, ct))
-			if !ok {
-				t.Fatalf("key %s (%s) missing from warmed store", k, ct)
-			}
-			out[k][ct] = ent.ETag
+			out[k][ct] = rs.reps[ct].etag
 		}
 	}
 	return out
@@ -138,13 +148,11 @@ func TestSimulatedDeployMatrix(t *testing.T) {
 
 	cases := []struct {
 		name     string
-		env      string // the salted dependency axis
-		affected func(deployKey) bool
+		affected func(deployKey) bool // by the mutated dependency axis
 	}{
 		{
 			// Axis 1: one experiment's identity/Needs.
 			name:     "experiment needs",
-			env:      "CHARHPC_FP_SALT_EXP_T1",
 			affected: func(k deployKey) bool { return k.id == "T1" },
 		},
 		{
@@ -153,19 +161,16 @@ func TestSimulatedDeployMatrix(t *testing.T) {
 			// default-set keys, whose result set includes that preset —
 			// and no experiment that can't.
 			name:     "preset link params",
-			env:      "CHARHPC_FP_SALT_PLATFORM_gige-8n",
 			affected: func(k deployKey) bool { return canRunOn(k.id, "gige-8n") },
 		},
 		{
 			// Axis 3: the scale definitions — a dependency of everyone.
 			name:     "scale defs",
-			env:      "CHARHPC_FP_SALT_SCALE",
 			affected: func(deployKey) bool { return true },
 		},
 		{
 			// Axis 4: the build identity — also global.
 			name:     "build identity",
-			env:      "CHARHPC_FP_SALT_BUILD",
 			affected: func(deployKey) bool { return true },
 		},
 	}
@@ -183,31 +188,30 @@ func TestSimulatedDeployMatrix(t *testing.T) {
 				t.Fatal("case affects nothing — the mutation axis is dead")
 			}
 
-			// Deploy A: warm the full matrix under the unsalted
+			// Deploy A: warm the full matrix under this binary's
 			// generation and record every entry's ETag.
 			var ranA sync.Map
 			var runsA atomic.Int32
-			srvA := New(Config{RunFunc: recordingStub(&ranA, &runsA), Store: openDeployStore(t, dir)})
+			srvA := New(Config{RunFunc: recordingStub(&ranA, &runsA), Store: openDeployStore(t, dir, nil)})
 			srvA.Warm(context.Background(), deployIDs, deployPlatforms, 4)
 			if got := int(runsA.Load()); got != len(keys) {
 				t.Fatalf("baseline warm ran %d, want %d", got, len(keys))
 			}
 			etagsA := captureETags(t, srvA.cfg.Store, keys)
 
-			// Deploy B: same directory, one dependency mutated. The env
-			// salt flows through core.Fingerprints into Open exactly as
-			// a code change would on a real redeploy.
-			t.Setenv(tc.env, "deploy-b")
+			// Deploy B: same directory, one dependency mutated — the
+			// affected experiments' fingerprints reach Open changed,
+			// exactly as a code change would on a real redeploy.
+			movedB := func(id string) bool { return tc.affected(deployKey{id: id}) }
 			var ranB sync.Map
 			var runsB atomic.Int32
-			stB := openDeployStore(t, dir)
+			stB := openDeployStore(t, dir, movedB)
 			srvB := New(Config{RunFunc: recordingStub(&ranB, &runsB), Store: stB})
 			srvB.Warm(context.Background(), deployIDs, deployPlatforms, 4)
 
 			// Open purged exactly the affected keys' entries.
-			if got, want := stB.StalePurged(), int64(len(wantAffected)*len(offered)); got != want {
-				t.Errorf("StalePurged = %d, want %d (%d keys x %d representations)",
-					got, want, len(wantAffected), len(offered))
+			if got, want := stB.StalePurged(), int64(len(wantAffected)); got != want {
+				t.Errorf("StalePurged = %d, want %d (one entry per affected key)", got, want)
 			}
 
 			// Exactly the affected keys re-ran.
@@ -232,15 +236,14 @@ func TestSimulatedDeployMatrix(t *testing.T) {
 				if wantAffected[k] {
 					continue
 				}
-				req := core.Request{Scale: core.Quick, Platform: k.platform}
+				rs, ok := loadReps(stB, k.id, core.Request{Scale: core.Quick, Platform: k.platform})
+				if !ok {
+					t.Errorf("surviving key %s missing after deploy", k)
+					continue
+				}
 				for _, ct := range offered {
-					ent, ok := stB.Get(storeKey(k.id, req, ct))
-					if !ok {
-						t.Errorf("surviving key %s (%s) missing after deploy", k, ct)
-						continue
-					}
-					if ent.ETag != etagsA[k][ct] {
-						t.Errorf("surviving key %s (%s): ETag %s != original %s", k, ct, ent.ETag, etagsA[k][ct])
+					if got := rs.reps[ct].etag; got != etagsA[k][ct] {
+						t.Errorf("surviving key %s (%s): ETag %s != original %s", k, ct, got, etagsA[k][ct])
 					}
 				}
 				url := ts.URL + "/experiments/" + k.id
@@ -262,13 +265,13 @@ func TestSimulatedDeployMatrix(t *testing.T) {
 			if resp.StatusCode != 200 {
 				t.Fatalf("healthz: %d", resp.StatusCode)
 			}
-			if want := fmt.Sprintf("stale_purged=%d", len(wantAffected)*len(offered)); !strings.Contains(body, want) {
+			if want := fmt.Sprintf("stale_purged=%d\n", len(wantAffected)); !strings.Contains(body, want) {
 				t.Errorf("healthz %q does not report %q", strings.TrimSpace(body), want)
 			}
 
 			// And the affected keys were re-persisted under the new
-			// generation: a third open (same salt) purges nothing.
-			stC := openDeployStore(t, dir)
+			// generation: a third open (same deploy) purges nothing.
+			stC := openDeployStore(t, dir, movedB)
 			if got := stC.StalePurged(); got != 0 {
 				t.Errorf("third open purged %d entries; deploy B left the store dirty", got)
 			}
@@ -296,12 +299,12 @@ func TestNoOpRedeployLoadsEverything(t *testing.T) {
 	keys := deployMatrix(t)
 	var ran sync.Map
 	var runs atomic.Int32
-	srvA := New(Config{RunFunc: recordingStub(&ran, &runs), Store: openDeployStore(t, dir)})
+	srvA := New(Config{RunFunc: recordingStub(&ran, &runs), Store: openDeployStore(t, dir, nil)})
 	srvA.Warm(context.Background(), deployIDs, deployPlatforms, 4)
 	etagsA := captureETags(t, srvA.cfg.Store, keys)
 
 	var runsB atomic.Int32
-	stB := openDeployStore(t, dir)
+	stB := openDeployStore(t, dir, nil)
 	srvB := New(Config{RunFunc: recordingStub(&ran, &runsB), Store: stB})
 	srvB.Warm(context.Background(), deployIDs, deployPlatforms, 4)
 	if got := stB.StalePurged(); got != 0 {
@@ -329,7 +332,7 @@ func TestNoOpRedeployLoadsEverything(t *testing.T) {
 func TestWarmDiskLoadsEmitNoTraces(t *testing.T) {
 	dir := t.TempDir()
 	// Deploy A: a REAL run (RunFunc nil -> core.Run), which traces.
-	srvA := New(Config{Store: openDeployStore(t, dir)})
+	srvA := New(Config{Store: openDeployStore(t, dir, nil)})
 	if n := srvA.Warm(context.Background(), []string{"T1"}, nil, 2); n != 1 {
 		t.Fatalf("baseline warm executed %d, want 1", n)
 	}
@@ -338,7 +341,7 @@ func TestWarmDiskLoadsEmitNoTraces(t *testing.T) {
 	}
 
 	// Deploy B, nothing changed: the whole warm-up is disk loads.
-	srvB := New(Config{Store: openDeployStore(t, dir)})
+	srvB := New(Config{Store: openDeployStore(t, dir, nil)})
 	if n := srvB.Warm(context.Background(), []string{"T1"}, nil, 2); n != 0 {
 		t.Fatalf("delta warm executed %d, want 0 (all from disk)", n)
 	}

@@ -136,110 +136,6 @@ func TestFingerprintChangeInvalidatesStore(t *testing.T) {
 	}
 }
 
-func TestPartialDiskEntrySetReadsAsMiss(t *testing.T) {
-	// Negotiation needs all representations from one execution; if
-	// one was evicted or corrupted, the whole key re-runs rather than
-	// serving a mixed generation.
-	dir := t.TempDir()
-	var runs atomic.Int32
-	run := stubRun(&runs, 0)
-	store := openStore(t, dir, "fpA")
-
-	ts1 := newTestServer(t, Config{RunFunc: run, Store: store})
-	doGet(t, ts1.URL+"/experiments/T1", "", "")
-
-	// Drop one of the three representations.
-	if _, ok := store.Get(diskcache.Key{ID: "T1", Scale: "quick", ContentType: "text/csv"}); !ok {
-		t.Fatal("csv entry not persisted")
-	}
-	if err := store.Purge(); err != nil {
-		t.Fatal(err)
-	}
-	// Re-persist only two of three by round-tripping Get/Put.
-	res := run(mustGetExp(t, "T1"), core.Request{Scale: core.Quick})
-	rs, err := renderResult(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ct := range []string{ctText, ctJSON} {
-		rp := rs.reps[ct]
-		if err := store.Put(storeKey("T1", core.Request{Scale: core.Quick}, ct),
-			diskcache.Entry{ETag: rp.etag, Elapsed: rs.elapsed, Body: rp.body}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runs.Store(0)
-
-	srv2 := New(Config{RunFunc: run, Store: openStore(t, dir, "fpA")})
-	ts2 := newHTTPTestServer(t, srv2)
-	doGet(t, ts2.URL+"/experiments/T1", "", "")
-	if runs.Load() != 1 {
-		t.Errorf("partial disk set served without a re-run (runs=%d, want 1)", runs.Load())
-	}
-}
-
-func TestMixedGenerationDiskSetReadsAsMiss(t *testing.T) {
-	// Two writers racing on one directory can interleave their three
-	// Puts (last writer wins per file). Each file validates alone, so
-	// only the shared run stamp can reject the mixed set — without
-	// it, a nondeterministic experiment's JSON could disagree with
-	// its text rendering after a restart.
-	dir := t.TempDir()
-	var runs atomic.Int32
-	store := openStore(t, dir, "fpA")
-
-	// Two "executions" with different output bytes.
-	mkReps := func(tag string) map[string]rep {
-		res := stubRun(&runs, 0)(mustGetExp(t, "T1"), core.Request{Scale: core.Quick})
-		res.Rec.Write([]byte(tag + "\n")) // perturb the rendered bytes
-		rs, err := renderResult(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rs.reps
-	}
-	repsA, repsB := mkReps("run A"), mkReps("run B")
-
-	put := func(reps map[string]rep, ct string) {
-		t.Helper()
-		rp := reps[ct]
-		if err := store.Put(storeKey("T1", core.Request{Scale: core.Quick}, ct),
-			diskcache.Entry{ETag: rp.etag, RunID: runIDOf(reps), Elapsed: time.Millisecond, Body: rp.body}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Interleaving: A writes text, B overwrites json and csv.
-	put(repsA, ctText)
-	put(repsB, ctJSON)
-	put(repsB, ctCSV)
-
-	runs.Store(0)
-	srv := New(Config{RunFunc: stubRun(&runs, 0), Store: store})
-	ts := newHTTPTestServer(t, srv)
-	doGet(t, ts.URL+"/experiments/T1", "", "")
-	if runs.Load() != 1 {
-		t.Errorf("mixed-generation disk set served without a re-run (runs=%d, want 1)", runs.Load())
-	}
-	if st := srv.Stats(); st.DiskLoads != 0 {
-		t.Errorf("mixed-generation set counted as a disk load (%d)", st.DiskLoads)
-	}
-
-	// LoadResult applies the same guard on its text+json pair.
-	store2 := openStore(t, t.TempDir(), "fpA")
-	res := stubRun(&runs, 0)(mustGetExp(t, "T1"), core.Request{Scale: core.Quick})
-	if err := StoreResult(store2, res); err != nil {
-		t.Fatal(err)
-	}
-	rp := repsB[ctJSON]
-	if err := store2.Put(storeKey("T1", core.Request{Scale: core.Quick}, ctJSON),
-		diskcache.Entry{ETag: rp.etag, RunID: runIDOf(repsB), Elapsed: time.Millisecond, Body: rp.body}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := LoadResult(store2, mustGetExp(t, "T1"), core.Request{Scale: core.Quick}); ok {
-		t.Error("LoadResult accepted a mixed-generation text+json pair")
-	}
-}
-
 func mustGetExp(t *testing.T, id string) core.Experiment {
 	t.Helper()
 	e, ok := core.Get(id)

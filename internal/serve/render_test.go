@@ -31,10 +31,10 @@ func BenchmarkNegotiate(b *testing.B) {
 	}
 }
 
-// benchResult is one real quick-scale execution to render.
-func benchResult(b *testing.B) core.Result {
+// benchResult is one real quick-scale execution of id to render.
+func benchResult(b *testing.B, id string) core.Result {
 	b.Helper()
-	e, _ := core.Get("T1")
+	e, _ := core.Get(id)
 	res := core.Run(e, core.Request{Scale: core.Quick})
 	if res.Err != nil {
 		b.Fatal(res.Err)
@@ -43,7 +43,7 @@ func benchResult(b *testing.B) core.Result {
 }
 
 func BenchmarkRenderResult(b *testing.B) {
-	res := benchResult(b)
+	res := benchResult(b, "T1")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -54,7 +54,7 @@ func BenchmarkRenderResult(b *testing.B) {
 }
 
 func BenchmarkWriteNegotiated(b *testing.B) {
-	rs, err := renderResult(benchResult(b))
+	rs, err := renderResult(benchResult(b, "T1"))
 	if err != nil {
 		b.Fatal(err)
 	}

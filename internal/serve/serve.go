@@ -57,9 +57,9 @@ type Server struct {
 	start     time.Time
 
 	// fp is core.Fingerprint() captured at construction. The registry
-	// and fingerprint salts are fixed for the life of a process, and
-	// recomputing means re-hashing every experiment's material — too
-	// much work to redo on every /healthz scrape.
+	// is fixed for the life of a process, and recomputing means
+	// re-hashing every experiment's material — too much work to redo on
+	// every /healthz scrape.
 	fp string
 }
 
@@ -296,7 +296,7 @@ func (s *Server) result(e core.Experiment, req core.Request, j *jobs.Job) (resul
 }
 
 // fill produces the result set for one cold (id, scale, platform):
-// load from the disk store when a valid entry generation exists there,
+// load from the disk store when a valid entry exists there,
 // otherwise execute the experiment — observed through h on the async
 // job path — and write the rendering through to the store
 // (best-effort: a failed write leaves the in-memory entry serving and
@@ -308,7 +308,7 @@ func (s *Server) result(e core.Experiment, req core.Request, j *jobs.Job) (resul
 func (s *Server) fill(e core.Experiment, req core.Request, h core.RunHooks) (resultSet, error) {
 	st := s.cfg.Store
 	if st != nil {
-		if rs, ok := loadReps(st, e.ID, req, offered...); ok {
+		if rs, ok := loadReps(st, e.ID, req); ok {
 			s.m.diskLoads.Inc()
 			rs.tier = "disk"
 			return rs, nil

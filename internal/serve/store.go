@@ -1,78 +1,75 @@
 // Persistence: how a result set is laid out in a diskcache.Store — one
-// entry per (id, scale, platform, content type), stamped with a shared
-// run ID. loadReps is the layout's only reader and putReps its only
-// writer; the daemon's write-through cache and the CLI's
+// entry per (id, scale, platform), its body the three representations
+// framed back to back, so one atomic rename carries the whole set.
+// loadReps is the layout's only reader and putReps its only writer;
+// the daemon's write-through cache and the CLI's
 // StoreResult/LoadResult both go through them.
 package serve
 
 import (
-	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
-	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/diskcache"
 	"repro/internal/report"
 )
 
-// storeKey maps one in-memory cache slot + offered content type to
-// the disk store's key space. Keys carry the bare media type — the
-// charset parameter is a response detail, not part of the identity.
-func storeKey(id string, req core.Request, ct string) diskcache.Key {
-	return diskcache.Key{ID: id, Scale: req.Scale.String(), Platform: req.Platform, ContentType: mediaType(ct)}
+// storeContentType is the content type every persisted result set is
+// keyed under: the framed set, not any one negotiable representation.
+const storeContentType = "application/vnd.charhpc.result-set"
+
+// storeKey maps one in-memory cache slot to the disk store's key space.
+func storeKey(id string, req core.Request) diskcache.Key {
+	return diskcache.Key{ID: id, Scale: req.Scale.String(), Platform: req.Platform, ContentType: storeContentType}
 }
 
-// runIDOf stamps one execution's generation: a hash over every
-// representation's ETag. Entries written by one fill share it, so a
-// set mixed across two concurrent executions (last-writer-wins per
-// file, and nondeterministic experiments render different bytes per
-// run) is detectable on load even though each file validates alone.
-func runIDOf(reps map[string]rep) string {
-	h := sha256.New()
+// encodeResultSet frames the representations in offered order, each as
+// a 4-byte big-endian length followed by exactly that many body bytes.
+func encodeResultSet(reps map[string]rep) []byte {
+	var b []byte
 	for _, ct := range offered {
-		fmt.Fprintln(h, reps[ct].etag)
+		b = binary.BigEndian.AppendUint32(b, uint32(len(reps[ct].body)))
+		b = append(b, reps[ct].body...)
 	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+	return b
 }
 
-// loadReps fetches the given representations of (id, scale, platform)
-// from the disk store. It is all-or-nothing: the caller needs every
-// requested content type from the same execution, so a partial set —
-// or one whose entries carry different run stamps because two writers
-// raced — reads as a miss.
-func loadReps(st *diskcache.Store, id string, req core.Request, cts ...string) (resultSet, bool) {
-	rs := resultSet{reps: make(map[string]rep, len(cts))}
-	var runID string
-	for i, ct := range cts {
-		ent, ok := st.Get(storeKey(id, req, ct))
-		if !ok {
-			return resultSet{}, false
+// decodeResultSet is encodeResultSet's inverse. ETags are recomputed
+// from the bytes; a frame with a short length, a length past the end
+// or trailing bytes is rejected whole.
+func decodeResultSet(b []byte) (map[string]rep, bool) {
+	reps := make(map[string]rep, len(offered))
+	for _, ct := range offered {
+		if len(b) < 4 {
+			return nil, false
 		}
-		if i == 0 {
-			runID, rs.elapsed = ent.RunID, ent.Elapsed
-		} else if ent.RunID != runID {
-			return resultSet{}, false
+		n := binary.BigEndian.Uint32(b)
+		b = b[4:]
+		if uint64(n) > uint64(len(b)) {
+			return nil, false
 		}
-		rs.reps[ct] = rep{body: ent.Body, etag: ent.ETag}
+		reps[ct] = rep{body: b[:n], etag: etagOf(b[:n])}
+		b = b[n:]
 	}
-	return rs, true
+	return reps, len(b) == 0
 }
 
-// putReps persists one fill's representations — runID-stamped so a
-// reader can reject a set mixed across racing writers. The first
-// failed write is returned; the rest are still attempted.
+// loadReps fetches the result set of (id, scale, platform) from the
+// disk store. A frame that fails to decode reads as a miss: the caller
+// re-runs and the next putReps overwrites it.
+func loadReps(st *diskcache.Store, id string, req core.Request) (resultSet, bool) {
+	ent, ok := st.Get(storeKey(id, req))
+	if !ok {
+		return resultSet{}, false
+	}
+	reps, ok := decodeResultSet(ent.Body)
+	return resultSet{reps: reps, elapsed: ent.Elapsed}, ok
+}
+
+// putReps persists one fill's representations as one entry.
 func putReps(st *diskcache.Store, id string, req core.Request, rs resultSet) error {
-	runID := runIDOf(rs.reps)
-	var firstErr error
-	for _, ct := range offered {
-		rp := rs.reps[ct]
-		err := st.Put(storeKey(id, req, ct),
-			diskcache.Entry{ETag: rp.etag, RunID: runID, Elapsed: rs.elapsed, Body: rp.body})
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return st.Put(storeKey(id, req), diskcache.Entry{Elapsed: rs.elapsed, Body: encodeResultSet(rs.reps)})
 }
 
 // StoreResult renders one captured execution into all negotiable
@@ -94,7 +91,7 @@ func StoreResult(st *diskcache.Store, res core.Result) error {
 // round-trip's other half). Elapsed is the original run's wall time.
 // Missing or invalid entries return ok=false.
 func LoadResult(st *diskcache.Store, e core.Experiment, req core.Request) (core.Result, bool) {
-	rs, ok := loadReps(st, e.ID, req, ctText, ctJSON)
+	rs, ok := loadReps(st, e.ID, req)
 	if !ok {
 		return core.Result{}, false
 	}
