@@ -54,21 +54,17 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		presets := cluster.Presets()
-		names := make([]string, 0, len(presets))
-		for name := range presets {
-			names = append(names, name)
-		}
+		names := cluster.NamesWith(cluster.CapMemModel)
 		sort.Strings(names)
 		for _, name := range names {
-			if m := presets[name].Mem; m != nil {
-				locality := "UMA"
-				if m.NUMA.Nodes > 1 {
-					locality = fmt.Sprintf("%d NUMA nodes", m.NUMA.Nodes)
-				}
-				fmt.Printf("%-10s %s mode, %d levels, TLB reach %s, %s\n",
-					name, m.Mode, len(m.Levels), report.Bytes(m.TLBReach()), locality)
+			preset, _ := cluster.Lookup(name)
+			m := preset.Mem
+			locality := "UMA"
+			if m.NUMA.Nodes > 1 {
+				locality = fmt.Sprintf("%d NUMA nodes", m.NUMA.Nodes)
 			}
+			fmt.Printf("%-10s %s mode, %d levels, TLB reach %s, %s\n",
+				name, m.Mode, len(m.Levels), report.Bytes(m.TLBReach()), locality)
 		}
 		return
 	}
@@ -161,7 +157,7 @@ func runHost(c config) {
 
 // lookupModel resolves -model/-mode into a preset's memory model.
 func lookupModel(c config) *mem.Model {
-	preset, ok := cluster.Presets()[c.modelName]
+	preset, ok := cluster.Lookup(c.modelName)
 	if !ok || preset.Mem == nil {
 		fail(fmt.Errorf("unknown platform %q (use -list)", c.modelName))
 	}

@@ -71,10 +71,11 @@ func TestDocLinks(t *testing.T) {
 var famRange = regexp.MustCompile(`([A-Z])(\d+)–[A-Z]?(\d+)`)
 
 // TestReadmeCoversRegistry keeps the top-level README honest about the
-// experiment families and examples it advertises: every experiment in
-// the live core registry must be covered, either named literally or
-// inside a family range, so registering a new experiment (an M7)
-// fails this test until the README's index grows with it.
+// experiment families, commands and examples it advertises: every
+// experiment in the live core registry must be covered, either named
+// literally or inside a family range, so registering a new experiment
+// (an M7) fails this test until the README's index grows with it, and
+// every directory under cmd/ and examples/ must be linked.
 func TestReadmeCoversRegistry(t *testing.T) {
 	body, err := os.ReadFile("README.md")
 	if err != nil {
@@ -109,13 +110,17 @@ func TestReadmeCoversRegistry(t *testing.T) {
 			t.Errorf("README.md does not mention %q", want)
 		}
 	}
-	dirs, err := filepath.Glob(filepath.Join("examples", "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range dirs {
-		if !strings.Contains(s, filepath.ToSlash(d)) {
-			t.Errorf("README.md does not link example %s", d)
+	for _, pattern := range []string{filepath.Join("examples", "*"), filepath.Join("cmd", "*")} {
+		dirs, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range dirs {
+			// A link into the directory: cmd/charhpc must not pass on
+			// the strength of cmd/charhpcd.
+			if !strings.Contains(s, "]("+filepath.ToSlash(d)+"/") {
+				t.Errorf("README.md does not link %s", d)
+			}
 		}
 	}
 }
@@ -178,6 +183,13 @@ func TestReadmeCoversFlags(t *testing.T) {
 		{"runID" + "Of", ""},
 		{"group" + "Of", ""},
 		{"CHARHPC_FP_" + "SALT", ""},
+		{"results" + "-service", ""},
+		{"NewT" + "CP", ""},
+		{"TCP" + "Fabric", ""},
+		{"cmd/" + "osu", ""},
+		{"cmd/" + "hpcc", ""},
+		{"cmd/" + "nas", ""},
+		{"cmd/" + "stream", ""},
 	}
 	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {

@@ -1,8 +1,8 @@
 // Package bytesview provides zero-copy reinterpretations of numeric
 // slices as byte slices for the byte-oriented transport layer. All
-// fabrics move bytes within a single process (the TCP fabric is
-// loopback within the process too), so no cross-machine representation
-// issues arise; the views just avoid a copy on the hot path.
+// fabrics move bytes within a single process, so no cross-machine
+// representation issues arise; the views just avoid a copy on the hot
+// path.
 package bytesview
 
 import "unsafe"

@@ -191,7 +191,11 @@ func TestLogGPTransferMonotoneInSize(t *testing.T) {
 }
 
 func TestPresetsValidate(t *testing.T) {
-	for name, m := range Presets() {
+	for _, name := range Names() {
+		m, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("registered preset %q does not resolve", name)
+		}
 		if err := m.Validate(); err != nil {
 			t.Errorf("preset %q invalid: %v", name, err)
 		}

@@ -139,13 +139,65 @@ type Spec struct {
 	Mem            *MemSpec     `json:"mem,omitempty"`
 }
 
+// Ceilings on what a custom spec may ask for. Presets are code and are
+// not checked; a spec arrives over POST /platforms and the experiments
+// size their worlds from it: the point-to-point and application
+// experiments run one rank per core, and transport.NewSim builds a
+// ranks × ranks table of 32-byte LogGP entries — 32 MiB at maxSpecCores,
+// which is twice the largest preset (ib-64n, 512 cores) and four times
+// examples/platforms/edr-16n.json. The memory-model counts only feed
+// arithmetic; their bounds sit well above any real part (the presets
+// have at most 3 levels, 1536 TLB entries and 4 NUMA nodes).
+const (
+	maxSpecCores      = 1024 // each topology dimension, and their product
+	maxSpecMemLevels  = 8
+	maxSpecTLBEntries = 1 << 20
+	maxSpecNUMANodes  = 64
+)
+
+// checkCeilings rejects a spec beyond the ceilings above with an error
+// naming the field and the limit. It runs after Validate, so every
+// topology dimension is positive.
+func (s *Spec) checkCeilings() error {
+	type bound struct {
+		field    string
+		v, limit int
+	}
+	t := s.Topology
+	bounds := []bound{
+		{"topology.nodes", t.Nodes, maxSpecCores},
+		{"topology.sockets_per_node", t.SocketsPerNode, maxSpecCores},
+		{"topology.cores_per_socket", t.CoresPerSocket, maxSpecCores},
+	}
+	if m := s.Mem; m != nil {
+		bounds = append(bounds,
+			bound{"mem.levels count", len(m.Levels), maxSpecMemLevels},
+			bound{"mem.tlb.entries", m.TLB.Entries, maxSpecTLBEntries})
+		if m.NUMA != nil {
+			bounds = append(bounds, bound{"mem.numa.nodes", m.NUMA.Nodes, maxSpecNUMANodes})
+		}
+	}
+	for _, b := range bounds {
+		if b.v > b.limit {
+			return fmt.Errorf("cluster: platform spec %s = %d exceeds the limit of %d", b.field, b.v, b.limit)
+		}
+	}
+	// Each dimension is in [1, maxSpecCores] here, so the product is at
+	// most 2^30 and cannot overflow an int.
+	if total := t.Nodes * t.SocketsPerNode * t.CoresPerSocket; total > maxSpecCores {
+		return fmt.Errorf("cluster: platform spec topology has %d cores in total (nodes × sockets_per_node × cores_per_socket), which exceeds the limit of %d", total, maxSpecCores)
+	}
+	return nil
+}
+
 // ParseSpec decodes and validates one JSON platform document. Unknown
 // fields are rejected (a typo'd parameter must not silently become a
-// default), enum strings are normalized, and the built model passes
-// the exact Validate() the presets would — so nothing a preset could
-// not be is ever registered. The returned Spec is normalized: its
-// Canonical() bytes, and therefore its Name(), are independent of the
-// input's field order, whitespace, and omitted defaults.
+// default), enum strings are normalized, the built model passes the
+// exact Validate() the presets would — so nothing a preset could not
+// be is ever registered — and the spec stays within the ceilings
+// above. The returned Spec is normalized: its Canonical() bytes, and
+// therefore its Name(), are independent of the input's field order,
+// whitespace, and omitted defaults.
 func ParseSpec(b []byte) (*Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
@@ -169,6 +221,9 @@ func ParseSpec(b []byte) (*Spec, error) {
 		return nil, err
 	}
 	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	if err := s.checkCeilings(); err != nil {
 		return nil, err
 	}
 	return s, nil

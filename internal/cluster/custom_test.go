@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -166,6 +167,101 @@ func TestParseSpecRejects(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// exampleSpec is the platform document the README walks through.
+const exampleSpec = "../../examples/platforms/edr-16n.json"
+
+// The ceilings must not rename the documented example: its canonical
+// bytes are what persisted stores and -platform-dir files are keyed by.
+func TestExampleSpecKeepsItsName(t *testing.T) {
+	doc, err := os.ReadFile(exampleSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := ParseSpec(doc)
+	if err != nil {
+		t.Fatalf("ParseSpec(%s): %v", exampleSpec, err)
+	}
+	if got, want := s.Name(), "custom-35deab5c5526"; got != want {
+		t.Fatalf("%s registers as %s, want %s", exampleSpec, got, want)
+	}
+}
+
+// A custom spec is bounded work: each ceiling accepts its limit and
+// rejects limit + 1 with a message naming the field and the limit.
+func TestParseSpecCeilings(t *testing.T) {
+	topo := func(nodes, sockets, cores int) func(map[string]any) {
+		return func(m map[string]any) {
+			m["topology"] = map[string]any{"nodes": nodes, "sockets_per_node": sockets, "cores_per_socket": cores}
+		}
+	}
+	memField := func(path string, v any) func(map[string]any) {
+		return func(m map[string]any) {
+			mm := m["mem"].(map[string]any)
+			if sub, field, ok := strings.Cut(path, "."); ok {
+				mm[sub].(map[string]any)[field] = v
+			} else {
+				mm[path] = v
+			}
+		}
+	}
+	levels := func(n int) []any {
+		out := make([]any, n)
+		for i := range out {
+			out[i] = map[string]any{"name": fmt.Sprintf("L%d", i+1), "capacity_bytes": 1024 << i, "latency_s": 1e-9 * float64(i+1)}
+		}
+		return out
+	}
+	cases := []struct {
+		name   string
+		mutate func(m map[string]any)
+		want   []string // substrings of the error; nil means accepted
+	}{
+		// edr-16n.json's topology with the node count that killed a shard:
+		// 6.4e9 ranks asked of NewSim. The smoke POSTs the file itself.
+		{"400 million nodes", topo(400000000, 2, 8), []string{"topology.nodes", "400000000", "1024"}},
+		// 2^31 × 2^31 × 4 wraps to 0 in a 64-bit int: a check on the
+		// naive product alone would accept it.
+		{"overflowing product", topo(1<<31, 1<<31, 4), []string{"topology.nodes", "1024"}},
+
+		{"nodes at limit", topo(maxSpecCores, 1, 1), nil},
+		{"nodes over", topo(maxSpecCores+1, 1, 1), []string{"topology.nodes", "1024"}},
+		{"sockets at limit", topo(1, maxSpecCores, 1), nil},
+		{"sockets over", topo(1, maxSpecCores+1, 1), []string{"topology.sockets_per_node", "1024"}},
+		{"cores at limit", topo(1, 1, maxSpecCores), nil},
+		{"cores over", topo(1, 1, maxSpecCores+1), []string{"topology.cores_per_socket", "1024"}},
+		{"total at limit", topo(64, 2, 8), nil},
+		{"total over", topo(64, 2, 9), []string{"1152 cores in total", "1024"}},
+
+		{"levels at limit", memField("levels", levels(maxSpecMemLevels)), nil},
+		{"levels over", memField("levels", levels(maxSpecMemLevels+1)), []string{"mem.levels count", "8"}},
+		{"tlb entries at limit", memField("tlb.entries", maxSpecTLBEntries), nil},
+		{"tlb entries over", memField("tlb.entries", maxSpecTLBEntries+1), []string{"mem.tlb.entries", "1048576"}},
+		{"numa nodes at limit", memField("numa.nodes", maxSpecNUMANodes), nil},
+		{"numa nodes over", memField("numa.nodes", maxSpecNUMANodes+1), []string{"mem.numa.nodes", "64"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := validSpecJSON()
+			tc.mutate(m)
+			_, err := ParseSpec(marshal(t, m))
+			if tc.want == nil {
+				if err != nil {
+					t.Fatalf("a spec at the limit was rejected: %v", err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("ParseSpec accepted a spec beyond the ceiling")
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("error %q does not mention %q", err, w)
+				}
 			}
 		})
 	}

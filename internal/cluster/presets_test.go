@@ -11,11 +11,15 @@ import (
 // bandwidth on every link class, and a valid attached memory-hierarchy
 // model.
 func TestPresetsSelfConsistent(t *testing.T) {
-	presets := Presets()
-	if len(presets) == 0 {
+	names := Names()
+	if len(names) == 0 {
 		t.Fatal("no presets")
 	}
-	for name, m := range presets {
+	for _, name := range names {
+		m, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("registered preset %q does not resolve", name)
+		}
 		if m.Name != name {
 			t.Errorf("preset keyed %q has Name %q", name, m.Name)
 		}
@@ -75,19 +79,26 @@ func TestPresetsSelfConsistent(t *testing.T) {
 // commodity Harpertown presets (front-side-bus machines) stay UMA and
 // must reproduce their pre-NUMA latencies under every policy.
 func TestNUMAPresets(t *testing.T) {
-	presets := Presets()
-	fat, ok := presets["fat-1n"]
+	fat, ok := Lookup("fat-1n")
 	if !ok {
 		t.Fatal("fat-1n preset missing")
 	}
 	if fat.Mem.NUMA.Nodes != 4 {
 		t.Errorf("fat-1n has %d NUMA nodes, want 4", fat.Mem.NUMA.Nodes)
 	}
-	if got := presets["bgp-64n"].Mem.NUMA.Nodes; got != 2 {
+	bgp, ok := Lookup("bgp-64n")
+	if !ok {
+		t.Fatal("bgp-64n preset missing")
+	}
+	if got := bgp.Mem.NUMA.Nodes; got != 2 {
 		t.Errorf("bgp-64n has %d NUMA nodes, want 2", got)
 	}
 	for _, name := range []string{"gige-8n", "ib-8n", "smp-1n", "ib-64n"} {
-		m := presets[name].Mem
+		preset, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("%s preset missing", name)
+		}
+		m := preset.Mem
 		if m.NUMA.Nodes > 1 {
 			t.Errorf("preset %s unexpectedly NUMA", name)
 			continue

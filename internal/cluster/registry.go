@@ -134,15 +134,6 @@ func NamesWith(need Capability) []string {
 	return out
 }
 
-// Presets returns all built-in platform models keyed by name.
-func Presets() map[string]*Model {
-	out := map[string]*Model{}
-	for _, p := range presets {
-		out[p.name] = p.mk()
-	}
-	return out
-}
-
 // RegistryShape returns one line per preset — name, capability tags,
 // topology, parameter hash — sorted by name. core.Fingerprint hashes
 // it so a disk cache written under a different preset registry (a

@@ -2,7 +2,7 @@
 // stand-in for MPI (see DESIGN.md). It provides:
 //
 //   - SPMD launch: Run spawns n ranks as goroutines over a chosen fabric
-//     (in-process, virtual-time simulated, or loopback TCP).
+//     (in-process or virtual-time simulated).
 //   - Point-to-point: blocking Send/Recv, nonblocking Isend/Irecv with
 //     Requests, combined SendRecv, source/tag wildcards, and the MPI
 //     matching rules (FIFO per (src,dst), first-match against posted
@@ -57,8 +57,6 @@ const (
 	// Sim exchanges packets in-process with virtual-time stamps from a
 	// cluster.Model; Comm.Time returns virtual seconds.
 	Sim
-	// TCP exchanges packets over loopback TCP sockets.
-	TCP
 )
 
 // String implements fmt.Stringer.
@@ -68,8 +66,6 @@ func (f Fabric) String() string {
 		return "inproc"
 	case Sim:
 		return "sim"
-	case TCP:
-		return "tcp"
 	default:
 		return fmt.Sprintf("Fabric(%d)", int(f))
 	}
@@ -119,7 +115,7 @@ type Config struct {
 	// Fabric selects the transport; default InProc.
 	Fabric Fabric
 	// Model is the platform model; required for Sim, and also used by
-	// InProc/TCP runs that want placement-aware experiments.
+	// InProc runs that want placement-aware experiments.
 	Model *cluster.Model
 	// EagerThreshold is the eager/rendezvous switch in bytes;
 	// 0 means DefaultEagerThreshold, negative means "always rendezvous".
@@ -162,8 +158,6 @@ func newFabric(n int, cfg Config) (FabricProvider, error) {
 		return transport.NewInProc(n)
 	case Sim:
 		return transport.NewSim(n, cfg.Model)
-	case TCP:
-		return transport.NewTCP(n)
 	default:
 		return nil, fmt.Errorf("mp: unknown fabric %v", cfg.Fabric)
 	}

@@ -16,7 +16,6 @@ func configs() map[string]Config {
 		"inproc":      {Fabric: InProc},
 		"inproc-rndv": {Fabric: InProc, EagerThreshold: -1},
 		"sim":         {Fabric: Sim, Model: cluster.BigIBCluster()},
-		"tcp":         {Fabric: TCP},
 	}
 }
 
@@ -421,7 +420,7 @@ func TestSimComputeAdvancesClock(t *testing.T) {
 }
 
 func TestFabricString(t *testing.T) {
-	if InProc.String() != "inproc" || Sim.String() != "sim" || TCP.String() != "tcp" {
+	if InProc.String() != "inproc" || Sim.String() != "sim" {
 		t.Error("Fabric strings wrong")
 	}
 }

@@ -1,5 +1,5 @@
 // Package transport provides the byte-moving layer under the
-// message-passing runtime (internal/mp). Three interchangeable fabrics
+// message-passing runtime (internal/mp). Two interchangeable fabrics
 // are provided:
 //
 //   - InProc: ranks are goroutines in one process exchanging packets
@@ -9,8 +9,8 @@
 //     cluster.Model (LogGP per path class, NIC egress contention) and
 //     each endpoint carries a virtual clock. Benchmarks read virtual
 //     time, so µs-scale fabric behaviour is reproduced without sleeping.
-//   - TCP: ranks exchange length-prefixed frames over real loopback TCP
-//     connections, exercising an actual kernel network stack.
+//
+// FaultyFabric wraps either one to inject send failures in tests.
 //
 // The mp layer sees only the Endpoint interface and is agnostic to which
 // fabric is underneath.
@@ -81,11 +81,10 @@ type Endpoint interface {
 	Rank() int
 	// Size returns the number of ranks on the fabric.
 	Size() int
-	// Send delivers pkt to dst. Every fabric copies pkt.Data (or
-	// writes it to the wire) before returning, so the caller still owns
-	// its slice and may reuse it as soon as Send returns; an empty
-	// payload arrives as nil. Send never blocks on the receiver;
-	// mailboxes are unbounded.
+	// Send delivers pkt to dst. Every fabric copies pkt.Data before
+	// returning, so the caller still owns its slice and may reuse it
+	// as soon as Send returns; an empty payload arrives as nil. Send
+	// never blocks on the receiver; mailboxes are unbounded.
 	Send(dst int, pkt Packet) error
 	// Recv returns the next incoming packet, blocking if block is
 	// true. ok is false if no packet is available (non-blocking) or

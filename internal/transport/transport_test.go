@@ -9,7 +9,7 @@ import (
 	"repro/internal/cluster"
 )
 
-// fabricUnderTest abstracts the three fabrics for shared conformance tests.
+// fabricUnderTest abstracts the two fabrics for shared conformance tests.
 type fabricUnderTest struct {
 	name string
 	mk   func(n int) (interface {
@@ -31,12 +31,6 @@ func fabrics() []fabricUnderTest {
 			Close() error
 		}, error) {
 			return NewSim(n, cluster.IBCluster())
-		}},
-		{"tcp", func(n int) (interface {
-			Endpoint(int) (Endpoint, error)
-			Close() error
-		}, error) {
-			return NewTCP(n)
 		}},
 	}
 }
@@ -360,49 +354,6 @@ func TestSimRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := NewSim(0, m); err == nil {
 		t.Error("zero ranks accepted")
-	}
-}
-
-func TestTCPLargePayload(t *testing.T) {
-	fab, err := NewTCP(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fab.Close()
-	e0, _ := fab.Endpoint(0)
-	e1, _ := fab.Endpoint(1)
-	payload := make([]byte, 1<<20)
-	for i := range payload {
-		payload[i] = byte(i * 31)
-	}
-	if err := e0.Send(1, Packet{Type: RndvData, Seq: 9, Data: payload}); err != nil {
-		t.Fatal(err)
-	}
-	pkt, ok, _ := e1.Recv(true)
-	if !ok {
-		t.Fatal("no packet")
-	}
-	if !bytes.Equal(pkt.Data, payload) {
-		t.Error("1 MiB payload corrupted over TCP")
-	}
-}
-
-func TestTCPNegativeTag(t *testing.T) {
-	// Internal collective tags are negative and must round-trip the
-	// wire encoding.
-	fab, err := NewTCP(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fab.Close()
-	e0, _ := fab.Endpoint(0)
-	e1, _ := fab.Endpoint(1)
-	if err := e0.Send(1, Packet{Type: Data, Tag: -1048576}); err != nil {
-		t.Fatal(err)
-	}
-	pkt, ok, _ := e1.Recv(true)
-	if !ok || pkt.Tag != -1048576 {
-		t.Errorf("negative tag round-trip: ok=%v tag=%d", ok, pkt.Tag)
 	}
 }
 
