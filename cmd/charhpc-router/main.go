@@ -8,11 +8,12 @@
 // resource all proxy through byte-for-byte (custom-platform
 // registrations fan out to every shard).
 //
-// Shards are health-checked (periodic /healthz probes; a failed proxy
-// hop marks a shard down immediately), and a request whose shard is
-// unreachable re-routes to the next live ring successor — the same
-// shard its keys would remap to if the owner left the pool, so
-// failover traffic lands where the cache will be rebuilt anyway.
+// Liveness is learned from traffic, with no probe loop: a shard whose
+// hop fails at the transport is tried last for a window (2 s, doubling
+// to 30 s), and GET /healthz probes every shard when asked. A request
+// whose shard is unreachable re-routes to the next live ring successor
+// — the same shard its keys would remap to if the owner left the pool,
+// so failover traffic lands where the cache will be rebuilt anyway.
 //
 // Usage:
 //
@@ -20,14 +21,13 @@
 //	charhpc-router -shards host1:8080,host2:8080 -addr :8079
 //	charhpc-router -warm -j 8                # fan-out warm-up, partitioned by ring ownership
 //	charhpc-router -warm-platforms default,gige-8n
-//	charhpc-router -health-interval 1s -health-timeout 500ms
 //
 // Run the shards with -warm=false when the router drives -warm: the
 // router partitions the registry × platform plan by ring ownership so
 // each shard fills exactly the keys it will serve.
 //
-// Observability: GET /healthz aggregates per-shard liveness on one
-// line; GET /metrics exposes the router's own instruments
+// Observability: GET /healthz probes the shards and aggregates their
+// liveness on one line; GET /metrics exposes the router's own instruments
 // (charhpc_router_shard_up, charhpc_router_routed_total,
 // charhpc_router_failovers_total, charhpc_router_proxy_seconds) —
 // scrape the shards' /metrics alongside for the cache tiers.
@@ -50,8 +50,6 @@ func main() {
 	addr := flag.String("addr", ":8079", "listen address")
 	shardsFlag := flag.String("shards", "", "comma-separated charhpcd base URLs (required), e.g. http://10.0.0.1:8080,http://10.0.0.2:8080")
 	vnodes := flag.Int("vnodes", shard.DefaultVNodes, "virtual nodes per shard on the hash ring")
-	healthInterval := flag.Duration("health-interval", shard.DefaultHealthInterval, "time between shard /healthz probes")
-	healthTimeout := flag.Duration("health-timeout", shard.DefaultHealthTimeout, "per-probe timeout")
 	warm := flag.Bool("warm", false, "drive the fan-out warm-up at startup, partitioned by ring ownership (run the shards with -warm=false)")
 	warmPlatforms := flag.String("warm-platforms", "default",
 		"comma-separated platform axis for the warm-up: 'default' is each experiment's canonical set, any other name is a preset")
@@ -76,13 +74,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	rt, err := shard.New(shard.Config{
-		Shards:         shards,
-		VNodes:         *vnodes,
-		HealthInterval: *healthInterval,
-		HealthTimeout:  *healthTimeout,
-		AccessLog:      logger,
-	})
+	rt, err := shard.New(shard.Config{Shards: shards, VNodes: *vnodes, AccessLog: logger})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "charhpc-router: %v\n", err)
 		os.Exit(2)

@@ -190,6 +190,8 @@ func TestReadmeCoversFlags(t *testing.T) {
 		{"cmd/" + "hpcc", ""},
 		{"cmd/" + "nas", ""},
 		{"cmd/" + "stream", ""},
+		{"health" + "-interval", ""},
+		{"health" + "-timeout", ""},
 	}
 	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {

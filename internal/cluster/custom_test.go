@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -216,6 +217,36 @@ func TestParseSpecCeilings(t *testing.T) {
 		}
 		return out
 	}
+	capacity := func(i, v int) func(map[string]any) {
+		return func(m map[string]any) {
+			m["mem"].(map[string]any)["levels"].([]any)[i].(map[string]any)["capacity_bytes"] = v
+		}
+	}
+	pages := func(page, large int) func(map[string]any) {
+		return func(m map[string]any) {
+			memField("page_bytes", page)(m)
+			memField("large_page_bytes", large)(m)
+		}
+	}
+	tlb := func(entries, large int) func(map[string]any) {
+		return func(m map[string]any) {
+			memField("tlb.entries", entries)(m)
+			memField("large_page_bytes", large)(m)
+		}
+	}
+	text := func(field string, n int) func(map[string]any) {
+		v := strings.Repeat("x", n)
+		return func(m map[string]any) {
+			switch field {
+			case "label":
+				m["label"] = v
+			case "level":
+				m["mem"].(map[string]any)["levels"].([]any)[0].(map[string]any)["name"] = v
+			default:
+				memField(strings.TrimPrefix(field, "mem."), v)(m)
+			}
+		}
+	}
 	cases := []struct {
 		name   string
 		mutate func(m map[string]any)
@@ -243,6 +274,28 @@ func TestParseSpecCeilings(t *testing.T) {
 		{"tlb entries over", memField("tlb.entries", maxSpecTLBEntries+1), []string{"mem.tlb.entries", "1048576"}},
 		{"numa nodes at limit", memField("numa.nodes", maxSpecNUMANodes), nil},
 		{"numa nodes over", memField("numa.nodes", maxSpecNUMANodes+1), []string{"mem.numa.nodes", "64"}},
+
+		{"capacity at limit", capacity(2, maxSpecBytes), nil},
+		{"capacity over", capacity(2, maxSpecBytes+1), []string{"mem.levels[2].capacity_bytes", "1099511627776"}},
+		{"page bytes at limit", pages(maxSpecBytes, maxSpecBytes), nil},
+		{"page bytes over", pages(maxSpecBytes+1, maxSpecBytes+1), []string{"mem.page_bytes", "1099511627776"}},
+		{"large page bytes at limit", pages(4096, maxSpecBytes), nil},
+		{"large page bytes over", pages(4096, maxSpecBytes+1), []string{"mem.large_page_bytes", "1099511627776"}},
+		{"tlb reach at limit", tlb(maxSpecTLBReach/maxSpecBytes, maxSpecBytes), nil},
+		{"tlb reach over", tlb(maxSpecTLBReach/maxSpecBytes+1, maxSpecBytes), []string{"TLB reach", "1125899906842624"}},
+		// Both factors at their own limit: 2^60, which fits an int but is
+		// 1024 times the reach limit.
+		{"tlb reach product", tlb(maxSpecTLBEntries, maxSpecBytes), []string{"TLB reach", "1125899906842624"}},
+		// Before the byte ceilings, 2^20 entries of 2^43-byte pages made
+		// TLBReach() wrap negative and every access a TLB miss.
+		{"tlb reach that wrapped negative", tlb(maxSpecTLBEntries, 1<<43), []string{"mem.large_page_bytes", "1099511627776"}},
+
+		{"label at limit", text("label", maxSpecText), nil},
+		{"label over", text("label", maxSpecText+1), []string{"label length", "256"}},
+		{"mem name at limit", text("mem.name", maxSpecText), nil},
+		{"mem name over", text("mem.name", maxSpecText+1), []string{"mem.name length", "256"}},
+		{"level name at limit", text("level", maxSpecText), nil},
+		{"level name over", text("level", maxSpecText+1), []string{"mem.levels[0].name length", "256"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -441,4 +494,33 @@ func TestCustomNamesSorted(t *testing.T) {
 	if _, ok := CustomSpec(names[0]); !ok {
 		t.Fatal("CustomSpec missed a registered name")
 	}
+}
+
+// FuzzParseSpec: no document panics the parser, an accepted spec's
+// canonical bytes parse back to themselves, and its TLB reach is
+// positive in both modes. The checked-in corpus holds the hostile
+// documents the ceilings were written for.
+func FuzzParseSpec(f *testing.F) {
+	f.Add([]byte(validSpecText))
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		s, err := ParseSpec(doc)
+		if err != nil {
+			return
+		}
+		canon := s.Canonical()
+		again, err := ParseSpec(canon)
+		if err != nil {
+			t.Fatalf("the canonical bytes of an accepted spec were rejected: %v\n%s", err, canon)
+		}
+		if got := again.Canonical(); !bytes.Equal(got, canon) {
+			t.Fatalf("canonical bytes are not a fixed point:\n%s\n%s", canon, got)
+		}
+		if mm := s.Model().Mem; mm != nil {
+			for _, mode := range []mem.Mode{mem.Paged, mem.BigMemory} {
+				if reach := mm.WithMode(mode).TLBReach(); reach <= 0 {
+					t.Fatalf("accepted spec has TLB reach %d in %v mode", reach, mode)
+				}
+			}
+		}
+	})
 }

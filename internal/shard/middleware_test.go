@@ -23,8 +23,8 @@ import (
 	"repro/internal/serve"
 )
 
-// lockedBuf is a log sink the test can read while handlers (and the
-// router's health loop) still write to it.
+// lockedBuf is a log sink the test can read while handlers still
+// write to it.
 type lockedBuf struct {
 	mu sync.Mutex
 	b  bytes.Buffer
@@ -95,7 +95,7 @@ func newFrontTiers(t *testing.T) (tiers []frontTier, release func()) {
 
 	reg, log := obs.NewRegistry(), &lockedBuf{}
 	rt, err := New(Config{Shards: []string{shard.URL}, Metrics: reg,
-		AccessLog: obs.NewLogger(log, obs.FormatJSON), HealthInterval: time.Hour})
+		AccessLog: obs.NewLogger(log, obs.FormatJSON)})
 	if err != nil {
 		t.Fatal(err)
 	}

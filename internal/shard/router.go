@@ -58,11 +58,6 @@ type Config struct {
 	// 0 means DefaultVNodes.
 	VNodes int
 
-	// HealthInterval and HealthTimeout parameterize the periodic
-	// /healthz probes; zero means the Default* constants.
-	HealthInterval time.Duration
-	HealthTimeout  time.Duration
-
 	// Client is the proxy transport. Nil gets a client with no global
 	// timeout (blocking GETs and SSE streams legitimately run long)
 	// over a transport with enough idle connections per shard to keep
@@ -86,7 +81,7 @@ type Config struct {
 // Router fronts the shard pool. It implements http.Handler.
 type Router struct {
 	ring   *Ring
-	hc     *health
+	live   *liveness
 	client *http.Client
 	front  serve.Middleware // the same front end the shards wrap their mux in
 	log    *obs.Logger
@@ -116,7 +111,7 @@ type Stats struct {
 // Stats returns the current snapshot.
 func (rt *Router) Stats() Stats {
 	return Stats{
-		ShardsUp:    rt.hc.upCount(),
+		ShardsUp:    rt.live.upCount(),
 		ShardsTotal: len(rt.ring.Shards()),
 		Failovers:   rt.failovers.Value(),
 	}
@@ -125,8 +120,8 @@ func (rt *Router) Stats() Stats {
 // Registry returns the router's metric registry.
 func (rt *Router) Registry() *obs.Registry { return rt.reg }
 
-// New builds a Router over the given shard pool and starts its health
-// loop; Close stops it.
+// New builds a Router over the given shard pool. It starts no
+// goroutine: liveness is learned from the hops requests make.
 func New(cfg Config) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("shard: no shards configured")
@@ -156,23 +151,18 @@ func New(cfg Config) (*Router, error) {
 
 	client := cfg.Client
 	if client == nil {
+		// Idle connections close after downBase: under load the
+		// transport can pool a connection it dialed but never used, and
+		// a shard's graceful shutdown waits 5 s on one of those.
 		client = &http.Client{Transport: &http.Transport{
 			MaxIdleConns:        256,
 			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     90 * time.Second,
+			IdleConnTimeout:     downBase,
 		}}
 	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
-	}
-	interval := cfg.HealthInterval
-	if interval <= 0 {
-		interval = DefaultHealthInterval
-	}
-	timeout := cfg.HealthTimeout
-	if timeout <= 0 {
-		timeout = DefaultHealthTimeout
 	}
 	maxRoutes := cfg.MaxJobRoutes
 	if maxRoutes <= 0 {
@@ -181,6 +171,7 @@ func New(cfg Config) (*Router, error) {
 
 	rt := &Router{
 		ring:   NewRing(cfg.VNodes),
+		live:   &liveness{now: time.Now, win: make(map[string]*window, len(shards))},
 		client: client,
 		jobs:   lru.New[string, string](maxRoutes),
 		log:    cfg.AccessLog,
@@ -197,15 +188,11 @@ func New(cfg Config) (*Router, error) {
 	}
 	for _, s := range shards {
 		rt.ring.Add(s)
-	}
-	rt.hc = newHealth(shards, client, interval, timeout, func(shard string, up bool) {
-		rt.log.Info("shard health change", "shard", shard, "up", up)
-	})
-	for _, s := range shards {
+		rt.live.win[s] = &window{}
 		reg.GaugeFunc("charhpc_router_shard_up",
-			"1 while the labeled shard answers health probes",
+			"1 while the last hop to the labeled shard did not fail at the transport",
 			func() float64 {
-				if rt.hc.isUp(s) {
+				if rt.live.isUp(s) {
 					return 1
 				}
 				return 0
@@ -234,12 +221,11 @@ func New(cfg Config) (*Router, error) {
 	mux.HandleFunc("DELETE /runs/{job}", rt.handleJob)
 	mux.HandleFunc("GET /runs/{job}/events", rt.handleJob)
 	mux.HandleFunc("GET /debug/traces", rt.handleAny)
-	rt.hc.start()
 	return rt, nil
 }
 
-// Close stops the health loop.
-func (rt *Router) Close() { rt.hc.close() }
+// Close closes the proxy client's idle shard connections.
+func (rt *Router) Close() { rt.client.CloseIdleConnections() }
 
 // ServeHTTP implements http.Handler: the routed handler behind the
 // front end the shards use too. An inbound X-Request-ID is reused on
@@ -261,13 +247,23 @@ func (rt *Router) jobRoute(job string) (string, bool) {
 	return rt.jobs.Get(job)
 }
 
-// handleHealthz aggregates the pool's health on one line: first token
-// "ok" while at least one shard is up, then counters (the CI smoke
-// parses shards_up/shards_total), then one token per shard.
-func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+// handleHealthz probes every shard concurrently, then aggregates the
+// pool's health on one line: first token "ok" while at least one shard
+// is up, then counters (the smoke parses shards_up/shards_total), then
+// one token per shard.
+func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	shards := rt.ring.Shards()
-	up := rt.hc.upCount()
+	var wg sync.WaitGroup
+	for _, s := range shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rt.ask(r, s, "/healthz")
+		}()
+	}
+	wg.Wait()
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	up := rt.live.upCount()
 	status := "ok"
 	if up == 0 {
 		status = "down"
@@ -276,12 +272,32 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		status, up, len(shards), rt.failovers.Value(), int(time.Since(rt.start).Seconds()))
 	for _, s := range shards {
 		state := "down"
-		if rt.hc.isUp(s) {
+		if rt.live.isUp(s) {
 			state = "up"
 		}
 		fmt.Fprintf(w, " shard[%s]=%s", s, state)
 	}
 	fmt.Fprintln(w)
+}
+
+// ask GETs path from shard within probeTimeout on behalf of r, drains
+// the body and returns the status: 0 if the hop failed, which do has
+// recorded.
+func (rt *Router) ask(r *http.Request, shard, path string) int {
+	ctx, cancel := context.WithTimeout(r.Context(), probeTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, shard+path, nil)
+	if err != nil {
+		return 0
+	}
+	req.Header.Set(serve.RequestIDHeader, r.Header.Get(serve.RequestIDHeader))
+	resp, err := rt.do(shard, req)
+	if err != nil {
+		return 0
+	}
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
+	resp.Body.Close()
+	return resp.StatusCode
 }
 
 // handleMetrics serves the router's own Prometheus exposition (the
@@ -292,16 +308,16 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 // candidates returns the shards to try for a key: every shard in ring
-// order from the owner, live ones first (ring order preserved within
-// each group). Down shards stay as last-resort candidates — the
-// health view can be stale, and a request that could succeed should
-// never 503 on a guess.
+// order from the owner, those backing off after a failure last (ring
+// order preserved within each group). They stay as last-resort
+// candidates — a shard can come back inside its window, and a request
+// that could succeed should never 503 on a guess.
 func (rt *Router) candidates(key string) []string {
 	order := rt.ring.Successors(key, len(rt.ring.Shards()))
 	live := make([]string, 0, len(order))
 	var down []string
 	for _, s := range order {
-		if rt.hc.isUp(s) {
+		if !rt.live.backingOff(s) {
 			live = append(live, s)
 		} else {
 			down = append(down, s)
@@ -390,7 +406,7 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 	job := r.PathValue("job")
 	target, ok := rt.jobRoute(job)
 	if !ok {
-		target, ok = rt.findJob(r.Context(), job)
+		target, ok = rt.findJob(r, job)
 	}
 	if !ok {
 		// No live shard knows it: any shard's own 404 envelope is the
@@ -404,26 +420,9 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 // findJob locates a job the routing table has no entry for (the
 // table evicted it, or another router replica accepted the submit) by
 // asking each live shard for its status.
-func (rt *Router) findJob(ctx context.Context, job string) (string, bool) {
+func (rt *Router) findJob(r *http.Request, job string) (string, bool) {
 	for _, s := range rt.anyTargets() {
-		if !rt.hc.isUp(s) {
-			continue
-		}
-		probeCtx, cancel := context.WithTimeout(ctx, rt.hc.timeout)
-		req, err := http.NewRequestWithContext(probeCtx, http.MethodGet, s+"/runs/"+url.PathEscape(job), nil)
-		if err != nil {
-			cancel()
-			continue
-		}
-		resp, err := rt.client.Do(req)
-		if err != nil {
-			cancel()
-			continue
-		}
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		cancel()
-		if resp.StatusCode == http.StatusOK {
+		if !rt.live.backingOff(s) && rt.ask(r, s, "/runs/"+url.PathEscape(job)) == http.StatusOK {
 			rt.routeJob(job, s)
 			return s, true
 		}
@@ -436,7 +435,7 @@ func (rt *Router) findJob(ctx context.Context, job string) (string, bool) {
 func (rt *Router) handleJobList(w http.ResponseWriter, r *http.Request) {
 	all := []json.RawMessage{}
 	for _, s := range rt.anyTargets() {
-		if !rt.hc.isUp(s) {
+		if rt.live.backingOff(s) {
 			continue
 		}
 		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, s+"/runs", nil)
@@ -444,9 +443,8 @@ func (rt *Router) handleJobList(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		req.Header.Set(serve.RequestIDHeader, r.Header.Get(serve.RequestIDHeader))
-		resp, err := rt.client.Do(req)
+		resp, err := rt.do(s, req)
 		if err != nil {
-			rt.hc.set(s, false)
 			continue
 		}
 		var list []json.RawMessage
@@ -494,7 +492,7 @@ func (rt *Router) handlePlatformRegister(w http.ResponseWriter, r *http.Request)
 		// for the custom until it is re-POSTed, it does not serve wrong
 		// bytes.
 		for _, s := range rt.ring.Shards() {
-			if s == target || !rt.hc.isUp(s) {
+			if s == target || rt.live.backingOff(s) {
 				continue
 			}
 			if err := rt.fanOutPlatform(r, s, body); err != nil {
@@ -512,9 +510,8 @@ func (rt *Router) fanOutPlatform(r *http.Request, target string, body []byte) er
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(serve.RequestIDHeader, r.Header.Get(serve.RequestIDHeader))
-	resp, err := rt.client.Do(req)
+	resp, err := rt.do(target, req)
 	if err != nil {
-		rt.hc.set(target, false)
 		return err
 	}
 	defer resp.Body.Close()
@@ -549,7 +546,6 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, targets []string
 			}
 			lastErr = err
 			rt.routed(target, "error")
-			rt.hc.set(target, false)
 			if i+1 < len(targets) {
 				rt.failovers.Inc()
 				rt.log.Info("failover", "shard", target, "error", err.Error(), "next", targets[i+1])
@@ -585,7 +581,26 @@ func (rt *Router) send(r *http.Request, target string, body []byte) (*http.Respo
 			out.Header.Add(k, v)
 		}
 	}
-	return rt.client.Do(out)
+	return rt.do(target, out)
+}
+
+// do performs one hop to shard and records its outcome — the one place
+// the router learns liveness: a response of any status means up, a
+// transport failure means down, and a hop the caller canceled says
+// nothing about the shard.
+func (rt *Router) do(shard string, req *http.Request) (*http.Response, error) {
+	resp, err := rt.client.Do(req)
+	if err == nil || !errors.Is(req.Context().Err(), context.Canceled) {
+		rt.observe(shard, err == nil)
+	}
+	return resp, err
+}
+
+// observe records one outcome for shard, logging a flip.
+func (rt *Router) observe(shard string, ok bool) {
+	if rt.live.record(shard, ok) {
+		rt.log.Info("shard health change", "shard", shard, "up", ok)
+	}
 }
 
 // routed counts one routed request by shard and outcome.
@@ -610,7 +625,7 @@ func (rt *Router) copyResponse(w http.ResponseWriter, r *http.Request, resp *htt
 			if r.Context().Err() != nil {
 				return
 			}
-			rt.hc.set(target, false)
+			rt.observe(target, false)
 			rt.upstreamFailed(w, r, fmt.Sprintf("shard %s failed mid-response: %v", target, err))
 			return
 		}

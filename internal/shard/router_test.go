@@ -84,12 +84,6 @@ func newTestPool(t *testing.T, n int, cfg Config, mw func(i int, next http.Handl
 		p.runs = append(p.runs, log)
 	}
 	cfg.Shards = p.urls
-	if cfg.HealthInterval == 0 {
-		cfg.HealthInterval = 50 * time.Millisecond
-	}
-	if cfg.HealthTimeout == 0 {
-		cfg.HealthTimeout = 250 * time.Millisecond
-	}
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +262,7 @@ func TestFailover(t *testing.T) {
 // candidate failing yields the router's 502 upstream_failed envelope
 // in the service's error shape.
 func TestAllShardsDown(t *testing.T) {
-	p := newTestPool(t, 2, Config{HealthInterval: time.Hour}, nil)
+	p := newTestPool(t, 2, Config{}, nil)
 	for _, s := range p.shards {
 		s.Close()
 	}
@@ -293,7 +287,7 @@ func TestAllShardsDown(t *testing.T) {
 // mid-body must draw the router's 502 envelope (and be marked down) —
 // not the shard's own headers over an implicit 200 and no bytes.
 func TestTruncatedShardBody(t *testing.T) {
-	p := newTestPool(t, 1, Config{HealthInterval: time.Hour}, func(_ int, _ http.Handler) http.Handler {
+	p := newTestPool(t, 1, Config{}, func(_ int, _ http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			conn, buf, err := w.(http.Hijacker).Hijack()
 			if err != nil {
@@ -487,7 +481,7 @@ func TestJobsThroughRouter(t *testing.T) {
 
 	// A second router with a cold routing table still finds the job by
 	// probing the pool (a restarted router keeps serving old jobs).
-	rt2, err := New(Config{Shards: p.urls, HealthInterval: time.Hour})
+	rt2, err := New(Config{Shards: p.urls})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -680,7 +674,7 @@ const fanoutSpec = `{
 // every compatible key runs exactly once, on exactly the shard the
 // ring routes it to.
 func TestWarmPartition(t *testing.T) {
-	p := newTestPool(t, 4, Config{HealthInterval: time.Hour}, nil)
+	p := newTestPool(t, 4, Config{}, nil)
 	ring := p.mirror(0)
 
 	n := p.router.Warm(nil, nil, nil, 4)
@@ -729,7 +723,7 @@ func TestRouterConfigValidation(t *testing.T) {
 	if _, err := New(Config{Shards: []string{"http://%zz"}}); err == nil {
 		t.Error("New with an unparseable URL succeeded")
 	}
-	rt, err := New(Config{Shards: []string{"host1:8080/", "http://host1:8080", "host2:8080"}, HealthInterval: time.Hour})
+	rt, err := New(Config{Shards: []string{"host1:8080/", "http://host1:8080", "host2:8080"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -744,7 +738,7 @@ func TestRouterConfigValidation(t *testing.T) {
 // (and re-resolves via the pool probe); lru's own test covers the
 // order in detail.
 func TestJobTableEviction(t *testing.T) {
-	rt, err := New(Config{Shards: []string{"host1:8080"}, HealthInterval: time.Hour, MaxJobRoutes: 2})
+	rt, err := New(Config{Shards: []string{"host1:8080"}, MaxJobRoutes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

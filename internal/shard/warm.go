@@ -62,12 +62,11 @@ func (rt *Router) warmOne(ctx context.Context, id, platform string) bool {
 		if err != nil {
 			return false
 		}
-		resp, err := rt.client.Do(req)
+		resp, err := rt.do(s, req)
 		if err != nil {
 			if ctx.Err() != nil {
 				return false
 			}
-			rt.hc.set(s, false)
 			continue
 		}
 		io.Copy(io.Discard, resp.Body)

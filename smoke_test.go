@@ -64,6 +64,8 @@ func smokeBin(t *testing.T, name string) string {
 // daemon is one spawned charhpcd or charhpc-router.
 type daemon struct {
 	name string
+	bin  string
+	args func(addr string) []string
 	addr string // 127.0.0.1:port
 	url  string // http://addr
 	cmd  *exec.Cmd
@@ -87,21 +89,7 @@ func startDaemon(t *testing.T, name, bin string, args func(addr string) []string
 		addr := l.Addr().String()
 		l.Close()
 
-		stderr := &bytes.Buffer{}
-		cmd := exec.Command(bin, args(addr)...)
-		cmd.Stderr = stderr
-		cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("start %s: %v", name, err)
-		}
-		d := &daemon{name: name, addr: addr, url: "http://" + addr, cmd: cmd, done: make(chan struct{})}
-		go func() { cmd.Wait(); close(d.done) }()
-		t.Cleanup(func() {
-			d.crash()
-			if t.Failed() {
-				t.Logf("%s (%s) stderr:\n%s", name, addr, stderr)
-			}
-		})
+		d := spawn(t, &daemon{name: name, bin: bin, args: args, addr: addr})
 		if lastErr = d.waitReady(); lastErr == nil {
 			return d
 		}
@@ -109,6 +97,38 @@ func startDaemon(t *testing.T, name, bin string, args func(addr string) []string
 	}
 	t.Fatalf("%s never became healthy: %v", name, lastErr)
 	return nil
+}
+
+// restart runs a crashed daemon's command again on its own address,
+// as an operator bringing it back would.
+func (d *daemon) restart(t *testing.T) *daemon {
+	t.Helper()
+	n := spawn(t, &daemon{name: d.name, bin: d.bin, args: d.args, addr: d.addr})
+	if err := n.waitReady(); err != nil {
+		t.Fatalf("%s did not come back on %s: %v", d.name, d.addr, err)
+	}
+	return n
+}
+
+// spawn starts d's command on d.addr in its own process group.
+func spawn(t *testing.T, d *daemon) *daemon {
+	t.Helper()
+	stderr := &bytes.Buffer{}
+	d.cmd = exec.Command(d.bin, d.args(d.addr)...)
+	d.cmd.Stderr = stderr
+	d.cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
+	if err := d.cmd.Start(); err != nil {
+		t.Fatalf("start %s: %v", d.name, err)
+	}
+	d.url, d.done = "http://"+d.addr, make(chan struct{})
+	go func() { d.cmd.Wait(); close(d.done) }()
+	t.Cleanup(func() {
+		d.crash()
+		if t.Failed() {
+			t.Logf("%s (%s) stderr:\n%s", d.name, d.addr, stderr)
+		}
+	})
+	return d
 }
 
 // waitReady polls /healthz until it answers 200, the process exits, or
@@ -534,8 +554,8 @@ func buildDeploy(t *testing.T) string {
 // TestSmokeRouterFailover is the sharded topology's contract: two real
 // shards behind one router. Routed bytes are the owning shard's,
 // killing that shard fails over transparently (and the failover
-// counter says so), and the aggregated /healthz reports the degraded
-// pool.
+// counter says so), the aggregated /healthz reports the degraded
+// pool, and the owner restarted on its address takes its keys back.
 func TestSmokeRouterFailover(t *testing.T) {
 	// The text representation: deterministic bytes across independent
 	// runs (the JSON envelope embeds elapsed_seconds, so two shards'
@@ -548,14 +568,8 @@ func TestSmokeRouterFailover(t *testing.T) {
 		})
 	}
 	s1, s2 := shard("shard1"), shard("shard2")
-	// A deliberately long health interval: the router's view of the
-	// pool stays stale after the kill below, so the re-request MUST
-	// reach the dead shard first and take the transport-error failover
-	// path (the counter this smoke pins) rather than being steered away
-	// by an active probe that won the race.
 	router := startDaemon(t, "router", smokeBin(t, "charhpc-router"), func(addr string) []string {
-		return []string{"-addr", addr, "-shards", s1.addr + "," + s2.addr,
-			"-health-interval", "10m", "-health-timeout", "2s"}
+		return []string{"-addr", addr, "-shards", s1.addr + "," + s2.addr}
 	})
 
 	// Byte identity: the routed response carries the same strong ETag
@@ -581,15 +595,28 @@ func TestSmokeRouterFailover(t *testing.T) {
 		t.Fatalf("charhpc -submit via the router printed no job: %s", out)
 	}
 
-	// Kill the shard that owns T1 and re-request: with its health view
-	// stale the router dials the dead owner, fails over to the survivor,
-	// and serves the same bytes.
+	// Kill the shard that owns T1 and re-request: the router dials the
+	// dead owner, fails over to the survivor, and serves the same bytes.
 	owner.crash()
 	if after := etagOf(t, router.url+"/experiments/T1?scale=quick", asText); after != routed {
 		t.Fatalf("failover ETag %s != pre-kill %s", after, routed)
 	}
 	wantCounters(t, "router degraded", mustGet(t, router.url+"/healthz"), "shards_up=1", "shards_total=2")
-	if got := metric(t, router.url, "charhpc_router_failovers_total"); got < 1 {
-		t.Fatalf("charhpc_router_failovers_total = %v, want >= 1", got)
+	failovers := metric(t, router.url, "charhpc_router_failovers_total")
+	if failovers < 1 {
+		t.Fatalf("charhpc_router_failovers_total = %v, want >= 1", failovers)
+	}
+
+	// Restart the owner on its address and store. The router's /healthz
+	// probes it back up, and T1 lands on it again: a disk load there,
+	// no failover, the same bytes.
+	owner = owner.restart(t)
+	wantCounters(t, "router recovered", mustGet(t, router.url+"/healthz"), "shards_up=2", "shards_total=2")
+	if back := etagOf(t, router.url+"/experiments/T1?scale=quick", asText); back != routed {
+		t.Fatalf("ETag after recovery %s != pre-kill %s", back, routed)
+	}
+	wantCounters(t, "restarted owner", mustGet(t, owner.url+"/healthz"), "runs=0", "disk_loads=1")
+	if got := metric(t, router.url, "charhpc_router_failovers_total"); got != failovers {
+		t.Fatalf("charhpc_router_failovers_total moved %v -> %v on a recovered pool", failovers, got)
 	}
 }
