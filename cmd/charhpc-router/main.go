@@ -19,12 +19,14 @@
 //
 //	charhpc-router -shards http://10.0.0.1:8080,http://10.0.0.2:8080
 //	charhpc-router -shards host1:8080,host2:8080 -addr :8079
-//	charhpc-router -warm -j 8                # fan-out warm-up, partitioned by ring ownership
+//	charhpc-router -warm                     # fan-out warm-up, partitioned by ring ownership
 //	charhpc-router -warm-platforms default,gige-8n
 //
 // Run the shards with -warm=false when the router drives -warm: the
 // router partitions the registry × platform plan by ring ownership so
-// each shard fills exactly the keys it will serve.
+// each shard fills exactly the keys it will serve, on GOMAXPROCS
+// workers. Every shard gets shard.DefaultVNodes points on the ring, so
+// router replicas over one pool route alike.
 //
 // Observability: GET /healthz probes the shards and aggregates their
 // liveness on one line; GET /metrics exposes the router's own instruments
@@ -49,11 +51,9 @@ import (
 func main() {
 	addr := flag.String("addr", ":8079", "listen address")
 	shardsFlag := flag.String("shards", "", "comma-separated charhpcd base URLs (required), e.g. http://10.0.0.1:8080,http://10.0.0.2:8080")
-	vnodes := flag.Int("vnodes", shard.DefaultVNodes, "virtual nodes per shard on the hash ring")
 	warm := flag.Bool("warm", false, "drive the fan-out warm-up at startup, partitioned by ring ownership (run the shards with -warm=false)")
 	warmPlatforms := flag.String("warm-platforms", "default",
 		"comma-separated platform axis for the warm-up: 'default' is each experiment's canonical set, any other name is a preset")
-	workers := flag.Int("j", runtime.GOMAXPROCS(0), "warm-up worker pool size")
 	logFormat := flag.String("log-format", "text", "log line format: text or json")
 	flag.Parse()
 
@@ -74,7 +74,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	rt, err := shard.New(shard.Config{Shards: shards, VNodes: *vnodes, AccessLog: logger})
+	rt, err := shard.New(shard.Config{Shards: shards, AccessLog: logger})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "charhpc-router: %v\n", err)
 		os.Exit(2)
@@ -93,14 +93,15 @@ func main() {
 				return
 			}
 			t0 := time.Now()
-			n := rt.Warm(ctx, nil, platforms, *workers)
+			workers := runtime.GOMAXPROCS(0)
+			n := rt.Warm(ctx, nil, platforms, workers)
 			if ctx.Err() != nil {
 				logger.Info("fan-out warm-up canceled", "warmed", n)
 				return
 			}
 			logger.Info("fan-out warm-up complete",
 				"elapsed", time.Since(t0).Round(time.Millisecond).String(),
-				"warmed", n, "workers", *workers)
+				"warmed", n, "workers", workers)
 		},
 		func() { logger.Info("routing", "addr", *addr, "shards", strings.Join(shards, ",")) },
 		func() []any {

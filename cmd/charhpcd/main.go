@@ -10,14 +10,14 @@
 // The platform is a request axis: GET /experiments/{id}?platform=NAME
 // runs an experiment on one named preset (the listing advertises which
 // presets each experiment accepts). Warm-up fills the default-platform
-// quick cache; -warm-platforms extends it across named presets — the
-// warm-up set is experiments × platforms, with incompatible pairs
-// skipped.
+// quick cache on GOMAXPROCS workers; -warm-platforms extends it across
+// named presets — the warm-up set is experiments × platforms, with
+// incompatible pairs skipped.
 //
 // Usage:
 //
 //	charhpcd                               # :8080, warm quick cache
-//	charhpcd -addr :9090 -j 8              # custom port, 8 warm workers
+//	charhpcd -addr :9090                   # custom port
 //	charhpcd -warm=false -scale-limit full # cold start, allow full runs
 //	charhpcd -warm-platforms default,gige-8n,bgp-64n
 //	charhpcd -cache-dir /var/cache/charhpc -cache-max-bytes 67108864
@@ -33,8 +33,11 @@
 // executions; -jobs-history bounds how many finished jobs stay
 // inspectable via GET /runs.
 //
-// Observability: GET /metrics (Prometheus text; disable with
-// -metrics=false), GET /debug/traces (recent run timing trees),
+// -cache-max-bytes is the LRU budget of preset results and, separately,
+// of custom-platform results, so the directory can hold twice it.
+//
+// Observability: GET /metrics (Prometheus text), GET /debug/traces
+// (recent run timing trees),
 // /debug/pprof/ behind -pprof, per-request access logs with
 // X-Request-ID propagation, and a final JSON summary line on
 // SIGINT/SIGTERM. See internal/serve/README.md.
@@ -50,23 +53,21 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/diskcache"
+	"repro/internal/jobs"
 	"repro/internal/serve"
 )
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("j", runtime.GOMAXPROCS(0), "warm-up worker pool size")
 	warm := flag.Bool("warm", true, "fill the quick-scale cache in the background at startup")
 	warmPlatforms := flag.String("warm-platforms", "default",
 		"comma-separated platform axis for the warm-up: 'default' is each experiment's canonical set, any other name is a preset")
 	scaleLimit := flag.String("scale-limit", "quick", "largest scale served: quick or full")
 	cacheDir := flag.String("cache-dir", "", "persist the results cache under this directory (empty = memory only)")
-	cacheMax := flag.Int64("cache-max-bytes", 0, "evict least-recently-used cache entries beyond this many bytes (0 = unbounded)")
+	cacheMax := flag.Int64("cache-max-bytes", 0, "LRU byte budget of cached preset results and, separately, of custom-platform results, so the directory can hold twice it (0 = unbounded)")
 	platformDir := flag.String("platform-dir", "", "preload custom platform specs (*.json) from this directory and persist POST /platforms registrations into it")
-	customCacheMax := flag.Int64("custom-cache-max-bytes", 0, "byte budget for custom-platform entries in the disk cache (0 = inherit -cache-max-bytes; presets are never evicted by customs either way)")
-	jobsFlag := flag.Int("jobs", serve.DefaultJobWorkers, "async run jobs (POST /runs) executing concurrently; further submissions queue")
-	jobsHistory := flag.Int("jobs-history", serve.DefaultJobHistory, "finished async jobs retained for GET /runs inspection")
-	metrics := flag.Bool("metrics", true, "serve the Prometheus exposition on GET /metrics")
+	jobsFlag := flag.Int("jobs", jobs.DefaultWorkers, "async run jobs (POST /runs) executing concurrently; further submissions queue")
+	jobsHistory := flag.Int("jobs-history", jobs.DefaultHistory, "finished async jobs retained for GET /runs inspection")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (off by default)")
 	logFormat := flag.String("log-format", "text", "log line format: text or json")
 	flag.Parse()
@@ -92,7 +93,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "charhpcd: %v\n", err)
 			os.Exit(1)
 		}
-		store.SetCustomQuota(*customCacheMax)
 		logger.Info("results cache open",
 			"dir", store.Dir(), "entries", store.Len(),
 			"stale_purged", store.StalePurged(),
@@ -100,13 +100,12 @@ func main() {
 	}
 
 	srv := serve.New(serve.Config{
-		ScaleLimit:     limit,
-		Store:          store,
-		Jobs:           *jobsFlag,
-		JobsHistory:    *jobsHistory,
-		DisableMetrics: !*metrics,
-		AccessLog:      logger,
-		PlatformDir:    *platformDir,
+		ScaleLimit:  limit,
+		Store:       store,
+		Jobs:        *jobsFlag,
+		JobsHistory: *jobsHistory,
+		AccessLog:   logger,
+		PlatformDir: *platformDir,
 	})
 	if *pprofOn {
 		srv.EnablePprof()
@@ -127,7 +126,8 @@ func main() {
 				return
 			}
 			t0 := time.Now()
-			n := srv.Warm(ctx, nil, platforms, *workers)
+			workers := runtime.GOMAXPROCS(0)
+			n := srv.Warm(ctx, nil, platforms, workers)
 			st := srv.Stats()
 			if ctx.Err() != nil {
 				logger.Info("warm-up canceled", "runs", n)
@@ -135,7 +135,7 @@ func main() {
 			}
 			logger.Info("warm-up complete",
 				"elapsed", time.Since(t0).Round(time.Millisecond).String(),
-				"runs", n, "disk_loads", st.DiskLoads, "workers", *workers)
+				"runs", n, "disk_loads", st.DiskLoads, "workers", workers)
 		},
 		func() { logger.Info("listening", "addr", *addr, "scale_limit", limit.String()) },
 		func() []any {

@@ -192,6 +192,18 @@ func TestReadmeCoversFlags(t *testing.T) {
 		{"cmd/" + "stream", ""},
 		{"health" + "-interval", ""},
 		{"health" + "-timeout", ""},
+		{"-v" + "nodes", ""},
+		{"custom-cache" + "-max-bytes", ""},
+		{"metrics" + "=false", ""},
+		{"SetCustom" + "Quota", ""},
+		{"SetCustom" + "Limit", ""},
+		{"Disable" + "Metrics", ""},
+		{"Trace" + "Capacity", ""},
+		{"MaxJob" + "Routes", ""},
+		{"Run" + "All", ""},
+		{"Six" + "Step", ""},
+		{"Gath" + "erv", ""},
+		{"Latency" + "Distribution", ""},
 	}
 	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {

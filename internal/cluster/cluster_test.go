@@ -168,9 +168,6 @@ func TestLogGPTimes(t *testing.T) {
 	if diff := got - want; diff > 1e-12 || diff < -1e-12 {
 		t.Errorf("TransferTime = %v, want %v", got, want)
 	}
-	if d := m.SendTime(1000) - 2e-6; d > 1e-12 || d < -1e-12 {
-		t.Errorf("SendTime = %v, want 2e-6", m.SendTime(1000))
-	}
 	if d := m.Bandwidth()/1e9 - 1; d > 1e-12 || d < -1e-12 {
 		t.Errorf("Bandwidth = %v, want 1e9", m.Bandwidth())
 	}

@@ -16,11 +16,11 @@
 // derive the same Capability tags from their structure, so experiment
 // compatibility (core's Needs checks) treats a user machine exactly
 // like a built-in one. The registry is process-wide and bounded: past
-// SetCustomLimit the least-recently-used spec is dropped, so churning
-// registrations cannot grow memory without bound. Presets are never
-// affected — they live in their own table and RegistryShape (the
-// fingerprint input) deliberately excludes customs, so registering one
-// never invalidates anyone's disk cache.
+// DefaultCustomLimit the least-recently-used spec is dropped, so
+// churning registrations cannot grow memory without bound. Presets are
+// never affected — they live in their own table, and core's
+// fingerprints hash preset shapes (PresetShape) only, never a custom,
+// so registering one never invalidates anyone's disk cache.
 package cluster
 
 import (
@@ -39,8 +39,7 @@ import (
 // else (preset names, the "default" axis) may use it.
 const CustomPrefix = "custom-"
 
-// DefaultCustomLimit bounds the process-wide custom registry when
-// SetCustomLimit was never called.
+// DefaultCustomLimit bounds the process-wide custom registry.
 const DefaultCustomLimit = 256
 
 // IsCustomName reports whether a platform name addresses a registered
@@ -364,9 +363,8 @@ func (ms *MemSpec) build() (*mem.Model, error) {
 // constructors, so no caller ever aliases another's Model.
 var customs = struct {
 	mu    sync.Mutex
-	limit int
 	specs *lru.Cache[string, *Spec]
-}{limit: DefaultCustomLimit, specs: lru.New[string, *Spec](DefaultCustomLimit)}
+}{specs: lru.New[string, *Spec](DefaultCustomLimit)}
 
 // RegisterCustom adds a validated spec to the custom registry and
 // returns its content-addressed name. Registering the same machine
@@ -422,23 +420,10 @@ func CustomCount() int {
 	return customs.specs.Len()
 }
 
-// SetCustomLimit bounds the custom registry, evicting least recently
-// used specs if it already exceeds the new limit. Zero or negative
-// restores the default.
-func SetCustomLimit(n int) {
-	if n <= 0 {
-		n = DefaultCustomLimit
-	}
-	customs.mu.Lock()
-	defer customs.mu.Unlock()
-	customs.limit = n
-	customs.specs.Resize(n)
-}
-
 // PurgeCustoms empties the custom registry (test isolation; a daemon
 // never needs it).
 func PurgeCustoms() {
 	customs.mu.Lock()
 	defer customs.mu.Unlock()
-	customs.specs = lru.New[string, *Spec](customs.limit)
+	customs.specs = lru.New[string, *Spec](DefaultCustomLimit)
 }

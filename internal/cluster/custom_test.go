@@ -416,10 +416,9 @@ func TestLookupResolvesCustoms(t *testing.T) {
 }
 
 func TestCustomRegistryLRU(t *testing.T) {
-	defer func() { SetCustomLimit(0); PurgeCustoms() }()
+	defer PurgeCustoms()
 	PurgeCustoms()
-	SetCustomLimit(3)
-	names := make([]string, 4)
+	names := make([]string, DefaultCustomLimit+1)
 	for i := range names {
 		m := validSpecJSON()
 		m["label"] = fmt.Sprintf("machine %d", i)
@@ -428,44 +427,22 @@ func TestCustomRegistryLRU(t *testing.T) {
 			t.Fatal(err)
 		}
 		names[i], _ = RegisterCustom(s)
-		if i == 2 {
+		if i == DefaultCustomLimit-1 {
 			// Touch the oldest so it is no longer the eviction victim.
 			if _, ok := Lookup(names[0]); !ok {
 				t.Fatal("touch lookup missed")
 			}
 		}
 	}
-	if got := CustomCount(); got != 3 {
-		t.Fatalf("CustomCount = %d, want 3", got)
+	if got := CustomCount(); got != DefaultCustomLimit {
+		t.Fatalf("CustomCount = %d, want %d", got, DefaultCustomLimit)
 	}
 	if _, ok := Lookup(names[1]); ok {
 		t.Fatal("LRU victim still resolves")
 	}
-	for _, n := range []string{names[0], names[2], names[3]} {
+	for _, n := range append(names[:1:1], names[2:]...) {
 		if _, ok := Lookup(n); !ok {
 			t.Fatalf("%q evicted, want kept", n)
-		}
-	}
-}
-
-// Registering customs must not change RegistryShape — the fingerprint
-// input — or every registration would purge the disk cache.
-func TestCustomsDoNotChangeRegistryShape(t *testing.T) {
-	defer PurgeCustoms()
-	PurgeCustoms()
-	before := RegistryShape()
-	s, err := ParseSpec([]byte(validSpecText))
-	if err != nil {
-		t.Fatal(err)
-	}
-	RegisterCustom(s)
-	after := RegistryShape()
-	if len(before) != len(after) {
-		t.Fatalf("RegistryShape grew from %d to %d entries", len(before), len(after))
-	}
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatalf("RegistryShape changed: %q -> %q", before[i], after[i])
 		}
 	}
 }

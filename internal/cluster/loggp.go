@@ -38,22 +38,11 @@ func (m LogGP) Bandwidth() float64 {
 	return 1 / m.GB
 }
 
-// SendTime returns the time the sender's CPU is busy injecting an s-byte
-// message (the "o + (s-1)G" term; we use s*GB for simplicity, exact for
-// s >= 1 up to one byte's worth of G).
-func (m LogGP) SendTime(s int) float64 {
-	return m.O + float64(s)*m.GB
-}
-
 // TransferTime returns the end-to-end one-way time for an s-byte message
 // on an idle link: o + sG + L + o.
 func (m LogGP) TransferTime(s int) float64 {
 	return 2*m.O + m.L + float64(s)*m.GB
 }
-
-// HalfRTT returns the modeled ping-pong half-round-trip time, the
-// quantity OSU latency reports.
-func (m LogGP) HalfRTT(s int) float64 { return m.TransferTime(s) }
 
 // Links bundles the per-path-class LogGP parameters plus memory-system
 // parameters of a platform model.

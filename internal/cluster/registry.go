@@ -10,7 +10,6 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -134,25 +133,11 @@ func NamesWith(need Capability) []string {
 	return out
 }
 
-// RegistryShape returns one line per preset — name, capability tags,
-// topology, parameter hash — sorted by name. core.Fingerprint hashes
-// it so a disk cache written under a different preset registry (a
-// renamed preset, a changed topology, a new capability) self-purges.
-func RegistryShape() []string {
-	out := make([]string, 0, len(presets))
-	for _, p := range presets {
-		shape, _ := PresetShape(p.name)
-		out = append(out, shape)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // PresetShape returns the canonical shape line of one built-in preset:
 // its name, derived capability tags, topology, memory-model name, and
 // a content hash of every model parameter (the JSON encoding of the
 // fully constructed Model — link LogGP values, bandwidths, cache
-// levels, NUMA structure, all of it). core.FingerprintFor hashes the
+// levels, NUMA structure, all of it). core.Fingerprints hashes the
 // shape of each preset an experiment can run on, so changing even one
 // link parameter invalidates exactly the cached results that could
 // have depended on it — and nothing else. Customs are deliberately not

@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestRegistryNamesMatchModels pins the registry contract: every
 // listed name resolves, the resolved model carries that exact name,
@@ -105,26 +102,6 @@ func TestCapabilityString(t *testing.T) {
 	for c, want := range cases {
 		if got := c.String(); got != want {
 			t.Errorf("Capability(%#x).String() = %q, want %q", uint32(c), got, want)
-		}
-	}
-}
-
-// TestRegistryShapeStable asserts the fingerprint input is sorted,
-// covers every preset, and mentions the capability tags.
-func TestRegistryShapeStable(t *testing.T) {
-	shape := RegistryShape()
-	if len(shape) != len(Names()) {
-		t.Fatalf("shape has %d lines, registry %d presets", len(shape), len(Names()))
-	}
-	for i := 1; i < len(shape); i++ {
-		if shape[i-1] >= shape[i] {
-			t.Errorf("shape not sorted: %q >= %q", shape[i-1], shape[i])
-		}
-	}
-	joined := strings.Join(shape, "\n")
-	for _, name := range Names() {
-		if !strings.Contains(joined, name+" caps=") {
-			t.Errorf("shape missing preset %q: %s", name, joined)
 		}
 	}
 }

@@ -224,27 +224,6 @@ func splitID(id string) (string, int) {
 	return id[:i], n
 }
 
-// RunAll executes every experiment serially against w, collecting
-// per-experiment errors instead of stopping at the first (matching
-// the worker-pool runner's keep-going semantics; see runner.go for
-// the concurrent path). With an explicit platform the run covers the
-// compatible experiments only — an all-registry sweep on one preset
-// is "everything this platform can answer", not an error per
-// incompatible ID.
-func RunAll(w io.Writer, r Request) error {
-	var errs []error
-	for _, e := range All() {
-		if r.Platform != "" && e.CheckPlatform(r.Platform) != nil {
-			continue
-		}
-		fmt.Fprintf(w, "\n### %s (%s): %s\n", e.ID, e.Kind, e.Title)
-		if err := e.Run(w, r); err != nil {
-			errs = append(errs, fmt.Errorf("core: experiment %s: %w", e.ID, err))
-		}
-	}
-	return errors.Join(errs...)
-}
-
 // platformsFor resolves a request's platform axis for an experiment:
 // "" instantiates the canonical constructors; an explicit name becomes
 // a one-element list looked up in the preset registry. Every model is

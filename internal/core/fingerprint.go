@@ -3,7 +3,7 @@
 // self-invalidate when either changes (see internal/diskcache).
 //
 // Since the per-experiment split, the fingerprint is decomposed: each
-// experiment has its own FingerprintFor(id) hashing only what that
+// experiment has its own Fingerprints()[id] hashing only what that
 // experiment's result can depend on, and the process-wide Fingerprint()
 // is the hash of the whole per-experiment map — equal exactly when
 // every experiment's fingerprint is, so stores use it as a cheap
@@ -127,21 +127,6 @@ func FingerprintMaterial(id string) ([]string, bool) {
 	return lines, true
 }
 
-// FingerprintFor hashes everything the identified experiment's cached
-// results can depend on — the build identity plus the experiment's
-// FingerprintMaterial. Two binaries agree on FingerprintFor(id)
-// exactly when a result one of them cached for id is still a valid
-// answer from the other; the disk cache stores it per entry and
-// validates per entry, so a deploy invalidates the delta instead of
-// the store. Empty for an unregistered id.
-func FingerprintFor(id string) string {
-	material, ok := FingerprintMaterial(id)
-	if !ok {
-		return ""
-	}
-	return hashExperiment(buildIdentity(), material)
-}
-
 // hashExperiment hashes one experiment's build identity + dependency
 // material into its fingerprint.
 func hashExperiment(build, material []string) string {
@@ -157,7 +142,12 @@ func hashExperiment(build, material []string) string {
 }
 
 // Fingerprints returns every registered experiment's fingerprint,
-// keyed by ID — what a diskcache.Store validates entries against.
+// keyed by ID: the hash of the build identity plus the experiment's
+// FingerprintMaterial, everything its cached results can depend on.
+// Two binaries agree on Fingerprints()[id] exactly when a result one
+// of them cached for id is still a valid answer from the other; the
+// disk cache stores it per entry and validates per entry, so a deploy
+// invalidates the delta instead of the store.
 func Fingerprints() map[string]string {
 	build := buildIdentity()
 	out := make(map[string]string, len(registry))
@@ -170,7 +160,7 @@ func Fingerprints() map[string]string {
 
 // Fingerprint is the process-wide registry fingerprint: the hash of
 // the sorted per-experiment fingerprint map. It changes exactly when
-// some experiment's FingerprintFor does (or an experiment appears or
+// some experiment's fingerprint does (or an experiment appears or
 // disappears), so a store whose recorded Fingerprint matches the
 // caller's knows every entry is still valid without touching one —
 // the cheap "nothing changed" fast path across a no-op redeploy.

@@ -10,7 +10,7 @@ import (
 )
 
 // TestFingerprintMaterialGolden pins every registered experiment's
-// FingerprintFor input material — the dependency lines, NOT the hash
+// fingerprint input material — the dependency lines, NOT the hash
 // (the hash folds in the build identity, which legitimately differs
 // between environments; the material is what review must see). Any
 // change to what some experiment's cached results are allowed to
@@ -89,7 +89,7 @@ func diffLines(want, got string) string {
 // TestFingerprintMaterialExcludesEnvironment: the golden material must
 // be reproducible on any machine, so it may not leak build identity
 // (Go version, GOOS/GOARCH, module stamps) — those hash separately in
-// FingerprintFor.
+// Fingerprints.
 func TestFingerprintMaterialExcludesEnvironment(t *testing.T) {
 	for id := range registry {
 		material, _ := FingerprintMaterial(id)

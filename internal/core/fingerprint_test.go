@@ -1,6 +1,8 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -188,26 +190,42 @@ func TestScaleDefChangeInvalidatesEverything(t *testing.T) {
 	}
 }
 
-// TestFingerprintForUnregistered pins the empty-string contract.
-func TestFingerprintForUnregistered(t *testing.T) {
-	if fp := FingerprintFor("no-such-experiment"); fp != "" {
-		t.Errorf("FingerprintFor(unregistered) = %q, want empty", fp)
-	}
+// TestFingerprintMaterialUnregistered pins the not-found contract.
+func TestFingerprintMaterialUnregistered(t *testing.T) {
 	if _, ok := FingerprintMaterial("no-such-experiment"); ok {
 		t.Error("FingerprintMaterial(unregistered) reported ok")
 	}
 }
 
-// TestFingerprintsAgreeWithFingerprintFor: the bulk map and the
-// single-id path must be the same hash.
-func TestFingerprintsAgreeWithFingerprintFor(t *testing.T) {
-	fps := Fingerprints()
-	if len(fps) != len(registry) {
+// TestFingerprintsCoverRegistry: one fingerprint per experiment.
+func TestFingerprintsCoverRegistry(t *testing.T) {
+	if fps := Fingerprints(); len(fps) != len(registry) {
 		t.Fatalf("Fingerprints has %d entries for %d experiments", len(fps), len(registry))
 	}
-	for id, fp := range fps {
-		if one := FingerprintFor(id); one != fp {
-			t.Errorf("%s: Fingerprints()=%s but FingerprintFor=%s", id, fp[:12], one[:12])
-		}
+}
+
+// TestCustomsDoNotChangeFingerprint: a custom platform's identity is
+// content-hashed into its name, so registering one must leave every
+// fingerprint alone — or each registration would purge the disk cache.
+func TestCustomsDoNotChangeFingerprint(t *testing.T) {
+	defer cluster.PurgeCustoms()
+	cluster.PurgeCustoms()
+	global, perID := Fingerprint(), Fingerprints()
+	doc, err := os.ReadFile(filepath.Join("..", "..", "examples", "platforms", "edr-16n.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := cluster.ParseSpec(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if name, _ := cluster.RegisterCustom(spec); !cluster.IsCustomName(name) {
+		t.Fatalf("registered %q, not a custom name", name)
+	}
+	if got := Fingerprint(); got != global {
+		t.Errorf("Fingerprint changed after registering a custom: %s -> %s", global[:12], got[:12])
+	}
+	if changed := changedIDs(perID, Fingerprints()); len(changed) != 0 {
+		t.Errorf("registering a custom moved fingerprints %v", changed)
 	}
 }

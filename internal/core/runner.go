@@ -118,7 +118,7 @@ func spanOf(w io.Writer) *obs.Span {
 //	...
 //	done()
 //
-// On a plain writer (RunAll to stdout, tests) both the span and the
+// On a plain writer (stdout, tests) both the span and the
 // closer are no-ops, so instrumented experiments behave identically
 // with or without tracing.
 func phase(w io.Writer, name string) func() {

@@ -158,38 +158,46 @@ func TestRunParallelWorkerClamp(t *testing.T) {
 	}
 }
 
-func TestRunAllKeepsGoing(t *testing.T) {
-	// RunAll shares the keep-going semantics of the pool runner: it
-	// must emit every experiment's header even when one fails.
-	var b bytes.Buffer
-	err := RunAll(&b, Request{Scale: Quick})
-	if err != nil {
-		t.Fatalf("RunAll at quick scale failed: %v", err)
-	}
-	for _, id := range []string{"T1", "F1", "M4"} {
-		if !strings.Contains(b.String(), "### "+id+" ") {
-			t.Errorf("RunAll output missing header for %s", id)
+func TestRunEveryExperimentAtQuick(t *testing.T) {
+	// Run over All() is the serial sweep: every experiment's run
+	// succeeds and writes output of its own.
+	for _, e := range All() {
+		res := Run(e, Request{Scale: Quick})
+		if res.Err != nil {
+			t.Errorf("%s at quick scale failed: %v", e.ID, res.Err)
+		}
+		if len(res.Rec.Bytes()) == 0 {
+			t.Errorf("%s at quick scale wrote no output", e.ID)
 		}
 	}
 }
 
-func TestRunAllExplicitPlatformSkipsIncompatible(t *testing.T) {
+func TestRunExplicitPlatformRejectsIncompatible(t *testing.T) {
 	// An all-registry sweep on one preset covers the compatible
-	// experiments and silently skips the rest (host-only T2, the
-	// NUMA-needing M5/M6 on a non-NUMA preset, ...).
-	var b bytes.Buffer
-	if err := RunAll(&b, Request{Scale: Quick, Platform: "ib-8n"}); err != nil {
-		t.Fatalf("RunAll on ib-8n failed: %v", err)
+	// experiments; the rest (host-only T2, the NUMA-needing M5/M6 on a
+	// non-NUMA preset, ...) fail before anything runs.
+	ran := map[string]bool{}
+	for _, e := range All() {
+		res := Run(e, Request{Scale: Quick, Platform: "ib-8n"})
+		if e.CheckPlatform("ib-8n") != nil {
+			if res.Err == nil || len(res.Rec.Bytes()) != 0 {
+				t.Errorf("%s is incompatible with ib-8n but ran (err %v)", e.ID, res.Err)
+			}
+			continue
+		}
+		if res.Err != nil {
+			t.Errorf("%s on ib-8n failed: %v", e.ID, res.Err)
+		}
+		ran[e.ID] = true
 	}
-	out := b.String()
 	for _, id := range []string{"T1", "F1"} {
-		if !strings.Contains(out, "### "+id+" ") {
-			t.Errorf("RunAll on ib-8n missing compatible experiment %s", id)
+		if !ran[id] {
+			t.Errorf("sweep on ib-8n missing compatible experiment %s", id)
 		}
 	}
 	for _, id := range []string{"T2", "M5", "M6"} {
-		if strings.Contains(out, "### "+id+" ") {
-			t.Errorf("RunAll on ib-8n ran incompatible experiment %s", id)
+		if ran[id] {
+			t.Errorf("sweep on ib-8n ran incompatible experiment %s", id)
 		}
 	}
 }

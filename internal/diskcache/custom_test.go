@@ -31,8 +31,8 @@ func customKey(i int) Key {
 }
 
 func TestCustomChurnNeverEvictsPresets(t *testing.T) {
-	// Custom entries inherit the main budget when no separate quota is
-	// set — but as their own namespace: a preset result must survive
+	// Custom entries get the main budget — but as their own namespace,
+	// so the directory can hold twice it: a preset result must survive
 	// any amount of custom churn, because a hostile or throwaway
 	// custom registration must never cost a preset its cache.
 	body := strings.Repeat("x", 4096)
@@ -70,43 +70,6 @@ func TestCustomChurnNeverEvictsPresets(t *testing.T) {
 	}
 	if survivors > 2 {
 		t.Errorf("%d custom entries fit a 2-entry budget", survivors)
-	}
-}
-
-func TestCustomQuotaIndependentOfPresetBudget(t *testing.T) {
-	// An explicit custom quota bounds customs while presets stay
-	// unbounded — the daemon's -custom-cache-max-bytes shape.
-	body := strings.Repeat("y", 4096)
-	entSize := sizeOfEntry(t, customKey(0), body)
-
-	dir := t.TempDir()
-	st := mustOpen(t, dir, "fp1", 0) // presets unbounded
-	st.SetCustomQuota(entSize + entSize/2)
-
-	presets := make([]Key, 4)
-	for i := range presets {
-		presets[i] = Key{ID: fmt.Sprintf("E%d", i), Scale: "quick", ContentType: "text/plain"}
-		if err := st.Put(presets[i], testEntry(body)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		time.Sleep(10 * time.Millisecond)
-		if err := st.Put(customKey(i), testEntry(body)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	for _, k := range presets {
-		if _, ok := st.Get(k); !ok {
-			t.Errorf("preset %s evicted despite an unbounded preset budget", k.ID)
-		}
-	}
-	if _, ok := st.Get(customKey(0)); ok {
-		t.Error("custom quota not enforced: oldest custom survived")
-	}
-	if _, ok := st.Get(customKey(2)); !ok {
-		t.Error("newest custom evicted by its own Put")
 	}
 }
 

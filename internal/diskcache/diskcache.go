@@ -29,7 +29,7 @@
 //     reconcile, counted under reason="format".
 //   - Bounded size: with a positive maxBytes budget, Put evicts the
 //     least-recently-used entries (Get touches the file's mtime) until
-//     the directory fits.
+//     preset and custom-platform entries each fit it.
 //
 // Multiple processes may share one directory: atomic renames make
 // concurrent writers last-one-wins per key, and validation makes
@@ -153,14 +153,13 @@ type fileEntry struct {
 // concurrent use by multiple goroutines and, via atomic renames and
 // per-entry validation, by multiple processes sharing the directory.
 type Store struct {
-	dir       string
-	fps       Fingerprints
-	maxBytes  int64
-	customMax int64      // custom-platform namespace budget; 0 inherits maxBytes
-	mu        sync.Mutex // serializes eviction scans and invalidation accounting
-	met       Metrics    // optional telemetry sinks; zero value is all no-ops
-	metSet    bool
-	pending   map[string]int64 // invalidations counted before SetMetrics wired sinks
+	dir      string
+	fps      Fingerprints
+	maxBytes int64      // LRU budget of each eviction namespace; 0 = unbounded
+	mu       sync.Mutex // serializes eviction scans and invalidation accounting
+	met      Metrics    // optional telemetry sinks; zero value is all no-ops
+	metSet   bool
+	pending  map[string]int64 // invalidations counted before SetMetrics wired sinks
 
 	stalePurged int64 // entries removed by Open's generation reconcile
 }
@@ -170,13 +169,6 @@ type Store struct {
 // belong to the custom eviction namespace. The prefix's characters all
 // survive escape() verbatim, so matching the escaped filename is exact.
 const customPlatformPrefix = "custom-"
-
-// SetCustomQuota bounds the custom-platform namespace to maxBytes of
-// entries, independent of the preset budget. 0 (the default) makes
-// customs inherit the store's main budget — still as their own
-// namespace, so however hard custom traffic churns, preset entries are
-// never its eviction victims. Call before the store is shared.
-func (st *Store) SetCustomQuota(maxBytes int64) { st.customMax = maxBytes }
 
 // isCustomEntry reports whether an entry filename's platform component
 // (the third '@'-separated part) names a custom platform.
@@ -255,8 +247,9 @@ func (st *Store) noteInvalidated(reason string) {
 // restart). Otherwise Open reconciles the
 // delta: entries whose per-experiment fingerprint still validates are
 // kept and the rest are removed — StalePurged reports how many. A
-// positive maxBytes bounds the total entry size via LRU eviction; 0
-// means unbounded.
+// positive maxBytes bounds, via LRU eviction, the entry bytes of preset
+// results and, separately, of custom-platform results; 0 means
+// unbounded.
 func Open(dir string, fps Fingerprints, maxBytes int64) (*Store, error) {
 	if fps.Global == "" {
 		return nil, fmt.Errorf("diskcache: empty fingerprint")
@@ -443,19 +436,6 @@ func (st *Store) Len() int {
 	return n
 }
 
-// Purge deletes every entry, keeping the directory and its
-// fingerprint marker.
-func (st *Store) Purge() error {
-	for _, de := range st.readDir() {
-		if strings.HasSuffix(de.Name(), entryExt) {
-			if err := os.Remove(filepath.Join(st.dir, de.Name())); err != nil && !os.IsNotExist(err) {
-				return fmt.Errorf("diskcache: %w", err)
-			}
-		}
-	}
-	return nil
-}
-
 // writeFile writes name under the store dir via temp-file + fsync +
 // rename, so concurrent readers never observe a partial file.
 func (st *Store) writeFile(name string, b []byte) error {
@@ -483,7 +463,7 @@ func (st *Store) writeFile(name string, b []byte) error {
 
 // sweepTemps removes temp files orphaned by a writer that died
 // between CreateTemp and Rename. They lack the entry extension, so
-// nothing else (Len, Purge, eviction) would ever reclaim them. The
+// nothing else (Len, eviction) would ever reclaim them. The
 // age threshold keeps a live sibling writer's in-flight temp safe — a
 // healthy write holds its temp for milliseconds, not an hour.
 func (st *Store) sweepTemps() {
@@ -505,17 +485,13 @@ func (st *Store) sweepTemps() {
 // correct when other processes share the directory.
 //
 // Preset/default entries and custom-platform entries are separate
-// namespaces with separate budgets: presets against maxBytes, customs
-// against customMax (or maxBytes when unset). Each namespace's LRU
-// only ever evicts its own entries, so arbitrarily churning custom
-// uploads can exhaust only the custom budget — a preset's cached
-// result is never the victim of someone else's machine.
+// namespaces, each held to maxBytes, so the directory can hold twice
+// the budget. Each namespace's LRU only ever evicts its own entries, so
+// arbitrarily churning custom uploads can exhaust only the custom
+// budget — a preset's cached result is never the victim of someone
+// else's machine.
 func (st *Store) evictExcept(keep string) {
-	customBudget := st.customMax
-	if customBudget <= 0 {
-		customBudget = st.maxBytes
-	}
-	if st.maxBytes <= 0 && customBudget <= 0 {
+	if st.maxBytes <= 0 {
 		return
 	}
 	st.mu.Lock()
@@ -536,7 +512,7 @@ func (st *Store) evictExcept(keep string) {
 		}
 	}
 	st.evictNamespace(preset, st.maxBytes, keep)
-	st.evictNamespace(custom, customBudget, keep)
+	st.evictNamespace(custom, st.maxBytes, keep)
 }
 
 // evictNamespace drops one namespace's least-recently-used files until

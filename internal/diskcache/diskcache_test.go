@@ -206,17 +206,7 @@ func TestLRUEvictionKeepsRecentlyRead(t *testing.T) {
 	// Budget for roughly two entries: each file is the body plus a
 	// few hundred bytes of JSON header.
 	body := strings.Repeat("x", 4096)
-	probe := mustOpen(t, dir, "fp1", 0)
-	if err := probe.Put(testKey, testEntry(body)); err != nil {
-		t.Fatal(err)
-	}
-	entSize := int64(0)
-	if info, err := os.Stat(filepath.Join(dir, entryName(testKey))); err == nil {
-		entSize = info.Size()
-	}
-	if err := probe.Purge(); err != nil {
-		t.Fatal(err)
-	}
+	entSize := sizeOfEntry(t, testKey, body)
 
 	st := mustOpen(t, dir, "fp1", 2*entSize+entSize/2)
 	keys := make([]Key, 3)

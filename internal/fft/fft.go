@@ -1,8 +1,7 @@
-// Package fft implements the Fourier transforms used by the HPCC FFT
-// benchmark: an iterative radix-2 Cooley–Tukey transform for local work
-// and the building blocks of the distributed six-step algorithm (column
-// FFTs, twiddle scaling, transpose) that internal/hpcc assembles over the
-// message-passing layer.
+// Package fft implements the Fourier transform used by the HPCC FFT
+// benchmark: an iterative radix-2 Cooley–Tukey transform for the local
+// column FFTs of the distributed six-step algorithm that internal/hpcc
+// assembles over the message-passing layer.
 package fft
 
 import (
@@ -77,97 +76,6 @@ func bitReverse(x []complex128) {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-}
-
-// Twiddle multiplies element (r, c) of an n1 x n2 row-major matrix by
-// exp(sign*2πi*r*c/(n1*n2)) — the inter-step scaling of the six-step
-// algorithm. sign is -1 for forward transforms.
-func Twiddle(x []complex128, n1, n2 int, sign float64) error {
-	if len(x) != n1*n2 {
-		return errors.New("fft: twiddle size mismatch")
-	}
-	nf := float64(n1 * n2)
-	for r := 0; r < n1; r++ {
-		base := sign * 2 * math.Pi * float64(r) / nf
-		for c := 0; c < n2; c++ {
-			w := cmplx.Exp(complex(0, base*float64(c)))
-			x[r*n2+c] *= w
-		}
-	}
-	return nil
-}
-
-// Transpose writes the transpose of the n1 x n2 row-major matrix src
-// into dst (becoming n2 x n1). Cache-blocked.
-func Transpose(dst, src []complex128, n1, n2 int) error {
-	if len(src) != n1*n2 || len(dst) != n1*n2 {
-		return errors.New("fft: transpose size mismatch")
-	}
-	const tb = 32
-	for ii := 0; ii < n1; ii += tb {
-		iHi := ii + tb
-		if iHi > n1 {
-			iHi = n1
-		}
-		for jj := 0; jj < n2; jj += tb {
-			jHi := jj + tb
-			if jHi > n2 {
-				jHi = n2
-			}
-			for i := ii; i < iHi; i++ {
-				for j := jj; j < jHi; j++ {
-					dst[j*n1+i] = src[i*n2+j]
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// SixStep computes the forward DFT of x (length n = n1*n2, both powers
-// of two) using the six-step algorithm on one process: transpose, n2
-// FFTs of length n1, twiddle, transpose, n1 FFTs of length n2,
-// transpose. It is the serial reference for the distributed version in
-// internal/hpcc and validates against Forward.
-func SixStep(x []complex128, n1, n2 int) error {
-	n := n1 * n2
-	if len(x) != n {
-		return errors.New("fft: six-step size mismatch")
-	}
-	if !IsPow2(n1) || !IsPow2(n2) {
-		return ErrNotPow2
-	}
-	// View x as n1 rows of n2. Step 1: transpose to n2 rows of n1.
-	tmp := make([]complex128, n)
-	if err := Transpose(tmp, x, n1, n2); err != nil {
-		return err
-	}
-	// Step 2: n2 FFTs of length n1 (now contiguous rows of tmp).
-	for r := 0; r < n2; r++ {
-		if err := Forward(tmp[r*n1 : (r+1)*n1]); err != nil {
-			return err
-		}
-	}
-	// Step 3: twiddle, with tmp viewed as n2 x n1.
-	if err := Twiddle(tmp, n2, n1, -1); err != nil {
-		return err
-	}
-	// Step 4: transpose back to n1 rows of n2.
-	if err := Transpose(x, tmp, n2, n1); err != nil {
-		return err
-	}
-	// Step 5: n1 FFTs of length n2.
-	for r := 0; r < n1; r++ {
-		if err := Forward(x[r*n2 : (r+1)*n2]); err != nil {
-			return err
-		}
-	}
-	// Step 6: final transpose to natural order.
-	if err := Transpose(tmp, x, n1, n2); err != nil {
-		return err
-	}
-	copy(x, tmp)
-	return nil
 }
 
 // Flops returns the nominal operation count HPCC uses for an n-point

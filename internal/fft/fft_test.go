@@ -142,78 +142,6 @@ func TestParsevalProperty(t *testing.T) {
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	const n1, n2 = 3, 5
-	src := make([]complex128, n1*n2)
-	for i := range src {
-		src[i] = complex(float64(i), 0)
-	}
-	dst := make([]complex128, n1*n2)
-	if err := Transpose(dst, src, n1, n2); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n1; i++ {
-		for j := 0; j < n2; j++ {
-			if dst[j*n1+i] != src[i*n2+j] {
-				t.Fatalf("transpose wrong at (%d,%d)", i, j)
-			}
-		}
-	}
-	if err := Transpose(dst, src[:4], 2, 2); err == nil {
-		t.Error("size mismatch accepted")
-	}
-}
-
-func TestTransposeLargeBlocked(t *testing.T) {
-	// Exercise the blocked path with dims spanning multiple tiles.
-	const n1, n2 = 100, 67
-	src := randVec(n1*n2, 3)
-	dst := make([]complex128, n1*n2)
-	back := make([]complex128, n1*n2)
-	if err := Transpose(dst, src, n1, n2); err != nil {
-		t.Fatal(err)
-	}
-	if err := Transpose(back, dst, n2, n1); err != nil {
-		t.Fatal(err)
-	}
-	if e := maxErr(back, src); e != 0 {
-		t.Errorf("double transpose changed data: %v", e)
-	}
-}
-
-func TestTwiddleValidation(t *testing.T) {
-	if err := Twiddle(make([]complex128, 5), 2, 3, -1); err == nil {
-		t.Error("size mismatch accepted")
-	}
-}
-
-func TestSixStepMatchesForward(t *testing.T) {
-	cases := []struct{ n1, n2 int }{{2, 2}, {4, 4}, {4, 8}, {8, 4}, {16, 16}, {2, 64}}
-	for _, cs := range cases {
-		n := cs.n1 * cs.n2
-		x := randVec(n, uint64(n+cs.n1))
-		want := append([]complex128(nil), x...)
-		if err := Forward(want); err != nil {
-			t.Fatal(err)
-		}
-		if err := SixStep(x, cs.n1, cs.n2); err != nil {
-			t.Fatal(err)
-		}
-		if e := maxErr(x, want); e > 1e-9*float64(n) {
-			t.Errorf("n1=%d n2=%d: six-step vs direct max error %v", cs.n1, cs.n2, e)
-		}
-	}
-}
-
-func TestSixStepValidation(t *testing.T) {
-	if err := SixStep(make([]complex128, 6), 2, 3); err != ErrNotPow2 {
-		t.Errorf("non-pow2 n2: %v", err)
-	}
-	if err := SixStep(make([]complex128, 5), 2, 2); err == nil {
-		t.Error("size mismatch accepted")
-	}
-}
-
 func TestFlops(t *testing.T) {
 	if got := Flops(8); got != 5*8*3 {
 		t.Errorf("Flops(8) = %v", got)
@@ -233,13 +161,5 @@ func BenchmarkForward1K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Forward(x)
-	}
-}
-
-func BenchmarkSixStep4K(b *testing.B) {
-	x := randVec(4096, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SixStep(x, 64, 64)
 	}
 }

@@ -63,17 +63,6 @@ func (c *Cache[K, V]) Put(k K, v V) (victim K, evicted bool) {
 	return c.evictOldest(), true
 }
 
-// Resize changes the capacity, evicting least recently used entries
-// until the cache fits and returning their keys, oldest first.
-func (c *Cache[K, V]) Resize(capacity int) []K {
-	c.capacity = capacity
-	var victims []K
-	for c.order.Len() > max(capacity, 0) {
-		victims = append(victims, c.evictOldest())
-	}
-	return victims
-}
-
 // Keys returns every key, least recently used first.
 func (c *Cache[K, V]) Keys() []K {
 	keys := make([]K, 0, c.order.Len())

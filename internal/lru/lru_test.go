@@ -7,11 +7,11 @@ import (
 
 func TestCache(t *testing.T) {
 	type step struct {
-		op      string // put, get, peek, resize
+		op      string // put, get, peek
 		key     string
-		arg     int      // put: value; resize: capacity
+		arg     int      // put: value
 		want    int      // get/peek: value, -1 = miss
-		evicted []string // put/resize: keys reported evicted
+		evicted []string // put: key reported evicted
 	}
 	cases := []struct {
 		name     string
@@ -46,20 +46,6 @@ func TestCache(t *testing.T) {
 			{op: "peek", key: "a", want: 10},
 			{op: "put", key: "c", arg: 3, evicted: []string{"b"}},
 		}, []string{"a", "c"}},
-		{"resize down evicts oldest first", 4, []step{
-			{op: "put", key: "a", arg: 1},
-			{op: "put", key: "b", arg: 2},
-			{op: "put", key: "c", arg: 3},
-			{op: "put", key: "d", arg: 4},
-			{op: "get", key: "a", want: 1},
-			{op: "resize", arg: 2, evicted: []string{"b", "c"}},
-			{op: "put", key: "e", arg: 5, evicted: []string{"d"}},
-		}, []string{"a", "e"}},
-		{"resize up evicts nothing", 1, []step{
-			{op: "put", key: "a", arg: 1},
-			{op: "resize", arg: 2},
-			{op: "put", key: "b", arg: 2},
-		}, []string{"a", "b"}},
 		{"zero capacity holds nothing", 0, []step{
 			{op: "put", key: "a", arg: 1, evicted: []string{"a"}},
 			{op: "get", key: "a", want: -1},
@@ -75,8 +61,6 @@ func TestCache(t *testing.T) {
 					if k, ok := c.Put(s.key, s.arg); ok {
 						evicted = []string{k}
 					}
-				case "resize":
-					evicted = c.Resize(s.arg)
 				case "get", "peek":
 					read := c.Get
 					if s.op == "peek" {

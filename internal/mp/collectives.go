@@ -224,64 +224,6 @@ func (c *Comm) bcastScatterAllgather(root int, buf []byte, tag int) error {
 	return nil
 }
 
-// Gather collects sendBuf from every rank into recvBuf on root, rank
-// order, each contribution len(sendBuf) bytes. recvBuf must be
-// size*len(sendBuf) long on root and is ignored elsewhere.
-func (c *Comm) Gather(root int, sendBuf, recvBuf []byte) error {
-	if err := c.checkPeer(root); err != nil {
-		return err
-	}
-	tag := c.nextCollTag()
-	bs := len(sendBuf)
-	if c.rank != root {
-		return c.sendInternal(root, tag, sendBuf)
-	}
-	if len(recvBuf) != bs*c.Size() {
-		return fmt.Errorf("%w: gather recvBuf %d, want %d", ErrMismatch, len(recvBuf), bs*c.Size())
-	}
-	// Post all receives up front, then satisfy them in any order.
-	reqs := make([]*Request, 0, c.Size()-1)
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			copy(recvBuf[r*bs:(r+1)*bs], sendBuf)
-			continue
-		}
-		req, err := c.Irecv(r, tag, recvBuf[r*bs:(r+1)*bs])
-		if err != nil {
-			return err
-		}
-		reqs = append(reqs, req)
-	}
-	return c.WaitAll(reqs...)
-}
-
-// Scatter distributes root's sendBuf (size*blockLen bytes) to all ranks,
-// rank r receiving block r into recvBuf.
-func (c *Comm) Scatter(root int, sendBuf, recvBuf []byte) error {
-	if err := c.checkPeer(root); err != nil {
-		return err
-	}
-	tag := c.nextCollTag()
-	bs := len(recvBuf)
-	if c.rank != root {
-		_, err := c.Recv(root, tag, recvBuf)
-		return err
-	}
-	if len(sendBuf) != bs*c.Size() {
-		return fmt.Errorf("%w: scatter sendBuf %d, want %d", ErrMismatch, len(sendBuf), bs*c.Size())
-	}
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			copy(recvBuf, sendBuf[r*bs:(r+1)*bs])
-			continue
-		}
-		if err := c.sendInternal(r, tag, sendBuf[r*bs:(r+1)*bs]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Allgather gathers every rank's sendBuf into every rank's recvBuf
 // (size*len(sendBuf) bytes, rank order). The ring algorithm is used for
 // general p, recursive doubling when p is a power of two.

@@ -89,87 +89,6 @@ func TestBcastInvalidRoot(t *testing.T) {
 	}
 }
 
-func TestGatherAllRoots(t *testing.T) {
-	forEachSize(t, func(t *testing.T, p int, cfg Config) {
-		err := Run(p, cfg, func(c *Comm) error {
-			for root := 0; root < c.Size(); root++ {
-				send := bytes.Repeat([]byte{byte(c.Rank() + 1)}, 3)
-				var recv []byte
-				if c.Rank() == root {
-					recv = make([]byte, 3*c.Size())
-				}
-				if err := c.Gather(root, send, recv); err != nil {
-					return err
-				}
-				if c.Rank() == root {
-					for r := 0; r < c.Size(); r++ {
-						for j := 0; j < 3; j++ {
-							if recv[r*3+j] != byte(r+1) {
-								return fmt.Errorf("root %d block %d = %v", root, r, recv[r*3:r*3+3])
-							}
-						}
-					}
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-func TestGatherSizeMismatch(t *testing.T) {
-	err := Run(2, Config{}, func(c *Comm) error {
-		send := make([]byte, 4)
-		if c.Rank() == 0 {
-			err := c.Gather(0, send, make([]byte, 5)) // want 8
-			if err == nil {
-				return fmt.Errorf("bad recvBuf accepted")
-			}
-			// Unblock rank 1's send.
-			buf := make([]byte, 4)
-			_, err = c.Recv(1, AnyTag, buf)
-			return err
-		}
-		return c.Gather(0, send, nil)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestScatter(t *testing.T) {
-	forEachSize(t, func(t *testing.T, p int, cfg Config) {
-		err := Run(p, cfg, func(c *Comm) error {
-			const bs = 5
-			var send []byte
-			root := c.Size() - 1
-			if c.Rank() == root {
-				send = make([]byte, bs*c.Size())
-				for r := 0; r < c.Size(); r++ {
-					for j := 0; j < bs; j++ {
-						send[r*bs+j] = byte(r * 2)
-					}
-				}
-			}
-			recv := make([]byte, bs)
-			if err := c.Scatter(root, send, recv); err != nil {
-				return err
-			}
-			for _, b := range recv {
-				if b != byte(c.Rank()*2) {
-					return fmt.Errorf("rank %d got %v", c.Rank(), recv)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 func TestAllgather(t *testing.T) {
 	forEachSize(t, func(t *testing.T, p int, cfg Config) {
 		for _, bs := range []int{1, 9, 1000} {
@@ -353,45 +272,6 @@ func TestAllreduceScalar(t *testing.T) {
 		}
 		if got != 10 { // 0+1+2+3+4
 			return fmt.Errorf("scalar sum = %v", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReduceScatterBlock(t *testing.T) {
-	forEachSize(t, func(t *testing.T, p int, cfg Config) {
-		const bs = 6
-		err := Run(p, cfg, func(c *Comm) error {
-			send := make([]float64, bs*c.Size())
-			for i := range send {
-				send[i] = float64(c.Rank()+1) + float64(i)*0.25
-			}
-			recv := make([]float64, bs)
-			if err := c.ReduceScatterBlock(OpSum, send, recv); err != nil {
-				return err
-			}
-			for j := 0; j < bs; j++ {
-				i := c.Rank()*bs + j
-				want := expectedReduce(OpSum, c.Size(), i)
-				if math.Abs(recv[j]-want) > 1e-9*math.Max(1, math.Abs(want)) {
-					return fmt.Errorf("rank %d elem %d = %v, want %v", c.Rank(), j, recv[j], want)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-func TestReduceScatterBlockValidation(t *testing.T) {
-	err := Run(2, Config{}, func(c *Comm) error {
-		if err := c.ReduceScatterBlock(OpSum, make([]float64, 3), make([]float64, 2)); err == nil {
-			return fmt.Errorf("mismatched reduce-scatter accepted")
 		}
 		return nil
 	})

@@ -97,11 +97,11 @@ func (c *Comm) localOf(g int) int {
 	return c.inv[g]
 }
 
-// Status describes a completed receive (or a probe match).
+// Status describes a completed receive.
 type Status struct {
 	Source int
 	Tag    int
-	Count  int // bytes delivered (for Probe: the message's full size)
+	Count  int // bytes delivered
 }
 
 // Request is a nonblocking operation handle.
@@ -127,10 +127,6 @@ type Request struct {
 	data []byte
 }
 
-// Done reports whether the operation has completed. It does not drive
-// progress; use Test or Wait for that.
-func (r *Request) Done() bool { return r.done }
-
 // Wait drives progress until the operation completes, returning the
 // receive status (zero for sends).
 func (r *Request) Wait() (Status, error) {
@@ -138,19 +134,6 @@ func (r *Request) Wait() (Status, error) {
 		return Status{}, err
 	}
 	return r.status(), r.err
-}
-
-// Test drives one non-blocking progress step and reports completion.
-func (r *Request) Test() (bool, Status, error) {
-	if !r.done {
-		if err := r.c.progress(false); err != nil {
-			return false, Status{}, err
-		}
-	}
-	if !r.done {
-		return false, Status{}, nil
-	}
-	return true, r.status(), r.err
 }
 
 func (r *Request) status() Status {
@@ -276,61 +259,6 @@ func (c *Comm) Irecv(src, tag int, buf []byte) (*Request, error) {
 	req := &Request{c: c, src: src, srcGlobal: srcGlobal, tag: tag, buf: buf, ctx: c.ctx}
 	c.postRecv(req)
 	return req, nil
-}
-
-// Probe blocks until a message matching (src, tag) is available without
-// consuming it, returning its envelope with Count set to the full
-// message size.
-func (c *Comm) Probe(src, tag int) (Status, error) {
-	for {
-		st, ok, err := c.Iprobe(src, tag)
-		if err != nil {
-			return Status{}, err
-		}
-		if ok {
-			return st, nil
-		}
-		if err := c.progress(true); err != nil {
-			return Status{}, err
-		}
-	}
-}
-
-// Iprobe checks without blocking whether a message matching (src, tag)
-// is available; it drives one progress step if nothing matches
-// immediately.
-func (c *Comm) Iprobe(src, tag int) (Status, bool, error) {
-	c.eng.stats.Probes++
-	srcGlobal := AnySource
-	if src != AnySource {
-		if err := c.checkPeer(src); err != nil {
-			return Status{}, false, err
-		}
-		srcGlobal = c.global(src)
-	}
-	match := func() (Status, bool) {
-		for _, pkt := range c.eng.unexpected {
-			if pkt.Ctx != c.ctx {
-				continue
-			}
-			if srcGlobal != AnySource && srcGlobal != pkt.Src {
-				continue
-			}
-			if tag != AnyTag && tag != pkt.Tag {
-				continue
-			}
-			return Status{Source: c.localOf(pkt.Src), Tag: pkt.Tag, Count: pkt.Size}, true
-		}
-		return Status{}, false
-	}
-	if st, ok := match(); ok {
-		return st, true, nil
-	}
-	if err := c.progress(false); err != nil {
-		return Status{}, false, err
-	}
-	st, ok := match()
-	return st, ok, nil
 }
 
 // SendRecv performs a combined send and receive, safe against the

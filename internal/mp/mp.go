@@ -11,9 +11,11 @@
 //     eagerly (buffered); larger messages use rendezvous (RTS/CTS),
 //     exactly the protocol split whose crossover the characterization
 //     measures (experiment F12).
-//   - Collectives: barrier, bcast, gather(v-less), scatter, allgather,
-//     alltoall over bytes, and reduce/allreduce/reduce-scatter/scan over
-//     float64 with selectable classic algorithms (experiment F6).
+//   - Collectives: barrier, bcast, allgather(v) and alltoall(v) over
+//     bytes, and reduce/allreduce/scan over float64 with selectable
+//     classic algorithms (experiment F6).
+//   - Sub-communicators: Split, on which node-aware strategies build
+//     their node-local groups.
 //
 // Progress is single-threaded per rank, as in most MPI implementations:
 // a rank advances its pending operations only while it is inside an mp
@@ -31,7 +33,7 @@ import (
 	"repro/internal/transport"
 )
 
-// Wildcards for Recv/Irecv/Probe.
+// Wildcards for Recv/Irecv.
 const (
 	// AnySource matches a message from any rank.
 	AnySource = -1

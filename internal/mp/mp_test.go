@@ -290,34 +290,6 @@ func TestSendRecvCombinedHeadToHead(t *testing.T) {
 	}
 }
 
-func TestRequestTest(t *testing.T) {
-	err := Run(2, Config{}, func(c *Comm) error {
-		if c.Rank() == 0 {
-			return c.Send(1, 1, []byte("x"))
-		}
-		buf := make([]byte, 1)
-		req, err := c.Irecv(0, 1, buf)
-		if err != nil {
-			return err
-		}
-		for {
-			done, st, err := req.Test()
-			if err != nil {
-				return err
-			}
-			if done {
-				if st.Count != 1 {
-					return fmt.Errorf("count %d", st.Count)
-				}
-				return nil
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPeerAndTagValidation(t *testing.T) {
 	err := Run(2, Config{}, func(c *Comm) error {
 		if err := c.Send(5, 0, nil); err == nil {

@@ -14,7 +14,6 @@ type OpStats struct {
 	MatchPosted uint64 // incoming messages that matched a posted receive
 	MatchUnexp  uint64 // receives satisfied from the unexpected queue
 	Collectives uint64 // collective operations started
-	Probes      uint64 // Probe/Iprobe calls
 }
 
 // Stats returns a snapshot of this rank's counters. Counters accumulate

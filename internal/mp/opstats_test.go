@@ -52,27 +52,25 @@ func TestStatsMatchPaths(t *testing.T) {
 	// hit); second is received after posting (posted hit).
 	err := Run(2, Config{}, func(c *Comm) error {
 		if c.Rank() == 0 {
-			if err := c.Send(1, 1, []byte{1}); err != nil {
-				return err
+			for tag := 1; tag <= 2; tag++ {
+				if err := c.Send(1, tag, []byte{byte(tag)}); err != nil {
+					return err
+				}
 			}
-			// Rank 1 signals readiness before our second send.
+			// Rank 1 signals readiness before our third send.
 			if _, err := c.Recv(1, 2, make([]byte, 1)); err != nil {
 				return err
 			}
 			return c.Send(1, 3, []byte{3})
 		}
 		c.ResetStats()
-		// Let the tag-1 message land in the unexpected queue.
-		for {
-			st, ok, err := c.Iprobe(0, 1)
-			if err != nil {
-				return err
-			}
-			if ok && st.Count == 1 {
-				break
-			}
-		}
+		// Receive tag 2 first: the tag-1 message ahead of it on the same
+		// pair is pulled off the fabric first and lands in the
+		// unexpected queue.
 		buf := make([]byte, 1)
+		if _, err := c.Recv(0, 2, buf); err != nil {
+			return err
+		}
 		if _, err := c.Recv(0, 1, buf); err != nil {
 			return err
 		}
@@ -94,9 +92,6 @@ func TestStatsMatchPaths(t *testing.T) {
 		s = c.Stats()
 		if s.MatchPosted < 1 {
 			return fmt.Errorf("posted hits %d, want >= 1", s.MatchPosted)
-		}
-		if s.Probes == 0 {
-			return fmt.Errorf("probes not counted")
 		}
 		return nil
 	})

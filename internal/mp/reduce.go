@@ -315,46 +315,6 @@ func (c *Comm) allreduceRing(op Op, acc []float64, tag int) error {
 	return nil
 }
 
-// ReduceScatterBlock reduces sendBuf (length size*blockLen) across ranks
-// and scatters the result: rank r receives elements
-// [r*blockLen, (r+1)*blockLen) into recvBuf (length blockLen). Uses the
-// ring reduce-scatter, which works for any p.
-func (c *Comm) ReduceScatterBlock(op Op, sendBuf, recvBuf []float64) error {
-	p := c.Size()
-	if len(sendBuf) != len(recvBuf)*p {
-		return fmt.Errorf("%w: reduce-scatter send %d, want %d", ErrMismatch, len(sendBuf), len(recvBuf)*p)
-	}
-	if p == 1 {
-		copy(recvBuf, sendBuf)
-		return nil
-	}
-	tag := c.nextCollTag()
-	bs := len(recvBuf)
-	scratch := c.eng.tmp(len(sendBuf) + bs)
-	acc, tmp := scratch[:len(sendBuf)], scratch[len(sendBuf):]
-	copy(acc, sendBuf)
-	right := (c.rank + 1) % p
-	left := (c.rank - 1 + p) % p
-	// After p-1 ring steps, rank r holds the reduced block r... the
-	// standard schedule leaves rank r with block (r+1) mod p, so run
-	// the indices shifted by -1 to land each rank on its own block.
-	blk := func(b int) (int, int) {
-		b = ((b % p) + p) % p
-		return b * bs, (b + 1) * bs
-	}
-	for step := 0; step < p-1; step++ {
-		sLo, sHi := blk(c.rank - step - 1)
-		rLo, rHi := blk(c.rank - step - 2)
-		if _, err := c.sendRecvInternal(right, tag-step, f64bytes(acc[sLo:sHi]), left, tag-step, f64bytes(tmp)); err != nil {
-			return fmt.Errorf("mp: reduce-scatter step %d: %w", step, err)
-		}
-		op.combine(acc[rLo:rHi], tmp)
-	}
-	lo, hi := blk(c.rank)
-	copy(recvBuf, acc[lo:hi])
-	return nil
-}
-
 // Scan computes an inclusive prefix reduction: rank r's recvBuf holds
 // sendBuf(0) op ... op sendBuf(r). Hillis–Steele: ceil(log2 p) rounds.
 func (c *Comm) Scan(op Op, sendBuf, recvBuf []float64) error {

@@ -77,17 +77,6 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	}, nil
 }
 
-// Dup returns a duplicate of the communicator — same group and
-// ordering, isolated traffic context. Collective; every rank must call
-// it.
-func (c *Comm) Dup() (*Comm, error) {
-	dup, err := c.Split(0, c.rank)
-	if err != nil {
-		return nil, fmt.Errorf("mp: dup: %w", err)
-	}
-	return dup, nil
-}
-
 // childCtx derives a communicator context id. All members of a group
 // compute the same value (same parent ctx, same split sequence, same
 // color); distinct groups get distinct values with overwhelming

@@ -216,45 +216,6 @@ func TestSplitRendezvousAcrossComms(t *testing.T) {
 	}
 }
 
-func TestDupPreservesGroup(t *testing.T) {
-	err := Run(4, Config{}, func(c *Comm) error {
-		dup, err := c.Dup()
-		if err != nil {
-			return err
-		}
-		if dup.Rank() != c.Rank() || dup.Size() != c.Size() {
-			return fmt.Errorf("dup rank/size %d/%d vs %d/%d",
-				dup.Rank(), dup.Size(), c.Rank(), c.Size())
-		}
-		// Traffic isolation between original and duplicate.
-		if c.Rank() == 0 {
-			if err := dup.Send(1, 1, []byte("dup")); err != nil {
-				return err
-			}
-			return c.Send(1, 1, []byte("org"))
-		}
-		if c.Rank() == 1 {
-			buf := make([]byte, 3)
-			if _, err := c.Recv(0, 1, buf); err != nil {
-				return err
-			}
-			if string(buf) != "org" {
-				return fmt.Errorf("original comm got %q", buf)
-			}
-			if _, err := dup.Recv(0, 1, buf); err != nil {
-				return err
-			}
-			if string(buf) != "dup" {
-				return fmt.Errorf("dup comm got %q", buf)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestChildCtxDisjoint(t *testing.T) {
 	seen := map[uint64]bool{0: true} // world ctx reserved
 	for parent := uint64(0); parent < 3; parent++ {
@@ -267,87 +228,5 @@ func TestChildCtxDisjoint(t *testing.T) {
 				seen[ctx] = true
 			}
 		}
-	}
-}
-
-func TestProbeAndIprobe(t *testing.T) {
-	err := Run(2, Config{}, func(c *Comm) error {
-		if c.Rank() == 0 {
-			return c.Send(1, 9, []byte("probe me"))
-		}
-		// Probe must report the envelope without consuming.
-		st, err := c.Probe(0, 9)
-		if err != nil {
-			return err
-		}
-		if st.Source != 0 || st.Tag != 9 || st.Count != 8 {
-			return fmt.Errorf("probe status %+v", st)
-		}
-		// Iprobe also sees it.
-		st2, ok, err := c.Iprobe(AnySource, AnyTag)
-		if err != nil {
-			return err
-		}
-		if !ok || st2.Count != 8 {
-			return fmt.Errorf("iprobe = %v %+v", ok, st2)
-		}
-		// The message is still there for Recv.
-		buf := make([]byte, st.Count)
-		if _, err := c.Recv(0, 9, buf); err != nil {
-			return err
-		}
-		if string(buf) != "probe me" {
-			return fmt.Errorf("recv after probe got %q", buf)
-		}
-		// Nothing left.
-		_, ok, err = c.Iprobe(AnySource, AnyTag)
-		if err != nil {
-			return err
-		}
-		if ok {
-			return errors.New("iprobe matched after message consumed")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestProbeRendezvousReportsFullSize(t *testing.T) {
-	// Probing an RTS must report the announced payload size.
-	err := Run(2, Config{EagerThreshold: 16}, func(c *Comm) error {
-		if c.Rank() == 0 {
-			req, err := c.Isend(1, 3, make([]byte, 100000))
-			if err != nil {
-				return err
-			}
-			return c.waitFor(req)
-		}
-		st, err := c.Probe(0, 3)
-		if err != nil {
-			return err
-		}
-		if st.Count != 100000 {
-			return fmt.Errorf("probe count %d, want 100000", st.Count)
-		}
-		buf := make([]byte, st.Count)
-		_, err = c.Recv(0, 3, buf)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIprobeBadPeer(t *testing.T) {
-	err := Run(1, Config{}, func(c *Comm) error {
-		if _, _, err := c.Iprobe(5, 0); err == nil {
-			return errors.New("bad peer accepted")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

@@ -27,89 +27,6 @@ func offsetOf(counts []int, r int) int {
 	return off
 }
 
-// Gatherv collects variable-size contributions on root: rank r sends
-// sendBuf (len(sendBuf) must equal counts[r] on every rank), and root
-// receives them packed in rank order into recvBuf (length sum(counts)).
-// counts must be identical on all ranks.
-func (c *Comm) Gatherv(root int, sendBuf []byte, counts []int, recvBuf []byte) error {
-	if err := c.checkPeer(root); err != nil {
-		return err
-	}
-	if len(counts) != c.Size() {
-		return fmt.Errorf("%w: gatherv counts length %d, want %d", ErrMismatch, len(counts), c.Size())
-	}
-	if len(sendBuf) != counts[c.rank] {
-		return fmt.Errorf("%w: gatherv sendBuf %d, counts[%d]=%d", ErrMismatch, len(sendBuf), c.rank, counts[c.rank])
-	}
-	tag := c.nextCollTag()
-	if c.rank != root {
-		return c.sendInternal(root, tag, sendBuf)
-	}
-	total, err := totalOf(counts)
-	if err != nil {
-		return err
-	}
-	if len(recvBuf) != total {
-		return fmt.Errorf("%w: gatherv recvBuf %d, want %d", ErrMismatch, len(recvBuf), total)
-	}
-	reqs := make([]*Request, 0, c.Size()-1)
-	off := 0
-	for r := 0; r < c.Size(); r++ {
-		blk := recvBuf[off : off+counts[r]]
-		off += counts[r]
-		if r == root {
-			copy(blk, sendBuf)
-			continue
-		}
-		req, err := c.Irecv(r, tag, blk)
-		if err != nil {
-			return err
-		}
-		reqs = append(reqs, req)
-	}
-	return c.WaitAll(reqs...)
-}
-
-// Scatterv distributes variable-size blocks from root: root's sendBuf
-// holds the blocks packed in rank order (length sum(counts)); rank r
-// receives counts[r] bytes into recvBuf.
-func (c *Comm) Scatterv(root int, sendBuf []byte, counts []int, recvBuf []byte) error {
-	if err := c.checkPeer(root); err != nil {
-		return err
-	}
-	if len(counts) != c.Size() {
-		return fmt.Errorf("%w: scatterv counts length %d, want %d", ErrMismatch, len(counts), c.Size())
-	}
-	if len(recvBuf) != counts[c.rank] {
-		return fmt.Errorf("%w: scatterv recvBuf %d, counts[%d]=%d", ErrMismatch, len(recvBuf), c.rank, counts[c.rank])
-	}
-	tag := c.nextCollTag()
-	if c.rank != root {
-		_, err := c.Recv(root, tag, recvBuf)
-		return err
-	}
-	total, err := totalOf(counts)
-	if err != nil {
-		return err
-	}
-	if len(sendBuf) != total {
-		return fmt.Errorf("%w: scatterv sendBuf %d, want %d", ErrMismatch, len(sendBuf), total)
-	}
-	off := 0
-	for r := 0; r < c.Size(); r++ {
-		blk := sendBuf[off : off+counts[r]]
-		off += counts[r]
-		if r == root {
-			copy(recvBuf, blk)
-			continue
-		}
-		if err := c.sendInternal(r, tag, blk); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Allgatherv gathers variable-size contributions to every rank: ring
 // algorithm over the packed layout. counts must be identical on all
 // ranks; recvBuf is sum(counts) bytes.

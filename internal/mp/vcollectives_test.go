@@ -37,77 +37,6 @@ func checkPacked(buf []byte, p int) error {
 	return nil
 }
 
-func TestGathervAllSizes(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 5, 8} {
-		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
-			err := Run(p, Config{}, func(c *Comm) error {
-				counts := rampCounts(c.Size())
-				var recv []byte
-				root := c.Size() - 1
-				if c.Rank() == root {
-					recv = make([]byte, c.Size()*(c.Size()+1)/2)
-				}
-				if err := c.Gatherv(root, rampPayload(c.Rank()), counts, recv); err != nil {
-					return err
-				}
-				if c.Rank() == root {
-					return checkPacked(recv, c.Size())
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-func TestGathervValidation(t *testing.T) {
-	err := Run(2, Config{}, func(c *Comm) error {
-		counts := []int{1, 2}
-		if err := c.Gatherv(0, make([]byte, 5), counts, nil); err == nil {
-			return fmt.Errorf("wrong sendBuf size accepted")
-		}
-		if err := c.Gatherv(0, make([]byte, counts[c.Rank()]), []int{1}, nil); err == nil {
-			return fmt.Errorf("short counts accepted")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestScattervRoundTrip(t *testing.T) {
-	for _, p := range []int{1, 3, 4} {
-		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
-			err := Run(p, Config{}, func(c *Comm) error {
-				counts := rampCounts(c.Size())
-				var send []byte
-				if c.Rank() == 0 {
-					send = make([]byte, 0, c.Size()*(c.Size()+1)/2)
-					for r := 0; r < c.Size(); r++ {
-						send = append(send, rampPayload(r)...)
-					}
-				}
-				recv := make([]byte, counts[c.Rank()])
-				if err := c.Scatterv(0, send, counts, recv); err != nil {
-					return err
-				}
-				for i, b := range recv {
-					if b != byte(c.Rank()+10) {
-						return fmt.Errorf("rank %d byte %d = %d", c.Rank(), i, b)
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
 func TestAllgathervEveryRank(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 6} {
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {

@@ -11,7 +11,6 @@
 package nas
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -276,6 +275,3 @@ func verifyIS(c *mp.Comm, keys []uint64, rangePer int, wantTotal int64) (bool, e
 	}
 	return allOK == 1, nil
 }
-
-// ErrNotRun is returned by helpers that need a prior kernel run.
-var ErrNotRun = errors.New("nas: kernel has not produced results")

@@ -1,10 +1,9 @@
 // Package par is the shared-memory threading runtime used where the
 // original study used OpenMP. It provides parallel-for loops over index
 // ranges with the three classic schedules (static, dynamic, guided),
-// persistent worker teams with barriers (Team), pinned teams whose
-// workers are locked to OS threads (NewPinnedTeam, the analogue of
-// OMP_PROC_BIND, which the NUMA placement probe in internal/mem builds
-// on), and parallel reductions.
+// persistent worker teams (Team), and pinned teams whose workers are
+// locked to OS threads (NewPinnedTeam, the analogue of OMP_PROC_BIND,
+// which the NUMA placement probe in internal/mem builds on).
 //
 // The design mirrors an OpenMP runtime closely enough that scheduling
 // effects measured by the benchmarks (static imbalance vs dynamic
@@ -73,17 +72,6 @@ func (o Options) normalize(n int) Options {
 		o.Chunk = 1
 	}
 	return o
-}
-
-// For executes body(i) for every i in [0, n) using the default options
-// (static schedule, DefaultThreads workers). It blocks until all
-// iterations complete.
-func For(n int, body func(i int)) {
-	ForOpt(n, Options{}, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
 }
 
 // ForEach executes body(i) for every i in [0, n) on a pool of threads
@@ -184,42 +172,4 @@ func ForOpt(n int, opts Options, body func(lo, hi, worker int)) {
 		panic(fmt.Sprintf("par: unknown schedule %v", opts.Schedule))
 	}
 	wg.Wait()
-}
-
-// ReduceFloat64 runs a parallel reduction: body is called over index
-// chunks with a per-worker accumulator seeded with identity, and the
-// per-worker results are combined with combine. The combine function must
-// be associative and commutative with respect to identity.
-func ReduceFloat64(n int, opts Options, identity float64,
-	body func(lo, hi int, acc float64) float64,
-	combine func(a, b float64) float64) float64 {
-
-	if n <= 0 {
-		return identity
-	}
-	opts = opts.normalize(n)
-	partial := make([]float64, opts.Threads)
-	for i := range partial {
-		partial[i] = identity
-	}
-	ForOpt(n, opts, func(lo, hi, w int) {
-		partial[w] = body(lo, hi, partial[w])
-	})
-	out := identity
-	for _, p := range partial {
-		out = combine(out, p)
-	}
-	return out
-}
-
-// Sum is a convenience wrapper: parallel sum of f(i) over [0, n).
-func Sum(n int, opts Options, f func(i int) float64) float64 {
-	return ReduceFloat64(n, opts, 0,
-		func(lo, hi int, acc float64) float64 {
-			for i := lo; i < hi; i++ {
-				acc += f(i)
-			}
-			return acc
-		},
-		func(a, b float64) float64 { return a + b })
 }

@@ -4,13 +4,16 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestForCoversAllIndices(t *testing.T) {
 	const n = 1000
 	hit := make([]int32, n)
-	For(n, func(i int) { atomic.AddInt32(&hit[i], 1) })
+	ForOpt(n, Options{}, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			atomic.AddInt32(&hit[i], 1)
+		}
+	})
 	// ForEach at no, one (inline) and several workers: once more each.
 	for _, threads := range []int{0, 1, 4} {
 		ForEach(n, threads, func(i int) { atomic.AddInt32(&hit[i], 1) })
@@ -24,8 +27,8 @@ func TestForCoversAllIndices(t *testing.T) {
 
 func TestForZeroAndNegative(t *testing.T) {
 	called := false
-	For(0, func(int) { called = true })
-	For(-5, func(int) { called = true })
+	ForOpt(0, Options{}, func(int, int, int) { called = true })
+	ForEach(-5, 4, func(int) { called = true })
 	if called {
 		t.Error("body called for empty range")
 	}
@@ -126,77 +129,7 @@ func TestForOptThreadsClampedToN(t *testing.T) {
 	})
 }
 
-func TestReduceFloat64Sum(t *testing.T) {
-	got := Sum(1000, Options{Threads: 8}, func(i int) float64 { return float64(i) })
-	want := 999.0 * 1000 / 2
-	if got != want {
-		t.Errorf("Sum = %v, want %v", got, want)
-	}
-}
-
-func TestReduceFloat64Max(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
-	got := ReduceFloat64(len(xs), Options{Threads: 4}, xs[0],
-		func(lo, hi int, acc float64) float64 {
-			for i := lo; i < hi; i++ {
-				if xs[i] > acc {
-					acc = xs[i]
-				}
-			}
-			return acc
-		},
-		func(a, b float64) float64 {
-			if a > b {
-				return a
-			}
-			return b
-		})
-	if got != 9 {
-		t.Errorf("parallel max = %v, want 9", got)
-	}
-}
-
-func TestReduceEmptyReturnsIdentity(t *testing.T) {
-	got := ReduceFloat64(0, Options{}, -1,
-		func(lo, hi int, acc float64) float64 { return 0 },
-		func(a, b float64) float64 { return a + b })
-	if got != -1 {
-		t.Errorf("empty reduce = %v, want identity -1", got)
-	}
-}
-
-func TestSumPropertyMatchesSerial(t *testing.T) {
-	f := func(raw []int16, threads uint8) bool {
-		n := len(raw)
-		th := int(threads)%8 + 1
-		var serial float64
-		for _, v := range raw {
-			serial += float64(v)
-		}
-		parallel := Sum(n, Options{Threads: th}, func(i int) float64 { return float64(raw[i]) })
-		return parallel == serial || (n > 0 && abs(parallel-serial) < 1e-9*absMax(serial, 1))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-func absMax(a, b float64) float64 {
-	a = abs(a)
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func TestTeamRunAllWorkers(t *testing.T) {
+func TestTeamRunEveryWorker(t *testing.T) {
 	team := NewTeam(4)
 	defer team.Close()
 	var hits [4]int32
@@ -233,26 +166,6 @@ func TestTeamForStaticEmpty(t *testing.T) {
 	team.ForStatic(0, func(lo, hi, w int) { t.Error("called on empty range") })
 }
 
-func TestTeamBarrierSynchronizes(t *testing.T) {
-	const workers = 4
-	team := NewTeam(workers)
-	defer team.Close()
-	var phase1 int32
-	ok := int32(1)
-	team.Run(func(w int) {
-		atomic.AddInt32(&phase1, 1)
-		team.Barrier().Wait()
-		// After the barrier, every worker must observe all phase-1
-		// increments.
-		if atomic.LoadInt32(&phase1) != workers {
-			atomic.StoreInt32(&ok, 0)
-		}
-	})
-	if ok != 1 {
-		t.Error("barrier did not synchronize phase transition")
-	}
-}
-
 func TestTeamPanicPropagates(t *testing.T) {
 	team := NewTeam(2)
 	defer team.Close()
@@ -272,41 +185,6 @@ func TestTeamCloseIdempotent(t *testing.T) {
 	team := NewTeam(2)
 	team.Close()
 	team.Close() // must not panic or deadlock
-}
-
-func TestBarrierReuse(t *testing.T) {
-	const n = 3
-	b := NewBarrier(n)
-	var wg sync.WaitGroup
-	var counter int64
-	bad := int32(0)
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 1; round <= 50; round++ {
-				atomic.AddInt64(&counter, 1)
-				b.Wait()
-				if c := atomic.LoadInt64(&counter); c < int64(round*n) {
-					atomic.StoreInt32(&bad, 1)
-				}
-				b.Wait() // second barrier so no round overlap
-			}
-		}()
-	}
-	wg.Wait()
-	if bad != 0 {
-		t.Error("barrier reuse violated round isolation")
-	}
-}
-
-func TestNewBarrierPanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewBarrier(0) should panic")
-		}
-	}()
-	NewBarrier(0)
 }
 
 func TestScheduleString(t *testing.T) {

@@ -4,45 +4,20 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // Team is a persistent group of workers, the analogue of an OpenMP
 // parallel region that is entered repeatedly. Creating goroutines per
 // loop is cheap in Go but not free; STREAM-style kernels that time
 // sub-millisecond loops use a Team to keep workers hot and measure only
-// the loop body plus a barrier, matching how OpenMP runtimes behave.
+// the loop body plus the join, matching how OpenMP runtimes behave.
 type Team struct {
-	n       int
-	pinned  bool
-	work    []chan func(worker int)
-	done    chan struct{}
-	wg      sync.WaitGroup
-	barrier *Barrier
-	once    sync.Once
-
-	regions atomic.Int64 // parallel regions entered (Run calls)
-	busyNS  atomic.Int64 // wall time spent inside Run, nanoseconds
-}
-
-// TeamStats is a snapshot of a team's activity — the worker-pool
-// counters the observability layer attributes probe time with: how
-// many parallel regions ran and the wall time spent inside them
-// (region entry to last-worker exit, the OpenMP-region analogue).
-type TeamStats struct {
-	Regions int64
-	Busy    time.Duration
-}
-
-// Stats returns the team's activity counters. Safe to call
-// concurrently with Run; a region in flight is counted only once it
-// completes.
-func (t *Team) Stats() TeamStats {
-	return TeamStats{
-		Regions: t.regions.Load(),
-		Busy:    time.Duration(t.busyNS.Load()),
-	}
+	n      int
+	pinned bool
+	work   []chan func(worker int)
+	done   chan struct{}
+	wg     sync.WaitGroup
+	once   sync.Once
 }
 
 // NewTeam starts a team of n workers (n<=0 means DefaultThreads()).
@@ -68,11 +43,10 @@ func newTeam(n int, pinned bool) *Team {
 		n = DefaultThreads()
 	}
 	t := &Team{
-		n:       n,
-		pinned:  pinned,
-		work:    make([]chan func(int), n),
-		done:    make(chan struct{}),
-		barrier: NewBarrier(n),
+		n:      n,
+		pinned: pinned,
+		work:   make([]chan func(int), n),
+		done:   make(chan struct{}),
 	}
 	for w := 0; w < n; w++ {
 		t.work[w] = make(chan func(int))
@@ -113,11 +87,6 @@ func (t *Team) Pinned() bool { return t.pinned }
 // Run executes body(worker) on every worker and blocks until all return.
 // Panics in the body are re-raised on the calling goroutine.
 func (t *Team) Run(body func(worker int)) {
-	t0 := time.Now()
-	defer func() {
-		t.busyNS.Add(int64(time.Since(t0)))
-		t.regions.Add(1)
-	}()
 	var wg sync.WaitGroup
 	wg.Add(t.n)
 	panics := make([]any, t.n)
@@ -139,9 +108,6 @@ func (t *Team) Run(body func(worker int)) {
 		}
 	}
 }
-
-// Barrier returns the team-wide barrier for use inside Run bodies.
-func (t *Team) Barrier() *Barrier { return t.barrier }
 
 // ForStatic runs a statically scheduled loop over [0, n) on the team.
 func (t *Team) ForStatic(n int, body func(lo, hi, worker int)) {
@@ -168,46 +134,6 @@ func (t *Team) Close() {
 		close(t.done)
 		t.wg.Wait()
 	})
-}
-
-// Barrier is a reusable cyclic barrier for n participants, the analogue
-// of "#pragma omp barrier". It uses a phase flag plus condition variable;
-// the two-phase design avoids the lost-wakeup problem when the barrier is
-// reused immediately.
-type Barrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	n     int
-	count int
-	phase uint64
-}
-
-// NewBarrier creates a barrier for n participants; n must be >= 1.
-func NewBarrier(n int) *Barrier {
-	if n < 1 {
-		panic("par: barrier size must be >= 1")
-	}
-	b := &Barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// Wait blocks until n goroutines have called Wait for the current phase.
-func (b *Barrier) Wait() {
-	b.mu.Lock()
-	phase := b.phase
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.phase++
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return
-	}
-	for phase == b.phase {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
 }
 
 func min(a, b int) int {

@@ -21,14 +21,6 @@ type Hockney struct {
 	R2    float64 // goodness of the linear fit
 }
 
-// Bandwidth returns the asymptotic bandwidth 1/Beta in bytes/s.
-func (h Hockney) Bandwidth() float64 {
-	if h.Beta <= 0 {
-		return math.Inf(1)
-	}
-	return 1 / h.Beta
-}
-
 // Predict returns the modeled one-way time for an s-byte message.
 func (h Hockney) Predict(s int) float64 { return h.Alpha + float64(s)*h.Beta }
 

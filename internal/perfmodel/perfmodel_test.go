@@ -28,9 +28,6 @@ func TestFitHockneyRecoversExact(t *testing.T) {
 	if h.R2 < 0.999 {
 		t.Errorf("R2 = %v", h.R2)
 	}
-	if math.Abs(h.Bandwidth()-1e9) > 1 {
-		t.Errorf("Bandwidth = %v", h.Bandwidth())
-	}
 	if math.Abs(h.Predict(1000)-(alpha+1000*beta)) > 1e-12 {
 		t.Errorf("Predict wrong")
 	}
@@ -56,13 +53,6 @@ func TestFitHockneyTooFew(t *testing.T) {
 	}
 	if _, err := FitHockney([]osu.Sample{{Size: 1, Value: 1}}); err != ErrTooFewSamples {
 		t.Errorf("err = %v", err)
-	}
-}
-
-func TestHockneyZeroBetaBandwidth(t *testing.T) {
-	h := Hockney{Alpha: 1e-6, Beta: 0}
-	if !math.IsInf(h.Bandwidth(), 1) {
-		t.Error("zero beta should give infinite bandwidth")
 	}
 }
 

@@ -130,20 +130,6 @@ func (t *Table) Fprint(w io.Writer) error {
 	return err
 }
 
-// CSV writes the table as CSV (RFC-4180 quoting for cells containing
-// commas or quotes).
-func (t *Table) CSV(w io.Writer) error {
-	if err := writeCSVRow(w, t.headers); err != nil {
-		return err
-	}
-	for _, row := range t.rows {
-		if err := writeCSVRow(w, row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func csvEscape(s string) string {
 	if !strings.ContainsAny(s, ",\"\n") {
 		return s

@@ -33,12 +33,16 @@ func TestTableCSV(t *testing.T) {
 	tb := NewTable("x", "a", "b")
 	tb.AddRow("plain", 2.0)
 	tb.AddRow(`has"quote`, "with,comma")
+	rec := NewRecorder()
+	if err := tb.Fprint(rec); err != nil {
+		t.Fatal(err)
+	}
 	var b strings.Builder
-	if err := tb.CSV(&b); err != nil {
+	if err := rec.Document().CSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
-	if !strings.HasPrefix(out, "a,b\n") {
+	if !strings.HasPrefix(out, "# x (table)\na,b\n") {
 		t.Errorf("header wrong: %q", out)
 	}
 	if !strings.Contains(out, `"has""quote"`) {

@@ -36,7 +36,8 @@ type entry struct {
 //
 // Custom-platform keys live in their own LRU namespace: completed
 // entries whose platform is a custom-<hash> name count against
-// maxCustom, and the least recently used is dropped past it. Preset
+// DefaultCustomCacheEntries, and the least recently used is dropped
+// past it. Preset
 // and default-platform keys are never in that namespace, so a churn of
 // hostile or throwaway custom registrations can fill only its own
 // quota — it can never evict a preset result.
@@ -45,8 +46,7 @@ type cache struct {
 	entries map[key]*entry
 
 	// custom orders the completed custom-platform keys by recency and
-	// bounds how many are held; nil means unbounded, which needs no
-	// order at all.
+	// bounds how many are held.
 	custom *lru.Cache[key, struct{}]
 
 	// waits, when set, records how long hits blocked on an entry's
@@ -55,12 +55,8 @@ type cache struct {
 	waits *obs.Histogram
 }
 
-func newCache(maxCustom int) *cache {
-	c := &cache{entries: map[key]*entry{}}
-	if maxCustom > 0 {
-		c.custom = lru.New[key, struct{}](maxCustom)
-	}
-	return c
+func newCache() *cache {
+	return &cache{entries: map[key]*entry{}, custom: lru.New[key, struct{}](DefaultCustomCacheEntries)}
 }
 
 // noteCustom records a completed custom-platform entry as most
@@ -68,7 +64,7 @@ func newCache(maxCustom int) *cache {
 // finished entries are ever noted, so eviction never drops an
 // in-flight fill out from under its waiters.
 func (c *cache) noteCustom(k key) {
-	if c.custom == nil || !cluster.IsCustomName(k.req.Platform) {
+	if !cluster.IsCustomName(k.req.Platform) {
 		return
 	}
 	c.mu.Lock()

@@ -3,7 +3,6 @@ package serve
 import (
 	"repro/internal/core"
 	"repro/internal/diskcache"
-	"repro/internal/jobs"
 	"repro/internal/obs"
 )
 
@@ -37,25 +36,10 @@ type Config struct {
 	// shapes are rejected (see internal/diskcache).
 	Store *diskcache.Store
 
-	// Metrics, when non-nil, is the registry the server's instruments
-	// live in — pass one to share a scrape with the embedding binary's
-	// own metrics. Nil gets a private registry. GET /metrics always
-	// serves the server's registry either way, unless DisableMetrics.
-	Metrics *obs.Registry
-
-	// DisableMetrics leaves GET /metrics unregistered (charhpcd
-	// -metrics=false). Instruments still record; only the scrape
-	// endpoint is withheld.
-	DisableMetrics bool
-
 	// AccessLog, when non-nil, receives one structured line per
 	// request (request ID, method, path, status, bytes, latency).
 	// Nil disables access logging; a nil *obs.Logger is also safe.
 	AccessLog *obs.Logger
-
-	// TraceCapacity bounds the ring of recent run traces served by
-	// GET /debug/traces; 0 means DefaultTraceCapacity.
-	TraceCapacity int
 
 	// PlatformDir, when non-empty, is where custom platform specs
 	// live: every *.json file in it is registered at startup, and
@@ -63,28 +47,13 @@ type Config struct {
 	// restarted daemon resolves the same custom-<hash> names and its
 	// disk-cached custom results stay addressable.
 	PlatformDir string
-
-	// CustomCacheEntries bounds how many custom-platform results the
-	// in-memory cache retains (its own LRU namespace — preset entries
-	// are never evicted, however many customs churn). 0 means
-	// DefaultCustomCacheEntries; negative means unbounded.
-	CustomCacheEntries int
-
-	// MaxPlatformBody bounds POST /platforms request bodies in bytes;
-	// 0 means DefaultMaxPlatformBody.
-	MaxPlatformBody int64
 }
 
-// DefaultCustomCacheEntries is the memory cache's custom-platform
-// namespace quota when Config leaves it 0.
+// DefaultCustomCacheEntries bounds how many custom-platform results the
+// in-memory cache retains: its own LRU namespace, so preset entries are
+// never evicted however many customs churn.
 const DefaultCustomCacheEntries = 128
 
-// DefaultTraceCapacity is the trace-ring size when Config leaves it 0.
-const DefaultTraceCapacity = 32
-
-// Job pool defaults, re-exported so binaries can use them as flag
-// defaults without importing internal/jobs directly.
-const (
-	DefaultJobWorkers = jobs.DefaultWorkers
-	DefaultJobHistory = jobs.DefaultHistory
-)
+// traceCapacity is the size of the ring of recent run traces served by
+// GET /debug/traces.
+const traceCapacity = 32

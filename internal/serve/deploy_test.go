@@ -336,7 +336,7 @@ func TestWarmDiskLoadsEmitNoTraces(t *testing.T) {
 	if n := srvA.Warm(context.Background(), []string{"T1"}, nil, 2); n != 1 {
 		t.Fatalf("baseline warm executed %d, want 1", n)
 	}
-	if got := len(srvA.Traces(0)); got != 1 {
+	if got := len(srvA.traces.Recent(0)); got != 1 {
 		t.Fatalf("executed warm-up produced %d traces, want 1", got)
 	}
 
@@ -348,7 +348,7 @@ func TestWarmDiskLoadsEmitNoTraces(t *testing.T) {
 	if got := srvB.Stats().DiskLoads; got != 1 {
 		t.Fatalf("delta warm disk_loads = %d, want 1", got)
 	}
-	if got := srvB.Traces(0); len(got) != 0 {
+	if got := srvB.traces.Recent(0); len(got) != 0 {
 		t.Errorf("disk-load warm-up emitted %d span trees into the trace ring, want 0", len(got))
 	}
 	// Serving the loaded entry over HTTP stays trace-free too: replays
@@ -356,7 +356,7 @@ func TestWarmDiskLoadsEmitNoTraces(t *testing.T) {
 	ts := httptest.NewServer(srvB)
 	t.Cleanup(ts.Close)
 	doGet(t, ts.URL+"/experiments/T1", "application/json", "")
-	if got := srvB.Traces(0); len(got) != 0 {
+	if got := srvB.traces.Recent(0); len(got) != 0 {
 		t.Errorf("replay added %d traces, want 0", len(got))
 	}
 }

@@ -35,15 +35,11 @@ const (
 	codeInternal             = "internal"
 )
 
-// Exported aliases for the envelope codes a fronting router (see
-// internal/shard) emits for the failures it answers itself. The
-// unexported names stay the package-internal vocabulary; these are
-// the compatibility surface a sibling package may depend on.
-const (
-	CodeBodyTooLarge = codeBodyTooLarge
-	CodeBadRequest   = codeBadRequest
-	CodeInternal     = codeInternal
-)
+// CodeInternal is the envelope code a fronting router (see
+// internal/shard) emits for an internal failure it answers itself. The
+// unexported names stay the package-internal vocabulary; this is the
+// compatibility surface a sibling package may depend on.
+const CodeInternal = codeInternal
 
 // errorEnvelope is the JSON error body: the message, the stable code,
 // and an optional hint pointing at the endpoint that resolves the
@@ -76,6 +72,22 @@ func WriteError(w http.ResponseWriter, r *http.Request, status int, code, msg, h
 		return
 	}
 	fmt.Fprintf(w, "error: %s [%s]\n", msg, code)
+}
+
+// WriteBodyError answers a request whose body could not be read: 413
+// body_too_large when it ran past its limit, 400 bad_request for any
+// other failure. what names the body in the message. Both tiers use it,
+// so an oversized body draws the same bytes from the router as from a
+// shard.
+func WriteBodyError(w http.ResponseWriter, r *http.Request, what string, err error) {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		WriteError(w, r, http.StatusRequestEntityTooLarge, codeBodyTooLarge,
+			fmt.Sprintf("%s exceeds the %d-byte limit", what, mbe.Limit), "")
+		return
+	}
+	WriteError(w, r, http.StatusBadRequest, codeBadRequest,
+		fmt.Sprintf("reading request body: %v", err), "")
 }
 
 // writeJSONInternal renders a marshal failure on an always-JSON

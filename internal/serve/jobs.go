@@ -14,11 +14,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/jobs"
@@ -29,9 +34,11 @@ import (
 // ctSSE is the Server-Sent Events content type.
 const ctSSE = "text/event-stream"
 
-// JobRegistry exposes the server's job table, so embedding binaries
-// can inspect or submit jobs without going through HTTP.
-func (s *Server) JobRegistry() *jobs.Registry { return s.jobs }
+// MaxRunBody bounds a POST /runs request body. The run parameters
+// travel in the query string or a small form body; anything larger is
+// abuse. Both tiers read at most this much and answer a larger body
+// with 413 body_too_large.
+const MaxRunBody = 64 << 10
 
 // submitResponse is the 202 body for POST /runs.
 type submitResponse struct {
@@ -44,8 +51,29 @@ type submitResponse struct {
 // handleSubmitRun validates the request through the same
 // parseRunRequest as the blocking GET — same checks, same order, same
 // envelope codes; nothing is accepted that could never run — then
-// submits the job and answers 202 with its ID and URLs.
+// submits the job and answers 202 with its ID and URLs. The body is
+// read whole under MaxRunBody before the form is parsed from it, so no
+// part of it can spill to disk.
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRunBody))
+	if err != nil {
+		WriteBodyError(w, r, "run request", err)
+		return
+	}
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	// ParseMultipartForm drops ParseForm's error on a body that is not
+	// multipart, so the urlencoded parse runs first.
+	err = r.ParseForm()
+	if err == nil {
+		if err = r.ParseMultipartForm(MaxRunBody); errors.Is(err, http.ErrNotMultipart) {
+			err = nil
+		}
+	}
+	if err != nil {
+		WriteError(w, r, http.StatusBadRequest, codeBadRequest,
+			fmt.Sprintf("parsing request body: %v", err), "")
+		return
+	}
 	e, req, ok := s.parseRunRequest(w, r, r.FormValue("id"), r.FormValue("scale"), r.FormValue("platform"))
 	if !ok {
 		return
@@ -174,7 +202,9 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 // after completion still gets the full, ordered stream), then live
 // events as they land, ending with the terminal event. The event seq
 // is the SSE event ID; a reconnecting client resumes where it left
-// off via the standard Last-Event-ID header.
+// off via the standard Last-Event-ID header. A settled job's stream
+// ends once its log is exhausted, even when the claimed ID is past the
+// terminal event.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobFor(w, r)
 	if !ok {
@@ -186,12 +216,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			"streaming unsupported by this connection", "")
 		return
 	}
-	from := 0
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 0 {
-			from = n + 1
-		}
-	}
+	from := resumeFrom(r.Header.Get("Last-Event-ID"))
 	w.Header().Set("Content-Type", ctSSE)
 	w.Header().Set("Cache-Control", "no-cache")
 	// Tell buffering intermediaries (nginx and compatibles) to pass
@@ -202,6 +227,10 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 	for {
+		// Read the state before the log: a job settled by then has its
+		// terminal event in the log, so an empty tail means the client
+		// already has every event there will be.
+		settled := j.State().Terminal()
 		evs, changed := j.EventsSince(from)
 		for _, ev := range evs {
 			from = ev.Seq + 1
@@ -216,12 +245,31 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		fl.Flush()
+		if settled {
+			return
+		}
 		select {
 		case <-changed:
 		case <-r.Context().Done():
 			return
 		}
 	}
+}
+
+// resumeFrom returns the first event seq to send for a Last-Event-ID
+// header: one past the claimed ID. A value that is not a plain decimal
+// (absent, negative, garbage) claims nothing; one too large for an int
+// claims every event a log can hold.
+func resumeFrom(lastEventID string) int {
+	if lastEventID == "" || strings.Trim(lastEventID, "0123456789") != "" {
+		return 0
+	}
+	// All digits: ParseUint can only fail on range.
+	n, err := strconv.ParseUint(lastEventID, 10, 64)
+	if err != nil || n >= math.MaxInt {
+		return math.MaxInt
+	}
+	return int(n) + 1
 }
 
 // jobHooks builds the RunHooks that turn one run's instrumentation

@@ -2,9 +2,13 @@ package serve
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
+	"math/big"
 	"net/http"
+	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -414,4 +418,57 @@ func TestEventStreamAntiBufferingHeaders(t *testing.T) {
 	if got := resp.Header.Get("X-Accel-Buffering"); got != "no" {
 		t.Errorf("X-Accel-Buffering = %q, want no", got)
 	}
+}
+
+// decimalID matches a Last-Event-ID that claims an event: the plain
+// decimal form the stream's own event IDs take.
+var decimalID = regexp.MustCompile(`^[0-9]+$`)
+
+// FuzzLastEventID: whatever a client sends as Last-Event-ID, the event
+// stream of a settled job ends, never sends an event at or before a
+// claimed decimal ID, and replays the whole log when nothing is
+// claimed.
+func FuzzLastEventID(f *testing.F) {
+	var runs atomic.Int32
+	srv := New(Config{RunFunc: stubRun(&runs, 0)})
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/runs?id=T1", nil))
+	var sub submitResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &sub); err != nil || rec.Code != http.StatusAccepted {
+		f.Fatalf("submit: %d %s", rec.Code, rec.Body)
+	}
+	j, _ := srv.jobs.Get(sub.Job)
+	if err := j.WaitSettled(context.Background()); err != nil {
+		f.Fatal(err)
+	}
+	logged, _ := j.EventsSince(0)
+
+	f.Fuzz(func(t *testing.T, lastEventID string) {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		req := httptest.NewRequest(http.MethodGet, sub.EventsURL, nil).WithContext(ctx)
+		req.Header.Set("Last-Event-ID", lastEventID)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if ctx.Err() != nil {
+			t.Fatalf("Last-Event-ID %q: the stream of a settled job did not end", lastEventID)
+		}
+		claimed, isClaim := new(big.Int).SetString(lastEventID, 10)
+		isClaim = isClaim && decimalID.MatchString(lastEventID)
+		sent := 0
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			id, ok := strings.CutPrefix(line, "id: ")
+			if !ok {
+				continue
+			}
+			sent++
+			seq, _ := new(big.Int).SetString(id, 10)
+			if isClaim && seq.Cmp(claimed) <= 0 {
+				t.Errorf("Last-Event-ID %q: sent event %s", lastEventID, id)
+			}
+		}
+		if !isClaim && sent != len(logged) {
+			t.Errorf("Last-Event-ID %q claims nothing, but %d of %d events were sent", lastEventID, sent, len(logged))
+		}
+	})
 }

@@ -142,13 +142,9 @@ func (s *Server) registerScrapeGauges() {
 		func() float64 { return float64(s.jobs.Counts()[jobs.Pending]) })
 }
 
-// Registry returns the server's metric registry, so embedding binaries
-// can add their own instruments to the same GET /metrics scrape.
+// Registry returns the server's metric registry, the one GET /metrics
+// serves.
 func (s *Server) Registry() *obs.Registry { return s.m.reg }
-
-// Traces returns the server's trace ring — the last N completed run
-// traces, newest first. GET /debug/traces renders the same data.
-func (s *Server) Traces(n int) []*obs.Span { return s.traces.Recent(n) }
 
 // handleMetrics serves the Prometheus text exposition of every
 // registered instrument.
@@ -169,9 +165,6 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 			WriteError(w, r, http.StatusBadRequest, codeBadRequest,
 				fmt.Sprintf("bad n %q (want a positive integer)", v), "")
 			return
-		}
-		if i > s.traceCap {
-			i = s.traceCap
 		}
 		n = i
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"regexp"
@@ -64,14 +65,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if metricValue(body, "charhpc_uptime_seconds") == "" {
 		t.Error("exposition missing uptime gauge")
-	}
-}
-
-func TestMetricsDisabled(t *testing.T) {
-	ts := newTestServer(t, Config{DisableMetrics: true})
-	resp, _ := doGet(t, ts.URL+"/metrics", "", "")
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("disabled metrics endpoint: %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -202,7 +195,7 @@ func TestPprofGated(t *testing.T) {
 func TestWarmupGauges(t *testing.T) {
 	var runs atomic.Int32
 	srv := New(Config{RunFunc: stubRun(&runs, 0)})
-	srv.Warm(nil, []string{"T1", "T4"}, nil, 2)
+	srv.Warm(context.Background(), []string{"T1", "T4"}, nil, 2)
 	var buf bytes.Buffer
 	srv.Registry().WritePrometheus(&buf)
 	body := buf.String()

@@ -9,7 +9,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -22,9 +21,8 @@ import (
 	"repro/internal/report"
 )
 
-// DefaultMaxPlatformBody bounds POST /platforms request bodies when
-// Config leaves MaxPlatformBody 0. A platform spec is a page of JSON;
-// a megabyte is generous.
+// DefaultMaxPlatformBody bounds POST /platforms request bodies. A
+// platform spec is a page of JSON; a megabyte is generous.
 const DefaultMaxPlatformBody = 1 << 20
 
 // platformInfo is one row of the platform listing: identity, the
@@ -152,24 +150,12 @@ type registerResponse struct {
 // idempotent: re-POSTing the same machine — whatever the field order
 // or formatting — answers 200 with the same name; a first sighting
 // answers 201 + Location. Oversized bodies are cut off at
-// MaxPlatformBody with 413 before parsing.
+// DefaultMaxPlatformBody with 413 before parsing.
 func (s *Server) handlePlatformRegister(w http.ResponseWriter, r *http.Request) {
-	limit := s.cfg.MaxPlatformBody
-	if limit <= 0 {
-		limit = DefaultMaxPlatformBody
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, DefaultMaxPlatformBody))
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.m.customRejected.Inc()
-			WriteError(w, r, http.StatusRequestEntityTooLarge, codeBodyTooLarge,
-				fmt.Sprintf("platform spec exceeds the %d-byte limit", limit), "")
-			return
-		}
 		s.m.customRejected.Inc()
-		WriteError(w, r, http.StatusBadRequest, codeBadRequest,
-			fmt.Sprintf("reading request body: %v", err), "")
+		WriteBodyError(w, r, "platform spec", err)
 		return
 	}
 	spec, err := cluster.ParseSpec(body)

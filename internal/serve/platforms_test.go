@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/lru"
 )
 
 // serveCustomSpec is a fully capable user-defined machine: multi-node,
@@ -206,7 +207,7 @@ func TestPlatformRegisterLifecycle(t *testing.T) {
 
 func TestPlatformRegisterRejects(t *testing.T) {
 	t.Cleanup(cluster.PurgeCustoms)
-	ts := newTestServer(t, Config{MaxPlatformBody: 256})
+	ts := newTestServer(t, Config{})
 
 	// An invalid spec draws invalid_platform, not a bare 400.
 	resp, body := doReq(t, "POST", ts.URL+"/platforms", "application/json", "application/json",
@@ -218,8 +219,9 @@ func TestPlatformRegisterRejects(t *testing.T) {
 		t.Errorf("invalid spec code = %q, want %q", env.Code, codeInvalidPlatform)
 	}
 
-	// A body past MaxPlatformBody is cut off with 413 before parsing.
-	big := `{"pad": "` + strings.Repeat("x", 512) + `"}`
+	// A body past DefaultMaxPlatformBody is cut off with 413 before
+	// parsing.
+	big := `{"pad": "` + strings.Repeat("x", DefaultMaxPlatformBody) + `"}`
 	resp, body = doReq(t, "POST", ts.URL+"/platforms", "application/json", "application/json", big)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized spec got %d, want 413", resp.StatusCode)
@@ -330,7 +332,9 @@ func TestCustomPlatformServesResults(t *testing.T) {
 func TestCustomCacheNamespaceEviction(t *testing.T) {
 	t.Cleanup(cluster.PurgeCustoms)
 	var runs atomic.Int32
-	ts := newTestServer(t, Config{RunFunc: stubRun(&runs, 0), CustomCacheEntries: 1})
+	srv := New(Config{RunFunc: stubRun(&runs, 0)})
+	srv.cache.custom = lru.New[key, struct{}](1) // DefaultCustomCacheEntries, shrunk
+	ts := newHTTPTestServer(t, srv)
 
 	_, regA := postSpec(t, ts.URL, serveCustomSpec)
 	_, regB := postSpec(t, ts.URL, serveNoMemSpec)

@@ -52,7 +52,6 @@ type Server struct {
 
 	m         *telemetry
 	traces    *obs.TraceBuffer
-	traceCap  int
 	accessLog *obs.Logger
 	start     time.Time
 
@@ -86,27 +85,15 @@ func (s *Server) Stats() Stats {
 
 // New builds a Server over the process-wide experiment registry.
 func New(cfg Config) *Server {
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	traceCap := cfg.TraceCapacity
-	if traceCap <= 0 {
-		traceCap = DefaultTraceCapacity
-	}
-	maxCustom := cfg.CustomCacheEntries
-	if maxCustom == 0 {
-		maxCustom = DefaultCustomCacheEntries
-	}
+	reg := obs.NewRegistry()
 	s := &Server{
 		cfg:       cfg,
 		listReps:  buildListReps(),
-		cache:     newCache(maxCustom),
+		cache:     newCache(),
 		jobs:      jobs.New(cfg.Jobs, cfg.JobsHistory),
 		mux:       http.NewServeMux(),
 		m:         newTelemetry(reg, cfg.Store),
-		traces:    obs.NewTraceBuffer(traceCap),
-		traceCap:  traceCap,
+		traces:    obs.NewTraceBuffer(traceCapacity),
 		accessLog: cfg.AccessLog,
 		start:     time.Now(),
 		fp:        core.Fingerprint(),
@@ -139,9 +126,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /runs/{job}", s.handleJobGet)
 	s.mux.HandleFunc("DELETE /runs/{job}", s.handleJobCancel)
 	s.mux.HandleFunc("GET /runs/{job}/events", s.handleJobEvents)
-	if !cfg.DisableMetrics {
-		s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	}
+	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s
 }
 

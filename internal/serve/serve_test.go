@@ -349,7 +349,7 @@ func TestFailedFillWaiterIsNotAHit(t *testing.T) {
 	wg.Add(1)
 	go blockingGet() // waits on it
 	sub := submitJob(t, ts.URL, "id=T1")
-	j, _ := srv.JobRegistry().Get(sub.Job)
+	j, _ := srv.jobs.Get(sub.Job)
 	for deadline := time.Now().Add(5 * time.Second); j.State() != jobs.Running; {
 		if time.Now().After(deadline) {
 			t.Fatal("job never started")

@@ -82,9 +82,6 @@ func ParseWarmPlatforms(list string) ([]string, error) {
 // of experiments it actually executed — disk loads, keys traffic got
 // to first and canceled keys don't count.
 func (s *Server) Warm(ctx context.Context, ids []string, platforms []string, workers int) int {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	var cold []WarmTask
 	for _, t := range WarmPlan(ids, platforms) {
 		if !s.cache.has(key{t.Exp.ID, t.Req}) {

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/lru"
 	"repro/internal/serve"
 )
 
@@ -152,7 +153,7 @@ func TestRouterStartsNoGoroutine(t *testing.T) {
 func TestFlappingShardStress(t *testing.T) {
 	const maxRoutes = 8
 	var closing atomic.Bool
-	p := newTestPool(t, 2, Config{MaxJobRoutes: maxRoutes}, func(i int, next http.Handler) http.Handler {
+	p := newTestPool(t, 2, Config{}, func(i int, next http.Handler) http.Handler {
 		if i == 0 {
 			return next
 		}
@@ -167,6 +168,7 @@ func TestFlappingShardStress(t *testing.T) {
 		})
 	})
 	flapper := p.urls[1]
+	p.router.jobs = lru.New[string, string](maxRoutes) // maxJobRoutes, shrunk
 
 	stop := make(chan struct{})
 	var flips sync.WaitGroup

@@ -84,18 +84,17 @@ func newFrontTiers(t *testing.T) (tiers []frontTier, release func()) {
 		return stub(e, r)
 	}
 	newShard := func() (*httptest.Server, *obs.Registry, *lockedBuf) {
-		reg, log := obs.NewRegistry(), &lockedBuf{}
-		ts := httptest.NewServer(serve.New(serve.Config{
-			RunFunc: run, Metrics: reg, AccessLog: obs.NewLogger(log, obs.FormatJSON)}))
+		log := &lockedBuf{}
+		srv := serve.New(serve.Config{RunFunc: run, AccessLog: obs.NewLogger(log, obs.FormatJSON)})
+		ts := httptest.NewServer(srv)
 		t.Cleanup(ts.Close)
-		return ts, reg, log
+		return ts, srv.Registry(), log
 	}
 	direct, directReg, directLog := newShard()
 	shard, _, shardLog := newShard()
 
-	reg, log := obs.NewRegistry(), &lockedBuf{}
-	rt, err := New(Config{Shards: []string{shard.URL}, Metrics: reg,
-		AccessLog: obs.NewLogger(log, obs.FormatJSON)})
+	log := &lockedBuf{}
+	rt, err := New(Config{Shards: []string{shard.URL}, AccessLog: obs.NewLogger(log, obs.FormatJSON)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +108,7 @@ func newFrontTiers(t *testing.T) (tiers []frontTier, release func()) {
 	return []frontTier{
 		{name: "serve", url: direct.URL, reg: directReg, requests: "charhpc_requests_total",
 			log: directLog, logMsg: "request"},
-		{name: "router", url: routed.URL, reg: reg, requests: "charhpc_router_requests_total",
+		{name: "router", url: routed.URL, reg: rt.reg, requests: "charhpc_router_requests_total",
 			log: log, logMsg: "routed", upstream: shardLog},
 	}, release
 }

@@ -37,8 +37,9 @@ import (
 	"sync"
 )
 
-// DefaultVNodes is the virtual-node count per shard when a Ring (or a
-// Router Config) leaves it zero. More virtual nodes smooth the key
+// DefaultVNodes is the virtual-node count per shard on the Router's
+// ring, and on any Ring built with a count of zero. Router replicas
+// must agree on it to route alike. More virtual nodes smooth the key
 // distribution (imbalance shrinks roughly with 1/sqrt(vnodes)) at the
 // cost of a larger sorted point list; 128 keeps an 8-shard pool's
 // shares within a few percent of even.
@@ -54,11 +55,11 @@ func Key(id, scale, platform string) string {
 
 // Ring is a consistent-hash ring over named shards. Each shard is
 // inserted at vnodes pseudo-random points; a key belongs to the first
-// shard point at or after its own hash, wrapping around. Adding or
-// removing one shard remaps only the keys adjacent to that shard's
-// points — about 1/n of the space — which is the property that keeps
-// the other shards' caches hot across pool changes (pinned by the
-// remap test in ring_test.go).
+// shard point at or after its own hash, wrapping around. A pool with
+// one shard more or less differs only in the keys adjacent to that
+// shard's points — about 1/n of the space — which is the property that
+// keeps the other shards' caches hot across pool changes (pinned by
+// the remap test in ring_test.go).
 type Ring struct {
 	mu     sync.RWMutex
 	vnodes int
@@ -108,26 +109,6 @@ func (r *Ring) Add(shard string) {
 		r.points = append(r.points, point{hash64(fmt.Sprintf("%s#%d", shard, i)), shard})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].h < r.points[j].h })
-}
-
-// Remove deletes a shard's points. Removing an absent shard is a
-// no-op.
-func (r *Ring) Remove(shard string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, s := range r.shards {
-		if s == shard {
-			r.shards = append(r.shards[:i], r.shards[i+1:]...)
-			break
-		}
-	}
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.shard != shard {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
 }
 
 // Shards returns the shard names in insertion order.

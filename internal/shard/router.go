@@ -36,16 +36,11 @@ const (
 	codeUpstreamFailed = "upstream_failed"
 )
 
-// DefaultMaxJobRoutes bounds the router's job→shard routing table
-// when Config leaves it zero. Entries past it evict least recently
-// used first; an evicted (or never-seen) job is re-located by probing
-// the live shards, so the bound trades a little lookup latency for
-// memory, not correctness.
-const DefaultMaxJobRoutes = 4096
-
-// maxRunBody bounds a POST /runs body (the run parameters travel in
-// the query string or a small form body; anything larger is abuse).
-const maxRunBody = 64 << 10
+// maxJobRoutes bounds the router's job→shard routing table. Entries
+// past it evict least recently used first; an evicted (or never-seen)
+// job is re-located by probing the live shards, so the bound trades a
+// little lookup latency for memory, not correctness.
+const maxJobRoutes = 4096
 
 // Config parameterizes a Router.
 type Config struct {
@@ -53,25 +48,6 @@ type Config struct {
 	// "http://10.0.0.1:8080". A bare host:port gets http://. At least
 	// one is required.
 	Shards []string
-
-	// VNodes is the virtual-node count per shard on the hash ring;
-	// 0 means DefaultVNodes.
-	VNodes int
-
-	// Client is the proxy transport. Nil gets a client with no global
-	// timeout (blocking GETs and SSE streams legitimately run long)
-	// over a transport with enough idle connections per shard to keep
-	// a hot pool's connections alive.
-	Client *http.Client
-
-	// MaxJobRoutes bounds the job→shard routing table; 0 means
-	// DefaultMaxJobRoutes.
-	MaxJobRoutes int
-
-	// Metrics, when non-nil, is the registry the router's instruments
-	// live in. Nil gets a private registry. GET /metrics serves it
-	// either way.
-	Metrics *obs.Registry
 
 	// AccessLog, when non-nil, receives one structured line per
 	// routed request. A nil *obs.Logger is also safe.
@@ -117,9 +93,6 @@ func (rt *Router) Stats() Stats {
 	}
 }
 
-// Registry returns the router's metric registry.
-func (rt *Router) Registry() *obs.Registry { return rt.reg }
-
 // New builds a Router over the given shard pool. It starts no
 // goroutine: liveness is learned from the hops requests make.
 func New(cfg Config) (*Router, error) {
@@ -149,31 +122,23 @@ func New(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("shard: no shards configured")
 	}
 
-	client := cfg.Client
-	if client == nil {
-		// Idle connections close after downBase: under load the
-		// transport can pool a connection it dialed but never used, and
-		// a shard's graceful shutdown waits 5 s on one of those.
-		client = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     downBase,
-		}}
-	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	maxRoutes := cfg.MaxJobRoutes
-	if maxRoutes <= 0 {
-		maxRoutes = DefaultMaxJobRoutes
-	}
+	// No global timeout: blocking GETs and SSE streams legitimately run
+	// long. Enough idle connections per shard keep a hot pool's
+	// connections alive, and they close after downBase: under load the
+	// transport can pool a connection it dialed but never used, and a
+	// shard's graceful shutdown waits 5 s on one of those.
+	client := &http.Client{Transport: &http.Transport{
+		MaxIdleConns:        256,
+		MaxIdleConnsPerHost: 64,
+		IdleConnTimeout:     downBase,
+	}}
+	reg := obs.NewRegistry()
 
 	rt := &Router{
-		ring:   NewRing(cfg.VNodes),
+		ring:   NewRing(DefaultVNodes),
 		live:   &liveness{now: time.Now, win: make(map[string]*window, len(shards))},
 		client: client,
-		jobs:   lru.New[string, string](maxRoutes),
+		jobs:   lru.New[string, string](maxJobRoutes),
 		log:    cfg.AccessLog,
 		start:  time.Now(),
 		reg:    reg,
@@ -326,16 +291,10 @@ func (rt *Router) candidates(key string) []string {
 	return append(live, down...)
 }
 
-// anyTargets returns the candidate order for requests with no cache
-// key (listings, platform reads): every shard, live first, starting
-// at a stable point.
-func (rt *Router) anyTargets() []string {
-	return rt.candidates("")
-}
-
-// handleAny proxies a keyless read to any live shard.
+// handleAny proxies a keyless read (listings, platform reads) to any
+// live shard: the empty key's candidate order starts at a stable point.
 func (rt *Router) handleAny(w http.ResponseWriter, r *http.Request) {
-	rt.proxy(w, r, rt.anyTargets(), nil, nil)
+	rt.proxy(w, r, rt.candidates(""), nil, nil)
 }
 
 // routeKey builds the ring key from a run request's raw parameters and
@@ -361,10 +320,9 @@ func (rt *Router) handleExperiment(w http.ResponseWriter, r *http.Request) {
 // shard accepted it, so the job's status/cancel/events requests follow
 // it there.
 func (rt *Router) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRunBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxRunBody))
 	if err != nil {
-		serve.WriteError(w, r, http.StatusBadRequest, serve.CodeBadRequest,
-			fmt.Sprintf("reading request body: %v", err), "")
+		serve.WriteBodyError(w, r, "run request", err)
 		return
 	}
 	form := runParams(r, body)
@@ -411,7 +369,7 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		// No live shard knows it: any shard's own 404 envelope is the
 		// canonical answer, byte-identical to the single-daemon one.
-		rt.proxy(w, r, rt.anyTargets(), nil, nil)
+		rt.proxy(w, r, rt.candidates(""), nil, nil)
 		return
 	}
 	rt.proxy(w, r, []string{target}, nil, nil)
@@ -421,7 +379,7 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 // table evicted it, or another router replica accepted the submit) by
 // asking each live shard for its status.
 func (rt *Router) findJob(r *http.Request, job string) (string, bool) {
-	for _, s := range rt.anyTargets() {
+	for _, s := range rt.candidates("") {
 		if !rt.live.backingOff(s) && rt.ask(r, s, "/runs/"+url.PathEscape(job)) == http.StatusOK {
 			rt.routeJob(job, s)
 			return s, true
@@ -434,7 +392,7 @@ func (rt *Router) findJob(r *http.Request, job string) (string, bool) {
 // array (shard order; each shard's own newest-first order preserved).
 func (rt *Router) handleJobList(w http.ResponseWriter, r *http.Request) {
 	all := []json.RawMessage{}
-	for _, s := range rt.anyTargets() {
+	for _, s := range rt.candidates("") {
 		if rt.live.backingOff(s) {
 			continue
 		}
@@ -474,17 +432,10 @@ func (rt *Router) handleJobList(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handlePlatformRegister(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.DefaultMaxPlatformBody))
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			serve.WriteError(w, r, http.StatusRequestEntityTooLarge, serve.CodeBodyTooLarge,
-				fmt.Sprintf("platform spec exceeds the %d-byte limit", serve.DefaultMaxPlatformBody), "")
-			return
-		}
-		serve.WriteError(w, r, http.StatusBadRequest, serve.CodeBadRequest,
-			fmt.Sprintf("reading request body: %v", err), "")
+		serve.WriteBodyError(w, r, "platform spec", err)
 		return
 	}
-	rt.proxy(w, r, rt.anyTargets(), body, func(target string, status int, respBody []byte) {
+	rt.proxy(w, r, rt.candidates(""), body, func(target string, status int, respBody []byte) {
 		if status != http.StatusCreated && status != http.StatusOK {
 			return
 		}

@@ -6,8 +6,10 @@ package shard
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"io"
+	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -17,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/lru"
 	"repro/internal/report"
 	"repro/internal/serve"
 )
@@ -459,6 +462,26 @@ func TestJobsThroughRouter(t *testing.T) {
 		t.Fatalf("job ended %q: %v", terminal["_type"], terminal)
 	}
 
+	// A resume that claims more events than the settled job has ends at
+	// once through the router too, replaying nothing.
+	req, err := http.NewRequest(http.MethodGet, p.proxy.URL+sub.EventsURL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Last-Event-ID", "100")
+	rsResp, err := (&http.Client{Timeout: 5 * time.Second}).Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest, err := io.ReadAll(rsResp.Body)
+	rsResp.Body.Close()
+	if err != nil {
+		t.Fatalf("stream resumed past the terminal event did not end: %v", err)
+	}
+	if strings.Contains(string(rest), "id: ") {
+		t.Errorf("stream resumed past the terminal event replayed %q", rest)
+	}
+
 	// Status via the router follows the job to its shard.
 	sresp, sbody := get(t, p.proxy.URL+sub.StatusURL, nil)
 	if sresp.StatusCode != http.StatusOK {
@@ -591,6 +614,69 @@ func TestPlatformBodyErrorsMatchShard(t *testing.T) {
 	}
 }
 
+// TestRunBodyLimitMatchesShard: both tiers read at most
+// serve.MaxRunBody of a POST /runs body, whatever its content type. A
+// body of exactly the limit is accepted; past it, the router and a
+// shard answer the same 413 body_too_large bytes, and a malformed form
+// draws the shard's own 400 through the router.
+func TestRunBodyLimitMatchesShard(t *testing.T) {
+	p := newTestPool(t, 1, Config{}, nil)
+	direct := serve.New(serve.Config{RunFunc: stubRun(nil)})
+	const formCT = "application/x-www-form-urlencoded"
+	form := func(n int) string {
+		s := "id=T1&pad="
+		return s + strings.Repeat("x", n-len(s))
+	}
+	multipartBody := func(pad int) (string, string) {
+		var b strings.Builder
+		mw := multipart.NewWriter(&b)
+		mw.WriteField("id", "T1")
+		mw.WriteField("pad", strings.Repeat("x", pad))
+		mw.Close()
+		return mw.FormDataContentType(), b.String()
+	}
+	mpCT, mpSmall := multipartBody(1024)
+	_, mpBig := multipartBody(serve.MaxRunBody)
+	for _, c := range []struct {
+		name, query, ctype, body string
+		status                   int
+		code                     string
+	}{
+		{"urlencoded at the limit", "", formCT, form(serve.MaxRunBody), http.StatusAccepted, ""},
+		{"urlencoded one byte over", "", formCT, form(serve.MaxRunBody + 1), http.StatusRequestEntityTooLarge, "body_too_large"},
+		{"multipart under the limit", "", mpCT, mpSmall, http.StatusAccepted, ""},
+		{"multipart over the limit", "", mpCT, mpBig, http.StatusRequestEntityTooLarge, "body_too_large"},
+		{"unparsed type one byte over", "id=T1", "application/octet-stream",
+			strings.Repeat("x", serve.MaxRunBody+1), http.StatusRequestEntityTooLarge, "body_too_large"},
+		{"malformed form", "", formCT, "id=%zz", http.StatusBadRequest, "bad_request"},
+	} {
+		var got [2]*httptest.ResponseRecorder
+		for i, h := range []http.Handler{p.router, direct} {
+			req := httptest.NewRequest(http.MethodPost, "/runs?"+c.query, strings.NewReader(c.body))
+			req.Header.Set("Content-Type", c.ctype)
+			req.Header.Set("Accept", "application/json")
+			got[i] = httptest.NewRecorder()
+			h.ServeHTTP(got[i], req)
+		}
+		if got[0].Code != c.status || got[1].Code != c.status {
+			t.Errorf("%s: router %d, shard %d, want %d", c.name, got[0].Code, got[1].Code, c.status)
+			continue
+		}
+		if c.code == "" {
+			continue
+		}
+		var env struct {
+			Code string `json:"code"`
+		}
+		if err := json.Unmarshal(got[1].Body.Bytes(), &env); err != nil || env.Code != c.code {
+			t.Errorf("%s: shard envelope %q, want code %q", c.name, got[1].Body, c.code)
+		}
+		if got[0].Body.String() != got[1].Body.String() {
+			t.Errorf("%s: router envelope %q differs from the shard's %q", c.name, got[0].Body, got[1].Body)
+		}
+	}
+}
+
 // TestPlatformFanout pins custom-platform registration through the
 // router: the client gets the shard's own 201/200 bytes, and the spec
 // reaches every shard (counted at each shard's front door) so any
@@ -677,7 +763,7 @@ func TestWarmPartition(t *testing.T) {
 	p := newTestPool(t, 4, Config{}, nil)
 	ring := p.mirror(0)
 
-	n := p.router.Warm(nil, nil, nil, 4)
+	n := p.router.Warm(context.Background(), nil, nil, 4)
 	want := len(core.All())
 	if n != want {
 		t.Errorf("warmed %d keys, want every registered experiment (%d)", n, want)
@@ -733,16 +819,19 @@ func TestRouterConfigValidation(t *testing.T) {
 	}
 }
 
-// TestJobTableEviction pins that Config.MaxJobRoutes bounds the
-// routing memory: past it the least recently used route is dropped
-// (and re-resolves via the pool probe); lru's own test covers the
-// order in detail.
+// TestJobTableEviction pins that the routing memory is bounded: past
+// the bound the least recently used route is dropped (and re-resolves
+// via the pool probe); lru's own test covers the order in detail.
 func TestJobTableEviction(t *testing.T) {
-	rt, err := New(Config{Shards: []string{"host1:8080"}, MaxJobRoutes: 2})
+	rt, err := New(Config{Shards: []string{"host1:8080"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
+	if rt.jobs.Len() != 0 {
+		t.Fatal("a new router remembers jobs")
+	}
+	rt.jobs = lru.New[string, string](2) // maxJobRoutes, shrunk
 	rt.routeJob("a", "s1")
 	rt.routeJob("b", "s2")
 	rt.routeJob("a", "s3") // update, not a new entry; a is now the most recent

@@ -28,9 +28,6 @@ import (
 // blocking GET, so a warmed key lands in exactly the cache that will
 // serve it. Returns the number of keys warmed successfully.
 func (rt *Router) Warm(ctx context.Context, ids []string, platforms []string, workers int) int {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	plan := serve.WarmPlan(ids, platforms)
 	rt.warmRunning.Set(1)
 	defer rt.warmRunning.Set(0)

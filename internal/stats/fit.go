@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
 // LinearFit holds the result of an ordinary least-squares line fit
 // y = Intercept + Slope*x. The harness uses it to extract Hockney model
@@ -53,28 +50,6 @@ func FitLine(xs, ys []float64) (LinearFit, error) {
 
 // Eval returns the fitted value at x.
 func (f LinearFit) Eval(x float64) float64 { return f.Intercept + f.Slope*x }
-
-// FitPower fits y = a * x^b by linear regression in log-log space.
-// All xs and ys must be positive. Returns (a, b, r2 of the log fit).
-func FitPower(xs, ys []float64) (a, b, r2 float64, err error) {
-	if len(xs) != len(ys) {
-		return 0, 0, 0, errors.New("stats: FitPower length mismatch")
-	}
-	lx := make([]float64, len(xs))
-	ly := make([]float64, len(ys))
-	for i := range xs {
-		if xs[i] <= 0 || ys[i] <= 0 {
-			return 0, 0, 0, errors.New("stats: FitPower requires positive data")
-		}
-		lx[i] = math.Log(xs[i])
-		ly[i] = math.Log(ys[i])
-	}
-	f, err := FitLine(lx, ly)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return math.Exp(f.Intercept), f.Slope, f.R2, nil
-}
 
 // AmdahlFit estimates the serial fraction s in Amdahl's law
 // speedup(p) = 1 / (s + (1-s)/p) from measured (procs, speedup) pairs by

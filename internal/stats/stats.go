@@ -1,7 +1,6 @@
 // Package stats provides the statistical machinery used throughout the
-// characterization harness: summary statistics, streaming accumulators,
-// percentiles, confidence intervals, and least-squares fitting utilities
-// used to extract performance-model parameters from measurements.
+// characterization harness: means, percentiles, and the least-squares
+// fits used to extract performance-model parameters from measurements.
 //
 // All routines operate on float64 and are deliberately allocation-light so
 // they can be used inside timed measurement loops without perturbing the
@@ -17,50 +16,6 @@ import (
 
 // ErrEmpty is returned by routines that require at least one sample.
 var ErrEmpty = errors.New("stats: empty sample set")
-
-// Summary holds the classic five-number-style description of a sample set
-// as reported by micro-benchmark suites (min/avg/max plus dispersion).
-type Summary struct {
-	N      int
-	Min    float64
-	Max    float64
-	Mean   float64
-	Median float64
-	Stddev float64 // sample standard deviation (n-1 denominator)
-	P25    float64
-	P75    float64
-	P95    float64
-	P99    float64
-}
-
-// Summarize computes a Summary of xs. It does not modify xs.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s := Summary{
-		N:      len(sorted),
-		Min:    sorted[0],
-		Max:    sorted[len(sorted)-1],
-		Mean:   Mean(sorted),
-		Median: quantileSorted(sorted, 0.5),
-		P25:    quantileSorted(sorted, 0.25),
-		P75:    quantileSorted(sorted, 0.75),
-		P95:    quantileSorted(sorted, 0.95),
-		P99:    quantileSorted(sorted, 0.99),
-	}
-	s.Stddev = Stddev(sorted)
-	return s, nil
-}
-
-// String renders the summary in the compact one-line form used by the
-// benchmark reports.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d min=%.4g mean=%.4g median=%.4g p95=%.4g max=%.4g sd=%.4g",
-		s.N, s.Min, s.Mean, s.Median, s.P95, s.Max, s.Stddev)
-}
 
 // Mean returns the arithmetic mean of xs, or NaN for an empty slice.
 func Mean(xs []float64) float64 {
@@ -78,24 +33,6 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// Variance returns the unbiased sample variance (n-1 denominator).
-// It returns 0 for fewer than two samples.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs)-1)
-}
-
-// Stddev returns the unbiased sample standard deviation.
-func Stddev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics (type-7, the R/NumPy default).
@@ -125,71 +62,4 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	}
 	frac := h - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// GeoMean returns the geometric mean of xs. All samples must be positive.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var slog float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: geomean requires positive samples, got %v", x)
-		}
-		slog += math.Log(x)
-	}
-	return math.Exp(slog / float64(len(xs))), nil
-}
-
-// HarmonicMean returns the harmonic mean, appropriate for averaging rates.
-func HarmonicMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var inv float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: harmonic mean requires positive samples, got %v", x)
-		}
-		inv += 1 / x
-	}
-	return float64(len(xs)) / inv, nil
-}
-
-// CI95 returns the half-width of the 95% confidence interval of the mean
-// using the normal approximation (adequate for the >=30 repetition counts
-// the harness uses; for tiny n it is a mild underestimate).
-func CI95(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return 1.96 * Stddev(xs) / math.Sqrt(float64(len(xs)))
-}
-
-// CoefVar returns the coefficient of variation (stddev/mean); NaN when the
-// mean is zero.
-func CoefVar(xs []float64) float64 {
-	m := Mean(xs)
-	if m == 0 {
-		return math.NaN()
-	}
-	return Stddev(xs) / m
-}
-
-// TrimmedMean returns the mean after discarding the fraction trim of
-// samples from each tail (e.g. trim=0.1 discards the lowest and highest
-// 10%). The micro-benchmarks use it to suppress scheduler outliers.
-func TrimmedMean(xs []float64, trim float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if trim < 0 || trim >= 0.5 {
-		return 0, fmt.Errorf("stats: trim fraction %v out of [0,0.5)", trim)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	k := int(float64(len(sorted)) * trim)
-	body := sorted[k : len(sorted)-k]
-	return Mean(body), nil
 }

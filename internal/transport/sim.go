@@ -93,9 +93,6 @@ func NewSim(n int, model *cluster.Model) (*SimFabric, error) {
 	return f, nil
 }
 
-// Model returns the platform model behind the fabric.
-func (f *SimFabric) Model() *cluster.Model { return f.model }
-
 // Endpoint returns rank's endpoint.
 func (f *SimFabric) Endpoint(rank int) (Endpoint, error) {
 	if rank < 0 || rank >= f.n {
