@@ -1,6 +1,7 @@
 // Command charhpc runs the platform characterization: every table and
-// figure of the reconstructed evaluation (see DESIGN.md), or a selected
-// subset, on the default platform set or one named preset.
+// figure of the reconstructed evaluation (see the README's experiment
+// families), or a selected subset, on the default platform set or one
+// named preset.
 //
 // Usage:
 //

@@ -42,7 +42,7 @@ func main() {
 		var elapsed float64
 		var iters int
 		var maxErr float64
-		err := mp.Run(p, mp.Config{Fabric: mp.Sim, Model: model}, func(c *mp.Comm) error {
+		err := mp.Run(p, mp.Config{Model: model}, func(c *mp.Comm) error {
 			counts := make([]int, p)
 			for i := range counts {
 				counts[i] = n / p

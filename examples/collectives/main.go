@@ -31,7 +31,7 @@ func main() {
 			{"binomial tree     ", mp.BcastBinomial},
 			{"scatter-allgather ", mp.BcastScatterAllgather},
 		} {
-			cfg := mp.Config{Fabric: mp.Sim, Model: model, Bcast: algo.a}
+			cfg := mp.Config{Model: model, Bcast: algo.a}
 			var lat float64
 			err := mp.Run(p, cfg, func(c *mp.Comm) error {
 				buf := make([]byte, size)

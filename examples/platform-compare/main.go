@@ -64,7 +64,7 @@ func main() {
 
 func measure(m *cluster.Model, p int, metric string) (float64, error) {
 	var out float64
-	cfg := mp.Config{Fabric: mp.Sim, Model: m}
+	cfg := mp.Config{Model: m}
 	err := mp.Run(p, cfg, func(c *mp.Comm) error {
 		opts := osu.Options{Sizes: []int{8, 1 << 20}, Warmup: 5, Iters: 50, Window: 32,
 			PairA: 0, PairB: p - 1}

@@ -1,5 +1,5 @@
 // Quickstart: the smallest complete program on the message-passing
-// runtime — launch 4 ranks on the in-process fabric, exchange a
+// runtime — launch 4 ranks on a one-node SMP model, exchange a
 // point-to-point message, and run a collective.
 //
 //	go run ./examples/quickstart
@@ -9,11 +9,12 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/cluster"
 	"repro/internal/mp"
 )
 
 func main() {
-	err := mp.Run(4, mp.Config{Fabric: mp.InProc}, func(c *mp.Comm) error {
+	err := mp.Run(4, mp.Config{Model: cluster.SMPNode()}, func(c *mp.Comm) error {
 		// Point-to-point: rank 0 sends a greeting to rank 1.
 		const tag = 1
 		if c.Rank() == 0 {

@@ -22,7 +22,7 @@ func main() {
 	model := cluster.IBCluster()
 	model.Placement = cluster.Cyclic
 
-	err := mp.Run(p, mp.Config{Fabric: mp.Sim, Model: model}, func(c *mp.Comm) error {
+	err := mp.Run(p, mp.Config{Model: model}, func(c *mp.Comm) error {
 		block, res, err := stencil.Jacobi(c, stencil.Config{
 			NX: nx, NY: ny, Iters: 200000,
 			CheckEvery: 100, Tol: 1e-6,

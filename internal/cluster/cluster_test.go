@@ -227,30 +227,6 @@ func TestGigEVsIBRelation(t *testing.T) {
 	}
 }
 
-func TestPathBetween(t *testing.T) {
-	m := IBCluster()
-	n := m.Topo.TotalCores()
-	// Block placement: ranks 0 and 1 share a socket; 0 and n-1 are on
-	// different nodes.
-	_, c, err := m.PathBetween(0, 1, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c != IntraSocket {
-		t.Errorf("ranks 0,1 class = %v, want intra-socket", c)
-	}
-	_, c, err = m.PathBetween(0, n-1, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c != InterNode {
-		t.Errorf("ranks 0,%d class = %v, want inter-node", n-1, c)
-	}
-	if _, _, err := m.PathBetween(0, n, n); err == nil {
-		t.Error("out-of-range rank accepted")
-	}
-}
-
 func TestModelValidateCatchesBadMemory(t *testing.T) {
 	m := IBCluster()
 	m.MemBWPerSocket = 0

@@ -124,18 +124,3 @@ func (m *Model) Validate() error {
 	}
 	return nil
 }
-
-// PathBetween returns the LogGP parameters governing traffic between two
-// ranks under this model's placement.
-func (m *Model) PathBetween(rankA, rankB, nranks int) (LogGP, PathClass, error) {
-	la, err := m.Topo.Place(rankA, nranks, m.Placement)
-	if err != nil {
-		return LogGP{}, 0, err
-	}
-	lb, err := m.Topo.Place(rankB, nranks, m.Placement)
-	if err != nil {
-		return LogGP{}, 0, err
-	}
-	c := Classify(la, lb)
-	return m.Links.For(c), c, nil
-}

@@ -2,10 +2,10 @@
 // node/socket/core topology, the NUMA distance structure inside a node,
 // and the LogGP parameters of each class of communication path. The
 // original study measured a physical cluster; this package is the
-// simulated stand-in (see DESIGN.md, substitutions table). The simulated
-// transport in internal/transport consumes this model to assign virtual
-// message timings, so that curve *shapes* (intra- vs inter-node gaps,
-// bandwidth knees, contention) reproduce those of a real machine.
+// simulated stand-in. The message-passing runtime (internal/mp) places
+// each rank with this model and times every message with its links, so
+// that curve *shapes* (intra- vs inter-node gaps, bandwidth knees,
+// contention) reproduce those of a real machine.
 //
 // The built-in platforms form a named preset registry (registry.go):
 // Lookup resolves a preset name ("gige-8n", "ib-8n", "ib-64n",

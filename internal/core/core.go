@@ -2,12 +2,13 @@
 // deliverable. It defines the reconstructed evaluation as a registry of
 // experiments, each of which drives the benchmark suites over the
 // modeled platforms and renders its table or figure data to a writer.
-// Three families are registered: the tables T1-T4, the communication
-// and application figures F1-F16 (see DESIGN.md), and the
-// memory-hierarchy family M1-M6 (latency ladder, TLB stress, page-size
-// comparison, fitted-vs-truth, NUMA placement ladder, placement
-// slowdown; see internal/mem). cmd/charhpc runs the whole registry;
-// the bench/ harness times each experiment as core.run_ms.<ID>.
+// Three families are registered (see the README's experiment families):
+// the tables T1-T4, the communication and application figures F1-F16,
+// and the memory-hierarchy family M1-M6 (latency ladder, TLB stress,
+// page-size comparison, fitted-vs-truth, NUMA placement ladder,
+// placement slowdown; see internal/mem). cmd/charhpc runs the whole
+// registry; the bench/ harness times each experiment as
+// core.run_ms.<ID>.
 //
 // The platform is a request axis: every experiment runs against a
 // Request{Scale, Platform}, where Platform names a preset from
@@ -81,7 +82,8 @@ func (r Request) String() string {
 
 // Experiment is one reproducible table or figure.
 type Experiment struct {
-	// ID is the experiment identifier from DESIGN.md ("T1", "F5", ...).
+	// ID is the experiment identifier ("T1", "F5", ...), as the README's
+	// experiment families list them.
 	ID string
 	// Title describes what the table/figure shows.
 	Title string

@@ -8,7 +8,8 @@ import (
 )
 
 func TestRegistryComplete(t *testing.T) {
-	// Every experiment promised in DESIGN.md must be registered.
+	// Every experiment the README's experiment families promise must be
+	// registered.
 	want := []string{
 		"T1", "T2", "T3", "T4",
 		"F1", "F2", "F3", "F4", "F5", "F6", "F7",
@@ -105,7 +106,7 @@ func TestParseScale(t *testing.T) {
 
 // The experiment smoke tests run each experiment at Quick scale and make
 // shape assertions on the rendered output — these are the "who wins"
-// checks from DESIGN.md.
+// checks.
 
 func runExp(t *testing.T, id string) string {
 	t.Helper()

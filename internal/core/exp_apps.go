@@ -102,7 +102,7 @@ func runF15(w io.Writer, r Request) error {
 	for i, m := range ms {
 		m.Placement = cluster.Cyclic
 		var rr row
-		cfg := mp.Config{Fabric: mp.Sim, Model: m}
+		cfg := mp.Config{Model: m}
 		err := mp.Run(p, cfg, func(c *mp.Comm) error {
 			ep, err := nas.EP(c, nas.EPConfig{
 				PairsPerRank: pairsPerRank, Seed: 1, ComputeRate: m.FlopsPerCore / 50,

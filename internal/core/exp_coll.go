@@ -43,7 +43,7 @@ func collPlatform(r Request) (*cluster.Model, error) {
 // measureColl runs one collective latency measurement at p ranks.
 func measureColl(m *cluster.Model, p, warm, iters int, mk func(c *mp.Comm) func() error) (float64, error) {
 	var lat float64
-	cfg := mp.Config{Fabric: mp.Sim, Model: m}
+	cfg := mp.Config{Model: m}
 	err := mp.Run(p, cfg, func(c *mp.Comm) error {
 		l, err := osu.CollectiveLatency(c, warm, iters, mk(c))
 		if err != nil {
@@ -151,7 +151,7 @@ func runF6(w io.Writer, r Request) error {
 		series := fig.AddSeries(algo.name)
 		for _, size := range sizes {
 			var lat float64
-			cfg := mp.Config{Fabric: mp.Sim, Model: m, Bcast: algo.a}
+			cfg := mp.Config{Model: m, Bcast: algo.a}
 			err := mp.Run(p, cfg, func(c *mp.Comm) error {
 				buf := make([]byte, size)
 				l, err := osu.CollectiveLatency(c, 3, iters, func() error {
@@ -184,7 +184,7 @@ func runF6(w io.Writer, r Request) error {
 		series := fig.AddSeries(algo.name)
 		for _, size := range sizes {
 			var lat float64
-			cfg := mp.Config{Fabric: mp.Sim, Model: m, Allreduce: algo.a}
+			cfg := mp.Config{Model: m, Allreduce: algo.a}
 			err := mp.Run(p, cfg, func(c *mp.Comm) error {
 				in := make([]float64, size/8+1)
 				out := make([]float64, size/8+1)

@@ -63,7 +63,7 @@ func runF8(w io.Writer, r Request) error {
 		"processes", "GFLOP/s")
 	runOne := func(m *cluster.Model, p, order int) (float64, error) {
 		var g float64
-		cfg := mp.Config{Fabric: mp.Sim, Model: m}
+		cfg := mp.Config{Model: m}
 		err := mp.Run(p, cfg, func(c *mp.Comm) error {
 			res, err := hpcc.HPL(c, hpcc.HPLConfig{
 				N: order, NB: nb, Seed: 7, Threads: 1,
@@ -126,7 +126,7 @@ func runF16(w io.Writer, r Request) error {
 		series := fig.AddSeries(m.Name)
 		for _, nb := range nbs {
 			var g float64
-			cfg := mp.Config{Fabric: mp.Sim, Model: m}
+			cfg := mp.Config{Model: m}
 			err := mp.Run(4, cfg, func(c *mp.Comm) error {
 				res, err := hpcc.HPL(c, hpcc.HPLConfig{
 					N: n, NB: nb, Seed: 7, ComputeRate: m.FlopsPerCore, SkipCheck: true,
@@ -166,7 +166,7 @@ func runF9(w io.Writer, r Request) error {
 				continue
 			}
 			var g float64
-			cfg := mp.Config{Fabric: mp.Sim, Model: m}
+			cfg := mp.Config{Model: m}
 			err := mp.Run(p, cfg, func(c *mp.Comm) error {
 				res, err := hpcc.RandomAccess(c, hpcc.GUPSConfig{
 					TableBits: bits, Chunk: 1024, ComputeRate: 2e8,
@@ -206,7 +206,7 @@ func runF10(w io.Writer, r Request) error {
 				continue
 			}
 			var g float64
-			cfg := mp.Config{Fabric: mp.Sim, Model: m}
+			cfg := mp.Config{Model: m}
 			err := mp.Run(p, cfg, func(c *mp.Comm) error {
 				res, err := hpcc.PTRANS(c, hpcc.PTRANSConfig{N: n, Seed: 5, MemRate: m.MemBWPerCore})
 				if err != nil {
@@ -242,7 +242,7 @@ func runF11(w io.Writer, r Request) error {
 	series := fig.AddSeries(m.Name)
 	for _, d := range dims {
 		var g float64
-		cfg := mp.Config{Fabric: mp.Sim, Model: m}
+		cfg := mp.Config{Model: m}
 		err := mp.Run(4, cfg, func(c *mp.Comm) error {
 			res, err := hpcc.DistFFT(c, hpcc.FFTConfig{
 				N1: d[0], N2: d[1], Seed: 3, ComputeRate: m.FlopsPerCore / 4,
@@ -281,7 +281,7 @@ func runT3(w io.Writer, r Request) error {
 	t := report.NewTable(fmt.Sprintf("HPCC summary (%s, p=%d)", m.Name, p),
 		"kernel", "metric", "value")
 
-	cfg := mp.Config{Fabric: mp.Sim, Model: m}
+	cfg := mp.Config{Model: m}
 	err = mp.Run(p, cfg, func(c *mp.Comm) error {
 		hpl, err := hpcc.HPL(c, hpcc.HPLConfig{
 			N: hplN, NB: 32, Seed: 7, ComputeRate: m.FlopsPerCore, SkipCheck: true,

@@ -81,7 +81,7 @@ func runP2PCurve(m *cluster.Model, pairA, pairB int, opts osu.Options,
 	n := m.Topo.TotalCores()
 	opts.PairA, opts.PairB = pairA, pairB
 	var out []osu.Sample
-	cfg := mp.Config{Fabric: mp.Sim, Model: m}
+	cfg := mp.Config{Model: m}
 	err := mp.Run(n, cfg, func(c *mp.Comm) error {
 		s, err := bench(c, opts)
 		if err != nil {
@@ -199,7 +199,7 @@ func runF4(w io.Writer, r Request) error {
 		for _, pairs := range []int{1, 2, 4} {
 			opts := osu.Options{Sizes: []int{size}, Warmup: 2, Iters: 20, Window: 16}
 			var agg float64
-			cfg := mp.Config{Fabric: mp.Sim, Model: m}
+			cfg := mp.Config{Model: m}
 			err := mp.Run(8, cfg, func(c *mp.Comm) error {
 				r, err := osu.MultiPairBandwidth(c, pairs, opts)
 				if err != nil {
@@ -245,7 +245,7 @@ func runF12(w io.Writer, r Request) error {
 		opts := osu.Options{Sizes: sizes, Warmup: 3, Iters: 30, Window: 8,
 			PairA: 0, PairB: n - 1}
 		var samples []osu.Sample
-		cfg := mp.Config{Fabric: mp.Sim, Model: m, EagerThreshold: mode.thresh}
+		cfg := mp.Config{Model: m, EagerThreshold: mode.thresh}
 		err := mp.Run(n, cfg, func(c *mp.Comm) error {
 			sm, err := osu.Latency(c, opts)
 			if err != nil {

@@ -108,7 +108,7 @@ func runT4(w io.Writer, r Request) error {
 		// so the fabric (not shared memory) is what gets compared.
 		m.Placement = cluster.Cyclic
 		var rr row
-		cfg := mp.Config{Fabric: mp.Sim, Model: m}
+		cfg := mp.Config{Model: m}
 		err := mp.Run(p, cfg, func(c *mp.Comm) error {
 			opts := osu.Options{Sizes: []int{8, 1 << 20}, Warmup: 5, Iters: iters, Window: 32,
 				PairA: 0, PairB: p - 1}

@@ -12,9 +12,9 @@ import (
 // default-platform quick-scale output is pinned byte-for-byte against
 // testdata captured BEFORE the platform-registry refactor, proving
 // Request{Platform: ""} reproduces the hardwired-constructor output
-// exactly. F14, the placement ablation, reads every message's path
-// class; its golden was captured before the fabric's per-pair path
-// table was replaced by a per-send Classify of two placed ranks.
+// exactly. F14, the placement ablation, times messages whose cost
+// depends on the path class between two placed ranks, so its golden
+// pins how the fabric places ranks and classifies each pair.
 var goldenIDs = []string{"T1", "M3", "M4", "M5", "M6", "F14"}
 
 // TestGoldenDefaultPlatformOutput is the refactor's acceptance gate:

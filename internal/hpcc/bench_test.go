@@ -11,7 +11,7 @@ import (
 func BenchmarkHPLSim(b *testing.B) {
 	m := cluster.IBCluster()
 	for i := 0; i < b.N; i++ {
-		err := mp.Run(4, mp.Config{Fabric: mp.Sim, Model: m}, func(c *mp.Comm) error {
+		err := mp.Run(4, mp.Config{Model: m}, func(c *mp.Comm) error {
 			_, err := HPL(c, HPLConfig{
 				N: 128, NB: 32, Seed: uint64(i), ComputeRate: m.FlopsPerCore, SkipCheck: true,
 			})

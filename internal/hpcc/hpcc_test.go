@@ -8,9 +8,7 @@ import (
 	"repro/internal/mp"
 )
 
-func inproc() mp.Config { return mp.Config{Fabric: mp.InProc} }
-
-func sim() mp.Config { return mp.Config{Fabric: mp.Sim, Model: cluster.BigIBCluster()} }
+func sim() mp.Config { return mp.Config{Model: cluster.BigIBCluster()} }
 
 func TestColumnDistributionHelpers(t *testing.T) {
 	const nb, p = 4, 3
@@ -47,8 +45,9 @@ func TestHPLResidualSmall(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
 		for _, n := range []int{16, 33, 64} {
 			t.Run(fmt.Sprintf("p=%d/n=%d", p, n), func(t *testing.T) {
-				err := mp.Run(p, inproc(), func(c *mp.Comm) error {
-					res, err := HPL(c, HPLConfig{N: n, NB: 8, Seed: 42})
+				cfg := sim()
+				err := mp.Run(p, cfg, func(c *mp.Comm) error {
+					res, err := HPL(c, HPLConfig{N: n, NB: 8, Seed: 42, ComputeRate: cfg.Model.FlopsPerCore})
 					if err != nil {
 						return err
 					}
@@ -70,7 +69,7 @@ func TestHPLResidualSmall(t *testing.T) {
 
 func TestHPLOddBlockAndSize(t *testing.T) {
 	// n not divisible by nb, p=3 (odd), exercises remainder blocks.
-	err := mp.Run(3, inproc(), func(c *mp.Comm) error {
+	err := mp.Run(3, sim(), func(c *mp.Comm) error {
 		res, err := HPL(c, HPLConfig{N: 50, NB: 7, Seed: 9})
 		if err != nil {
 			return err
@@ -105,7 +104,7 @@ func TestHPLOnSimFabric(t *testing.T) {
 }
 
 func TestHPLSkipCheck(t *testing.T) {
-	err := mp.Run(2, inproc(), func(c *mp.Comm) error {
+	err := mp.Run(2, sim(), func(c *mp.Comm) error {
 		res, err := HPL(c, HPLConfig{N: 16, NB: 4, Seed: 3, SkipCheck: true})
 		if err != nil {
 			return err
@@ -121,7 +120,7 @@ func TestHPLSkipCheck(t *testing.T) {
 }
 
 func TestHPLRejectsBadOrder(t *testing.T) {
-	err := mp.Run(1, inproc(), func(c *mp.Comm) error {
+	err := mp.Run(1, sim(), func(c *mp.Comm) error {
 		if _, err := HPL(c, HPLConfig{N: 0}); err == nil {
 			return fmt.Errorf("N=0 accepted")
 		}
@@ -135,7 +134,7 @@ func TestHPLRejectsBadOrder(t *testing.T) {
 func TestGUPSVerifies(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
-			err := mp.Run(p, inproc(), func(c *mp.Comm) error {
+			err := mp.Run(p, sim(), func(c *mp.Comm) error {
 				res, err := RandomAccess(c, GUPSConfig{TableBits: 12, Verify: true, Chunk: 256})
 				if err != nil {
 					return err
@@ -159,7 +158,7 @@ func TestGUPSVerifies(t *testing.T) {
 }
 
 func TestGUPSValidation(t *testing.T) {
-	err := mp.Run(3, inproc(), func(c *mp.Comm) error {
+	err := mp.Run(3, sim(), func(c *mp.Comm) error {
 		if _, err := RandomAccess(c, GUPSConfig{TableBits: 10}); err == nil {
 			return fmt.Errorf("non-power-of-two ranks accepted")
 		}
@@ -168,7 +167,7 @@ func TestGUPSValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = mp.Run(1, inproc(), func(c *mp.Comm) error {
+	err = mp.Run(1, sim(), func(c *mp.Comm) error {
 		if _, err := RandomAccess(c, GUPSConfig{TableBits: 0}); err == nil {
 			return fmt.Errorf("TableBits=0 accepted")
 		}
@@ -198,8 +197,9 @@ func TestGUPSOnSim(t *testing.T) {
 func TestPTRANSVerifies(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
-			err := mp.Run(p, inproc(), func(c *mp.Comm) error {
-				res, err := PTRANS(c, PTRANSConfig{N: 32, Seed: 5, Verify: true})
+			cfg := sim()
+			err := mp.Run(p, cfg, func(c *mp.Comm) error {
+				res, err := PTRANS(c, PTRANSConfig{N: 32, Seed: 5, Verify: true, MemRate: cfg.Model.MemBWPerCore})
 				if err != nil {
 					return err
 				}
@@ -219,7 +219,7 @@ func TestPTRANSVerifies(t *testing.T) {
 }
 
 func TestPTRANSValidation(t *testing.T) {
-	err := mp.Run(3, inproc(), func(c *mp.Comm) error {
+	err := mp.Run(3, sim(), func(c *mp.Comm) error {
 		if _, err := PTRANS(c, PTRANSConfig{N: 32}); err == nil {
 			return fmt.Errorf("non-divisible order accepted")
 		}
@@ -236,7 +236,7 @@ func TestDistFFTVerifies(t *testing.T) {
 	}
 	for _, cs := range cases {
 		t.Run(fmt.Sprintf("p=%d/%dx%d", cs.p, cs.n1, cs.n2), func(t *testing.T) {
-			err := mp.Run(cs.p, inproc(), func(c *mp.Comm) error {
+			err := mp.Run(cs.p, sim(), func(c *mp.Comm) error {
 				res, err := DistFFT(c, FFTConfig{N1: cs.n1, N2: cs.n2, Seed: 11, Verify: true})
 				if err != nil {
 					return err
@@ -257,7 +257,7 @@ func TestDistFFTVerifies(t *testing.T) {
 }
 
 func TestDistFFTValidation(t *testing.T) {
-	err := mp.Run(2, inproc(), func(c *mp.Comm) error {
+	err := mp.Run(2, sim(), func(c *mp.Comm) error {
 		if _, err := DistFFT(c, FFTConfig{N1: 6, N2: 8}); err == nil {
 			return fmt.Errorf("non-pow2 accepted")
 		}
@@ -293,7 +293,7 @@ func TestRandomRingSlowerOnCluster(t *testing.T) {
 	m := cluster.IBCluster()
 	n := m.Topo.TotalCores()
 	var nat, rnd RingResult
-	err := mp.Run(n, mp.Config{Fabric: mp.Sim, Model: m}, func(c *mp.Comm) error {
+	err := mp.Run(n, mp.Config{Model: m}, func(c *mp.Comm) error {
 		var err error
 		nr, err := NaturalRing(c, 4096, 2, 20)
 		if err != nil {
@@ -317,7 +317,7 @@ func TestRandomRingSlowerOnCluster(t *testing.T) {
 }
 
 func TestRingValidation(t *testing.T) {
-	err := mp.Run(1, inproc(), func(c *mp.Comm) error {
+	err := mp.Run(1, sim(), func(c *mp.Comm) error {
 		if _, err := NaturalRing(c, 8, 1, 5); err == nil {
 			return fmt.Errorf("1-rank ring accepted")
 		}
@@ -326,7 +326,7 @@ func TestRingValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = mp.Run(2, inproc(), func(c *mp.Comm) error {
+	err = mp.Run(2, sim(), func(c *mp.Comm) error {
 		if _, err := NaturalRing(c, 8, 1, 0); err == nil {
 			return fmt.Errorf("iters=0 accepted")
 		}

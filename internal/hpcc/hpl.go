@@ -26,8 +26,8 @@ type HPLConfig struct {
 	// Threads parallelizes each rank's local trailing update.
 	Threads int
 	// ComputeRate, if positive, charges flops/ComputeRate seconds of
-	// virtual time per local flop block (Sim fabric only; no-op
-	// elsewhere).
+	// virtual time per local flop block. Without it a single-rank run
+	// has zero modeled time.
 	ComputeRate float64
 	// SkipCheck skips the residual validation (benchmark loops).
 	SkipCheck bool

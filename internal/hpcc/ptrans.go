@@ -18,8 +18,8 @@ type PTRANSConfig struct {
 	// Verify checks the result against the closed-form expectation.
 	Verify bool
 	// MemRate, if positive, charges local pack/unpack traffic to the
-	// virtual clock at this many bytes/s (Sim fabric; no-op elsewhere).
-	// Without it a single-rank run has zero modeled time.
+	// virtual clock at this many bytes/s. Without it a single-rank run
+	// has zero modeled time.
 	MemRate float64
 }
 

@@ -26,7 +26,7 @@ func BenchmarkGemm(b *testing.B) {
 }
 
 // BenchmarkLUBlockSize ablates the HPL panel width (the NB design
-// choice called out in DESIGN.md).
+// choice).
 func BenchmarkLUBlockSize(b *testing.B) {
 	const n = 256
 	for _, nb := range []int{8, 32, 64, 128} {

@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
-
-	"repro/internal/cluster"
 )
 
 // Layer benchmarks of the simulated message path (ROADMAP item 1(b)):
@@ -14,7 +12,7 @@ import (
 // payload path starts from a number. One op is one round trip
 // (ping-pong) or one collective (alltoall); bytes/op is payload moved.
 
-func simCfg() Config { return Config{Fabric: Sim, Model: cluster.IBCluster()} }
+func simCfg() Config { return Config{Model: testModel()} }
 
 // pingPong runs n round trips of size bytes between ranks 0 and 1;
 // start is called on rank 0 after two warm-up round trips.
@@ -104,7 +102,7 @@ func raceBuild() bool {
 
 // TestSimPingPongAllocBudget: in steady state a 1 MiB rendezvous round
 // trip allocates only its Request handles — the two payload buffers come
-// from the transport's pool. Before the pool it allocated (and zeroed)
+// from the fabric's pool. Before the pool it allocated (and zeroed)
 // more than 2 MiB.
 func TestSimPingPongAllocBudget(t *testing.T) {
 	if raceBuild() {
@@ -129,43 +127,8 @@ func TestSimPingPongAllocBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkP2PPingPongInProc measures the runtime's real (wall-clock)
-// small-message half round trip on the in-process fabric.
-func BenchmarkP2PPingPongInProc(b *testing.B) {
-	for _, size := range []int{8, 4096, 65536} {
-		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
-			b.ReportAllocs()
-			err := Run(2, Config{Fabric: InProc}, func(c *Comm) error {
-				buf := make([]byte, size)
-				peer := 1 - c.Rank()
-				for i := 0; i < b.N; i++ {
-					if c.Rank() == 0 {
-						if err := c.Send(peer, 1, buf); err != nil {
-							return err
-						}
-						if _, err := c.Recv(peer, 1, buf); err != nil {
-							return err
-						}
-					} else {
-						if _, err := c.Recv(peer, 1, buf); err != nil {
-							return err
-						}
-						if err := c.Send(peer, 1, buf); err != nil {
-							return err
-						}
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// BenchmarkAllreduce measures the real cost of an 8-rank allreduce on
-// the in-process fabric for each algorithm.
+// BenchmarkAllreduce measures the host cost of an 8-rank allreduce for
+// each algorithm.
 func BenchmarkAllreduce(b *testing.B) {
 	algos := map[string]AllreduceAlgo{
 		"recdoubling":  AllreduceRecursiveDoubling,
@@ -174,7 +137,7 @@ func BenchmarkAllreduce(b *testing.B) {
 	}
 	for name, algo := range algos {
 		b.Run(name, func(b *testing.B) {
-			err := Run(8, Config{Fabric: InProc, Allreduce: algo}, func(c *Comm) error {
+			err := Run(8, Config{Model: testModel(), Allreduce: algo}, func(c *Comm) error {
 				in := make([]float64, 4096)
 				out := make([]float64, 4096)
 				for i := 0; i < b.N; i++ {

@@ -15,14 +15,10 @@ var sizesUnderTest = []int{1, 2, 3, 4, 5, 7, 8, 16}
 func forEachSize(t *testing.T, f func(t *testing.T, p int, cfg Config)) {
 	t.Helper()
 	for _, p := range sizesUnderTest {
-		for name, cfg := range map[string]Config{
-			"inproc": {Fabric: InProc},
-			"sim":    {Fabric: Sim, Model: cluster.BigIBCluster()},
-		} {
-			t.Run(fmt.Sprintf("p=%d/%s", p, name), func(t *testing.T) {
-				f(t, p, cfg)
-			})
-		}
+		cfg := Config{Model: cluster.BigIBCluster()}
+		t.Run(fmt.Sprintf("p=%d/sim", p), func(t *testing.T) {
+			f(t, p, cfg)
+		})
 	}
 }
 
@@ -49,7 +45,7 @@ func TestBcastAllAlgorithms(t *testing.T) {
 				for root := 0; root < p; root += max(1, p-1) {
 					name := fmt.Sprintf("algo=%d/p=%d/n=%d/root=%d", algo, p, n, root)
 					t.Run(name, func(t *testing.T) {
-						cfg := Config{Bcast: algo}
+						cfg := Config{Model: testModel(), Bcast: algo}
 						err := Run(p, cfg, func(c *Comm) error {
 							buf := make([]byte, n)
 							if c.Rank() == root {
@@ -78,7 +74,7 @@ func TestBcastAllAlgorithms(t *testing.T) {
 }
 
 func TestBcastInvalidRoot(t *testing.T) {
-	err := Run(2, Config{}, func(c *Comm) error {
+	err := Run(2, Config{Model: testModel()}, func(c *Comm) error {
 		if err := c.Bcast(5, nil); err == nil {
 			return fmt.Errorf("bad root accepted")
 		}
@@ -145,7 +141,7 @@ func TestAlltoall(t *testing.T) {
 }
 
 func TestAlltoallValidation(t *testing.T) {
-	err := Run(2, Config{}, func(c *Comm) error {
+	err := Run(2, Config{Model: testModel()}, func(c *Comm) error {
 		if err := c.Alltoall(make([]byte, 4), make([]byte, 6)); err == nil {
 			return fmt.Errorf("length mismatch accepted")
 		}
@@ -220,7 +216,7 @@ func TestAllreduceAllAlgorithms(t *testing.T) {
 		for _, p := range sizesUnderTest {
 			for _, n := range []int{1, 16, 1000, 4099} {
 				t.Run(fmt.Sprintf("algo=%d/p=%d/n=%d", algo, p, n), func(t *testing.T) {
-					cfg := Config{Allreduce: algo}
+					cfg := Config{Model: testModel(), Allreduce: algo}
 					err := Run(p, cfg, func(c *Comm) error {
 						send := make([]float64, n)
 						for i := range send {
@@ -248,7 +244,7 @@ func TestAllreduceAllAlgorithms(t *testing.T) {
 }
 
 func TestAllreduceMaxWithNegatives(t *testing.T) {
-	err := Run(4, Config{}, func(c *Comm) error {
+	err := Run(4, Config{Model: testModel()}, func(c *Comm) error {
 		send := []float64{-float64(c.Rank()) - 1}
 		recv := make([]float64, 1)
 		if err := c.Allreduce(OpMax, send, recv); err != nil {
@@ -265,7 +261,7 @@ func TestAllreduceMaxWithNegatives(t *testing.T) {
 }
 
 func TestAllreduceScalar(t *testing.T) {
-	err := Run(5, Config{}, func(c *Comm) error {
+	err := Run(5, Config{Model: testModel()}, func(c *Comm) error {
 		got, err := c.AllreduceScalar(OpSum, float64(c.Rank()))
 		if err != nil {
 			return err
@@ -305,7 +301,7 @@ func TestScanInclusive(t *testing.T) {
 func TestCollectivesBackToBack(t *testing.T) {
 	// Different collectives issued consecutively must not cross-match
 	// (distinct epochs produce distinct tag spaces).
-	err := Run(4, Config{}, func(c *Comm) error {
+	err := Run(4, Config{Model: testModel()}, func(c *Comm) error {
 		buf := []byte{byte(c.Rank())}
 		all := make([]byte, 4)
 		for i := 0; i < 10; i++ {

@@ -3,20 +3,19 @@ package mp
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/transport"
 )
 
 // engine is the per-rank protocol state shared by every communicator
 // derived from the same Run: the matching queues, the rendezvous
-// tracking, and the fabric endpoint. It is confined to the rank's
-// goroutine.
+// tracking, and the rank's place on the fabric. It is confined to the
+// rank's goroutine.
 type engine struct {
-	ep  transport.Endpoint
-	cfg Config
+	fab  *fabric
+	self int // global rank
+	cfg  Config
 
 	seq        uint64              // per-sender sequence for rendezvous
-	unexpected []transport.Packet  // unmatched Data/RTS packets, arrival order
+	unexpected []packet            // unmatched Data/RTS packets, arrival order
 	posted     []*Request          // posted receives, post order
 	pendSends  map[uint64]*Request // rendezvous sends awaiting CTS, by own seq
 	rndvRecvs  map[rndvKey]*Request
@@ -54,18 +53,19 @@ type Comm struct {
 	splitSeq  uint64 // Split invocation counter (for child ctx derivation)
 }
 
-func newComm(ep transport.Endpoint, cfg Config) *Comm {
+func newComm(fab *fabric, rank int, cfg Config) *Comm {
 	eng := &engine{
-		ep:        ep,
+		fab:       fab,
+		self:      rank,
 		cfg:       cfg,
 		pendSends: make(map[uint64]*Request),
 		rndvRecvs: make(map[rndvKey]*Request),
 	}
-	ranks := make([]int, ep.Size())
+	ranks := make([]int, len(fab.ports))
 	for i := range ranks {
 		ranks[i] = i
 	}
-	return &Comm{eng: eng, ctx: 0, rank: ep.Rank(), ranks: ranks}
+	return &Comm{eng: eng, ctx: 0, rank: rank, ranks: ranks}
 }
 
 // Rank returns this rank's id within the communicator, in [0, Size).
@@ -75,16 +75,16 @@ func (c *Comm) Rank() int { return c.rank }
 func (c *Comm) Size() int { return len(c.ranks) }
 
 // GlobalRank returns this rank's id in the world communicator.
-func (c *Comm) GlobalRank() int { return c.eng.ep.Rank() }
+func (c *Comm) GlobalRank() int { return c.eng.self }
 
-// Time returns the rank's current time in seconds — wall-clock on real
-// fabrics, virtual time on the Sim fabric. Benchmark loops difference it.
-func (c *Comm) Time() float64 { return c.eng.ep.Now() }
+// Time returns the rank's virtual clock in seconds. Benchmark loops
+// difference it.
+func (c *Comm) Time() float64 { return c.eng.fab.now(c.eng.self) }
 
 // Compute charges dt seconds of local computation to the rank's virtual
-// clock (no-op on real fabrics). Benchmarks use it to model compute
-// phases between communication on the simulated platform.
-func (c *Comm) Compute(dt float64) { c.eng.ep.AddDelay(dt) }
+// clock. Benchmarks use it to model compute phases between
+// communication on the simulated platform.
+func (c *Comm) Compute(dt float64) { c.eng.fab.addDelay(c.eng.self, dt) }
 
 // global translates a communicator rank to a global rank.
 func (c *Comm) global(r int) int { return c.ranks[r] }
@@ -147,9 +147,9 @@ func (r *Request) status() Status {
 // receive buffer (the analogue of MPI_ERR_TRUNCATE).
 var ErrTruncated = errors.New("mp: message truncated: receive buffer too small")
 
-// ErrClosed is returned when the fabric shuts down under a blocked rank
-// (typically because another rank failed).
-var ErrClosed = errors.New("mp: fabric closed while waiting")
+// ErrClosed is returned by a send into, or a wait on, a fabric that has
+// shut down (typically because another rank failed).
+var ErrClosed = errors.New("mp: fabric closed")
 
 func (c *Comm) checkPeer(r int) error {
 	if r < 0 || r >= c.Size() {
@@ -201,14 +201,13 @@ func (c *Comm) isendInternal(dst, tag int, buf []byte) (*Request, error) {
 	eng := c.eng
 	eager := eng.cfg.eager()
 	if eager >= 0 && len(buf) <= eager {
-		// Eager: the transport copies the payload; the send is
+		// Eager: the fabric copies the payload; the send is
 		// complete (buffered) as soon as the packet is queued.
-		err := eng.ep.Send(gdst, transport.Packet{
-			Type: transport.Data,
-			Tag:  tag,
-			Ctx:  c.ctx,
-			Size: len(buf),
-			Data: buf,
+		err := eng.fab.send(eng.self, gdst, packet{
+			kind: kindData,
+			tag:  tag,
+			ctx:  c.ctx,
+			data: buf,
 		})
 		if err != nil {
 			return nil, err
@@ -221,12 +220,11 @@ func (c *Comm) isendInternal(dst, tag int, buf []byte) (*Request, error) {
 	eng.seq++
 	req := &Request{c: c, isSend: true, seq: eng.seq, dst: gdst, data: buf, ctx: c.ctx}
 	eng.pendSends[eng.seq] = req
-	err := eng.ep.Send(gdst, transport.Packet{
-		Type: transport.RTS,
-		Tag:  tag,
-		Ctx:  c.ctx,
-		Seq:  eng.seq,
-		Size: len(buf),
+	err := eng.fab.send(eng.self, gdst, packet{
+		kind: kindRTS,
+		tag:  tag,
+		ctx:  c.ctx,
+		seq:  eng.seq,
 	})
 	if err != nil {
 		delete(eng.pendSends, eng.seq)
@@ -310,15 +308,15 @@ func (r *Request) matches(src, tag int, ctx uint64) bool {
 func (c *Comm) postRecv(req *Request) {
 	eng := c.eng
 	for i, pkt := range eng.unexpected {
-		if !req.matches(pkt.Src, pkt.Tag, pkt.Ctx) {
+		if !req.matches(pkt.src, pkt.tag, pkt.ctx) {
 			continue
 		}
 		eng.unexpected = append(eng.unexpected[:i], eng.unexpected[i+1:]...)
 		eng.stats.MatchUnexp++
-		switch pkt.Type {
-		case transport.Data:
+		switch pkt.kind {
+		case kindData:
 			c.deliver(req, pkt)
-		case transport.RTS:
+		case kindRTS:
 			c.grantRndv(req, pkt)
 		}
 		return
@@ -346,16 +344,16 @@ func (eng *engine) matchPosted(src, tag int, ctx uint64) *Request {
 // sitting in the unexpected queue is NIC-buffered data the CPU has not
 // touched yet, and charging its (possibly far-future) arrival early
 // would teleport the rank's clock forward.
-func (c *Comm) deliver(req *Request, pkt transport.Packet) {
+func (c *Comm) deliver(req *Request, pkt packet) {
 	c.applyClock(pkt)
-	req.n = copy(req.buf, pkt.Data)
-	if len(pkt.Data) > len(req.buf) {
+	req.n = copy(req.buf, pkt.data)
+	if len(pkt.data) > len(req.buf) {
 		req.err = ErrTruncated
 	}
-	transport.Release(pkt.Data) // copied out; nothing below reads it
-	if pkt.Type == transport.Data {
-		req.actualSrc = req.c.localOf(pkt.Src)
-		req.actualTag = pkt.Tag
+	release(pkt.data) // copied out; nothing below reads it
+	if pkt.kind == kindData {
+		req.actualSrc = req.c.localOf(pkt.src)
+		req.actualTag = pkt.tag
 	}
 	req.done = true
 	c.eng.stats.Recvs++
@@ -365,68 +363,63 @@ func (c *Comm) deliver(req *Request, pkt transport.Packet) {
 // grantRndv answers a matched RTS with a CTS and parks the request until
 // the payload arrives. As in deliver, the RTS's arrival time is charged
 // now, at match time.
-func (c *Comm) grantRndv(req *Request, pkt transport.Packet) {
+func (c *Comm) grantRndv(req *Request, pkt packet) {
 	c.applyClock(pkt)
-	req.actualSrc = req.c.localOf(pkt.Src)
-	req.actualTag = pkt.Tag
+	req.actualSrc = req.c.localOf(pkt.src)
+	req.actualTag = pkt.tag
 	eng := c.eng
-	eng.rndvRecvs[rndvKey{src: pkt.Src, seq: pkt.Seq}] = req
-	if err := eng.ep.Send(pkt.Src, transport.Packet{Type: transport.CTS, Seq: pkt.Seq, Ctx: pkt.Ctx}); err != nil {
+	eng.rndvRecvs[rndvKey{src: pkt.src, seq: pkt.seq}] = req
+	if err := eng.fab.send(eng.self, pkt.src, packet{kind: kindCTS, seq: pkt.seq, ctx: pkt.ctx}); err != nil {
 		req.err = err
 		req.done = true
-		delete(eng.rndvRecvs, rndvKey{src: pkt.Src, seq: pkt.Seq})
+		delete(eng.rndvRecvs, rndvKey{src: pkt.src, seq: pkt.seq})
 	}
 }
 
 // applyClock charges packet arrival and receive overhead to the rank's
-// virtual clock (no-op on real fabrics, where both fields are zero).
-func (c *Comm) applyClock(pkt transport.Packet) {
-	if pkt.Arrival > 0 {
-		c.eng.ep.AdvanceTo(pkt.Arrival)
-	}
-	if pkt.RecvO > 0 {
-		c.eng.ep.AddDelay(pkt.RecvO)
-	}
+// virtual clock.
+func (c *Comm) applyClock(pkt packet) {
+	c.eng.fab.advanceTo(c.eng.self, pkt.arrival)
+	c.eng.fab.addDelay(c.eng.self, pkt.recvO)
 }
 
 // handle dispatches one incoming packet through the protocol state
 // machine.
-func (c *Comm) handle(pkt transport.Packet) error {
+func (c *Comm) handle(pkt packet) error {
 	eng := c.eng
-	switch pkt.Type {
-	case transport.Data:
-		if req := eng.matchPosted(pkt.Src, pkt.Tag, pkt.Ctx); req != nil {
+	switch pkt.kind {
+	case kindData:
+		if req := eng.matchPosted(pkt.src, pkt.tag, pkt.ctx); req != nil {
 			eng.stats.MatchPosted++
 			req.c.deliver(req, pkt)
 		} else {
 			eng.unexpected = append(eng.unexpected, pkt)
 		}
-	case transport.RTS:
-		if req := eng.matchPosted(pkt.Src, pkt.Tag, pkt.Ctx); req != nil {
+	case kindRTS:
+		if req := eng.matchPosted(pkt.src, pkt.tag, pkt.ctx); req != nil {
 			eng.stats.MatchPosted++
 			req.c.grantRndv(req, pkt)
 		} else {
 			eng.unexpected = append(eng.unexpected, pkt)
 		}
-	case transport.CTS:
+	case kindCTS:
 		c.applyClock(pkt) // the sender acts on the grant immediately
-		req, ok := eng.pendSends[pkt.Seq]
+		req, ok := eng.pendSends[pkt.seq]
 		if !ok {
-			return fmt.Errorf("mp: rank %d: CTS for unknown seq %d", c.GlobalRank(), pkt.Seq)
+			return fmt.Errorf("mp: rank %d: CTS for unknown seq %d", c.GlobalRank(), pkt.seq)
 		}
-		delete(eng.pendSends, pkt.Seq)
-		err := eng.ep.Send(req.dst, transport.Packet{
-			Type: transport.RndvData,
-			Seq:  pkt.Seq,
-			Ctx:  pkt.Ctx,
-			Size: len(req.data),
-			Data: req.data,
+		delete(eng.pendSends, pkt.seq)
+		err := eng.fab.send(eng.self, req.dst, packet{
+			kind: kindRndv,
+			seq:  pkt.seq,
+			ctx:  pkt.ctx,
+			data: req.data,
 		})
 		req.data = nil
 		req.err = err
 		req.done = true
-	case transport.RndvData:
-		key := rndvKey{src: pkt.Src, seq: pkt.Seq}
+	case kindRndv:
+		key := rndvKey{src: pkt.src, seq: pkt.seq}
 		req, ok := eng.rndvRecvs[key]
 		if !ok {
 			return fmt.Errorf("mp: rank %d: rendezvous data for unknown %v", c.GlobalRank(), key)
@@ -434,30 +427,20 @@ func (c *Comm) handle(pkt transport.Packet) error {
 		delete(eng.rndvRecvs, key)
 		req.c.deliver(req, pkt)
 	default:
-		return fmt.Errorf("mp: rank %d: unknown packet type %v", c.GlobalRank(), pkt.Type)
+		return fmt.Errorf("mp: rank %d: unknown packet kind %d", c.GlobalRank(), pkt.kind)
 	}
 	return nil
 }
 
-// progress pulls at most one packet from the fabric and handles it.
-func (c *Comm) progress(block bool) error {
-	pkt, ok, err := c.eng.ep.Recv(block)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		if block {
-			return ErrClosed
-		}
-		return nil
-	}
-	return c.handle(pkt)
-}
-
-// waitFor drives progress until req completes.
+// waitFor drives progress until req completes: it pulls packets off the
+// fabric one at a time, blocking, and handles each.
 func (c *Comm) waitFor(req *Request) error {
 	for !req.done {
-		if err := c.progress(true); err != nil {
+		pkt, ok := c.eng.fab.recv(c.eng.self)
+		if !ok {
+			return ErrClosed
+		}
+		if err := c.handle(pkt); err != nil {
 			return err
 		}
 	}

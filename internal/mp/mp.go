@@ -1,8 +1,9 @@
 // Package mp is the message-passing runtime the benchmarks run on — the
-// stand-in for MPI (see DESIGN.md). It provides:
+// stand-in for MPI. It provides:
 //
-//   - SPMD launch: Run spawns n ranks as goroutines over a chosen fabric
-//     (in-process or virtual-time simulated).
+//   - SPMD launch: Run spawns n ranks as goroutines on a platform model,
+//     over an in-process fabric that stamps every message with its
+//     LogGP-modeled virtual time (fabric.go).
 //   - Point-to-point: blocking Send/Recv, nonblocking Isend/Irecv with
 //     Requests, combined SendRecv, source/tag wildcards, and the MPI
 //     matching rules (FIFO per (src,dst), first-match against posted
@@ -30,7 +31,6 @@ import (
 	"sync"
 
 	"repro/internal/cluster"
-	"repro/internal/transport"
 )
 
 // Wildcards for Recv/Irecv.
@@ -49,29 +49,15 @@ const collTagBase = -(1 << 20)
 // the common MPI default for shared-memory BTLs.
 const DefaultEagerThreshold = 8192
 
-// Fabric selects the transport under the runtime.
+// Fabric names the network under a Run. There is one, Sim, and nothing
+// reads Config.Fabric; the type and its value stay so that callers which
+// spell the field out keep compiling.
 type Fabric int
 
-const (
-	// InProc exchanges packets through in-process mailboxes (wall-clock
-	// timing).
-	InProc Fabric = iota
-	// Sim exchanges packets in-process with virtual-time stamps from a
-	// cluster.Model; Comm.Time returns virtual seconds.
-	Sim
-)
-
-// String implements fmt.Stringer.
-func (f Fabric) String() string {
-	switch f {
-	case InProc:
-		return "inproc"
-	case Sim:
-		return "sim"
-	default:
-		return fmt.Sprintf("Fabric(%d)", int(f))
-	}
-}
+// Sim is the LogGP-timed in-process fabric (see fabric.go): packets carry
+// virtual-time stamps from Config.Model, and Comm.Time returns virtual
+// seconds.
+const Sim Fabric = 0
 
 // BcastAlgo selects the broadcast algorithm.
 type BcastAlgo int
@@ -114,10 +100,11 @@ const (
 
 // Config configures a Run.
 type Config struct {
-	// Fabric selects the transport; default InProc.
+	// Fabric is always Sim and is not read.
 	Fabric Fabric
-	// Model is the platform model; required for Sim, and also used by
-	// InProc runs that want placement-aware experiments.
+	// Model is the platform the ranks run on; required. Its topology
+	// and placement put each rank on a core, and its links time every
+	// message.
 	Model *cluster.Model
 	// EagerThreshold is the eager/rendezvous switch in bytes;
 	// 0 means DefaultEagerThreshold, negative means "always rendezvous".
@@ -125,9 +112,10 @@ type Config struct {
 	// Bcast and Allreduce select collective algorithms.
 	Bcast     BcastAlgo
 	Allreduce AllreduceAlgo
-	// Custom, if non-nil, overrides Fabric/Model with a caller-supplied
-	// transport. Run closes it on completion.
-	Custom FabricProvider
+
+	// sendHook, if set, is consulted before every packet a rank sends;
+	// a non-nil error fails that send. Fault-injection tests set it.
+	sendHook func(rank int) error
 }
 
 func (c Config) eager() int {
@@ -144,50 +132,26 @@ func (c Config) eager() int {
 // ErrInvalidSize is returned by Run for a non-positive rank count.
 var ErrInvalidSize = errors.New("mp: rank count must be >= 1")
 
-// FabricProvider supplies endpoints for a custom transport; tests use
-// it to inject fault-laden fabrics (see transport.FaultyFabric).
-type FabricProvider interface {
-	Endpoint(int) (transport.Endpoint, error)
-	Close() error
-}
-
-func newFabric(n int, cfg Config) (FabricProvider, error) {
-	if cfg.Custom != nil {
-		return cfg.Custom, nil
-	}
-	switch cfg.Fabric {
-	case InProc:
-		return transport.NewInProc(n)
-	case Sim:
-		return transport.NewSim(n, cfg.Model)
-	default:
-		return nil, fmt.Errorf("mp: unknown fabric %v", cfg.Fabric)
-	}
-}
-
-// Run launches f on n ranks over the configured fabric and blocks until
-// every rank returns. It returns the first non-nil error (a panic in a
-// rank is converted to an error). The fabric is torn down before Run
-// returns.
+// Run launches f on n ranks over the fabric of cfg.Model and blocks
+// until every rank returns. It returns the first non-nil error (a panic
+// in a rank is converted to an error). The fabric is torn down before
+// Run returns.
 func Run(n int, cfg Config, f func(c *Comm) error) error {
 	if n < 1 {
 		return ErrInvalidSize
 	}
-	fab, err := newFabric(n, cfg)
+	fab, err := newFabric(n, cfg.Model)
 	if err != nil {
 		return err
 	}
-	defer fab.Close()
+	fab.sendHook = cfg.sendHook
+	defer fab.close()
 
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for r := 0; r < n; r++ {
-		ep, err := fab.Endpoint(r)
-		if err != nil {
-			return err
-		}
 		wg.Add(1)
-		go func(r int, ep transport.Endpoint) {
+		go func(r int) {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
@@ -198,12 +162,11 @@ func Run(n int, cfg Config, f func(c *Comm) error) error {
 				// with ErrClosed instead of hanging (the analogue of
 				// MPI's job abort).
 				if errs[r] != nil {
-					fab.Close()
+					fab.close()
 				}
 			}()
-			c := newComm(ep, cfg)
-			errs[r] = f(c)
-		}(r, ep)
+			errs[r] = f(newComm(fab, r, cfg))
+		}(r)
 	}
 	wg.Wait()
 	// Suppress the secondary ErrClosed failures caused by an abort so

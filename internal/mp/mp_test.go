@@ -9,24 +9,27 @@ import (
 	"repro/internal/cluster"
 )
 
-// configs returns the fabric configurations every semantic test runs
-// under: correctness must be fabric-independent.
+// testModel is the platform a test runs on unless it needs another:
+// ib-8n, whose 64 cores give every rank count here a core of its own.
+func testModel() *cluster.Model { return cluster.IBCluster() }
+
+// configs returns the protocol configurations every semantic test runs
+// under: correctness must not depend on the eager/rendezvous split.
 func configs() map[string]Config {
 	return map[string]Config{
-		"inproc":      {Fabric: InProc},
-		"inproc-rndv": {Fabric: InProc, EagerThreshold: -1},
-		"sim":         {Fabric: Sim, Model: cluster.BigIBCluster()},
+		"sim":      {Model: cluster.BigIBCluster()},
+		"sim-rndv": {Model: cluster.BigIBCluster(), EagerThreshold: -1},
 	}
 }
 
 func TestRunInvalidSize(t *testing.T) {
-	if err := Run(0, Config{}, func(*Comm) error { return nil }); err != ErrInvalidSize {
+	if err := Run(0, Config{Model: testModel()}, func(*Comm) error { return nil }); err != ErrInvalidSize {
 		t.Errorf("Run(0) = %v, want ErrInvalidSize", err)
 	}
 }
 
 func TestRunSingleRank(t *testing.T) {
-	err := Run(1, Config{}, func(c *Comm) error {
+	err := Run(1, Config{Model: testModel()}, func(c *Comm) error {
 		if c.Rank() != 0 || c.Size() != 1 {
 			return fmt.Errorf("rank/size = %d/%d", c.Rank(), c.Size())
 		}
@@ -39,7 +42,7 @@ func TestRunSingleRank(t *testing.T) {
 
 func TestRunPropagatesErrors(t *testing.T) {
 	boom := errors.New("boom")
-	err := Run(4, Config{}, func(c *Comm) error {
+	err := Run(4, Config{Model: testModel()}, func(c *Comm) error {
 		if c.Rank() == 2 {
 			return boom
 		}
@@ -51,7 +54,7 @@ func TestRunPropagatesErrors(t *testing.T) {
 }
 
 func TestRunRecoversPanic(t *testing.T) {
-	err := Run(2, Config{}, func(c *Comm) error {
+	err := Run(2, Config{Model: testModel()}, func(c *Comm) error {
 		if c.Rank() == 1 {
 			panic("worker exploded")
 		}
@@ -93,7 +96,7 @@ func TestSendRecvBasic(t *testing.T) {
 func TestSendRecvSizesAcrossProtocols(t *testing.T) {
 	// Sweep sizes across the eager threshold, including 0 and exactly
 	// the threshold.
-	cfg := Config{Fabric: InProc, EagerThreshold: 1024}
+	cfg := Config{Model: testModel(), EagerThreshold: 1024}
 	sizes := []int{0, 1, 7, 1023, 1024, 1025, 10000, 1 << 18}
 	err := Run(2, cfg, func(c *Comm) error {
 		for _, n := range sizes {
@@ -157,7 +160,7 @@ func TestMessageOrderingPreserved(t *testing.T) {
 func TestTagMatching(t *testing.T) {
 	// Messages with different tags must match the right receives even
 	// when posted out of arrival order.
-	err := Run(2, Config{}, func(c *Comm) error {
+	err := Run(2, Config{Model: testModel()}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			if err := c.Send(1, 10, []byte("ten")); err != nil {
 				return err
@@ -188,7 +191,7 @@ func TestTagMatching(t *testing.T) {
 }
 
 func TestWildcardSourceAndTag(t *testing.T) {
-	err := Run(3, Config{}, func(c *Comm) error {
+	err := Run(3, Config{Model: testModel()}, func(c *Comm) error {
 		switch c.Rank() {
 		case 1, 2:
 			return c.Send(0, c.Rank()*100, []byte{byte(c.Rank())})
@@ -218,7 +221,7 @@ func TestWildcardSourceAndTag(t *testing.T) {
 
 func TestRecvTruncation(t *testing.T) {
 	for _, thresh := range []int{0 /* default */, -1 /* rendezvous */} {
-		cfg := Config{EagerThreshold: thresh}
+		cfg := Config{Model: testModel(), EagerThreshold: thresh}
 		err := Run(2, cfg, func(c *Comm) error {
 			if c.Rank() == 0 {
 				return c.Send(1, 1, make([]byte, 100))
@@ -272,7 +275,7 @@ func TestIsendIrecvOverlap(t *testing.T) {
 func TestSendRecvCombinedHeadToHead(t *testing.T) {
 	// Head-to-head large exchange deadlocks with blocking Send;
 	// SendRecv must not.
-	cfg := Config{EagerThreshold: -1} // force rendezvous
+	cfg := Config{Model: testModel(), EagerThreshold: -1} // force rendezvous
 	err := Run(2, cfg, func(c *Comm) error {
 		peer := 1 - c.Rank()
 		out := bytes.Repeat([]byte{byte(c.Rank())}, 1<<16)
@@ -291,7 +294,7 @@ func TestSendRecvCombinedHeadToHead(t *testing.T) {
 }
 
 func TestPeerAndTagValidation(t *testing.T) {
-	err := Run(2, Config{}, func(c *Comm) error {
+	err := Run(2, Config{Model: testModel()}, func(c *Comm) error {
 		if err := c.Send(5, 0, nil); err == nil {
 			return errors.New("send to rank 5 accepted")
 		}
@@ -311,7 +314,7 @@ func TestPeerAndTagValidation(t *testing.T) {
 func TestUnexpectedMessageQueue(t *testing.T) {
 	// A message that arrives before its receive is posted must be
 	// buffered and matched later, in arrival order per envelope.
-	err := Run(2, Config{}, func(c *Comm) error {
+	err := Run(2, Config{Model: testModel()}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			for i := 0; i < 5; i++ {
 				if err := c.Send(1, 7, []byte{byte(i)}); err != nil {
@@ -344,7 +347,7 @@ func TestUnexpectedMessageQueue(t *testing.T) {
 }
 
 func TestSimTimeAdvances(t *testing.T) {
-	cfg := Config{Fabric: Sim, Model: cluster.IBCluster()}
+	cfg := Config{Model: testModel()}
 	err := Run(2, cfg, func(c *Comm) error {
 		t0 := c.Time()
 		peer := 1 - c.Rank()
@@ -377,7 +380,7 @@ func TestSimTimeAdvances(t *testing.T) {
 }
 
 func TestSimComputeAdvancesClock(t *testing.T) {
-	cfg := Config{Fabric: Sim, Model: cluster.IBCluster()}
+	cfg := Config{Model: testModel()}
 	err := Run(1, cfg, func(c *Comm) error {
 		t0 := c.Time()
 		c.Compute(1.5)
@@ -388,11 +391,5 @@ func TestSimComputeAdvancesClock(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFabricString(t *testing.T) {
-	if InProc.String() != "inproc" || Sim.String() != "sim" {
-		t.Error("Fabric strings wrong")
 	}
 }

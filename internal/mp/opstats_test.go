@@ -6,7 +6,7 @@ import (
 )
 
 func TestStatsCountP2P(t *testing.T) {
-	err := Run(2, Config{EagerThreshold: 100}, func(c *Comm) error {
+	err := Run(2, Config{Model: testModel(), EagerThreshold: 100}, func(c *Comm) error {
 		c.ResetStats()
 		small := make([]byte, 50)   // eager
 		large := make([]byte, 5000) // rendezvous
@@ -50,7 +50,7 @@ func TestStatsCountP2P(t *testing.T) {
 func TestStatsMatchPaths(t *testing.T) {
 	// First message arrives before the receive is posted (unexpected
 	// hit); second is received after posting (posted hit).
-	err := Run(2, Config{}, func(c *Comm) error {
+	err := Run(2, Config{Model: testModel()}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			for tag := 1; tag <= 2; tag++ {
 				if err := c.Send(1, tag, []byte{byte(tag)}); err != nil {
@@ -105,7 +105,7 @@ func TestStatsBinomialBcastSendCount(t *testing.T) {
 	// sends in total (each rank receives once); verify via summed
 	// counters — the cost-model check the instrumentation exists for.
 	const p = 8
-	err := Run(p, Config{Bcast: BcastBinomial}, func(c *Comm) error {
+	err := Run(p, Config{Model: testModel(), Bcast: BcastBinomial}, func(c *Comm) error {
 		c.ResetStats()
 		buf := make([]byte, 64)
 		if err := c.Bcast(0, buf); err != nil {
@@ -129,7 +129,7 @@ func TestStatsBinomialBcastSendCount(t *testing.T) {
 }
 
 func TestStatsCollectivesCounted(t *testing.T) {
-	err := Run(2, Config{}, func(c *Comm) error {
+	err := Run(2, Config{Model: testModel()}, func(c *Comm) error {
 		c.ResetStats()
 		if err := c.Barrier(); err != nil {
 			return err
@@ -149,7 +149,7 @@ func TestStatsCollectivesCounted(t *testing.T) {
 
 func TestStatsSharedAcrossSplitComms(t *testing.T) {
 	// Stats are per-rank (engine), not per-communicator.
-	err := Run(2, Config{}, func(c *Comm) error {
+	err := Run(2, Config{Model: testModel()}, func(c *Comm) error {
 		sub, err := c.Split(0, c.Rank())
 		if err != nil {
 			return err

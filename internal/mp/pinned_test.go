@@ -31,7 +31,7 @@ type pinnedRank struct {
 func runPinned(t *testing.T, n int, model *cluster.Model, script func(c *Comm) error) []pinnedRank {
 	t.Helper()
 	got := make([]pinnedRank, n) // each rank writes its own slot
-	err := Run(n, Config{Fabric: Sim, Model: model}, func(c *Comm) error {
+	err := Run(n, Config{Model: model}, func(c *Comm) error {
 		if err := script(c); err != nil {
 			return err
 		}

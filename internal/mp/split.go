@@ -52,7 +52,7 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	})
 
 	ranks := make([]int, len(members))
-	inv := make([]int, c.eng.ep.Size())
+	inv := make([]int, len(c.eng.fab.ports))
 	for g := range inv {
 		inv[g] = -1
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestSplitEvenOdd(t *testing.T) {
-	err := Run(6, Config{}, func(c *Comm) error {
+	err := Run(6, Config{Model: testModel()}, func(c *Comm) error {
 		sub, err := c.Split(c.Rank()%2, c.Rank())
 		if err != nil {
 			return err
@@ -47,7 +47,7 @@ func TestSplitEvenOdd(t *testing.T) {
 }
 
 func TestSplitKeyReordersRanks(t *testing.T) {
-	err := Run(4, Config{}, func(c *Comm) error {
+	err := Run(4, Config{Model: testModel()}, func(c *Comm) error {
 		// Reverse order via descending keys.
 		sub, err := c.Split(0, -c.Rank())
 		if err != nil {
@@ -76,7 +76,7 @@ func TestSplitKeyReordersRanks(t *testing.T) {
 }
 
 func TestSplitUndefined(t *testing.T) {
-	err := Run(4, Config{}, func(c *Comm) error {
+	err := Run(4, Config{Model: testModel()}, func(c *Comm) error {
 		color := Undefined
 		if c.Rank() < 2 {
 			color = 0
@@ -100,7 +100,7 @@ func TestSplitUndefined(t *testing.T) {
 }
 
 func TestSplitInvalidColor(t *testing.T) {
-	err := Run(1, Config{}, func(c *Comm) error {
+	err := Run(1, Config{Model: testModel()}, func(c *Comm) error {
 		if _, err := c.Split(-5, 0); err == nil {
 			return errors.New("negative color accepted")
 		}
@@ -114,7 +114,7 @@ func TestSplitInvalidColor(t *testing.T) {
 func TestSplitTrafficIsolation(t *testing.T) {
 	// P2P with the same (src, tag) on parent and child communicators
 	// must not cross-match: context ids isolate them.
-	err := Run(2, Config{}, func(c *Comm) error {
+	err := Run(2, Config{Model: testModel()}, func(c *Comm) error {
 		sub, err := c.Split(0, c.Rank())
 		if err != nil {
 			return err
@@ -152,7 +152,7 @@ func TestSplitTrafficIsolation(t *testing.T) {
 
 func TestSplitNested(t *testing.T) {
 	// Split a split: 8 ranks -> two halves -> quarters.
-	err := Run(8, Config{}, func(c *Comm) error {
+	err := Run(8, Config{Model: testModel()}, func(c *Comm) error {
 		half, err := c.Split(c.Rank()/4, c.Rank())
 		if err != nil {
 			return err
@@ -180,7 +180,7 @@ func TestSplitNested(t *testing.T) {
 
 func TestSplitRendezvousAcrossComms(t *testing.T) {
 	// Large (rendezvous) messages must respect context isolation too.
-	err := Run(2, Config{EagerThreshold: -1}, func(c *Comm) error {
+	err := Run(2, Config{Model: testModel(), EagerThreshold: -1}, func(c *Comm) error {
 		sub, err := c.Split(0, c.Rank())
 		if err != nil {
 			return err

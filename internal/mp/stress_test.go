@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/rng"
 )
 
@@ -24,7 +23,7 @@ func TestRandomTrafficStress(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			cfg := Config{EagerThreshold: eagerThresh}
+			cfg := Config{Model: testModel(), EagerThreshold: eagerThresh}
 			err := Run(ranks, cfg, func(c *Comm) error {
 				gen := rng.NewSplitMix64(seed) // same schedule on all ranks
 				type msg struct{ size int }
@@ -130,7 +129,7 @@ func TestRandomTrafficStress(t *testing.T) {
 	}
 }
 
-// TestPooledPayloadStress is the safety test for the transport's payload
+// TestPooledPayloadStress is the safety test for the fabric's payload
 // pool: a many-rank exchange whose every message is a checksum stream of
 // (src, seq), with sizes on both sides of the eager threshold (several
 // sharing a pool size class), posted and AnySource receives, messages
@@ -152,8 +151,7 @@ func TestPooledPayloadStress(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"inproc", Config{EagerThreshold: eagerThresh}},
-		{"sim", Config{Fabric: Sim, Model: cluster.IBCluster(), EagerThreshold: eagerThresh}},
+		{"sim", Config{Model: testModel(), EagerThreshold: eagerThresh}},
 	} {
 		t.Run(fab.name, func(t *testing.T) {
 			err := Run(ranks, fab.cfg, func(c *Comm) error {

@@ -40,7 +40,7 @@ func checkPacked(buf []byte, p int) error {
 func TestAllgathervEveryRank(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 6} {
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
-			err := Run(p, Config{}, func(c *Comm) error {
+			err := Run(p, Config{Model: testModel()}, func(c *Comm) error {
 				counts := rampCounts(c.Size())
 				recv := make([]byte, c.Size()*(c.Size()+1)/2)
 				if err := c.Allgatherv(rampPayload(c.Rank()), counts, recv); err != nil {
@@ -59,7 +59,7 @@ func TestAlltoallvExchange(t *testing.T) {
 	// Rank r sends (d+1) bytes of value r*16+d to each destination d.
 	for _, p := range []int{1, 2, 4, 5} {
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
-			err := Run(p, Config{}, func(c *Comm) error {
+			err := Run(p, Config{Model: testModel()}, func(c *Comm) error {
 				pp := c.Size()
 				sendCounts := make([]int, pp)
 				recvCounts := make([]int, pp)
@@ -97,7 +97,7 @@ func TestAlltoallvExchange(t *testing.T) {
 }
 
 func TestAlltoallvValidation(t *testing.T) {
-	err := Run(2, Config{}, func(c *Comm) error {
+	err := Run(2, Config{Model: testModel()}, func(c *Comm) error {
 		if err := c.Alltoallv(nil, []int{0}, nil, []int{0, 0}); err == nil {
 			return fmt.Errorf("short counts accepted")
 		}
@@ -116,7 +116,7 @@ func TestAlltoallvValidation(t *testing.T) {
 
 func TestVCollectivesOnSubComm(t *testing.T) {
 	// v-collectives must work on a split communicator.
-	err := Run(4, Config{}, func(c *Comm) error {
+	err := Run(4, Config{Model: testModel()}, func(c *Comm) error {
 		sub, err := c.Split(c.Rank()%2, c.Rank())
 		if err != nil {
 			return err

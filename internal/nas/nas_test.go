@@ -9,10 +9,12 @@ import (
 	"repro/internal/mp"
 )
 
+func sim() mp.Config { return mp.Config{Model: cluster.BigIBCluster()} }
+
 func TestEPStatistics(t *testing.T) {
 	// With many pairs, ~pi/4 of them are accepted and the Gaussian
 	// sums are near zero relative to the deviate count.
-	err := mp.Run(4, mp.Config{}, func(c *mp.Comm) error {
+	err := mp.Run(4, sim(), func(c *mp.Comm) error {
 		res, err := EP(c, EPConfig{PairsPerRank: 100000, Seed: 1})
 		if err != nil {
 			return err
@@ -52,7 +54,7 @@ func TestEPDeterministicAcrossRankCounts(t *testing.T) {
 	var first EPResult
 	for trial := 0; trial < 2; trial++ {
 		var res EPResult
-		err := mp.Run(3, mp.Config{}, func(c *mp.Comm) error {
+		err := mp.Run(3, sim(), func(c *mp.Comm) error {
 			r, err := EP(c, EPConfig{PairsPerRank: 10000, Seed: 7})
 			if err != nil {
 				return err
@@ -74,7 +76,7 @@ func TestEPDeterministicAcrossRankCounts(t *testing.T) {
 }
 
 func TestEPValidation(t *testing.T) {
-	err := mp.Run(1, mp.Config{}, func(c *mp.Comm) error {
+	err := mp.Run(1, sim(), func(c *mp.Comm) error {
 		if _, err := EP(c, EPConfig{PairsPerRank: 0}); err == nil {
 			return fmt.Errorf("zero pairs accepted")
 		}
@@ -87,7 +89,7 @@ func TestEPValidation(t *testing.T) {
 
 func TestEPOnSimChargesTime(t *testing.T) {
 	m := cluster.IBCluster()
-	err := mp.Run(4, mp.Config{Fabric: mp.Sim, Model: m}, func(c *mp.Comm) error {
+	err := mp.Run(4, mp.Config{Model: m}, func(c *mp.Comm) error {
 		res, err := EP(c, EPConfig{PairsPerRank: 10000, Seed: 2, ComputeRate: 1e8})
 		if err != nil {
 			return err
@@ -108,7 +110,7 @@ func TestEPOnSimChargesTime(t *testing.T) {
 func TestISSortsAndConserves(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 8} {
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
-			err := mp.Run(p, mp.Config{}, func(c *mp.Comm) error {
+			err := mp.Run(p, sim(), func(c *mp.Comm) error {
 				res, err := IS(c, ISConfig{
 					KeysPerRank: 5000, MaxKey: 1 << 16, Seed: 3, Verify: true,
 				})
@@ -133,7 +135,7 @@ func TestISSortsAndConserves(t *testing.T) {
 func TestISSkewedMaxKey(t *testing.T) {
 	// MaxKey not divisible by p: the last rank absorbs the remainder
 	// range; conservation and order must still hold.
-	err := mp.Run(3, mp.Config{}, func(c *mp.Comm) error {
+	err := mp.Run(3, sim(), func(c *mp.Comm) error {
 		res, err := IS(c, ISConfig{KeysPerRank: 1000, MaxKey: 1000, Seed: 9, Verify: true})
 		if err != nil {
 			return err
@@ -149,7 +151,7 @@ func TestISSkewedMaxKey(t *testing.T) {
 }
 
 func TestISValidation(t *testing.T) {
-	err := mp.Run(4, mp.Config{}, func(c *mp.Comm) error {
+	err := mp.Run(4, sim(), func(c *mp.Comm) error {
 		if _, err := IS(c, ISConfig{KeysPerRank: 0, MaxKey: 10}); err == nil {
 			return fmt.Errorf("zero keys accepted")
 		}
@@ -170,7 +172,7 @@ func TestISOnSimFasterOnIB(t *testing.T) {
 	for _, mk := range []func() *cluster.Model{cluster.GigECluster, cluster.IBCluster} {
 		m := mk()
 		m.Placement = cluster.Cyclic
-		err := mp.Run(8, mp.Config{Fabric: mp.Sim, Model: m}, func(c *mp.Comm) error {
+		err := mp.Run(8, mp.Config{Model: m}, func(c *mp.Comm) error {
 			res, err := IS(c, ISConfig{KeysPerRank: 20000, MaxKey: 1 << 20, Seed: 5})
 			if err != nil {
 				return err

@@ -11,7 +11,7 @@ import (
 // simCfg runs benchmarks on the virtual-time fabric so results are
 // deterministic and fast.
 func simCfg() mp.Config {
-	return mp.Config{Fabric: mp.Sim, Model: cluster.IBCluster()}
+	return mp.Config{Model: cluster.IBCluster()}
 }
 
 func smallOpts() Options {
@@ -80,7 +80,7 @@ func TestLatencyIntraVsInterNode(t *testing.T) {
 	// exceed intra-node latency on the modeled cluster.
 	m := cluster.IBCluster()
 	n := m.Topo.TotalCores()
-	cfg := mp.Config{Fabric: mp.Sim, Model: m}
+	cfg := mp.Config{Model: m}
 	opts := smallOpts()
 	var intra, inter float64
 	err := mp.Run(n, cfg, func(c *mp.Comm) error {
@@ -161,7 +161,7 @@ func TestBiBandwidthAtLeastUnidirectional(t *testing.T) {
 
 func TestMultiPairAggregates(t *testing.T) {
 	m := cluster.IBCluster()
-	cfg := mp.Config{Fabric: mp.Sim, Model: m}
+	cfg := mp.Config{Model: m}
 	opts := Options{Sizes: []int{4096}, Warmup: 1, Iters: 5, Window: 4}
 	rates := map[int]float64{}
 	n := 8

@@ -6,8 +6,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cluster"
 	"repro/internal/mp"
 )
+
+func sim() mp.Config { return mp.Config{Model: cluster.BigIBCluster()} }
 
 func TestCSRValidate(t *testing.T) {
 	good := &CSR{
@@ -199,7 +202,7 @@ func TestDistCGMatchesSerial(t *testing.T) {
 				counts[i] = n / p
 			}
 			counts[p-1] += n % p
-			err := mp.Run(p, mp.Config{}, func(c *mp.Comm) error {
+			err := mp.Run(p, sim(), func(c *mp.Comm) error {
 				lo := 0
 				for r := 0; r < c.Rank(); r++ {
 					lo += counts[r]
@@ -231,7 +234,7 @@ func TestDistCGMatchesSerial(t *testing.T) {
 }
 
 func TestDistCGValidation(t *testing.T) {
-	err := mp.Run(2, mp.Config{}, func(c *mp.Comm) error {
+	err := mp.Run(2, sim(), func(c *mp.Comm) error {
 		a, _ := RandomSPD(4, 1, 1)
 		aLoc, _ := a.RowSlice(0, 2)
 		if _, _, err := DistCG(c, aLoc, make([]float64, 2), []int{2}, 5, 1e-8); err == nil {

@@ -9,6 +9,8 @@ import (
 	"repro/internal/mp"
 )
 
+func sim() mp.Config { return mp.Config{Model: cluster.BigIBCluster()} }
+
 func TestSerialBoundaryAndSmoothing(t *testing.T) {
 	g := Serial(8, 8, 50)
 	// Top edge held at 1, bottom at 0.
@@ -41,7 +43,7 @@ func TestJacobiMatchesSerial(t *testing.T) {
 	want := Serial(nx, ny, iters)
 	for _, p := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
-			err := mp.Run(p, mp.Config{}, func(c *mp.Comm) error {
+			err := mp.Run(p, sim(), func(c *mp.Comm) error {
 				block, res, err := Jacobi(c, Config{NX: nx, NY: ny, Iters: iters})
 				if err != nil {
 					return err
@@ -68,7 +70,7 @@ func TestJacobiMatchesSerial(t *testing.T) {
 }
 
 func TestJacobiConvergence(t *testing.T) {
-	err := mp.Run(2, mp.Config{}, func(c *mp.Comm) error {
+	err := mp.Run(2, sim(), func(c *mp.Comm) error {
 		_, res, err := Jacobi(c, Config{
 			NX: 16, NY: 16, Iters: 100000, CheckEvery: 50, Tol: 1e-8,
 		})
@@ -92,7 +94,7 @@ func TestJacobiConvergence(t *testing.T) {
 }
 
 func TestJacobiValidation(t *testing.T) {
-	err := mp.Run(3, mp.Config{}, func(c *mp.Comm) error {
+	err := mp.Run(3, sim(), func(c *mp.Comm) error {
 		if _, _, err := Jacobi(c, Config{NX: 16, NY: 16, Iters: 1}); err == nil {
 			return fmt.Errorf("NX not divisible by p accepted")
 		}
@@ -107,7 +109,7 @@ func TestJacobiValidation(t *testing.T) {
 }
 
 func TestJacobiHaloAccounting(t *testing.T) {
-	err := mp.Run(4, mp.Config{}, func(c *mp.Comm) error {
+	err := mp.Run(4, sim(), func(c *mp.Comm) error {
 		const nx, ny, iters = 16, 10, 7
 		_, res, err := Jacobi(c, Config{NX: nx, NY: ny, Iters: iters})
 		if err != nil {
@@ -135,7 +137,7 @@ func TestJacobiOnSimFabricsOrdering(t *testing.T) {
 	for _, mk := range []func() *cluster.Model{cluster.GigECluster, cluster.IBCluster} {
 		m := mk()
 		m.Placement = cluster.Cyclic
-		err := mp.Run(8, mp.Config{Fabric: mp.Sim, Model: m}, func(c *mp.Comm) error {
+		err := mp.Run(8, mp.Config{Model: m}, func(c *mp.Comm) error {
 			_, res, err := Jacobi(c, Config{
 				NX: 64, NY: 64, Iters: 30, ComputeRate: 1e9,
 			})
