@@ -22,6 +22,13 @@ func testFabric(t *testing.T, n int, model *cluster.Model) *fabric {
 	return f
 }
 
+// simRow runs body as a subtest named "sim", for the LogGP-timed fabric,
+// as the engine tests name their rows in configs.
+func simRow(t *testing.T, body func(t *testing.T)) {
+	t.Helper()
+	t.Run("sim", body)
+}
+
 // mustRecv takes rank's next packet, failing the test if the fabric is
 // closed.
 func mustRecv(t *testing.T, f *fabric, rank int) packet {
@@ -34,92 +41,102 @@ func mustRecv(t *testing.T, f *fabric, rank int) packet {
 }
 
 func TestFabricBasicDelivery(t *testing.T) {
-	f := testFabric(t, 2, testModel())
-	payload := []byte("hello fabric")
-	if err := f.send(0, 1, packet{kind: kindData, tag: 7, seq: 3, data: payload}); err != nil {
-		t.Fatal(err)
-	}
-	pkt := mustRecv(t, f, 1)
-	if pkt.kind != kindData || pkt.src != 0 || pkt.tag != 7 || pkt.seq != 3 {
-		t.Errorf("header mismatch: %+v", pkt)
-	}
-	if !bytes.Equal(pkt.data, payload) {
-		t.Errorf("payload = %q", pkt.data)
-	}
+	simRow(t, func(t *testing.T) {
+		f := testFabric(t, 2, testModel())
+		payload := []byte("hello fabric")
+		if err := f.send(0, 1, packet{kind: kindData, tag: 7, seq: 3, data: payload}); err != nil {
+			t.Fatal(err)
+		}
+		pkt := mustRecv(t, f, 1)
+		if pkt.kind != kindData || pkt.src != 0 || pkt.tag != 7 || pkt.seq != 3 {
+			t.Errorf("header mismatch: %+v", pkt)
+		}
+		if !bytes.Equal(pkt.data, payload) {
+			t.Errorf("payload = %q", pkt.data)
+		}
+	})
 }
 
 func TestFabricSenderBufferReuse(t *testing.T) {
-	// After send returns, mutating the sender's buffer must not corrupt
-	// the delivered packet.
-	f := testFabric(t, 2, testModel())
-	buf := []byte{1, 2, 3, 4}
-	if err := f.send(0, 1, packet{kind: kindData, data: buf}); err != nil {
-		t.Fatal(err)
-	}
-	buf[0] = 99
-	if pkt := mustRecv(t, f, 1); pkt.data[0] != 1 {
-		t.Error("payload aliased the sender's buffer")
-	}
+	simRow(t, func(t *testing.T) {
+		// After send returns, mutating the sender's buffer must not corrupt
+		// the delivered packet.
+		f := testFabric(t, 2, testModel())
+		buf := []byte{1, 2, 3, 4}
+		if err := f.send(0, 1, packet{kind: kindData, data: buf}); err != nil {
+			t.Fatal(err)
+		}
+		buf[0] = 99
+		if pkt := mustRecv(t, f, 1); pkt.data[0] != 1 {
+			t.Error("payload aliased the sender's buffer")
+		}
+	})
 }
 
 func TestFabricOrderingPerPair(t *testing.T) {
-	f := testFabric(t, 2, testModel())
-	const n = 500
-	for i := 0; i < n; i++ {
-		if err := f.send(0, 1, packet{kind: kindData, seq: uint64(i)}); err != nil {
-			t.Fatal(err)
+	simRow(t, func(t *testing.T) {
+		f := testFabric(t, 2, testModel())
+		const n = 500
+		for i := 0; i < n; i++ {
+			if err := f.send(0, 1, packet{kind: kindData, seq: uint64(i)}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for i := 0; i < n; i++ {
-		if pkt := mustRecv(t, f, 1); pkt.seq != uint64(i) {
-			t.Fatalf("out of order: got seq %d at position %d", pkt.seq, i)
+		for i := 0; i < n; i++ {
+			if pkt := mustRecv(t, f, 1); pkt.seq != uint64(i) {
+				t.Fatalf("out of order: got seq %d at position %d", pkt.seq, i)
+			}
 		}
-	}
+	})
 }
 
 func TestFabricManyToOne(t *testing.T) {
-	const senders = 7
-	const per = 100
-	f := testFabric(t, senders+1, testModel())
-	var wg sync.WaitGroup
-	for s := 1; s <= senders; s++ {
-		wg.Add(1)
-		go func(s int) { // each sender rank on its own goroutine, as under Run
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				data := []byte(fmt.Sprintf("%d:%d", s, i))
-				if err := f.send(s, 0, packet{kind: kindData, tag: s, seq: uint64(i), data: data}); err != nil {
-					t.Errorf("send: %v", err)
-					return
+	simRow(t, func(t *testing.T) {
+		const senders = 7
+		const per = 100
+		f := testFabric(t, senders+1, testModel())
+		var wg sync.WaitGroup
+		for s := 1; s <= senders; s++ {
+			wg.Add(1)
+			go func(s int) { // each sender rank on its own goroutine, as under Run
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					data := []byte(fmt.Sprintf("%d:%d", s, i))
+					if err := f.send(s, 0, packet{kind: kindData, tag: s, seq: uint64(i), data: data}); err != nil {
+						t.Errorf("send: %v", err)
+						return
+					}
 				}
-			}
-		}(s)
-	}
-	perSrcNext := make([]uint64, senders+1)
-	for got := 0; got < senders*per; got++ {
-		pkt := mustRecv(t, f, 0)
-		if pkt.seq != perSrcNext[pkt.src] {
-			t.Fatalf("src %d: seq %d, want %d", pkt.src, pkt.seq, perSrcNext[pkt.src])
+			}(s)
 		}
-		perSrcNext[pkt.src]++
-	}
-	wg.Wait()
+		perSrcNext := make([]uint64, senders+1)
+		for got := 0; got < senders*per; got++ {
+			pkt := mustRecv(t, f, 0)
+			if pkt.seq != perSrcNext[pkt.src] {
+				t.Fatalf("src %d: seq %d, want %d", pkt.src, pkt.seq, perSrcNext[pkt.src])
+			}
+			perSrcNext[pkt.src]++
+		}
+		wg.Wait()
+	})
 }
 
 func TestFabricCloseUnblocksRecv(t *testing.T) {
-	f := testFabric(t, 2, testModel())
-	done := make(chan bool)
-	go func() {
-		_, ok := f.recv(0)
-		done <- ok
-	}()
-	f.close()
-	if ok := <-done; ok {
-		t.Error("recv returned a packet after close")
-	}
-	if err := f.send(1, 0, packet{kind: kindData}); err != ErrClosed {
-		t.Errorf("send after close = %v, want ErrClosed", err)
-	}
+	simRow(t, func(t *testing.T) {
+		f := testFabric(t, 2, testModel())
+		done := make(chan bool)
+		go func() {
+			_, ok := f.recv(0)
+			done <- ok
+		}()
+		f.close()
+		if ok := <-done; ok {
+			t.Error("recv returned a packet after close")
+		}
+		if err := f.send(1, 0, packet{kind: kindData}); err != ErrClosed {
+			t.Errorf("send after close = %v, want ErrClosed", err)
+		}
+	})
 }
 
 func TestSimClockAdvancesOnSend(t *testing.T) {
@@ -257,39 +274,41 @@ func TestMailboxCompaction(t *testing.T) {
 // -race: the sender keeps writing big while pooled traffic of big's
 // size class flows.
 func TestEmptyPayloadDoesNotCarryCapacity(t *testing.T) {
-	f := testFabric(t, 2, testModel())
-	big := make([]byte, 1<<16)
-	if err := f.send(0, 1, packet{kind: kindData, data: big[:0]}); err != nil {
-		t.Fatal(err)
-	}
-	pkt := mustRecv(t, f, 1)
-	if pkt.data != nil {
-		t.Fatalf("empty payload arrived with len %d cap %d, want nil", len(pkt.data), cap(pkt.data))
-	}
-	release(pkt.data)
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // the owner of big keeps using it
-		defer wg.Done()
-		for i := 0; i < 64; i++ {
-			for j := range big {
-				big[j] = byte(i)
-			}
-		}
-	}()
-	other := bytes.Repeat([]byte{0xAB}, len(big))
-	for i := 0; i < 64; i++ {
-		if err := f.send(0, 1, packet{kind: kindData, data: other}); err != nil {
+	simRow(t, func(t *testing.T) {
+		f := testFabric(t, 2, testModel())
+		big := make([]byte, 1<<16)
+		if err := f.send(0, 1, packet{kind: kindData, data: big[:0]}); err != nil {
 			t.Fatal(err)
 		}
 		pkt := mustRecv(t, f, 1)
-		if !bytes.Equal(pkt.data, other) {
-			t.Fatalf("round %d: payload corrupted", i)
+		if pkt.data != nil {
+			t.Fatalf("empty payload arrived with len %d cap %d, want nil", len(pkt.data), cap(pkt.data))
 		}
 		release(pkt.data)
-	}
-	wg.Wait()
+
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() { // the owner of big keeps using it
+			defer wg.Done()
+			for i := 0; i < 64; i++ {
+				for j := range big {
+					big[j] = byte(i)
+				}
+			}
+		}()
+		other := bytes.Repeat([]byte{0xAB}, len(big))
+		for i := 0; i < 64; i++ {
+			if err := f.send(0, 1, packet{kind: kindData, data: other}); err != nil {
+				t.Fatal(err)
+			}
+			pkt := mustRecv(t, f, 1)
+			if !bytes.Equal(pkt.data, other) {
+				t.Fatalf("round %d: payload corrupted", i)
+			}
+			release(pkt.data)
+		}
+		wg.Wait()
+	})
 }
 
 // TestReleaseIgnoresForeignBuffers: only capacities the pool hands out
@@ -321,49 +340,51 @@ func TestReleaseIgnoresForeignBuffers(t *testing.T) {
 // but not yet released (which is what the engine's unexpected queue
 // holds).
 func TestReleasedBufferNeverAliasesLivePacket(t *testing.T) {
-	const (
-		size  = 3000 // all payloads share the 4 KiB class
-		batch = 48
-	)
-	pattern := func(id int) []byte { return bytes.Repeat([]byte{byte(id), byte(id >> 8)}, size/2) }
-	f := testFabric(t, 2, testModel())
-	send := func(id int) {
-		t.Helper()
-		if err := f.send(0, 1, packet{kind: kindData, seq: uint64(id), data: pattern(id)}); err != nil {
-			t.Fatal(err)
+	simRow(t, func(t *testing.T) {
+		const (
+			size  = 3000 // all payloads share the 4 KiB class
+			batch = 48
+		)
+		pattern := func(id int) []byte { return bytes.Repeat([]byte{byte(id), byte(id >> 8)}, size/2) }
+		f := testFabric(t, 2, testModel())
+		send := func(id int) {
+			t.Helper()
+			if err := f.send(0, 1, packet{kind: kindData, seq: uint64(id), data: pattern(id)}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
 
-	for id := 0; id < 3*batch; id++ {
-		send(id)
-	}
-	for i := 0; i < batch; i++ { // consumed and handed back
-		release(mustRecv(t, f, 1).data)
-	}
-	var held []packet // pulled off the fabric, still owned by the receiver
-	for i := 0; i < batch; i++ {
-		held = append(held, mustRecv(t, f, 1))
-	}
-	// The third batch is still queued. New traffic now draws on the
-	// released buffers.
-	for id := 3 * batch; id < 5*batch; id++ {
-		send(id)
-	}
-	live := held
-	for i := 0; i < 3*batch; i++ {
-		live = append(live, mustRecv(t, f, 1))
-	}
-	seen := make(map[*byte]uint64, len(live))
-	for _, pkt := range live {
-		if !bytes.Equal(pkt.data, pattern(int(pkt.seq))) {
-			t.Fatalf("packet %d overwritten while alive", pkt.seq)
+		for id := 0; id < 3*batch; id++ {
+			send(id)
 		}
-		p := unsafe.SliceData(pkt.data)
-		if other, dup := seen[p]; dup {
-			t.Fatalf("packets %d and %d share a buffer", other, pkt.seq)
+		for i := 0; i < batch; i++ { // consumed and handed back
+			release(mustRecv(t, f, 1).data)
 		}
-		seen[p] = pkt.seq
-	}
+		var held []packet // pulled off the fabric, still owned by the receiver
+		for i := 0; i < batch; i++ {
+			held = append(held, mustRecv(t, f, 1))
+		}
+		// The third batch is still queued. New traffic now draws on the
+		// released buffers.
+		for id := 3 * batch; id < 5*batch; id++ {
+			send(id)
+		}
+		live := held
+		for i := 0; i < 3*batch; i++ {
+			live = append(live, mustRecv(t, f, 1))
+		}
+		seen := make(map[*byte]uint64, len(live))
+		for _, pkt := range live {
+			if !bytes.Equal(pkt.data, pattern(int(pkt.seq))) {
+				t.Fatalf("packet %d overwritten while alive", pkt.seq)
+			}
+			p := unsafe.SliceData(pkt.data)
+			if other, dup := seen[p]; dup {
+				t.Fatalf("packets %d and %d share a buffer", other, pkt.seq)
+			}
+			seen[p] = pkt.seq
+		}
+	})
 }
 
 // BenchmarkNewFabric is the cost of building a world: 512 ranks, every
