@@ -12,17 +12,17 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "F1", Kind: "figure", Run: runF1, Needs: cluster.CapMultiNode,
+	register(Experiment{ID: "F1", Kind: "figure", Run: runF1, Needs: cluster.CapMultiNode, Rev: 1,
 		Title: "Point-to-point latency vs message size, by path class"})
-	register(Experiment{ID: "F2", Kind: "figure", Run: runF2, Needs: cluster.CapMultiNode,
+	register(Experiment{ID: "F2", Kind: "figure", Run: runF2, Needs: cluster.CapMultiNode, Rev: 1,
 		Title: "Point-to-point bandwidth vs message size"})
-	register(Experiment{ID: "F3", Kind: "figure", Run: runF3, Needs: cluster.CapMultiNode,
+	register(Experiment{ID: "F3", Kind: "figure", Run: runF3, Needs: cluster.CapMultiNode, Rev: 1,
 		Title: "Bidirectional bandwidth vs message size"})
 	register(Experiment{ID: "F4", Kind: "figure", Run: runF4, Needs: cluster.CapMultiNode,
 		Title: "Multi-pair aggregate bandwidth (shared NIC saturation)"})
-	register(Experiment{ID: "F12", Kind: "figure", Run: runF12, Needs: cluster.CapMultiNode,
+	register(Experiment{ID: "F12", Kind: "figure", Run: runF12, Needs: cluster.CapMultiNode, Rev: 1,
 		Title: "Eager vs rendezvous protocol crossover (ablation)"})
-	register(Experiment{ID: "F13", Kind: "table", Run: runF13, Needs: cluster.CapMultiNode,
+	register(Experiment{ID: "F13", Kind: "table", Run: runF13, Needs: cluster.CapMultiNode, Rev: 1,
 		Title: "LogGP parameters fitted from measurements vs configured truth"})
 }
 
@@ -73,8 +73,8 @@ func pathClassesOf(m *cluster.Model, classes []cluster.PathClass) []cluster.Path
 	return out
 }
 
-// runP2PCurve runs fn inside an mp.Run on the model's full rank count
-// and returns the measured samples for the given pair.
+// runP2PCurve runs bench inside an mp.Run on the model's full rank count
+// and returns the samples the pair's first rank measured.
 func runP2PCurve(m *cluster.Model, pairA, pairB int, opts osu.Options,
 	bench func(*mp.Comm, osu.Options) ([]osu.Sample, error)) ([]osu.Sample, error) {
 
@@ -87,7 +87,7 @@ func runP2PCurve(m *cluster.Model, pairA, pairB int, opts osu.Options,
 		if err != nil {
 			return err
 		}
-		if c.Rank() == 0 {
+		if c.Rank() == pairA {
 			out = s
 		}
 		return nil

@@ -25,6 +25,7 @@ func init() {
 		Kind:  "table",
 		Run:   runT4,
 		Needs: cluster.CapMultiNode,
+		Rev:   1,
 	})
 }
 

@@ -14,8 +14,10 @@ import (
 // Request{Platform: ""} reproduces the hardwired-constructor output
 // exactly. F14, the placement ablation, times messages whose cost
 // depends on the path class between two placed ranks, so its golden
-// pins how the fabric places ranks and classifies each pair.
-var goldenIDs = []string{"T1", "M3", "M4", "M5", "M6", "F14"}
+// pins how the fabric places ranks and classifies each pair. The
+// point-to-point family (F1-F3, F12-F14) times one pair while every
+// other rank stays silent, so nothing races its messages for a NIC.
+var goldenIDs = []string{"T1", "M3", "M4", "M5", "M6", "F1", "F2", "F3", "F12", "F13", "F14"}
 
 // TestGoldenDefaultPlatformOutput is the refactor's acceptance gate:
 // for every deterministic experiment, the default request renders the

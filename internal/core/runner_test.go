@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// T1 and T4 are fully modeled (no host measurement), so their output
-// is deterministic and comparable across runs.
+// T1 is fully modeled (no host measurement), so its output is
+// deterministic and comparable across runs.
 const detTable = "T1"
 
 func TestRunCapturesSerialOutput(t *testing.T) {
@@ -78,11 +78,11 @@ func TestRunExplicitPlatform(t *testing.T) {
 }
 
 func TestRunParallelMatchesSerial(t *testing.T) {
-	// Only fully modeled experiments are compared: the fabric-driven
-	// ones (T4, F5, ...) are nondeterministic run-to-run even
+	// Only the golden set is compared: the other fabric-driven
+	// experiments (T4, F5, ...) are nondeterministic run-to-run even
 	// serially, so byte-identity is only meaningful where the
 	// underlying experiment is deterministic.
-	ids := []string{"T1", "M3", "M4", "M5", "M6"}
+	ids := goldenIDs
 	serial := map[string]string{}
 	for _, id := range ids {
 		e, _ := Get(id)

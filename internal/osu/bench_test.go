@@ -10,8 +10,9 @@ import (
 
 // BenchmarkLatencyCurve is the layer benchmark of a point-to-point sweep
 // as internal/core runs it (ROADMAP item 1(b)): the quick-scale size
-// ladder on every core of the 8-node machine, 62 of the 64 ranks only
-// synchronizing. One op is one whole curve; bytes/op is payload moved.
+// ladder on every core of the 8-node machine, the other 62 of the 64
+// ranks staying idle. One op is one whole curve; bytes/op is payload
+// moved.
 func BenchmarkLatencyCurve(b *testing.B) {
 	opts := Options{Sizes: []int{0, 8, 256, 4096, 65536, 1 << 20}, Warmup: 5, Iters: 50, PairB: 63}
 	var moved int64

@@ -6,9 +6,11 @@
 // messages) follows the original benchmarks so the measured curves have
 // the same shape and semantics.
 //
-// All benchmark functions are called from inside an mp.Run body; ranks
-// not participating in a given measurement still enter the surrounding
-// barriers.
+// All benchmark functions are called from inside an mp.Run body. The
+// pair benchmarks (Latency, Bandwidth, BiBandwidth) involve only their
+// pair, as osu_latency does: every other rank returns nil at once and
+// sends nothing. MultiPairBandwidth and CollectiveLatency involve every
+// rank and synchronize the world around their timed loops.
 package osu
 
 import (
@@ -90,191 +92,171 @@ type Sample struct {
 const benchTag = 7001
 
 // Latency runs the OSU ping-pong latency benchmark between PairA and
-// PairB, returning one sample per size: half round-trip time in
-// seconds. Every rank must call it; non-pair ranks only synchronize.
+// PairB, returning one sample per size on PairA: half round-trip time in
+// seconds. Every rank may call it; every other rank returns nil at once.
 func Latency(c *mp.Comm, opts Options) ([]Sample, error) {
 	opts = opts.normalize()
 	if err := checkPair(c, opts); err != nil {
 		return nil, err
 	}
-	var out []Sample
 	me, peer := pairRole(c, opts)
-	maxBuf := payloadBuf(me >= 0, opts.Sizes)
+	if me < 0 {
+		return nil, nil
+	}
+	var out []Sample
+	maxBuf := payloadBuf(opts.Sizes)
 	for _, size := range opts.Sizes {
 		warm, iters := opts.loops(size)
-		if err := c.Barrier(); err != nil {
-			return nil, err
-		}
-		if me >= 0 {
-			buf := maxBuf[:size]
-			var t0 float64
-			for i := 0; i < warm+iters; i++ {
-				if i == warm {
-					t0 = c.Time()
-				}
-				if me == 0 {
-					if err := c.Send(peer, benchTag, buf); err != nil {
-						return nil, err
-					}
-					if _, err := c.Recv(peer, benchTag, buf); err != nil {
-						return nil, err
-					}
-				} else {
-					if _, err := c.Recv(peer, benchTag, buf); err != nil {
-						return nil, err
-					}
-					if err := c.Send(peer, benchTag, buf); err != nil {
-						return nil, err
-					}
-				}
+		buf := maxBuf[:size]
+		var t0 float64
+		for i := 0; i < warm+iters; i++ {
+			if i == warm {
+				t0 = c.Time()
 			}
-			elapsed := c.Time() - t0
 			if me == 0 {
-				out = append(out, Sample{Size: size, Value: elapsed / float64(2*iters)})
+				if err := c.Send(peer, benchTag, buf); err != nil {
+					return nil, err
+				}
+				if _, err := c.Recv(peer, benchTag, buf); err != nil {
+					return nil, err
+				}
+			} else {
+				if _, err := c.Recv(peer, benchTag, buf); err != nil {
+					return nil, err
+				}
+				if err := c.Send(peer, benchTag, buf); err != nil {
+					return nil, err
+				}
 			}
+		}
+		if me == 0 {
+			out = append(out, Sample{Size: size, Value: (c.Time() - t0) / float64(2*iters)})
 		}
 	}
-	// Share the curve so every rank returns the same data.
-	return shareCurve(c, opts.PairA, out, len(opts.Sizes))
+	return out, nil
 }
 
 // Bandwidth runs the OSU streaming bandwidth benchmark: PairA posts a
 // window of nonblocking sends, PairB a window of receives followed by a
-// 4-byte acknowledgement. Returns bytes/s per size.
+// 4-byte acknowledgement. Returns bytes/s per size on PairA and nil on
+// every other rank.
 func Bandwidth(c *mp.Comm, opts Options) ([]Sample, error) {
 	opts = opts.normalize()
 	if err := checkPair(c, opts); err != nil {
 		return nil, err
 	}
+	me, peer := pairRole(c, opts)
+	if me < 0 {
+		return nil, nil
+	}
 	var out []Sample
 	ack := make([]byte, 4)
-	me, peer := pairRole(c, opts)
-	maxBuf := payloadBuf(me >= 0, opts.Sizes)
+	maxBuf := payloadBuf(opts.Sizes)
+	reqs := make([]*mp.Request, opts.Window)
 	for _, size := range opts.Sizes {
 		if size == 0 {
 			continue // bandwidth of empty messages is undefined
 		}
 		warm, iters := opts.loops(size)
-		if err := c.Barrier(); err != nil {
-			return nil, err
-		}
-		if me >= 0 {
-			buf := maxBuf[:size]
-			var t0 float64
-			reqs := make([]*mp.Request, opts.Window)
-			for i := 0; i < warm+iters; i++ {
-				if i == warm {
-					t0 = c.Time()
-				}
-				if me == 0 {
-					for w := 0; w < opts.Window; w++ {
-						r, err := c.Isend(peer, benchTag, buf)
-						if err != nil {
-							return nil, err
-						}
-						reqs[w] = r
-					}
-					if err := c.WaitAll(reqs...); err != nil {
-						return nil, err
-					}
-					if _, err := c.Recv(peer, benchTag+1, ack); err != nil {
-						return nil, err
-					}
-				} else {
-					for w := 0; w < opts.Window; w++ {
-						r, err := c.Irecv(peer, benchTag, buf)
-						if err != nil {
-							return nil, err
-						}
-						reqs[w] = r
-					}
-					if err := c.WaitAll(reqs...); err != nil {
-						return nil, err
-					}
-					if err := c.Send(peer, benchTag+1, ack); err != nil {
-						return nil, err
-					}
-				}
+		buf := maxBuf[:size]
+		var t0 float64
+		for i := 0; i < warm+iters; i++ {
+			if i == warm {
+				t0 = c.Time()
 			}
-			elapsed := c.Time() - t0
 			if me == 0 {
-				moved := float64(size) * float64(opts.Window) * float64(iters)
-				out = append(out, Sample{Size: size, Value: moved / elapsed})
+				for w := range reqs {
+					r, err := c.Isend(peer, benchTag, buf)
+					if err != nil {
+						return nil, err
+					}
+					reqs[w] = r
+				}
+				if err := c.WaitAll(reqs...); err != nil {
+					return nil, err
+				}
+				if _, err := c.Recv(peer, benchTag+1, ack); err != nil {
+					return nil, err
+				}
+			} else {
+				for w := range reqs {
+					r, err := c.Irecv(peer, benchTag, buf)
+					if err != nil {
+						return nil, err
+					}
+					reqs[w] = r
+				}
+				if err := c.WaitAll(reqs...); err != nil {
+					return nil, err
+				}
+				if err := c.Send(peer, benchTag+1, ack); err != nil {
+					return nil, err
+				}
 			}
 		}
-	}
-	want := 0
-	for _, s := range opts.Sizes {
-		if s != 0 {
-			want++
+		if me == 0 {
+			moved := float64(size) * float64(opts.Window) * float64(iters)
+			out = append(out, Sample{Size: size, Value: moved / (c.Time() - t0)})
 		}
 	}
-	return shareCurve(c, opts.PairA, out, want)
+	return out, nil
 }
 
 // BiBandwidth measures bidirectional bandwidth: both ends stream a
 // window concurrently; the reported value counts traffic in both
-// directions, as osu_bibw does.
+// directions, as osu_bibw does. Like Bandwidth, it returns the curve on
+// PairA and nil on every other rank.
 func BiBandwidth(c *mp.Comm, opts Options) ([]Sample, error) {
 	opts = opts.normalize()
 	if err := checkPair(c, opts); err != nil {
 		return nil, err
 	}
-	var out []Sample
 	me, peer := pairRole(c, opts)
-	maxSend, maxRecv := payloadBuf(me >= 0, opts.Sizes), payloadBuf(me >= 0, opts.Sizes)
+	if me < 0 {
+		return nil, nil
+	}
+	var out []Sample
+	maxSend, maxRecv := payloadBuf(opts.Sizes), payloadBuf(opts.Sizes)
+	sreqs := make([]*mp.Request, opts.Window)
+	rreqs := make([]*mp.Request, opts.Window)
 	for _, size := range opts.Sizes {
 		if size == 0 {
 			continue
 		}
 		warm, iters := opts.loops(size)
-		if err := c.Barrier(); err != nil {
-			return nil, err
-		}
-		if me >= 0 {
-			sbuf, rbuf := maxSend[:size], maxRecv[:size]
-			var t0 float64
-			sreqs := make([]*mp.Request, opts.Window)
-			rreqs := make([]*mp.Request, opts.Window)
-			for i := 0; i < warm+iters; i++ {
-				if i == warm {
-					t0 = c.Time()
-				}
-				for w := 0; w < opts.Window; w++ {
-					r, err := c.Irecv(peer, benchTag, rbuf)
-					if err != nil {
-						return nil, err
-					}
-					rreqs[w] = r
-				}
-				for w := 0; w < opts.Window; w++ {
-					r, err := c.Isend(peer, benchTag, sbuf)
-					if err != nil {
-						return nil, err
-					}
-					sreqs[w] = r
-				}
-				if err := c.WaitAll(sreqs...); err != nil {
+		sbuf, rbuf := maxSend[:size], maxRecv[:size]
+		var t0 float64
+		for i := 0; i < warm+iters; i++ {
+			if i == warm {
+				t0 = c.Time()
+			}
+			for w := range rreqs {
+				r, err := c.Irecv(peer, benchTag, rbuf)
+				if err != nil {
 					return nil, err
 				}
-				if err := c.WaitAll(rreqs...); err != nil {
+				rreqs[w] = r
+			}
+			for w := range sreqs {
+				r, err := c.Isend(peer, benchTag, sbuf)
+				if err != nil {
 					return nil, err
 				}
+				sreqs[w] = r
 			}
-			elapsed := c.Time() - t0
-			if me == 0 {
-				moved := 2 * float64(size) * float64(opts.Window) * float64(iters)
-				out = append(out, Sample{Size: size, Value: moved / elapsed})
+			if err := c.WaitAll(sreqs...); err != nil {
+				return nil, err
+			}
+			if err := c.WaitAll(rreqs...); err != nil {
+				return nil, err
 			}
 		}
-	}
-	want := 0
-	for _, s := range opts.Sizes {
-		if s != 0 {
-			want++
+		if me == 0 {
+			moved := 2 * float64(size) * float64(opts.Window) * float64(iters)
+			out = append(out, Sample{Size: size, Value: moved / (c.Time() - t0)})
 		}
 	}
-	return shareCurve(c, opts.PairA, out, want)
+	return out, nil
 }
 
 // MultiPairBandwidth measures aggregate bandwidth over `pairs`
@@ -296,7 +278,10 @@ func MultiPairBandwidth(c *mp.Comm, pairs int, opts Options) ([]Sample, error) {
 	} else if receiver {
 		peer = c.Rank() - pairs
 	}
-	maxBuf := payloadBuf(sender || receiver, opts.Sizes)
+	var maxBuf []byte // stays nil on ranks that only synchronize
+	if sender || receiver {
+		maxBuf = payloadBuf(opts.Sizes)
+	}
 	reqs := make([]*mp.Request, opts.Window)
 	for _, size := range opts.Sizes {
 		if size == 0 {
@@ -398,13 +383,8 @@ func checkPair(c *mp.Comm, opts Options) error {
 }
 
 // payloadBuf returns the one message buffer a kernel reslices for every
-// size: as large as the largest size on ranks that move data, nil on
-// ranks that only synchronize (a sweep on a full machine would otherwise
-// zero a max-size buffer per idle rank per size).
-func payloadBuf(active bool, sizes []int) []byte {
-	if !active {
-		return nil
-	}
+// size, as large as the largest size. Only ranks that move data call it.
+func payloadBuf(sizes []int) []byte {
 	n := 0
 	for _, s := range sizes {
 		n = max(n, s)
@@ -423,28 +403,4 @@ func pairRole(c *mp.Comm, opts Options) (int, int) {
 	default:
 		return -1, -1
 	}
-}
-
-// shareCurve broadcasts the measuring rank's samples so every rank
-// returns the same curve.
-func shareCurve(c *mp.Comm, root int, samples []Sample, n int) ([]Sample, error) {
-	flat := make([]float64, 2*n)
-	if c.Rank() == root {
-		if len(samples) != n {
-			return nil, fmt.Errorf("osu: internal: %d samples, want %d", len(samples), n)
-		}
-		for i, s := range samples {
-			flat[2*i] = float64(s.Size)
-			flat[2*i+1] = s.Value
-		}
-	}
-	// Bcast over the float64 view.
-	if err := c.Bcast(root, f64ToBytes(flat)); err != nil {
-		return nil, err
-	}
-	out := make([]Sample, n)
-	for i := range out {
-		out[i] = Sample{Size: int(flat[2*i]), Value: flat[2*i+1]}
-	}
-	return out, nil
 }

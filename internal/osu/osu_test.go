@@ -26,7 +26,7 @@ func smallOpts() Options {
 func TestLatencyCurve(t *testing.T) {
 	err := mp.Run(4, simCfg(), func(c *mp.Comm) error {
 		samples, err := Latency(c, smallOpts())
-		if err != nil {
+		if err != nil || c.Rank() != 0 {
 			return err
 		}
 		if len(samples) != 4 {
@@ -50,23 +50,24 @@ func TestLatencyCurve(t *testing.T) {
 	}
 }
 
-func TestLatencyAllRanksGetCurve(t *testing.T) {
-	// Non-pair ranks must receive the same curve as the measuring rank.
-	err := mp.Run(4, simCfg(), func(c *mp.Comm) error {
-		samples, err := Latency(c, smallOpts())
-		if err != nil {
-			return err
+// TestPairBenchmarksLeaveBystandersSilent: the pair benchmarks involve
+// only their pair, as osu_latency does. PairA alone gets the curve, and
+// no rank outside the pair sends, receives or enters a collective.
+func TestPairBenchmarksLeaveBystandersSilent(t *testing.T) {
+	opts := smallOpts()
+	opts.PairA, opts.PairB = 0, 7
+	err := mp.Run(8, simCfg(), func(c *mp.Comm) error {
+		for _, bench := range []func(*mp.Comm, Options) ([]Sample, error){Latency, Bandwidth, BiBandwidth} {
+			samples, err := bench(c, opts)
+			if err != nil {
+				return err
+			}
+			if got := len(samples); (c.Rank() == 0) != (got > 0) {
+				return fmt.Errorf("rank %d got %d samples", c.Rank(), got)
+			}
 		}
-		sum := 0.0
-		for _, s := range samples {
-			sum += s.Value
-		}
-		total, err := c.AllreduceScalar(mp.OpMax, sum)
-		if err != nil {
-			return err
-		}
-		if total != sum {
-			return fmt.Errorf("rank %d curve differs: %v vs max %v", c.Rank(), sum, total)
+		if st := c.Stats(); c.Rank() != 0 && c.Rank() != 7 && st != (mp.OpStats{}) {
+			return fmt.Errorf("bystander rank %d was not silent: %+v", c.Rank(), st)
 		}
 		return nil
 	})
@@ -112,7 +113,7 @@ func TestLatencyIntraVsInterNode(t *testing.T) {
 func TestBandwidthCurve(t *testing.T) {
 	err := mp.Run(2, simCfg(), func(c *mp.Comm) error {
 		samples, err := Bandwidth(c, smallOpts())
-		if err != nil {
+		if err != nil || c.Rank() != 0 {
 			return err
 		}
 		if len(samples) != 3 { // size 0 dropped
@@ -143,7 +144,7 @@ func TestBiBandwidthAtLeastUnidirectional(t *testing.T) {
 			return err
 		}
 		bi, err := BiBandwidth(c, opts)
-		if err != nil {
+		if err != nil || c.Rank() != 0 {
 			return err
 		}
 		// At the largest size, bidirectional traffic counts both
