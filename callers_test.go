@@ -30,7 +30,6 @@ var uncalledAllowed = map[string]string{
 	"linalg.Matrix.Equalish":     "reference check: tests compare kernel output against a reference",
 	"linalg.Matrix.FillIdentity": "reference check: tests multiply by the identity",
 	"linalg.Matrix.NormFro":      "reference check: tests measure the LU residual",
-	"mp.Comm.ResetStats":         "test read-out: OpStats tests count one operation at a time",
 	"obs.Histogram.Count":        "test read-out: metrics tests read a histogram's sample count",
 	"par.Team.Pinned":            "test read-out: affinity tests read whether a team pinned its workers",
 	"perfmodel.Hockney.Predict":  "test read-out: fit tests evaluate the fitted model",
@@ -38,7 +37,6 @@ var uncalledAllowed = map[string]string{
 	"stats.LinearFit.Eval":       "test read-out: fit tests evaluate the fitted line",
 	"mp.Comm.Reduce":             "TestSimVirtualTimePinned's script calls it, and its constants must not be recaptured",
 	"mp.Comm.Scan":               "TestSimVirtualTimePinned's script calls it, and its constants must not be recaptured",
-	"mp.Comm.Split":              "the only sub-communicator primitive; node-aware strategies are built on node-local communicators",
 }
 
 // modulePkg is one directory of the module (bench/ included) as the

@@ -1,6 +1,8 @@
 package repro_test
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -9,6 +11,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/diskcache"
+	"repro/internal/serve"
+	"repro/internal/shard"
 )
 
 // mdLink matches one inline Markdown link or image — [text](target),
@@ -244,6 +249,80 @@ func TestReadmeCoversFlags(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// metricRow matches the first cell of a row of the serve README's
+// metric tables: one or more backquoted names joined by " / ".
+var metricRow = regexp.MustCompile("(?m)^\\| (`charhpc_[^|]*)\\|")
+
+// TestReadmeCoversMetrics keeps the serve README's two metric tables
+// and a live scrape of both tiers in step: every metric charhpcd (with
+// a disk store) or charhpc-router exposes is documented, and every
+// documented name is exposed. A row's "`x_planned` / `_completed`"
+// shorthand names x_completed.
+func TestReadmeCoversMetrics(t *testing.T) {
+	body, err := os.ReadFile(filepath.Join("internal", "serve", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, m := range metricRow.FindAllStringSubmatch(string(body), -1) {
+		var first string
+		for _, cell := range strings.Split(m[1], " / ") {
+			name := strings.Trim(strings.TrimSpace(cell), "`")
+			if first == "" {
+				first = name
+			} else if strings.HasPrefix(name, "_") {
+				name = first[:strings.LastIndexByte(first, '_')] + name
+			}
+			documented[name] = true
+		}
+	}
+	if len(documented) == 0 {
+		t.Fatal("found no metric table rows in internal/serve/README.md")
+	}
+
+	fps := diskcache.Fingerprints{Global: core.Fingerprint(), PerID: core.Fingerprints()}
+	store, err := diskcache.Open(t.TempDir(), fps, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.New(serve.Config{Store: store})
+	shardSrv := httptest.NewServer(srv)
+	defer shardSrv.Close()
+	router, err := shard.New(shard.Config{Shards: []string{shardSrv.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(h http.Handler, path string) string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d", path, rec.Code)
+		}
+		return rec.Body.String()
+	}
+	// Labeled series exist once observed: one routed request fills the
+	// request and routing families of both tiers.
+	get(router, "/experiments")
+	scraped := map[string]bool{}
+	for _, h := range []http.Handler{srv, router} {
+		for _, line := range strings.Split(get(h, "/metrics"), "\n") {
+			if f := strings.Fields(line); len(f) >= 3 && f[0] == "#" && f[1] == "TYPE" {
+				scraped[f[2]] = true
+			}
+		}
+	}
+	for name := range scraped {
+		if !documented[name] {
+			t.Errorf("/metrics exposes %s, which internal/serve/README.md does not document", name)
+		}
+	}
+	for name := range documented {
+		if !scraped[name] {
+			t.Errorf("internal/serve/README.md documents %s, which no /metrics scrape exposes", name)
+		}
 	}
 }
 

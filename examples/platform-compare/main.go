@@ -62,12 +62,16 @@ func main() {
 	fmt.Println("latency; bandwidth-bound transfers track its wire speed.")
 }
 
+// measure runs one metric: the pair metrics on ranks 0 and 1, which
+// cyclic placement puts on two nodes, and GUPS on p ranks.
 func measure(m *cluster.Model, p int, metric string) (float64, error) {
 	var out float64
 	cfg := mp.Config{Model: m}
+	if metric != "RandomAccess (GUPS)" {
+		p = 2
+	}
 	err := mp.Run(p, cfg, func(c *mp.Comm) error {
-		opts := osu.Options{Sizes: []int{8, 1 << 20}, Warmup: 5, Iters: 50, Window: 32,
-			PairA: 0, PairB: p - 1}
+		opts := osu.Options{Sizes: []int{8, 1 << 20}, Warmup: 5, Iters: 50, Window: 32}
 		switch metric {
 		case "8B latency (us)":
 			s, err := osu.Latency(c, opts)

@@ -139,20 +139,18 @@ type Spec struct {
 }
 
 // Ceilings on what a custom spec may ask for. Presets are code and are
-// not checked; a spec arrives over POST /platforms and the experiments
-// size their worlds from it: the point-to-point and application
-// experiments run one rank per core. maxSpecCores is twice the largest
-// preset (ib-64n, 512 cores) and four times
-// examples/platforms/edr-16n.json. A world that size costs per-rank
-// state only (a placement, a virtual clock and a mailbox: about 150
-// bytes each in mp's fabric) plus 1 024 goroutines, so memory does not
-// set the limit. CPU does: one request can make an experiment build
-// hundreds of such worlds (a quick F14 builds about 680). The
-// memory-model numbers only feed arithmetic; their bounds sit well
-// above any real part (the presets have at most 3 levels, 1536 TLB
-// entries, 4 NUMA nodes, 256 MiB pages and a 16 GiB TLB reach) and keep
-// mem.Model's int products — TLB reach, page rounding — far from
-// overflow. The strings are labels.
+// not checked; a spec arrives over POST /platforms. maxSpecCores is
+// twice the largest preset (ib-64n, 512 cores) and four times
+// examples/platforms/edr-16n.json. No experiment's world grows with the
+// spec: the point-to-point experiments time each pair on a world of two
+// ranks, and the largest world is 64 ranks (F5 at full). What grows
+// with the cores is the number of F14's two-rank worlds, one per pair
+// it measures: about 680 at quick on 1 024 cores. The memory-model
+// numbers only feed arithmetic; their bounds sit well above any real
+// part (the presets have at most 3 levels, 1536 TLB entries, 4 NUMA
+// nodes, 256 MiB pages and a 16 GiB TLB reach) and keep mem.Model's
+// int products — TLB reach, page rounding — far from overflow. The
+// strings are labels.
 const (
 	maxSpecCores      = 1024 // each topology dimension, and their product
 	maxSpecMemLevels  = 8

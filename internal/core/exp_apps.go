@@ -25,7 +25,9 @@ func init() {
 // both placement policies: block placement keeps neighbours on-node
 // (until the node boundary), cyclic forces every pair off-node. The
 // same job, placed differently, sees a different latency distribution —
-// the placement lever every MPI launcher exposes.
+// the placement lever every MPI launcher exposes. Each pair is placed
+// in the full machine and measured on the two-rank world of its path
+// class.
 func runF14(w io.Writer, r Request) error {
 	iters := 30
 	if r.Scale == Full {
@@ -38,18 +40,25 @@ func runF14(w io.Writer, r Request) error {
 	m := ms[0]
 	fig := report.NewFigure("8B latency between ranks (r, r+1), by placement",
 		"first rank of pair", "microseconds")
+	cfg := mp.Config{Model: m}
+	opts := osu.Options{Sizes: []int{8}, Warmup: 3, Iters: iters, Window: 8}
+	n := m.Topo.TotalCores()
 	for _, placement := range []cluster.Placement{cluster.Block, cluster.Cyclic} {
-		m.Placement = placement
-		n := m.Topo.TotalCores()
 		series := fig.AddSeries(m.Name + "/" + placement.String())
 		step := 3
 		if r.Scale == Full {
 			step = 1
 		}
 		for a := 0; a+1 < n; a += step {
-			opts := osu.Options{Sizes: []int{8}, Warmup: 3, Iters: iters, Window: 8,
-				PairA: a, PairB: a + 1}
-			samples, err := runP2PCurve(m, a, a+1, opts, osu.Latency)
+			la, err := m.Topo.Place(a, n, placement)
+			if err != nil {
+				return err
+			}
+			lb, err := m.Topo.Place(a+1, n, placement)
+			if err != nil {
+				return err
+			}
+			samples, err := runP2PCurve(cfg, cluster.Classify(la, lb), opts, osu.Latency)
 			if err != nil {
 				return err
 			}

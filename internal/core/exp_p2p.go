@@ -43,17 +43,25 @@ func sweepOpts(s Scale) osu.Options {
 	return o
 }
 
-// pairForClass returns a rank pair of the given path class on the
-// model under block placement.
-func pairForClass(m *cluster.Model, n int, pc cluster.PathClass) (int, int) {
+// pairModel returns a copy of m reshaped to the two-core machine on
+// which block-placed ranks 0 and 1 fall on path class pc. Links, memory
+// and compute parameters are the preset's own. A pair measured there
+// times exactly as it does inside m's full machine, because for a pair
+// with no other sender the fabric reads only the links of the pair's
+// class, the NIC of the sender's node and the Self link's per-byte copy
+// cost.
+func pairModel(m *cluster.Model, pc cluster.PathClass) *cluster.Model {
+	pm := *m
+	pm.Placement = cluster.Block
 	switch pc {
 	case cluster.IntraSocket:
-		return 0, 1
+		pm.Topo = cluster.Topology{Nodes: 1, SocketsPerNode: 1, CoresPerSocket: 2}
 	case cluster.IntraNode:
-		return 0, m.Topo.CoresPerSocket
+		pm.Topo = cluster.Topology{Nodes: 1, SocketsPerNode: 2, CoresPerSocket: 1}
 	default:
-		return 0, n - 1
+		pm.Topo = cluster.Topology{Nodes: 2, SocketsPerNode: 1, CoresPerSocket: 1}
 	}
+	return &pm
 }
 
 // pathClassesOf returns the path classes a model actually has: a
@@ -73,24 +81,20 @@ func pathClassesOf(m *cluster.Model, classes []cluster.PathClass) []cluster.Path
 	return out
 }
 
-// runP2PCurve runs bench inside an mp.Run on the model's full rank count
-// and returns the samples the pair's first rank measured.
-func runP2PCurve(m *cluster.Model, pairA, pairB int, opts osu.Options,
+// runP2PCurve runs bench on a two-rank world of cfg.Model's pairModel
+// for class pc and returns the samples rank 0 measured. The rest of cfg
+// (the eager threshold) applies unchanged.
+func runP2PCurve(cfg mp.Config, pc cluster.PathClass, opts osu.Options,
 	bench func(*mp.Comm, osu.Options) ([]osu.Sample, error)) ([]osu.Sample, error) {
 
-	n := m.Topo.TotalCores()
-	opts.PairA, opts.PairB = pairA, pairB
+	cfg.Model = pairModel(cfg.Model, pc)
 	var out []osu.Sample
-	cfg := mp.Config{Model: m}
-	err := mp.Run(n, cfg, func(c *mp.Comm) error {
+	err := mp.Run(2, cfg, func(c *mp.Comm) error {
 		s, err := bench(c, opts)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == pairA {
+		if c.Rank() == 0 {
 			out = s
 		}
-		return nil
+		return err
 	})
 	return out, err
 }
@@ -102,11 +106,9 @@ func runF1(w io.Writer, r Request) error {
 	}
 	fig := report.NewFigure("P2P latency vs message size", "bytes", "microseconds")
 	for _, m := range ms {
-		n := m.Topo.TotalCores()
 		classes := []cluster.PathClass{cluster.IntraSocket, cluster.IntraNode, cluster.InterNode}
 		for _, pc := range pathClassesOf(m, classes) {
-			a, b := pairForClass(m, n, pc)
-			samples, err := runP2PCurve(m, a, b, sweepOpts(r.Scale), osu.Latency)
+			samples, err := runP2PCurve(mp.Config{Model: m}, pc, sweepOpts(r.Scale), osu.Latency)
 			if err != nil {
 				return err
 			}
@@ -126,11 +128,9 @@ func runF2(w io.Writer, r Request) error {
 	}
 	fig := report.NewFigure("P2P bandwidth vs message size", "bytes", "MB/s")
 	for _, m := range ms {
-		n := m.Topo.TotalCores()
 		classes := []cluster.PathClass{cluster.IntraSocket, cluster.InterNode}
 		for _, pc := range pathClassesOf(m, classes) {
-			a, b := pairForClass(m, n, pc)
-			samples, err := runP2PCurve(m, a, b, sweepOpts(r.Scale), osu.Bandwidth)
+			samples, err := runP2PCurve(mp.Config{Model: m}, pc, sweepOpts(r.Scale), osu.Bandwidth)
 			if err != nil {
 				return err
 			}
@@ -150,13 +150,12 @@ func runF3(w io.Writer, r Request) error {
 	}
 	fig := report.NewFigure("Bidirectional bandwidth vs message size", "bytes", "MB/s")
 	for _, m := range ms {
-		n := m.Topo.TotalCores()
-		a, b := pairForClass(m, n, cluster.InterNode)
-		uni, err := runP2PCurve(m, a, b, sweepOpts(r.Scale), osu.Bandwidth)
+		cfg := mp.Config{Model: m}
+		uni, err := runP2PCurve(cfg, cluster.InterNode, sweepOpts(r.Scale), osu.Bandwidth)
 		if err != nil {
 			return err
 		}
-		bi, err := runP2PCurve(m, a, b, sweepOpts(r.Scale), osu.BiBandwidth)
+		bi, err := runP2PCurve(cfg, cluster.InterNode, sweepOpts(r.Scale), osu.BiBandwidth)
 		if err != nil {
 			return err
 		}
@@ -225,7 +224,6 @@ func runF12(w io.Writer, r Request) error {
 		return err
 	}
 	m := ms[0]
-	n := m.Topo.TotalCores()
 	fig := report.NewFigure("Eager vs rendezvous latency (inter-node)", "bytes", "microseconds")
 	sizes := []int{64, 1024, 8192, 65536, 262144, 1 << 20}
 	if r.Scale == Full {
@@ -242,20 +240,9 @@ func runF12(w io.Writer, r Request) error {
 		{"always-rendezvous", -1},
 		{"default-8KiB", 0},
 	} {
-		opts := osu.Options{Sizes: sizes, Warmup: 3, Iters: 30, Window: 8,
-			PairA: 0, PairB: n - 1}
-		var samples []osu.Sample
+		opts := osu.Options{Sizes: sizes, Warmup: 3, Iters: 30, Window: 8}
 		cfg := mp.Config{Model: m, EagerThreshold: mode.thresh}
-		err := mp.Run(n, cfg, func(c *mp.Comm) error {
-			sm, err := osu.Latency(c, opts)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				samples = sm
-			}
-			return nil
-		})
+		samples, err := runP2PCurve(cfg, cluster.InterNode, opts, osu.Latency)
 		if err != nil {
 			return err
 		}
@@ -273,8 +260,7 @@ func runF13(w io.Writer, r Request) error {
 		return err
 	}
 	m := ms[0]
-	n := m.Topo.TotalCores()
-	a, b := pairForClass(m, n, cluster.InterNode)
+	cfg := mp.Config{Model: m}
 	opts := sweepOpts(r.Scale)
 	// Fit the latency model over the linear region only (small
 	// messages are pure eager; keep within the eager threshold).
@@ -286,11 +272,11 @@ func runF13(w io.Writer, r Request) error {
 	}
 	latOpts := opts
 	latOpts.Sizes = latSizes
-	lat, err := runP2PCurve(m, a, b, latOpts, osu.Latency)
+	lat, err := runP2PCurve(cfg, cluster.InterNode, latOpts, osu.Latency)
 	if err != nil {
 		return err
 	}
-	bw, err := runP2PCurve(m, a, b, opts, osu.Bandwidth)
+	bw, err := runP2PCurve(cfg, cluster.InterNode, opts, osu.Bandwidth)
 	if err != nil {
 		return err
 	}

@@ -25,7 +25,7 @@ func init() {
 		Kind:  "table",
 		Run:   runT4,
 		Needs: cluster.CapMultiNode,
-		Rev:   1,
+		Rev:   2,
 	})
 }
 
@@ -102,25 +102,24 @@ func runT4(w io.Writer, r Request) error {
 		tableBits = 10
 		iters = 10
 	}
-	results := make([]row, len(ms))
-	for i, m := range ms {
-		done := phase(w, "platform/"+m.Name)
-		// One rank per node: cyclic placement puts neighbours off-node,
-		// so the fabric (not shared memory) is what gets compared.
+	// One rank per node: cyclic placement puts neighbours off-node, so
+	// the fabric (not shared memory) is what gets compared. The pair
+	// metrics run on an inter-node pair of their own, which a cyclic
+	// world of p ranks on fewer than p nodes would not give them.
+	measure := func(m *cluster.Model) (row, error) {
 		m.Placement = cluster.Cyclic
-		var rr row
 		cfg := mp.Config{Model: m}
-		err := mp.Run(p, cfg, func(c *mp.Comm) error {
-			opts := osu.Options{Sizes: []int{8, 1 << 20}, Warmup: 5, Iters: iters, Window: 32,
-				PairA: 0, PairB: p - 1}
-			lat, err := osu.Latency(c, opts)
-			if err != nil {
-				return err
-			}
-			bw, err := osu.Bandwidth(c, opts)
-			if err != nil {
-				return err
-			}
+		opts := osu.Options{Sizes: []int{8, 1 << 20}, Warmup: 5, Iters: iters, Window: 32}
+		lat, err := runP2PCurve(cfg, cluster.InterNode, opts, osu.Latency)
+		if err != nil {
+			return row{}, err
+		}
+		bw, err := runP2PCurve(cfg, cluster.InterNode, opts, osu.Bandwidth)
+		if err != nil {
+			return row{}, err
+		}
+		rr := row{smallLat: lat[0].Value * 1e6, peakBW: bw[1].Value / 1e6}
+		err = mp.Run(p, cfg, func(c *mp.Comm) error {
 			buf := make([]float64, 1)
 			out := make([]float64, 1)
 			ar, err := osu.CollectiveLatency(c, 5, iters, func() error {
@@ -142,17 +141,19 @@ func runT4(w io.Writer, r Request) error {
 				return err
 			}
 			if c.Rank() == 0 {
-				rr = row{
-					smallLat:  lat[0].Value * 1e6,
-					peakBW:    bw[1].Value / 1e6,
-					allreduce: ar * 1e6,
-					gups:      g.GUPS,
-					ringNat:   nat.Bandwidth / 1e6,
-					ringRnd:   rnd.Bandwidth / 1e6,
-				}
+				rr.allreduce = ar * 1e6
+				rr.gups = g.GUPS
+				rr.ringNat = nat.Bandwidth / 1e6
+				rr.ringRnd = rnd.Bandwidth / 1e6
 			}
 			return nil
 		})
+		return rr, err
+	}
+	results := make([]row, len(ms))
+	for i, m := range ms {
+		done := phase(w, "platform/"+m.Name)
+		rr, err := measure(m)
 		done()
 		if err != nil {
 			return fmt.Errorf("platform %s: %w", m.Name, err)

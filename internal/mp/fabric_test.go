@@ -388,9 +388,8 @@ func TestReleasedBufferNeverAliasesLivePacket(t *testing.T) {
 }
 
 // BenchmarkNewFabric is the cost of building a world: 512 ranks, every
-// core of ib-64n, the size runP2PCurve builds there for a two-rank
-// measurement. Each rank is placed once, so time and bytes grow with the
-// rank count alone.
+// core of ib-64n, the largest preset. Each rank is placed once, so time
+// and bytes grow with the rank count alone.
 func BenchmarkNewFabric(b *testing.B) {
 	m := cluster.BigIBCluster()
 	n := m.Topo.TotalCores()

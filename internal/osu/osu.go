@@ -7,10 +7,11 @@
 // the same shape and semantics.
 //
 // All benchmark functions are called from inside an mp.Run body. The
-// pair benchmarks (Latency, Bandwidth, BiBandwidth) involve only their
-// pair, as osu_latency does: every other rank returns nil at once and
-// sends nothing. MultiPairBandwidth and CollectiveLatency involve every
-// rank and synchronize the world around their timed loops.
+// pair benchmarks (Latency, Bandwidth, BiBandwidth) run on exactly two
+// ranks, as osu_latency does; the platform's placement of ranks 0 and 1
+// decides which path class they measure. MultiPairBandwidth and
+// CollectiveLatency involve every rank and synchronize the world around
+// their timed loops.
 package osu
 
 import (
@@ -33,10 +34,6 @@ type Options struct {
 	// Window is the number of in-flight messages per bandwidth
 	// iteration (default 64, the OSU default).
 	Window int
-	// PairA and PairB are the ranks forming the measured pair
-	// (default 0 and 1). Placement policy decides whether that pair is
-	// intra-socket, intra-node or inter-node.
-	PairA, PairB int
 }
 
 func (o Options) normalize() Options {
@@ -51,9 +48,6 @@ func (o Options) normalize() Options {
 	}
 	if o.Window <= 0 {
 		o.Window = 64
-	}
-	if o.PairB == 0 && o.PairA == 0 {
-		o.PairB = 1
 	}
 	return o
 }
@@ -91,18 +85,15 @@ type Sample struct {
 
 const benchTag = 7001
 
-// Latency runs the OSU ping-pong latency benchmark between PairA and
-// PairB, returning one sample per size on PairA: half round-trip time in
-// seconds. Every rank may call it; every other rank returns nil at once.
+// Latency runs the OSU ping-pong latency benchmark on exactly two
+// ranks, as osu_latency does, returning one sample per size on rank 0:
+// half round-trip time in seconds. Rank 1 returns nil.
 func Latency(c *mp.Comm, opts Options) ([]Sample, error) {
-	opts = opts.normalize()
-	if err := checkPair(c, opts); err != nil {
+	me, peer, err := pairRole(c)
+	if err != nil {
 		return nil, err
 	}
-	me, peer := pairRole(c, opts)
-	if me < 0 {
-		return nil, nil
-	}
+	opts = opts.normalize()
 	var out []Sample
 	maxBuf := payloadBuf(opts.Sizes)
 	for _, size := range opts.Sizes {
@@ -136,19 +127,16 @@ func Latency(c *mp.Comm, opts Options) ([]Sample, error) {
 	return out, nil
 }
 
-// Bandwidth runs the OSU streaming bandwidth benchmark: PairA posts a
-// window of nonblocking sends, PairB a window of receives followed by a
-// 4-byte acknowledgement. Returns bytes/s per size on PairA and nil on
-// every other rank.
+// Bandwidth runs the OSU streaming bandwidth benchmark on two ranks:
+// rank 0 posts a window of nonblocking sends, rank 1 a window of
+// receives followed by a 4-byte acknowledgement. Returns bytes/s per
+// size on rank 0 and nil on rank 1.
 func Bandwidth(c *mp.Comm, opts Options) ([]Sample, error) {
-	opts = opts.normalize()
-	if err := checkPair(c, opts); err != nil {
+	me, peer, err := pairRole(c)
+	if err != nil {
 		return nil, err
 	}
-	me, peer := pairRole(c, opts)
-	if me < 0 {
-		return nil, nil
-	}
+	opts = opts.normalize()
 	var out []Sample
 	ack := make([]byte, 4)
 	maxBuf := payloadBuf(opts.Sizes)
@@ -204,17 +192,14 @@ func Bandwidth(c *mp.Comm, opts Options) ([]Sample, error) {
 
 // BiBandwidth measures bidirectional bandwidth: both ends stream a
 // window concurrently; the reported value counts traffic in both
-// directions, as osu_bibw does. Like Bandwidth, it returns the curve on
-// PairA and nil on every other rank.
+// directions, as osu_bibw does. Like Bandwidth, it runs on two ranks
+// and returns the curve on rank 0 and nil on rank 1.
 func BiBandwidth(c *mp.Comm, opts Options) ([]Sample, error) {
-	opts = opts.normalize()
-	if err := checkPair(c, opts); err != nil {
+	me, peer, err := pairRole(c)
+	if err != nil {
 		return nil, err
 	}
-	me, peer := pairRole(c, opts)
-	if me < 0 {
-		return nil, nil
-	}
+	opts = opts.normalize()
 	var out []Sample
 	maxSend, maxRecv := payloadBuf(opts.Sizes), payloadBuf(opts.Sizes)
 	sreqs := make([]*mp.Request, opts.Window)
@@ -372,16 +357,6 @@ func CollectiveLatency(c *mp.Comm, warmup, iters int, coll func() error) (float6
 
 // --- helpers ---
 
-func checkPair(c *mp.Comm, opts Options) error {
-	if opts.PairA == opts.PairB {
-		return fmt.Errorf("osu: pair ranks must differ")
-	}
-	if opts.PairA < 0 || opts.PairA >= c.Size() || opts.PairB < 0 || opts.PairB >= c.Size() {
-		return fmt.Errorf("osu: pair (%d,%d) out of range for %d ranks", opts.PairA, opts.PairB, c.Size())
-	}
-	return nil
-}
-
 // payloadBuf returns the one message buffer a kernel reslices for every
 // size, as large as the largest size. Only ranks that move data call it.
 func payloadBuf(sizes []int) []byte {
@@ -392,15 +367,11 @@ func payloadBuf(sizes []int) []byte {
 	return make([]byte, n)
 }
 
-// pairRole returns (0, peer) on PairA, (1, peer) on PairB and (-1, -1)
-// elsewhere.
-func pairRole(c *mp.Comm, opts Options) (int, int) {
-	switch c.Rank() {
-	case opts.PairA:
-		return 0, opts.PairB
-	case opts.PairB:
-		return 1, opts.PairA
-	default:
-		return -1, -1
+// pairRole returns (rank, peer) on a two-rank world and an error on any
+// other, as osu_latency refuses any other process count.
+func pairRole(c *mp.Comm) (int, int, error) {
+	if c.Size() != 2 {
+		return 0, 0, fmt.Errorf("osu: pair benchmarks need exactly 2 ranks, have %d", c.Size())
 	}
+	return c.Rank(), 1 - c.Rank(), nil
 }

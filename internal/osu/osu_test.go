@@ -24,7 +24,7 @@ func smallOpts() Options {
 }
 
 func TestLatencyCurve(t *testing.T) {
-	err := mp.Run(4, simCfg(), func(c *mp.Comm) error {
+	err := mp.Run(2, simCfg(), func(c *mp.Comm) error {
 		samples, err := Latency(c, smallOpts())
 		if err != nil || c.Rank() != 0 {
 			return err
@@ -51,22 +51,32 @@ func TestLatencyCurve(t *testing.T) {
 }
 
 // TestPairBenchmarksLeaveBystandersSilent: the pair benchmarks involve
-// only their pair, as osu_latency does. PairA alone gets the curve, and
-// no rank outside the pair sends, receives or enters a collective.
+// only their pair, as osu_latency does. Run on a two-rank communicator
+// split from a larger world, rank 0 of the pair alone gets the curve,
+// and no rank outside the pair sends, receives or enters a collective.
 func TestPairBenchmarksLeaveBystandersSilent(t *testing.T) {
-	opts := smallOpts()
-	opts.PairA, opts.PairB = 0, 7
 	err := mp.Run(8, simCfg(), func(c *mp.Comm) error {
-		for _, bench := range []func(*mp.Comm, Options) ([]Sample, error){Latency, Bandwidth, BiBandwidth} {
-			samples, err := bench(c, opts)
-			if err != nil {
-				return err
-			}
-			if got := len(samples); (c.Rank() == 0) != (got > 0) {
-				return fmt.Errorf("rank %d got %d samples", c.Rank(), got)
+		color := mp.Undefined
+		if c.Rank() == 0 || c.Rank() == 7 {
+			color = 0
+		}
+		pair, err := c.Split(color, c.Rank())
+		if err != nil {
+			return err
+		}
+		c.ResetStats()
+		if pair != nil {
+			for _, bench := range []func(*mp.Comm, Options) ([]Sample, error){Latency, Bandwidth, BiBandwidth} {
+				samples, err := bench(pair, smallOpts())
+				if err != nil {
+					return err
+				}
+				if got := len(samples); (c.Rank() == 0) != (got > 0) {
+					return fmt.Errorf("rank %d got %d samples", c.Rank(), got)
+				}
 			}
 		}
-		if st := c.Stats(); c.Rank() != 0 && c.Rank() != 7 && st != (mp.OpStats{}) {
+		if st := c.Stats(); pair == nil && st != (mp.OpStats{}) {
 			return fmt.Errorf("bystander rank %d was not silent: %+v", c.Rank(), st)
 		}
 		return nil
@@ -78,33 +88,25 @@ func TestPairBenchmarksLeaveBystandersSilent(t *testing.T) {
 
 func TestLatencyIntraVsInterNode(t *testing.T) {
 	// The headline shape of experiment F1: inter-node latency must
-	// exceed intra-node latency on the modeled cluster.
-	m := cluster.IBCluster()
-	n := m.Topo.TotalCores()
-	cfg := mp.Config{Model: m}
-	opts := smallOpts()
-	var intra, inter float64
-	err := mp.Run(n, cfg, func(c *mp.Comm) error {
-		o1 := opts
-		o1.PairA, o1.PairB = 0, 1 // same socket under block placement
-		s1, err := Latency(c, o1)
-		if err != nil {
+	// exceed intra-node latency on the modeled cluster. Block placement
+	// puts ranks 0 and 1 on one socket, cyclic on two nodes.
+	latency := func(p cluster.Placement) float64 {
+		m := cluster.IBCluster()
+		m.Placement = p
+		var lat float64
+		err := mp.Run(2, mp.Config{Model: m}, func(c *mp.Comm) error {
+			s, err := Latency(c, smallOpts())
+			if err == nil && c.Rank() == 0 {
+				lat = s[1].Value
+			}
 			return err
-		}
-		o2 := opts
-		o2.PairA, o2.PairB = 0, n-1 // different nodes
-		s2, err := Latency(c, o2)
+		})
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		if c.Rank() == 0 {
-			intra, inter = s1[1].Value, s2[1].Value
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		return lat
 	}
+	intra, inter := latency(cluster.Block), latency(cluster.Cyclic)
 	if inter < 3*intra {
 		t.Errorf("inter-node latency %v not >> intra-node %v", inter, intra)
 	}
@@ -241,21 +243,24 @@ func TestCollectiveLatencyValidation(t *testing.T) {
 	}
 }
 
+// TestPairValidation: the pair benchmarks run on exactly two ranks, as
+// osu_latency does, and refuse any other world size.
 func TestPairValidation(t *testing.T) {
-	err := mp.Run(2, simCfg(), func(c *mp.Comm) error {
-		bad := smallOpts()
-		bad.PairA, bad.PairB = 1, 1
-		if _, err := Latency(c, bad); err == nil {
-			return fmt.Errorf("identical pair accepted")
+	benches := map[string]func(*mp.Comm, Options) ([]Sample, error){
+		"Latency": Latency, "Bandwidth": Bandwidth, "BiBandwidth": BiBandwidth,
+	}
+	for _, n := range []int{1, 3} {
+		for name, bench := range benches {
+			err := mp.Run(n, simCfg(), func(c *mp.Comm) error {
+				if _, err := bench(c, smallOpts()); err == nil {
+					return fmt.Errorf("%s accepted %d ranks", name, n)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Error(err)
+			}
 		}
-		bad.PairA, bad.PairB = 0, 9
-		if _, err := Latency(c, bad); err == nil {
-			return fmt.Errorf("out-of-range pair accepted")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
