@@ -32,7 +32,7 @@
 // experiment is an error, while an "all" selection narrows to the
 // experiments the preset can answer.
 //
-// Experiments run on a core.RunParallel worker pool (-j, default 1);
+// Experiments run on a core.RunParallelFunc worker pool (-j, default 1);
 // each writes to its own buffer, so per-experiment output — including
 // the files under -out — is identical to a serial run's, and stdout
 // stays in registry order. A failed experiment no longer aborts the

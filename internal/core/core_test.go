@@ -1,9 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -104,21 +104,37 @@ func TestParseScale(t *testing.T) {
 	}
 }
 
-// The experiment smoke tests run each experiment at Quick scale and make
-// shape assertions on the rendered output — these are the "who wins"
-// checks.
+// cells holds one Quick run per (experiment, platform) cell, so each
+// cell of the registry matrix runs once per test binary however many
+// tests read it. A determinism test must keep one fresh side in every
+// comparison: a memoised cell compared with itself checks nothing.
+var cells sync.Map // [2]string{id, platform} -> func() Result
 
-func runExp(t *testing.T, id string) string {
+// cell returns the memoised Quick result of experiment id on platform
+// ("" is the default set), run through Run, the production path.
+func cell(t *testing.T, id, platform string) Result {
 	t.Helper()
 	e, ok := Get(id)
 	if !ok {
 		t.Fatalf("experiment %s not registered", id)
 	}
-	var b bytes.Buffer
-	if err := e.Run(&b, Request{Scale: Quick}); err != nil {
-		t.Fatalf("experiment %s failed: %v", id, err)
+	f, _ := cells.LoadOrStore([2]string{id, platform}, sync.OnceValue(func() Result {
+		return Run(e, Request{Scale: Quick, Platform: platform})
+	}))
+	return f.(func() Result)()
+}
+
+// The experiment smoke tests read each experiment's Quick cell and make
+// shape assertions on the rendered output — these are the "who wins"
+// checks.
+
+func runExp(t *testing.T, id string) string {
+	t.Helper()
+	r := cell(t, id, "")
+	if r.Err != nil {
+		t.Fatalf("experiment %s failed: %v", id, r.Err)
 	}
-	out := b.String()
+	out := r.Rec.Text()
 	if len(out) == 0 {
 		t.Fatalf("experiment %s produced no output", id)
 	}
@@ -230,22 +246,13 @@ func TestF15ApplicationKernels(t *testing.T) {
 	}
 }
 
-// TestRegistrySmoke runs every registered experiment — whichever
-// exp_*.go it lives in — at Quick scale and asserts it succeeds with
+// TestRegistrySmoke reads every registered experiment's Quick cell —
+// whichever exp_*.go it lives in — and asserts it succeeded with
 // non-empty output, so a broken experiment wiring fails even without a
 // dedicated shape test.
 func TestRegistrySmoke(t *testing.T) {
 	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			var b bytes.Buffer
-			if err := e.Run(&b, Request{Scale: Quick}); err != nil {
-				t.Fatalf("experiment %s failed: %v", e.ID, err)
-			}
-			if b.Len() == 0 {
-				t.Fatalf("experiment %s produced no output", e.ID)
-			}
-		})
+		t.Run(e.ID, func(t *testing.T) { runExp(t, e.ID) })
 	}
 }
 

@@ -59,19 +59,17 @@ func TestGoldenDefaultPlatformOutput(t *testing.T) {
 }
 
 // TestGoldenStableAcrossRuns guards the premise of the golden set:
-// each listed experiment must render identical bytes twice in a row.
-// If one picks up a nondeterministic source it must leave the set.
+// each listed experiment must render identical bytes twice in a row —
+// here a fresh run and the memoised cell. If one picks up a
+// nondeterministic source it must leave the set.
 func TestGoldenStableAcrossRuns(t *testing.T) {
 	for _, id := range goldenIDs {
 		e, _ := Get(id)
-		var a, b bytes.Buffer
-		if err := e.Run(&a, Request{Scale: Quick}); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
+		var b bytes.Buffer
 		if err := e.Run(&b, Request{Scale: Quick}); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		if b.String() != runExp(t, id) {
 			t.Errorf("%s is not deterministic and cannot be golden-tested", id)
 		}
 	}

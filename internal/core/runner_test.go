@@ -55,8 +55,7 @@ func TestRunRejectsIncompatiblePlatform(t *testing.T) {
 
 func TestRunExplicitPlatform(t *testing.T) {
 	// An explicit single platform restricts the output to that preset.
-	t1, _ := Get("T1")
-	r := Run(t1, Request{Scale: Quick, Platform: "gige-8n"})
+	r := cell(t, "T1", "gige-8n")
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
@@ -68,11 +67,7 @@ func TestRunExplicitPlatform(t *testing.T) {
 		t.Errorf("explicit-platform T1 leaked other presets: %s", out)
 	}
 	// And differs from the default canonical-set output.
-	def := Run(t1, Request{Scale: Quick})
-	if def.Err != nil {
-		t.Fatal(def.Err)
-	}
-	if def.Rec.Text() == out {
+	if runExp(t, "T1") == out {
 		t.Error("explicit platform output identical to default set output")
 	}
 }
@@ -81,18 +76,9 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 	// Only the golden set is compared: the other fabric-driven
 	// experiments (T4, F5, ...) are nondeterministic run-to-run even
 	// serially, so byte-identity is only meaningful where the
-	// underlying experiment is deterministic.
+	// underlying experiment is deterministic. The serial side is the
+	// memoised cell; the parallel side runs fresh.
 	ids := goldenIDs
-	serial := map[string]string{}
-	for _, id := range ids {
-		e, _ := Get(id)
-		var b bytes.Buffer
-		if err := e.Run(&b, Request{Scale: Quick}); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		serial[id] = b.String()
-	}
-
 	results, err := RunParallel(ids, Request{Scale: Quick}, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +93,7 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 		if r.Err != nil {
 			t.Errorf("%s failed: %v", r.Experiment.ID, r.Err)
 		}
-		if r.Rec.Text() != serial[r.Experiment.ID] {
+		if r.Rec.Text() != runExp(t, r.Experiment.ID) {
 			t.Errorf("%s parallel output differs from serial", r.Experiment.ID)
 		}
 	}
@@ -162,7 +148,7 @@ func TestRunEveryExperimentAtQuick(t *testing.T) {
 	// Run over All() is the serial sweep: every experiment's run
 	// succeeds and writes output of its own.
 	for _, e := range All() {
-		res := Run(e, Request{Scale: Quick})
+		res := cell(t, e.ID, "")
 		if res.Err != nil {
 			t.Errorf("%s at quick scale failed: %v", e.ID, res.Err)
 		}
@@ -178,14 +164,14 @@ func TestRunExplicitPlatformRejectsIncompatible(t *testing.T) {
 	// non-NUMA preset, ...) fail before anything runs.
 	ran := map[string]bool{}
 	for _, e := range All() {
-		res := Run(e, Request{Scale: Quick, Platform: "ib-8n"})
 		if e.CheckPlatform("ib-8n") != nil {
+			res := Run(e, Request{Scale: Quick, Platform: "ib-8n"})
 			if res.Err == nil || len(res.Rec.Bytes()) != 0 {
 				t.Errorf("%s is incompatible with ib-8n but ran (err %v)", e.ID, res.Err)
 			}
 			continue
 		}
-		if res.Err != nil {
+		if res := cell(t, e.ID, "ib-8n"); res.Err != nil {
 			t.Errorf("%s on ib-8n failed: %v", e.ID, res.Err)
 		}
 		ran[e.ID] = true

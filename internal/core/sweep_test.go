@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
@@ -13,8 +12,8 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files from the current output")
 
-// TestPlatformSweep runs every registered experiment on every preset
-// its capability declaration accepts, at Quick scale — the presets ×
+// TestPlatformSweep reads the Quick cell of every registered experiment
+// on every preset its capability declaration accepts — the presets ×
 // experiments matrix the registry refactor unlocked. Each cell must
 // succeed, produce output, and (for platform-consuming experiments)
 // mention the preset it ran on. Cells run in parallel; the whole sweep
@@ -28,18 +27,18 @@ func TestPlatformSweep(t *testing.T) {
 	nameless := map[string]bool{"F4": true, "F12": true}
 	for _, e := range All() {
 		for _, platform := range e.Platforms() {
-			e, platform := e, platform
 			t.Run(e.ID+"/"+platform, func(t *testing.T) {
 				t.Parallel()
-				var b bytes.Buffer
-				if err := e.Run(&b, Request{Scale: Quick, Platform: platform}); err != nil {
-					t.Fatalf("%s on %s: %v", e.ID, platform, err)
+				r := cell(t, e.ID, platform)
+				if r.Err != nil {
+					t.Fatalf("%s on %s: %v", e.ID, platform, r.Err)
 				}
-				if b.Len() == 0 {
+				out := r.Rec.Text()
+				if out == "" {
 					t.Fatalf("%s on %s produced no output", e.ID, platform)
 				}
-				if !nameless[e.ID] && !strings.Contains(b.String(), platform) {
-					t.Errorf("%s on %s: output never names the platform:\n%s", e.ID, platform, b.String())
+				if !nameless[e.ID] && !strings.Contains(out, platform) {
+					t.Errorf("%s on %s: output never names the platform:\n%s", e.ID, platform, out)
 				}
 			})
 		}

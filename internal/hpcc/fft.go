@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 
+	"repro/internal/bytesview"
 	"repro/internal/fft"
 	"repro/internal/mp"
 	"repro/internal/rng"
@@ -144,7 +145,7 @@ func distTranspose(c *mp.Comm, local []complex128, r, cols int) ([]complex128, e
 			copy(dst[i*myC:(i+1)*myC], local[i*cols+c0:i*cols+c0+myC])
 		}
 	}
-	if err := c.Alltoall(c128b(sendBuf), c128b(recvBuf)); err != nil {
+	if err := c.Alltoall(bytesview.C128(sendBuf), bytesview.C128(recvBuf)); err != nil {
 		return nil, err
 	}
 	// Unpack with local transpose: block from rank s holds
@@ -169,10 +170,10 @@ func verifyFFT(c *mp.Comm, input, output []complex128, n1, n2 int) (float64, err
 	n := n1 * n2
 	fullIn := make([]complex128, n)
 	fullOut := make([]complex128, n)
-	if err := c.Allgather(c128b(input), c128b(fullIn)); err != nil {
+	if err := c.Allgather(bytesview.C128(input), bytesview.C128(fullIn)); err != nil {
 		return 0, err
 	}
-	if err := c.Allgather(c128b(output), c128b(fullOut)); err != nil {
+	if err := c.Allgather(bytesview.C128(output), bytesview.C128(fullOut)); err != nil {
 		return 0, err
 	}
 	want := append([]complex128(nil), fullIn...)

@@ -3,6 +3,8 @@ package hpcc
 import (
 	"fmt"
 
+	"repro/internal/bytesview"
+	"repro/internal/fft"
 	"repro/internal/mp"
 	"repro/internal/rng"
 )
@@ -42,7 +44,7 @@ type GUPSResult struct {
 // be a power of two dividing the table size.
 func RandomAccess(c *mp.Comm, cfg GUPSConfig) (GUPSResult, error) {
 	p := c.Size()
-	if !isPow2(p) {
+	if !fft.IsPow2(p) {
 		return GUPSResult{}, fmt.Errorf("hpcc: RandomAccess needs power-of-two ranks, got %d", p)
 	}
 	if cfg.TableBits < 1 || cfg.TableBits > 40 {
@@ -155,7 +157,7 @@ func gupsPass(c *mp.Comm, cfg GUPSConfig, table []uint64, base, perRank, myUpdat
 			src := (c.Rank() - i + p) % p
 			counts[0] = float64(len(buckets[dst]))
 			var in [1]float64
-			if _, err := c.SendRecv(dst, tag, f64b(counts), src, tag, f64b(in[:])); err != nil {
+			if _, err := c.SendRecv(dst, tag, bytesview.F64(counts), src, tag, bytesview.F64(in[:])); err != nil {
 				return err
 			}
 			nIn := int(in[0])
@@ -163,7 +165,7 @@ func gupsPass(c *mp.Comm, cfg GUPSConfig, table []uint64, base, perRank, myUpdat
 				rbuf = make([]uint64, nIn)
 			}
 			rb := rbuf[:nIn]
-			if _, err := c.SendRecv(dst, tag+1, u64b(buckets[dst]), src, tag+1, u64b(rb)); err != nil {
+			if _, err := c.SendRecv(dst, tag+1, bytesview.U64(buckets[dst]), src, tag+1, bytesview.U64(rb)); err != nil {
 				return err
 			}
 			for _, v := range rb {

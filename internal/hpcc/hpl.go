@@ -10,6 +10,7 @@ package hpcc
 import (
 	"fmt"
 
+	"repro/internal/bytesview"
 	"repro/internal/linalg"
 	"repro/internal/mp"
 	"repro/internal/rng"
@@ -94,7 +95,7 @@ func HPL(c *mp.Comm, cfg HPLConfig) (HPLResult, error) {
 
 	// Local storage: n rows x lc columns.
 	lc := localCols(n, nb, p, c.Rank())
-	local := linalg.New(n, maxInt(lc, 1))
+	local := linalg.New(n, max(lc, 1))
 	local.Cols = lc
 	colBuf := make([]float64, n)
 	for j := 0; j < n; j++ {
@@ -118,7 +119,7 @@ func HPL(c *mp.Comm, cfg HPLConfig) (HPLResult, error) {
 	t0 := c.Time()
 
 	for k := 0; k < n; k += nb {
-		jb := minInt(nb, n-k)
+		jb := min(nb, n-k)
 		owner := colOwner(k, nb, p)
 		rows := n - k
 
@@ -139,10 +140,10 @@ func HPL(c *mp.Comm, cfg HPLConfig) (HPLResult, error) {
 		}
 
 		// 2. Broadcast pivots and the factored panel.
-		if err := c.Bcast(owner, f64b(pivBuf[:jb])); err != nil {
+		if err := c.Bcast(owner, bytesview.F64(pivBuf[:jb])); err != nil {
 			return res, err
 		}
-		if err := c.Bcast(owner, f64b(panelBuf)); err != nil {
+		if err := c.Bcast(owner, bytesview.F64(panelBuf)); err != nil {
 			return res, err
 		}
 		for t := 0; t < jb; t++ {
@@ -186,7 +187,7 @@ func HPL(c *mp.Comm, cfg HPLConfig) (HPLResult, error) {
 			if colOwner(gb*nb, nb, p) != c.Rank() {
 				continue
 			}
-			w := minInt(nb, n-gb*nb)
+			w := min(nb, n-gb*nb)
 			ljc := localCol(gb*nb, nb, p)
 			u12 := local.View(k, ljc, jb, w)
 			if err := linalg.TrsmLowerUnitLeft(l11, u12); err != nil {
@@ -245,7 +246,7 @@ func HPL(c *mp.Comm, cfg HPLConfig) (HPLResult, error) {
 		}
 		status[0] = r
 	}
-	if err := c.Bcast(0, f64b(status)); err != nil {
+	if err := c.Bcast(0, bytesview.F64(status)); err != nil {
 		return res, err
 	}
 	res.Residual = status[0]
@@ -299,7 +300,7 @@ func gatherColumns(c *mp.Comm, local *linalg.Matrix, n, nb int) (*linalg.Matrix,
 	buf := make([]float64, n*nb)
 	for gb := 0; gb*nb < n; gb++ {
 		j := gb * nb
-		w := minInt(nb, n-j)
+		w := min(nb, n-j)
 		owner := colOwner(j, nb, p)
 		switch {
 		case owner == c.Rank() && c.Rank() == 0:
@@ -319,12 +320,12 @@ func gatherColumns(c *mp.Comm, local *linalg.Matrix, n, nb int) (*linalg.Matrix,
 					idx++
 				}
 			}
-			if err := c.Send(0, tag, f64b(blk)); err != nil {
+			if err := c.Send(0, tag, bytesview.F64(blk)); err != nil {
 				return nil, err
 			}
 		case c.Rank() == 0:
 			blk := buf[:n*w]
-			if _, err := c.Recv(owner, tag, f64b(blk)); err != nil {
+			if _, err := c.Recv(owner, tag, bytesview.F64(blk)); err != nil {
 				return nil, err
 			}
 			idx := 0
@@ -345,18 +346,4 @@ func charge(c *mp.Comm, rate, flops float64) {
 	if rate > 0 {
 		c.Compute(flops / rate)
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/bytesview"
 	"repro/internal/mp"
 	"repro/internal/rng"
 )
@@ -83,7 +84,7 @@ func PTRANS(c *mp.Comm, cfg PTRANSConfig) (PTRANSResult, error) {
 		// Pack reads + writes the local panel once.
 		c.Compute(2 * 8 * float64(rows) * float64(n) / cfg.MemRate)
 	}
-	if err := c.Alltoall(f64b(sendBuf), f64b(recvBuf)); err != nil {
+	if err := c.Alltoall(bytesview.F64(sendBuf), bytesview.F64(recvBuf)); err != nil {
 		return res, err
 	}
 	// Unpack: the block from rank s holds A[s-rows, my cols]; its

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"sync"
 
 	"repro/internal/par"
 )
@@ -16,8 +17,9 @@ const (
 )
 
 // Gemm computes C = alpha*A*B + beta*C using cache-blocked loops,
-// parallelized over row panels with nthreads workers (<=0 means
-// sequential). Dimensions: A is m x k, B is k x n, C is m x n.
+// parallelized over row panels with one goroutine per static block
+// (par.Block) of nthreads (<=1 means sequential). Dimensions: A is
+// m x k, B is k x n, C is m x n.
 func Gemm(alpha float64, a, b *Matrix, beta float64, c *Matrix, nthreads int) error {
 	if a.Cols != b.Rows || a.Rows != c.Rows || b.Cols != c.Cols {
 		return errors.New("linalg: gemm dimension mismatch")
@@ -50,9 +52,16 @@ func Gemm(alpha float64, a, b *Matrix, beta float64, c *Matrix, nthreads int) er
 		body(0, m)
 		return nil
 	}
-	par.ForOpt(m, par.Options{Threads: nthreads}, func(lo, hi, _ int) {
-		body(lo, hi)
-	})
+	nthreads = min(nthreads, m)
+	var wg sync.WaitGroup
+	wg.Add(nthreads)
+	for w := range nthreads {
+		go func() {
+			defer wg.Done()
+			body(par.Block(m, nthreads, w))
+		}()
+	}
+	wg.Wait()
 	return nil
 }
 
@@ -95,10 +104,3 @@ func gemmKernel(alpha float64, a, b, c *Matrix, ic, jc, pc, mc, nc, kc int) {
 // k x n multiply (2mnk), used by the DGEMM benchmark to convert time to
 // FLOP/s.
 func GemmFlops(m, n, k int) float64 { return 2 * float64(m) * float64(n) * float64(k) }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

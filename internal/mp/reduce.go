@@ -3,6 +3,8 @@ package mp
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/bytesview"
 )
 
 // Op is a reduction operator over float64 vectors. All provided operators
@@ -89,14 +91,14 @@ func (c *Comm) Reduce(root int, op Op, sendBuf, recvBuf []float64) error {
 			peerV := vrank | mask
 			if peerV < c.Size() {
 				src := (peerV + root) % c.Size()
-				if _, err := c.Recv(src, tag-round, f64bytes(tmp)); err != nil {
+				if _, err := c.Recv(src, tag-round, bytesview.F64(tmp)); err != nil {
 					return fmt.Errorf("mp: reduce recv: %w", err)
 				}
 				op.combine(acc, tmp)
 			}
 		} else {
 			dst := ((vrank &^ mask) + root) % c.Size()
-			if err := c.sendInternal(dst, tag-round, f64bytes(acc)); err != nil {
+			if err := c.sendInternal(dst, tag-round, bytesview.F64(acc)); err != nil {
 				return fmt.Errorf("mp: reduce send: %w", err)
 			}
 			break // sent partial up the tree; this rank is done
@@ -152,13 +154,13 @@ func (c *Comm) foldToPow2(op Op, acc []float64, tag int) (newRank, pow2 int, toR
 	rem := p - r
 	switch {
 	case c.rank < 2*rem && c.rank%2 == 0:
-		if err := c.sendInternal(c.rank+1, tag, f64bytes(acc)); err != nil {
+		if err := c.sendInternal(c.rank+1, tag, bytesview.F64(acc)); err != nil {
 			return 0, 0, nil, err
 		}
 		newRank = -1
 	case c.rank < 2*rem:
 		tmp := c.eng.tmp(len(acc))
-		if _, err := c.Recv(c.rank-1, tag, f64bytes(tmp)); err != nil {
+		if _, err := c.Recv(c.rank-1, tag, bytesview.F64(tmp)); err != nil {
 			return 0, 0, nil, err
 		}
 		op.combine(acc, tmp)
@@ -185,10 +187,10 @@ func (c *Comm) unfoldFromPow2(acc []float64, tag int) error {
 	rem := p - r
 	switch {
 	case c.rank < 2*rem && c.rank%2 == 0:
-		_, err := c.Recv(c.rank+1, tag, f64bytes(acc))
+		_, err := c.Recv(c.rank+1, tag, bytesview.F64(acc))
 		return err
 	case c.rank < 2*rem && c.rank%2 == 1:
-		return c.sendInternal(c.rank-1, tag, f64bytes(acc))
+		return c.sendInternal(c.rank-1, tag, bytesview.F64(acc))
 	}
 	return nil
 }
@@ -205,7 +207,7 @@ func (c *Comm) allreduceRecDoubling(op Op, acc []float64, tag int) error {
 		round := 1
 		for mask := 1; mask < r; mask <<= 1 {
 			peer := toReal(newRank ^ mask)
-			if _, err := c.sendRecvInternal(peer, tag-round, f64bytes(acc), peer, tag-round, f64bytes(tmp)); err != nil {
+			if _, err := c.sendRecvInternal(peer, tag-round, bytesview.F64(acc), peer, tag-round, bytesview.F64(tmp)); err != nil {
 				return fmt.Errorf("mp: allreduce rd round %d: %w", round, err)
 			}
 			op.combine(acc, tmp)
@@ -249,7 +251,7 @@ func (c *Comm) allreduceRabenseifner(op Op, acc []float64, tag int) error {
 			}
 			sl, sh := cut(sendLo), cut(sendHi)
 			kl, kh := cut(keepLo), cut(keepHi)
-			if _, err := c.sendRecvInternal(peer, tag-round, f64bytes(acc[sl:sh]), peer, tag-round, f64bytes(tmp[kl:kh])); err != nil {
+			if _, err := c.sendRecvInternal(peer, tag-round, bytesview.F64(acc[sl:sh]), peer, tag-round, bytesview.F64(tmp[kl:kh])); err != nil {
 				return fmt.Errorf("mp: allreduce rs round %d: %w", round, err)
 			}
 			op.combine(acc[kl:kh], tmp[kl:kh])
@@ -268,7 +270,7 @@ func (c *Comm) allreduceRabenseifner(op Op, acc []float64, tag int) error {
 			peerHi := peerLo + mask
 			ol, oh := cut(ownLo), cut(ownHi)
 			pl, ph := cut(peerLo), cut(peerHi)
-			if _, err := c.sendRecvInternal(peer, tag-round, f64bytes(acc[ol:oh]), peer, tag-round, f64bytes(acc[pl:ph])); err != nil {
+			if _, err := c.sendRecvInternal(peer, tag-round, bytesview.F64(acc[ol:oh]), peer, tag-round, bytesview.F64(acc[pl:ph])); err != nil {
 				return fmt.Errorf("mp: allreduce ag round %d: %w", round, err)
 			}
 			round++
@@ -299,7 +301,7 @@ func (c *Comm) allreduceRing(op Op, acc []float64, tag int) error {
 		sLo, sHi := chunk(c.rank - step)
 		rLo, rHi := chunk(c.rank - step - 1)
 		rtmp := tmp[:rHi-rLo]
-		if _, err := c.sendRecvInternal(right, tag-step, f64bytes(acc[sLo:sHi]), left, tag-step, f64bytes(rtmp)); err != nil {
+		if _, err := c.sendRecvInternal(right, tag-step, bytesview.F64(acc[sLo:sHi]), left, tag-step, bytesview.F64(rtmp)); err != nil {
 			return fmt.Errorf("mp: allreduce ring rs step %d: %w", step, err)
 		}
 		op.combine(acc[rLo:rHi], rtmp)
@@ -308,7 +310,7 @@ func (c *Comm) allreduceRing(op Op, acc []float64, tag int) error {
 	for step := 0; step < p-1; step++ {
 		sLo, sHi := chunk(c.rank - step + 1)
 		rLo, rHi := chunk(c.rank - step)
-		if _, err := c.sendRecvInternal(right, tag-(p-1)-step, f64bytes(acc[sLo:sHi]), left, tag-(p-1)-step, f64bytes(acc[rLo:rHi])); err != nil {
+		if _, err := c.sendRecvInternal(right, tag-(p-1)-step, bytesview.F64(acc[sLo:sHi]), left, tag-(p-1)-step, bytesview.F64(acc[rLo:rHi])); err != nil {
 			return fmt.Errorf("mp: allreduce ring ag step %d: %w", step, err)
 		}
 	}
@@ -335,13 +337,13 @@ func (c *Comm) Scan(op Op, sendBuf, recvBuf []float64) error {
 		var sreq *Request
 		var err error
 		if c.rank+mask < c.Size() {
-			sreq, err = c.isendInternal(c.rank+mask, tag-round, f64bytes(snapshot))
+			sreq, err = c.isendInternal(c.rank+mask, tag-round, bytesview.F64(snapshot))
 			if err != nil {
 				return fmt.Errorf("mp: scan send: %w", err)
 			}
 		}
 		if c.rank-mask >= 0 {
-			if _, err := c.Recv(c.rank-mask, tag-round, f64bytes(tmp)); err != nil {
+			if _, err := c.Recv(c.rank-mask, tag-round, bytesview.F64(tmp)); err != nil {
 				return fmt.Errorf("mp: scan recv: %w", err)
 			}
 			op.combine(recvBuf, tmp)

@@ -3,6 +3,8 @@ package mp
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/bytesview"
 )
 
 // Undefined, passed as a Split color, means this rank joins no group and
@@ -26,7 +28,7 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	// Allgather (color, key) so every rank can compute every group.
 	pair := []float64{float64(color), float64(key)}
 	all := make([]float64, 2*c.Size())
-	if err := c.Allgather(f64bytes(pair), f64bytes(all)); err != nil {
+	if err := c.Allgather(bytesview.F64(pair), bytesview.F64(all)); err != nil {
 		return nil, fmt.Errorf("mp: split allgather: %w", err)
 	}
 	if color == Undefined {

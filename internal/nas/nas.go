@@ -15,6 +15,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/bytesview"
 	"repro/internal/mp"
 	"repro/internal/rng"
 )
@@ -195,7 +196,7 @@ func IS(c *mp.Comm, cfg ISConfig) (ISResult, error) {
 	for i, n := range sendCounts {
 		sendCountBuf[i] = uint64(n)
 	}
-	if err := c.Alltoall(u64view(sendCountBuf), u64view(recvCountBuf)); err != nil {
+	if err := c.Alltoall(bytesview.U64(sendCountBuf), bytesview.U64(recvCountBuf)); err != nil {
 		return ISResult{}, err
 	}
 	recvCounts := make([]int, p)
@@ -211,7 +212,7 @@ func IS(c *mp.Comm, cfg ISConfig) (ISResult, error) {
 		sendBytes[i] = sendCounts[i] * 8
 		recvBytes[i] = recvCounts[i] * 8
 	}
-	if err := c.Alltoallv(u64view(packed), sendBytes, u64view(recvKeys), recvBytes); err != nil {
+	if err := c.Alltoallv(bytesview.U64(packed), sendBytes, bytesview.U64(recvKeys), recvBytes); err != nil {
 		return ISResult{}, err
 	}
 

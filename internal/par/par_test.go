@@ -9,13 +9,8 @@ import (
 func TestForCoversAllIndices(t *testing.T) {
 	const n = 1000
 	hit := make([]int32, n)
-	ForOpt(n, Options{}, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			atomic.AddInt32(&hit[i], 1)
-		}
-	})
-	// ForEach at no, one (inline) and several workers: once more each.
-	for _, threads := range []int{0, 1, 4} {
+	// ForEach at no, one (inline), several and the default workers.
+	for _, threads := range []int{0, 1, 4, DefaultThreads()} {
 		ForEach(n, threads, func(i int) { atomic.AddInt32(&hit[i], 1) })
 	}
 	for i, h := range hit {
@@ -27,7 +22,7 @@ func TestForCoversAllIndices(t *testing.T) {
 
 func TestForZeroAndNegative(t *testing.T) {
 	called := false
-	ForOpt(0, Options{}, func(int, int, int) { called = true })
+	ForEach(0, 4, func(int) { called = true })
 	ForEach(-5, 4, func(int) { called = true })
 	if called {
 		t.Error("body called for empty range")
@@ -35,98 +30,60 @@ func TestForZeroAndNegative(t *testing.T) {
 }
 
 func TestForOptSchedulesCoverExactly(t *testing.T) {
-	for _, sched := range []Schedule{Static, Dynamic, Guided} {
-		for _, threads := range []int{1, 2, 3, 7, 16} {
-			for _, n := range []int{1, 2, 16, 97, 1000} {
-				hit := make([]int32, n)
-				ForOpt(n, Options{Threads: threads, Schedule: sched, Chunk: 3},
-					func(lo, hi, w int) {
-						if w < 0 || w >= threads {
-							t.Errorf("worker id %d out of range", w)
-						}
-						for i := lo; i < hi; i++ {
-							atomic.AddInt32(&hit[i], 1)
-						}
-					})
-				for i, h := range hit {
-					if h != 1 {
-						t.Fatalf("%v t=%d n=%d: index %d visited %d times",
-							sched, threads, n, i, h)
-					}
+	// Both schedules visit every index once: Block's parts tile [0, n)
+	// in order with sizes differing by at most one, and ForEach's
+	// workers share it dynamically.
+	for _, threads := range []int{1, 2, 3, 7, 16} {
+		for _, n := range []int{1, 2, 16, 97, 1000} {
+			next := 0
+			for w := 0; w < threads; w++ {
+				lo, hi := Block(n, threads, w)
+				if lo != next || hi < lo || hi-lo > n/threads+1 || hi-lo < n/threads {
+					t.Fatalf("Block(%d, %d, %d) = [%d,%d), want a block starting at %d", n, threads, w, lo, hi, next)
+				}
+				next = hi
+			}
+			if next != n {
+				t.Fatalf("Block(%d, %d, ...) covers [0,%d)", n, threads, next)
+			}
+			hit := make([]int32, n)
+			ForEach(n, threads, func(i int) { atomic.AddInt32(&hit[i], 1) })
+			for i, h := range hit {
+				if h != 1 {
+					t.Fatalf("ForEach t=%d n=%d: index %d visited %d times", threads, n, i, h)
 				}
 			}
 		}
 	}
 }
 
-func TestForOptChunkRespected(t *testing.T) {
-	// Dynamic with chunk=10 over n=100 must call the body in chunks of
-	// exactly 10 (n divides evenly).
-	var mu sync.Mutex
-	var sizes []int
-	ForOpt(100, Options{Threads: 4, Schedule: Dynamic, Chunk: 10},
-		func(lo, hi, _ int) {
-			mu.Lock()
-			sizes = append(sizes, hi-lo)
-			mu.Unlock()
-		})
-	if len(sizes) != 10 {
-		t.Fatalf("expected 10 chunks, got %d", len(sizes))
-	}
-	for _, s := range sizes {
-		if s != 10 {
-			t.Errorf("chunk size %d, want 10", s)
-		}
-	}
-}
-
-func TestGuidedChunksShrink(t *testing.T) {
-	// With one worker, guided chunks must be non-increasing and the
-	// first chunk must be ~n/threads... with threads=1 the first chunk
-	// is the whole range; use 4 logical threads but a single-threaded
-	// verification via Chunk accounting instead: run with Threads=2 and
-	// just validate coverage plus that at least one chunk is bigger
-	// than the minimum (i.e. guided actually hands out large chunks).
-	var mu sync.Mutex
-	var sizes []int
-	ForOpt(1000, Options{Threads: 2, Schedule: Guided, Chunk: 4},
-		func(lo, hi, _ int) {
-			mu.Lock()
-			sizes = append(sizes, hi-lo)
-			mu.Unlock()
-		})
-	maxSize := 0
-	for _, s := range sizes {
-		if s > maxSize {
-			maxSize = s
-		}
-	}
-	if maxSize <= 4 {
-		t.Errorf("guided never produced a chunk larger than the minimum; sizes=%v", sizes)
-	}
-}
-
 func TestForOptSingleThreadInline(t *testing.T) {
-	// Threads=1 must execute inline as one chunk.
-	calls := 0
-	ForOpt(50, Options{Threads: 1}, func(lo, hi, w int) {
-		calls++
-		if lo != 0 || hi != 50 || w != 0 {
-			t.Errorf("inline chunk = [%d,%d) w=%d", lo, hi, w)
+	// One worker runs inline, in index order, and one block is the
+	// whole range.
+	next := 0
+	ForEach(50, 1, func(i int) {
+		if i != next {
+			t.Errorf("inline loop visited %d, want %d", i, next)
 		}
+		next++
 	})
-	if calls != 1 {
-		t.Errorf("calls = %d, want 1", calls)
+	if next != 50 {
+		t.Errorf("inline loop ran %d iterations, want 50", next)
+	}
+	if lo, hi := Block(50, 1, 0); lo != 0 || hi != 50 {
+		t.Errorf("Block(50, 1, 0) = [%d,%d)", lo, hi)
 	}
 }
 
 func TestForOptThreadsClampedToN(t *testing.T) {
-	// More threads than iterations: worker ids must stay < n.
-	ForOpt(3, Options{Threads: 16}, func(lo, hi, w int) {
-		if w >= 3 {
-			t.Errorf("worker id %d not clamped", w)
+	// More workers than iterations: the first n get one index each and
+	// the rest get empty blocks.
+	for w := 0; w < 16; w++ {
+		lo, hi := Block(3, 16, w)
+		if want := min(w, 3); lo != want || hi != min(w+1, 3) {
+			t.Errorf("Block(3, 16, %d) = [%d,%d)", w, lo, hi)
 		}
-	})
+	}
 }
 
 func TestTeamRunEveryWorker(t *testing.T) {
@@ -185,15 +142,6 @@ func TestTeamCloseIdempotent(t *testing.T) {
 	team := NewTeam(2)
 	team.Close()
 	team.Close() // must not panic or deadlock
-}
-
-func TestScheduleString(t *testing.T) {
-	if Static.String() != "static" || Dynamic.String() != "dynamic" || Guided.String() != "guided" {
-		t.Error("Schedule.String wrong")
-	}
-	if Schedule(42).String() != "Schedule(42)" {
-		t.Error("unknown schedule string wrong")
-	}
 }
 
 // TestPinnedTeam asserts a pinned team behaves like a regular team —

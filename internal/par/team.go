@@ -109,21 +109,15 @@ func (t *Team) Run(body func(worker int)) {
 	}
 }
 
-// ForStatic runs a statically scheduled loop over [0, n) on the team.
+// ForStatic runs a statically scheduled loop over [0, n) on the team:
+// worker w gets Block(n, Size(), w).
 func (t *Team) ForStatic(n int, body func(lo, hi, worker int)) {
 	if n <= 0 {
 		return
 	}
-	base := n / t.n
-	rem := n % t.n
 	t.Run(func(w int) {
-		lo := w*base + min(w, rem)
-		size := base
-		if w < rem {
-			size++
-		}
-		if size > 0 {
-			body(lo, lo+size, w)
+		if lo, hi := Block(n, t.n, w); lo < hi {
+			body(lo, hi, w)
 		}
 	})
 }
@@ -134,11 +128,4 @@ func (t *Team) Close() {
 		close(t.done)
 		t.wg.Wait()
 	})
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/bytesview"
 	"repro/internal/mp"
 	"repro/internal/rng"
 )
@@ -235,7 +236,7 @@ func DistCG(c *mp.Comm, aLocal *CSR, bLocal []float64, counts []int, maxIter int
 	ap := make([]float64, m)
 
 	allgather := func(local, full []float64) error {
-		return c.Allgatherv(f64view(local), byteCounts, f64view(full))
+		return c.Allgatherv(bytesview.F64(local), byteCounts, bytesview.F64(full))
 	}
 	dotAll := func(a, b []float64) (float64, error) {
 		return c.AllreduceScalar(mp.OpSum, dot(a, b))
