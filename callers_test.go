@@ -34,6 +34,8 @@ var uncalledAllowed = map[string]string{
 	"par.Team.Pinned":            "test read-out: affinity tests read whether a team pinned its workers",
 	"perfmodel.Hockney.Predict":  "test read-out: fit tests evaluate the fitted model",
 	"report.Table.NRows":         "test read-out: report tests count a table's rows",
+	"report.Recorder.Text":       "test read-out: core, report and serve tests compare a run's captured text",
+	"serve.Server.Registry":      "test read-out: serve and shard tests scrape a server's metrics",
 	"stats.LinearFit.Eval":       "test read-out: fit tests evaluate the fitted line",
 	"mp.Comm.Reduce":             "TestSimVirtualTimePinned's script calls it, and its constants must not be recaptured",
 	"mp.Comm.Scan":               "TestSimVirtualTimePinned's script calls it, and its constants must not be recaptured",
@@ -44,8 +46,6 @@ var uncalledAllowed = map[string]string{
 type modulePkg struct {
 	path        string
 	files       []*ast.File // non-test files
-	tests       []*ast.File // in-package _test.go files
-	xtests      []*ast.File // package foo_test files
 	checked     *types.Package
 	info        *types.Info
 	internalPkg bool
@@ -54,22 +54,22 @@ type modulePkg struct {
 // TestEveryDeclHasACaller is the guard against dead surface: every
 // package-level declaration under internal/ (functions, types,
 // variables, constants and methods) must be reachable from a program
-// or from another package's tests. Non-test code in cmd/, examples/,
-// bench/ and the root package's tests are roots; so are uses from one
-// internal package's tests of another package, init functions and the
-// allowlist above. A use from internal code counts only when the using
-// declaration is itself reachable, so a helper whose only caller is
-// dead is dead too. Uses are resolved by the type checker, not by name,
-// so stencil.Gather does not keep mp.Comm.Gather alive. A method is
-// exempt when its receiver type is reachable and implements an
-// interface, from the module or a standard package it imports, that
-// declares the method.
+// or from the root package's tests. Non-test code in cmd/, examples/
+// and bench/, the root package's tests, init functions and the
+// allowlist above are roots; no other package's tests are, so one
+// internal package's tests cannot keep another's surface alive. A use
+// from internal code counts only when the using declaration is itself
+// reachable, so a helper whose only caller is dead is dead too. Uses
+// are resolved by the type checker, not by name, so stencil.Gather
+// does not keep mp.Comm.Gather alive. A method is exempt when its
+// receiver type is reachable and implements an interface, from the
+// module or a standard package it imports, that declares the method.
 func TestEveryDeclHasACaller(t *testing.T) {
 	if raceBuild() {
 		t.Skip("type-checking the module from source is too slow under -race")
 	}
 	fset := token.NewFileSet()
-	pkgs := loadModule(t, fset)
+	pkgs, rootTests := loadModule(t, fset)
 
 	std := importer.ForCompiler(fset, "source", nil)
 	imp := &moduleImporter{std: std, pkgs: pkgs, fset: fset}
@@ -81,11 +81,12 @@ func TestEveryDeclHasACaller(t *testing.T) {
 	ifaces := moduleInterfaces(pkgs)
 	for _, p := range sortedPkgs(pkgs) {
 		g.addPackage(p, ifaces)
-		if len(p.tests) > 0 {
-			g.addTestUses(p, imp.checkTests(p, p.tests, true), p.tests)
-		}
-		if len(p.xtests) > 0 {
-			g.addTestUses(p, imp.checkTests(p, p.xtests, false), p.xtests)
+	}
+	testInfo := newInfo()
+	imp.config().Check("repro_test", fset, rootTests, testInfo)
+	for _, f := range rootTests {
+		for k := range uses(testInfo, f) {
+			g.roots[k] = true
 		}
 	}
 
@@ -130,10 +131,11 @@ func TestEveryDeclHasACaller(t *testing.T) {
 
 const internalPrefix = "repro/internal/"
 
-// loadModule parses every package directory of the module.
-func loadModule(t *testing.T, fset *token.FileSet) map[string]*modulePkg {
+// loadModule parses the non-test files of every package directory of
+// the module, and the root package's test files.
+func loadModule(t *testing.T, fset *token.FileSet) (pkgs map[string]*modulePkg, rootTests []*ast.File) {
 	t.Helper()
-	pkgs := map[string]*modulePkg{}
+	pkgs = map[string]*modulePkg{}
 	err := filepath.WalkDir(".", func(dir string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -168,17 +170,20 @@ func loadModule(t *testing.T, fset *token.FileSet) map[string]*modulePkg {
 			}
 			return files
 		}
-		p.files, p.tests, p.xtests = parse(bp.GoFiles), parse(bp.TestGoFiles), parse(bp.XTestGoFiles)
+		p.files = parse(bp.GoFiles)
+		if dir == "." {
+			rootTests = parse(bp.XTestGoFiles)
+		}
 		pkgs[path] = p
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgs) < 20 || pkgs[internalPrefix+"mp"] == nil {
-		t.Fatalf("found %d packages and no internal/mp — is the test running in the module root?", len(pkgs))
+	if len(pkgs) < 20 || pkgs[internalPrefix+"mp"] == nil || len(rootTests) == 0 {
+		t.Fatalf("found %d packages, %d root test files and no internal/mp — is the test running in the module root?", len(pkgs), len(rootTests))
 	}
-	return pkgs
+	return pkgs, rootTests
 }
 
 func sortedPkgs(pkgs map[string]*modulePkg) []*modulePkg {
@@ -193,16 +198,12 @@ func sortedPkgs(pkgs map[string]*modulePkg) []*modulePkg {
 // moduleImporter type-checks the module's own packages from the parsed
 // files and hands every other import to the standard source importer.
 type moduleImporter struct {
-	std      types.Importer
-	pkgs     map[string]*modulePkg
-	fset     *token.FileSet
-	override map[string]*types.Package // a package under test, with its _test.go files
+	std  types.Importer
+	pkgs map[string]*modulePkg
+	fset *token.FileSet
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
-	if p := m.override[path]; p != nil {
-		return p, nil
-	}
 	if p := m.pkgs[path]; p != nil {
 		return m.check(p), nil
 	}
@@ -210,9 +211,9 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 }
 
 func (m *moduleImporter) config() *types.Config {
-	// Type errors cannot occur in a tree that builds; a package under
-	// test seen through two identities can raise spurious ones, and
-	// every use the checker resolved is still recorded.
+	// A tree that builds has no type errors; should the source
+	// importer report one anyway, checking carries on and every use
+	// the checker resolved is still recorded.
 	return &types.Config{Importer: m, Error: func(error) {}}
 }
 
@@ -229,25 +230,6 @@ func (m *moduleImporter) check(p *modulePkg) *types.Package {
 	return p.checked
 }
 
-// checkTests type-checks one set of p's test files as go test builds
-// them: in-package files together with p's own, external files against
-// p extended by its in-package test files.
-func (m *moduleImporter) checkTests(p *modulePkg, files []*ast.File, inPkg bool) *types.Info {
-	info := newInfo()
-	withTests := append(append([]*ast.File{}, p.files...), p.tests...)
-	if inPkg {
-		m.config().Check(p.path, m.fset, withTests, info)
-		return info
-	}
-	under := m.check(p)
-	if len(p.tests) > 0 {
-		under, _ = m.config().Check(p.path, m.fset, withTests, newInfo())
-	}
-	sub := &moduleImporter{std: m.std, pkgs: m.pkgs, fset: m.fset, override: map[string]*types.Package{p.path: under}}
-	sub.config().Check(p.path+"_test", m.fset, files, info)
-	return info
-}
-
 // callGraph links each declaration under internal/ to the declarations
 // its body, type or initializer uses. Keys are import path, then
 // receiver type for a method, then name.
@@ -256,7 +238,7 @@ type callGraph struct {
 	pos    map[string]string          // every declaration under internal/ → file:line
 	recvOf map[string]string          // method → its receiver type
 	edges  map[string]map[string]bool // declaration → what it uses
-	roots  map[string]bool            // used by a program or by another package's tests
+	roots  map[string]bool            // used by a program or by the root package's tests
 }
 
 func newCallGraph(fset *token.FileSet) *callGraph {
@@ -295,12 +277,6 @@ func declKey(obj types.Object) string {
 		return ""
 	}
 	return obj.Pkg().Path() + "." + obj.Name()
-}
-
-// keyPkg returns the import path part of a declaration key.
-func keyPkg(k string) string {
-	i := strings.LastIndex(k, "/")
-	return k[:i+strings.Index(k[i:], ".")]
 }
 
 // uses returns the declarations the identifiers under n resolve to.
@@ -389,18 +365,6 @@ func (g *callGraph) addPackage(p *modulePkg, ifaces []*types.Interface) {
 						}
 					}
 				}
-			}
-		}
-	}
-}
-
-// addTestUses records, as roots, the uses that p's tests make of other
-// packages' declarations.
-func (g *callGraph) addTestUses(p *modulePkg, info *types.Info, files []*ast.File) {
-	for _, f := range files {
-		for k := range uses(info, f) {
-			if !p.internalPkg || keyPkg(k) != p.path {
-				g.roots[k] = true
 			}
 		}
 	}

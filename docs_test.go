@@ -213,6 +213,11 @@ func TestReadmeCoversFlags(t *testing.T) {
 		{"NewIn" + "Proc", ""},
 		{"Faulty" + "Fabric", ""},
 		{"internal/" + "transport", "bench"},
+		{"Any" + "Source", ""},
+		{"Any" + "Tag", ""},
+		{"Global" + "Rank", ""},
+		{"Reset" + "Stats", ""},
+		{"child" + "Ctx", ""},
 	}
 	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {

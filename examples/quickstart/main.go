@@ -15,21 +15,22 @@ import (
 
 func main() {
 	err := mp.Run(4, mp.Config{Model: cluster.SMPNode()}, func(c *mp.Comm) error {
-		// Point-to-point: rank 0 sends a greeting to rank 1.
-		const tag = 1
-		if c.Rank() == 0 {
+		// Point-to-point: rank 0 sends a greeting to rank 1. A receive
+		// names its source and tag exactly.
+		const src, tag = 0, 1
+		if c.Rank() == src {
 			if err := c.Send(1, tag, []byte("hello from rank 0")); err != nil {
 				return err
 			}
 		}
 		if c.Rank() == 1 {
 			buf := make([]byte, 64)
-			st, err := c.Recv(0, tag, buf)
+			st, err := c.Recv(src, tag, buf)
 			if err != nil {
 				return err
 			}
 			fmt.Printf("rank 1 received %q (from %d, %d bytes)\n",
-				buf[:st.Count], st.Source, st.Count)
+				buf[:st.Count], src, st.Count)
 		}
 
 		// Collective: sum each rank's id across all ranks.

@@ -9,14 +9,15 @@ import (
 
 // goldenIDs is the deterministic experiment set: fully modeled, no
 // host measurement, no fabric-scheduling nondeterminism. Their
-// default-platform quick-scale output is pinned byte-for-byte against
-// testdata captured BEFORE the platform-registry refactor, proving
+// default-platform quick-scale output is pinned byte-for-byte. T1 and
+// M3-M6 were captured before the platform registry existed, proving
 // Request{Platform: ""} reproduces the hardwired-constructor output
-// exactly. F14, the placement ablation, times messages whose cost
-// depends on the path class between two placed ranks, so its golden
-// pins how the fabric places ranks and classifies each pair. The
-// point-to-point family (F1-F3, F12-F14) times one pair while every
-// other rank stays silent, so nothing races its messages for a NIC.
+// exactly. F1-F3 and F12-F14 were captured later, once the
+// point-to-point family ran on one pair alone, so nothing races its
+// messages for a NIC. F14, the placement ablation, times messages
+// whose cost depends on the path class between two placed ranks, so
+// its golden pins how the fabric places ranks and classifies each
+// pair.
 var goldenIDs = []string{"T1", "M3", "M4", "M5", "M6", "F1", "F2", "F3", "F12", "F13", "F14"}
 
 // TestGoldenDefaultPlatformOutput is the refactor's acceptance gate:

@@ -5,8 +5,8 @@ import (
 	"fmt"
 )
 
-// Collectives must be invoked by all ranks of the communicator in the
-// same order (as in MPI). Each invocation consumes one collective epoch,
+// Collectives must be invoked by all ranks of the Run in the same
+// order (as in MPI). Each invocation consumes one collective epoch,
 // which generates internal tags disjoint from user tag space; the round
 // number is folded into the tag so that algorithm phases cannot match
 // across rounds.
@@ -14,7 +14,7 @@ import (
 const collTagStride = 4096 // max p2p rounds distinguishable per collective
 
 func (c *Comm) nextCollTag() int {
-	c.eng.stats.Collectives++
+	c.stats.Collectives++
 	c.collEpoch++
 	return collTagBase - int(c.collEpoch)*collTagStride
 }
@@ -52,7 +52,7 @@ func (c *Comm) Bcast(root int, buf []byte) error {
 		return nil
 	}
 	tag := c.nextCollTag()
-	algo := c.eng.cfg.Bcast
+	algo := c.cfg.Bcast
 	if algo == BcastAuto {
 		if len(buf) <= 32*1024 || c.Size() < 4 {
 			algo = BcastBinomial
@@ -98,7 +98,7 @@ func (c *Comm) bcastPipelineRing(root int, buf []byte, tag int) error {
 		chunk := buf[lo:hi]
 		chunkTag := tag - (i % (collTagStride - 1))
 		if vrank != 0 {
-			if _, err := c.Recv(prev, chunkTag, chunk); err != nil {
+			if _, err := c.recvInternal(prev, chunkTag, chunk); err != nil {
 				return fmt.Errorf("mp: bcast pipeline recv chunk %d: %w", i, err)
 			}
 		}
@@ -134,7 +134,7 @@ func (c *Comm) bcastBinomial(root int, buf []byte, tag int) error {
 	for mask < c.Size() {
 		if vrank&mask != 0 {
 			src := (c.rank - mask + c.Size()) % c.Size()
-			if _, err := c.Recv(src, tag, buf); err != nil {
+			if _, err := c.recvInternal(src, tag, buf); err != nil {
 				return fmt.Errorf("mp: bcast recv: %w", err)
 			}
 			break
@@ -181,7 +181,7 @@ func (c *Comm) bcastScatterAllgather(root int, buf []byte, tag int) error {
 			recvLo := blockLo(vrank)
 			recvSize := n - recvLo
 			if recvSize > 0 {
-				st, err := c.Recv(src, tag, buf[recvLo:])
+				st, err := c.recvInternal(src, tag, buf[recvLo:])
 				if err != nil {
 					return fmt.Errorf("mp: bcast scatter recv: %w", err)
 				}

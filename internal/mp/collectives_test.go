@@ -338,10 +338,3 @@ func TestOpString(t *testing.T) {
 		}
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -75,7 +75,6 @@ type packet struct {
 	kind    pktKind
 	src     int
 	tag     int
-	ctx     uint64 // communicator context id (0 = world)
 	seq     uint64
 	data    []byte
 	arrival float64

@@ -5,9 +5,9 @@
 //     over an in-process fabric that stamps every message with its
 //     LogGP-modeled virtual time (fabric.go).
 //   - Point-to-point: blocking Send/Recv, nonblocking Isend/Irecv with
-//     Requests, combined SendRecv, source/tag wildcards, and the MPI
-//     matching rules (FIFO per (src,dst), first-match against posted
-//     receives, unexpected-message queue).
+//     Requests, combined SendRecv, and the MPI matching rules on an
+//     exact (source, tag) envelope (FIFO per (src,dst), first-match
+//     against posted receives, unexpected-message queue).
 //   - Protocols: messages at or below the eager threshold are sent
 //     eagerly (buffered); larger messages use rendezvous (RTS/CTS),
 //     exactly the protocol split whose crossover the characterization
@@ -15,8 +15,9 @@
 //   - Collectives: barrier, bcast, allgather(v) and alltoall(v) over
 //     bytes, and reduce/allreduce/scan over float64 with selectable
 //     classic algorithms (experiment F6).
-//   - Sub-communicators: Split, on which node-aware strategies build
-//     their node-local groups.
+//
+// Every rank holds one Comm, on the world of its Run; there are no
+// sub-communicators.
 //
 // Progress is single-threaded per rank, as in most MPI implementations:
 // a rank advances its pending operations only while it is inside an mp
@@ -31,14 +32,6 @@ import (
 	"sync"
 
 	"repro/internal/cluster"
-)
-
-// Wildcards for Recv/Irecv.
-const (
-	// AnySource matches a message from any rank.
-	AnySource = -1
-	// AnyTag matches a message with any user tag.
-	AnyTag = -1
 )
 
 // Internal collective tags live far below user tag space; user tags must

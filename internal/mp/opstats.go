@@ -1,10 +1,10 @@
 package mp
 
-// OpStats counts the runtime's protocol activity for one rank (across
-// all communicators sharing the engine). The characterization uses it
-// to verify algorithm cost models — e.g. that a binomial broadcast on p
-// ranks really issues the expected ceil(log2 p) sends per relay — and
-// to report matching-engine behaviour (posted vs unexpected hit rates).
+// OpStats counts the runtime's protocol activity for one rank. The
+// characterization uses it to verify algorithm cost models — e.g. that
+// a binomial broadcast on p ranks really issues the expected
+// ceil(log2 p) sends per relay — and to report matching-engine
+// behaviour (posted vs unexpected hit rates).
 type OpStats struct {
 	SendsEager  uint64 // eager-path sends issued
 	SendsRndv   uint64 // rendezvous sends issued (RTS sent)
@@ -16,9 +16,6 @@ type OpStats struct {
 	Collectives uint64 // collective operations started
 }
 
-// Stats returns a snapshot of this rank's counters. Counters accumulate
-// from Run start; ResetStats zeroes them.
-func (c *Comm) Stats() OpStats { return c.eng.stats }
-
-// ResetStats zeroes the rank's counters (e.g. after warmup).
-func (c *Comm) ResetStats() { c.eng.stats = OpStats{} }
+// Stats returns a snapshot of this rank's counters, which accumulate
+// from Run start.
+func (c *Comm) Stats() OpStats { return c.stats }

@@ -77,7 +77,7 @@ func (c *Comm) Reduce(root int, op Op, sendBuf, recvBuf []float64) error {
 	n := len(sendBuf)
 
 	// acc is this rank's running partial result.
-	scratch := c.eng.tmp(2 * n)
+	scratch := c.tmp(2 * n)
 	tmp, acc := scratch[:n], scratch[n:]
 	if c.rank == root {
 		acc = recvBuf
@@ -91,7 +91,7 @@ func (c *Comm) Reduce(root int, op Op, sendBuf, recvBuf []float64) error {
 			peerV := vrank | mask
 			if peerV < c.Size() {
 				src := (peerV + root) % c.Size()
-				if _, err := c.Recv(src, tag-round, bytesview.F64(tmp)); err != nil {
+				if _, err := c.recvInternal(src, tag-round, bytesview.F64(tmp)); err != nil {
 					return fmt.Errorf("mp: reduce recv: %w", err)
 				}
 				op.combine(acc, tmp)
@@ -120,7 +120,7 @@ func (c *Comm) Allreduce(op Op, sendBuf, recvBuf []float64) error {
 		return nil
 	}
 	tag := c.nextCollTag()
-	algo := c.eng.cfg.Allreduce
+	algo := c.cfg.Allreduce
 	if algo == AllreduceAuto {
 		if len(sendBuf) <= 2048 || c.Size() < 4 {
 			algo = AllreduceRecursiveDoubling
@@ -159,8 +159,8 @@ func (c *Comm) foldToPow2(op Op, acc []float64, tag int) (newRank, pow2 int, toR
 		}
 		newRank = -1
 	case c.rank < 2*rem:
-		tmp := c.eng.tmp(len(acc))
-		if _, err := c.Recv(c.rank-1, tag, bytesview.F64(tmp)); err != nil {
+		tmp := c.tmp(len(acc))
+		if _, err := c.recvInternal(c.rank-1, tag, bytesview.F64(tmp)); err != nil {
 			return 0, 0, nil, err
 		}
 		op.combine(acc, tmp)
@@ -187,7 +187,7 @@ func (c *Comm) unfoldFromPow2(acc []float64, tag int) error {
 	rem := p - r
 	switch {
 	case c.rank < 2*rem && c.rank%2 == 0:
-		_, err := c.Recv(c.rank+1, tag, bytesview.F64(acc))
+		_, err := c.recvInternal(c.rank+1, tag, bytesview.F64(acc))
 		return err
 	case c.rank < 2*rem && c.rank%2 == 1:
 		return c.sendInternal(c.rank-1, tag, bytesview.F64(acc))
@@ -203,7 +203,7 @@ func (c *Comm) allreduceRecDoubling(op Op, acc []float64, tag int) error {
 		return fmt.Errorf("mp: allreduce fold: %w", err)
 	}
 	if newRank >= 0 {
-		tmp := c.eng.tmp(len(acc))
+		tmp := c.tmp(len(acc))
 		round := 1
 		for mask := 1; mask < r; mask <<= 1 {
 			peer := toReal(newRank ^ mask)
@@ -232,7 +232,7 @@ func (c *Comm) allreduceRabenseifner(op Op, acc []float64, tag int) error {
 		n := len(acc)
 		// Block b of the r blocks spans [cut(b), cut(b+1)).
 		cut := func(b int) int { return b * n / r }
-		tmp := c.eng.tmp(n)
+		tmp := c.tmp(n)
 
 		// Reduce-scatter by recursive halving: at each round the
 		// active window [lo, hi) of blocks halves; this rank keeps
@@ -293,7 +293,7 @@ func (c *Comm) allreduceRing(op Op, acc []float64, tag int) error {
 	}
 	right := (c.rank + 1) % p
 	left := (c.rank - 1 + p) % p
-	tmp := c.eng.tmp(n/p + 1)
+	tmp := c.tmp(n/p + 1)
 
 	// Reduce-scatter phase: after p-1 steps, rank r owns the fully
 	// reduced chunk (r+1) mod p.
@@ -329,7 +329,7 @@ func (c *Comm) Scan(op Op, sendBuf, recvBuf []float64) error {
 	}
 	tag := c.nextCollTag()
 	n := len(sendBuf)
-	scratch := c.eng.tmp(2 * n)
+	scratch := c.tmp(2 * n)
 	tmp, snapshot := scratch[:n], scratch[n:]
 	round := 0
 	for mask := 1; mask < c.Size(); mask <<= 1 {
@@ -343,7 +343,7 @@ func (c *Comm) Scan(op Op, sendBuf, recvBuf []float64) error {
 			}
 		}
 		if c.rank-mask >= 0 {
-			if _, err := c.Recv(c.rank-mask, tag-round, bytesview.F64(tmp)); err != nil {
+			if _, err := c.recvInternal(c.rank-mask, tag-round, bytesview.F64(tmp)); err != nil {
 				return fmt.Errorf("mp: scan recv: %w", err)
 			}
 			op.combine(recvBuf, tmp)

@@ -132,7 +132,7 @@ func TestRandomTrafficStress(t *testing.T) {
 // TestPooledPayloadStress is the safety test for the fabric's payload
 // pool: a many-rank exchange whose every message is a checksum stream of
 // (src, seq), with sizes on both sides of the eager threshold (several
-// sharing a pool size class), posted and AnySource receives, messages
+// sharing a pool size class), receives posted before traffic, messages
 // that wait in the unexpected queue while same-class buffers are
 // released and reused around them, an eager send buffer reused the
 // moment Isend returns, and truncated receives. A buffer recycled while
@@ -201,17 +201,22 @@ func TestPooledPayloadStress(t *testing.T) {
 				if err := c.Barrier(); err != nil {
 					return err
 				}
-				anyBuf := make([]byte, sizes[len(sizes)-1])
+				// Descending sources take each match from the middle
+				// of the queue, not its head.
+				recvBuf := make([]byte, sizes[len(sizes)-1])
 				for k := 1; k < perPeer; k += 2 {
-					for i := 0; i < ranks-1; i++ {
-						st, err := c.Recv(AnySource, k, anyBuf)
+					for src := ranks - 1; src >= 0; src-- {
+						if src == me {
+							continue
+						}
+						st, err := c.Recv(src, k, recvBuf)
 						if err != nil {
 							return err
 						}
-						if st.Tag != k || st.Count != sizeOf(st.Source, me, k) {
-							return fmt.Errorf("any-source k %d: got %+v, want %d bytes", k, st, sizeOf(st.Source, me, k))
+						if want := sizeOf(src, me, k); st.Count != want {
+							return fmt.Errorf("unexpected src %d k %d: count %d, want %d", src, k, st.Count, want)
 						}
-						if err := checksumVerify(anyBuf[:st.Count], st.Source, k); err != nil {
+						if err := checksumVerify(recvBuf[:st.Count], src, k); err != nil {
 							return err
 						}
 					}
@@ -250,13 +255,13 @@ func TestPooledPayloadStress(t *testing.T) {
 					if round < 2 {
 						want = 100
 					}
-					_, err = c.Recv(left, truncTag, anyBuf[:want])
+					_, err = c.Recv(left, truncTag, recvBuf[:want])
 					if truncated := want < size; truncated != errors.Is(err, ErrTruncated) || (!truncated && err != nil) {
 						return fmt.Errorf("round %d: err = %v", round, err)
 					}
 					full := make([]byte, size)
 					checksumFill(full, left, truncTag+round)
-					if string(anyBuf[:want]) != string(full[:want]) {
+					if string(recvBuf[:want]) != string(full[:want]) {
 						return fmt.Errorf("round %d: payload from %d corrupt", round, left)
 					}
 					if _, err := sreq.Wait(); err != nil {

@@ -113,22 +113,3 @@ func TestAlltoallvValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestVCollectivesOnSubComm(t *testing.T) {
-	// v-collectives must work on a split communicator.
-	err := Run(4, Config{Model: testModel()}, func(c *Comm) error {
-		sub, err := c.Split(c.Rank()%2, c.Rank())
-		if err != nil {
-			return err
-		}
-		counts := rampCounts(sub.Size())
-		recv := make([]byte, 3) // 1+2
-		if err := sub.Allgatherv(rampPayload(sub.Rank()), counts, recv); err != nil {
-			return err
-		}
-		return checkPacked(recv, sub.Size())
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

