@@ -218,6 +218,8 @@ func TestReadmeCoversFlags(t *testing.T) {
 		{"Global" + "Rank", ""},
 		{"Reset" + "Stats", ""},
 		{"child" + "Ctx", ""},
+		{"MultiPair" + "Bandwidth", ""},
+		{"narrow" + "Node", ""},
 	}
 	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/cluster"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -157,10 +159,45 @@ func TestF1LatencyShape(t *testing.T) {
 	}
 }
 
+// figPoint is one "series, x, y" row of a rendered figure.
+type figPoint struct {
+	series string
+	x, y   float64
+}
+
+// figPoints parses every data row of a rendered figure.
+func figPoints(out string) []figPoint {
+	var pts []figPoint
+	for _, line := range strings.Split(out, "\n") {
+		parts := strings.Split(line, ",")
+		if len(parts) != 3 || strings.HasPrefix(line, "#") {
+			continue
+		}
+		x, err1 := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
+		y, err2 := strconv.ParseFloat(strings.TrimSpace(parts[2]), 64)
+		if err1 == nil && err2 == nil {
+			pts = append(pts, figPoint{strings.TrimSpace(parts[0]), x, y})
+		}
+	}
+	return pts
+}
+
+// TestF4MultiPair: every pair count's aggregate crosses one NIC, so no
+// point exceeds the inter-node 1/G.
 func TestF4MultiPair(t *testing.T) {
 	out := runExp(t, "F4")
 	if !strings.Contains(out, "msg=65536B") {
 		t.Errorf("F4 missing series: %s", out)
+	}
+	nic := 1 / cluster.IBCluster().Links.InterNode.GB / 1e6
+	pts := figPoints(out)
+	if len(pts) != 3 {
+		t.Fatalf("F4: want 3 points, got %d in:\n%s", len(pts), out)
+	}
+	for _, p := range pts {
+		if p.y > nic*(1+1e-9) {
+			t.Errorf("F4 %s at %g pairs: %g MB/s above the NIC's 1/G of %g", p.series, p.x, p.y, nic)
+		}
 	}
 }
 
@@ -185,6 +222,24 @@ func TestF5Collectives(t *testing.T) {
 	for _, series := range []string{"barrier", "bcast-8B", "allreduce-65536B", "alltoall-1KiB"} {
 		if !strings.Contains(out, series) {
 			t.Errorf("F5 missing series %s", series)
+		}
+	}
+}
+
+// TestF5OneRankPerNode: F5's caption says one rank per node, so an
+// 8-node platform gets no 16-rank point.
+func TestF5OneRankPerNode(t *testing.T) {
+	r := cell(t, "F5", "ib-8n")
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	pts := figPoints(r.Rec.Text())
+	if len(pts) == 0 {
+		t.Fatalf("F5 on ib-8n has no points:\n%s", r.Rec.Text())
+	}
+	for _, p := range pts {
+		if p.x > 8 {
+			t.Errorf("F5 on ib-8n: %s has a %g-rank point on 8 nodes", p.series, p.x)
 		}
 	}
 }
@@ -481,20 +536,11 @@ func TestM6SlowdownShape(t *testing.T) {
 	}
 	last := map[string]float64{}
 	first := map[string]float64{}
-	for _, line := range strings.Split(out, "\n") {
-		parts := strings.Split(line, ",")
-		if len(parts) != 3 || strings.HasPrefix(line, "#") {
-			continue
+	for _, p := range figPoints(out) {
+		if _, ok := first[p.series]; !ok {
+			first[p.series] = p.y
 		}
-		name := strings.TrimSpace(parts[0])
-		y, err := strconv.ParseFloat(strings.TrimSpace(parts[2]), 64)
-		if err != nil {
-			continue
-		}
-		if _, ok := first[name]; !ok {
-			first[name] = y
-		}
-		last[name] = y
+		last[p.series] = p.y
 	}
 	for _, series := range []string{"fat-1n/paged/interleave", "fat-1n/paged/remote"} {
 		if f := first[series]; f < 0.999 || f > 1.001 {

@@ -17,7 +17,7 @@ import (
 func init() {
 	register(Experiment{ID: "F14", Kind: "figure", Run: runF14, Needs: cluster.CapMultiNode, Rev: 1,
 		Title: "Rank placement ablation: block vs cyclic latency distribution"})
-	register(Experiment{ID: "F15", Kind: "table", Run: runF15, Needs: cluster.CapMultiNode,
+	register(Experiment{ID: "F15", Kind: "table", Run: runF15, Needs: cluster.CapMultiNode, Rev: 1,
 		Title: "Application kernels (EP, IS, stencil, CG) across fabrics"})
 }
 
@@ -58,7 +58,7 @@ func runF14(w io.Writer, r Request) error {
 			if err != nil {
 				return err
 			}
-			samples, err := runP2PCurve(cfg, cluster.Classify(la, lb), opts, osu.Latency)
+			samples, err := runP2PCurve(cfg, cluster.Classify(la, lb), 1, opts, osu.Latency)
 			if err != nil {
 				return err
 			}

@@ -11,9 +11,9 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "F5", Kind: "figure", Run: runF5, Needs: cluster.CapMultiNode,
+	register(Experiment{ID: "F5", Kind: "figure", Run: runF5, Needs: cluster.CapMultiNode, Rev: 1,
 		Title: "Collective latency vs process count (bcast/allreduce/alltoall/barrier)"})
-	register(Experiment{ID: "F6", Kind: "figure", Run: runF6, Needs: cluster.CapMultiNode,
+	register(Experiment{ID: "F6", Kind: "figure", Run: runF6, Needs: cluster.CapMultiNode, Rev: 1,
 		Title: "Collective algorithm comparison (ablation)"})
 }
 
@@ -27,9 +27,9 @@ func collProcs(s Scale) []int {
 
 // collPlatform resolves the collective experiments' platform: the
 // canonical 64-node IB model, or the requested preset, with cyclic
-// placement either way so a p-rank job spreads one rank per node
-// (wrapping onto further cores once p exceeds the node count) — the
-// configuration collective-scaling studies use.
+// placement either way so a p-rank job spreads one rank per node — the
+// configuration collective-scaling studies use. Past the node count it
+// wraps onto further cores: F6 allows that, F5 stops there.
 func collPlatform(r Request) (*cluster.Model, error) {
 	ms, err := platformsFor(r, cluster.BigIBCluster)
 	if err != nil {
@@ -41,9 +41,8 @@ func collPlatform(r Request) (*cluster.Model, error) {
 }
 
 // measureColl runs one collective latency measurement at p ranks.
-func measureColl(m *cluster.Model, p, warm, iters int, mk func(c *mp.Comm) func() error) (float64, error) {
+func measureColl(cfg mp.Config, p, warm, iters int, mk func(c *mp.Comm) func() error) (float64, error) {
 	var lat float64
-	cfg := mp.Config{Model: m}
 	err := mp.Run(p, cfg, func(c *mp.Comm) error {
 		l, err := osu.CollectiveLatency(c, warm, iters, mk(c))
 		if err != nil {
@@ -106,10 +105,10 @@ func runF5(w io.Writer, r Request) error {
 	for _, cl := range colls {
 		series := fig.AddSeries(cl.name)
 		for _, p := range collProcs(r.Scale) {
-			if p > m.Topo.TotalCores() {
-				continue
+			if p > m.Topo.Nodes {
+				continue // the caption promises one rank per node
 			}
-			lat, err := measureColl(m, p, 5, iters, cl.mk)
+			lat, err := measureColl(mp.Config{Model: m}, p, 5, iters, cl.mk)
 			if err != nil {
 				return fmt.Errorf("%s @ p=%d: %w", cl.name, p, err)
 			}
@@ -150,20 +149,9 @@ func runF6(w io.Writer, r Request) error {
 	} {
 		series := fig.AddSeries(algo.name)
 		for _, size := range sizes {
-			var lat float64
-			cfg := mp.Config{Model: m, Bcast: algo.a}
-			err := mp.Run(p, cfg, func(c *mp.Comm) error {
+			lat, err := measureColl(mp.Config{Model: m, Bcast: algo.a}, p, 3, iters, func(c *mp.Comm) func() error {
 				buf := make([]byte, size)
-				l, err := osu.CollectiveLatency(c, 3, iters, func() error {
-					return c.Bcast(0, buf)
-				})
-				if err != nil {
-					return err
-				}
-				if c.Rank() == 0 {
-					lat = l
-				}
-				return nil
+				return func() error { return c.Bcast(0, buf) }
 			})
 			if err != nil {
 				return err
@@ -183,21 +171,10 @@ func runF6(w io.Writer, r Request) error {
 	} {
 		series := fig.AddSeries(algo.name)
 		for _, size := range sizes {
-			var lat float64
-			cfg := mp.Config{Model: m, Allreduce: algo.a}
-			err := mp.Run(p, cfg, func(c *mp.Comm) error {
+			lat, err := measureColl(mp.Config{Model: m, Allreduce: algo.a}, p, 3, iters, func(c *mp.Comm) func() error {
 				in := make([]float64, size/8+1)
 				out := make([]float64, size/8+1)
-				l, err := osu.CollectiveLatency(c, 3, iters, func() error {
-					return c.Allreduce(mp.OpSum, in, out)
-				})
-				if err != nil {
-					return err
-				}
-				if c.Rank() == 0 {
-					lat = l
-				}
-				return nil
+				return func() error { return c.Allreduce(mp.OpSum, in, out) }
 			})
 			if err != nil {
 				return err

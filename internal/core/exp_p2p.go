@@ -18,7 +18,7 @@ func init() {
 		Title: "Point-to-point bandwidth vs message size"})
 	register(Experiment{ID: "F3", Kind: "figure", Run: runF3, Needs: cluster.CapMultiNode, Rev: 1,
 		Title: "Bidirectional bandwidth vs message size"})
-	register(Experiment{ID: "F4", Kind: "figure", Run: runF4, Needs: cluster.CapMultiNode,
+	register(Experiment{ID: "F4", Kind: "figure", Run: runF4, Needs: cluster.CapMultiNode, Rev: 1,
 		Title: "Multi-pair aggregate bandwidth (shared NIC saturation)"})
 	register(Experiment{ID: "F12", Kind: "figure", Run: runF12, Needs: cluster.CapMultiNode, Rev: 1,
 		Title: "Eager vs rendezvous protocol crossover (ablation)"})
@@ -43,14 +43,16 @@ func sweepOpts(s Scale) osu.Options {
 	return o
 }
 
-// pairModel returns a copy of m reshaped to the two-core machine on
-// which block-placed ranks 0 and 1 fall on path class pc. Links, memory
-// and compute parameters are the preset's own. A pair measured there
-// times exactly as it does inside m's full machine, because for a pair
-// with no other sender the fabric reads only the links of the pair's
-// class, the NIC of the sender's node and the Self link's per-byte copy
-// cost.
-func pairModel(m *cluster.Model, pc cluster.PathClass) *cluster.Model {
+// pairModel returns a copy of m reshaped to the smallest machine on
+// which block placement puts each pair (i, i+pairs) on path class pc.
+// Only the inter-node shape reads pairs: 2 nodes × pairs cores, so every
+// sender is on node 0, every receiver on node 1, and the senders share
+// node 0's NIC. The intra-node shapes hold one pair. Links, memory and
+// compute parameters are the preset's own. A pair measured there times
+// exactly as it does inside m's full machine, because the fabric reads
+// only the links of the pair's class, the NIC of the sender's node and
+// the Self link's per-byte copy cost.
+func pairModel(m *cluster.Model, pc cluster.PathClass, pairs int) *cluster.Model {
 	pm := *m
 	pm.Placement = cluster.Block
 	switch pc {
@@ -59,7 +61,7 @@ func pairModel(m *cluster.Model, pc cluster.PathClass) *cluster.Model {
 	case cluster.IntraNode:
 		pm.Topo = cluster.Topology{Nodes: 1, SocketsPerNode: 2, CoresPerSocket: 1}
 	default:
-		pm.Topo = cluster.Topology{Nodes: 2, SocketsPerNode: 1, CoresPerSocket: 1}
+		pm.Topo = cluster.Topology{Nodes: 2, SocketsPerNode: 1, CoresPerSocket: pairs}
 	}
 	return &pm
 }
@@ -81,15 +83,15 @@ func pathClassesOf(m *cluster.Model, classes []cluster.PathClass) []cluster.Path
 	return out
 }
 
-// runP2PCurve runs bench on a two-rank world of cfg.Model's pairModel
-// for class pc and returns the samples rank 0 measured. The rest of cfg
-// (the eager threshold) applies unchanged.
-func runP2PCurve(cfg mp.Config, pc cluster.PathClass, opts osu.Options,
+// runP2PCurve runs bench on the 2 × pairs ranks of cfg.Model's
+// pairModel for class pc and returns the samples rank 0 measured. The
+// rest of cfg (the eager threshold) applies unchanged.
+func runP2PCurve(cfg mp.Config, pc cluster.PathClass, pairs int, opts osu.Options,
 	bench func(*mp.Comm, osu.Options) ([]osu.Sample, error)) ([]osu.Sample, error) {
 
-	cfg.Model = pairModel(cfg.Model, pc)
+	cfg.Model = pairModel(cfg.Model, pc, pairs)
 	var out []osu.Sample
-	err := mp.Run(2, cfg, func(c *mp.Comm) error {
+	err := mp.Run(2*pairs, cfg, func(c *mp.Comm) error {
 		s, err := bench(c, opts)
 		if c.Rank() == 0 {
 			out = s
@@ -108,7 +110,7 @@ func runF1(w io.Writer, r Request) error {
 	for _, m := range ms {
 		classes := []cluster.PathClass{cluster.IntraSocket, cluster.IntraNode, cluster.InterNode}
 		for _, pc := range pathClassesOf(m, classes) {
-			samples, err := runP2PCurve(mp.Config{Model: m}, pc, sweepOpts(r.Scale), osu.Latency)
+			samples, err := runP2PCurve(mp.Config{Model: m}, pc, 1, sweepOpts(r.Scale), osu.Latency)
 			if err != nil {
 				return err
 			}
@@ -130,7 +132,7 @@ func runF2(w io.Writer, r Request) error {
 	for _, m := range ms {
 		classes := []cluster.PathClass{cluster.IntraSocket, cluster.InterNode}
 		for _, pc := range pathClassesOf(m, classes) {
-			samples, err := runP2PCurve(mp.Config{Model: m}, pc, sweepOpts(r.Scale), osu.Bandwidth)
+			samples, err := runP2PCurve(mp.Config{Model: m}, pc, 1, sweepOpts(r.Scale), osu.Bandwidth)
 			if err != nil {
 				return err
 			}
@@ -151,11 +153,11 @@ func runF3(w io.Writer, r Request) error {
 	fig := report.NewFigure("Bidirectional bandwidth vs message size", "bytes", "MB/s")
 	for _, m := range ms {
 		cfg := mp.Config{Model: m}
-		uni, err := runP2PCurve(cfg, cluster.InterNode, sweepOpts(r.Scale), osu.Bandwidth)
+		uni, err := runP2PCurve(cfg, cluster.InterNode, 1, sweepOpts(r.Scale), osu.Bandwidth)
 		if err != nil {
 			return err
 		}
-		bi, err := runP2PCurve(cfg, cluster.InterNode, sweepOpts(r.Scale), osu.BiBandwidth)
+		bi, err := runP2PCurve(cfg, cluster.InterNode, 1, sweepOpts(r.Scale), osu.BiBandwidth)
 		if err != nil {
 			return err
 		}
@@ -171,48 +173,28 @@ func runF3(w io.Writer, r Request) error {
 	return fig.Fprint(w)
 }
 
-// narrowNode reshapes a platform to 4-core single-socket nodes so that
-// a multi-pair run under block placement puts all senders on one node:
-// their traffic shares one NIC, producing the saturation curve F4
-// shows. The fabric and node parameters are the preset's own.
-func narrowNode(m *cluster.Model) *cluster.Model {
-	m.Name += "-narrow"
-	m.Topo = cluster.Topology{Nodes: 8, SocketsPerNode: 1, CoresPerSocket: 4}
-	return m
-}
-
 func runF4(w io.Writer, r Request) error {
 	ms, err := platformsFor(r, cluster.IBCluster)
 	if err != nil {
 		return err
 	}
-	m := narrowNode(ms[0])
+	cfg := mp.Config{Model: ms[0]}
 	fig := report.NewFigure("Multi-pair aggregate bandwidth (senders share a NIC)",
 		"pairs", "MB/s")
 	sizes := []int{4096, 65536, 1 << 20}
 	if r.Scale == Quick {
 		sizes = []int{65536}
 	}
+	opts := osu.Options{Warmup: 2, Iters: 20, Window: 16}
 	for _, size := range sizes {
 		series := fig.AddSeries(fmt.Sprintf("msg=%dB", size))
+		opts.Sizes = []int{size}
 		for _, pairs := range []int{1, 2, 4} {
-			opts := osu.Options{Sizes: []int{size}, Warmup: 2, Iters: 20, Window: 16}
-			var agg float64
-			cfg := mp.Config{Model: m}
-			err := mp.Run(8, cfg, func(c *mp.Comm) error {
-				r, err := osu.MultiPairBandwidth(c, pairs, opts)
-				if err != nil {
-					return err
-				}
-				if c.Rank() == 0 {
-					agg = r[0].Value
-				}
-				return nil
-			})
+			s, err := runP2PCurve(cfg, cluster.InterNode, pairs, opts, osu.Bandwidth)
 			if err != nil {
 				return err
 			}
-			series.Add(float64(pairs), agg/1e6)
+			series.Add(float64(pairs), s[0].Value/1e6)
 		}
 	}
 	return fig.Fprint(w)
@@ -242,7 +224,7 @@ func runF12(w io.Writer, r Request) error {
 	} {
 		opts := osu.Options{Sizes: sizes, Warmup: 3, Iters: 30, Window: 8}
 		cfg := mp.Config{Model: m, EagerThreshold: mode.thresh}
-		samples, err := runP2PCurve(cfg, cluster.InterNode, opts, osu.Latency)
+		samples, err := runP2PCurve(cfg, cluster.InterNode, 1, opts, osu.Latency)
 		if err != nil {
 			return err
 		}
@@ -272,11 +254,11 @@ func runF13(w io.Writer, r Request) error {
 	}
 	latOpts := opts
 	latOpts.Sizes = latSizes
-	lat, err := runP2PCurve(cfg, cluster.InterNode, latOpts, osu.Latency)
+	lat, err := runP2PCurve(cfg, cluster.InterNode, 1, latOpts, osu.Latency)
 	if err != nil {
 		return err
 	}
-	bw, err := runP2PCurve(cfg, cluster.InterNode, opts, osu.Bandwidth)
+	bw, err := runP2PCurve(cfg, cluster.InterNode, 1, opts, osu.Bandwidth)
 	if err != nil {
 		return err
 	}

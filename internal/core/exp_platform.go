@@ -25,7 +25,7 @@ func init() {
 		Kind:  "table",
 		Run:   runT4,
 		Needs: cluster.CapMultiNode,
-		Rev:   2,
+		Rev:   3,
 	})
 }
 
@@ -102,19 +102,20 @@ func runT4(w io.Writer, r Request) error {
 		tableBits = 10
 		iters = 10
 	}
-	// One rank per node: cyclic placement puts neighbours off-node, so
-	// the fabric (not shared memory) is what gets compared. The pair
+	// Cyclic placement puts neighbours off-node (one rank per node on
+	// at least p nodes), so the fabric, not shared memory, is what gets
+	// compared. The pair
 	// metrics run on an inter-node pair of their own, which a cyclic
 	// world of p ranks on fewer than p nodes would not give them.
 	measure := func(m *cluster.Model) (row, error) {
 		m.Placement = cluster.Cyclic
 		cfg := mp.Config{Model: m}
 		opts := osu.Options{Sizes: []int{8, 1 << 20}, Warmup: 5, Iters: iters, Window: 32}
-		lat, err := runP2PCurve(cfg, cluster.InterNode, opts, osu.Latency)
+		lat, err := runP2PCurve(cfg, cluster.InterNode, 1, opts, osu.Latency)
 		if err != nil {
 			return row{}, err
 		}
-		bw, err := runP2PCurve(cfg, cluster.InterNode, opts, osu.Bandwidth)
+		bw, err := runP2PCurve(cfg, cluster.InterNode, 1, opts, osu.Bandwidth)
 		if err != nil {
 			return row{}, err
 		}
@@ -168,7 +169,7 @@ func runT4(w io.Writer, r Request) error {
 	if compare {
 		cols = append(cols, "winner")
 	}
-	t := report.NewTable(fmt.Sprintf("Platform comparison (p=%d, one rank/node)", p), cols...)
+	t := report.NewTable(fmt.Sprintf("Platform comparison (p=%d, cyclic placement)", p), cols...)
 	add := func(name string, vals []float64, lowerBetter bool) {
 		cells := []any{name}
 		for _, v := range vals {

@@ -17,8 +17,11 @@ import (
 // messages for a NIC. F14, the placement ablation, times messages
 // whose cost depends on the path class between two placed ranks, so
 // its golden pins how the fabric places ranks and classifies each
-// pair.
-var goldenIDs = []string{"T1", "M3", "M4", "M5", "M6", "F1", "F2", "F3", "F12", "F13", "F14"}
+// pair. F9, F10 and T4 joined once a receive cost virtual time at its
+// Wait rather than whenever its packet was pulled. Their worlds have
+// more than two ranks, but here each rank has a node, and so a NIC, to
+// itself, so no two senders race for one.
+var goldenIDs = []string{"T1", "M3", "M4", "M5", "M6", "F1", "F2", "F3", "F9", "F10", "F12", "F13", "F14", "T4"}
 
 // TestGoldenDefaultPlatformOutput is the refactor's acceptance gate:
 // for every deterministic experiment, the default request renders the

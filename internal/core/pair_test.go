@@ -8,31 +8,47 @@ import (
 	"repro/internal/cluster"
 )
 
-// TestPairModelClasses: block-placed ranks 0 and 1 of pairModel(m, pc)
-// fall on path class pc, on the preset's own links, and m itself is left
-// as it was.
+// TestPairModelClasses: each block-placed pair (i, i+pairs) of
+// pairModel(m, pc, pairs) falls on path class pc, with every inter-node
+// sender on node 0 and its receiver on node 1, on the preset's own links;
+// m itself is left as it was.
 func TestPairModelClasses(t *testing.T) {
 	m := cluster.IBCluster()
 	m.Placement = cluster.Cyclic
 	want := *m
-	for _, pc := range []cluster.PathClass{cluster.IntraSocket, cluster.IntraNode, cluster.InterNode} {
-		pm := pairModel(m, pc)
-		if err := pm.Validate(); err != nil {
-			t.Fatalf("%s: %v", pc, err)
-		}
-		a, err := pm.Topo.Place(0, 2, pm.Placement)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := pm.Topo.Place(1, 2, pm.Placement)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := cluster.Classify(a, b); got != pc {
-			t.Errorf("pairModel(%s): ranks 0 and 1 classify as %s", pc, got)
-		}
-		if pm.Topo.TotalCores() != 2 || pm.Links != m.Links || pm.Mem != m.Mem {
-			t.Errorf("pairModel(%s) = %+v: want two cores and the preset's links and memory", pc, pm)
+	for _, tc := range []struct {
+		pc    cluster.PathClass
+		pairs []int
+	}{
+		{cluster.IntraSocket, []int{1}},
+		{cluster.IntraNode, []int{1}},
+		{cluster.InterNode, []int{1, 2, 4}},
+	} {
+		for _, pairs := range tc.pairs {
+			pm := pairModel(m, tc.pc, pairs)
+			if err := pm.Validate(); err != nil {
+				t.Fatalf("%s × %d: %v", tc.pc, pairs, err)
+			}
+			n := 2 * pairs
+			for i := 0; i < pairs; i++ {
+				a, err := pm.Topo.Place(i, n, pm.Placement)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := pm.Topo.Place(i+pairs, n, pm.Placement)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := cluster.Classify(a, b); got != tc.pc {
+					t.Errorf("pairModel(%s, %d): ranks %d and %d classify as %s", tc.pc, pairs, i, i+pairs, got)
+				}
+				if tc.pc == cluster.InterNode && (a.Node != 0 || b.Node != 1) {
+					t.Errorf("pairModel(%s, %d): pair %d on nodes %d → %d, want 0 → 1", tc.pc, pairs, i, a.Node, b.Node)
+				}
+			}
+			if pm.Topo.TotalCores() != n || pm.Links != m.Links || pm.Mem != m.Mem {
+				t.Errorf("pairModel(%s, %d) = %+v: want %d cores and the preset's links and memory", tc.pc, pairs, pm, n)
+			}
 		}
 	}
 	if *m != want {

@@ -78,9 +78,10 @@ type Request struct {
 	err  error
 
 	// Receive-side state.
-	src, tag int
-	buf      []byte
-	n        int
+	src, tag       int
+	buf            []byte
+	n              int
+	arrival, recvO float64 // the delivered packet's timing, charged at Wait
 
 	// Send-side state.
 	seq  uint64
@@ -277,13 +278,13 @@ func (c *Comm) matchPosted(src, tag int) *Request {
 }
 
 // deliver copies a payload into the receive buffer and completes the
-// request. Virtual time is charged here — at match time — not when the
-// packet was pulled off the fabric: a packet sitting in the unexpected
-// queue is NIC-buffered data the CPU has not touched yet, and charging
-// its (possibly far-future) arrival early would teleport the rank's
-// clock forward.
+// request. It records the packet's arrival and receive overhead on the
+// request, and waitFor charges them when the program waits on it: a
+// receive costs virtual time at its Wait, a program point of its own
+// rank, not whenever this rank happened to pull the packet off the
+// fabric, which depends on goroutine arrival order.
 func (c *Comm) deliver(req *Request, pkt packet) {
-	c.applyClock(pkt)
+	req.arrival, req.recvO = pkt.arrival, pkt.recvO
 	req.n = copy(req.buf, pkt.data)
 	if len(pkt.data) > len(req.buf) {
 		req.err = ErrTruncated
@@ -295,8 +296,8 @@ func (c *Comm) deliver(req *Request, pkt packet) {
 }
 
 // grantRndv answers a matched RTS with a CTS and parks the request until
-// the payload arrives. As in deliver, the RTS's arrival time is charged
-// now, at match time.
+// the payload arrives. Unlike a payload's, the RTS's arrival time is
+// charged now, at match time.
 func (c *Comm) grantRndv(req *Request, pkt packet) {
 	c.applyClock(pkt)
 	key := rndvKey{src: pkt.src, seq: pkt.seq}
@@ -356,7 +357,8 @@ func (c *Comm) handle(pkt packet) error {
 }
 
 // waitFor drives progress until req completes: it pulls packets off the
-// fabric one at a time, blocking, and handles each.
+// fabric one at a time, blocking, and handles each. It then charges a
+// delivered receive's arrival and overhead to the clock, once.
 func (c *Comm) waitFor(req *Request) error {
 	for !req.done {
 		pkt, ok := c.fab.recv(c.rank)
@@ -367,6 +369,9 @@ func (c *Comm) waitFor(req *Request) error {
 			return err
 		}
 	}
+	c.fab.advanceTo(c.rank, req.arrival)
+	c.fab.addDelay(c.rank, req.recvO)
+	req.recvO = 0
 	return req.err
 }
 

@@ -24,10 +24,11 @@ import (
 //	arrive = inject + s*G + L
 //	nicFree_a = inject + max(g, s*G)
 //	clock_a += o + s*G                       (sender busy for overhead+copy)
-//	clock_b = max(clock_b, arrive) + o       (applied by the engine on completion)
+//	clock_b = max(clock_b, arrive) + o       (charged when b waits on the receive)
 //
 // The receiver-side o is carried in the packet (recvO) because the
-// receiving rank does not look up the path class.
+// receiving rank does not look up the path class. Rendezvous control
+// packets (RTS, CTS) are charged when b handles them instead.
 //
 // Each rank is placed once, when the fabric is built; a send classifies
 // the two placed ranks, so the fabric holds no per-pair state.

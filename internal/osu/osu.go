@@ -1,21 +1,23 @@
 // Package osu reimplements the OSU micro-benchmark suite's measurement
 // methodology on top of the internal/mp runtime: ping-pong latency,
-// window-based streaming bandwidth, bidirectional bandwidth, multi-pair
-// aggregates, and collective latency. The loop structure (warmup phase,
+// window-based streaming bandwidth over one pair or many, bidirectional
+// bandwidth, and collective latency. The loop structure (warmup phase,
 // timed phase, window acknowledgements, iteration scaling for large
 // messages) follows the original benchmarks so the measured curves have
 // the same shape and semantics.
 //
-// All benchmark functions are called from inside an mp.Run body. The
-// pair benchmarks (Latency, Bandwidth, BiBandwidth) run on exactly two
-// ranks, as osu_latency does; the platform's placement of ranks 0 and 1
-// decides which path class they measure. MultiPairBandwidth and
-// CollectiveLatency involve every rank and synchronize the world around
-// their timed loops.
+// All benchmark functions are called from inside an mp.Run body.
+// Latency and BiBandwidth run on exactly two ranks, as osu_latency
+// does; the platform's placement of ranks 0 and 1 decides which path
+// class they measure. Bandwidth runs on any even world and pairs rank i
+// with rank i + n/2: on two ranks it is osu_bw, on more osu_mbw_mr.
+// CollectiveLatency involves every rank and synchronizes the world
+// around its timed loop.
 package osu
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/mp"
 )
@@ -127,15 +129,22 @@ func Latency(c *mp.Comm, opts Options) ([]Sample, error) {
 	return out, nil
 }
 
-// Bandwidth runs the OSU streaming bandwidth benchmark on two ranks:
-// rank 0 posts a window of nonblocking sends, rank 1 a window of
-// receives followed by a 4-byte acknowledgement. Returns bytes/s per
-// size on rank 0 and nil on rank 1.
+// Bandwidth runs the OSU streaming bandwidth benchmark on any even
+// world: rank i < n/2 posts a window of nonblocking sends to rank
+// i + n/2, which posts a window of receives followed by a 4-byte
+// acknowledgement. Each size starts with a Barrier and ends with one
+// Allreduce(OpMax) of every sender's (−start, end), so rank 0 reports
+// all pairs' bytes over the span from the first sender's start to the
+// last sender's end: osu_bw on two ranks, osu_mbw_mr's aggregate on
+// more. Returns bytes/s per size on rank 0 and nil on every other rank.
 func Bandwidth(c *mp.Comm, opts Options) ([]Sample, error) {
-	me, peer, err := pairRole(c)
-	if err != nil {
-		return nil, err
+	n := c.Size()
+	if n%2 != 0 {
+		return nil, fmt.Errorf("osu: Bandwidth needs an even number of ranks, have %d", n)
 	}
+	pairs := n / 2
+	sender := c.Rank() < pairs
+	peer := (c.Rank() + pairs) % n
 	opts = opts.normalize()
 	var out []Sample
 	ack := make([]byte, 4)
@@ -147,12 +156,15 @@ func Bandwidth(c *mp.Comm, opts Options) ([]Sample, error) {
 		}
 		warm, iters := opts.loops(size)
 		buf := maxBuf[:size]
+		if err := c.Barrier(); err != nil {
+			return nil, err
+		}
 		var t0 float64
 		for i := 0; i < warm+iters; i++ {
 			if i == warm {
 				t0 = c.Time()
 			}
-			if me == 0 {
+			if sender {
 				for w := range reqs {
 					r, err := c.Isend(peer, benchTag, buf)
 					if err != nil {
@@ -182,9 +194,16 @@ func Bandwidth(c *mp.Comm, opts Options) ([]Sample, error) {
 				}
 			}
 		}
-		if me == 0 {
-			moved := float64(size) * float64(opts.Window) * float64(iters)
-			out = append(out, Sample{Size: size, Value: moved / (c.Time() - t0)})
+		span := []float64{math.Inf(-1), math.Inf(-1)} // (−start, end)
+		if sender {
+			span[0], span[1] = -t0, c.Time()
+		}
+		if err := c.Allreduce(mp.OpMax, span, span); err != nil {
+			return nil, err
+		}
+		if c.Rank() == 0 {
+			moved := float64(size) * float64(opts.Window) * float64(iters) * float64(pairs)
+			out = append(out, Sample{Size: size, Value: moved / (span[1] + span[0])})
 		}
 	}
 	return out, nil
@@ -240,92 +259,6 @@ func BiBandwidth(c *mp.Comm, opts Options) ([]Sample, error) {
 			moved := 2 * float64(size) * float64(opts.Window) * float64(iters)
 			out = append(out, Sample{Size: size, Value: moved / (c.Time() - t0)})
 		}
-	}
-	return out, nil
-}
-
-// MultiPairBandwidth measures aggregate bandwidth over `pairs`
-// concurrent (sender, receiver) pairs: sender i is rank i, receiver i is
-// rank i+pairs. Returns aggregate bytes/s per size. All ranks call it;
-// requires size >= 2*pairs.
-func MultiPairBandwidth(c *mp.Comm, pairs int, opts Options) ([]Sample, error) {
-	opts = opts.normalize()
-	if pairs < 1 || 2*pairs > c.Size() {
-		return nil, fmt.Errorf("osu: %d pairs need %d ranks, have %d", pairs, 2*pairs, c.Size())
-	}
-	var out []Sample
-	ack := make([]byte, 4)
-	sender := c.Rank() < pairs
-	receiver := c.Rank() >= pairs && c.Rank() < 2*pairs
-	var peer int
-	if sender {
-		peer = c.Rank() + pairs
-	} else if receiver {
-		peer = c.Rank() - pairs
-	}
-	var maxBuf []byte // stays nil on ranks that only synchronize
-	if sender || receiver {
-		maxBuf = payloadBuf(opts.Sizes)
-	}
-	reqs := make([]*mp.Request, opts.Window)
-	for _, size := range opts.Sizes {
-		if size == 0 {
-			continue
-		}
-		warm, iters := opts.loops(size)
-		if err := c.Barrier(); err != nil {
-			return nil, err
-		}
-		var t0 float64
-		if sender || receiver {
-			buf := maxBuf[:size]
-			for i := 0; i < warm+iters; i++ {
-				if i == warm {
-					t0 = c.Time()
-				}
-				if sender {
-					for w := 0; w < opts.Window; w++ {
-						r, err := c.Isend(peer, benchTag, buf)
-						if err != nil {
-							return nil, err
-						}
-						reqs[w] = r
-					}
-					if err := c.WaitAll(reqs...); err != nil {
-						return nil, err
-					}
-					if _, err := c.Recv(peer, benchTag+1, ack); err != nil {
-						return nil, err
-					}
-				} else {
-					for w := 0; w < opts.Window; w++ {
-						r, err := c.Irecv(peer, benchTag, buf)
-						if err != nil {
-							return nil, err
-						}
-						reqs[w] = r
-					}
-					if err := c.WaitAll(reqs...); err != nil {
-						return nil, err
-					}
-					if err := c.Send(peer, benchTag+1, ack); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-		elapsed := c.Time() - t0
-		// Aggregate: sum of per-sender rates. Senders contribute their
-		// rate; everyone else contributes 0.
-		var rate float64
-		if sender && elapsed > 0 {
-			rate = float64(size) * float64(opts.Window) * float64(iters) / elapsed
-		}
-		total, err := c.AllreduceScalar(mp.OpSum, rate)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Sample{Size: size, Value: total})
 	}
 	return out, nil
 }

@@ -90,32 +90,37 @@ func TestLatencyIntraVsInterNode(t *testing.T) {
 	}
 }
 
+// TestBandwidthCurve: on two ranks and on four, rank 0 gets a curve
+// that grows with message size and stays within one link per pair, and
+// every other rank gets nil.
 func TestBandwidthCurve(t *testing.T) {
-	err := mp.Run(2, simCfg(), func(c *mp.Comm) error {
-		samples, err := Bandwidth(c, smallOpts())
+	for _, n := range []int{2, 4} {
+		err := mp.Run(n, simCfg(), func(c *mp.Comm) error {
+			samples, err := Bandwidth(c, smallOpts())
+			if err != nil {
+				return err
+			}
+			if c.Rank() != 0 {
+				return noSamples(c, samples)
+			}
+			if len(samples) != 3 { // size 0 dropped
+				return fmt.Errorf("got %d samples", len(samples))
+			}
+			// Bandwidth grows with message size toward the link asymptote.
+			if samples[2].Value <= samples[0].Value {
+				return fmt.Errorf("bw not increasing: %v", samples)
+			}
+			// It must not exceed the modeled link bandwidth per pair by
+			// more than rounding (intra-socket paths here).
+			link := float64(n/2) * cluster.IBCluster().Links.IntraSocket.Bandwidth()
+			if samples[2].Value > 1.05*link {
+				return fmt.Errorf("bw %v exceeds modeled links %v", samples[2].Value, link)
+			}
+			return nil
+		})
 		if err != nil {
-			return err
+			t.Fatalf("%d ranks: %v", n, err)
 		}
-		if c.Rank() != 0 {
-			return noSamples(c, samples)
-		}
-		if len(samples) != 3 { // size 0 dropped
-			return fmt.Errorf("got %d samples", len(samples))
-		}
-		// Bandwidth grows with message size toward the link asymptote.
-		if samples[2].Value <= samples[0].Value {
-			return fmt.Errorf("bw not increasing: %v", samples)
-		}
-		// It must not exceed the modeled link bandwidth by more than
-		// rounding (intra-socket path here).
-		link := cluster.IBCluster().Links.IntraSocket.Bandwidth()
-		if samples[2].Value > 1.05*link {
-			return fmt.Errorf("bw %v exceeds modeled link %v", samples[2].Value, link)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -146,44 +151,38 @@ func TestBiBandwidthAtLeastUnidirectional(t *testing.T) {
 	}
 }
 
-func TestMultiPairAggregates(t *testing.T) {
-	m := cluster.IBCluster()
-	cfg := mp.Config{Model: m}
-	opts := Options{Sizes: []int{4096}, Warmup: 1, Iters: 5, Window: 4}
-	rates := map[int]float64{}
-	n := 8
-	err := mp.Run(n, cfg, func(c *mp.Comm) error {
+// TestBandwidthAggregateWithinNIC: k pairs whose senders share one
+// node's NIC move no more than that NIC's 1/G between them, on both
+// sides of the eager threshold and in every repeat. The senders take the
+// NIC in goroutine arrival order, so each repeat is a fresh schedule.
+func TestBandwidthAggregateWithinNIC(t *testing.T) {
+	opts := Options{Sizes: []int{1024, 4096, 65536, 1 << 20}, Warmup: 2, Iters: 10, Window: 16}
+	for _, preset := range []func() *cluster.Model{cluster.IBCluster, cluster.GigECluster} {
 		for _, pairs := range []int{1, 2, 4} {
-			s, err := MultiPairBandwidth(c, pairs, opts)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				rates[pairs] = s[0].Value
+			// The shape core's pairModel gives F4: senders on node 0,
+			// receivers on node 1.
+			m := preset()
+			m.Placement = cluster.Block
+			m.Topo = cluster.Topology{Nodes: 2, SocketsPerNode: 1, CoresPerSocket: pairs}
+			limit := (1 + 1e-9) / m.Links.InterNode.GB
+			for rep := 0; rep < 5; rep++ {
+				err := mp.Run(2*pairs, mp.Config{Model: m}, func(c *mp.Comm) error {
+					s, err := Bandwidth(c, opts)
+					if err != nil || c.Rank() != 0 {
+						return err
+					}
+					for _, smp := range s {
+						if smp.Value > limit {
+							return fmt.Errorf("%d B: aggregate %.6g B/s above the NIC's %.6g", smp.Size, smp.Value, limit)
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("%s, %d pairs, repeat %d: %v", m.Name, pairs, rep, err)
+				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(rates[2] > rates[1]) {
-		t.Errorf("2 pairs (%v) not above 1 pair (%v)", rates[2], rates[1])
-	}
-	if !(rates[4] > rates[2]*0.9) {
-		t.Errorf("4 pairs (%v) collapsed below 2 pairs (%v)", rates[4], rates[2])
-	}
-}
-
-func TestMultiPairValidation(t *testing.T) {
-	err := mp.Run(2, simCfg(), func(c *mp.Comm) error {
-		if _, err := MultiPairBandwidth(c, 2, smallOpts()); err == nil {
-			return fmt.Errorf("2 pairs on 2 ranks accepted")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -227,17 +226,23 @@ func TestCollectiveLatencyValidation(t *testing.T) {
 	}
 }
 
-// TestPairValidation: the pair benchmarks run on exactly two ranks, as
-// osu_latency does, and refuse any other world size.
+// TestPairValidation: Latency and BiBandwidth run on exactly two ranks,
+// as osu_latency does, and Bandwidth on any even world; each refuses
+// every other world size.
 func TestPairValidation(t *testing.T) {
-	benches := map[string]func(*mp.Comm, Options) ([]Sample, error){
-		"Latency": Latency, "Bandwidth": Bandwidth, "BiBandwidth": BiBandwidth,
-	}
-	for _, n := range []int{1, 3} {
-		for name, bench := range benches {
+	for _, tc := range []struct {
+		name  string
+		bench func(*mp.Comm, Options) ([]Sample, error)
+		sizes []int
+	}{
+		{"Latency", Latency, []int{1, 3, 4}},
+		{"BiBandwidth", BiBandwidth, []int{1, 3, 4}},
+		{"Bandwidth", Bandwidth, []int{1, 3}},
+	} {
+		for _, n := range tc.sizes {
 			err := mp.Run(n, simCfg(), func(c *mp.Comm) error {
-				if _, err := bench(c, smallOpts()); err == nil {
-					return fmt.Errorf("%s accepted %d ranks", name, n)
+				if _, err := tc.bench(c, smallOpts()); err == nil {
+					return fmt.Errorf("%s accepted %d ranks", tc.name, n)
 				}
 				return nil
 			})
