@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -55,11 +57,12 @@ func (l *Logger) emit(level, msg string, forceJSON bool, kv []any) {
 	if l == nil || l.w == nil {
 		return
 	}
-	ts := l.now().UTC().Format(time.RFC3339Nano)
-	var b strings.Builder
+	t := l.now().UTC()
+	var line []byte
 	if l.json || forceJSON {
+		var b bytes.Buffer
 		b.WriteString(`{"time":`)
-		b.Write(jsonValue(ts))
+		b.Write(jsonValue(t.Format(time.RFC3339Nano)))
 		b.WriteString(`,"level":`)
 		b.Write(jsonValue(level))
 		b.WriteString(`,"msg":`)
@@ -76,24 +79,48 @@ func (l *Logger) emit(level, msg string, forceJSON bool, kv []any) {
 			b.Write(jsonValue(val))
 		}
 		b.WriteString("}\n")
+		line = b.Bytes()
 	} else {
-		b.WriteString(ts)
-		b.WriteByte(' ')
-		b.WriteString(strings.ToUpper(level))
-		b.WriteByte(' ')
-		b.WriteString(msg)
+		// The access log's format: one buffer, no fmt on the common
+		// field types.
+		line = make([]byte, 0, 256)
+		line = t.AppendFormat(line, time.RFC3339Nano)
+		line = append(line, ' ')
+		line = append(line, strings.ToUpper(level)...)
+		line = append(line, ' ')
+		line = append(line, msg...)
 		for i := 0; i < len(kv); i += 2 {
 			var val any
 			if i+1 < len(kv) {
 				val = kv[i+1]
 			}
-			fmt.Fprintf(&b, " %v=%v", kv[i], val)
+			line = append(line, ' ')
+			line = appendText(line, kv[i])
+			line = append(line, '=')
+			line = appendText(line, val)
 		}
-		b.WriteByte('\n')
+		line = append(line, '\n')
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	io.WriteString(l.w, b.String())
+	l.w.Write(line)
+}
+
+// appendText appends v's %v rendering to b, through strconv for the
+// types access-log fields carry.
+func appendText(b []byte, v any) []byte {
+	switch v := v.(type) {
+	case string:
+		return append(b, v...)
+	case int:
+		return strconv.AppendInt(b, int64(v), 10)
+	case int64:
+		return strconv.AppendInt(b, v, 10)
+	case float64:
+		return strconv.AppendFloat(b, v, 'g', -1, 64)
+	default:
+		return fmt.Appendf(b, "%v", v)
+	}
 }
 
 // jsonValue marshals one field value, degrading to its %v rendering if

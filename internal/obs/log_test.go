@@ -2,6 +2,10 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -68,4 +72,33 @@ func TestLoggerNilSafe(t *testing.T) {
 	l.Info("ignored", "k", "v")
 	l.Error("ignored")
 	l.JSONLine("info", "ignored")
+}
+
+// TestTextFieldMatchesFmt pins the text format's field rendering to
+// %v for the types that skip fmt and for those that fall back to it.
+func TestTextFieldMatchesFmt(t *testing.T) {
+	for _, v := range []any{
+		"", "GET", "a b=c", 0, -7, 200, int64(0), int64(-1) << 62, int64(1) << 40,
+		0.0, 1.5, 12.345, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+		1e21, 1e20, 1e-7, 1e-4, 123456789.0, math.MaxFloat64, math.SmallestNonzeroFloat64,
+		true, false, 1500 * time.Microsecond, errors.New("disk full"), nil,
+	} {
+		if got, want := string(appendText(nil, v)), fmt.Sprintf("%v", v); got != want {
+			t.Errorf("%T %v: rendered %q, want %q", v, v, got, want)
+		}
+	}
+}
+
+// TestAccessLineAllocs bounds what one access-log-shaped text line
+// costs the logger: the line buffer and the upper-cased level.
+func TestAccessLineAllocs(t *testing.T) {
+	l := NewLogger(io.Discard, FormatText)
+	kv := []any{
+		"request_id", "4f1c2a9b8e7d6c5b", "method", "GET",
+		"path", "/experiments/F1?platform=ib-8n", "status", 200,
+		"bytes", int64(18734), "elapsed_ms", 0.412, "remote", "127.0.0.1:53122",
+	}
+	if n := testing.AllocsPerRun(100, func() { l.Info("routed", kv...) }); n > 2 {
+		t.Errorf("access line: %v allocs, want at most 2", n)
+	}
 }

@@ -204,7 +204,8 @@ func NewRegistry() *Registry {
 // the returned series may only be written under the same lock, or a
 // concurrent get-or-create races the initialization. Registering one
 // name as two different kinds is a programming error and panics at
-// init/first-use time.
+// init/first-use time. The label key is rendered into a stack buffer,
+// so a hit allocates nothing; only a miss copies it into a string.
 func (r *Registry) lookup(name, help string, kind metricKind, labels []Label) *series {
 	f := r.families[name]
 	if f == nil {
@@ -214,9 +215,11 @@ func (r *Registry) lookup(name, help string, kind metricKind, labels []Label) *s
 	if f.kind != kind {
 		panic(fmt.Sprintf("obs: metric %s registered as %s and %s", name, f.kind, kind))
 	}
-	ls := renderLabels(labels)
-	s := f.by[ls]
+	var buf [128]byte
+	key := appendLabels(buf[:0], labels)
+	s := f.by[string(key)]
 	if s == nil {
+		ls := string(key)
 		s = &series{labels: ls}
 		f.by[ls] = s
 	}
@@ -354,34 +357,42 @@ func withLE(labels, le string) string {
 	return labels[:len(labels)-1] + `,le="` + le + `"}`
 }
 
-// renderLabels renders a label set as {k="v",...}, keys sorted, values
-// escaped — the canonical series identity inside a family.
-func renderLabels(labels []Label) string {
+// appendLabels appends a label set rendered as {k="v",...}, keys
+// sorted, values escaped — the canonical series identity inside a
+// family — to b. Up to four labels are sorted in place on the stack.
+func appendLabels(b []byte, labels []Label) []byte {
 	if len(labels) == 0 {
-		return ""
+		return b
 	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	var b strings.Builder
-	b.WriteByte('{')
+	var arr [4]Label
+	ls := append(arr[:0], labels...)
+	for i := 1; i < len(ls); i++ { // insertion sort: stable and allocation-free
+		for j := i; j > 0 && ls[j].Key < ls[j-1].Key; j-- {
+			ls[j], ls[j-1] = ls[j-1], ls[j]
+		}
+	}
+	b = append(b, '{')
 	for i, l := range ls {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(l.Key)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(l.Value))
-		b.WriteByte('"')
+		b = append(b, l.Key...)
+		b = append(b, `="`...)
+		for j := 0; j < len(l.Value); j++ {
+			switch c := l.Value[j]; c {
+			case '\\':
+				b = append(b, `\\`...)
+			case '\n':
+				b = append(b, `\n`...)
+			case '"':
+				b = append(b, `\"`...)
+			default:
+				b = append(b, c)
+			}
+		}
+		b = append(b, '"')
 	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// escapeLabel escapes a label value per the exposition format.
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	return strings.ReplaceAll(v, `"`, `\"`)
+	return append(b, '}')
 }
 
 // escapeHelp escapes a HELP text per the exposition format.

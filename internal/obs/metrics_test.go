@@ -98,6 +98,10 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 	r.Counter("b_requests_total", "requests served", L("handler", "get"), L("code", "200")).Add(3)
 	r.Counter("b_requests_total", "requests served", L("handler", "get"), L("code", "404")).Inc()
 	r.Gauge("c_entries", "cache entries", L("tier", `we"ird`)).Set(7)
+	r.Gauge("c_entries", "cache entries", L("tier", `back\slash`)).Set(8)
+	r.Gauge("c_entries", "cache entries", L("tier", "new\nline")).Set(9)
+	r.Counter("e_wide_total", "more labels than the stack holds",
+		L("e", "5"), L("c", "3"), L("a", "1"), L("d", "4"), L("b", "2")).Inc()
 	r.GaugeFunc("d_uptime_seconds", "process uptime", func() float64 { return 1.5 })
 	h := r.Histogram("a_seconds", "latency", []float64{0.01, 0.1})
 	h.Observe(0.005)
@@ -121,10 +125,15 @@ b_requests_total{code="200",handler="get"} 3
 b_requests_total{code="404",handler="get"} 1
 # HELP c_entries cache entries
 # TYPE c_entries gauge
+c_entries{tier="back\\slash"} 8
+c_entries{tier="new\nline"} 9
 c_entries{tier="we\"ird"} 7
 # HELP d_uptime_seconds process uptime
 # TYPE d_uptime_seconds gauge
 d_uptime_seconds 1.5
+# HELP e_wide_total more labels than the stack holds
+# TYPE e_wide_total counter
+e_wide_total{a="1",b="2",c="3",d="4",e="5"} 1
 `
 	if b.String() != want {
 		t.Errorf("exposition mismatch:\ngot:\n%s\nwant:\n%s", b.String(), want)
@@ -144,6 +153,33 @@ func TestSameInstrumentReturned(t *testing.T) {
 	a.Inc()
 	if b.Value() != 1 {
 		t.Error("aliased counters diverged")
+	}
+	// Past the lookup's stack buffers: more labels and more bytes.
+	long := strings.Repeat("v", 200)
+	wide := r.Counter("x_total", "", L("e", long), L("d", "4"), L("c", "3"), L("b", "2"), L("a", "1"))
+	if wide != r.Counter("x_total", "", L("a", "1"), L("b", "2"), L("c", "3"), L("d", "4"), L("e", long)) {
+		t.Error("same wide label set returned distinct counters")
+	}
+	if wide == a {
+		t.Error("distinct label sets returned one counter")
+	}
+}
+
+// TestLookupHitAllocatesNothing: the middleware looks up a counter
+// and a histogram per request, so a hit must not render a string.
+func TestLookupHitAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("req_total", "", L("handler", "get"), L("code", "200"))
+	r.Histogram("req_seconds", "", nil, L("handler", "get"), L("code", "200"))
+	if n := testing.AllocsPerRun(100, func() {
+		r.Counter("req_total", "", L("handler", "get"), L("code", "200")).Inc()
+	}); n != 0 {
+		t.Errorf("counter hit: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		r.Histogram("req_seconds", "", nil, L("handler", "get"), L("code", "200")).Observe(0.001)
+	}); n != 0 {
+		t.Errorf("histogram hit: %v allocs, want 0", n)
 	}
 }
 

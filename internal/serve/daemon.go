@@ -7,9 +7,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -44,17 +46,7 @@ func RunDaemon(logger *obs.Logger, addr string, handler http.Handler,
 		warm(ctx)
 	}()
 
-	// No WriteTimeout: a full-scale experiment or an SSE stream
-	// legitimately holds a response open for minutes. Header and idle
-	// timeouts are what keep slow clients from pinning goroutines and
-	// fds forever.
-	hs := &http.Server{
-		Addr:              addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-
+	hs := newDaemonServer(addr, handler)
 	start := time.Now()
 	errc := make(chan error, 1)
 	go func() {
@@ -74,9 +66,7 @@ func RunDaemon(logger *obs.Logger, addr string, handler http.Handler,
 		// graceful path waits out in-flight work.
 		stop()
 		logger.Info("shutting down")
-		shctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(shctx); err != nil {
+		if err := hs.shutdown(5 * time.Second); err != nil {
 			logger.Error("shutdown", "error", err.Error())
 		}
 		// Wait for the warm-up to observe the cancellation: pending
@@ -91,4 +81,63 @@ func RunDaemon(logger *obs.Logger, addr string, handler http.Handler,
 			append(summary(), "uptime_seconds", int(time.Since(start).Seconds()))...)
 	}
 	return nil
+}
+
+// daemonServer is the http.Server both daemons run, with the
+// connections that have not yet carried a request tracked so shutdown
+// need not wait them out.
+type daemonServer struct {
+	*http.Server
+
+	mu      sync.Mutex
+	fresh   map[net.Conn]bool // connections in http.StateNew
+	closing bool              // shutdown began: close fresh ones on sight
+}
+
+func newDaemonServer(addr string, handler http.Handler) *daemonServer {
+	s := &daemonServer{fresh: map[net.Conn]bool{}}
+	// No WriteTimeout: a full-scale experiment or an SSE stream
+	// legitimately holds a response open for minutes. Header and idle
+	// timeouts are what keep slow clients from pinning goroutines and
+	// fds forever.
+	s.Server = &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+		ConnState:         s.track,
+	}
+	return s
+}
+
+// track records whether c has yet to carry a request, closing it at
+// once if shutdown has begun.
+func (s *daemonServer) track(c net.Conn, state http.ConnState) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case state != http.StateNew:
+		delete(s.fresh, c)
+	case s.closing:
+		c.Close()
+	default:
+		s.fresh[c] = true
+	}
+}
+
+// shutdown stops the server gracefully within grace. Shutdown closes
+// idle connections and waits for active requests, but it treats a
+// connection that never carried a request as busy for its first 5 s —
+// and a client's transport can dial one it then leaves unused. Those
+// hold no request, so they are closed at once.
+func (s *daemonServer) shutdown(grace time.Duration) error {
+	s.mu.Lock()
+	s.closing = true
+	for c := range s.fresh {
+		c.Close()
+	}
+	s.mu.Unlock()
+	ctx, cancel := context.WithTimeout(context.Background(), grace)
+	defer cancel()
+	return s.Shutdown(ctx)
 }

@@ -70,6 +70,8 @@ type Router struct {
 	jobs   *lru.Cache[string, string]
 
 	reg           *obs.Registry
+	routedOK      map[string]*obs.Counter // charhpc_router_routed_total per shard, resolved in New
+	routedErr     map[string]*obs.Counter
 	failovers     *obs.Counter
 	warmPlanned   *obs.Gauge
 	warmCompleted *obs.Gauge
@@ -124,9 +126,11 @@ func New(cfg Config) (*Router, error) {
 
 	// No global timeout: blocking GETs and SSE streams legitimately run
 	// long. Enough idle connections per shard keep a hot pool's
-	// connections alive, and they close after downBase: under load the
-	// transport can pool a connection it dialed but never used, and a
-	// shard's graceful shutdown waits 5 s on one of those.
+	// connections alive, and they close after downBase, so a quiet
+	// shard is not held open for longer than one backoff window. Under
+	// load the transport can pool a connection it dialed but never
+	// used; a shard's graceful shutdown closes those at once
+	// (serve.RunDaemon), so they do not hold up its exit.
 	client := &http.Client{Transport: &http.Transport{
 		MaxIdleConns:        256,
 		MaxIdleConnsPerHost: 64,
@@ -150,10 +154,15 @@ func New(cfg Config) (*Router, error) {
 			"fan-out warm-up keys resolved (warmed or failed)"),
 		warmRunning: reg.Gauge("charhpc_router_warm_running",
 			"1 while a fan-out warm-up is in flight"),
+		routedOK:  make(map[string]*obs.Counter, len(shards)),
+		routedErr: make(map[string]*obs.Counter, len(shards)),
 	}
+	const routedHelp = "requests sent to each shard, by outcome (ok = shard answered, error = transport failure)"
 	for _, s := range shards {
 		rt.ring.Add(s)
 		rt.live.win[s] = &window{}
+		rt.routedOK[s] = reg.Counter("charhpc_router_routed_total", routedHelp, obs.L("shard", s), obs.L("outcome", "ok"))
+		rt.routedErr[s] = reg.Counter("charhpc_router_routed_total", routedHelp, obs.L("shard", s), obs.L("outcome", "error"))
 		reg.GaugeFunc("charhpc_router_shard_up",
 			"1 while the last hop to the labeled shard did not fail at the transport",
 			func() float64 {
@@ -496,14 +505,14 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, targets []string
 				return
 			}
 			lastErr = err
-			rt.routed(target, "error")
+			rt.routedErr[target].Inc()
 			if i+1 < len(targets) {
 				rt.failovers.Inc()
 				rt.log.Info("failover", "shard", target, "error", err.Error(), "next", targets[i+1])
 			}
 			continue
 		}
-		rt.routed(target, "ok")
+		rt.routedOK[target].Inc()
 		rt.copyResponse(w, r, resp, onResponse, target)
 		return
 	}
@@ -527,11 +536,7 @@ func (rt *Router) send(r *http.Request, target string, body []byte) (*http.Respo
 	if err != nil {
 		return nil, err
 	}
-	for k, vv := range r.Header {
-		for _, v := range vv {
-			out.Header.Add(k, v)
-		}
-	}
+	out.Header = r.Header.Clone()
 	return rt.do(target, out)
 }
 
@@ -554,19 +559,21 @@ func (rt *Router) observe(shard string, ok bool) {
 	}
 }
 
-// routed counts one routed request by shard and outcome.
-func (rt *Router) routed(target, outcome string) {
-	rt.reg.Counter("charhpc_router_routed_total",
-		"requests sent to each shard, by outcome (ok = shard answered, error = transport failure)",
-		obs.L("shard", target), obs.L("outcome", outcome)).Inc()
-}
+// copyBufs holds the proxy's 32 KiB copy buffers. Neither the front
+// end's writer nor the transport's body offers ReadFrom/WriteTo, so
+// io.Copy would allocate one per request. (A ReadFrom on the writer
+// would not help: net's fallback for a non-TCP source allocates its
+// own buffer and splits the response into two writes.) A buffer goes
+// back to the pool only once its copy has returned, and a Write never
+// keeps the slice it was given.
+var copyBufs = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
 
-// copyResponse relays one shard response: headers, status, body. SSE
-// bodies are flushed per chunk so progress frames reach the client as
-// the shard emits them, never held in a proxy buffer. On the buffered
-// (onResponse) path the body is read before anything is written, so a
-// shard that dies mid-body draws the 502 envelope — not its own
-// headers over net/http's implicit 200 and no bytes.
+// copyResponse relays one shard response: headers, status, and the
+// body through a pooled buffer. SSE bodies are flushed per chunk so
+// progress frames reach the client as the shard emits them. On the
+// buffered (onResponse) path the body is read before anything is
+// written, so a shard that dies mid-body draws the 502 envelope — not
+// its own headers over net/http's implicit 200 and no bytes.
 func (rt *Router) copyResponse(w http.ResponseWriter, r *http.Request, resp *http.Response, onResponse func(string, int, []byte), target string) {
 	defer resp.Body.Close()
 	var body []byte
@@ -584,13 +591,12 @@ func (rt *Router) copyResponse(w http.ResponseWriter, r *http.Request, resp *htt
 	h := w.Header()
 	for k, vv := range resp.Header {
 		// Ours is already set from the inbound request — same value,
-		// since the shard echoes what the router sent.
-		if http.CanonicalHeaderKey(k) == serve.RequestIDHeader {
+		// since the shard echoes what the router sent. The transport
+		// has canonicalised k.
+		if k == serve.RequestIDHeader {
 			continue
 		}
-		for _, v := range vv {
-			h.Add(k, v)
-		}
+		h[k] = append(h[k], vv...)
 	}
 	if onResponse != nil {
 		onResponse(target, resp.StatusCode, body)
@@ -599,19 +605,20 @@ func (rt *Router) copyResponse(w http.ResponseWriter, r *http.Request, resp *htt
 		return
 	}
 	w.WriteHeader(resp.StatusCode)
+	buf := copyBufs.Get().(*[]byte)
+	defer copyBufs.Put(buf)
 	if strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
-		flushCopy(w, resp.Body)
+		flushCopy(w, resp.Body, *buf)
 		return
 	}
-	io.Copy(w, resp.Body)
+	io.CopyBuffer(w, resp.Body, *buf)
 }
 
-// flushCopy streams body to w, flushing after every chunk — the
-// proxied half of the SSE contract (the shard flushes per event, so
-// chunks arrive event-aligned).
-func flushCopy(w http.ResponseWriter, body io.Reader) {
+// flushCopy streams body to w through buf, flushing after every chunk
+// — the proxied half of the SSE contract (the shard flushes per event,
+// so chunks arrive event-aligned).
+func flushCopy(w http.ResponseWriter, body io.Reader, buf []byte) {
 	fl, _ := w.(http.Flusher)
-	buf := make([]byte, 32<<10)
 	for {
 		n, err := body.Read(buf)
 		if n > 0 {

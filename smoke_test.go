@@ -152,13 +152,9 @@ func (d *daemon) waitReady() error {
 }
 
 // stop ends the daemon the way an operator would and waits for it, so
-// the next process may open the same store. The graceful path waits up
-// to five seconds on a connection that was opened but never used, and
-// the client's transport may hold one (a dial that lost the race to an
-// idle connection), so those are closed first.
+// the next process may open the same store.
 func (d *daemon) stop(t *testing.T) {
 	t.Helper()
-	smokeClient.CloseIdleConnections()
 	syscall.Kill(-d.cmd.Process.Pid, syscall.SIGTERM)
 	select {
 	case <-d.done:
