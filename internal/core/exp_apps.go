@@ -17,7 +17,7 @@ import (
 func init() {
 	register(Experiment{ID: "F14", Kind: "figure", Run: runF14, Needs: cluster.CapMultiNode, Rev: 1,
 		Title: "Rank placement ablation: block vs cyclic latency distribution"})
-	register(Experiment{ID: "F15", Kind: "table", Run: runF15, Needs: cluster.CapMultiNode, Rev: 1,
+	register(Experiment{ID: "F15", Kind: "table", Run: runF15, Needs: cluster.CapMultiNode, Rev: 2,
 		Title: "Application kernels (EP, IS, stencil, CG) across fabrics"})
 }
 
@@ -104,7 +104,7 @@ func runF15(w io.Writer, r Request) error {
 		cols = append(cols, fmt.Sprintf("%s/%s",
 			shortName(ms[len(ms)-1].Name), shortName(ms[0].Name)))
 	}
-	t := report.NewTable(fmt.Sprintf("Application kernels (p=%d, one rank/node)", p), cols...)
+	t := report.NewTable(fmt.Sprintf("Application kernels (p=%d, cyclic placement)", p), cols...)
 
 	type row struct{ ep, is, st, cg float64 }
 	results := make([]row, len(ms))

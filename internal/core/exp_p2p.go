@@ -12,17 +12,17 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "F1", Kind: "figure", Run: runF1, Needs: cluster.CapMultiNode, Rev: 1,
+	register(Experiment{ID: "F1", Kind: "figure", Run: runF1, Needs: cluster.CapMultiNode, Rev: 2,
 		Title: "Point-to-point latency vs message size, by path class"})
-	register(Experiment{ID: "F2", Kind: "figure", Run: runF2, Needs: cluster.CapMultiNode, Rev: 1,
+	register(Experiment{ID: "F2", Kind: "figure", Run: runF2, Needs: cluster.CapMultiNode, Rev: 2,
 		Title: "Point-to-point bandwidth vs message size"})
-	register(Experiment{ID: "F3", Kind: "figure", Run: runF3, Needs: cluster.CapMultiNode, Rev: 1,
+	register(Experiment{ID: "F3", Kind: "figure", Run: runF3, Needs: cluster.CapMultiNode, Rev: 2,
 		Title: "Bidirectional bandwidth vs message size"})
-	register(Experiment{ID: "F4", Kind: "figure", Run: runF4, Needs: cluster.CapMultiNode, Rev: 1,
+	register(Experiment{ID: "F4", Kind: "figure", Run: runF4, Needs: cluster.CapMultiNode, Rev: 2,
 		Title: "Multi-pair aggregate bandwidth (shared NIC saturation)"})
-	register(Experiment{ID: "F12", Kind: "figure", Run: runF12, Needs: cluster.CapMultiNode, Rev: 1,
+	register(Experiment{ID: "F12", Kind: "figure", Run: runF12, Needs: cluster.CapMultiNode, Rev: 2,
 		Title: "Eager vs rendezvous protocol crossover (ablation)"})
-	register(Experiment{ID: "F13", Kind: "table", Run: runF13, Needs: cluster.CapMultiNode, Rev: 1,
+	register(Experiment{ID: "F13", Kind: "table", Run: runF13, Needs: cluster.CapMultiNode, Rev: 2,
 		Title: "LogGP parameters fitted from measurements vs configured truth"})
 }
 
@@ -46,12 +46,13 @@ func sweepOpts(s Scale) osu.Options {
 // pairModel returns a copy of m reshaped to the smallest machine on
 // which block placement puts each pair (i, i+pairs) on path class pc.
 // Only the inter-node shape reads pairs: 2 nodes × pairs cores, so every
-// sender is on node 0, every receiver on node 1, and the senders share
-// node 0's NIC. The intra-node shapes hold one pair. Links, memory and
-// compute parameters are the preset's own. A pair measured there times
-// exactly as it does inside m's full machine, because the fabric reads
-// only the links of the pair's class, the NIC of the sender's node and
-// the Self link's per-byte copy cost.
+// sender is on node 0, every receiver on node 1, and each sender owns
+// 1/pairs of node 0's NIC. The intra-node shapes hold one pair. Links,
+// memory and compute parameters are the preset's own. A pair measured
+// there times exactly as it would among the same ranks inside m's full
+// machine, because the fabric reads only the links of the pair's class,
+// the number of the world's ranks on the sender's node and the Self
+// link's per-byte copy cost.
 func pairModel(m *cluster.Model, pc cluster.PathClass, pairs int) *cluster.Model {
 	pm := *m
 	pm.Placement = cluster.Block

@@ -25,7 +25,7 @@ func init() {
 		Kind:  "table",
 		Run:   runT4,
 		Needs: cluster.CapMultiNode,
-		Rev:   3,
+		Rev:   4,
 	})
 }
 

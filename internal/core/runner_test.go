@@ -73,12 +73,10 @@ func TestRunExplicitPlatform(t *testing.T) {
 }
 
 func TestRunParallelMatchesSerial(t *testing.T) {
-	// Only the golden set is compared: the other fabric-driven
-	// experiments (T4, F5, ...) are nondeterministic run-to-run even
-	// serially, so byte-identity is only meaningful where the
-	// underlying experiment is deterministic. The serial side is the
-	// memoised cell; the parallel side runs fresh.
-	ids := goldenIDs
+	// Every modeled experiment is compared; the host-timed ones (T2,
+	// F7, M1, M2, T3) differ run to run even serially. The serial side
+	// is the memoised cell; the parallel side runs fresh.
+	ids := goldenIDs()
 	results, err := RunParallel(ids, Request{Scale: Quick}, 3)
 	if err != nil {
 		t.Fatal(err)

@@ -87,12 +87,26 @@ func ringOn(c *mp.Comm, perm []int, size, warmup, iters int) (RingResult, error)
 			}
 			t0 = c.Time()
 		}
-		// Both directions per step, as b_eff does: send right/recv
-		// left, then send left/recv right.
-		if _, err := c.SendRecv(right, ringTag, sbuf, left, ringTag, rbuf); err != nil {
+		// Both directions per step, in flight together, as in b_eff's
+		// Irecv/Isend variant: a rank's two sends share its egress
+		// lane, so a ring with more off-node neighbours is slower. Two
+		// blocking SendRecvs would chain every step through one
+		// inter-node hop each way, and every ring would time the same.
+		var reqs [4]*mp.Request
+		var err error
+		if reqs[0], err = c.Irecv(left, ringTag, rbuf); err != nil {
 			return RingResult{}, err
 		}
-		if _, err := c.SendRecv(left, ringTag+1, sbuf2, right, ringTag+1, rbuf2); err != nil {
+		if reqs[1], err = c.Irecv(right, ringTag+1, rbuf2); err != nil {
+			return RingResult{}, err
+		}
+		if reqs[2], err = c.Isend(right, ringTag, sbuf); err != nil {
+			return RingResult{}, err
+		}
+		if reqs[3], err = c.Isend(left, ringTag+1, sbuf2); err != nil {
+			return RingResult{}, err
+		}
+		if err := c.WaitAll(reqs[:]...); err != nil {
 			return RingResult{}, err
 		}
 	}

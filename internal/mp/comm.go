@@ -73,20 +73,20 @@ type Status struct {
 
 // Request is a nonblocking operation handle.
 type Request struct {
-	c    *Comm
-	done bool
-	err  error
+	c              *Comm
+	done           bool
+	err            error
+	buf            []byte  // the receive's destination or the send's payload
+	arrival, recvO float64 // charged at Wait; a send's arrival is the end of its injection
 
 	// Receive-side state.
-	src, tag       int
-	buf            []byte
-	n              int
-	arrival, recvO float64 // the delivered packet's timing, charged at Wait
+	src, tag int
+	n        int
+	post     float64 // the clock when the receive was posted
 
 	// Send-side state.
-	seq  uint64
-	dst  int
-	data []byte
+	rt   route
+	slot float64 // the payload's booked start on the egress lane
 }
 
 // Wait drives progress until the operation completes, returning the
@@ -152,22 +152,27 @@ func (c *Comm) isendInternal(dst, tag int, buf []byte) (*Request, error) {
 	if err := c.checkPeer(dst); err != nil {
 		return nil, err
 	}
+	rt, now := c.fab.route(c.rank, dst), c.Time()
+	slot := c.fab.book(rt, now+rt.O, len(buf))
 	eager := c.cfg.eager()
 	if eager >= 0 && len(buf) <= eager {
 		// Eager: the fabric copies the payload; the send is
-		// complete (buffered) as soon as the packet is queued.
-		if err := c.fab.send(c.rank, dst, packet{kind: kindData, tag: tag, data: buf}); err != nil {
+		// complete (buffered) as soon as the packet is queued, and
+		// the CPU is busy for the overhead and the injection.
+		inject := rt.inject(len(buf))
+		if err := c.fab.send(rt, packet{kind: kindData, tag: tag, data: buf, arrival: slot + inject}); err != nil {
 			return nil, err
 		}
+		c.fab.addDelay(c.rank, rt.O+inject)
 		c.stats.SendsEager++
 		c.stats.BytesSent += uint64(len(buf))
 		return &Request{c: c, done: true}, nil
 	}
 	// Rendezvous: announce with RTS; payload moves when CTS arrives.
 	c.seq++
-	req := &Request{c: c, seq: c.seq, dst: dst, data: buf}
+	req := &Request{c: c, rt: rt, slot: slot, buf: buf}
 	c.pendSends[c.seq] = req
-	if err := c.fab.send(c.rank, dst, packet{kind: kindRTS, tag: tag, seq: c.seq}); err != nil {
+	if err := c.fab.send(rt, packet{kind: kindRTS, tag: tag, seq: c.seq, arrival: now + rt.O}); err != nil {
 		delete(c.pendSends, c.seq)
 		return nil, err
 	}
@@ -207,7 +212,7 @@ func (c *Comm) irecvInternal(src, tag int, buf []byte) (*Request, error) {
 	if err := c.checkPeer(src); err != nil {
 		return nil, err
 	}
-	req := &Request{c: c, src: src, tag: tag, buf: buf}
+	req := &Request{c: c, src: src, tag: tag, buf: buf, post: c.Time()}
 	c.postRecv(req)
 	return req, nil
 }
@@ -296,24 +301,18 @@ func (c *Comm) deliver(req *Request, pkt packet) {
 }
 
 // grantRndv answers a matched RTS with a CTS and parks the request until
-// the payload arrives. Unlike a payload's, the RTS's arrival time is
-// charged now, at match time.
+// the payload arrives. The CTS leaves once both the RTS and the receive
+// are there, timed from the request, so the grant costs the clock
+// nothing and does not depend on when this rank pulled the RTS.
 func (c *Comm) grantRndv(req *Request, pkt packet) {
-	c.applyClock(pkt)
 	key := rndvKey{src: pkt.src, seq: pkt.seq}
 	c.rndvRecvs[key] = req
-	if err := c.fab.send(c.rank, pkt.src, packet{kind: kindCTS, seq: pkt.seq}); err != nil {
+	cts := packet{kind: kindCTS, seq: pkt.seq, arrival: max(req.post, pkt.arrival) + pkt.recvO}
+	if err := c.fab.send(c.fab.route(c.rank, pkt.src), cts); err != nil {
 		req.err = err
 		req.done = true
 		delete(c.rndvRecvs, key)
 	}
-}
-
-// applyClock charges packet arrival and receive overhead to the rank's
-// virtual clock.
-func (c *Comm) applyClock(pkt packet) {
-	c.fab.advanceTo(c.rank, pkt.arrival)
-	c.fab.addDelay(c.rank, pkt.recvO)
 }
 
 // handle dispatches one incoming packet through the protocol state
@@ -333,14 +332,16 @@ func (c *Comm) handle(pkt packet) error {
 			c.grantRndv(req, pkt)
 		}
 	case kindCTS:
-		c.applyClock(pkt) // the sender acts on the grant immediately
 		req, ok := c.pendSends[pkt.seq]
 		if !ok {
 			return fmt.Errorf("mp: rank %d: CTS for unknown seq %d", c.rank, pkt.seq)
 		}
 		delete(c.pendSends, pkt.seq)
-		req.err = c.fab.send(c.rank, req.dst, packet{kind: kindRndv, seq: pkt.seq, data: req.data})
-		req.data = nil
+		// The payload leaves in its booked slot, or one overhead at
+		// each end after the grant; Wait takes the end of injection.
+		req.arrival = max(req.slot, pkt.arrival+pkt.recvO+req.rt.O) + req.rt.inject(len(req.buf))
+		req.err = c.fab.send(req.rt, packet{kind: kindRndv, seq: pkt.seq, data: req.buf, arrival: req.arrival})
+		req.buf = nil
 		req.done = true
 	case kindRndv:
 		key := rndvKey{src: pkt.src, seq: pkt.seq}

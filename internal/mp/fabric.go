@@ -17,38 +17,45 @@ import (
 // latency/bandwidth structure of the modeled machine is reproduced
 // without any sleeping.
 //
-// Timing rules, for a packet of s payload bytes from rank a to rank b
-// over the link class with parameters (L, o, g, G):
+// Timing rules, for a payload of s bytes from rank a to rank b over the
+// link class with parameters (L, o, g, G), where k is a's share of its
+// node's NIC (the world's ranks on a's node between nodes, 1 within):
 //
-//	inject = max(clock_a + o, nicFree_a)    (NIC shared per node, inter-node only)
-//	arrive = inject + s*G + L
-//	nicFree_a = inject + max(g, s*G)
-//	clock_a += o + s*G                       (sender busy for overhead+copy)
-//	clock_b = max(clock_b, arrive) + o       (charged when b waits on the receive)
+//	start  = max(ready, lane_a)    (a's egress lane, booked in a's program order)
+//	lane_a = start + k*max(g, s*G)
+//	arrive = start + k*s*G + L
 //
-// The receiver-side o is carried in the packet (recvO) because the
-// receiving rank does not look up the path class. Rendezvous control
-// packets (RTS, CTS) are charged when b handles them instead.
-//
-// Each rank is placed once, when the fabric is built; a send classifies
-// the two placed ranks, so the fabric holds no per-pair state.
+// Eager data books at the send, ready at clock_a + o, and charges
+// clock_a += o + k*s*G. A rendezvous payload books its slot at Isend.
+// Its RTS leaves at clock_a + o, and b's CTS at max(post_b, rts) + o,
+// where post_b is b's clock when it posted the receive. The payload
+// leaves at max(slot, cts + 2o), and a's Wait takes the end of its
+// injection. Control packets bypass the lane and cost no clock anything
+// (an offloaded handshake). A receive charges clock_b =
+// max(clock_b, arrive) + o at its Wait. The static share is exact when
+// all k ranks on a node stream and pessimistic when fewer do, as in an
+// HPL panel broadcast.
 type fabric struct {
 	links    cluster.Links
 	ports    []port
-	nics     []nic                // one per node: egress serialization point
 	sendHook func(rank int) error // Config.sendHook
 }
 
-// port is one rank's attachment to the fabric.
+// port is one rank's attachment to the fabric. Only the owning rank
+// reads or writes its clock and lane.
 type port struct {
 	loc   cluster.Location
-	clock float64 // virtual seconds; only the owning rank reads or writes it
+	share float64 // ranks of the world on this node
+	clock float64 // virtual seconds
+	lane  float64 // when this rank's egress is next free
 	box   mailbox
 }
 
-type nic struct {
-	mu   sync.Mutex
-	free float64
+// route is one send's path, classified once per send: the pair's link
+// parameters, with g and G scaled by the sender's share k.
+type route struct {
+	cluster.LogGP
+	src, dst int
 }
 
 // pktKind discriminates packet kinds. The rendezvous kinds mirror a real
@@ -97,8 +104,8 @@ func newFabric(n int, model *cluster.Model) (*fabric, error) {
 	f := &fabric{
 		links: model.Links,
 		ports: make([]port, n),
-		nics:  make([]nic, model.Topo.Nodes),
 	}
+	perNode := make([]float64, model.Topo.Nodes)
 	for r := range f.ports {
 		p := &f.ports[r]
 		loc, err := model.Topo.Place(r, n, model.Placement)
@@ -107,58 +114,61 @@ func newFabric(n int, model *cluster.Model) (*fabric, error) {
 		}
 		p.loc = loc
 		p.box.cond.L = &p.box.mu
+		perNode[loc.Node]++
+	}
+	for r := range f.ports {
+		f.ports[r].share = perNode[f.ports[r].loc.Node]
 	}
 	return f, nil
 }
 
-// send stamps pkt with its modeled timing, charges the sender's clock
-// and queues a copy for dst. The copy is pooled, so the caller still
-// owns pkt.data and may reuse it as soon as send returns; an empty
-// payload arrives as nil. send never blocks on the receiver; mailboxes
-// are unbounded.
-func (f *fabric) send(src, dst int, pkt packet) error {
+// route classifies the pair (src, dst) once for a send.
+func (f *fabric) route(src, dst int) route {
+	from, to := &f.ports[src], &f.ports[dst]
+	r := route{LogGP: f.links.For(cluster.Classify(from.loc, to.loc)), src: src, dst: dst}
+	if from.loc.Node != to.loc.Node {
+		r.G *= from.share
+		r.GB *= from.share
+	}
+	return r
+}
+
+// inject is how long s bytes take to leave the sender on r.
+func (r route) inject(s int) float64 { return float64(s) * r.GB }
+
+// book reserves the sender's egress lane for s bytes ready at t and
+// returns when they start to leave.
+func (f *fabric) book(r route, t float64, s int) float64 {
+	p := &f.ports[r.src]
+	start := max(t, p.lane)
+	p.lane = start + max(r.G, r.inject(s))
+	return start
+}
+
+// send queues a copy of pkt for r.dst. pkt.arrival holds when its last
+// byte leaves the sender; send adds the wire latency and the receive
+// overhead. The copy is pooled, so the caller still owns pkt.data and
+// may reuse it as soon as send returns; an empty payload arrives as nil.
+// send never blocks on the receiver; mailboxes are unbounded.
+func (f *fabric) send(r route, pkt packet) error {
 	if f.sendHook != nil {
-		if err := f.sendHook(src); err != nil {
+		if err := f.sendHook(r.src); err != nil {
 			return err
 		}
 	}
-	from, to := &f.ports[src], &f.ports[dst]
-	p := f.links.For(cluster.Classify(from.loc, to.loc))
-	s := float64(len(pkt.data))
-
-	now := from.clock
-	inject := now + p.O
-	if from.loc.Node != to.loc.Node {
-		// Inter-node messages serialize through the node's NIC.
-		n := &f.nics[from.loc.Node]
-		n.mu.Lock()
-		if n.free > inject {
-			inject = n.free
-		}
-		occupancy := s * p.GB
-		if p.G > occupancy {
-			occupancy = p.G
-		}
-		n.free = inject + occupancy
-		n.mu.Unlock()
-	}
-	pkt.arrival = inject + s*p.GB + p.L
-	pkt.recvO = p.O
+	pkt.arrival += r.L
+	pkt.recvO = r.O
 	// Eager data lands in a bounce buffer and is copied out at match
 	// time; rendezvous payloads go straight to the posted buffer. The
 	// copy is charged at the node's memcpy bandwidth (the Self link's
 	// per-byte cost). This asymmetry is what creates the
 	// eager/rendezvous crossover (experiment F12).
 	if pkt.kind == kindData {
-		pkt.recvO += s * f.links.Self.GB
+		pkt.recvO += float64(len(pkt.data)) * f.links.Self.GB
 	}
-	pkt.src = src
-
-	// Sender CPU is busy for overhead plus injection of the payload.
-	from.clock = now + p.O + s*p.GB
-
+	pkt.src = r.src
 	pkt.data = clonePayload(pkt.data)
-	if !to.box.put(pkt) {
+	if !f.ports[r.dst].box.put(pkt) {
 		return ErrClosed
 	}
 	return nil

@@ -3,6 +3,7 @@ package mp
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"unsafe"
@@ -44,7 +45,7 @@ func TestFabricBasicDelivery(t *testing.T) {
 	simRow(t, func(t *testing.T) {
 		f := testFabric(t, 2, testModel())
 		payload := []byte("hello fabric")
-		if err := f.send(0, 1, packet{kind: kindData, tag: 7, seq: 3, data: payload}); err != nil {
+		if err := f.send(f.route(0, 1), packet{kind: kindData, tag: 7, seq: 3, data: payload}); err != nil {
 			t.Fatal(err)
 		}
 		pkt := mustRecv(t, f, 1)
@@ -63,7 +64,7 @@ func TestFabricSenderBufferReuse(t *testing.T) {
 		// the delivered packet.
 		f := testFabric(t, 2, testModel())
 		buf := []byte{1, 2, 3, 4}
-		if err := f.send(0, 1, packet{kind: kindData, data: buf}); err != nil {
+		if err := f.send(f.route(0, 1), packet{kind: kindData, data: buf}); err != nil {
 			t.Fatal(err)
 		}
 		buf[0] = 99
@@ -78,7 +79,7 @@ func TestFabricOrderingPerPair(t *testing.T) {
 		f := testFabric(t, 2, testModel())
 		const n = 500
 		for i := 0; i < n; i++ {
-			if err := f.send(0, 1, packet{kind: kindData, seq: uint64(i)}); err != nil {
+			if err := f.send(f.route(0, 1), packet{kind: kindData, seq: uint64(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -102,7 +103,7 @@ func TestFabricManyToOne(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < per; i++ {
 					data := []byte(fmt.Sprintf("%d:%d", s, i))
-					if err := f.send(s, 0, packet{kind: kindData, tag: s, seq: uint64(i), data: data}); err != nil {
+					if err := f.send(f.route(s, 0), packet{kind: kindData, tag: s, seq: uint64(i), data: data}); err != nil {
 						t.Errorf("send: %v", err)
 						return
 					}
@@ -133,22 +134,39 @@ func TestFabricCloseUnblocksRecv(t *testing.T) {
 		if ok := <-done; ok {
 			t.Error("recv returned a packet after close")
 		}
-		if err := f.send(1, 0, packet{kind: kindData}); err != ErrClosed {
+		if err := f.send(f.route(1, 0), packet{kind: kindData}); err != ErrClosed {
 			t.Errorf("send after close = %v, want ErrClosed", err)
 		}
 	})
 }
 
+// TestSimClockAdvancesOnSend: an eager send charges its sender the
+// overhead plus the injection, which takes k*s*G when k ranks share the
+// node's NIC and s*G for a rank alone on its node.
 func TestSimClockAdvancesOnSend(t *testing.T) {
-	f := testFabric(t, 2, testModel())
-	if before := f.now(0); before != 0 {
-		t.Fatalf("initial clock = %v", before)
-	}
-	if err := f.send(0, 1, packet{kind: kindData, data: make([]byte, 1000)}); err != nil {
-		t.Fatal(err)
-	}
-	if f.now(0) <= 0 {
-		t.Error("sender clock did not advance")
+	const size = 1000
+	for _, k := range []int{1, 4} {
+		m := testModel()
+		m.Topo = cluster.Topology{Nodes: 2, SocketsPerNode: 1, CoresPerSocket: k}
+		lp := m.Links.InterNode
+		want := lp.O + float64(k*size)*lp.GB
+		err := Run(2*k, Config{Model: m}, func(c *Comm) error {
+			buf := make([]byte, size)
+			if c.Rank() >= k {
+				_, err := c.Recv(c.Rank()-k, 0, buf)
+				return err
+			}
+			if err := c.Send(c.Rank()+k, 0, buf); err != nil {
+				return err
+			}
+			if got := c.Time(); math.Abs(got-want) > 1e-12*want {
+				return fmt.Errorf("rank %d: clock after send = %v, want %v", c.Rank(), got, want)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("k=%d: %v", k, err)
+		}
 	}
 }
 
@@ -160,7 +178,7 @@ func TestSimArrivalIncludesLatency(t *testing.T) {
 	if c := cluster.Classify(f.ports[0].loc, f.ports[n-1].loc); c != cluster.InterNode {
 		t.Fatalf("ranks 0,%d class = %v, want inter-node", n-1, c)
 	}
-	if err := f.send(0, n-1, packet{kind: kindData, data: make([]byte, 8)}); err != nil {
+	if err := f.send(f.route(0, n-1), packet{kind: kindData, data: make([]byte, 8)}); err != nil {
 		t.Fatal(err)
 	}
 	pkt := mustRecv(t, f, n-1)
@@ -178,12 +196,11 @@ func TestSimIntraVsInterNodeArrival(t *testing.T) {
 	m := testModel()
 	n := m.Topo.TotalCores()
 	f := testFabric(t, n, m)
-	if err := f.send(0, 1, packet{kind: kindData, data: make([]byte, 8)}); err != nil {
+	if err := f.send(f.route(0, 1), packet{kind: kindData, data: make([]byte, 8)}); err != nil {
 		t.Fatal(err)
 	}
 	intra := mustRecv(t, f, 1)
-	// The sender's clock advanced a little; send inter-node next.
-	if err := f.send(0, n-1, packet{kind: kindData, data: make([]byte, 8)}); err != nil {
+	if err := f.send(f.route(0, n-1), packet{kind: kindData, data: make([]byte, 8)}); err != nil {
 		t.Fatal(err)
 	}
 	inter := mustRecv(t, f, n-1)
@@ -192,22 +209,26 @@ func TestSimIntraVsInterNodeArrival(t *testing.T) {
 	}
 }
 
+// TestSimNICContentionSerializes: payloads booked back to back on one
+// rank's egress lane start one injection apart, k*s*G between nodes
+// when k ranks share the node's NIC, s*G when the rank is alone on its
+// node, and s*G within a node whatever k is.
 func TestSimNICContentionSerializes(t *testing.T) {
-	// Two back-to-back inter-node sends from the same node must have
-	// arrivals separated by at least the occupancy of one message.
-	m := testModel()
-	n := m.Topo.TotalCores()
-	f := testFabric(t, n, m)
 	const size = 100000
-	for seq := uint64(1); seq <= 2; seq++ {
-		if err := f.send(0, n-1, packet{kind: kindData, seq: seq, data: make([]byte, size)}); err != nil {
-			t.Fatal(err)
+	for _, k := range []int{1, 4} {
+		m := testModel()
+		m.Topo = cluster.Topology{Nodes: 2, SocketsPerNode: 1, CoresPerSocket: k}
+		f := testFabric(t, 2*k, m)
+		check := func(rt route, want float64) {
+			first, second := f.book(rt, 0, size), f.book(rt, 0, size)
+			if gap := second - first; math.Abs(gap-want) > 1e-12*want {
+				t.Errorf("k=%d, %d->%d: lane gap %v, want %v", k, rt.src, rt.dst, gap, want)
+			}
 		}
-	}
-	p1, p2 := mustRecv(t, f, n-1), mustRecv(t, f, n-1)
-	occupancy := float64(size) * m.Links.InterNode.GB
-	if gap := p2.arrival - p1.arrival; gap < occupancy*0.99 {
-		t.Errorf("NIC gap %v below single-message occupancy %v", gap, occupancy)
+		check(f.route(0, k), float64(k*size)*m.Links.InterNode.GB)
+		if k > 1 {
+			check(f.route(0, 1), size*m.Links.IntraSocket.GB)
+		}
 	}
 }
 
@@ -277,7 +298,7 @@ func TestEmptyPayloadDoesNotCarryCapacity(t *testing.T) {
 	simRow(t, func(t *testing.T) {
 		f := testFabric(t, 2, testModel())
 		big := make([]byte, 1<<16)
-		if err := f.send(0, 1, packet{kind: kindData, data: big[:0]}); err != nil {
+		if err := f.send(f.route(0, 1), packet{kind: kindData, data: big[:0]}); err != nil {
 			t.Fatal(err)
 		}
 		pkt := mustRecv(t, f, 1)
@@ -298,7 +319,7 @@ func TestEmptyPayloadDoesNotCarryCapacity(t *testing.T) {
 		}()
 		other := bytes.Repeat([]byte{0xAB}, len(big))
 		for i := 0; i < 64; i++ {
-			if err := f.send(0, 1, packet{kind: kindData, data: other}); err != nil {
+			if err := f.send(f.route(0, 1), packet{kind: kindData, data: other}); err != nil {
 				t.Fatal(err)
 			}
 			pkt := mustRecv(t, f, 1)
@@ -349,7 +370,7 @@ func TestReleasedBufferNeverAliasesLivePacket(t *testing.T) {
 		f := testFabric(t, 2, testModel())
 		send := func(id int) {
 			t.Helper()
-			if err := f.send(0, 1, packet{kind: kindData, seq: uint64(id), data: pattern(id)}); err != nil {
+			if err := f.send(f.route(0, 1), packet{kind: kindData, seq: uint64(id), data: pattern(id)}); err != nil {
 				t.Fatal(err)
 			}
 		}

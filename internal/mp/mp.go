@@ -3,7 +3,13 @@
 //
 //   - SPMD launch: Run spawns n ranks as goroutines on a platform model,
 //     over an in-process fabric that stamps every message with its
-//     LogGP-modeled virtual time (fabric.go).
+//     LogGP-modeled virtual time (fabric.go). Each rank books payloads
+//     on its own egress lane: start = max(ready, lane) and lane = start +
+//     k·max(g, s·G), with k the world's ranks on its node between nodes
+//     and 1 within. That static share of the NIC is exact when all k
+//     ranks stream and pessimistic when fewer do (an HPL panel
+//     broadcast). A rank's clock and lane change only at its own program
+//     points, so virtual time never depends on goroutine scheduling.
 //   - Point-to-point: blocking Send/Recv, nonblocking Isend/Irecv with
 //     Requests, combined SendRecv, and the MPI matching rules on an
 //     exact (source, tag) envelope (FIFO per (src,dst), first-match

@@ -2,36 +2,35 @@ package mp
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 )
 
 // The scripted exchanges below pin what the Sim fabric *models*: each
 // rank's final virtual clock and its protocol counters. The constants
-// were captured at the commit before the payload path was pooled, so a
-// change to how the host moves bytes (buffers, copies, scratch reuse)
-// that leaks into virtual time or OpStats fails here.
+// were last captured when egress lanes and request-timed rendezvous
+// replaced the locked per-node NIC, so a change to how the host moves
+// bytes (buffers, copies, scratch reuse) that leaks into virtual time or
+// OpStats fails here.
 //
-// The scripts use only patterns whose virtual time does not depend on
-// goroutine scheduling: blocking operations with one receive posted at a
-// time, or a window whose traffic all comes from one source, so clock
-// charges happen in program order. (Multi-source posted receives and
-// receive-before-send exchanges are scheduler-order dependent on Sim
-// today; see ROADMAP "pure function of its key".) MatchPosted/MatchUnexp
-// individually depend on wall-clock arrival order, so only their sum is
-// pinned.
+// MatchPosted/MatchUnexp individually depend on wall-clock arrival
+// order, so only their sum is pinned. Virtual time does not:
+// TestSimScheduleIndependent checks that under a perturbed scheduler.
 
 type pinnedRank struct {
 	Time  float64
 	Stats OpStats // MatchPosted holds MatchPosted+MatchUnexp; MatchUnexp is 0
 }
 
-func runPinned(t *testing.T, n int, model *cluster.Model, script func(c *Comm) error) []pinnedRank {
+func runPinned(t *testing.T, n int, cfg Config, script func(c *Comm) error) []pinnedRank {
 	t.Helper()
 	got := make([]pinnedRank, n) // each rank writes its own slot
-	err := Run(n, Config{Model: model}, func(c *Comm) error {
+	err := Run(n, cfg, func(c *Comm) error {
 		if err := script(c); err != nil {
 			return err
 		}
@@ -120,13 +119,15 @@ func pinnedPair(c *Comm) error {
 }
 
 // pinnedEight is the 8-rank script: binomial broadcasts and reductions
-// on both sides of the eager threshold, an eager scan, per-rank compute,
-// a parity-ordered eager ring shift and a 1 MiB rendezvous relay down
-// the rank chain. Barrier, Allreduce and SendRecv are left out on
-// purpose: they post the receive before the send, so an early arrival
-// is charged before or after the send depending on the scheduler.
+// on both sides of the eager threshold, an eager scan, a barrier,
+// allreduces, per-rank compute, a parity-ordered eager ring shift, a
+// rendezvous SendRecv ring and a 1 MiB rendezvous relay down the rank
+// chain.
 func pinnedEight(c *Comm) error {
 	me, p := c.Rank(), c.Size()
+	if err := c.Barrier(); err != nil {
+		return err
+	}
 	for _, b := range []struct{ root, size int }{{0, 1024}, {3, 16384}} {
 		if err := c.Bcast(b.root, make([]byte, b.size)); err != nil {
 			return err
@@ -152,8 +153,22 @@ func pinnedEight(c *Comm) error {
 	if out[0] != float64(me*(me+1)/2) {
 		return fmt.Errorf("scan = %v", out[0])
 	}
+	for _, n := range []int{64, 4096} {
+		in, out := make([]float64, n), make([]float64, n)
+		in[0] = float64(me)
+		if err := c.Allreduce(OpSum, in, out); err != nil {
+			return err
+		}
+		if out[0] != float64(p*(p-1)/2) {
+			return fmt.Errorf("allreduce n=%d: out[0] = %v", n, out[0])
+		}
+	}
 	c.Compute(1e-6 * float64(me))
 	right, left := (me+1)%p, (me+p-1)%p
+	ring := make([]byte, 16384)
+	if _, err := c.SendRecv(right, 6, ring, left, 6, make([]byte, len(ring))); err != nil {
+		return err
+	}
 	shift := make([]byte, 8192)
 	if me%2 == 0 {
 		if err := c.Send(right, 4, shift); err != nil {
@@ -184,27 +199,70 @@ func pinnedEight(c *Comm) error {
 
 func TestSimVirtualTimePinned(t *testing.T) {
 	t.Run("2ranks-intra-socket", func(t *testing.T) {
-		checkPinned(t, runPinned(t, 2, cluster.IBCluster(), pinnedPair), pinnedPairWant)
+		checkPinned(t, runPinned(t, 2, Config{Model: cluster.IBCluster()}, pinnedPair), pinnedPairWant)
 	})
 	t.Run("8ranks-inter-node", func(t *testing.T) {
 		m := cluster.IBCluster()
 		m.Placement = cluster.Cyclic // one rank per node: every path crosses a NIC
-		checkPinned(t, runPinned(t, 8, m, pinnedEight), pinnedEightWant)
+		checkPinned(t, runPinned(t, 8, Config{Model: m}, pinnedEight), pinnedEightWant)
 	})
 }
 
+// TestSimScheduleIndependent: every rank's virtual clock is a function
+// of program order alone. A 16-rank script (pinnedEight plus a 64 KiB
+// Alltoall), under block and cyclic placement, gives the same per-rank
+// clocks and counters when a seeded hook yields or sleeps before random
+// sends as when nothing perturbs the scheduler. CI runs it under -race
+// at GOMAXPROCS 1, 2 and 8.
+func TestSimScheduleIndependent(t *testing.T) {
+	const n, repeats = 16, 20
+	script := func(c *Comm) error {
+		if err := pinnedEight(c); err != nil {
+			return err
+		}
+		const block = 64 << 10
+		return c.Alltoall(make([]byte, n*block), make([]byte, n*block))
+	}
+	for _, pl := range []cluster.Placement{cluster.Block, cluster.Cyclic} {
+		m := cluster.IBCluster()
+		m.Placement = pl
+		want := runPinned(t, n, Config{Model: m}, script)
+		for rep := range repeats {
+			rngs := make([]*rand.Rand, n) // one per rank: the hook runs on the sender's goroutine
+			for r := range rngs {
+				rngs[r] = rand.New(rand.NewPCG(uint64(rep), uint64(r)))
+			}
+			cfg := Config{Model: m, sendHook: func(rank int) error {
+				switch rngs[rank].IntN(4) {
+				case 0:
+					runtime.Gosched()
+				case 1:
+					time.Sleep(time.Microsecond)
+				}
+				return nil
+			}}
+			got := runPinned(t, n, cfg, script)
+			for r := range got {
+				if got[r] != want[r] {
+					t.Fatalf("%v placement, repeat %d: rank %d got %+v, unperturbed %+v", pl, rep, r, got[r], want[r])
+				}
+			}
+		}
+	}
+}
+
 var pinnedPairWant = []pinnedRank{
-	{0.0020892497848853412, OpStats{SendsEager: 17, SendsRndv: 17, Recvs: 20, BytesSent: 3661851, BytesRecv: 3391523, MatchPosted: 20, Collectives: 0}},
-	{0.002088999319224054, OpStats{SendsEager: 11, SendsRndv: 9, Recvs: 34, BytesSent: 3391523, BytesRecv: 3661851, MatchPosted: 34, Collectives: 0}},
+	{0.0020851497848853448, OpStats{SendsEager: 17, SendsRndv: 17, Recvs: 20, BytesSent: 3661851, BytesRecv: 3391523, MatchPosted: 20, Collectives: 0}},
+	{0.0020848993192240576, OpStats{SendsEager: 11, SendsRndv: 9, Recvs: 34, BytesSent: 3391523, BytesRecv: 3661851, MatchPosted: 34, Collectives: 0}},
 }
 
 var pinnedEightWant = []pinnedRank{
-	{0.0008616156352437337, OpStats{SendsEager: 8, SendsRndv: 2, Recvs: 4, BytesSent: 1098240, BytesRecv: 61440, MatchPosted: 4, Collectives: 5}},
-	{0.0015645663019104, OpStats{SendsEager: 5, SendsRndv: 3, Recvs: 5, BytesSent: 1111552, BytesRecv: 1074688, MatchPosted: 5, Collectives: 5}},
-	{0.002267516968577067, OpStats{SendsEager: 5, SendsRndv: 1, Recvs: 12, BytesSent: 1059328, BytesRecv: 1185792, MatchPosted: 12, Collectives: 5}},
-	{0.0029704676352437327, OpStats{SendsEager: 5, SendsRndv: 5, Recvs: 5, BytesSent: 1144320, BytesRecv: 1058816, MatchPosted: 5, Collectives: 5}},
-	{0.003673418301910398, OpStats{SendsEager: 6, SendsRndv: 2, Recvs: 9, BytesSent: 1096704, BytesRecv: 1112576, MatchPosted: 9, Collectives: 5}},
-	{0.0043763689685770634, OpStats{SendsEager: 4, SendsRndv: 3, Recvs: 7, BytesSent: 1111040, BytesRecv: 1075712, MatchPosted: 7, Collectives: 5}},
-	{0.005079319635243733, OpStats{SendsEager: 4, SendsRndv: 2, Recvs: 11, BytesSent: 1095168, BytesRecv: 1149440, MatchPosted: 11, Collectives: 5}},
-	{0.005080519635243734, OpStats{SendsEager: 2, SendsRndv: 3, Recvs: 7, BytesSent: 77824, BytesRecv: 1075712, MatchPosted: 7, Collectives: 5}},
+	{0.0009369901387939453, OpStats{SendsEager: 18, SendsRndv: 5, Recvs: 17, BytesSent: 1173504, BytesRecv: 136704, MatchPosted: 17, Collectives: 8}},
+	{0.0016398408054606115, OpStats{SendsEager: 15, SendsRndv: 6, Recvs: 18, BytesSent: 1186816, BytesRecv: 1149952, MatchPosted: 18, Collectives: 8}},
+	{0.0023426914721272783, OpStats{SendsEager: 15, SendsRndv: 4, Recvs: 25, BytesSent: 1134592, BytesRecv: 1261056, MatchPosted: 25, Collectives: 8}},
+	{0.0030455421387939443, OpStats{SendsEager: 15, SendsRndv: 8, Recvs: 18, BytesSent: 1219584, BytesRecv: 1134080, MatchPosted: 18, Collectives: 8}},
+	{0.0037483928054606102, OpStats{SendsEager: 16, SendsRndv: 5, Recvs: 22, BytesSent: 1171968, BytesRecv: 1187840, MatchPosted: 22, Collectives: 8}},
+	{0.004451243472127276, OpStats{SendsEager: 14, SendsRndv: 6, Recvs: 20, BytesSent: 1186304, BytesRecv: 1150976, MatchPosted: 20, Collectives: 8}},
+	{0.005154094138793946, OpStats{SendsEager: 14, SendsRndv: 5, Recvs: 24, BytesSent: 1170432, BytesRecv: 1224704, MatchPosted: 24, Collectives: 8}},
+	{0.005155294138793946, OpStats{SendsEager: 12, SendsRndv: 6, Recvs: 20, BytesSent: 153088, BytesRecv: 1150976, MatchPosted: 20, Collectives: 8}},
 }

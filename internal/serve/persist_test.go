@@ -300,3 +300,23 @@ func TestNewExperimentIDsFlowThroughCache(t *testing.T) {
 		t.Errorf("restart stats = %+v, want Runs=0 DiskLoads=2 (fingerprint-valid replay)", st)
 	}
 }
+
+// TestJSONETagReproducesAcrossServers: two daemons with separate stores
+// run F4, a multi-rank modeled experiment, fresh, and give its JSON
+// envelope the same strong ETag. The envelope holds no wall time and the
+// run is a function of its key, so a router's failover or a restart over
+// an empty store serves the ETag a client already holds.
+func TestJSONETagReproducesAcrossServers(t *testing.T) {
+	var etags [2]string
+	for i := range etags {
+		ts := newTestServer(t, Config{Store: openStore(t, t.TempDir(), "fpA")})
+		resp, body := doGet(t, ts.URL+"/experiments/F4", ctJSON, "")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("server %d: %d %s", i, resp.StatusCode, body)
+		}
+		etags[i] = resp.Header.Get("ETag")
+	}
+	if etags[0] == "" || etags[0] != etags[1] {
+		t.Errorf("F4 JSON ETags differ across servers: %q vs %q", etags[0], etags[1])
+	}
+}

@@ -48,16 +48,17 @@ type resultSet struct {
 }
 
 // resultJSON is the JSON envelope for one experiment's results.
-// Platform is present only for explicit-platform requests, so default
-// envelopes are byte-identical to the pre-platform-axis format.
+// Platform is present only for explicit-platform requests. It carries
+// no run time (that is the X-Experiment-Elapsed header's and the job's
+// terminal event's), so a modeled experiment's envelope is a function
+// of its key and its strong ETag reproduces across runs and daemons.
 type resultJSON struct {
-	ID             string           `json:"id"`
-	Kind           string           `json:"kind"`
-	Title          string           `json:"title"`
-	Scale          string           `json:"scale"`
-	Platform       string           `json:"platform,omitempty"`
-	ElapsedSeconds float64          `json:"elapsed_seconds"`
-	Sections       []report.Section `json:"sections"`
+	ID       string           `json:"id"`
+	Kind     string           `json:"kind"`
+	Title    string           `json:"title"`
+	Scale    string           `json:"scale"`
+	Platform string           `json:"platform,omitempty"`
+	Sections []report.Section `json:"sections"`
 }
 
 // renderResult turns one captured execution into all three negotiable
@@ -84,13 +85,12 @@ func renderResult(res core.Result) (resultSet, error) {
 		sections = []report.Section{}
 	}
 	jsonb, err := json.Marshal(resultJSON{
-		ID:             res.Experiment.ID,
-		Kind:           res.Experiment.Kind,
-		Title:          res.Experiment.Title,
-		Scale:          res.Req.Scale.String(),
-		Platform:       res.Req.Platform,
-		ElapsedSeconds: res.Elapsed.Seconds(),
-		Sections:       sections,
+		ID:       res.Experiment.ID,
+		Kind:     res.Experiment.Kind,
+		Title:    res.Experiment.Title,
+		Scale:    res.Req.Scale.String(),
+		Platform: res.Req.Platform,
+		Sections: sections,
 	})
 	if err != nil {
 		return resultSet{}, err

@@ -553,9 +553,9 @@ func buildDeploy(t *testing.T) string {
 // counter says so), the aggregated /healthz reports the degraded
 // pool, and the owner restarted on its address takes its keys back.
 func TestSmokeRouterFailover(t *testing.T) {
-	// The text representation: deterministic bytes across independent
-	// runs (the JSON envelope embeds elapsed_seconds, so two shards'
-	// fresh runs of one key hash differently there).
+	// The text representation; every representation of a modeled
+	// experiment is the same bytes across independent runs, so two
+	// shards' fresh runs of one key share its strong ETag.
 	const asText = "text/plain"
 	shard := func(name string) *daemon {
 		dir := t.TempDir()
