@@ -220,6 +220,7 @@ func TestReadmeCoversFlags(t *testing.T) {
 		{"child" + "Ctx", ""},
 		{"MultiPair" + "Bandwidth", ""},
 		{"narrow" + "Node", ""},
+		{"CHARHPC_FP_" + "PIN_VCS", ""},
 	}
 	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {

@@ -89,7 +89,10 @@ type Experiment struct {
 	Title string
 	// Kind is "table" or "figure".
 	Kind string
-	// Run produces the experiment's output for one request.
+	// Run produces the experiment's output for one request. A change
+	// to a modeled experiment's quick output changes its line in
+	// digests.txt, which invalidates its cached results (see
+	// fingerprint.go).
 	Run func(w io.Writer, r Request) error
 	// Needs is the capability mask a preset must satisfy for this
 	// experiment to be meaningful on it (fabric experiments need
@@ -100,18 +103,6 @@ type Experiment struct {
 	// (host-only measurements such as T2): only the default request
 	// is valid for them.
 	NoPlatform bool
-	// Rev is the experiment's behavior revision. Bump it in the same
-	// change whenever the Run implementation's OUTPUT can differ for
-	// some request — a fixed formula, a re-tuned model constant, a
-	// changed column — so cached results from the previous revision
-	// are invalidated. It is the only fingerprint input that captures
-	// implementation changes: the build identity deliberately excludes
-	// everything VCS-derived (see fingerprint.go), so without a Rev
-	// bump a code-only deploy reuses every cached result. The fingerprint
-	// golden test pins each experiment's Rev, which makes a behavior
-	// change that forgot the bump at least visible in review whenever
-	// the dependency material moves.
-	Rev int
 }
 
 // Platforms returns the preset names this experiment accepts for an

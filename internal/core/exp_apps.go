@@ -15,9 +15,9 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "F14", Kind: "figure", Run: runF14, Needs: cluster.CapMultiNode, Rev: 1,
+	register(Experiment{ID: "F14", Kind: "figure", Run: runF14, Needs: cluster.CapMultiNode,
 		Title: "Rank placement ablation: block vs cyclic latency distribution"})
-	register(Experiment{ID: "F15", Kind: "table", Run: runF15, Needs: cluster.CapMultiNode, Rev: 2,
+	register(Experiment{ID: "F15", Kind: "table", Run: runF15, Needs: cluster.CapMultiNode,
 		Title: "Application kernels (EP, IS, stencil, CG) across fabrics"})
 }
 

@@ -11,9 +11,9 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "F5", Kind: "figure", Run: runF5, Needs: cluster.CapMultiNode, Rev: 2,
+	register(Experiment{ID: "F5", Kind: "figure", Run: runF5, Needs: cluster.CapMultiNode,
 		Title: "Collective latency vs process count (bcast/allreduce/alltoall/barrier)"})
-	register(Experiment{ID: "F6", Kind: "figure", Run: runF6, Needs: cluster.CapMultiNode, Rev: 2,
+	register(Experiment{ID: "F6", Kind: "figure", Run: runF6, Needs: cluster.CapMultiNode,
 		Title: "Collective algorithm comparison (ablation)"})
 }
 

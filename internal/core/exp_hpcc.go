@@ -13,17 +13,17 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "F8", Kind: "figure", Run: runF8, Needs: cluster.CapMultiNode, Rev: 2,
+	register(Experiment{ID: "F8", Kind: "figure", Run: runF8, Needs: cluster.CapMultiNode,
 		Title: "HPL GFLOP/s vs process count (strong + weak scaling)"})
-	register(Experiment{ID: "F9", Kind: "figure", Run: runF9, Needs: cluster.CapMultiNode, Rev: 1,
+	register(Experiment{ID: "F9", Kind: "figure", Run: runF9, Needs: cluster.CapMultiNode,
 		Title: "RandomAccess GUPS vs process count"})
-	register(Experiment{ID: "F10", Kind: "figure", Run: runF10, Needs: cluster.CapMultiNode, Rev: 2,
+	register(Experiment{ID: "F10", Kind: "figure", Run: runF10, Needs: cluster.CapMultiNode,
 		Title: "PTRANS bandwidth vs process count"})
-	register(Experiment{ID: "F11", Kind: "figure", Run: runF11, Needs: cluster.CapMultiNode, Rev: 2,
+	register(Experiment{ID: "F11", Kind: "figure", Run: runF11, Needs: cluster.CapMultiNode,
 		Title: "Distributed FFT GFLOP/s vs transform size"})
-	register(Experiment{ID: "T3", Kind: "table", Run: runT3, Needs: cluster.CapMultiNode, Rev: 2,
+	register(Experiment{ID: "T3", Kind: "table", Run: runT3, Needs: cluster.CapMultiNode,
 		Title: "HPCC suite summary (IB platform, p=8)"})
-	register(Experiment{ID: "F16", Kind: "figure", Run: runF16, Needs: cluster.CapMultiNode, Rev: 2,
+	register(Experiment{ID: "F16", Kind: "figure", Run: runF16, Needs: cluster.CapMultiNode,
 		Title: "HPL block-size (NB) ablation"})
 }
 

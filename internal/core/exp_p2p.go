@@ -12,17 +12,17 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "F1", Kind: "figure", Run: runF1, Needs: cluster.CapMultiNode, Rev: 2,
+	register(Experiment{ID: "F1", Kind: "figure", Run: runF1, Needs: cluster.CapMultiNode,
 		Title: "Point-to-point latency vs message size, by path class"})
-	register(Experiment{ID: "F2", Kind: "figure", Run: runF2, Needs: cluster.CapMultiNode, Rev: 2,
+	register(Experiment{ID: "F2", Kind: "figure", Run: runF2, Needs: cluster.CapMultiNode,
 		Title: "Point-to-point bandwidth vs message size"})
-	register(Experiment{ID: "F3", Kind: "figure", Run: runF3, Needs: cluster.CapMultiNode, Rev: 2,
+	register(Experiment{ID: "F3", Kind: "figure", Run: runF3, Needs: cluster.CapMultiNode,
 		Title: "Bidirectional bandwidth vs message size"})
-	register(Experiment{ID: "F4", Kind: "figure", Run: runF4, Needs: cluster.CapMultiNode, Rev: 2,
+	register(Experiment{ID: "F4", Kind: "figure", Run: runF4, Needs: cluster.CapMultiNode,
 		Title: "Multi-pair aggregate bandwidth (shared NIC saturation)"})
-	register(Experiment{ID: "F12", Kind: "figure", Run: runF12, Needs: cluster.CapMultiNode, Rev: 2,
+	register(Experiment{ID: "F12", Kind: "figure", Run: runF12, Needs: cluster.CapMultiNode,
 		Title: "Eager vs rendezvous protocol crossover (ablation)"})
-	register(Experiment{ID: "F13", Kind: "table", Run: runF13, Needs: cluster.CapMultiNode, Rev: 2,
+	register(Experiment{ID: "F13", Kind: "table", Run: runF13, Needs: cluster.CapMultiNode,
 		Title: "LogGP parameters fitted from measurements vs configured truth"})
 }
 

@@ -25,7 +25,6 @@ func init() {
 		Kind:  "table",
 		Run:   runT4,
 		Needs: cluster.CapMultiNode,
-		Rev:   4,
 	})
 }
 

@@ -10,12 +10,23 @@
 // "nothing changed" check before validating entries one by one. A
 // deploy that changes one experiment's dependencies invalidates that
 // experiment's cached results and nobody else's.
+//
+// What a modeled experiment computes reaches its fingerprint through
+// its output: digests.txt holds the sha256 of every (experiment,
+// preset) cell at quick, and TestPlatformSweep fails until a changed
+// output's line is rewritten (-update-golden). A changed output means
+// a changed digest line, which invalidates that experiment's cached
+// results. The table cannot see output that moves only at -scale full
+// or only on a custom platform, nor a change to how serve renders a
+// result. The host-timed experiments have no lines, so their results
+// are valid only for the build that measured them.
 package core
 
 import (
 	"crypto/sha256"
+	_ "embed"
 	"fmt"
-	"os"
+	"io"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -24,62 +35,47 @@ import (
 	"repro/internal/cluster"
 )
 
-// pinVCSEnv, when set non-empty, folds the VCS-derived build info (the
-// main module's version and sum, vcs.revision, vcs.time, vcs.modified)
-// back into the build identity: every deploy from a new commit then
-// invalidates the whole store, trading the cross-deploy reuse this
-// package exists for against zero reliance on Experiment.Rev
-// discipline. For operators who prefer conservative per-commit
-// invalidation over restart availability.
-const pinVCSEnv = "CHARHPC_FP_PIN_VCS"
-
 // Test seams: core's white-box fingerprint tests swap these to prove
-// that exactly the dependent experiments react to a preset-shape or
-// scale-definition change. Production never touches them.
+// that exactly the dependent experiments react to a preset-shape,
+// scale-definition, output or VCS change. Production never touches
+// them.
 var (
 	fpPresetShape = cluster.PresetShape
 	fpScales      = func() []Scale { return []Scale{Quick, Full} }
+	fpBuildInfo   = debug.ReadBuildInfo
+	// fpDigests has one "ID platform sha256" line per modeled cell,
+	// "default" naming the canonical platform set.
+	//
+	//go:embed digests.txt
+	fpDigests string
 )
 
 // buildIdentity returns the build-identity lines shared by every
-// experiment's fingerprint: the Go toolchain and target platform, the
-// main module's path, and any -tags the binary was built with — the
-// inputs that can change what ANY experiment computes.
-//
-// Everything derived from the VCS — the vcs.* stamps and the main
+// experiment's fingerprint — the Go toolchain and target platform, the
+// main module's path and any -tags the binary was built with, the
+// inputs that can change what ANY experiment computes — and, apart
+// from them, the build's VCS stamps: the vcs.* settings and the main
 // module's version and sum (since Go 1.24 a pseudo-version naming the
-// commit and its dirtiness) — is deliberately EXCLUDED by default;
-// that exclusion is what per-experiment invalidation exists for:
-// redeploying the same registry from a new commit must not cold-start
-// the whole store. A commit that changes what an experiment computes
-// must therefore announce itself in the registry material instead:
-// bump that experiment's Rev (the behavior revision carried in
-// FingerprintMaterial) in the same change, or alter its identity, a
-// preset's parameters, or a scale definition. The fingerprint-material
-// golden test in this package pins that material per experiment so
-// dependency changes are visible in review. Operators who would
-// rather pay a full cold start per deploy than rely on Rev discipline
-// set CHARHPC_FP_PIN_VCS, which folds all of it back in.
-func buildIdentity() []string {
-	lines := []string{
-		fmt.Sprintln("build", runtime.Version(), runtime.GOOS, runtime.GOARCH),
+// commit and its dirtiness). Only host-timed experiments hash the
+// stamps, so redeploying the same outputs from a new commit reuses
+// every modeled result.
+func buildIdentity() (build, vcs []string) {
+	build = []string{fmt.Sprintln("build", runtime.Version(), runtime.GOOS, runtime.GOARCH)}
+	bi, ok := fpBuildInfo()
+	if !ok {
+		return build, nil
 	}
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		lines = append(lines, fmt.Sprintln("build mod", bi.Main.Path))
-		pinVCS := os.Getenv(pinVCSEnv) != ""
-		if pinVCS {
-			lines = append(lines, fmt.Sprintln("build mod version", bi.Main.Version, bi.Main.Sum))
-		}
-		for _, s := range bi.Settings {
-			switch {
-			case s.Key == "-tags":
-				lines = append(lines, fmt.Sprintln("build tags", s.Value))
-			case pinVCS && strings.HasPrefix(s.Key, "vcs."):
-				lines = append(lines, fmt.Sprintln("build", s.Key, s.Value))
-			}
+	build = append(build, fmt.Sprintln("build mod", bi.Main.Path))
+	vcs = []string{fmt.Sprintln("build mod version", bi.Main.Version, bi.Main.Sum)}
+	for _, s := range bi.Settings {
+		switch {
+		case s.Key == "-tags":
+			build = append(build, fmt.Sprintln("build tags", s.Value))
+		case strings.HasPrefix(s.Key, "vcs."):
+			vcs = append(vcs, fmt.Sprintln("build", s.Key, s.Value))
 		}
 	}
-	return lines
+	return build, vcs
 }
 
 // FingerprintMaterial returns the registry-derived dependency material
@@ -87,8 +83,9 @@ func buildIdentity() []string {
 // experiment's identity (ID, kind, title, Needs, platform axis), the
 // scale definitions it reads, and the canonical shape of each preset
 // it can run on. Everything a cached result for id may depend on —
-// other than the build identity, which is environment-specific and
-// therefore hashed separately — appears here, and ONLY what it may
+// other than the build identity, which is environment-specific, and
+// the output digests, which digests.txt already shows (both hashed
+// beside it by Fingerprints) — appears here, and ONLY what it may
 // depend on: the golden test in fingerprint_golden_test.go pins this
 // material for every registered experiment, so unintentional
 // dependency growth (or loss) fails review visibly. ok is false for an
@@ -98,14 +95,7 @@ func FingerprintMaterial(id string) ([]string, bool) {
 	if !ok {
 		return nil, false
 	}
-	lines := []string{
-		fmt.Sprintln("experiment", e.ID, e.Kind, e.Title, uint32(e.Needs), e.NoPlatform),
-		// The behavior revision: authors bump e.Rev when the Run
-		// implementation's output changes, which is the only way an
-		// implementation-only deploy reaches the fingerprint (nothing
-		// VCS-derived is in the build identity by default).
-		fmt.Sprintln("experiment rev", e.Rev),
-	}
+	lines := []string{fmt.Sprintln("experiment", e.ID, e.Kind, e.Title, uint32(e.Needs), e.NoPlatform)}
 	for _, s := range fpScales() {
 		lines = append(lines, fmt.Sprintln("scale", int(s), s.String()))
 	}
@@ -127,33 +117,44 @@ func FingerprintMaterial(id string) ([]string, bool) {
 	return lines, true
 }
 
-// hashExperiment hashes one experiment's build identity + dependency
-// material into its fingerprint.
-func hashExperiment(build, material []string) string {
+// hashExperiment hashes one experiment's build identity, dependency
+// material and output lines into its fingerprint.
+func hashExperiment(build, material, output []string) string {
 	h := sha256.New()
-	fmt.Fprintln(h, "experiment-fingerprint/v2")
-	for _, line := range build {
-		fmt.Fprint(h, line)
-	}
-	for _, line := range material {
-		fmt.Fprint(h, line)
+	fmt.Fprintln(h, "experiment-fingerprint/v3")
+	for _, lines := range [][]string{build, material, output} {
+		for _, line := range lines {
+			io.WriteString(h, line)
+		}
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // Fingerprints returns every registered experiment's fingerprint,
-// keyed by ID: the hash of the build identity plus the experiment's
-// FingerprintMaterial, everything its cached results can depend on.
-// Two binaries agree on Fingerprints()[id] exactly when a result one
-// of them cached for id is still a valid answer from the other; the
-// disk cache stores it per entry and validates per entry, so a deploy
-// invalidates the delta instead of the store.
+// keyed by ID: the hash of the build identity, the experiment's
+// FingerprintMaterial and its output lines — its digests.txt lines, or
+// the build's VCS stamps for an experiment with none (a host-timed
+// one: no digest can pin a measurement). Two binaries agree on
+// Fingerprints()[id] exactly when a result one of them cached for id
+// is still a valid answer from the other; the disk cache stores it per
+// entry and validates per entry, so a deploy invalidates the delta
+// instead of the store.
 func Fingerprints() map[string]string {
-	build := buildIdentity()
+	build, vcs := buildIdentity()
+	outputs := map[string][]string{}
+	for _, line := range strings.SplitAfter(fpDigests, "\n") {
+		if id, _, ok := strings.Cut(line, " "); ok {
+			outputs[id] = append(outputs[id], line)
+		}
+	}
 	out := make(map[string]string, len(registry))
 	for id := range registry {
 		material, _ := FingerprintMaterial(id)
-		out[id] = hashExperiment(build, material)
+		output := outputs[id]
+		if len(output) == 0 {
+			output = vcs
+		}
+		out[id] = hashExperiment(build, material, output)
 	}
 	return out
 }

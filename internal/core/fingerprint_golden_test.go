@@ -18,9 +18,9 @@ import (
 // a preset shape reaching more or fewer experiments — shows up as a
 // diff against testdata/fingerprint_material.golden and fails here
 // until someone regenerates it with -update-golden and a reviewer
-// reads exactly what moved. That visibility is the compensating
-// control for excluding VCS stamps from the fingerprint: a dependency
-// change can never ride along silently inside a deploy.
+// reads exactly what moved. Output changes show in digests.txt
+// instead, which Fingerprints hashes beside this material, so neither
+// kind of change can ride along silently inside a deploy.
 func TestFingerprintMaterialGolden(t *testing.T) {
 	var sb strings.Builder
 	ids := make([]string, 0, len(registry))

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -91,49 +92,48 @@ func TestFingerprintForIsolatesExperimentChange(t *testing.T) {
 	}
 }
 
-// TestRevBumpInvalidatesExactlyOneExperiment: the behavior revision
-// is the lever an implementation-only change pulls (VCS stamps are
-// excluded from the build identity), so bumping one experiment's Rev
-// must move that experiment's fingerprint and nobody else's.
-func TestRevBumpInvalidatesExactlyOneExperiment(t *testing.T) {
+// TestOutputDigestMovesExactlyOneExperiment: a changed output is the
+// lever an implementation-only change pulls, so editing one digest line
+// of T1 must move T1's fingerprint and nobody else's.
+func TestOutputDigestMovesExactlyOneExperiment(t *testing.T) {
 	before := Fingerprints()
 
-	orig := registry["T1"]
-	mut := orig
-	mut.Rev++
-	registry["T1"] = mut
-	defer func() { registry["T1"] = orig }()
+	orig := fpDigests
+	i := strings.Index(orig, "T1 default ")
+	if i < 0 {
+		t.Fatal("digests.txt has no T1 default line")
+	}
+	i += len("T1 default ")
+	edited := []byte(orig)
+	edited[i] ^= 1 // one character of the digest
+	fpDigests = string(edited)
+	defer func() { fpDigests = orig }()
 
 	changed := changedIDs(before, Fingerprints())
-	if !changed["T1"] {
-		t.Error("T1's fingerprint unchanged after bumping its Rev")
-	}
-	if len(changed) != 1 {
-		t.Errorf("Rev bump on T1 moved %d fingerprints %v, want only T1", len(changed), changed)
+	if !changed["T1"] || len(changed) != 1 {
+		t.Errorf("editing T1's digest line moved %v, want only T1", changed)
 	}
 }
 
-// TestPinVCSFoldsStampsIntoBuildIdentity: the CHARHPC_FP_PIN_VCS
-// opt-out of cross-commit reuse changes the build identity (and so
-// every fingerprint) whenever it is toggled — and keeps the VCS lines
-// out of the golden material, which must stay environment-stable.
-func TestPinVCSFoldsStampsIntoBuildIdentity(t *testing.T) {
-	before := Fingerprints()
-	t.Setenv(pinVCSEnv, "1")
-	for id := range registry {
-		material, _ := FingerprintMaterial(id)
-		for _, line := range material {
-			if strings.Contains(line, "vcs.") {
-				t.Fatalf("%s material contains VCS line %q — stamps belong in the build identity", id, line)
-			}
+// TestVCSReachesOnlyHostTimed: the build's VCS stamps are hashed by
+// exactly the experiments with no digest lines, the host-timed ones, so
+// two builds of different commits agree on every modeled fingerprint.
+func TestVCSReachesOnlyHostTimed(t *testing.T) {
+	orig := fpBuildInfo
+	defer func() { fpBuildInfo = orig }()
+	at := func(rev string) map[string]string {
+		fpBuildInfo = func() (*debug.BuildInfo, bool) {
+			bi := &debug.BuildInfo{Main: debug.Module{Path: "repro", Version: "v0.0.0-" + rev}}
+			bi.Settings = []debug.BuildSetting{{Key: "vcs.revision", Value: rev}}
+			return bi, true
 		}
+		return Fingerprints()
 	}
-	// Test binaries carry no vcs.* build settings, so the fingerprints
-	// only move when stamps exist; either way, toggling the env never
-	// changes WHICH experiments are fingerprinted.
-	after := Fingerprints()
-	if len(after) != len(before) {
-		t.Fatalf("experiment count changed under pin-VCS: %d vs %d", len(after), len(before))
+	changed := changedIDs(at("aaaa"), at("bbbb"))
+	for id := range registry {
+		if changed[id] != hostTimed[id] {
+			t.Errorf("%s: fingerprint moved with the commit = %v, want %v (host-timed)", id, changed[id], hostTimed[id])
+		}
 	}
 }
 

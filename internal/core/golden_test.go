@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -34,12 +33,14 @@ func goldenIDs() []string {
 // TestGoldenDefaultPlatformOutput is the refactor's acceptance gate:
 // for every modeled experiment, the default request renders the same
 // bytes as its golden file. It reads the memoised cell;
-// TestGoldenStableAcrossRuns makes the one fresh run. Regenerate a
+// TestRunParallelMatchesSerial makes the one fresh run. Regenerate a
 // golden only for an intentional output change:
 //
-//	go test ./internal/core -run TestGoldenDefaultPlatformOutput -update-golden
+//	go test ./internal/core -run '^(TestGoldenDefaultPlatformOutput|TestPlatformSweep)$' -update-golden
 //
-// (then eyeball the diff — a golden update IS an output change).
+// (then eyeball the diff — a golden update IS an output change, and the
+// changed line in digests.txt invalidates that experiment's cached
+// results).
 func TestGoldenDefaultPlatformOutput(t *testing.T) {
 	for _, id := range goldenIDs() {
 		t.Run(id, func(t *testing.T) {
@@ -60,22 +61,5 @@ func TestGoldenDefaultPlatformOutput(t *testing.T) {
 					id, len(got), len(want), got, want)
 			}
 		})
-	}
-}
-
-// TestGoldenStableAcrossRuns guards the premise of the golden set:
-// each listed experiment must render identical bytes twice in a row —
-// here a fresh run and the memoised cell. If one picks up a
-// nondeterministic source it must leave the set.
-func TestGoldenStableAcrossRuns(t *testing.T) {
-	for _, id := range goldenIDs() {
-		e, _ := Get(id)
-		var b bytes.Buffer
-		if err := e.Run(&b, Request{Scale: Quick}); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if b.String() != runExp(t, id) {
-			t.Errorf("%s is not deterministic and cannot be golden-tested", id)
-		}
 	}
 }

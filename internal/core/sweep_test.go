@@ -1,10 +1,13 @@
 package core
 
 import (
+	"crypto/sha256"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cluster"
@@ -13,35 +16,100 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files from the current output")
 
 // TestPlatformSweep reads the Quick cell of every registered experiment
-// on every preset its capability declaration accepts — the presets ×
-// experiments matrix the registry refactor unlocked. Each cell must
-// succeed, produce output, and (for platform-consuming experiments)
-// mention the preset it ran on. Cells run in parallel; the whole sweep
-// is a few registry smokes' worth of work, not one per preset.
+// on its default platform set and on every preset its capability
+// declaration accepts — the presets × experiments matrix the registry
+// refactor unlocked. Each cell must succeed, produce output, and (for
+// platform-consuming experiments) mention the preset it ran on. Cells
+// run in parallel; the whole sweep is a few registry smokes' worth of
+// work, not one per preset.
+//
+// Each modeled cell's digest must also match its line in digests.txt,
+// the table its experiment's fingerprint hashes. A changed output fails
+// here until the table is rewritten on purpose:
+//
+//	go test ./internal/core -run '^TestPlatformSweep$' -update-golden
+//
+// and the rewritten line invalidates that experiment's cached results.
 func TestPlatformSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("platform sweep skipped in -short mode")
 	}
-	// Experiments whose output never echoes the platform name: F4
-	// renames its model ("-narrow"), F12's series are protocol modes.
+	// Experiments whose output never echoes the platform name: F4's
+	// series are message sizes, F12's are protocol modes.
 	nameless := map[string]bool{"F4": true, "F12": true}
+	var (
+		keys []string // "ID platform" of every modeled cell, in table order
+		mu   sync.Mutex
+		got  = map[string]string{} // key -> its digest line
+	)
+	t.Cleanup(func() { checkDigests(t, keys, got) })
 	for _, e := range All() {
-		for _, platform := range e.Platforms() {
-			t.Run(e.ID+"/"+platform, func(t *testing.T) {
+		for _, platform := range append([]string{""}, e.Platforms()...) {
+			name := platform
+			if name == "" {
+				name = "default"
+			}
+			key := e.ID + " " + name
+			if !hostTimed[e.ID] {
+				keys = append(keys, key)
+			}
+			t.Run(e.ID+"/"+name, func(t *testing.T) {
 				t.Parallel()
 				r := cell(t, e.ID, platform)
 				if r.Err != nil {
-					t.Fatalf("%s on %s: %v", e.ID, platform, r.Err)
+					t.Fatalf("%s on %s: %v", e.ID, name, r.Err)
 				}
 				out := r.Rec.Text()
 				if out == "" {
-					t.Fatalf("%s on %s produced no output", e.ID, platform)
+					t.Fatalf("%s on %s produced no output", e.ID, name)
 				}
-				if !nameless[e.ID] && !strings.Contains(out, platform) {
+				if platform != "" && !nameless[e.ID] && !strings.Contains(out, platform) {
 					t.Errorf("%s on %s: output never names the platform:\n%s", e.ID, platform, out)
 				}
+				if hostTimed[e.ID] {
+					return
+				}
+				// The text, then the sections as JSON: CSV renders from
+				// the same sections.
+				h := sha256.New()
+				h.Write(r.Rec.Bytes())
+				if err := r.Rec.Document().JSON(h); err != nil {
+					t.Fatal(err)
+				}
+				mu.Lock()
+				got[key] = fmt.Sprintf("%s %x\n", key, h.Sum(nil))
+				mu.Unlock()
 			})
 		}
+	}
+}
+
+// checkDigests compares the sweep's digest lines with digests.txt, or
+// rewrites the table under -update-golden. A sweep that did not digest
+// every modeled cell (a -run filter, a failed cell) checks nothing.
+func checkDigests(t *testing.T, keys []string, got map[string]string) {
+	if len(got) != len(keys) {
+		t.Logf("digested %d of %d modeled cells: digests.txt not checked", len(got), len(keys))
+		return
+	}
+	var table strings.Builder
+	for _, key := range keys {
+		table.WriteString(got[key])
+	}
+	const path = "digests.txt"
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(table.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if table.String() != string(want) {
+		t.Errorf("modeled outputs drifted from %s (-update-golden records an intended change):\n%s",
+			path, diffLines(string(want), table.String()))
 	}
 }
 

@@ -464,11 +464,12 @@ func TestSmokeRestartAndDeploy(t *testing.T) {
 	d.stop(t)
 
 	// A real deploy: a charhpcd built from a copy of the tree in which
-	// one experiment's behaviour revision is bumped (T1 gains Rev: 1),
-	// started over the same store. The copy is not a VCS checkout, so
-	// this also pins that nothing VCS-derived reaches a fingerprint.
-	// Open must purge exactly T1's two keys; every other key replays
-	// from disk under its original ETag.
+	// one experiment's output digest changed (T1's default line in
+	// internal/core/digests.txt, as a change to T1's output rewrites
+	// it), started over the same store. The copy is not a VCS checkout,
+	// so this also pins that nothing VCS-derived reaches a modeled
+	// experiment's fingerprint. Open must purge exactly T1's two keys;
+	// every other key replays from disk under its original ETag.
 	d = charhpcd(buildDeploy(t))
 	wantCounters(t, "deploy daemon at startup", mustGet(t, d.url+"/healthz"), "stale_purged=2")
 	if got := metric(t, d.url, `charhpc_cache_invalidated_total{reason="experiment"}`); got != 2 {
@@ -488,8 +489,8 @@ func TestSmokeRestartAndDeploy(t *testing.T) {
 }
 
 // buildDeploy builds charhpcd from a copy of go.mod, cmd/charhpcd and
-// the non-test sources under internal/ in which T1 carries Rev: 1, and
-// returns the binary's path.
+// the non-test sources under internal/ in which T1's default digest
+// line is edited, and returns the binary's path.
 func buildDeploy(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -518,7 +519,7 @@ func buildDeploy(t *testing.T) string {
 				}
 				return nil
 			}
-			if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") || e.Name() == "digests.txt" {
 				copyFile(path)
 			}
 			return nil
@@ -528,16 +529,17 @@ func buildDeploy(t *testing.T) string {
 		}
 	}
 
-	reg := filepath.Join(dir, "internal", "core", "exp_platform.go")
-	src, err := os.ReadFile(reg)
+	table := filepath.Join(dir, "internal", "core", "digests.txt")
+	digests, err := os.ReadFile(table)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bumped := bytes.Replace(src, []byte("Run:   runT1,"), []byte("Run: runT1, Rev: 1,"), 1)
-	if bytes.Equal(bumped, src) {
-		t.Fatal("the edit did not bump T1's Rev: internal/core/exp_platform.go no longer registers T1 the way this test expects")
+	i := bytes.Index(digests, []byte("T1 default "))
+	if i < 0 {
+		t.Fatal("internal/core/digests.txt has no T1 default line")
 	}
-	if err := os.WriteFile(reg, bumped, 0o644); err != nil {
+	digests[i+len("T1 default ")] ^= 1 // one character of the digest
+	if err := os.WriteFile(table, digests, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	bin := filepath.Join(dir, "charhpcd-deploy")
