@@ -94,6 +94,10 @@ func runF15(w io.Writer, r Request) error {
 	if r.Scale == Full {
 		stencilN = 256
 	}
+	a, b, err := cgSystem(cgN)
+	if err != nil {
+		return err
+	}
 
 	cols := []string{"kernel", "metric"}
 	for _, m := range ms {
@@ -131,7 +135,7 @@ func runF15(w io.Writer, r Request) error {
 			if err != nil {
 				return err
 			}
-			cgTime, err := runCG(c, cgN, p)
+			cgTime, err := runCG(c, a, b)
 			if err != nil {
 				return err
 			}
@@ -174,12 +178,12 @@ func ratio(a, b float64) float64 {
 	return a / b
 }
 
-// runCG runs one distributed CG solve and returns the modeled solve
-// time on rank 0.
-func runCG(c *mp.Comm, n, p int) (float64, error) {
+// cgSystem builds the CG workload's n-row system A x = b, shared
+// read-only by every rank of every platform: DistCG never writes it.
+func cgSystem(n int) (*sparse.CSR, []float64, error) {
 	a, err := sparse.RandomSPD(n, 5, 77)
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
 	xTrue := make([]float64, n)
 	for i := range xTrue {
@@ -187,8 +191,15 @@ func runCG(c *mp.Comm, n, p int) (float64, error) {
 	}
 	b := make([]float64, n)
 	if err := a.MatVec(xTrue, b); err != nil {
-		return 0, err
+		return nil, nil, err
 	}
+	return a, b, nil
+}
+
+// runCG runs one distributed CG solve of a x = b, each rank on its
+// block of rows, and returns the modeled solve time on rank 0.
+func runCG(c *mp.Comm, a *sparse.CSR, b []float64) (float64, error) {
+	n, p := a.Rows, c.Size()
 	counts := make([]int, p)
 	for i := range counts {
 		counts[i] = n / p

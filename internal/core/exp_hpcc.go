@@ -66,7 +66,7 @@ func runF8(w io.Writer, r Request) error {
 		cfg := mp.Config{Model: m}
 		err := mp.Run(p, cfg, func(c *mp.Comm) error {
 			res, err := hpcc.HPL(c, hpcc.HPLConfig{
-				N: order, NB: nb, Seed: 7, Threads: 1,
+				N: order, NB: nb, Seed: 7,
 				ComputeRate: m.FlopsPerCore, SkipCheck: true,
 			})
 			if err != nil {

@@ -7,7 +7,9 @@ import (
 	"repro/internal/mp"
 )
 
-// BenchmarkHPLSim measures a full simulated HPL factorization.
+// BenchmarkHPLSim measures a simulated HPL run as the experiments make
+// it: with SkipCheck, so the panel loop moves sizes and charges flop
+// counts but factors nothing.
 func BenchmarkHPLSim(b *testing.B) {
 	m := cluster.IBCluster()
 	for i := 0; i < b.N; i++ {

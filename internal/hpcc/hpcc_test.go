@@ -119,6 +119,44 @@ func TestHPLSkipCheck(t *testing.T) {
 	}
 }
 
+// TestHPLTimingIgnoresValues: no message size, peer or charge of the
+// 1-D layout depends on a matrix value, so the size-only run SkipCheck
+// selects must time exactly like the factorization the check reads.
+// The cases cover a remainder block (N % NB != 0) and block counts
+// that p does not divide.
+func TestHPLTimingIgnoresValues(t *testing.T) {
+	for _, tc := range []struct{ n, nb, p int }{
+		{64, 8, 4}, {50, 7, 3}, {33, 8, 2}, {45, 6, 4}, {24, 5, 1},
+	} {
+		t.Run(fmt.Sprintf("N=%d/NB=%d/p=%d", tc.n, tc.nb, tc.p), func(t *testing.T) {
+			run := func(skip bool) HPLResult {
+				var res HPLResult
+				cfg := sim()
+				err := mp.Run(tc.p, cfg, func(c *mp.Comm) error {
+					r, err := HPL(c, HPLConfig{N: tc.n, NB: tc.nb, Seed: 5,
+						ComputeRate: cfg.Model.FlopsPerCore, SkipCheck: skip})
+					if c.Rank() == 0 {
+						res = r
+					}
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			checked, sizes := run(false), run(true)
+			if checked.Residual < 0 || checked.Residual > 16 {
+				t.Fatalf("checked run residual %v out of [0,16]", checked.Residual)
+			}
+			if checked.Seconds != sizes.Seconds || checked.GFlops != sizes.GFlops {
+				t.Errorf("SkipCheck timed %v s (%v GF/s), the checked run %v s (%v GF/s)",
+					sizes.Seconds, sizes.GFlops, checked.Seconds, checked.GFlops)
+			}
+		})
+	}
+}
+
 func TestHPLRejectsBadOrder(t *testing.T) {
 	err := mp.Run(1, sim(), func(c *mp.Comm) error {
 		if _, err := HPL(c, HPLConfig{N: 0}); err == nil {

@@ -24,13 +24,14 @@ type HPLConfig struct {
 	NB int
 	// Seed selects the deterministic test matrix.
 	Seed uint64
-	// Threads parallelizes each rank's local trailing update.
-	Threads int
 	// ComputeRate, if positive, charges flops/ComputeRate seconds of
 	// virtual time per local flop block. Without it a single-rank run
 	// has zero modeled time.
 	ComputeRate float64
-	// SkipCheck skips the residual validation (benchmark loops).
+	// SkipCheck skips the residual validation (benchmark loops) and the
+	// arithmetic only the check reads: the matrix is never filled or
+	// factored, and the panel loop runs size-only (mp.Comm.SizeOnly)
+	// with the same messages and charges, hence the same Seconds.
 	SkipCheck bool
 }
 
@@ -92,20 +93,25 @@ func HPL(c *mp.Comm, cfg HPLConfig) (HPLResult, error) {
 		return HPLResult{}, fmt.Errorf("hpcc: HPL order %d", n)
 	}
 	res := HPLResult{N: n, NB: nb, P: p}
+	check := !cfg.SkipCheck
 
-	// Local storage: n rows x lc columns.
-	lc := localCols(n, nb, p, c.Rank())
-	local := linalg.New(n, max(lc, 1))
-	local.Cols = lc
-	colBuf := make([]float64, n)
-	for j := 0; j < n; j++ {
-		if colOwner(j, nb, p) != c.Rank() {
-			continue
-		}
-		fillColumn(colBuf, j, cfg.Seed)
-		lj := localCol(j, nb, p)
-		for i := 0; i < n; i++ {
-			local.Set(i, lj, colBuf[i])
+	// Local storage: n rows x lc columns, filled only when the check
+	// will read the factors.
+	var local *linalg.Matrix
+	if check {
+		lc := localCols(n, nb, p, c.Rank())
+		local = linalg.New(n, max(lc, 1))
+		local.Cols = lc
+		colBuf := make([]float64, n)
+		for j := 0; j < n; j++ {
+			if colOwner(j, nb, p) != c.Rank() {
+				continue
+			}
+			fillColumn(colBuf, j, cfg.Seed)
+			lj := localCol(j, nb, p)
+			for i := 0; i < n; i++ {
+				local.Set(i, lj, colBuf[i])
+			}
 		}
 	}
 
@@ -118,91 +124,99 @@ func HPL(c *mp.Comm, cfg HPLConfig) (HPLResult, error) {
 	}
 	t0 := c.Time()
 
-	for k := 0; k < n; k += nb {
-		jb := min(nb, n-k)
-		owner := colOwner(k, nb, p)
-		rows := n - k
+	// The panel loop. Each row swap is local (every rank holds all n
+	// rows of its columns), the pivots and the panel are broadcast at
+	// fixed sizes, and charge takes flop counts only, so no message or
+	// charge depends on a matrix value. Without the check the loop
+	// therefore runs size-only and skips the arithmetic.
+	factor := func() error {
+		for k := 0; k < n; k += nb {
+			jb := min(nb, n-k)
+			owner := colOwner(k, nb, p)
+			rows := n - k
 
-		// 1. Panel factorization on the owner.
-		panelBuf = panelBuf[:rows*jb]
-		if c.Rank() == owner {
-			lk := localCol(k, nb, p)
-			panel := local.View(k, lk, rows, jb)
-			piv := make([]int, jb)
-			if err := factorPanel(panel, piv); err != nil {
-				return res, fmt.Errorf("hpcc: HPL panel at %d: %w", k, err)
-			}
-			for t := 0; t < jb; t++ {
-				pivBuf[t] = float64(piv[t] + k) // absolute row index
-			}
-			packPanel(panel, panelBuf)
-			charge(c, cfg.ComputeRate, panelFlops(rows, jb))
-		}
-
-		// 2. Broadcast pivots and the factored panel.
-		if err := c.Bcast(owner, bytesview.F64(pivBuf[:jb])); err != nil {
-			return res, err
-		}
-		if err := c.Bcast(owner, bytesview.F64(panelBuf)); err != nil {
-			return res, err
-		}
-		for t := 0; t < jb; t++ {
-			pivAll[k+t] = int(pivBuf[t])
-		}
-
-		// 3. Apply the panel's row swaps to every local column outside
-		// the panel block (the owner's panel columns were swapped in
-		// place during factorization).
-		for t := 0; t < jb; t++ {
-			pr := pivAll[k+t]
-			if pr == k+t {
-				continue
-			}
-			for ljc := 0; ljc < lc; ljc++ {
-				gj := globalCol(ljc, nb, p, c.Rank())
-				if gj >= k && gj < k+jb && c.Rank() == owner {
-					continue // already swapped in the panel
+			// 1. Panel factorization on the owner.
+			panelBuf = panelBuf[:rows*jb]
+			if c.Rank() == owner {
+				if check {
+					lk := localCol(k, nb, p)
+					panel := local.View(k, lk, rows, jb)
+					piv := make([]int, jb)
+					if err := factorPanel(panel, piv); err != nil {
+						return fmt.Errorf("hpcc: HPL panel at %d: %w", k, err)
+					}
+					for t := 0; t < jb; t++ {
+						pivBuf[t] = float64(piv[t] + k) // absolute row index
+					}
+					packPanel(panel, panelBuf)
 				}
-				a, b := local.At(k+t, ljc), local.At(pr, ljc)
-				local.Set(k+t, ljc, b)
-				local.Set(pr, ljc, a)
+				charge(c, cfg.ComputeRate, panelFlops(rows, jb))
 			}
-		}
 
-		if k+jb >= n {
-			break
-		}
+			// 2. Broadcast pivots and the factored panel.
+			if err := c.Bcast(owner, bytesview.F64(pivBuf[:jb])); err != nil {
+				return err
+			}
+			if err := c.Bcast(owner, bytesview.F64(panelBuf)); err != nil {
+				return err
+			}
 
-		// 4. Trailing update on each rank's local columns right of the
-		// panel, block by block.
-		panel := linalg.New(rows, jb)
-		unpackPanel(panelBuf, panel)
-		l11 := panel.View(0, 0, jb, jb)
-		var l21 *linalg.Matrix
-		if rows > jb {
-			l21 = panel.View(jb, 0, rows-jb, jb)
-		}
-		var updFlops float64
-		for gb := k/nb + 1; gb*nb < n; gb++ {
-			if colOwner(gb*nb, nb, p) != c.Rank() {
-				continue
+			// 3. Apply the panel's row swaps to every local column
+			// outside the panel block (the owner's panel columns were
+			// swapped in place during factorization).
+			if check {
+				applySwaps(local, pivBuf[:jb], pivAll, k, nb, p, c.Rank(), owner)
 			}
-			w := min(nb, n-gb*nb)
-			ljc := localCol(gb*nb, nb, p)
-			u12 := local.View(k, ljc, jb, w)
-			if err := linalg.TrsmLowerUnitLeft(l11, u12); err != nil {
-				return res, err
+
+			if k+jb >= n {
+				break
 			}
-			if l21 != nil {
-				a22 := local.View(k+jb, ljc, rows-jb, w)
-				if err := linalg.Gemm(-1, l21, u12, 1, a22, cfg.Threads); err != nil {
-					return res, err
+
+			// 4. Trailing update on each rank's local columns right of
+			// the panel, block by block.
+			var l11, l21 *linalg.Matrix
+			if check {
+				panel := linalg.New(rows, jb)
+				unpackPanel(panelBuf, panel)
+				l11 = panel.View(0, 0, jb, jb)
+				if rows > jb {
+					l21 = panel.View(jb, 0, rows-jb, jb)
 				}
 			}
-			updFlops += float64(jb)*float64(jb)*float64(w) + // trsm
-				linalg.GemmFlops(rows-jb, w, jb)
+			var updFlops float64
+			for gb := k/nb + 1; gb*nb < n; gb++ {
+				if colOwner(gb*nb, nb, p) != c.Rank() {
+					continue
+				}
+				w := min(nb, n-gb*nb)
+				if check {
+					ljc := localCol(gb*nb, nb, p)
+					u12 := local.View(k, ljc, jb, w)
+					if err := linalg.TrsmLowerUnitLeft(l11, u12); err != nil {
+						return err
+					}
+					if l21 != nil {
+						a22 := local.View(k+jb, ljc, rows-jb, w)
+						if err := linalg.Gemm(-1, l21, u12, 1, a22, 1); err != nil {
+							return err
+						}
+					}
+				}
+				updFlops += float64(jb)*float64(jb)*float64(w) + // trsm
+					linalg.GemmFlops(rows-jb, w, jb)
+			}
+			charge(c, cfg.ComputeRate, updFlops)
 		}
-		charge(c, cfg.ComputeRate, updFlops)
+		return nil
+	}
+	var err error
+	if check {
+		err = factor()
+	} else {
+		err = c.SizeOnly(factor)
+	}
+	if err != nil {
+		return res, err
 	}
 
 	if err := c.Barrier(); err != nil {
@@ -251,6 +265,28 @@ func HPL(c *mp.Comm, cfg HPLConfig) (HPLResult, error) {
 	}
 	res.Residual = status[0]
 	return res, nil
+}
+
+// applySwaps records the panel's absolute pivot rows piv, starting at
+// row k, in pivAll and applies the swaps to rank's local columns, except
+// the owner's panel block, which factorPanel already swapped.
+func applySwaps(local *linalg.Matrix, piv []float64, pivAll []int, k, nb, p, rank, owner int) {
+	for t, f := range piv {
+		pr := int(f)
+		pivAll[k+t] = pr
+		if pr == k+t {
+			continue
+		}
+		for ljc := 0; ljc < local.Cols; ljc++ {
+			gj := globalCol(ljc, nb, p, rank)
+			if gj >= k && gj < k+len(piv) && rank == owner {
+				continue // already swapped in the panel
+			}
+			a, b := local.At(k+t, ljc), local.At(pr, ljc)
+			local.Set(k+t, ljc, b)
+			local.Set(pr, ljc, a)
+		}
+	}
 }
 
 // factorPanel is getrfPanel re-exported into this package's flow: it

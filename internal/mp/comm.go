@@ -21,6 +21,7 @@ type Comm struct {
 	pendSends  map[uint64]*Request // rendezvous sends awaiting CTS, by own seq
 	rndvRecvs  map[rndvKey]*Request
 	collEpoch  uint64 // collective invocation counter
+	sizeOnly   bool   // inside SizeOnly: sends carry lengths, not bytes
 	stats      OpStats
 	scratch    []float64 // reduction temporaries, see (*Comm).tmp
 }
@@ -66,6 +67,17 @@ func (c *Comm) Time() float64 { return c.fab.now(c.rank) }
 // communication on the simulated platform.
 func (c *Comm) Compute(dt float64) { c.fab.addDelay(c.rank, dt) }
 
+// SizeOnly runs f with this rank's messages reduced to their lengths,
+// for kernels whose only output is virtual time. Receives of messages
+// sent inside it keep Status, errors and timing but not bytes: buffers
+// keep what they held (a rendezvous payload follows its Isend's region)
+// and reductions skip their arithmetic. Reduce real values after f.
+func (c *Comm) SizeOnly(f func() error) error {
+	defer func(prev bool) { c.sizeOnly = prev }(c.sizeOnly)
+	c.sizeOnly = true
+	return f()
+}
+
 // Status describes a completed receive.
 type Status struct {
 	Count int // bytes delivered
@@ -76,7 +88,7 @@ type Request struct {
 	c              *Comm
 	done           bool
 	err            error
-	buf            []byte  // the receive's destination or the send's payload
+	buf            []byte  // the receive's destination or the send's payload (nil if size-only)
 	arrival, recvO float64 // charged at Wait; a send's arrival is the end of its injection
 
 	// Receive-side state.
@@ -87,6 +99,7 @@ type Request struct {
 	// Send-side state.
 	rt   route
 	slot float64 // the payload's booked start on the egress lane
+	size int     // the payload's length
 }
 
 // Wait drives progress until the operation completes, returning the
@@ -152,6 +165,10 @@ func (c *Comm) isendInternal(dst, tag int, buf []byte) (*Request, error) {
 	if err := c.checkPeer(dst); err != nil {
 		return nil, err
 	}
+	data := buf // what travels: nothing inside SizeOnly
+	if c.sizeOnly {
+		data = nil
+	}
 	rt, now := c.fab.route(c.rank, dst), c.Time()
 	slot := c.fab.book(rt, now+rt.O, len(buf))
 	eager := c.cfg.eager()
@@ -160,7 +177,7 @@ func (c *Comm) isendInternal(dst, tag int, buf []byte) (*Request, error) {
 		// complete (buffered) as soon as the packet is queued, and
 		// the CPU is busy for the overhead and the injection.
 		inject := rt.inject(len(buf))
-		if err := c.fab.send(rt, packet{kind: kindData, tag: tag, data: buf, arrival: slot + inject}); err != nil {
+		if err := c.fab.send(rt, packet{kind: kindData, tag: tag, data: data, n: len(buf), arrival: slot + inject}); err != nil {
 			return nil, err
 		}
 		c.fab.addDelay(c.rank, rt.O+inject)
@@ -170,7 +187,7 @@ func (c *Comm) isendInternal(dst, tag int, buf []byte) (*Request, error) {
 	}
 	// Rendezvous: announce with RTS; payload moves when CTS arrives.
 	c.seq++
-	req := &Request{c: c, rt: rt, slot: slot, buf: buf}
+	req := &Request{c: c, rt: rt, slot: slot, buf: data, size: len(buf)}
 	c.pendSends[c.seq] = req
 	if err := c.fab.send(rt, packet{kind: kindRTS, tag: tag, seq: c.seq, arrival: now + rt.O}); err != nil {
 		delete(c.pendSends, c.seq)
@@ -282,19 +299,20 @@ func (c *Comm) matchPosted(src, tag int) *Request {
 	return nil
 }
 
-// deliver copies a payload into the receive buffer and completes the
-// request. It records the packet's arrival and receive overhead on the
-// request, and waitFor charges them when the program waits on it: a
-// receive costs virtual time at its Wait, a program point of its own
-// rank, not whenever this rank happened to pull the packet off the
-// fabric, which depends on goroutine arrival order.
+// deliver copies the packet's payload, if any, into the receive buffer
+// and completes the request. It records the packet's arrival and
+// receive overhead on the request, and waitFor charges them when the
+// program waits on it: a receive costs virtual time at its Wait, a
+// program point of its own rank, not whenever this rank happened to pull
+// the packet off the fabric, which depends on goroutine arrival order.
 func (c *Comm) deliver(req *Request, pkt packet) {
 	req.arrival, req.recvO = pkt.arrival, pkt.recvO
-	req.n = copy(req.buf, pkt.data)
-	if len(pkt.data) > len(req.buf) {
+	copy(req.buf, pkt.data)
+	release(pkt.data) // copied out; nothing below reads it
+	req.n = min(pkt.n, len(req.buf))
+	if pkt.n > len(req.buf) {
 		req.err = ErrTruncated
 	}
-	release(pkt.data) // copied out; nothing below reads it
 	req.done = true
 	c.stats.Recvs++
 	c.stats.BytesRecv += uint64(req.n)
@@ -339,8 +357,8 @@ func (c *Comm) handle(pkt packet) error {
 		delete(c.pendSends, pkt.seq)
 		// The payload leaves in its booked slot, or one overhead at
 		// each end after the grant; Wait takes the end of injection.
-		req.arrival = max(req.slot, pkt.arrival+pkt.recvO+req.rt.O) + req.rt.inject(len(req.buf))
-		req.err = c.fab.send(req.rt, packet{kind: kindRndv, seq: pkt.seq, data: req.buf, arrival: req.arrival})
+		req.arrival = max(req.slot, pkt.arrival+pkt.recvO+req.rt.O) + req.rt.inject(req.size)
+		req.err = c.fab.send(req.rt, packet{kind: kindRndv, seq: pkt.seq, data: req.buf, n: req.size, arrival: req.arrival})
 		req.buf = nil
 		req.done = true
 	case kindRndv:

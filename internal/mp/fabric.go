@@ -76,15 +76,18 @@ const (
 // virtual time (seconds) at which the packet reaches the receiver and
 // recvO the receiver-side CPU overhead to charge.
 //
-// data of a received packet is a pooled buffer owned by the receiving
-// rank: it copies the bytes out, hands the buffer back with release, and
-// never retains or reads the slice after that.
+// n is the payload's length, all that timing reads; send sets it from
+// data when data is present. Inside SizeOnly data is nil; otherwise a
+// received packet's data is a pooled buffer owned by the receiving
+// rank: it copies the bytes out, hands the buffer back with release,
+// and never retains or reads the slice after that.
 type packet struct {
 	kind    pktKind
 	src     int
 	tag     int
 	seq     uint64
 	data    []byte
+	n       int
 	arrival float64
 	recvO   float64
 }
@@ -148,7 +151,8 @@ func (f *fabric) book(r route, t float64, s int) float64 {
 // send queues a copy of pkt for r.dst. pkt.arrival holds when its last
 // byte leaves the sender; send adds the wire latency and the receive
 // overhead. The copy is pooled, so the caller still owns pkt.data and
-// may reuse it as soon as send returns; an empty payload arrives as nil.
+// may reuse it as soon as send returns; an empty or size-only payload
+// arrives as nil.
 // send never blocks on the receiver; mailboxes are unbounded.
 func (f *fabric) send(r route, pkt packet) error {
 	if f.sendHook != nil {
@@ -163,8 +167,11 @@ func (f *fabric) send(r route, pkt packet) error {
 	// copy is charged at the node's memcpy bandwidth (the Self link's
 	// per-byte cost). This asymmetry is what creates the
 	// eager/rendezvous crossover (experiment F12).
+	if pkt.data != nil {
+		pkt.n = len(pkt.data)
+	}
 	if pkt.kind == kindData {
-		pkt.recvO += float64(len(pkt.data)) * f.links.Self.GB
+		pkt.recvO += float64(pkt.n) * f.links.Self.GB
 	}
 	pkt.src = r.src
 	pkt.data = clonePayload(pkt.data)

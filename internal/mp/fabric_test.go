@@ -186,9 +186,10 @@ func TestSimArrivalIncludesLatency(t *testing.T) {
 	if pkt.arrival < lp.L {
 		t.Errorf("arrival %v below wire latency %v", pkt.arrival, lp.L)
 	}
-	// Eager data carries the path overhead plus the bounce-buffer copy.
-	if pkt.recvO < lp.O {
-		t.Errorf("recvO = %v, want >= %v", pkt.recvO, lp.O)
+	// Eager data carries the path overhead plus the bounce-buffer copy,
+	// and send takes the copy's length from the payload.
+	if want := lp.O + 8*m.Links.Self.GB; pkt.n != 8 || pkt.recvO != want {
+		t.Errorf("n = %d, recvO = %v, want 8, %v", pkt.n, pkt.recvO, want)
 	}
 }
 

@@ -21,6 +21,8 @@
 //   - Collectives: barrier, bcast, allgather(v) and alltoall(v) over
 //     bytes, and reduce/allreduce/scan over float64 with selectable
 //     classic algorithms (experiment F6).
+//   - Size-only regions (Comm.SizeOnly): messages carry lengths, not
+//     bytes; buffers keep what they held and reductions skip arithmetic.
 //
 // Every rank holds one Comm, on the world of its Run; there are no
 // sub-communicators.

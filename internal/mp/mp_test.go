@@ -370,3 +370,76 @@ func TestSimComputeAdvancesClock(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSizeOnlyCarriesNoBytes: inside SizeOnly, at an eager and at a
+// rendezvous size, a receive completes with the Status and error the
+// same exchange has outside the region, but its buffer keeps its
+// sentinel bytes; every rank's clock and OpStats match the byte-carrying
+// run, and an Allreduce after the region is exact.
+func TestSizeOnlyCarriesNoBytes(t *testing.T) {
+	const sentinel = 0xEE
+	for _, size := range []int{64, 64 << 10} { // eager, rendezvous
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			type recvd struct {
+				st  [2]Status
+				err [2]error
+				buf [2][]byte
+			}
+			run := func(sizeOnly bool) (recvd, []pinnedRank) {
+				var got recvd
+				script := func(c *Comm) error {
+					exchange := func() error {
+						if c.Rank() == 0 {
+							msg := bytes.Repeat([]byte{0x5A}, size)
+							if err := c.Send(1, 1, msg); err != nil {
+								return err
+							}
+							return c.Send(1, 2, msg)
+						}
+						// The second receive is too small for its message.
+						for i, n := range []int{size, size / 2} {
+							got.buf[i] = bytes.Repeat([]byte{sentinel}, n)
+							got.st[i], got.err[i] = c.Recv(0, i+1, got.buf[i])
+						}
+						return nil
+					}
+					var err error
+					if sizeOnly {
+						err = c.SizeOnly(exchange)
+					} else {
+						err = exchange()
+					}
+					if err != nil {
+						return err
+					}
+					in, out := []float64{float64(c.Rank() + 1), 0.5}, make([]float64, 2)
+					if err := c.Allreduce(OpSum, in, out); err != nil {
+						return err
+					}
+					if out[0] != 3 || out[1] != 1 {
+						return fmt.Errorf("allreduce after the region = %v, want [3 1]", out)
+					}
+					return nil
+				}
+				return got, runPinned(t, 2, simCfg(), script)
+			}
+			full, fullRanks := run(false)
+			sizes, sizeRanks := run(true)
+			for i := range full.st {
+				if sizes.st[i] != full.st[i] || sizes.err[i] != full.err[i] {
+					t.Errorf("receive %d: size-only (%+v, %v), with bytes (%+v, %v)", i, sizes.st[i], sizes.err[i], full.st[i], full.err[i])
+				}
+				if !bytes.Equal(full.buf[i], bytes.Repeat([]byte{0x5A}, len(full.buf[i]))) {
+					t.Errorf("receive %d outside the region did not get the payload", i)
+				}
+				if !bytes.Equal(sizes.buf[i], bytes.Repeat([]byte{sentinel}, len(sizes.buf[i]))) {
+					t.Errorf("receive %d inside the region saw the sender's bytes", i)
+				}
+			}
+			if full.err[0] != nil || full.st[0].Count != size || !errors.Is(full.err[1], ErrTruncated) {
+				t.Errorf("byte-carrying run: %+v %v", full.st, full.err)
+			}
+			checkPinned(t, sizeRanks, fullRanks)
+		})
+	}
+}

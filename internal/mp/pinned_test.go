@@ -122,7 +122,7 @@ func pinnedPair(c *Comm) error {
 // on both sides of the eager threshold, an eager scan, a barrier,
 // allreduces, per-rank compute, a parity-ordered eager ring shift, a
 // rendezvous SendRecv ring and a 1 MiB rendezvous relay down the rank
-// chain.
+// chain. It checks the reductions' values unless it runs size-only.
 func pinnedEight(c *Comm) error {
 	me, p := c.Rank(), c.Size()
 	if err := c.Barrier(); err != nil {
@@ -141,7 +141,7 @@ func pinnedEight(c *Comm) error {
 		if err := c.Reduce(2, OpSum, in, out); err != nil {
 			return err
 		}
-		if me == 2 && out[1] != float64(p*(p-1)/2+p) {
+		if !c.sizeOnly && me == 2 && out[1] != float64(p*(p-1)/2+p) {
 			return fmt.Errorf("reduce n=%d: out[1] = %v", n, out[1])
 		}
 	}
@@ -150,7 +150,7 @@ func pinnedEight(c *Comm) error {
 	if err := c.Scan(OpSum, in, out); err != nil {
 		return err
 	}
-	if out[0] != float64(me*(me+1)/2) {
+	if !c.sizeOnly && out[0] != float64(me*(me+1)/2) {
 		return fmt.Errorf("scan = %v", out[0])
 	}
 	for _, n := range []int{64, 4096} {
@@ -159,7 +159,7 @@ func pinnedEight(c *Comm) error {
 		if err := c.Allreduce(OpSum, in, out); err != nil {
 			return err
 		}
-		if out[0] != float64(p*(p-1)/2) {
+		if !c.sizeOnly && out[0] != float64(p*(p-1)/2) {
 			return fmt.Errorf("allreduce n=%d: out[0] = %v", n, out[0])
 		}
 	}
@@ -212,10 +212,12 @@ func TestSimVirtualTimePinned(t *testing.T) {
 // of program order alone. A 16-rank script (pinnedEight plus a 64 KiB
 // Alltoall), under block and cyclic placement, gives the same per-rank
 // clocks and counters when a seeded hook yields or sleeps before random
-// sends as when nothing perturbs the scheduler. CI runs it under -race
-// at GOMAXPROCS 1, 2 and 8.
+// sends as when nothing perturbs the scheduler. On top of the 20
+// perturbed byte-carrying repeats, 10 perturbed repeats run the script
+// inside SizeOnly, which must reproduce the unperturbed byte-carrying
+// run too. CI runs it under -race at GOMAXPROCS 1, 2 and 8.
 func TestSimScheduleIndependent(t *testing.T) {
-	const n, repeats = 16, 20
+	const n, repeats, sizeOnlyRepeats = 16, 20, 10
 	script := func(c *Comm) error {
 		if err := pinnedEight(c); err != nil {
 			return err
@@ -223,11 +225,12 @@ func TestSimScheduleIndependent(t *testing.T) {
 		const block = 64 << 10
 		return c.Alltoall(make([]byte, n*block), make([]byte, n*block))
 	}
+	sizeOnly := func(c *Comm) error { return c.SizeOnly(func() error { return script(c) }) }
 	for _, pl := range []cluster.Placement{cluster.Block, cluster.Cyclic} {
 		m := cluster.IBCluster()
 		m.Placement = pl
 		want := runPinned(t, n, Config{Model: m}, script)
-		for rep := range repeats {
+		for rep := range repeats + sizeOnlyRepeats {
 			rngs := make([]*rand.Rand, n) // one per rank: the hook runs on the sender's goroutine
 			for r := range rngs {
 				rngs[r] = rand.New(rand.NewPCG(uint64(rep), uint64(r)))
@@ -241,10 +244,15 @@ func TestSimScheduleIndependent(t *testing.T) {
 				}
 				return nil
 			}}
-			got := runPinned(t, n, cfg, script)
+			run := script
+			if rep >= repeats {
+				run = sizeOnly
+			}
+			got := runPinned(t, n, cfg, run)
 			for r := range got {
 				if got[r] != want[r] {
-					t.Fatalf("%v placement, repeat %d: rank %d got %+v, unperturbed %+v", pl, rep, r, got[r], want[r])
+					t.Fatalf("%v placement, repeat %d (size-only %v): rank %d got %+v, unperturbed %+v",
+						pl, rep, rep >= repeats, r, got[r], want[r])
 				}
 			}
 		}

@@ -39,8 +39,12 @@ func (op Op) String() string {
 	}
 }
 
-// combine folds src into dst elementwise: dst = dst (op) src.
-func (op Op) combine(dst, src []float64) {
+// combine folds src into dst elementwise, dst = dst (op) src, or does
+// nothing inside SizeOnly.
+func (c *Comm) combine(op Op, dst, src []float64) {
+	if c.sizeOnly {
+		return
+	}
 	switch op {
 	case OpSum:
 		for i := range dst {
@@ -94,7 +98,7 @@ func (c *Comm) Reduce(root int, op Op, sendBuf, recvBuf []float64) error {
 				if _, err := c.recvInternal(src, tag-round, bytesview.F64(tmp)); err != nil {
 					return fmt.Errorf("mp: reduce recv: %w", err)
 				}
-				op.combine(acc, tmp)
+				c.combine(op, acc, tmp)
 			}
 		} else {
 			dst := ((vrank &^ mask) + root) % c.Size()
@@ -115,7 +119,9 @@ func (c *Comm) Allreduce(op Op, sendBuf, recvBuf []float64) error {
 	if len(recvBuf) != len(sendBuf) {
 		return fmt.Errorf("%w: allreduce recvBuf %d, want %d", ErrMismatch, len(recvBuf), len(sendBuf))
 	}
-	copy(recvBuf, sendBuf)
+	if !c.sizeOnly {
+		copy(recvBuf, sendBuf)
+	}
 	if c.Size() == 1 {
 		return nil
 	}
@@ -163,7 +169,7 @@ func (c *Comm) foldToPow2(op Op, acc []float64, tag int) (newRank, pow2 int, toR
 		if _, err := c.recvInternal(c.rank-1, tag, bytesview.F64(tmp)); err != nil {
 			return 0, 0, nil, err
 		}
-		op.combine(acc, tmp)
+		c.combine(op, acc, tmp)
 		newRank = c.rank / 2
 	default:
 		newRank = c.rank - rem
@@ -210,7 +216,7 @@ func (c *Comm) allreduceRecDoubling(op Op, acc []float64, tag int) error {
 			if _, err := c.sendRecvInternal(peer, tag-round, bytesview.F64(acc), peer, tag-round, bytesview.F64(tmp)); err != nil {
 				return fmt.Errorf("mp: allreduce rd round %d: %w", round, err)
 			}
-			op.combine(acc, tmp)
+			c.combine(op, acc, tmp)
 			round++
 		}
 	}
@@ -254,7 +260,7 @@ func (c *Comm) allreduceRabenseifner(op Op, acc []float64, tag int) error {
 			if _, err := c.sendRecvInternal(peer, tag-round, bytesview.F64(acc[sl:sh]), peer, tag-round, bytesview.F64(tmp[kl:kh])); err != nil {
 				return fmt.Errorf("mp: allreduce rs round %d: %w", round, err)
 			}
-			op.combine(acc[kl:kh], tmp[kl:kh])
+			c.combine(op, acc[kl:kh], tmp[kl:kh])
 			lo, hi = keepLo, keepHi
 			round++
 		}
@@ -304,7 +310,7 @@ func (c *Comm) allreduceRing(op Op, acc []float64, tag int) error {
 		if _, err := c.sendRecvInternal(right, tag-step, bytesview.F64(acc[sLo:sHi]), left, tag-step, bytesview.F64(rtmp)); err != nil {
 			return fmt.Errorf("mp: allreduce ring rs step %d: %w", step, err)
 		}
-		op.combine(acc[rLo:rHi], rtmp)
+		c.combine(op, acc[rLo:rHi], rtmp)
 	}
 	// Allgather phase: circulate the reduced chunks.
 	for step := 0; step < p-1; step++ {
@@ -346,7 +352,7 @@ func (c *Comm) Scan(op Op, sendBuf, recvBuf []float64) error {
 			if _, err := c.recvInternal(c.rank-mask, tag-round, bytesview.F64(tmp)); err != nil {
 				return fmt.Errorf("mp: scan recv: %w", err)
 			}
-			op.combine(recvBuf, tmp)
+			c.combine(op, recvBuf, tmp)
 		}
 		if sreq != nil {
 			if err := c.waitFor(sreq); err != nil {

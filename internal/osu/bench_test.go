@@ -48,9 +48,9 @@ func raceBuild() bool {
 }
 
 // TestLatencyAllocatesWithinBudget: a two-rank sweep up to 1 MiB stays
-// under 6 MiB of total allocation — one max-size buffer on each rank,
-// pooled payloads in flight, and per-rank runtime state. A buffer per
-// size, or a payload copy that skipped the pool, would exceed it.
+// under 6 MiB of total allocation — one max-size buffer on each rank
+// and per-rank runtime state; the loops run size-only, so no payload is
+// copied. A buffer per size would exceed it.
 func TestLatencyAllocatesWithinBudget(t *testing.T) {
 	if raceBuild() {
 		t.Skip("sync.Pool drops Puts under -race")

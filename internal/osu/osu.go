@@ -13,6 +13,10 @@
 // with rank i + n/2: on two ranks it is osu_bw, on more osu_mbw_mr.
 // CollectiveLatency involves every rank and synchronizes the world
 // around its timed loop.
+//
+// Every warm-up and timed loop runs size-only (mp.Comm.SizeOnly): its
+// buffers keep what they held. The reductions of the measured timings
+// (Bandwidth's span, CollectiveLatency's maximum) run outside it.
 package osu
 
 import (
@@ -102,25 +106,31 @@ func Latency(c *mp.Comm, opts Options) ([]Sample, error) {
 		warm, iters := opts.loops(size)
 		buf := maxBuf[:size]
 		var t0 float64
-		for i := 0; i < warm+iters; i++ {
-			if i == warm {
-				t0 = c.Time()
+		err := c.SizeOnly(func() error {
+			for i := 0; i < warm+iters; i++ {
+				if i == warm {
+					t0 = c.Time()
+				}
+				if me == 0 {
+					if err := c.Send(peer, benchTag, buf); err != nil {
+						return err
+					}
+					if _, err := c.Recv(peer, benchTag, buf); err != nil {
+						return err
+					}
+				} else {
+					if _, err := c.Recv(peer, benchTag, buf); err != nil {
+						return err
+					}
+					if err := c.Send(peer, benchTag, buf); err != nil {
+						return err
+					}
+				}
 			}
-			if me == 0 {
-				if err := c.Send(peer, benchTag, buf); err != nil {
-					return nil, err
-				}
-				if _, err := c.Recv(peer, benchTag, buf); err != nil {
-					return nil, err
-				}
-			} else {
-				if _, err := c.Recv(peer, benchTag, buf); err != nil {
-					return nil, err
-				}
-				if err := c.Send(peer, benchTag, buf); err != nil {
-					return nil, err
-				}
-			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		if me == 0 {
 			out = append(out, Sample{Size: size, Value: (c.Time() - t0) / float64(2*iters)})
@@ -160,39 +170,45 @@ func Bandwidth(c *mp.Comm, opts Options) ([]Sample, error) {
 			return nil, err
 		}
 		var t0 float64
-		for i := 0; i < warm+iters; i++ {
-			if i == warm {
-				t0 = c.Time()
-			}
-			if sender {
-				for w := range reqs {
-					r, err := c.Isend(peer, benchTag, buf)
-					if err != nil {
-						return nil, err
+		err := c.SizeOnly(func() error {
+			for i := 0; i < warm+iters; i++ {
+				if i == warm {
+					t0 = c.Time()
+				}
+				if sender {
+					for w := range reqs {
+						r, err := c.Isend(peer, benchTag, buf)
+						if err != nil {
+							return err
+						}
+						reqs[w] = r
 					}
-					reqs[w] = r
-				}
-				if err := c.WaitAll(reqs...); err != nil {
-					return nil, err
-				}
-				if _, err := c.Recv(peer, benchTag+1, ack); err != nil {
-					return nil, err
-				}
-			} else {
-				for w := range reqs {
-					r, err := c.Irecv(peer, benchTag, buf)
-					if err != nil {
-						return nil, err
+					if err := c.WaitAll(reqs...); err != nil {
+						return err
 					}
-					reqs[w] = r
-				}
-				if err := c.WaitAll(reqs...); err != nil {
-					return nil, err
-				}
-				if err := c.Send(peer, benchTag+1, ack); err != nil {
-					return nil, err
+					if _, err := c.Recv(peer, benchTag+1, ack); err != nil {
+						return err
+					}
+				} else {
+					for w := range reqs {
+						r, err := c.Irecv(peer, benchTag, buf)
+						if err != nil {
+							return err
+						}
+						reqs[w] = r
+					}
+					if err := c.WaitAll(reqs...); err != nil {
+						return err
+					}
+					if err := c.Send(peer, benchTag+1, ack); err != nil {
+						return err
+					}
 				}
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		span := []float64{math.Inf(-1), math.Inf(-1)} // (−start, end)
 		if sender {
@@ -230,30 +246,36 @@ func BiBandwidth(c *mp.Comm, opts Options) ([]Sample, error) {
 		warm, iters := opts.loops(size)
 		sbuf, rbuf := maxSend[:size], maxRecv[:size]
 		var t0 float64
-		for i := 0; i < warm+iters; i++ {
-			if i == warm {
-				t0 = c.Time()
-			}
-			for w := range rreqs {
-				r, err := c.Irecv(peer, benchTag, rbuf)
-				if err != nil {
-					return nil, err
+		err := c.SizeOnly(func() error {
+			for i := 0; i < warm+iters; i++ {
+				if i == warm {
+					t0 = c.Time()
 				}
-				rreqs[w] = r
-			}
-			for w := range sreqs {
-				r, err := c.Isend(peer, benchTag, sbuf)
-				if err != nil {
-					return nil, err
+				for w := range rreqs {
+					r, err := c.Irecv(peer, benchTag, rbuf)
+					if err != nil {
+						return err
+					}
+					rreqs[w] = r
 				}
-				sreqs[w] = r
+				for w := range sreqs {
+					r, err := c.Isend(peer, benchTag, sbuf)
+					if err != nil {
+						return err
+					}
+					sreqs[w] = r
+				}
+				if err := c.WaitAll(sreqs...); err != nil {
+					return err
+				}
+				if err := c.WaitAll(rreqs...); err != nil {
+					return err
+				}
 			}
-			if err := c.WaitAll(sreqs...); err != nil {
-				return nil, err
-			}
-			if err := c.WaitAll(rreqs...); err != nil {
-				return nil, err
-			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		if me == 0 {
 			moved := 2 * float64(size) * float64(opts.Window) * float64(iters)
@@ -265,24 +287,29 @@ func BiBandwidth(c *mp.Comm, opts Options) ([]Sample, error) {
 
 // CollectiveLatency times `iters` invocations of coll (after `warmup`)
 // across all ranks and returns the maximum per-iteration time over
-// ranks, the metric the OSU collective benchmarks report.
+// ranks, the metric the OSU collective benchmarks report. coll runs
+// size-only, so its buffers keep what they held.
 func CollectiveLatency(c *mp.Comm, warmup, iters int, coll func() error) (float64, error) {
 	if iters < 1 {
 		return 0, fmt.Errorf("osu: iters must be >= 1")
 	}
-	for i := 0; i < warmup; i++ {
-		if err := coll(); err != nil {
-			return 0, err
+	var t0 float64
+	err := c.SizeOnly(func() error {
+		for i := 0; i < warmup+iters; i++ {
+			if i == warmup {
+				if err := c.Barrier(); err != nil {
+					return err
+				}
+				t0 = c.Time()
+			}
+			if err := coll(); err != nil {
+				return err
+			}
 		}
-	}
-	if err := c.Barrier(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return 0, err
-	}
-	t0 := c.Time()
-	for i := 0; i < iters; i++ {
-		if err := coll(); err != nil {
-			return 0, err
-		}
 	}
 	local := (c.Time() - t0) / float64(iters)
 	return c.AllreduceScalar(mp.OpMax, local)
