@@ -9,7 +9,9 @@
 // every experiment's fingerprint is, so stores use it as a cheap
 // "nothing changed" check before validating entries one by one. A
 // deploy that changes one experiment's dependencies invalidates that
-// experiment's cached results and nobody else's.
+// experiment's cached results and nobody else's. The registry and
+// everything hashed beside it are fixed for a process's life, so both
+// are computed once, on first use.
 //
 // What a modeled experiment computes reaches its fingerprint through
 // its output: digests.txt holds the sha256 of every (experiment,
@@ -27,10 +29,12 @@ import (
 	_ "embed"
 	"fmt"
 	"io"
+	"maps"
 	"runtime"
 	"runtime/debug"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/cluster"
 )
@@ -78,7 +82,7 @@ func buildIdentity() (build, vcs []string) {
 	return build, vcs
 }
 
-// FingerprintMaterial returns the registry-derived dependency material
+// fingerprintMaterial returns the registry-derived dependency material
 // of one experiment's fingerprint, one line per dependency: the
 // experiment's identity (ID, kind, title, Needs, platform axis), the
 // scale definitions it reads, and the canonical shape of each preset
@@ -89,8 +93,9 @@ func buildIdentity() (build, vcs []string) {
 // depend on: the golden test in fingerprint_golden_test.go pins this
 // material for every registered experiment, so unintentional
 // dependency growth (or loss) fails review visibly. ok is false for an
-// unregistered id.
-func FingerprintMaterial(id string) ([]string, bool) {
+// unregistered id. Preset shapes come from presetShape, so one
+// registry walk can share a memo of the lookup.
+func fingerprintMaterial(id string, presetShape func(string) (string, bool)) ([]string, bool) {
 	e, ok := registry[id]
 	if !ok {
 		return nil, false
@@ -108,7 +113,7 @@ func FingerprintMaterial(id string) ([]string, bool) {
 	presets := e.Platforms()
 	sort.Strings(presets)
 	for _, name := range presets {
-		shape, ok := fpPresetShape(name)
+		shape, ok := presetShape(name)
 		if !ok {
 			continue
 		}
@@ -132,31 +137,16 @@ func hashExperiment(build, material, output []string) string {
 
 // Fingerprints returns every registered experiment's fingerprint,
 // keyed by ID: the hash of the build identity, the experiment's
-// FingerprintMaterial and its output lines — its digests.txt lines, or
+// fingerprintMaterial and its output lines — its digests.txt lines, or
 // the build's VCS stamps for an experiment with none (a host-timed
 // one: no digest can pin a measurement). Two binaries agree on
 // Fingerprints()[id] exactly when a result one of them cached for id
 // is still a valid answer from the other; the disk cache stores it per
 // entry and validates per entry, so a deploy invalidates the delta
-// instead of the store.
+// instead of the store. The map is the caller's own copy.
 func Fingerprints() map[string]string {
-	build, vcs := buildIdentity()
-	outputs := map[string][]string{}
-	for _, line := range strings.SplitAfter(fpDigests, "\n") {
-		if id, _, ok := strings.Cut(line, " "); ok {
-			outputs[id] = append(outputs[id], line)
-		}
-	}
-	out := make(map[string]string, len(registry))
-	for id := range registry {
-		material, _ := FingerprintMaterial(id)
-		output := outputs[id]
-		if len(output) == 0 {
-			output = vcs
-		}
-		out[id] = hashExperiment(build, material, output)
-	}
-	return out
+	perID, _ := fingerprints()
+	return maps.Clone(perID)
 }
 
 // Fingerprint is the process-wide registry fingerprint: the hash of
@@ -166,16 +156,56 @@ func Fingerprints() map[string]string {
 // caller's knows every entry is still valid without touching one —
 // the cheap "nothing changed" fast path across a no-op redeploy.
 func Fingerprint() string {
-	fps := Fingerprints()
-	ids := make([]string, 0, len(fps))
-	for id := range fps {
+	_, global := fingerprints()
+	return global
+}
+
+// fingerprints is computeFingerprints run once per process.
+var fingerprints = sync.OnceValues(computeFingerprints)
+
+// computeFingerprints hashes the registry as it stands: every
+// experiment's fingerprint (Fingerprints) and the global one
+// (Fingerprint). Experiments share presets, so each preset's shape is
+// looked up once per computation, not once per experiment.
+func computeFingerprints() (perID map[string]string, global string) {
+	type shape struct {
+		s  string
+		ok bool
+	}
+	shapes := map[string]shape{}
+	presetShape := func(name string) (string, bool) {
+		sh, seen := shapes[name]
+		if !seen {
+			sh.s, sh.ok = fpPresetShape(name)
+			shapes[name] = sh
+		}
+		return sh.s, sh.ok
+	}
+	build, vcs := buildIdentity()
+	outputs := map[string][]string{}
+	for _, line := range strings.SplitAfter(fpDigests, "\n") {
+		if id, _, ok := strings.Cut(line, " "); ok {
+			outputs[id] = append(outputs[id], line)
+		}
+	}
+	perID = make(map[string]string, len(registry))
+	for id := range registry {
+		material, _ := fingerprintMaterial(id, presetShape)
+		output := outputs[id]
+		if len(output) == 0 {
+			output = vcs
+		}
+		perID[id] = hashExperiment(build, material, output)
+	}
+	ids := make([]string, 0, len(perID))
+	for id := range perID {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
 	h := sha256.New()
 	fmt.Fprintln(h, "fingerprint/v2")
 	for _, id := range ids {
-		fmt.Fprintln(h, id, fps[id])
+		fmt.Fprintln(h, id, perID[id])
 	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	return perID, fmt.Sprintf("%x", h.Sum(nil))
 }

@@ -29,9 +29,9 @@ func TestFingerprintMaterialGolden(t *testing.T) {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		material, ok := FingerprintMaterial(id)
+		material, ok := fingerprintMaterial(id, fpPresetShape)
 		if !ok {
-			t.Fatalf("FingerprintMaterial(%q) not ok for a registered id", id)
+			t.Fatalf("fingerprintMaterial(%q) not ok for a registered id", id)
 		}
 		fmt.Fprintf(&sb, "# %s\n", id)
 		for _, line := range material {
@@ -92,7 +92,7 @@ func diffLines(want, got string) string {
 // Fingerprints.
 func TestFingerprintMaterialExcludesEnvironment(t *testing.T) {
 	for id := range registry {
-		material, _ := FingerprintMaterial(id)
+		material, _ := fingerprintMaterial(id, fpPresetShape)
 		for _, line := range material {
 			if strings.HasPrefix(line, "build") {
 				t.Errorf("%s material contains a build line %q — build identity must stay out of the golden material", id, line)

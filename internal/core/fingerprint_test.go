@@ -21,8 +21,87 @@ func TestFingerprintStableWithinProcess(t *testing.T) {
 	}
 }
 
+// uncachedFingerprints and uncachedFingerprint recompute from the
+// registry and seams as they stand now: the exported functions keep
+// the process's first computation, so a test that swaps what the
+// fingerprints hash must bypass them.
+func uncachedFingerprints() map[string]string {
+	perID, _ := computeFingerprints()
+	return perID
+}
+
+func uncachedFingerprint() string {
+	_, global := computeFingerprints()
+	return global
+}
+
+// TestFingerprintsMemoMatchesComputation: the once-per-process values
+// are what a fresh computation over the unmodified registry gives.
+func TestFingerprintsMemoMatchesComputation(t *testing.T) {
+	perID, global := computeFingerprints()
+	if got := Fingerprint(); got != global {
+		t.Errorf("Fingerprint() = %s, fresh computation gives %s", got, global)
+	}
+	if changed := changedIDs(perID, Fingerprints()); len(changed) != 0 {
+		t.Errorf("Fingerprints() differs from a fresh computation at %v", changed)
+	}
+}
+
+// TestFingerprintsReturnsACopy: a caller that edits its map cannot
+// change what the next caller gets.
+func TestFingerprintsReturnsACopy(t *testing.T) {
+	fps := Fingerprints()
+	want := fps["T1"]
+	fps["T1"] = "edited"
+	delete(fps, "F1")
+	fps["ZZ99-not-registered"] = "added"
+	again := Fingerprints()
+	if again["T1"] != want {
+		t.Errorf("Fingerprints()[T1] = %q after a caller's edit, want %q", again["T1"], want)
+	}
+	if _, ok := again["F1"]; !ok {
+		t.Error("a caller's delete removed F1 from the next Fingerprints()")
+	}
+	if _, ok := again["ZZ99-not-registered"]; ok {
+		t.Error("a caller's insert reached the next Fingerprints()")
+	}
+}
+
+// TestComputeFingerprintsLooksUpEachPresetOnce: experiments share
+// presets, and a preset's shape is a JSON rendering of its whole model,
+// so one registry walk asks for each shape once.
+func TestComputeFingerprintsLooksUpEachPresetOnce(t *testing.T) {
+	orig := fpPresetShape
+	defer func() { fpPresetShape = orig }()
+	calls := map[string]int{}
+	fpPresetShape = func(name string) (string, bool) {
+		calls[name]++
+		return orig(name)
+	}
+	computeFingerprints()
+	if len(calls) == 0 {
+		t.Fatal("no preset shape looked up — the test proves nothing")
+	}
+	for name, n := range calls {
+		if n != 1 {
+			t.Errorf("preset %s looked up %d times in one computation, want 1", name, n)
+		}
+	}
+}
+
+// BenchmarkComputeFingerprints is the cost of one registry walk — what
+// the first Fingerprint or Fingerprints call in a process pays; every
+// later call costs a map clone at most.
+func BenchmarkComputeFingerprints(b *testing.B) {
+	for n := 0; n < b.N; n++ {
+		_, globalSink = computeFingerprints()
+	}
+}
+
+var globalSink string
+
 func TestFingerprintTracksRegistry(t *testing.T) {
-	before := Fingerprint()
+	before := uncachedFingerprint()
 
 	// Grow the registry: the fingerprint must change, because a cache
 	// written by a binary with a different experiment set cannot be
@@ -30,7 +109,7 @@ func TestFingerprintTracksRegistry(t *testing.T) {
 	const id = "ZZ99-fingerprint-test"
 	registry[id] = Experiment{ID: id, Kind: "table", Title: "fingerprint probe"}
 	defer delete(registry, id)
-	grown := Fingerprint()
+	grown := uncachedFingerprint()
 	if grown == before {
 		t.Error("Fingerprint unchanged after adding an experiment")
 	}
@@ -38,12 +117,12 @@ func TestFingerprintTracksRegistry(t *testing.T) {
 	// A title change alone must also shift it — same IDs, different
 	// meaning.
 	registry[id] = Experiment{ID: id, Kind: "table", Title: "different title"}
-	if retitled := Fingerprint(); retitled == grown {
+	if retitled := uncachedFingerprint(); retitled == grown {
 		t.Error("Fingerprint unchanged after retitling an experiment")
 	}
 
 	delete(registry, id)
-	if after := Fingerprint(); after != before {
+	if after := uncachedFingerprint(); after != before {
 		t.Errorf("Fingerprint not restored after registry restore: %s vs %s", after, before)
 	}
 }
@@ -70,8 +149,8 @@ func changedIDs(before, after map[string]string) map[string]bool {
 // experiment's identity moves that experiment's fingerprint and
 // nobody else's, while the global Fingerprint still notices.
 func TestFingerprintForIsolatesExperimentChange(t *testing.T) {
-	before := Fingerprints()
-	globalBefore := Fingerprint()
+	before := uncachedFingerprints()
+	globalBefore := uncachedFingerprint()
 
 	orig := registry["T1"]
 	mut := orig
@@ -79,7 +158,7 @@ func TestFingerprintForIsolatesExperimentChange(t *testing.T) {
 	registry["T1"] = mut
 	defer func() { registry["T1"] = orig }()
 
-	after := Fingerprints()
+	after := uncachedFingerprints()
 	changed := changedIDs(before, after)
 	if !changed["T1"] {
 		t.Error("T1's fingerprint unchanged after mutating its Needs")
@@ -87,7 +166,7 @@ func TestFingerprintForIsolatesExperimentChange(t *testing.T) {
 	if len(changed) != 1 {
 		t.Errorf("Needs change on T1 moved %d fingerprints %v, want only T1", len(changed), changed)
 	}
-	if Fingerprint() == globalBefore {
+	if uncachedFingerprint() == globalBefore {
 		t.Error("global Fingerprint unchanged after a per-experiment change")
 	}
 }
@@ -96,7 +175,7 @@ func TestFingerprintForIsolatesExperimentChange(t *testing.T) {
 // lever an implementation-only change pulls, so editing one digest line
 // of T1 must move T1's fingerprint and nobody else's.
 func TestOutputDigestMovesExactlyOneExperiment(t *testing.T) {
-	before := Fingerprints()
+	before := uncachedFingerprints()
 
 	orig := fpDigests
 	i := strings.Index(orig, "T1 default ")
@@ -109,7 +188,7 @@ func TestOutputDigestMovesExactlyOneExperiment(t *testing.T) {
 	fpDigests = string(edited)
 	defer func() { fpDigests = orig }()
 
-	changed := changedIDs(before, Fingerprints())
+	changed := changedIDs(before, uncachedFingerprints())
 	if !changed["T1"] || len(changed) != 1 {
 		t.Errorf("editing T1's digest line moved %v, want only T1", changed)
 	}
@@ -127,7 +206,7 @@ func TestVCSReachesOnlyHostTimed(t *testing.T) {
 			bi.Settings = []debug.BuildSetting{{Key: "vcs.revision", Value: rev}}
 			return bi, true
 		}
-		return Fingerprints()
+		return uncachedFingerprints()
 	}
 	changed := changedIDs(at("aaaa"), at("bbbb"))
 	for id := range registry {
@@ -142,7 +221,7 @@ func TestVCSReachesOnlyHostTimed(t *testing.T) {
 // fingerprints of experiments that can run on that preset.
 func TestPresetShapeChangeInvalidatesExactlyDependents(t *testing.T) {
 	const preset = "gige-8n"
-	before := Fingerprints()
+	before := uncachedFingerprints()
 
 	orig := fpPresetShape
 	fpPresetShape = func(name string) (string, bool) {
@@ -154,7 +233,7 @@ func TestPresetShapeChangeInvalidatesExactlyDependents(t *testing.T) {
 	}
 	defer func() { fpPresetShape = orig }()
 
-	after := Fingerprints()
+	after := uncachedFingerprints()
 	changed := changedIDs(before, after)
 	for id, e := range registry {
 		dependsOnPreset := false
@@ -179,11 +258,11 @@ func TestPresetShapeChangeInvalidatesExactlyDependents(t *testing.T) {
 // dependency of every experiment, so redefining them moves every
 // fingerprint.
 func TestScaleDefChangeInvalidatesEverything(t *testing.T) {
-	before := Fingerprints()
+	before := uncachedFingerprints()
 	orig := fpScales
 	fpScales = func() []Scale { return []Scale{Quick} } // Full dropped
 	defer func() { fpScales = orig }()
-	after := Fingerprints()
+	after := uncachedFingerprints()
 	changed := changedIDs(before, after)
 	if len(changed) != len(registry) {
 		t.Errorf("scale-def change moved %d of %d fingerprints", len(changed), len(registry))
@@ -192,8 +271,8 @@ func TestScaleDefChangeInvalidatesEverything(t *testing.T) {
 
 // TestFingerprintMaterialUnregistered pins the not-found contract.
 func TestFingerprintMaterialUnregistered(t *testing.T) {
-	if _, ok := FingerprintMaterial("no-such-experiment"); ok {
-		t.Error("FingerprintMaterial(unregistered) reported ok")
+	if _, ok := fingerprintMaterial("no-such-experiment", fpPresetShape); ok {
+		t.Error("fingerprintMaterial(unregistered) reported ok")
 	}
 }
 
@@ -210,7 +289,7 @@ func TestFingerprintsCoverRegistry(t *testing.T) {
 func TestCustomsDoNotChangeFingerprint(t *testing.T) {
 	defer cluster.PurgeCustoms()
 	cluster.PurgeCustoms()
-	global, perID := Fingerprint(), Fingerprints()
+	global, perID := uncachedFingerprint(), uncachedFingerprints()
 	doc, err := os.ReadFile(filepath.Join("..", "..", "examples", "platforms", "edr-16n.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -222,10 +301,10 @@ func TestCustomsDoNotChangeFingerprint(t *testing.T) {
 	if name, _ := cluster.RegisterCustom(spec); !cluster.IsCustomName(name) {
 		t.Fatalf("registered %q, not a custom name", name)
 	}
-	if got := Fingerprint(); got != global {
+	if got := uncachedFingerprint(); got != global {
 		t.Errorf("Fingerprint changed after registering a custom: %s -> %s", global[:12], got[:12])
 	}
-	if changed := changedIDs(perID, Fingerprints()); len(changed) != 0 {
+	if changed := changedIDs(perID, uncachedFingerprints()); len(changed) != 0 {
 		t.Errorf("registering a custom moved fingerprints %v", changed)
 	}
 }

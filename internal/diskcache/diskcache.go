@@ -4,10 +4,13 @@
 //
 // A Store is a flat directory of entry files, one per key, each
 // carrying an opaque body, the run's wall time, and the fingerprint of
-// the experiment that produced it. internal/serve keeps one file per
-// result — (experiment id, scale, platform) under a single content
-// type, all representations framed in the body — so whatever a reader
-// gets came from one writer's one rename. Correctness properties:
+// the experiment that produced it. A file (format 4) is one line of
+// JSON header followed by the raw body bytes, so a read decodes only
+// the few hundred header bytes and slices the body out unchanged.
+// internal/serve keeps one file per result — (experiment id, scale,
+// platform) under a single content type, all representations framed
+// in the body — so whatever a reader gets came from one writer's one
+// rename. Correctness properties:
 //
 //   - Crash safety: entries are written to a temp file, fsynced, and
 //     renamed into place, so readers only ever see whole entries.
@@ -26,18 +29,27 @@
 //   - Format versioning: entry files carry a format version, and the
 //     generation marker names it. An entry in any other format — older
 //     or unknown — reads as a miss and is purged by the next
-//     reconcile, counted under reason="format".
+//     reconcile, counted under reason="format". Retired formats were
+//     one JSON object with the body base64-encoded inside it; their
+//     first line still parses as a header, names its format and is
+//     purged as such.
 //   - Bounded size: with a positive maxBytes budget, Put evicts the
 //     least-recently-used entries (Get touches the file's mtime) until
 //     preset and custom-platform entries each fit it.
 //
 // Multiple processes may share one directory: atomic renames make
 // concurrent writers last-one-wins per key, and validation makes
-// concurrent eviction or purging read as misses, never errors.
+// concurrent eviction or purging read as misses, never errors. Two
+// binaries of different entry formats sharing a directory (a v3 and a
+// v4 during a rolling deploy) churn each other's entries — each one's
+// open purges the other's files and each one re-runs what it misses —
+// but neither ever serves the other's bytes.
 package diskcache
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -55,13 +67,16 @@ const (
 	fpFile   = "FINGERPRINT"
 )
 
-// entryFormat is the current on-disk entry format version. Version 3
-// is one file per result (version 2 spread a result over one file per
-// content type; legacy entries had no format field). Entries of any
-// other format are treated as misses but never deleted on Get — they
-// may be a newer sibling binary's valid work; Open's reconcile purges
-// them.
-const entryFormat = 3
+// entryFormat is the current on-disk entry format version. Version 4
+// is one JSON header line followed by the raw body (see encodeEntry).
+// Versions 1 to 3 were one JSON object with the body base64-encoded
+// inside it: version 3 one file per result, version 2 one file per
+// content type, and legacy (version 1) entries had no format field.
+// Entries of any other format are treated as misses but never deleted
+// on Get — they may be a sibling binary's valid work; Open's reconcile
+// purges them. Binaries of two formats sharing one directory therefore
+// purge and rewrite each other's entries, but never serve them.
+const entryFormat = 4
 
 // marker is the content of the directory's generation marker file: the
 // entry format and the global fingerprint, so a change to either one
@@ -130,11 +145,12 @@ type Entry struct {
 	Body    []byte
 }
 
-// fileEntry is the on-disk JSON form of an Entry plus everything
-// needed to validate it independently of the caller: the format
-// version (absent means legacy v1), its own key (so a renamed file
-// can't impersonate another), the writer's per-experiment fingerprint
-// and a body checksum.
+// fileEntry is the on-disk form of an Entry plus everything needed to
+// validate it independently of the caller: the format version (absent
+// means legacy v1), its own key (so a renamed file can't impersonate
+// another), the writer's per-experiment fingerprint and a body
+// checksum. Everything but Body is the file's JSON header line; Body
+// follows it raw.
 type fileEntry struct {
 	Format      int    `json:"format,omitempty"`
 	Fingerprint string `json:"fingerprint"`
@@ -146,7 +162,34 @@ type fileEntry struct {
 	RunID       string `json:"run_id,omitempty"`
 	ElapsedNS   int64  `json:"elapsed_ns"`
 	SHA256      string `json:"sha256"`
-	Body        []byte `json:"body"`
+	Body        []byte `json:"-"`
+}
+
+// encodeEntry lays f out as its file: the JSON header, one newline,
+// then the body bytes verbatim. json.Marshal escapes every control
+// character inside a string, so the header holds no raw newline and
+// the file's first '\n' always ends it.
+func encodeEntry(f fileEntry) ([]byte, error) {
+	h, err := json.Marshal(f)
+	if err != nil {
+		return nil, fmt.Errorf("diskcache: %w", err)
+	}
+	b := make([]byte, 0, len(h)+1+len(f.Body))
+	b = append(append(b, h...), '\n')
+	return append(b, f.Body...), nil
+}
+
+// decodeEntry splits a file at its first newline, decodes the header
+// and slices the body out of b. ok is false for a file with no newline
+// or an unparseable header. A retired whole-JSON file decodes as its
+// header with an empty body, so its format field decides its fate.
+func decodeEntry(b []byte) (f fileEntry, ok bool) {
+	header, body, found := bytes.Cut(b, []byte{'\n'})
+	if !found || json.Unmarshal(header, &f) != nil {
+		return fileEntry{}, false
+	}
+	f.Body = body
+	return f, true
 }
 
 // Store is a disk-backed entry cache rooted at one directory. Safe for
@@ -285,7 +328,9 @@ func Open(dir string, fps Fingerprints, maxBytes int64) (*Store, error) {
 // the caller's (non-empty) For(id) — the deploy didn't change its
 // experiment; an id with no fingerprint (removed from the registry)
 // can never validate. Stale or removed experiments, other formats and
-// corrupt bodies are purged.
+// corrupt bodies are purged. The format is checked before the
+// checksum: a retired whole-JSON file decodes with an empty body, and
+// is a format purge, not corruption.
 func (st *Store) reconcile() {
 	for _, de := range st.readDir() {
 		name := de.Name()
@@ -297,18 +342,18 @@ func (st *Store) reconcile() {
 		if err != nil {
 			continue // removed under us by a sibling process
 		}
-		var f fileEntry
-		if err := json.Unmarshal(b, &f); err != nil {
-			st.dropStale(path, ReasonChecksum)
-			continue
-		}
-		if name != entryName(Key{f.ID, f.Scale, f.Platform, f.ContentType}) ||
-			f.SHA256 != bodySum(f.Body) {
+		f, ok := decodeEntry(b)
+		if !ok {
 			st.dropStale(path, ReasonChecksum)
 			continue
 		}
 		if f.Format != entryFormat {
 			st.dropStale(path, ReasonFormat)
+			continue
+		}
+		if name != entryName(Key{f.ID, f.Scale, f.Platform, f.ContentType}) ||
+			f.SHA256 != bodySum(f.Body) {
+			st.dropStale(path, ReasonChecksum)
 			continue
 		}
 		if fp := st.fps.For(f.ID); fp == "" || f.Fingerprint != fp {
@@ -350,8 +395,8 @@ func (st *Store) Get(k Key) (Entry, bool) {
 	if err != nil {
 		return Entry{}, false
 	}
-	var f fileEntry
-	if err := json.Unmarshal(b, &f); err != nil {
+	f, ok := decodeEntry(b)
+	if !ok {
 		os.Remove(path)
 		st.noteInvalidated(ReasonChecksum)
 		return Entry{}, false
@@ -412,12 +457,12 @@ func (st *Store) Put(k Key, e Entry) error {
 		SHA256:      bodySum(e.Body),
 		Body:        e.Body,
 	}
-	b, err := json.Marshal(f)
+	b, err := encodeEntry(f)
 	if err != nil {
-		return fmt.Errorf("diskcache: %w", err)
+		return err
 	}
 	name := entryName(k)
-	if err := st.writeFile(name, append(b, '\n')); err != nil {
+	if err := st.writeFile(name, b); err != nil {
 		return err
 	}
 	st.met.PutBytes.Add(int64(len(e.Body)))
@@ -547,7 +592,8 @@ func (st *Store) readDir() []os.DirEntry {
 // bodySum is the integrity checksum stored with each entry — hex
 // SHA-256 of the body bytes, verified on every Get.
 func bodySum(b []byte) string {
-	return fmt.Sprintf("%x", sha256.Sum256(b))
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // entryName maps a key to its filename: the four escaped components

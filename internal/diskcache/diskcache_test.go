@@ -1,6 +1,7 @@
 package diskcache
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -161,7 +162,7 @@ func TestTruncatedEntryReadsAsMissAndHeals(t *testing.T) {
 }
 
 func TestCorruptBodyFailsChecksum(t *testing.T) {
-	// Valid JSON, wrong bytes: flip the body while keeping the file
+	// Valid header, wrong bytes: flip the body while keeping the file
 	// parseable — only the checksum can catch this.
 	dir := t.TempDir()
 	st := mustOpen(t, dir, "fp1", 0)
@@ -173,12 +174,13 @@ func TestCorruptBodyFailsChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// "AAAA" is base64 "QUFBQQ=="; swap it for base64("BBBB").
-	mut := strings.Replace(string(b), "QUFBQQ==", "QkJCQg==", 1)
-	if mut == string(b) {
-		t.Fatal("test setup: body encoding not found in file")
+	// The raw body follows the header line; swap "AAAA" for "BBBB".
+	_, body, _ := bytes.Cut(b, []byte{'\n'})
+	if string(body) != "AAAA" {
+		t.Fatalf("test setup: body after the header is %q, want %q", body, "AAAA")
 	}
-	if err := os.WriteFile(path, []byte(mut), 0o644); err != nil {
+	copy(body, "BBBB")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := st.Get(testKey); ok {

@@ -1,7 +1,8 @@
-// Retired entry formats — legacy (pre-versioning, format-absent) and
-// format 2 (one file per content type): no binary writes them and none
-// migrates them, so whatever generation they claim they are a miss on
-// Get and a reason="format" purge at the next reconcile.
+// Retired entry formats — legacy (pre-versioning, format-absent),
+// format 2 (one file per content type) and format 3 (one whole-JSON
+// file per result): no binary writes them and none migrates them, so
+// whatever generation they claim they are a miss on Get and a
+// reason="format" purge at the next reconcile.
 package diskcache
 
 import (
@@ -13,13 +14,34 @@ import (
 	"repro/internal/obs"
 )
 
+// wholeJSONEntry is the file layout of formats 1 to 3: one JSON object
+// with the body base64-encoded inside it, then a newline.
+type wholeJSONEntry struct {
+	fileEntry
+	Body []byte `json:"body"`
+}
+
+// writeWholeJSONEntry plants f under its key's name in a retired
+// format's whole-JSON layout.
+func writeWholeJSONEntry(t *testing.T, dir string, f fileEntry) {
+	t.Helper()
+	b, err := json.Marshal(wholeJSONEntry{f, f.Body})
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := entryName(Key{f.ID, f.Scale, f.Platform, f.ContentType})
+	if err := os.WriteFile(filepath.Join(dir, name), append(b, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // writeLegacyEntry plants a pre-versioning (format-absent) entry file
 // as the old binary would have written it: whole-store fingerprint,
 // no format field.
 func writeLegacyEntry(t *testing.T, dir, storeFP string, k Key, body string) {
 	t.Helper()
 	e := testEntry(body)
-	f := fileEntry{
+	writeWholeJSONEntry(t, dir, fileEntry{
 		Fingerprint: storeFP,
 		ID:          k.ID,
 		Scale:       k.Scale,
@@ -29,14 +51,7 @@ func writeLegacyEntry(t *testing.T, dir, storeFP string, k Key, body string) {
 		ElapsedNS:   int64(e.Elapsed),
 		SHA256:      bodySum(e.Body),
 		Body:        e.Body,
-	}
-	b, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, entryName(k)), append(b, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 // TestLegacyEntryPurged: a legacy entry embeds only a whole-store
@@ -128,16 +143,8 @@ func TestFormatBumpAloneTriggersReconcile(t *testing.T) {
 	fps := perIDFingerprints("gen1", map[string]string{"T1": "fpT1"})
 	e := testEntry("one of three representations")
 	for _, ct := range []string{"text/plain", "application/json", "text/csv"} {
-		f := fileEntry{Format: 2, Fingerprint: "fpT1", ID: "T1", Scale: "quick", ContentType: ct,
-			ETag: e.ETag, RunID: "one-run", ElapsedNS: int64(e.Elapsed), SHA256: bodySum(e.Body), Body: e.Body}
-		b, err := json.Marshal(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		name := entryName(Key{ID: "T1", Scale: "quick", ContentType: ct})
-		if err := os.WriteFile(filepath.Join(dir, name), append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		writeWholeJSONEntry(t, dir, fileEntry{Format: 2, Fingerprint: "fpT1", ID: "T1", Scale: "quick", ContentType: ct,
+			ETag: e.ETag, RunID: "one-run", ElapsedNS: int64(e.Elapsed), SHA256: bodySum(e.Body), Body: e.Body})
 	}
 	// The parent's marker form, deliberately not writeMarker's.
 	if err := os.WriteFile(filepath.Join(dir, fpFile), []byte(fps.Global), 0o644); err != nil {

@@ -6,7 +6,6 @@
 package diskcache
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -159,12 +158,12 @@ func TestFutureFormatEntryIsMissNotDelete(t *testing.T) {
 	f := fileEntry{Format: entryFormat + 1, Fingerprint: "whatever", ID: testKey.ID,
 		Scale: testKey.Scale, ContentType: testKey.ContentType, ETag: e.ETag,
 		ElapsedNS: int64(e.Elapsed), SHA256: bodySum(e.Body), Body: e.Body}
-	b, err := json.Marshal(f)
+	b, err := encodeEntry(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, entryName(testKey))
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := st.Get(testKey); ok {
@@ -232,11 +231,11 @@ func writeCurrentEntry(t *testing.T, dir, fp string, k Key, body string) {
 	f := fileEntry{Format: entryFormat, Fingerprint: fp, ID: k.ID, Scale: k.Scale,
 		Platform: k.Platform, ContentType: k.ContentType, ETag: e.ETag,
 		ElapsedNS: int64(e.Elapsed), SHA256: bodySum(e.Body), Body: e.Body}
-	b, err := json.Marshal(f)
+	b, err := encodeEntry(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, entryName(k)), append(b, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, entryName(k)), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

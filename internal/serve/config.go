@@ -32,7 +32,8 @@ type Config struct {
 	// makes the in-memory cache a write-through front: a cold key
 	// loads from the store before it runs, and every successful fill
 	// is written back. The store must have been opened with
-	// core.Fingerprint() so entries from other binaries or registry
+	// diskcache.Fingerprints{Global: core.Fingerprint(), PerID:
+	// core.Fingerprints()} so entries from other binaries or registry
 	// shapes are rejected (see internal/diskcache).
 	Store *diskcache.Store
 

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/diskcache"
 	"repro/internal/jobs"
 	"repro/internal/obs"
@@ -135,7 +136,7 @@ func (s *Server) registerScrapeGauges() {
 			func() float64 { return float64(s.cfg.Store.Len()) }, obs.L("tier", "disk"))
 	}
 	reg.GaugeFunc("charhpc_build_info", "constant 1, labeled with the registry fingerprint",
-		func() float64 { return 1 }, obs.L("fingerprint", s.fp))
+		func() float64 { return 1 }, obs.L("fingerprint", core.Fingerprint()))
 	reg.GaugeFunc("charhpc_jobs_active", "async run jobs currently executing",
 		func() float64 { return float64(s.jobs.Counts()[jobs.Running]) })
 	reg.GaugeFunc("charhpc_jobs_queued", "async run jobs waiting for a worker slot",

@@ -54,12 +54,6 @@ type Server struct {
 	traces    *obs.TraceBuffer
 	accessLog *obs.Logger
 	start     time.Time
-
-	// fp is core.Fingerprint() captured at construction. The registry
-	// is fixed for the life of a process, and recomputing means
-	// re-hashing every experiment's material — too much work to redo on
-	// every /healthz scrape.
-	fp string
 }
 
 // Stats is a snapshot of the server's cache counters, also rendered
@@ -96,7 +90,6 @@ func New(cfg Config) *Server {
 		traces:    obs.NewTraceBuffer(traceCapacity),
 		accessLog: cfg.AccessLog,
 		start:     time.Now(),
-		fp:        core.Fingerprint(),
 	}
 	s.front = Middleware{
 		Next: s.mux, Registry: reg,
@@ -153,7 +146,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	jc := s.jobs.Counts()
 	fmt.Fprintf(w, "ok runs=%d mem_hits=%d disk_loads=%d disk_errs=%d fingerprint=%s uptime_seconds=%d mem_entries=%d disk_entries=%d jobs_active=%d jobs_queued=%d jobs_done=%d custom_platforms=%d stale_purged=%d\n",
 		st.Runs, st.MemHits, st.DiskLoads, st.DiskErrs,
-		s.fp, int(time.Since(s.start).Seconds()),
+		core.Fingerprint(), int(time.Since(s.start).Seconds()),
 		s.cache.len(), diskEntries,
 		jc[jobs.Running], jc[jobs.Pending], s.m.jobsDone.Value(),
 		cluster.CustomCount(), stalePurged)
