@@ -37,8 +37,6 @@ var uncalledAllowed = map[string]string{
 	"report.Recorder.Text":       "test read-out: core, report and serve tests compare a run's captured text",
 	"serve.Server.Registry":      "test read-out: serve and shard tests scrape a server's metrics",
 	"stats.LinearFit.Eval":       "test read-out: fit tests evaluate the fitted line",
-	"mp.Comm.Reduce":             "TestSimVirtualTimePinned's script calls it, and its constants must not be recaptured",
-	"mp.Comm.Scan":               "TestSimVirtualTimePinned's script calls it, and its constants must not be recaptured",
 }
 
 // modulePkg is one directory of the module (bench/ included) as the

@@ -81,9 +81,7 @@ func RunWithHooks(e Experiment, r Request, h RunHooks) Result {
 	for k, v := range h.SpanAttrs {
 		sp.SetAttr(k, v)
 	}
-	if h.SpanStarted != nil || h.SpanEnded != nil {
-		sp.Observe(obs.ObserverFuncs{Started: h.SpanStarted, Ended: h.SpanEnded})
-	}
+	sp.Observe(h.SpanStarted, h.SpanEnded)
 	if h.Section != nil {
 		rec.SetSectionHook(h.Section)
 	}

@@ -155,41 +155,6 @@ func TestAlltoallValidation(t *testing.T) {
 	}
 }
 
-func TestReduceAllOpsAndRoots(t *testing.T) {
-	ops := []Op{OpSum, OpProd, OpMax, OpMin}
-	forEachSize(t, func(t *testing.T, p int, cfg Config) {
-		err := Run(p, cfg, func(c *Comm) error {
-			n := 17
-			send := make([]float64, n)
-			for i := range send {
-				send[i] = float64(c.Rank()+1) + float64(i)*0.25
-			}
-			for _, op := range ops {
-				root := (c.Size() - 1) / 2
-				var recv []float64
-				if c.Rank() == root {
-					recv = make([]float64, n)
-				}
-				if err := c.Reduce(root, op, send, recv); err != nil {
-					return err
-				}
-				if c.Rank() == root {
-					for i := 0; i < n; i++ {
-						want := expectedReduce(op, c.Size(), i)
-						if math.Abs(recv[i]-want) > 1e-9*math.Max(1, math.Abs(want)) {
-							return fmt.Errorf("op %v elem %d = %v, want %v", op, i, recv[i], want)
-						}
-					}
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 // expectedReduce computes the serial reduction of the test pattern
 // send[i] = (rank+1) + i*0.25 across p ranks.
 func expectedReduce(op Op, p int, i int) float64 {
@@ -274,28 +239,6 @@ func TestAllreduceScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestScanInclusive(t *testing.T) {
-	forEachSize(t, func(t *testing.T, p int, cfg Config) {
-		err := Run(p, cfg, func(c *Comm) error {
-			send := []float64{float64(c.Rank() + 1), 1}
-			recv := make([]float64, 2)
-			if err := c.Scan(OpSum, send, recv); err != nil {
-				return err
-			}
-			r := float64(c.Rank())
-			wantA := (r + 1) * (r + 2) / 2 // 1+2+...+(rank+1)
-			wantB := r + 1
-			if math.Abs(recv[0]-wantA) > 1e-9 || math.Abs(recv[1]-wantB) > 1e-9 {
-				return fmt.Errorf("rank %d scan = %v, want [%v %v]", c.Rank(), recv, wantA, wantB)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
 }
 
 func TestCollectivesBackToBack(t *testing.T) {

@@ -19,8 +19,8 @@
 //     exactly the protocol split whose crossover the characterization
 //     measures (experiment F12).
 //   - Collectives: barrier, bcast, allgather(v) and alltoall(v) over
-//     bytes, and reduce/allreduce/scan over float64 with selectable
-//     classic algorithms (experiment F6).
+//     bytes, and allreduce over float64 with selectable classic
+//     algorithms (experiment F6).
 //   - Size-only regions (Comm.SizeOnly): messages carry lengths, not
 //     bytes; buffers keep what they held and reductions skip arithmetic.
 //

@@ -67,51 +67,6 @@ func (c *Comm) combine(op Op, dst, src []float64) {
 	}
 }
 
-// Reduce combines sendBuf across ranks with op; the result lands in
-// recvBuf on root (recvBuf is ignored on other ranks). Uses a binomial
-// tree: ceil(log2 p) rounds.
-func (c *Comm) Reduce(root int, op Op, sendBuf, recvBuf []float64) error {
-	if err := c.checkPeer(root); err != nil {
-		return err
-	}
-	if c.rank == root && len(recvBuf) != len(sendBuf) {
-		return fmt.Errorf("%w: reduce recvBuf %d, want %d", ErrMismatch, len(recvBuf), len(sendBuf))
-	}
-	tag := c.nextCollTag()
-	n := len(sendBuf)
-
-	// acc is this rank's running partial result.
-	scratch := c.tmp(2 * n)
-	tmp, acc := scratch[:n], scratch[n:]
-	if c.rank == root {
-		acc = recvBuf
-	}
-	copy(acc, sendBuf)
-
-	vrank := (c.rank - root + c.Size()) % c.Size()
-	round := 0
-	for mask := 1; mask < c.Size(); mask <<= 1 {
-		if vrank&mask == 0 {
-			peerV := vrank | mask
-			if peerV < c.Size() {
-				src := (peerV + root) % c.Size()
-				if _, err := c.recvInternal(src, tag-round, bytesview.F64(tmp)); err != nil {
-					return fmt.Errorf("mp: reduce recv: %w", err)
-				}
-				c.combine(op, acc, tmp)
-			}
-		} else {
-			dst := ((vrank &^ mask) + root) % c.Size()
-			if err := c.sendInternal(dst, tag-round, bytesview.F64(acc)); err != nil {
-				return fmt.Errorf("mp: reduce send: %w", err)
-			}
-			break // sent partial up the tree; this rank is done
-		}
-		round++
-	}
-	return nil
-}
-
 // Allreduce combines sendBuf across all ranks into every rank's recvBuf.
 // The algorithm is selected by Config.Allreduce (recursive doubling,
 // Rabenseifner, or ring; Auto switches on vector size).
@@ -319,47 +274,6 @@ func (c *Comm) allreduceRing(op Op, acc []float64, tag int) error {
 		if _, err := c.sendRecvInternal(right, tag-(p-1)-step, bytesview.F64(acc[sLo:sHi]), left, tag-(p-1)-step, bytesview.F64(acc[rLo:rHi])); err != nil {
 			return fmt.Errorf("mp: allreduce ring ag step %d: %w", step, err)
 		}
-	}
-	return nil
-}
-
-// Scan computes an inclusive prefix reduction: rank r's recvBuf holds
-// sendBuf(0) op ... op sendBuf(r). Hillis–Steele: ceil(log2 p) rounds.
-func (c *Comm) Scan(op Op, sendBuf, recvBuf []float64) error {
-	if len(recvBuf) != len(sendBuf) {
-		return fmt.Errorf("%w: scan recvBuf %d, want %d", ErrMismatch, len(recvBuf), len(sendBuf))
-	}
-	copy(recvBuf, sendBuf)
-	if c.Size() == 1 {
-		return nil
-	}
-	tag := c.nextCollTag()
-	n := len(sendBuf)
-	scratch := c.tmp(2 * n)
-	tmp, snapshot := scratch[:n], scratch[n:]
-	round := 0
-	for mask := 1; mask < c.Size(); mask <<= 1 {
-		copy(snapshot, recvBuf) // value to forward this round
-		var sreq *Request
-		var err error
-		if c.rank+mask < c.Size() {
-			sreq, err = c.isendInternal(c.rank+mask, tag-round, bytesview.F64(snapshot))
-			if err != nil {
-				return fmt.Errorf("mp: scan send: %w", err)
-			}
-		}
-		if c.rank-mask >= 0 {
-			if _, err := c.recvInternal(c.rank-mask, tag-round, bytesview.F64(tmp)); err != nil {
-				return fmt.Errorf("mp: scan recv: %w", err)
-			}
-			c.combine(op, recvBuf, tmp)
-		}
-		if sreq != nil {
-			if err := c.waitFor(sreq); err != nil {
-				return fmt.Errorf("mp: scan send wait: %w", err)
-			}
-		}
-		round++
 	}
 	return nil
 }

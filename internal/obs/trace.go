@@ -29,57 +29,28 @@ type Span struct {
 	Elapsed  float64           `json:"elapsed_seconds"`
 	Children []*Span           `json:"children,omitempty"`
 
-	mu       sync.Mutex
-	ended    bool
-	observer SpanObserver
+	mu             sync.Mutex
+	ended          bool
+	started, onEnd func(*Span) // the observer callbacks, see Observe
 }
 
-// SpanObserver receives live notifications as a span tree is built —
-// the bridge between the tracer and anything that wants progress
-// events while a run is still going (the async job event stream).
-// Callbacks fire outside the span's lock, from the goroutine driving
-// the span, and must be safe for concurrent use when the tree has
-// concurrent children.
-type SpanObserver interface {
-	// SpanStarted fires when a child span is opened under an observed
-	// span (not for the root the observer was attached to — the caller
-	// already knows that one started).
-	SpanStarted(*Span)
-	// SpanEnded fires on the first End of any observed span, root
-	// included.
-	SpanEnded(*Span)
-}
-
-// ObserverFuncs adapts two optional funcs to SpanObserver; nil fields
-// are skipped.
-type ObserverFuncs struct {
-	Started func(*Span)
-	Ended   func(*Span)
-}
-
-// SpanStarted implements SpanObserver.
-func (o ObserverFuncs) SpanStarted(s *Span) {
-	if o.Started != nil {
-		o.Started(s)
-	}
-}
-
-// SpanEnded implements SpanObserver.
-func (o ObserverFuncs) SpanEnded(s *Span) {
-	if o.Ended != nil {
-		o.Ended(s)
-	}
-}
-
-// Observe attaches an observer to the span. Children opened after the
-// call inherit it, so observing a run's root span streams the whole
-// tree as it grows. Nil-safe on both sides.
-func (s *Span) Observe(o SpanObserver) {
+// Observe attaches two callbacks to the span — the bridge between the
+// tracer and anything that wants progress events while a run is still
+// going (the async job event stream). started fires when a child span
+// is opened under an observed span (not for the span Observe was
+// called on — the caller already knows that one started); ended fires
+// on the first End of any observed span, this one included. Children
+// opened after the call inherit both, so observing a run's root span
+// streams the whole tree as it grows. Callbacks fire outside the
+// span's lock, from the goroutine driving the span, and must be safe
+// for concurrent use when the tree has concurrent children. Either
+// callback may be nil, and so may the span.
+func (s *Span) Observe(started, ended func(*Span)) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	s.observer = o
+	s.started, s.onEnd = started, ended
 	s.mu.Unlock()
 }
 
@@ -98,12 +69,11 @@ func (s *Span) StartChild(name string) *Span {
 	}
 	c := &Span{Name: name, Start: time.Now()}
 	s.mu.Lock()
-	c.observer = s.observer
+	c.started, c.onEnd = s.started, s.onEnd
 	s.Children = append(s.Children, c)
-	o := s.observer
 	s.mu.Unlock()
-	if o != nil {
-		o.SpanStarted(c)
+	if c.started != nil {
+		c.started(c)
 	}
 	return c
 }
@@ -129,15 +99,15 @@ func (s *Span) End() {
 		return
 	}
 	s.mu.Lock()
-	var o SpanObserver
+	var ended func(*Span)
 	if !s.ended {
 		s.ended = true
 		s.Elapsed = time.Since(s.Start).Seconds()
-		o = s.observer
+		ended = s.onEnd
 	}
 	s.mu.Unlock()
-	if o != nil {
-		o.SpanEnded(s)
+	if ended != nil {
+		ended(s)
 	}
 }
 

@@ -201,10 +201,10 @@ func TestTraceBufferConcurrentWrap(t *testing.T) {
 func TestSpanObserver(t *testing.T) {
 	var started, ended []string
 	root := StartSpan("run")
-	root.Observe(ObserverFuncs{
-		Started: func(s *Span) { started = append(started, s.Name) },
-		Ended:   func(s *Span) { ended = append(ended, s.Name) },
-	})
+	root.Observe(
+		func(s *Span) { started = append(started, s.Name) },
+		func(s *Span) { ended = append(ended, s.Name) },
+	)
 	a := root.StartChild("a")
 	aa := a.StartChild("a/a")
 	aa.End()
@@ -222,19 +222,27 @@ func TestSpanObserver(t *testing.T) {
 	}
 }
 
-// TestSpanObserverNilSafe: attaching to a nil span, attaching nil, and
-// zero ObserverFuncs are all inert.
+// TestSpanObserverNilSafe: attaching to a nil span, attaching two nil
+// callbacks, and attaching one of the two are all inert where nil.
 func TestSpanObserverNilSafe(t *testing.T) {
 	var nilSpan *Span
-	nilSpan.Observe(ObserverFuncs{}) // no panic
+	nilSpan.Observe(func(*Span) {}, func(*Span) {}) // no panic
 	s := StartSpan("x")
-	s.Observe(nil)
+	s.Observe(nil, nil)
 	s.StartChild("c").End()
 	s.End()
+	var started, ended int
 	s2 := StartSpan("y")
-	s2.Observe(ObserverFuncs{}) // nil fields skipped
+	s2.Observe(func(*Span) { started++ }, nil) // nil ended skipped
 	s2.StartChild("c").End()
 	s2.End()
+	s3 := StartSpan("z")
+	s3.Observe(nil, func(*Span) { ended++ }) // nil started skipped
+	s3.StartChild("c").End()
+	s3.End()
+	if started != 1 || ended != 2 {
+		t.Errorf("started %d, ended %d; want 1 and 2", started, ended)
+	}
 }
 
 // TestSpanObserverConcurrentChildren: callbacks fire outside the
@@ -243,15 +251,15 @@ func TestSpanObserverNilSafe(t *testing.T) {
 func TestSpanObserverConcurrentChildren(t *testing.T) {
 	var events atomic.Int64
 	root := StartSpan("run")
-	root.Observe(ObserverFuncs{
-		Started: func(s *Span) { events.Add(1) },
-		Ended: func(s *Span) {
+	root.Observe(
+		func(s *Span) { events.Add(1) },
+		func(s *Span) {
 			// Re-entering the tree from a callback (as the SSE hook
 			// layer does when it marshals the span) must be safe.
 			_, _ = json.Marshal(s)
 			events.Add(1)
 		},
-	})
+	)
 	const workers, spansEach = 8, 25
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

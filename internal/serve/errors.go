@@ -35,12 +35,6 @@ const (
 	codeInternal             = "internal"
 )
 
-// CodeInternal is the envelope code a fronting router (see
-// internal/shard) emits for an internal failure it answers itself. The
-// unexported names stay the package-internal vocabulary; this is the
-// compatibility surface a sibling package may depend on.
-const CodeInternal = codeInternal
-
 // errorEnvelope is the JSON error body: the message, the stable code,
 // and an optional hint pointing at the endpoint that resolves the
 // failure.
@@ -90,13 +84,20 @@ func WriteBodyError(w http.ResponseWriter, r *http.Request, what string, err err
 		fmt.Sprintf("reading request body: %v", err), "")
 }
 
-// writeJSONInternal renders a marshal failure on an always-JSON
-// endpoint (the job API) in the envelope, skipping negotiation — the
-// response was going to be JSON regardless.
-func writeJSONInternal(w http.ResponseWriter, err error) {
+// WriteJSON answers status with v marshaled as a newline-terminated
+// JSON body: the always-JSON endpoints (the job API, the trace
+// listing, the platform resource) and the router's merged job listing.
+// A value that does not marshal draws the internal envelope instead,
+// in JSON without negotiation — the response was going to be JSON
+// regardless.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		b, _ = json.Marshal(errorEnvelope{Error: err.Error(), Code: codeInternal})
+	}
 	w.Header().Set("Content-Type", ctJSON)
-	w.WriteHeader(http.StatusInternalServerError)
-	b, _ := json.Marshal(errorEnvelope{Error: err.Error(), Code: codeInternal})
+	w.WriteHeader(status)
 	w.Write(append(b, '\n'))
 }
 

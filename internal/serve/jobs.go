@@ -85,16 +85,13 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 			return s.runJob(ctx, j, e, req)
 		})
 
-	w.Header().Set("Content-Type", ctJSON)
 	w.Header().Set("Location", "/runs/"+j.ID)
-	w.WriteHeader(http.StatusAccepted)
-	b, _ := json.Marshal(submitResponse{
+	WriteJSON(w, http.StatusAccepted, submitResponse{
 		Job:       j.ID,
 		State:     string(j.State()),
 		StatusURL: "/runs/" + j.ID,
 		EventsURL: "/runs/" + j.ID + "/events",
 	})
-	w.Write(append(b, '\n'))
 }
 
 // runJob executes one job's experiment through the shared results
@@ -148,13 +145,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, _ *http.Request) {
 	if list == nil {
 		list = []jobs.Status{}
 	}
-	b, err := json.Marshal(list)
-	if err != nil {
-		writeJSONInternal(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", ctJSON)
-	w.Write(append(b, '\n'))
+	WriteJSON(w, http.StatusOK, list)
 }
 
 // jobFor resolves the {job} path value, answering the 404 itself.
@@ -175,13 +166,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	b, err := json.Marshal(j.Status())
-	if err != nil {
-		writeJSONInternal(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", ctJSON)
-	w.Write(append(b, '\n'))
+	WriteJSON(w, http.StatusOK, j.Status())
 }
 
 // handleJobCancel cancels a job (prompt in any state; see
@@ -192,9 +177,7 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.Cancel()
-	b, _ := json.Marshal(j.Status())
-	w.Header().Set("Content-Type", ctJSON)
-	w.Write(append(b, '\n'))
+	WriteJSON(w, http.StatusOK, j.Status())
 }
 
 // handleJobEvents streams a job's event log as Server-Sent Events:

@@ -6,7 +6,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -173,13 +172,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if spans == nil {
 		spans = []*obs.Span{}
 	}
-	b, err := json.Marshal(spans)
-	if err != nil {
-		writeJSONInternal(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", ctJSON)
-	w.Write(append(b, '\n'))
+	WriteJSON(w, http.StatusOK, spans)
 }
 
 // EnablePprof mounts net/http/pprof's handlers under /debug/pprof/ on

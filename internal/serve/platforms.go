@@ -131,9 +131,7 @@ func (s *Server) handlePlatformGet(w http.ResponseWriter, r *http.Request) {
 	if spec, ok := cluster.CustomSpec(name); ok {
 		d.Spec = spec.Canonical()
 	}
-	b, _ := json.Marshal(d)
-	w.Header().Set("Content-Type", ctJSON)
-	w.Write(append(b, '\n'))
+	WriteJSON(w, http.StatusOK, d)
 }
 
 // registerResponse is the POST /platforms body: the canonical
@@ -173,15 +171,12 @@ func (s *Server) handlePlatformRegister(w http.ResponseWriter, r *http.Request) 
 		s.persistPlatform(name, spec)
 	}
 	info, _ := infoFor(name)
-	w.Header().Set("Content-Type", ctJSON)
 	w.Header().Set("Location", "/platforms/"+name)
+	status := http.StatusCreated
 	if existed {
-		w.WriteHeader(http.StatusOK)
-	} else {
-		w.WriteHeader(http.StatusCreated)
+		status = http.StatusOK
 	}
-	b, _ := json.Marshal(registerResponse{platformInfo: info, Existed: existed})
-	w.Write(append(b, '\n'))
+	WriteJSON(w, status, registerResponse{platformInfo: info, Existed: existed})
 }
 
 // persistPlatform writes a newly registered spec's canonical bytes to

@@ -4,9 +4,12 @@
 // platform)), so each shard's memory/disk cache stays hot for its
 // slice; a request whose shard fails at the transport is re-routed to
 // the next live ring successor and re-run there (the failover
-// counter records it). Responses are proxied byte-for-byte — body,
-// status, ETags — so a client cannot tell the router from a single
-// daemon.
+// counter records it). httputil.ReverseProxy relays each response
+// byte-for-byte — body, status, ETags — so a client cannot tell the
+// router from a single daemon; a shard that fails mid-stream aborts the
+// client's connection rather than end its body early. Every request
+// the router sends a shard, relayed or its own, goes through one hop
+// (Router.do), which is where liveness is learned.
 package shard
 
 import (
@@ -16,7 +19,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
+	"net/http/httputil"
 	"net/url"
 	"strings"
 	"sync"
@@ -56,12 +61,13 @@ type Config struct {
 
 // Router fronts the shard pool. It implements http.Handler.
 type Router struct {
-	ring   *Ring
-	live   *liveness
-	client *http.Client
-	front  serve.Middleware // the same front end the shards wrap their mux in
-	log    *obs.Logger
-	start  time.Time
+	ring      *Ring
+	live      *liveness
+	transport *http.Transport
+	front     serve.Middleware // the same front end the shards wrap their mux in
+	log       *obs.Logger
+	errLog    *log.Logger // the relay's, into log
+	start     time.Time
 
 	// jobs is the bounded job→shard routing memory: which shard accepted
 	// each submitted job, least recently used evicted first. A miss is
@@ -124,26 +130,25 @@ func New(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("shard: no shards configured")
 	}
 
-	// No global timeout: blocking GETs and SSE streams legitimately run
-	// long. Enough idle connections per shard keep a hot pool's
-	// connections alive, and they close after downBase, so a quiet
-	// shard is not held open for longer than one backoff window. Under
-	// load the transport can pool a connection it dialed but never
-	// used; a shard's graceful shutdown closes those at once
-	// (serve.RunDaemon), so they do not hold up its exit.
-	client := &http.Client{Transport: &http.Transport{
-		MaxIdleConns:        256,
-		MaxIdleConnsPerHost: 64,
-		IdleConnTimeout:     downBase,
-	}}
 	reg := obs.NewRegistry()
-
 	rt := &Router{
-		ring:   NewRing(DefaultVNodes),
-		live:   &liveness{now: time.Now, win: make(map[string]*window, len(shards))},
-		client: client,
+		ring: NewRing(DefaultVNodes),
+		live: &liveness{now: time.Now, win: make(map[string]*window, len(shards))},
+		// No timeout: blocking GETs and SSE streams legitimately run
+		// long. Enough idle connections per shard keep a hot pool's
+		// connections alive, and they close after downBase, so a quiet
+		// shard is not held open for longer than one backoff window.
+		// Under load the transport can pool a connection it dialed but
+		// never used; a shard's graceful shutdown closes those at once
+		// (serve.RunDaemon), so they do not hold up its exit.
+		transport: &http.Transport{
+			MaxIdleConns:        256,
+			MaxIdleConnsPerHost: 64,
+			IdleConnTimeout:     downBase,
+		},
 		jobs:   lru.New[string, string](maxJobRoutes),
 		log:    cfg.AccessLog,
+		errLog: log.New(logSink{cfg.AccessLog}, "", 0),
 		start:  time.Now(),
 		reg:    reg,
 		failovers: reg.Counter("charhpc_router_failovers_total",
@@ -157,7 +162,7 @@ func New(cfg Config) (*Router, error) {
 		routedOK:  make(map[string]*obs.Counter, len(shards)),
 		routedErr: make(map[string]*obs.Counter, len(shards)),
 	}
-	const routedHelp = "requests sent to each shard, by outcome (ok = shard answered, error = transport failure)"
+	const routedHelp = "hops to each shard (relayed requests, probes, fan-outs, warm-up), by outcome (ok = shard answered, error = transport failure)"
 	for _, s := range shards {
 		rt.ring.Add(s)
 		rt.live.win[s] = &window{}
@@ -198,8 +203,8 @@ func New(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-// Close closes the proxy client's idle shard connections.
-func (rt *Router) Close() { rt.client.CloseIdleConnections() }
+// Close closes the idle shard connections.
+func (rt *Router) Close() { rt.transport.CloseIdleConnections() }
 
 // ServeHTTP implements http.Handler: the routed handler behind the
 // front end the shards use too. An inbound X-Request-ID is reused on
@@ -254,24 +259,16 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w)
 }
 
-// ask GETs path from shard within probeTimeout on behalf of r, drains
-// the body and returns the status: 0 if the hop failed, which do has
-// recorded.
+// ask GETs path from shard within probeTimeout on behalf of r and
+// returns the status: 0 if the hop failed, which do has recorded.
 func (rt *Router) ask(r *http.Request, shard, path string) int {
 	ctx, cancel := context.WithTimeout(r.Context(), probeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, shard+path, nil)
+	resp, err := rt.send(ctx, r.Header.Get(serve.RequestIDHeader), http.MethodGet, path, nil, shard)
 	if err != nil {
 		return 0
 	}
-	req.Header.Set(serve.RequestIDHeader, r.Header.Get(serve.RequestIDHeader))
-	resp, err := rt.do(shard, req)
-	if err != nil {
-		return 0
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
-	return resp.StatusCode
+	return drain(resp)
 }
 
 // handleMetrics serves the router's own Prometheus exposition (the
@@ -405,30 +402,18 @@ func (rt *Router) handleJobList(w http.ResponseWriter, r *http.Request) {
 		if rt.live.backingOff(s) {
 			continue
 		}
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, s+"/runs", nil)
-		if err != nil {
-			continue
-		}
-		req.Header.Set(serve.RequestIDHeader, r.Header.Get(serve.RequestIDHeader))
-		resp, err := rt.do(s, req)
+		resp, err := rt.send(r.Context(), r.Header.Get(serve.RequestIDHeader), http.MethodGet, "/runs", nil, s)
 		if err != nil {
 			continue
 		}
 		var list []json.RawMessage
 		err = json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&list)
 		resp.Body.Close()
-		if err != nil {
-			continue
+		if err == nil {
+			all = append(all, list...)
 		}
-		all = append(all, list...)
 	}
-	b, err := json.Marshal(all)
-	if err != nil {
-		serve.WriteError(w, r, http.StatusInternalServerError, serve.CodeInternal, err.Error(), "")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(b, '\n'))
+	serve.WriteJSON(w, http.StatusOK, all)
 }
 
 // handlePlatformRegister fans a custom-platform registration out to
@@ -455,101 +440,156 @@ func (rt *Router) handlePlatformRegister(w http.ResponseWriter, r *http.Request)
 			if s == target || rt.live.backingOff(s) {
 				continue
 			}
-			if err := rt.fanOutPlatform(r, s, body); err != nil {
+			resp, err := rt.send(r.Context(), r.Header.Get(serve.RequestIDHeader), http.MethodPost, "/platforms", body, s)
+			if err == nil {
+				if st := drain(resp); st != http.StatusCreated && st != http.StatusOK {
+					err = fmt.Errorf("shard answered %s", resp.Status)
+				}
+			}
+			if err != nil {
 				rt.log.Error("platform fan-out failed", "shard", s, "error", err.Error())
 			}
 		}
 	})
 }
 
-// fanOutPlatform re-POSTs one platform spec to one shard.
-func (rt *Router) fanOutPlatform(r *http.Request, target string, body []byte) error {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, target+"/platforms", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(serve.RequestIDHeader, r.Header.Get(serve.RequestIDHeader))
-	resp, err := rt.do(target, req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("shard answered %s", resp.Status)
-	}
-	return nil
-}
-
-// proxy forwards the request to the first candidate that answers,
-// re-routing to the next on transport failure (the failover path; a
-// response from a shard — any status — is final and copied through
-// byte-for-byte). body, when non-nil, is the replayable request body.
-// onResponse, when non-nil, buffers the response to observe it before
-// writing (used to learn job→shard routes); leave it nil on paths
-// that stream.
+// proxy relays the request to the first of targets that answers,
+// through httputil.ReverseProxy over a hop: a transport failure fails
+// over to the next target, and a response of any status is final and
+// relayed byte-for-byte. body, when non-nil, is the replayable request
+// body. onResponse, when non-nil, sees the buffered response before
+// anything is written (used to learn job→shard routes); leave it nil
+// on paths that stream. A shard that fails mid-body draws the 502
+// envelope on the buffered path and aborts the client connection on
+// the streaming one, so a truncated body never reaches a client as a
+// complete response.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, targets []string, body []byte, onResponse func(target string, status int, body []byte)) {
 	if len(targets) == 0 {
 		serve.WriteError(w, r, http.StatusServiceUnavailable, codeNoLiveShard,
 			"no shard is configured to serve this request", "GET /healthz reports per-shard liveness")
 		return
 	}
-	var lastErr error
-	for i, target := range targets {
-		resp, err := rt.send(r, target, body)
-		if err != nil {
-			// A canceled client is not a shard failure: stop, don't
-			// fail the pool over it.
-			if r.Context().Err() != nil {
-				return
+	h := &hop{rt: rt, targets: targets, body: body}
+	(&httputil.ReverseProxy{
+		Rewrite:    func(*httputil.ProxyRequest) {}, // the hop picks each try's shard
+		Transport:  h,
+		BufferPool: &copyBufs,
+		ErrorLog:   rt.errLog,
+		ModifyResponse: func(resp *http.Response) error {
+			// Ours is already set from the inbound request — same value,
+			// since the shard echoes what the router sent.
+			delete(resp.Header, serve.RequestIDHeader)
+			if onResponse == nil {
+				return nil
 			}
-			lastErr = err
-			rt.routedErr[target].Inc()
-			if i+1 < len(targets) {
-				rt.failovers.Inc()
-				rt.log.Info("failover", "shard", target, "error", err.Error(), "next", targets[i+1])
+			b, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				if r.Context().Err() == nil {
+					rt.observe(h.target, false)
+				}
+				return fmt.Errorf("shard %s failed mid-response: %v", h.target, err)
 			}
-			continue
+			onResponse(h.target, resp.StatusCode, b)
+			resp.Body = io.NopCloser(bytes.NewReader(b))
+			return nil
+		},
+		ErrorHandler: func(w http.ResponseWriter, r *http.Request, err error) {
+			if r.Context().Err() == nil { // a canceled client is owed nothing
+				serve.WriteError(w, r, http.StatusBadGateway, codeUpstreamFailed, err.Error(),
+					"GET /healthz reports per-shard liveness")
+			}
+		},
+	}).ServeHTTP(w, r)
+}
+
+// hop carries one request to the first of its targets that answers:
+// the relay's Transport, and the way the router's own requests travel.
+// A transport failure fails over to the next target; a response of
+// any status is final. body, when non-nil, is replayed on every try.
+type hop struct {
+	rt      *Router
+	targets []string
+	body    []byte
+	target  string // the shard that answered
+}
+
+// RoundTrip implements http.RoundTripper.
+func (h *hop) RoundTrip(req *http.Request) (*http.Response, error) {
+	var err error
+	for i, target := range h.targets {
+		var resp *http.Response
+		if resp, err = h.rt.do(target, req, h.body); err == nil {
+			h.target = target
+			return resp, nil
 		}
-		rt.routedOK[target].Inc()
-		rt.copyResponse(w, r, resp, onResponse, target)
-		return
+		// A canceled caller is not a shard failure: stop, don't fail
+		// the pool over it.
+		if req.Context().Err() != nil {
+			return nil, err
+		}
+		if i+1 < len(h.targets) {
+			h.rt.failovers.Inc()
+			h.rt.log.Info("failover", "shard", target, "error", err.Error(), "next", h.targets[i+1])
+		}
+		err = fmt.Errorf("%s: %w", target, err)
 	}
-	rt.upstreamFailed(w, r, fmt.Sprintf("every candidate shard failed (last: %v)", lastErr))
+	return nil, fmt.Errorf("every candidate shard failed (last: %w)", err)
 }
 
-// upstreamFailed answers the 502 envelope for a shard hop that failed.
-func (rt *Router) upstreamFailed(w http.ResponseWriter, r *http.Request, msg string) {
-	serve.WriteError(w, r, http.StatusBadGateway, codeUpstreamFailed, msg, "GET /healthz reports per-shard liveness")
-}
-
-// send builds and performs the outbound request for one target. The
-// inbound headers — X-Request-ID included — are copied through, so
-// the shard logs the same request ID the router did.
-func (rt *Router) send(r *http.Request, target string, body []byte) (*http.Response, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	out, err := http.NewRequestWithContext(r.Context(), r.Method, target+r.URL.RequestURI(), rd)
+// send makes one request of the router's own — a probe, a listing, a
+// fan-out, a warm-up fill — through a hop over targets, carrying rid
+// (when set) as its request ID. The caller closes the response body.
+func (rt *Router) send(ctx context.Context, rid, method, path string, body []byte, targets ...string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, path, nil)
 	if err != nil {
 		return nil, err
 	}
-	out.Header = r.Header.Clone()
-	return rt.do(target, out)
+	if rid != "" {
+		req.Header.Set(serve.RequestIDHeader, rid)
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json") // the one body it sends is a platform spec
+	}
+	return (&hop{rt: rt, targets: targets, body: body}).RoundTrip(req)
 }
 
-// do performs one hop to shard and records its outcome — the one place
-// the router learns liveness: a response of any status means up, a
-// transport failure means down, and a hop the caller canceled says
-// nothing about the shard.
-func (rt *Router) do(shard string, req *http.Request) (*http.Response, error) {
-	resp, err := rt.client.Do(req)
-	if err == nil || !errors.Is(req.Context().Err(), context.Canceled) {
-		rt.observe(shard, err == nil)
+// drain discards what is left of a response body, closes it and
+// returns the status.
+func drain(resp *http.Response) int {
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// do makes one hop to shard — every request the router sends a shard
+// goes through here — and records its outcome in routed_total and in
+// liveness, the one place the router learns it: a response of any
+// status means up, a transport failure means down, and a hop the
+// caller canceled says nothing about the shard. The inbound headers,
+// X-Request-ID included, travel as they are.
+func (rt *Router) do(shard string, req *http.Request, body []byte) (*http.Response, error) {
+	u, err := url.Parse(shard + req.URL.RequestURI())
+	if err != nil {
+		return nil, err
 	}
-	return resp, err
+	out := req.WithContext(req.Context())
+	out.URL, out.Host = u, ""
+	out.Body, out.ContentLength, out.TransferEncoding = nil, 0, nil
+	if body != nil {
+		out.Body, out.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
+	}
+	resp, err := rt.transport.RoundTrip(out)
+	if err != nil && errors.Is(req.Context().Err(), context.Canceled) {
+		return nil, err
+	}
+	rt.observe(shard, err == nil)
+	if err != nil {
+		rt.routedErr[shard].Inc()
+		return nil, err
+	}
+	rt.routedOK[shard].Inc()
+	return resp, nil
 }
 
 // observe records one outcome for shard, logging a flip.
@@ -559,78 +599,26 @@ func (rt *Router) observe(shard string, ok bool) {
 	}
 }
 
-// copyBufs holds the proxy's 32 KiB copy buffers. Neither the front
-// end's writer nor the transport's body offers ReadFrom/WriteTo, so
-// io.Copy would allocate one per request. (A ReadFrom on the writer
-// would not help: net's fallback for a non-TCP source allocates its
-// own buffer and splits the response into two writes.) A buffer goes
-// back to the pool only once its copy has returned, and a Write never
-// keeps the slice it was given.
-var copyBufs = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
+// copyBufs is the relay's BufferPool of 32 KiB copy buffers, pooled as
+// array pointers so that neither Get nor Put allocates.
+var copyBufs bufPool
 
-// copyResponse relays one shard response: headers, status, and the
-// body through a pooled buffer. SSE bodies are flushed per chunk so
-// progress frames reach the client as the shard emits them. On the
-// buffered (onResponse) path the body is read before anything is
-// written, so a shard that dies mid-body draws the 502 envelope — not
-// its own headers over net/http's implicit 200 and no bytes.
-func (rt *Router) copyResponse(w http.ResponseWriter, r *http.Request, resp *http.Response, onResponse func(string, int, []byte), target string) {
-	defer resp.Body.Close()
-	var body []byte
-	if onResponse != nil {
-		var err error
-		if body, err = io.ReadAll(resp.Body); err != nil {
-			if r.Context().Err() != nil {
-				return
-			}
-			rt.observe(target, false)
-			rt.upstreamFailed(w, r, fmt.Sprintf("shard %s failed mid-response: %v", target, err))
-			return
-		}
+type bufPool struct{ pool sync.Pool }
+
+func (p *bufPool) Get() []byte {
+	if b, ok := p.pool.Get().(*[32 << 10]byte); ok {
+		return b[:]
 	}
-	h := w.Header()
-	for k, vv := range resp.Header {
-		// Ours is already set from the inbound request — same value,
-		// since the shard echoes what the router sent. The transport
-		// has canonicalised k.
-		if k == serve.RequestIDHeader {
-			continue
-		}
-		h[k] = append(h[k], vv...)
-	}
-	if onResponse != nil {
-		onResponse(target, resp.StatusCode, body)
-		w.WriteHeader(resp.StatusCode)
-		w.Write(body)
-		return
-	}
-	w.WriteHeader(resp.StatusCode)
-	buf := copyBufs.Get().(*[]byte)
-	defer copyBufs.Put(buf)
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
-		flushCopy(w, resp.Body, *buf)
-		return
-	}
-	io.CopyBuffer(w, resp.Body, *buf)
+	return new([32 << 10]byte)[:]
 }
 
-// flushCopy streams body to w through buf, flushing after every chunk
-// — the proxied half of the SSE contract (the shard flushes per event,
-// so chunks arrive event-aligned).
-func flushCopy(w http.ResponseWriter, body io.Reader, buf []byte) {
-	fl, _ := w.(http.Flusher)
-	for {
-		n, err := body.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return
-			}
-			if fl != nil {
-				fl.Flush()
-			}
-		}
-		if err != nil {
-			return
-		}
-	}
+func (p *bufPool) Put(b []byte) { p.pool.Put((*[32 << 10]byte)(b)) }
+
+// logSink turns the relay's own error lines (a body copy that failed
+// mid-stream) into error lines of the router's structured log.
+type logSink struct{ log *obs.Logger }
+
+func (s logSink) Write(p []byte) (int, error) {
+	s.log.Error("relay", "error", strings.TrimSpace(string(p)))
+	return len(p), nil
 }

@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"mime/multipart"
 	"net/http"
@@ -288,7 +289,9 @@ func TestAllShardsDown(t *testing.T) {
 
 // TestTruncatedShardBody: on the buffered POST paths a shard that dies
 // mid-body must draw the router's 502 envelope (and be marked down) —
-// not the shard's own headers over an implicit 200 and no bytes.
+// not the shard's own headers over an implicit 200 and no bytes. On the
+// streaming paths (a chunked GET, an event stream) it must abort the
+// client's connection, so the client reads an unexpected EOF.
 func TestTruncatedShardBody(t *testing.T) {
 	p := newTestPool(t, 1, Config{}, func(_ int, _ http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -318,6 +321,40 @@ func TestTruncatedShardBody(t *testing.T) {
 	}
 	if st := p.router.Stats(); st.ShardsUp != 0 {
 		t.Errorf("shards_up = %d after a mid-body failure, want 0", st.ShardsUp)
+	}
+
+	// On the streaming paths the status line has gone out before the
+	// body fails, so the client must see the body fail — never a
+	// complete response under the shard's strong ETag.
+	for _, c := range []struct{ name, path, ctype string }{
+		{"chunked GET", "/experiments/T1", "text/plain; charset=utf-8"},
+		{"event stream", "/runs/j/events", "text/event-stream"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := newTestPool(t, 1, Config{}, func(_ int, _ http.Handler) http.Handler {
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					conn, buf, err := w.(http.Hijacker).Hijack()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					buf.WriteString("HTTP/1.1 200 OK\r\nContent-Type: " + c.ctype +
+						"\r\nETag: \"strong\"\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n")
+					buf.Flush()
+					conn.Close()
+				})
+			})
+			resp, err := http.Get(p.proxy.URL + c.path)
+			if err != nil {
+				return // failed before the headers: not relayed as complete either
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("shard died mid-body; client got %d %q (ETag %s) with read error %v, want %v",
+					resp.StatusCode, body, resp.Header.Get("ETag"), err, io.ErrUnexpectedEOF)
+			}
+		})
 	}
 }
 

@@ -11,7 +11,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"sync/atomic"
@@ -46,33 +45,20 @@ func (rt *Router) Warm(ctx context.Context, ids []string, platforms []string, wo
 
 // warmOne fills one key on its owning shard by issuing the blocking
 // GET through the usual candidate order (owner first, ring successors
-// on failure). The response body is drained and discarded — the point
-// is the side effect on the shard's cache.
+// on failure). The response body is discarded — the point is the side
+// effect on the shard's cache.
 func (rt *Router) warmOne(ctx context.Context, id, platform string) bool {
-	target := fmt.Sprintf("/experiments/%s?scale=quick", url.PathEscape(id))
+	path := fmt.Sprintf("/experiments/%s?scale=quick", url.PathEscape(id))
 	if platform != "" {
-		target += "&platform=" + url.QueryEscape(platform)
+		path += "&platform=" + url.QueryEscape(platform)
 	}
-	key := Key(id, core.Quick.String(), platform)
-	for _, s := range rt.candidates(key) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, s+target, nil)
-		if err != nil {
-			return false
-		}
-		resp, err := rt.do(s, req)
-		if err != nil {
-			if ctx.Err() != nil {
-				return false
-			}
-			continue
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			return true
-		}
-		rt.log.Error("warm-up request rejected", "shard", s, "id", id, "platform", platform, "status", resp.Status)
+	resp, err := rt.send(ctx, "", http.MethodGet, path, nil, rt.candidates(Key(id, core.Quick.String(), platform))...)
+	if err != nil {
 		return false
 	}
+	if drain(resp) == http.StatusOK {
+		return true
+	}
+	rt.log.Error("warm-up request rejected", "url", resp.Request.URL.String(), "id", id, "platform", platform, "status", resp.Status)
 	return false
 }
