@@ -52,14 +52,14 @@ type modulePkg struct {
 // TestEveryDeclHasACaller is the guard against dead surface: every
 // package-level declaration under internal/ (functions, types,
 // variables, constants and methods) must be reachable from a program
-// or from the root package's tests. Non-test code in cmd/, examples/
-// and bench/, the root package's tests, init functions and the
-// allowlist above are roots; no other package's tests are, so one
-// internal package's tests cannot keep another's surface alive. A use
+// or from the root package's tests. Non-test code in cmd/ and bench/,
+// the root package's tests, init functions and the allowlist above are
+// roots; no other package's tests are, so one internal package's tests
+// (its Examples included) cannot keep another's surface alive. A use
 // from internal code counts only when the using declaration is itself
 // reachable, so a helper whose only caller is dead is dead too. Uses
-// are resolved by the type checker, not by name, so stencil.Gather
-// does not keep mp.Comm.Gather alive. A method is exempt when its
+// are resolved by the type checker, not by name, so mem.Ladder does
+// not keep mem.Model.Ladder alive. A method is exempt when its
 // receiver type is reachable and implements an interface, from the
 // module or a standard package it imports, that declares the method.
 func TestEveryDeclHasACaller(t *testing.T) {

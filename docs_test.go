@@ -79,8 +79,9 @@ var famRange = regexp.MustCompile(`([A-Z])(\d+)–[A-Z]?(\d+)`)
 // experiment families, commands and examples it advertises: every
 // experiment in the live core registry must be covered, either named
 // literally or inside a family range, so registering a new experiment
-// (an M7) fails this test until the README's index grows with it, and
-// every directory under cmd/ and examples/ must be linked.
+// (an M7) fails this test until the README's index grows with it;
+// every directory under cmd/ and examples/ must be linked, and so must
+// every package's Example file (internal/*/example_test.go).
 func TestReadmeCoversRegistry(t *testing.T) {
 	body, err := os.ReadFile("README.md")
 	if err != nil {
@@ -107,12 +108,21 @@ func TestReadmeCoversRegistry(t *testing.T) {
 		}
 	}
 
-	for _, want := range []string{
-		"charhpc", "charhpcd", "membench",
-		"examples/numa-placement", "examples/mem-hierarchy",
-	} {
+	for _, want := range []string{"charhpc", "charhpcd", "membench"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("README.md does not mention %q", want)
+		}
+	}
+	examples, err := filepath.Glob(filepath.Join("internal", "*", "example_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(examples) == 0 {
+		t.Error("found no internal/*/example_test.go — did the walk-throughs move?")
+	}
+	for _, f := range examples {
+		if !strings.Contains(s, "]("+filepath.ToSlash(f)+")") {
+			t.Errorf("README.md does not link %s", f)
 		}
 	}
 	for _, pattern := range []string{filepath.Join("examples", "*"), filepath.Join("cmd", "*")} {
@@ -221,6 +231,7 @@ func TestReadmeCoversFlags(t *testing.T) {
 		{"MultiPair" + "Bandwidth", ""},
 		{"narrow" + "Node", ""},
 		{"CHARHPC_FP_" + "PIN_VCS", ""},
+		{"go run ./" + "examples", ""},
 	}
 	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {

@@ -1,20 +1,8 @@
-// platform-compare pits modeled fabrics against each other on
-// latency- and bandwidth-sensitive workloads, one rank per node — a
-// miniature of the T4 comparison table and the core question a
-// platform characterization answers: which machine should this
-// workload run on?
-//
-// The platforms come from internal/cluster's preset registry, so any
-// multi-node preset can enter the comparison by name:
-//
-//	go run ./examples/platform-compare                 # gige-8n vs ib-8n
-//	go run ./examples/platform-compare gige-8n bgp-64n # any presets
-package main
+package cluster_test
 
 import (
 	"fmt"
 	"log"
-	"os"
 
 	"repro/internal/cluster"
 	"repro/internal/hpcc"
@@ -22,20 +10,18 @@ import (
 	"repro/internal/osu"
 )
 
-func main() {
+// Modeled fabrics pitted against each other on latency- and
+// bandwidth-sensitive workloads, one rank per node — a miniature of
+// the T4 comparison table and the question a platform
+// characterization answers: which machine should this workload run
+// on? Any multi-node preset can enter the comparison by name.
+func ExampleLookup() {
 	names := []string{"gige-8n", "ib-8n"}
-	if len(os.Args) > 1 {
-		names = os.Args[1:]
-	}
 	models := make([]*cluster.Model, len(names))
 	for i, name := range names {
 		m, ok := cluster.Lookup(name)
 		if !ok {
-			log.Fatalf("unknown platform %q (presets: %v)", name, cluster.Names())
-		}
-		if !m.Has(cluster.CapMultiNode) {
-			log.Fatalf("platform %q has no inter-node fabric to compare (multi-node presets: %v)",
-				name, cluster.NamesWith(cluster.CapMultiNode))
+			log.Fatalf("unknown platform %q", name)
 		}
 		m.Placement = cluster.Cyclic
 		models[i] = m
@@ -60,6 +46,14 @@ func main() {
 	}
 	fmt.Println("\nlatency-bound kernels (GUPS) track the fabric's small-message")
 	fmt.Println("latency; bandwidth-bound transfers track its wire speed.")
+	// Output:
+	// workload                            gige-8n          ib-8n
+	// 8B latency (us)                     45.0687         1.3063
+	// 1MiB bandwidth (MB/s)              117.9627      1499.8255
+	// RandomAccess (GUPS)                  0.0089         0.1784
+	//
+	// latency-bound kernels (GUPS) track the fabric's small-message
+	// latency; bandwidth-bound transfers track its wire speed.
 }
 
 // measure runs one metric: the pair metrics on ranks 0 and 1, which

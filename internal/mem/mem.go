@@ -12,10 +12,10 @@
 //     over working-set sweeps (Chase, Ladder), a TLB-stress pattern
 //     that touches one cache line per page (TLBStress), and a NUMA
 //     placement probe that faults the working set in from pinned worker
-//     teams under a placement policy before chasing it (NUMAChase,
-//     NUMALadder). The chase follows a random-cycle permutation, so
-//     every load depends on the previous one and hardware prefetchers
-//     see no usable stride.
+//     teams under a placement policy before chasing it (NUMALadder).
+//     The chase follows a random-cycle permutation, so every load
+//     depends on the previous one and hardware prefetchers see no
+//     usable stride.
 //
 //   - An analytic Model (model.go) attached to every platform preset in
 //     internal/cluster, so that modeled platforms answer memory probes

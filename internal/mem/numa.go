@@ -28,9 +28,9 @@ import (
 // (UMA) host the three curves coincide, which is itself the measured
 // analogue of the model's degenerate case.
 
-// NUMAChaseConfig configures one placement-controlled pointer-chase
-// measurement.
-type NUMAChaseConfig struct {
+// numaChaseConfig configures one placement-controlled pointer-chase
+// measurement: one point of a NUMALadder sweep.
+type numaChaseConfig struct {
 	// Bytes, Stride, Iters, Trials, Seed follow ChaseConfig semantics.
 	Bytes, Stride, Iters, Trials int
 	Seed                         uint64
@@ -51,7 +51,7 @@ type NUMAChaseConfig struct {
 	Policy Placement
 }
 
-func (c NUMAChaseConfig) normalize() NUMAChaseConfig {
+func (c numaChaseConfig) normalize() numaChaseConfig {
 	if c.Stride <= 0 {
 		c.Stride = 64
 	}
@@ -76,7 +76,7 @@ func (c NUMAChaseConfig) normalize() NUMAChaseConfig {
 	return c
 }
 
-func (c NUMAChaseConfig) validate() error {
+func (c numaChaseConfig) validate() error {
 	if err := (ChaseConfig{Bytes: c.Bytes, Stride: c.Stride}).validate(); err != nil {
 		return err
 	}
@@ -89,24 +89,10 @@ func (c NUMAChaseConfig) validate() error {
 	return nil
 }
 
-// NUMAChase measures dependent-load latency over a working set whose
-// pages were faulted in under the given placement policy by a pinned
-// worker team, then chased from the team's worker 0. It creates (and
-// closes) its own team; NUMALadder amortizes one team over a sweep.
-func NUMAChase(cfg NUMAChaseConfig) (ChaseResult, error) {
-	cfg = cfg.normalize()
-	if err := cfg.validate(); err != nil {
-		return ChaseResult{}, err
-	}
-	team := par.NewPinnedTeam(cfg.Threads)
-	defer team.Close()
-	return numaChaseOn(team, cfg)
-}
-
 // numaChaseOn runs one placement-controlled chase on an existing
 // pinned team. Worker 0 is always the chaser; the policy decides which
 // workers fault the pages in before the links are written.
-func numaChaseOn(team *par.Team, cfg NUMAChaseConfig) (ChaseResult, error) {
+func numaChaseOn(team *par.Team, cfg numaChaseConfig) (ChaseResult, error) {
 	nslots := cfg.Bytes / cfg.Stride
 	spaceWords := cfg.Stride / 4
 	words := nslots * spaceWords
@@ -188,7 +174,7 @@ type NUMALadderConfig struct {
 	// semantics (defaults 4 KiB, 4 MiB, 2).
 	MinBytes, MaxBytes, PointsPerOctave int
 	// Stride, Iters, Trials, Seed, Threads, PageBytes, Policy are
-	// passed through to each NUMAChase.
+	// passed through to each point's chase.
 	Stride, Iters, Trials int
 	Seed                  uint64
 	Threads, PageBytes    int
@@ -219,7 +205,7 @@ func NUMALadder(cfg NUMALadderConfig) ([]Sample, error) {
 	if len(sizes) == 0 {
 		return nil, fmt.Errorf("mem: empty sweep [%d,%d]", cfg.MinBytes, cfg.MaxBytes)
 	}
-	probe := NUMAChaseConfig{
+	probe := numaChaseConfig{
 		Stride: cfg.Stride, Iters: cfg.Iters, Trials: cfg.Trials, Seed: cfg.Seed,
 		Threads: cfg.Threads, PageBytes: cfg.PageBytes, Policy: cfg.Policy,
 	}.normalize()

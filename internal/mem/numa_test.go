@@ -149,31 +149,14 @@ func TestNUMAPageOwner(t *testing.T) {
 	}
 }
 
-func TestNUMAChaseRuns(t *testing.T) {
-	for _, p := range Placements {
-		res, err := NUMAChase(NUMAChaseConfig{
-			Bytes: 64 << 10, Iters: 1 << 12, Trials: 1, Threads: 2, Policy: p,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		if res.Seconds <= 0 {
-			t.Errorf("%s: non-positive latency %g", p, res.Seconds)
-		}
-		if res.Slots != (64<<10)/64 {
-			t.Errorf("%s: slots = %d, want %d", p, res.Slots, (64<<10)/64)
-		}
-	}
-}
-
-func TestNUMAChaseRejectsBadConfig(t *testing.T) {
-	if _, err := NUMAChase(NUMAChaseConfig{Bytes: 64, Stride: 64}); err == nil {
+func TestNUMALadderRejectsBadConfig(t *testing.T) {
+	if _, err := NUMALadder(NUMALadderConfig{MinBytes: 64, MaxBytes: 64, Stride: 64}); err == nil {
 		t.Error("working set below two strides accepted")
 	}
-	if _, err := NUMAChase(NUMAChaseConfig{Bytes: 1 << 20, Stride: 96, PageBytes: 4096}); err == nil {
+	if _, err := NUMALadder(NUMALadderConfig{MinBytes: 1 << 20, MaxBytes: 1 << 20, Stride: 96, PageBytes: 4096}); err == nil {
 		t.Error("page size not a multiple of stride accepted")
 	}
-	if _, err := NUMAChase(NUMAChaseConfig{Bytes: 1 << 20, Stride: 64, PageBytes: 2048}); err == nil {
+	if _, err := NUMALadder(NUMALadderConfig{MinBytes: 1 << 20, MaxBytes: 1 << 20, Stride: 64, PageBytes: 2048}); err == nil {
 		t.Error("page size below the OS page accepted")
 	}
 }
@@ -213,6 +196,9 @@ func TestNUMALadderMeasured(t *testing.T) {
 		}
 		if len(samples) != 4 {
 			t.Fatalf("%s: got %d samples, want 4", p, len(samples))
+		}
+		if last := samples[3].Bytes; last != 64<<10 {
+			t.Errorf("%s: largest working set %d bytes, want %d", p, last, 64<<10)
 		}
 		for _, s := range samples {
 			if s.Seconds <= 0 {

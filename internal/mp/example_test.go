@@ -1,9 +1,4 @@
-// Quickstart: the smallest complete program on the message-passing
-// runtime — launch 4 ranks on a one-node SMP model, exchange a
-// point-to-point message, and run a collective.
-//
-//	go run ./examples/quickstart
-package main
+package mp_test
 
 import (
 	"fmt"
@@ -13,7 +8,11 @@ import (
 	"repro/internal/mp"
 )
 
-func main() {
+// The smallest complete program on the message-passing runtime: launch
+// 4 ranks on a one-node SMP model, exchange a point-to-point message,
+// and run a collective. Ranks print concurrently, so the lines come in
+// no fixed order.
+func ExampleRun() {
 	err := mp.Run(4, mp.Config{Model: cluster.SMPNode()}, func(c *mp.Comm) error {
 		// Point-to-point: rank 0 sends a greeting to rank 1. A receive
 		// names its source and tag exactly.
@@ -44,4 +43,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Unordered output:
+	// rank 1 received "hello from rank 0" (from 0, 17 bytes)
+	// rank 0: allreduce sum of ranks = 6
+	// rank 1: allreduce sum of ranks = 6
+	// rank 2: allreduce sum of ranks = 6
+	// rank 3: allreduce sum of ranks = 6
 }

@@ -1,12 +1,4 @@
-// collectives demonstrates the collective algorithms and their
-// trade-offs on a simulated 64-node InfiniBand cluster: it times
-// broadcast under both algorithms at a small and a large message size,
-// showing the binomial tree winning small messages and
-// scatter-allgather winning large ones — the textbook crossover the F6
-// experiment maps fully.
-//
-//	go run ./examples/collectives
-package main
+package osu_test
 
 import (
 	"fmt"
@@ -17,7 +9,11 @@ import (
 	"repro/internal/osu"
 )
 
-func main() {
+// Broadcast under both algorithms on a modeled 64-node InfiniBand
+// cluster, one rank per node, at a small and a large message size: the
+// binomial tree wins small messages and scatter-allgather wins large
+// ones — the textbook crossover experiment F6 maps fully.
+func ExampleCollectiveLatency() {
 	model := cluster.BigIBCluster()
 	model.Placement = cluster.Cyclic // one rank per node
 	const p = 32
@@ -54,4 +50,14 @@ func main() {
 	}
 	fmt.Println("\nsmall messages: the log2(p)-round tree wins;")
 	fmt.Println("large messages: moving only 2x the data wins.")
+	// Output:
+	// broadcast of 64 bytes across 32 nodes:
+	//   binomial tree            1.34 us
+	//   scatter-allgather       42.73 us
+	// broadcast of 1048576 bytes across 32 nodes:
+	//   binomial tree         3508.61 us
+	//   scatter-allgather     1486.71 us
+	//
+	// small messages: the log2(p)-round tree wins;
+	// large messages: moving only 2x the data wins.
 }

@@ -35,7 +35,7 @@ func NewTeam(n int) *Team { return newTeam(n, false) }
 // relationship instead of whichever core the scheduler migrated the
 // thread onto. Off Linux (or when setting affinity fails) workers are
 // thread-locked but not CPU-bound, so placement is best-effort. See
-// mem.NUMAChase for the probe this was built for.
+// mem.NUMALadder for the probe this was built for.
 func NewPinnedTeam(n int) *Team { return newTeam(n, true) }
 
 func newTeam(n int, pinned bool) *Team {

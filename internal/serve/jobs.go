@@ -204,8 +204,9 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	// Tell buffering intermediaries (nginx and compatibles) to pass
 	// each event through as it is flushed — a buffered progress stream
-	// defeats its purpose. The shard router's proxy path honors the
-	// same contract by flushing per chunk.
+	// defeats its purpose. The shard router honors the same contract:
+	// its httputil.ReverseProxy flushes an event stream after every
+	// write.
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()

@@ -131,10 +131,13 @@ func tableRep(ct string, rows any, table func() *report.Table) rep {
 // writeNegotiated answers one GET of a negotiable resource: pick the
 // content type from Accept (406 envelope when nothing offered is
 // acceptable), ask get for that representation, then Vary + ETag, 304
-// on a matching If-None-Match, else Content-Type and the body. get
-// runs after negotiation, so an unacceptable request costs no lookup
-// or run; it sets any resource-specific headers itself, and returns
-// false when it has already answered with an error.
+// on a matching If-None-Match, else Content-Type, Content-Length and
+// the body. The body is held whole, so declaring its length keeps
+// net/http from chunking it and lets the router's ReverseProxy relay
+// it without a flush per write. get runs after negotiation, so an
+// unacceptable request costs no lookup or run; it sets any
+// resource-specific headers itself, and returns false when it has
+// already answered with an error.
 func writeNegotiated(w http.ResponseWriter, r *http.Request, get func(ct string) (rep, bool)) {
 	ct := negotiate(r.Header.Get("Accept"))
 	if ct == "" {
@@ -153,6 +156,7 @@ func writeNegotiated(w http.ResponseWriter, r *http.Request, get func(ct string)
 		return
 	}
 	w.Header().Set("Content-Type", ct)
+	w.Header().Set("Content-Length", strconv.Itoa(len(rp.body)))
 	w.Write(rp.body)
 }
 

@@ -176,6 +176,47 @@ func TestRoutedByteIdentity(t *testing.T) {
 	}
 }
 
+// TestRoutedHitHasContentLength: a representation the shard holds
+// whole reaches the client through the router with its length
+// declared, not chunked, at a size (over 2 KiB) that net/http would
+// otherwise chunk; a 304 carries no length.
+func TestRoutedHitHasContentLength(t *testing.T) {
+	bigRun := func(e core.Experiment, r core.Request) core.Result {
+		rec := report.NewRecorder()
+		tbl := report.NewTable("big "+e.ID, "row", "value")
+		for i := 0; i < 200; i++ {
+			tbl.AddRow(i, "sixteen bytes of")
+		}
+		tbl.Fprint(rec)
+		return core.Result{Experiment: e, Req: r, Rec: rec, Elapsed: time.Millisecond}
+	}
+	ts := httptest.NewServer(serve.New(serve.Config{RunFunc: bigRun}))
+	t.Cleanup(ts.Close)
+	rt, err := New(Config{Shards: []string{ts.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	front := httptest.NewServer(rt)
+	t.Cleanup(front.Close)
+
+	for _, base := range []string{ts.URL, front.URL} {
+		resp, body := get(t, base+"/experiments/T1", nil)
+		if resp.StatusCode != http.StatusOK || len(body) <= 2<<10 {
+			t.Fatalf("%s: %d with %d bytes, want a 200 over 2 KiB", base, resp.StatusCode, len(body))
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %q for a %d-byte body",
+				base, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		resp, _ = get(t, base+"/experiments/T1", map[string]string{"If-None-Match": resp.Header.Get("ETag")})
+		if resp.StatusCode != http.StatusNotModified || resp.Header.Get("Content-Length") != "" {
+			t.Errorf("%s: conditional GET %d with Content-Length %q, want a 304 without one",
+				base, resp.StatusCode, resp.Header.Get("Content-Length"))
+		}
+	}
+}
+
 // TestRoutingIsSticky pins cache locality: every request for one key
 // executes on exactly one shard — the ring owner — and a repeat GET
 // is served from that shard's cache without a second run.

@@ -1,11 +1,4 @@
-// cg-solver runs a distributed conjugate-gradient solve (the NAS-CG
-// communication pattern: row-partitioned sparse matvec with Allgatherv,
-// dot products with Allreduce) on both modeled fabrics and reports how
-// the fabric changes time-to-solution — the application-level payoff of
-// the platform characterization.
-//
-//	go run ./examples/cg-solver
-package main
+package sparse_test
 
 import (
 	"fmt"
@@ -17,7 +10,12 @@ import (
 	"repro/internal/sparse"
 )
 
-func main() {
+// A distributed conjugate-gradient solve (the NAS-CG communication
+// pattern: row-partitioned sparse matvec with Allgatherv, dot products
+// with Allreduce) on both modeled fabrics, showing how the fabric
+// changes time-to-solution — the application-level payoff of the
+// platform characterization.
+func ExampleDistCG() {
 	const n = 1024
 	const nnzPerRow = 6
 	const p = 8
@@ -35,7 +33,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("distributed CG: n=%d, %d nnz, p=%d ranks (one per node)\n\n", n, a.NNZ(), p)
+	fmt.Printf("distributed CG: n=%d, %d nnz, p=%d ranks (one per node)\n\n", n, len(a.Val), p)
 	for _, mk := range []func() *cluster.Model{cluster.GigECluster, cluster.IBCluster} {
 		model := mk()
 		model.Placement = cluster.Cyclic
@@ -88,4 +86,12 @@ func main() {
 	}
 	fmt.Println("\nCG iterations are allgather+allreduce bound: the GigE fabric's")
 	fmt.Println("latency multiplies directly into time-to-solution.")
+	// Output:
+	// distributed CG: n=1024, 13240 nnz, p=8 ranks (one per node)
+	//
+	// gige-8n  converged in  26 iterations, modeled time   16.957 ms, max err 6.46e-12
+	// ib-8n    converged in  26 iterations, modeled time    0.590 ms, max err 6.46e-12
+	//
+	// CG iterations are allgather+allreduce bound: the GigE fabric's
+	// latency multiplies directly into time-to-solution.
 }

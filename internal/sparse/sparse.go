@@ -18,12 +18,9 @@ import (
 type CSR struct {
 	Rows, Cols int
 	RowPtr     []int // length Rows+1
-	ColIdx     []int // length NNZ
+	ColIdx     []int // one column per entry of Val
 	Val        []float64
 }
-
-// NNZ returns the number of stored entries.
-func (m *CSR) NNZ() int { return len(m.Val) }
 
 // Validate checks structural invariants.
 func (m *CSR) Validate() error {

@@ -22,8 +22,8 @@ func TestCSRValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid CSR rejected: %v", err)
 	}
-	if good.NNZ() != 3 {
-		t.Errorf("NNZ = %d", good.NNZ())
+	if len(good.Val) != 3 {
+		t.Errorf("%d stored entries, want 3", len(good.Val))
 	}
 	bad := &CSR{Rows: 2, Cols: 3, RowPtr: []int{0, 2}, ColIdx: []int{0, 2}, Val: []float64{1, 2}}
 	if err := bad.Validate(); err == nil {
@@ -95,7 +95,7 @@ func TestRandomSPDStructure(t *testing.T) {
 func TestRandomSPDDeterministic(t *testing.T) {
 	a, _ := RandomSPD(30, 3, 42)
 	b, _ := RandomSPD(30, 3, 42)
-	if a.NNZ() != b.NNZ() {
+	if len(a.Val) != len(b.Val) {
 		t.Fatal("same seed, different structure")
 	}
 	for i := range a.Val {

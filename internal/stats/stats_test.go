@@ -101,47 +101,6 @@ func TestFitLineConstY(t *testing.T) {
 	}
 }
 
-func TestAmdahlFitRecoversSerialFraction(t *testing.T) {
-	s := 0.15
-	procs := []float64{1, 2, 4, 8, 16, 32}
-	sp := make([]float64, len(procs))
-	for i, p := range procs {
-		sp[i] = 1 / (s + (1-s)/p)
-	}
-	got, err := AmdahlFit(procs, sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(got, s, 1e-9) {
-		t.Errorf("AmdahlFit = %v, want %v", got, s)
-	}
-}
-
-func TestAmdahlFitClamps(t *testing.T) {
-	// Superlinear speedup => negative s, clamped to 0.
-	procs := []float64{1, 2, 4}
-	sp := []float64{1, 2.5, 6}
-	got, err := AmdahlFit(procs, sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0 {
-		t.Errorf("superlinear fit = %v, want clamp to 0", got)
-	}
-}
-
-func TestAmdahlFitErrors(t *testing.T) {
-	if _, err := AmdahlFit([]float64{1}, []float64{1}); err == nil {
-		t.Error("single point should error")
-	}
-	if _, err := AmdahlFit([]float64{1, 1}, []float64{1, 1}); err == nil {
-		t.Error("all p==1 should error (degenerate)")
-	}
-	if _, err := AmdahlFit([]float64{1, -2}, []float64{1, 2}); err == nil {
-		t.Error("negative procs should error")
-	}
-}
-
 func TestQuantilePropertyWithinRange(t *testing.T) {
 	f := func(raw []uint32, qraw uint8) bool {
 		if len(raw) == 0 {

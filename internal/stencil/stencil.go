@@ -200,14 +200,3 @@ func Jacobi(c *mp.Comm, cfg Config) ([]float64, Result, error) {
 	}
 	return out, res, nil
 }
-
-// Gather assembles the distributed blocks on every rank (row blocks are
-// contiguous, so a single allgather suffices). For testing and small
-// demos only.
-func Gather(c *mp.Comm, block []float64, nx, ny int) ([]float64, error) {
-	full := make([]float64, nx*ny)
-	if err := c.Allgather(bytesview.F64(block), bytesview.F64(full)); err != nil {
-		return nil, err
-	}
-	return full, nil
-}
