@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"unsafe"
+
+	"repro/internal/par"
 )
 
 func numaModel() *Model {
@@ -146,6 +148,31 @@ func TestNUMAPageOwner(t *testing.T) {
 	}
 	if len(seen) != team {
 		t.Errorf("interleave used %d workers, want %d", len(seen), team)
+	}
+}
+
+// TestNUMAChaseRuns runs one placement-controlled chase per policy on a
+// pinned team, the unit every NUMALadder point is built from.
+func TestNUMAChaseRuns(t *testing.T) {
+	team := par.NewPinnedTeam(2)
+	defer team.Close()
+	for _, p := range Placements {
+		cfg := numaChaseConfig{
+			Bytes: 64 << 10, Iters: 1 << 12, Trials: 1, Threads: 2, Policy: p,
+		}.normalize()
+		if err := cfg.validate(); err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		res, err := numaChaseOn(team, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		if res.Seconds <= 0 {
+			t.Errorf("%s: non-positive latency %g", p, res.Seconds)
+		}
+		if res.Slots != (64<<10)/64 {
+			t.Errorf("%s: slots = %d, want %d", p, res.Slots, (64<<10)/64)
+		}
 	}
 }
 
