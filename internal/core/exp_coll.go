@@ -40,7 +40,9 @@ func collPlatform(r Request) (*cluster.Model, error) {
 	return m, nil
 }
 
-// measureColl runs one collective latency measurement at p ranks.
+// measureColl runs one collective latency measurement at p ranks. The
+// collective mk builds runs size-only (osu.CollectiveLatency), so its
+// buffers are slices of the shared mp.SizeOnlyBuf.
 func measureColl(cfg mp.Config, p, warm, iters int, mk func(c *mp.Comm) func() error) (float64, error) {
 	var lat float64
 	err := mp.Run(p, cfg, func(c *mp.Comm) error {
@@ -79,27 +81,24 @@ func runF5(w io.Writer, r Request) error {
 			return func() error { return c.Barrier() }
 		}},
 		{fmt.Sprintf("bcast-%dB", small), func(c *mp.Comm) func() error {
-			buf := make([]byte, small)
+			buf := mp.SizeOnlyBuf[byte](small)
 			return func() error { return c.Bcast(0, buf) }
 		}},
 		{fmt.Sprintf("bcast-%dB", large), func(c *mp.Comm) func() error {
-			buf := make([]byte, large)
+			buf := mp.SizeOnlyBuf[byte](large)
 			return func() error { return c.Bcast(0, buf) }
 		}},
 		{fmt.Sprintf("allreduce-%dB", small), func(c *mp.Comm) func() error {
-			in := make([]float64, small/8)
-			out := make([]float64, small/8)
-			return func() error { return c.Allreduce(mp.OpSum, in, out) }
+			buf := mp.SizeOnlyBuf[float64](small / 8)
+			return func() error { return c.Allreduce(mp.OpSum, buf, buf) }
 		}},
 		{fmt.Sprintf("allreduce-%dB", large), func(c *mp.Comm) func() error {
-			in := make([]float64, large/8)
-			out := make([]float64, large/8)
-			return func() error { return c.Allreduce(mp.OpSum, in, out) }
+			buf := mp.SizeOnlyBuf[float64](large / 8)
+			return func() error { return c.Allreduce(mp.OpSum, buf, buf) }
 		}},
 		{"alltoall-1KiB", func(c *mp.Comm) func() error {
-			sb := make([]byte, 1024*c.Size())
-			rb := make([]byte, 1024*c.Size())
-			return func() error { return c.Alltoall(sb, rb) }
+			buf := mp.SizeOnlyBuf[byte](1024 * c.Size())
+			return func() error { return c.Alltoall(buf, buf) }
 		}},
 	}
 	for _, cl := range colls {
@@ -150,7 +149,7 @@ func runF6(w io.Writer, r Request) error {
 		series := fig.AddSeries(algo.name)
 		for _, size := range sizes {
 			lat, err := measureColl(mp.Config{Model: m, Bcast: algo.a}, p, 3, iters, func(c *mp.Comm) func() error {
-				buf := make([]byte, size)
+				buf := mp.SizeOnlyBuf[byte](size)
 				return func() error { return c.Bcast(0, buf) }
 			})
 			if err != nil {
@@ -172,9 +171,8 @@ func runF6(w io.Writer, r Request) error {
 		series := fig.AddSeries(algo.name)
 		for _, size := range sizes {
 			lat, err := measureColl(mp.Config{Model: m, Allreduce: algo.a}, p, 3, iters, func(c *mp.Comm) func() error {
-				in := make([]float64, size/8+1)
-				out := make([]float64, size/8+1)
-				return func() error { return c.Allreduce(mp.OpSum, in, out) }
+				buf := mp.SizeOnlyBuf[float64](size/8 + 1)
+				return func() error { return c.Allreduce(mp.OpSum, buf, buf) }
 			})
 			if err != nil {
 				return err

@@ -12,14 +12,21 @@ import (
 )
 
 // FFTConfig configures the distributed FFT benchmark.
+//
+// Without Verify nothing is transformed: the sizes of the three
+// transposes and the charged butterfly flops depend on N1, N2 and the
+// rank count alone, so DistFFT makes the same Barrier, Alltoall and
+// charge calls with no input, local FFTs, twiddles or packing, the
+// Alltoalls run size-only (mp.Comm.SizeOnly), and Seconds and GFlops are
+// those of the computed transform.
 type FFTConfig struct {
 	// N1, N2 factor the transform length N = N1*N2; both must be
 	// powers of two divisible by the rank count.
 	N1, N2 int
 	// Seed selects the deterministic input signal.
 	Seed uint64
-	// Verify gathers the result and compares with a serial transform
-	// (only use at test sizes).
+	// Verify computes the transform, gathers the result and compares
+	// it with a serial transform (only use at test sizes).
 	Verify bool
 	// ComputeRate, if positive, charges virtual time for local
 	// butterfly work on the Sim fabric.
@@ -53,14 +60,23 @@ func DistFFT(c *mp.Comm, cfg FFTConfig) (FFTResult, error) {
 
 	myRows1 := n1 / p // rows held in n1 x n2 orientation
 	myRows2 := n2 / p // rows held in n2 x n1 orientation
-	local := make([]complex128, myRows1*n2)
-	s := rng.NewSplitMix64(cfg.Seed + uint64(c.Rank())*0x9e3779b97f4a7c15)
-	for i := range local {
-		local[i] = complex(s.Sym(), s.Sym())
-	}
-	var input []complex128
+	var local, input []complex128
 	if cfg.Verify {
+		local = make([]complex128, myRows1*n2)
+		s := rng.NewSplitMix64(cfg.Seed + uint64(c.Rank())*0x9e3779b97f4a7c15)
+		for i := range local {
+			local[i] = complex(s.Sym(), s.Sym())
+		}
 		input = append([]complex128(nil), local...)
+	}
+	// transpose moves n/p elements per rank whatever the orientation;
+	// unverified, it moves only their size.
+	transpose := func(m []complex128, r, cols int) ([]complex128, error) {
+		if cfg.Verify {
+			return distTranspose(c, m, r, cols)
+		}
+		buf := mp.SizeOnlyBuf[byte](16 * n / p)
+		return nil, c.SizeOnly(func() error { return c.Alltoall(buf, buf) })
 	}
 
 	if err := c.Barrier(); err != nil {
@@ -69,41 +85,41 @@ func DistFFT(c *mp.Comm, cfg FFTConfig) (FFTResult, error) {
 	t0 := c.Time()
 
 	// Step 1: transpose n1 x n2 -> n2 x n1.
-	t1, err := distTranspose(c, local, n1, n2)
+	t1, err := transpose(local, n1, n2)
 	if err != nil {
 		return res, err
 	}
-	// Step 2: local FFTs of length n1 over my n2/p rows.
-	for r := 0; r < myRows2; r++ {
-		if err := fft.Forward(t1[r*n1 : (r+1)*n1]); err != nil {
+	// Steps 2 and 3: local FFTs of length n1 over my n2/p rows, then the
+	// twiddle; global row index offsets into the n2 x n1 view.
+	if cfg.Verify {
+		if err := fftRows(t1, n1); err != nil {
 			return res, err
+		}
+		rowOff := c.Rank() * myRows2
+		nf := float64(n)
+		for r := 0; r < myRows2; r++ {
+			base := -2 * math.Pi * float64(rowOff+r) / nf
+			row := t1[r*n1 : (r+1)*n1]
+			for cc := range row {
+				row[cc] *= cmplx.Exp(complex(0, base*float64(cc)))
+			}
 		}
 	}
 	charge(c, cfg.ComputeRate, float64(myRows2)*fft.Flops(n1))
-	// Step 3: twiddle; global row index offsets into the n2 x n1 view.
-	rowOff := c.Rank() * myRows2
-	nf := float64(n)
-	for r := 0; r < myRows2; r++ {
-		base := -2 * math.Pi * float64(rowOff+r) / nf
-		row := t1[r*n1 : (r+1)*n1]
-		for cc := range row {
-			row[cc] *= cmplx.Exp(complex(0, base*float64(cc)))
-		}
-	}
 	// Step 4: transpose back to n1 x n2.
-	t2, err := distTranspose(c, t1, n2, n1)
+	t2, err := transpose(t1, n2, n1)
 	if err != nil {
 		return res, err
 	}
 	// Step 5: local FFTs of length n2.
-	for r := 0; r < myRows1; r++ {
-		if err := fft.Forward(t2[r*n2 : (r+1)*n2]); err != nil {
+	if cfg.Verify {
+		if err := fftRows(t2, n2); err != nil {
 			return res, err
 		}
 	}
 	charge(c, cfg.ComputeRate, float64(myRows1)*fft.Flops(n2))
 	// Step 6: final transpose to natural output order (n2 x n1 view).
-	out, err := distTranspose(c, t2, n1, n2)
+	out, err := transpose(t2, n1, n2)
 	if err != nil {
 		return res, err
 	}
@@ -122,6 +138,16 @@ func DistFFT(c *mp.Comm, cfg FFTConfig) (FFTResult, error) {
 		res.MaxErr = maxErr
 	}
 	return res, nil
+}
+
+// fftRows transforms each length-rowLen row of m in place.
+func fftRows(m []complex128, rowLen int) error {
+	for r := 0; r+rowLen <= len(m); r += rowLen {
+		if err := fft.Forward(m[r : r+rowLen]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // distTranspose globally transposes an R x C row-major matrix

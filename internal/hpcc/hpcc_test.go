@@ -387,3 +387,74 @@ func TestDGEMM(t *testing.T) {
 		t.Error("N=0 accepted")
 	}
 }
+
+// TestDistFFTTimingIgnoresValues: the transposes' sizes and the charged
+// flops depend on N1, N2 and p alone, so the run without Verify, which
+// transforms nothing and moves sizes only, must time exactly like the
+// verified transform, square and not.
+func TestDistFFTTimingIgnoresValues(t *testing.T) {
+	for _, tc := range []struct{ n1, n2, p int }{
+		{16, 16, 4}, {8, 32, 2}, {32, 8, 4}, {16, 8, 1},
+	} {
+		t.Run(fmt.Sprintf("%dx%d/p=%d", tc.n1, tc.n2, tc.p), func(t *testing.T) {
+			run := func(verify bool) FFTResult {
+				var res FFTResult
+				cfg := sim()
+				err := mp.Run(tc.p, cfg, func(c *mp.Comm) error {
+					r, err := DistFFT(c, FFTConfig{N1: tc.n1, N2: tc.n2, Seed: 2,
+						ComputeRate: cfg.Model.FlopsPerCore / 4, Verify: verify})
+					if c.Rank() == 0 {
+						res = r
+					}
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			verified, sizes := run(true), run(false)
+			if verified.MaxErr < 0 || verified.MaxErr > 1e-9 {
+				t.Fatalf("verified run error %v", verified.MaxErr)
+			}
+			if verified.Seconds != sizes.Seconds || verified.GFlops != sizes.GFlops {
+				t.Errorf("unverified run timed %v s (%v GF/s), the verified run %v s (%v GF/s)",
+					sizes.Seconds, sizes.GFlops, verified.Seconds, verified.GFlops)
+			}
+		})
+	}
+}
+
+// TestPTRANSTimingIgnoresValues: the exchanged block sizes and the
+// charged pack/unpack traffic depend on N and p alone, so the run
+// without Verify, which has no matrix and a size-only Alltoall, must
+// time exactly like the verified transpose.
+func TestPTRANSTimingIgnoresValues(t *testing.T) {
+	for _, tc := range []struct{ n, p int }{{32, 4}, {30, 3}, {16, 1}, {64, 8}} {
+		t.Run(fmt.Sprintf("N=%d/p=%d", tc.n, tc.p), func(t *testing.T) {
+			run := func(verify bool) PTRANSResult {
+				var res PTRANSResult
+				cfg := sim()
+				err := mp.Run(tc.p, cfg, func(c *mp.Comm) error {
+					r, err := PTRANS(c, PTRANSConfig{N: tc.n, Seed: 5, MemRate: cfg.Model.MemBWPerCore, Verify: verify})
+					if c.Rank() == 0 {
+						res = r
+					}
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			verified, sizes := run(true), run(false)
+			if verified.MaxErr < 0 || verified.MaxErr > 1e-12 {
+				t.Fatalf("verified run error %v", verified.MaxErr)
+			}
+			if verified.Seconds != sizes.Seconds || verified.GBps != sizes.GBps {
+				t.Errorf("unverified run timed %v s (%v GB/s), the verified run %v s (%v GB/s)",
+					sizes.Seconds, sizes.GBps, verified.Seconds, verified.GBps)
+			}
+		})
+	}
+}

@@ -10,13 +10,21 @@ import (
 )
 
 // PTRANSConfig configures the parallel transpose benchmark.
+//
+// Without Verify nothing is transposed: the exchanged block sizes and
+// the charged pack and unpack traffic depend on N and the rank count
+// alone, so PTRANS makes the same Barrier, Alltoall and Compute calls
+// with no matrix, packing or unpacking, the Alltoall runs size-only
+// (mp.Comm.SizeOnly), and Seconds and GBps are those of the computed
+// transpose.
 type PTRANSConfig struct {
 	// N is the global matrix order; must be divisible by the rank
 	// count.
 	N int
 	// Seed selects the deterministic test matrix.
 	Seed uint64
-	// Verify checks the result against the closed-form expectation.
+	// Verify computes A^T + A and checks it against the closed-form
+	// expectation.
 	Verify bool
 	// MemRate, if positive, charges local pack/unpack traffic to the
 	// virtual clock at this many bytes/s. Without it a single-rank run
@@ -54,53 +62,35 @@ func PTRANS(c *mp.Comm, cfg PTRANSConfig) (PTRANSResult, error) {
 	res := PTRANSResult{N: n, MaxErr: -1}
 
 	// Local rows, row-major n columns.
-	local := make([]float64, rows*n)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < n; j++ {
-			local[i*n+j] = ptransElem(r0+i, j, cfg.Seed)
+	var local []float64
+	if cfg.Verify {
+		local = make([]float64, rows*n)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < n; j++ {
+				local[i*n+j] = ptransElem(r0+i, j, cfg.Seed)
+			}
 		}
 	}
-
-	// Pack: destination rank d gets my rows x its column range, stored
-	// block-row-major so the all-to-all moves one contiguous block per
-	// destination.
-	sendBuf := make([]float64, rows*n)
-	recvBuf := make([]float64, rows*n)
-	blockWords := rows * rows
 
 	if err := c.Barrier(); err != nil {
 		return res, err
 	}
 	t0 := c.Time()
 
-	for d := 0; d < p; d++ {
-		dst := sendBuf[d*blockWords : (d+1)*blockWords]
-		c0 := d * rows
-		for i := 0; i < rows; i++ {
-			copy(dst[i*rows:(i+1)*rows], local[i*n+c0:i*n+c0+rows])
-		}
-	}
 	if cfg.MemRate > 0 {
 		// Pack reads + writes the local panel once.
 		c.Compute(2 * 8 * float64(rows) * float64(n) / cfg.MemRate)
 	}
-	if err := c.Alltoall(bytesview.F64(sendBuf), bytesview.F64(recvBuf)); err != nil {
-		return res, err
-	}
-	// Unpack: the block from rank s holds A[s-rows, my cols]; its
-	// transpose lands in my rows at column range of s. Result:
-	// local := local + transpose-part.
-	for s := 0; s < p; s++ {
-		blk := recvBuf[s*blockWords : (s+1)*blockWords]
-		c0 := s * rows
-		for i := 0; i < rows; i++ {
-			for j := 0; j < rows; j++ {
-				// A^T(r0+i, c0+j) = A(c0+j, r0+i) = blk[j*rows+i].
-				local[i*n+c0+j] += blk[j*rows+i]
-			}
+	if cfg.Verify {
+		if err := transposeAdd(c, local, rows, n); err != nil {
+			return res, err
+		}
+	} else {
+		buf := mp.SizeOnlyBuf[byte](8 * rows * n)
+		if err := c.SizeOnly(func() error { return c.Alltoall(buf, buf) }); err != nil {
+			return res, err
 		}
 	}
-
 	if cfg.MemRate > 0 {
 		// Unpack transposes + adds: ~3 passes over the local panel.
 		c.Compute(3 * 8 * float64(rows) * float64(n) / cfg.MemRate)
@@ -130,4 +120,40 @@ func PTRANS(c *mp.Comm, cfg PTRANSConfig) (PTRANSResult, error) {
 		res.MaxErr = total
 	}
 	return res, nil
+}
+
+// transposeAdd adds the transpose of the distributed matrix to this
+// rank's rows of it (rows x n, row-major), exchanging blocks with one
+// Alltoall of rows*n float64s.
+func transposeAdd(c *mp.Comm, local []float64, rows, n int) error {
+	p := c.Size()
+	blockWords := rows * rows
+	// Pack: destination rank d gets my rows x its column range, stored
+	// block-row-major so the all-to-all moves one contiguous block per
+	// destination.
+	sendBuf := make([]float64, rows*n)
+	recvBuf := make([]float64, rows*n)
+	for d := 0; d < p; d++ {
+		dst := sendBuf[d*blockWords : (d+1)*blockWords]
+		c0 := d * rows
+		for i := 0; i < rows; i++ {
+			copy(dst[i*rows:(i+1)*rows], local[i*n+c0:i*n+c0+rows])
+		}
+	}
+	if err := c.Alltoall(bytesview.F64(sendBuf), bytesview.F64(recvBuf)); err != nil {
+		return err
+	}
+	// Unpack: the block from rank s holds A[s-rows, my cols]; its
+	// transpose lands in my rows at column range of s.
+	for s := 0; s < p; s++ {
+		blk := recvBuf[s*blockWords : (s+1)*blockWords]
+		c0 := s * rows
+		for i := 0; i < rows; i++ {
+			for j := 0; j < rows; j++ {
+				// A^T(r0+i, c0+j) = A(c0+j, r0+i) = blk[j*rows+i].
+				local[i*n+c0+j] += blk[j*rows+i]
+			}
+		}
+	}
+	return nil
 }

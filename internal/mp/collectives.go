@@ -233,7 +233,9 @@ func (c *Comm) Allgather(sendBuf, recvBuf []byte) error {
 		return fmt.Errorf("%w: allgather recvBuf %d, want %d", ErrMismatch, len(recvBuf), bs*c.Size())
 	}
 	tag := c.nextCollTag()
-	copy(recvBuf[c.rank*bs:(c.rank+1)*bs], sendBuf)
+	if !c.sizeOnly {
+		copy(recvBuf[c.rank*bs:(c.rank+1)*bs], sendBuf)
+	}
 	if c.Size() == 1 {
 		return nil
 	}
@@ -286,7 +288,9 @@ func (c *Comm) Alltoall(sendBuf, recvBuf []byte) error {
 	}
 	tag := c.nextCollTag()
 	bs := len(sendBuf) / c.Size()
-	copy(recvBuf[c.rank*bs:(c.rank+1)*bs], sendBuf[c.rank*bs:(c.rank+1)*bs])
+	if !c.sizeOnly {
+		copy(recvBuf[c.rank*bs:(c.rank+1)*bs], sendBuf[c.rank*bs:(c.rank+1)*bs])
+	}
 	p := c.Size()
 	// Pairwise exchange: XOR schedule for power-of-two p (perfectly
 	// paired, contention-free), rotation schedule otherwise.

@@ -3,6 +3,8 @@ package mp
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"unsafe"
 )
 
 // Comm is a rank's handle on the world of one Run: point-to-point
@@ -70,12 +72,39 @@ func (c *Comm) Compute(dt float64) { c.fab.addDelay(c.rank, dt) }
 // SizeOnly runs f with this rank's messages reduced to their lengths,
 // for kernels whose only output is virtual time. Receives of messages
 // sent inside it keep Status, errors and timing but not bytes: buffers
-// keep what they held (a rendezvous payload follows its Isend's region)
+// keep what they held (a rendezvous payload follows its Isend's region),
+// collectives do not copy the rank's own block into its receive buffer,
 // and reductions skip their arithmetic. Reduce real values after f.
 func (c *Comm) SizeOnly(f func() error) error {
 	defer func(prev bool) { c.sizeOnly = prev }(c.sizeOnly)
 	c.sizeOnly = true
 	return f()
+}
+
+// sizeOnlyWords backs SizeOnlyBuf: one process-wide allocation, replaced
+// by a larger one when a caller asks for more. No result depends on it,
+// since nothing reads its contents, so sharing it couples no two Runs.
+var sizeOnlyWords struct {
+	sync.Mutex
+	buf []float64
+}
+
+// SizeOnlyBuf returns n elements of one process-wide buffer that every
+// caller shares, in every Run at once. It is for the message arguments
+// of code inside SizeOnly, which only reads their lengths, so a kernel
+// that moves lengths allocates nothing in proportion to its message
+// sizes. Nothing may read or write its elements; pass it only as a
+// buffer to sends, receives and collectives inside SizeOnly, where all
+// ranks of the Run are size-only too.
+func SizeOnlyBuf[T byte | float64](n int) []T {
+	words := (n*int(unsafe.Sizeof(*new(T))) + 7) / 8
+	sizeOnlyWords.Lock()
+	if len(sizeOnlyWords.buf) < words {
+		sizeOnlyWords.buf = make([]float64, max(words, 2*len(sizeOnlyWords.buf)))
+	}
+	buf := sizeOnlyWords.buf
+	sizeOnlyWords.Unlock()
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(buf))), n)
 }
 
 // Status describes a completed receive.

@@ -23,6 +23,8 @@
 //     algorithms (experiment F6).
 //   - Size-only regions (Comm.SizeOnly): messages carry lengths, not
 //     bytes; buffers keep what they held and reductions skip arithmetic.
+//     Their buffers may all be slices of one shared, never-touched
+//     buffer (SizeOnlyBuf).
 //
 // Every rank holds one Comm, on the world of its Run; there are no
 // sub-communicators.

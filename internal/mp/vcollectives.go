@@ -46,7 +46,9 @@ func (c *Comm) Allgatherv(sendBuf []byte, counts []int, recvBuf []byte) error {
 	}
 	tag := c.nextCollTag()
 	p := c.Size()
-	copy(recvBuf[offsetOf(counts, c.rank):], sendBuf)
+	if !c.sizeOnly {
+		copy(recvBuf[offsetOf(counts, c.rank):], sendBuf)
+	}
 	if p == 1 {
 		return nil
 	}
@@ -89,8 +91,10 @@ func (c *Comm) Alltoallv(sendBuf []byte, sendCounts []int, recvBuf []byte, recvC
 			ErrMismatch, len(sendBuf), len(recvBuf), sTotal, rTotal)
 	}
 	tag := c.nextCollTag()
-	copy(recvBuf[offsetOf(recvCounts, c.rank):offsetOf(recvCounts, c.rank)+recvCounts[c.rank]],
-		sendBuf[offsetOf(sendCounts, c.rank):offsetOf(sendCounts, c.rank)+sendCounts[c.rank]])
+	if !c.sizeOnly {
+		copy(recvBuf[offsetOf(recvCounts, c.rank):offsetOf(recvCounts, c.rank)+recvCounts[c.rank]],
+			sendBuf[offsetOf(sendCounts, c.rank):offsetOf(sendCounts, c.rank)+sendCounts[c.rank]])
+	}
 	for i := 1; i < p; i++ {
 		sendTo := (c.rank + i) % p
 		recvFrom := (c.rank - i + p) % p

@@ -29,6 +29,11 @@ type EPConfig struct {
 	// ComputeRate, if positive, charges virtual time per pair on the
 	// Sim fabric.
 	ComputeRate float64
+	// Verify draws the pairs and reports their statistics. Without it
+	// the pair loop does not run: its charge is PairsPerRank/ComputeRate
+	// whatever the draws, so Seconds and MopsPerS are unchanged, and
+	// Accepted, SumX, SumY and Counts are zero.
+	Verify bool
 }
 
 // EPResult reports the EP kernel.
@@ -45,14 +50,11 @@ type EPResult struct {
 // EP runs the kernel: each rank draws PairsPerRank uniform pairs from
 // an independent stream, converts accepted pairs to Gaussian deviates
 // (Marsaglia polar), tallies ring counts, and the results are combined
-// with reductions.
+// with reductions. The draws run under cfg.Verify only; the charge and
+// the reduction run either way.
 func EP(c *mp.Comm, cfg EPConfig) (EPResult, error) {
 	if cfg.PairsPerRank <= 0 {
 		return EPResult{}, fmt.Errorf("nas: EP pairs %d", cfg.PairsPerRank)
-	}
-	gen := rng.NewXoshiro256ss(cfg.Seed)
-	for i := 0; i < c.Rank(); i++ {
-		gen.Jump()
 	}
 
 	if err := c.Barrier(); err != nil {
@@ -63,24 +65,30 @@ func EP(c *mp.Comm, cfg EPConfig) (EPResult, error) {
 	var accepted int64
 	var sx, sy float64
 	var counts [10]int64
-	for i := 0; i < cfg.PairsPerRank; i++ {
-		u := 2*gen.Float64() - 1
-		v := 2*gen.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
+	if cfg.Verify {
+		gen := rng.NewXoshiro256ss(cfg.Seed)
+		for i := 0; i < c.Rank(); i++ {
+			gen.Jump()
 		}
-		accepted++
-		f := math.Sqrt(-2 * math.Log(s) / s)
-		x := u * f
-		y := v * f
-		sx += x
-		sy += y
-		ring := int(math.Max(math.Abs(x), math.Abs(y)))
-		if ring > 9 {
-			ring = 9
+		for i := 0; i < cfg.PairsPerRank; i++ {
+			u := 2*gen.Float64() - 1
+			v := 2*gen.Float64() - 1
+			s := u*u + v*v
+			if s >= 1 || s == 0 {
+				continue
+			}
+			accepted++
+			f := math.Sqrt(-2 * math.Log(s) / s)
+			x := u * f
+			y := v * f
+			sx += x
+			sy += y
+			ring := int(math.Max(math.Abs(x), math.Abs(y)))
+			if ring > 9 {
+				ring = 9
+			}
+			counts[ring]++
 		}
-		counts[ring]++
 	}
 	if cfg.ComputeRate > 0 {
 		c.Compute(float64(cfg.PairsPerRank) / cfg.ComputeRate)
@@ -124,7 +132,12 @@ type ISConfig struct {
 	MaxKey int
 	// Seed selects the deterministic key streams.
 	Seed uint64
-	// Verify checks global sortedness and key conservation.
+	// Verify sorts the keys and checks global sortedness and key
+	// conservation. Without it the keys are drawn only to count them
+	// per destination: the count Alltoall still runs, since receivers
+	// size from it, and the key Alltoallv runs size-only
+	// (mp.Comm.SizeOnly), with the same sizes and so the same Seconds
+	// and MKeysPerS.
 	Verify bool
 }
 
@@ -139,9 +152,10 @@ type ISResult struct {
 // IS runs a distributed bucket sort: keys are generated uniformly,
 // bucketed by destination rank (key range partition), and redistributed
 // with one Alltoallv. The benchmark metric is keys/second through the
-// redistribution. The local sort of each rank's received range charges
-// no virtual time and only the verification reads it, so it runs under
-// cfg.Verify.
+// redistribution. Packing the keys and the local sort of each rank's
+// received range charge no virtual time and only the verification reads
+// them, so they run under cfg.Verify; the redistribution's virtual time
+// is a function of the per-destination counts alone.
 func IS(c *mp.Comm, cfg ISConfig) (ISResult, error) {
 	p := c.Size()
 	if cfg.KeysPerRank <= 0 || cfg.MaxKey <= 0 {
@@ -150,15 +164,6 @@ func IS(c *mp.Comm, cfg ISConfig) (ISResult, error) {
 	if cfg.MaxKey < p {
 		return ISResult{}, fmt.Errorf("nas: MaxKey %d < ranks %d", cfg.MaxKey, p)
 	}
-	gen := rng.NewXoshiro256ss(cfg.Seed)
-	for i := 0; i < c.Rank(); i++ {
-		gen.Jump()
-	}
-	keys := make([]uint64, cfg.KeysPerRank)
-	for i := range keys {
-		keys[i] = gen.Uint64() % uint64(cfg.MaxKey)
-	}
-
 	// Destination: rank owning the key's range slice.
 	rangePer := (cfg.MaxKey + p - 1) / p
 	owner := func(k uint64) int {
@@ -169,27 +174,29 @@ func IS(c *mp.Comm, cfg ISConfig) (ISResult, error) {
 		return d
 	}
 
+	// Draw the keys and count them per destination; keep them only for
+	// the sort that Verify checks. Neither charges virtual time.
+	gen := rng.NewXoshiro256ss(cfg.Seed)
+	for i := 0; i < c.Rank(); i++ {
+		gen.Jump()
+	}
+	var keys []uint64
+	if cfg.Verify {
+		keys = make([]uint64, cfg.KeysPerRank)
+	}
+	sendCounts := make([]int, p)
+	for i := 0; i < cfg.KeysPerRank; i++ {
+		k := gen.Uint64() % uint64(cfg.MaxKey)
+		sendCounts[owner(k)]++
+		if keys != nil {
+			keys[i] = k
+		}
+	}
+
 	if err := c.Barrier(); err != nil {
 		return ISResult{}, err
 	}
 	t0 := c.Time()
-
-	// Bucket locally (stable pass: count, prefix, scatter).
-	sendCounts := make([]int, p)
-	for _, k := range keys {
-		sendCounts[owner(k)]++
-	}
-	offsets := make([]int, p)
-	for i := 1; i < p; i++ {
-		offsets[i] = offsets[i-1] + sendCounts[i-1]
-	}
-	packed := make([]uint64, len(keys))
-	pos := append([]int(nil), offsets...)
-	for _, k := range keys {
-		d := owner(k)
-		packed[pos[d]] = k
-		pos[d]++
-	}
 
 	// Exchange counts (as an alltoall of 8-byte blocks), then keys.
 	sendCountBuf := make([]uint64, p)
@@ -200,21 +207,26 @@ func IS(c *mp.Comm, cfg ISConfig) (ISResult, error) {
 	if err := c.Alltoall(bytesview.U64(sendCountBuf), bytesview.U64(recvCountBuf)); err != nil {
 		return ISResult{}, err
 	}
-	recvCounts := make([]int, p)
-	total := 0
-	for i, n := range recvCountBuf {
-		recvCounts[i] = int(n)
-		total += int(n)
-	}
-	recvKeys := make([]uint64, total)
 	sendBytes := make([]int, p)
 	recvBytes := make([]int, p)
-	for i := range sendCounts {
+	total := 0
+	for i, n := range recvCountBuf {
 		sendBytes[i] = sendCounts[i] * 8
-		recvBytes[i] = recvCounts[i] * 8
+		recvBytes[i] = int(n) * 8
+		total += int(n)
 	}
-	if err := c.Alltoallv(bytesview.U64(packed), sendBytes, bytesview.U64(recvKeys), recvBytes); err != nil {
-		return ISResult{}, err
+	var recvKeys []uint64
+	if cfg.Verify {
+		recvKeys = make([]uint64, total)
+		if err := c.Alltoallv(bytesview.U64(bucket(keys, sendCounts, owner)), sendBytes, bytesview.U64(recvKeys), recvBytes); err != nil {
+			return ISResult{}, err
+		}
+	} else {
+		sendBuf := mp.SizeOnlyBuf[byte](8 * cfg.KeysPerRank)
+		recvBuf := mp.SizeOnlyBuf[byte](8 * total)
+		if err := c.SizeOnly(func() error { return c.Alltoallv(sendBuf, sendBytes, recvBuf, recvBytes) }); err != nil {
+			return ISResult{}, err
+		}
 	}
 
 	if err := c.Barrier(); err != nil {
@@ -240,6 +252,22 @@ func IS(c *mp.Comm, cfg ISConfig) (ISResult, error) {
 		res.SortedOK = ok
 	}
 	return res, nil
+}
+
+// bucket packs keys by destination rank, stably: destination d's
+// counts[d] keys in input order, destinations in rank order.
+func bucket(keys []uint64, counts []int, owner func(uint64) int) []uint64 {
+	pos := make([]int, len(counts))
+	for d := 1; d < len(counts); d++ {
+		pos[d] = pos[d-1] + counts[d-1]
+	}
+	packed := make([]uint64, len(keys))
+	for _, k := range keys {
+		d := owner(k)
+		packed[pos[d]] = k
+		pos[d]++
+	}
+	return packed
 }
 
 // verifyIS checks three global invariants: each rank's keys lie in its

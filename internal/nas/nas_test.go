@@ -15,7 +15,7 @@ func TestEPStatistics(t *testing.T) {
 	// With many pairs, ~pi/4 of them are accepted and the Gaussian
 	// sums are near zero relative to the deviate count.
 	err := mp.Run(4, sim(), func(c *mp.Comm) error {
-		res, err := EP(c, EPConfig{PairsPerRank: 100000, Seed: 1})
+		res, err := EP(c, EPConfig{PairsPerRank: 100000, Seed: 1, Verify: true})
 		if err != nil {
 			return err
 		}
@@ -55,7 +55,7 @@ func TestEPDeterministicAcrossRankCounts(t *testing.T) {
 	for trial := 0; trial < 2; trial++ {
 		var res EPResult
 		err := mp.Run(3, sim(), func(c *mp.Comm) error {
-			r, err := EP(c, EPConfig{PairsPerRank: 10000, Seed: 7})
+			r, err := EP(c, EPConfig{PairsPerRank: 10000, Seed: 7, Verify: true})
 			if err != nil {
 				return err
 			}
@@ -90,7 +90,7 @@ func TestEPValidation(t *testing.T) {
 func TestEPOnSimChargesTime(t *testing.T) {
 	m := cluster.IBCluster()
 	err := mp.Run(4, mp.Config{Model: m}, func(c *mp.Comm) error {
-		res, err := EP(c, EPConfig{PairsPerRank: 10000, Seed: 2, ComputeRate: 1e8})
+		res, err := EP(c, EPConfig{PairsPerRank: 10000, Seed: 2, ComputeRate: 1e8, Verify: true})
 		if err != nil {
 			return err
 		}
@@ -188,5 +188,76 @@ func TestISOnSimFasterOnIB(t *testing.T) {
 	}
 	if rate["ib-8n"] <= rate["gige-8n"] {
 		t.Errorf("IS rate on IB (%v) not above GigE (%v)", rate["ib-8n"], rate["gige-8n"])
+	}
+}
+
+// TestEPTimingIgnoresValues: EP's charge is PairsPerRank/ComputeRate
+// whatever the draws, so the run without Verify, which skips them, must
+// time exactly like the verified run, and report zero statistics.
+func TestEPTimingIgnoresValues(t *testing.T) {
+	for _, p := range []int{1, 3, 4} {
+		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
+			run := func(verify bool) EPResult {
+				var res EPResult
+				err := mp.Run(p, sim(), func(c *mp.Comm) error {
+					r, err := EP(c, EPConfig{PairsPerRank: 5000, Seed: 4, ComputeRate: 1e8, Verify: verify})
+					if c.Rank() == 0 {
+						res = r
+					}
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			verified, sizes := run(true), run(false)
+			if verified.Accepted == 0 {
+				t.Fatalf("verified run accepted no pairs")
+			}
+			if verified.Seconds != sizes.Seconds || verified.MopsPerS != sizes.MopsPerS {
+				t.Errorf("unverified run timed %v s (%v Mpairs/s), the verified run %v s (%v Mpairs/s)",
+					sizes.Seconds, sizes.MopsPerS, verified.Seconds, verified.MopsPerS)
+			}
+			if sizes.Accepted != 0 || sizes.SumX != 0 || sizes.SumY != 0 || sizes.Counts != [10]int64{} {
+				t.Errorf("unverified run reported statistics %+v", sizes)
+			}
+		})
+	}
+}
+
+// TestISTimingIgnoresValues: IS's virtual time is a function of the
+// per-destination key counts alone, so the run without Verify (no key
+// slice, a size-only Alltoallv) must time exactly like the verified run
+// that packs, moves and sorts the keys. MaxKey 1000 over p=3 leaves the
+// last rank a shorter range, so the counts differ across ranks.
+func TestISTimingIgnoresValues(t *testing.T) {
+	for _, tc := range []struct{ p, keys, maxKey int }{
+		{1, 2000, 1 << 16}, {3, 1000, 1000}, {4, 5000, 1 << 16}, {8, 3000, 1 << 20},
+	} {
+		t.Run(fmt.Sprintf("p=%d/keys=%d/max=%d", tc.p, tc.keys, tc.maxKey), func(t *testing.T) {
+			run := func(verify bool) ISResult {
+				var res ISResult
+				err := mp.Run(tc.p, sim(), func(c *mp.Comm) error {
+					r, err := IS(c, ISConfig{KeysPerRank: tc.keys, MaxKey: tc.maxKey, Seed: 6, Verify: verify})
+					if c.Rank() == 0 {
+						res = r
+					}
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			verified, sizes := run(true), run(false)
+			if !verified.SortedOK {
+				t.Fatalf("verified run failed its check")
+			}
+			if verified.Seconds != sizes.Seconds || verified.MKeysPerS != sizes.MKeysPerS {
+				t.Errorf("unverified run timed %v s (%v Mkeys/s), the verified run %v s (%v Mkeys/s)",
+					sizes.Seconds, sizes.MKeysPerS, verified.Seconds, verified.MKeysPerS)
+			}
+		})
 	}
 }

@@ -15,7 +15,8 @@
 // around its timed loop.
 //
 // Every warm-up and timed loop runs size-only (mp.Comm.SizeOnly): its
-// buffers keep what they held. The reductions of the measured timings
+// buffers keep what they held, and the payload buffers are slices of
+// the one shared mp.SizeOnlyBuf. The reductions of the measured timings
 // (Bandwidth's span, CollectiveLatency's maximum) run outside it.
 package osu
 
@@ -236,7 +237,7 @@ func BiBandwidth(c *mp.Comm, opts Options) ([]Sample, error) {
 	}
 	opts = opts.normalize()
 	var out []Sample
-	maxSend, maxRecv := payloadBuf(opts.Sizes), payloadBuf(opts.Sizes)
+	maxBuf := payloadBuf(opts.Sizes)
 	sreqs := make([]*mp.Request, opts.Window)
 	rreqs := make([]*mp.Request, opts.Window)
 	for _, size := range opts.Sizes {
@@ -244,7 +245,7 @@ func BiBandwidth(c *mp.Comm, opts Options) ([]Sample, error) {
 			continue
 		}
 		warm, iters := opts.loops(size)
-		sbuf, rbuf := maxSend[:size], maxRecv[:size]
+		buf := maxBuf[:size]
 		var t0 float64
 		err := c.SizeOnly(func() error {
 			for i := 0; i < warm+iters; i++ {
@@ -252,14 +253,14 @@ func BiBandwidth(c *mp.Comm, opts Options) ([]Sample, error) {
 					t0 = c.Time()
 				}
 				for w := range rreqs {
-					r, err := c.Irecv(peer, benchTag, rbuf)
+					r, err := c.Irecv(peer, benchTag, buf)
 					if err != nil {
 						return err
 					}
 					rreqs[w] = r
 				}
 				for w := range sreqs {
-					r, err := c.Isend(peer, benchTag, sbuf)
+					r, err := c.Isend(peer, benchTag, buf)
 					if err != nil {
 						return err
 					}
@@ -317,14 +318,15 @@ func CollectiveLatency(c *mp.Comm, warmup, iters int, coll func() error) (float6
 
 // --- helpers ---
 
-// payloadBuf returns the one message buffer a kernel reslices for every
-// size, as large as the largest size. Only ranks that move data call it.
+// payloadBuf returns the message buffer a kernel reslices for every
+// size, as large as the largest size: the process-wide size-only buffer
+// (mp.SizeOnlyBuf), since every loop that passes it runs size-only.
 func payloadBuf(sizes []int) []byte {
 	n := 0
 	for _, s := range sizes {
 		n = max(n, s)
 	}
-	return make([]byte, n)
+	return mp.SizeOnlyBuf[byte](n)
 }
 
 // pairRole returns (rank, peer) on a two-rank world and an error on any

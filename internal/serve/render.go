@@ -30,11 +30,19 @@ const (
 
 var offered = []string{ctText, ctJSON, ctCSV}
 
-// rep is one negotiated representation of a result: the rendered body
-// and its strong ETag (hash of exactly those bytes).
+// rep is one negotiated representation of a result: the rendered body,
+// its strong ETag (hash of exactly those bytes) and its Content-Length
+// header value. Build one with newRep.
 type rep struct {
-	body []byte
-	etag string
+	body   []byte
+	etag   string
+	length []string // the Content-Length value; cap == len, so no response's append reaches another's
+}
+
+// newRep wraps a rendered body with the validators every response of it
+// sends, computed once here rather than per request.
+func newRep(body []byte) rep {
+	return rep{body: body, etag: etagOf(body), length: []string{strconv.Itoa(len(body))}}
 }
 
 // resultSet is one execution's result as every layer passes it on:
@@ -99,9 +107,9 @@ func renderResult(res core.Result) (resultSet, error) {
 
 	return resultSet{
 		reps: map[string]rep{
-			ctText: {body: text, etag: etagOf(text)},
-			ctCSV:  {body: []byte(csvb.String()), etag: etagOf([]byte(csvb.String()))},
-			ctJSON: {body: jsonb, etag: etagOf(jsonb)},
+			ctText: newRep(text),
+			ctCSV:  newRep([]byte(csvb.String())),
+			ctJSON: newRep(jsonb),
 		},
 		elapsed: res.Elapsed,
 	}, nil
@@ -125,7 +133,7 @@ func tableRep(ct string, rows any, table func() *report.Table) rep {
 			body = []byte(csvb.String())
 		}
 	}
-	return rep{body: body, etag: etagOf(body)}
+	return newRep(body)
 }
 
 // writeNegotiated answers one GET of a negotiable resource: pick the
@@ -156,7 +164,7 @@ func writeNegotiated(w http.ResponseWriter, r *http.Request, get func(ct string)
 		return
 	}
 	w.Header().Set("Content-Type", ct)
-	w.Header().Set("Content-Length", strconv.Itoa(len(rp.body)))
+	w.Header()["Content-Length"] = rp.length
 	w.Write(rp.body)
 }
 

@@ -53,6 +53,30 @@ func BenchmarkRenderResult(b *testing.B) {
 	}
 }
 
+// TestWriteNegotiatedSharesContentLength: every 200 of a representation
+// declares its body's length from the one header slice newRep built,
+// and since that slice is full (cap == len), a handler that appends to
+// one response's value leaves the representation and every other
+// response as they were.
+func TestWriteNegotiatedSharesContentLength(t *testing.T) {
+	rp := newRep([]byte("twelve bytes"))
+	if len(rp.length) != 1 || cap(rp.length) != 1 {
+		t.Fatalf("Content-Length slice len %d cap %d, want 1 and 1", len(rp.length), cap(rp.length))
+	}
+	get := func(string) (rep, bool) { return rp, true }
+	r := httptest.NewRequest(http.MethodGet, "/experiments/T1", nil)
+	first, second := httptest.NewRecorder(), httptest.NewRecorder()
+	writeNegotiated(first, r, get)
+	first.Header().Add("Content-Length", "0")
+	writeNegotiated(second, r, get)
+	if got := second.Result().Header["Content-Length"]; len(got) != 1 || got[0] != "12" {
+		t.Errorf("second response Content-Length %q, want [12]", got)
+	}
+	if len(rp.length) != 1 || rp.length[0] != "12" {
+		t.Errorf("representation's Content-Length became %q", rp.length)
+	}
+}
+
 func BenchmarkWriteNegotiated(b *testing.B) {
 	rs, err := renderResult(benchResult(b, "T1"))
 	if err != nil {

@@ -35,8 +35,8 @@ func encodeResultSet(reps map[string]rep) []byte {
 	return b
 }
 
-// decodeResultSet is encodeResultSet's inverse. ETags are recomputed
-// from the bytes; a frame with a short length, a length past the end
+// decodeResultSet is encodeResultSet's inverse. ETags and lengths are
+// recomputed from the bytes; a frame with a short length, a length past the end
 // or trailing bytes is rejected whole.
 func decodeResultSet(b []byte) (map[string]rep, bool) {
 	reps := make(map[string]rep, len(offered))
@@ -49,7 +49,7 @@ func decodeResultSet(b []byte) (map[string]rep, bool) {
 		if uint64(n) > uint64(len(b)) {
 			return nil, false
 		}
-		reps[ct] = rep{body: b[:n], etag: etagOf(b[:n])}
+		reps[ct] = newRep(b[:n])
 		b = b[n:]
 	}
 	return reps, len(b) == 0
