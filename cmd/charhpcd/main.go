@@ -23,14 +23,15 @@
 //	charhpcd -cache-dir /var/cache/charhpc -cache-max-bytes 67108864
 //	charhpcd -platform-dir /etc/charhpc/platforms   # preload custom machines
 //	charhpcd -log-format json -pprof        # machine logs + profiling
-//	charhpcd -jobs 4 -jobs-history 128      # async run capacity (POST /runs)
+//	charhpcd -jobs-history 128              # finished async jobs kept (GET /runs)
 //
 // Beyond the blocking GET, runs can be submitted asynchronously:
 // POST /runs answers 202 with a job ID, GET /runs/{id}/events streams
 // the run's progress as Server-Sent Events, and the terminal event
 // hands the client off to the cached synchronous result (charhpc
-// -submit drives this end to end). -jobs bounds concurrent job
-// executions; -jobs-history bounds how many finished jobs stay
+// -submit drives this end to end). A job starts at once: it shares the
+// key's single-flight fill with every other caller and streams that
+// fill's events. -jobs-history bounds how many finished jobs stay
 // inspectable via GET /runs.
 //
 // -cache-max-bytes is the LRU budget of preset results and, separately,
@@ -66,7 +67,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persist the results cache under this directory (empty = memory only)")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "LRU byte budget of cached preset results and, separately, of custom-platform results, so the directory can hold twice it (0 = unbounded)")
 	platformDir := flag.String("platform-dir", "", "preload custom platform specs (*.json) from this directory and persist POST /platforms registrations into it")
-	jobsFlag := flag.Int("jobs", jobs.DefaultWorkers, "async run jobs (POST /runs) executing concurrently; further submissions queue")
 	jobsHistory := flag.Int("jobs-history", jobs.DefaultHistory, "finished async jobs retained for GET /runs inspection")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (off by default)")
 	logFormat := flag.String("log-format", "text", "log line format: text or json")
@@ -102,7 +102,6 @@ func main() {
 	srv := serve.New(serve.Config{
 		ScaleLimit:  limit,
 		Store:       store,
-		Jobs:        *jobsFlag,
 		JobsHistory: *jobsHistory,
 		AccessLog:   logger,
 		PlatformDir: *platformDir,

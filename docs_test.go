@@ -232,6 +232,10 @@ func TestReadmeCoversFlags(t *testing.T) {
 		{"narrow" + "Node", ""},
 		{"CHARHPC_FP_" + "PIN_VCS", ""},
 		{"go run ./" + "examples", ""},
+		{"jobs" + "_queued", ""},
+		{"Default" + "Workers", ""},
+		{"`" + "-jobs`", ""},
+		{"-jobs" + " N", ""},
 	}
 	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {

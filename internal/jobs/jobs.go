@@ -1,9 +1,8 @@
 // Package jobs runs long work asynchronously and makes it observable
-// while it happens: a registry of jobs with a bounded worker pool, a
-// bounded history of finished jobs, and — per job — an append-only
-// event log that the work's own goroutines append to under the job's
-// lock. Consumers read the log, never a queue, so an emitter never
-// blocks on a slow consumer.
+// while it happens: a registry of jobs, a bounded history of finished
+// jobs, and — per job — an append-only event log that the work's own
+// goroutines append to under the job's lock. Consumers read the log,
+// never a queue, so an emitter never blocks on a slow consumer.
 //
 // The serving layer (internal/serve) drives this for experiment runs:
 // POST /runs submits a job, GET /runs/{id}/events streams its log as
@@ -11,12 +10,12 @@
 // experiments; the work is an opaque RunFunc and the events are typed
 // key/value records.
 //
-// Lifecycle: a submitted job is pending until a worker slot frees,
-// running while its RunFunc executes, and ends done, failed, or
-// canceled. Cancel is prompt in every state — a pending job never
-// runs, and a running job transitions immediately while its work is
-// left to finish in the background (detached); late events and the
-// late outcome are discarded.
+// Lifecycle: a submitted job is pending until its goroutine starts —
+// nothing queues it — running while its RunFunc executes, and ends
+// done, failed, or canceled. Cancel is prompt in every state — a
+// pending job never runs, and a running job transitions immediately
+// while its work is left to finish in the background (detached); late
+// events and the late outcome are discarded.
 package jobs
 
 import (
@@ -36,7 +35,7 @@ type State string
 // The five job states. Terminal events carry their state as the event
 // type, so the stream's last event is self-describing.
 const (
-	Pending  State = "pending"  // submitted, waiting for a worker slot
+	Pending  State = "pending"  // submitted, its goroutine not yet started
 	Running  State = "running"  // RunFunc executing
 	Done     State = "done"     // finished successfully
 	Failed   State = "failed"   // finished with an error
@@ -99,22 +98,17 @@ type Metrics struct {
 	Events    *obs.Counter // progress events appended across all jobs
 }
 
-// Defaults for Registry sizing when New is given zeros.
-const (
-	DefaultWorkers = 2
-	// DefaultHistory is sized so a submitter polling under load is not
-	// answered unknown_job for a job that finished milliseconds ago; a
-	// finished job retains only its event log.
-	DefaultHistory = 1024
-)
+// DefaultHistory is the finished-job bound when New is given zero. It
+// is sized so a submitter polling under load is not answered
+// unknown_job for a job that finished milliseconds ago; a finished job
+// retains only its event log.
+const DefaultHistory = 1024
 
-// Registry owns the job table: a bounded worker pool executing
-// RunFuncs, plus a bounded ring of finished jobs kept for inspection.
-// Safe for concurrent use.
+// Registry owns the job table: every submitted job runs at once on its
+// own goroutine, and a bounded ring of finished jobs is kept for
+// inspection. Safe for concurrent use.
 type Registry struct {
-	workers int
 	history int
-	sem     chan struct{}
 	m       Metrics
 
 	mu    sync.Mutex
@@ -122,31 +116,25 @@ type Registry struct {
 	order []string // submission order; the eviction scan walks it oldest-first
 
 	finished atomic.Int64 // terminal jobs in the table; settle counts up, eviction down
+	running  atomic.Int64 // jobs in state running; toRunning counts up, settle down
 }
 
-// New builds a registry running at most `workers` jobs concurrently
-// and retaining the last `history` finished jobs (zeros mean the
-// defaults; minimum 1 each).
-func New(workers, history int) *Registry {
-	if workers <= 0 {
-		workers = DefaultWorkers
-	}
+// New builds a registry retaining the last `history` finished jobs
+// (zero means DefaultHistory). Nothing reads the first parameter: jobs
+// do not queue, so there is no worker count to set; it stays so that
+// callers which pass one keep compiling.
+func New(_, history int) *Registry {
 	if history <= 0 {
 		history = DefaultHistory
 	}
-	return &Registry{
-		workers: workers,
-		history: history,
-		sem:     make(chan struct{}, workers),
-		jobs:    map[string]*Job{},
-	}
+	return &Registry{history: history, jobs: map[string]*Job{}}
 }
 
 // SetMetrics wires the registry's instruments. Call before traffic.
 func (r *Registry) SetMetrics(m Metrics) { r.m = m }
 
-// Submit registers a new pending job and schedules run on the worker
-// pool. It returns immediately; the job's event log starts with a
+// Submit registers a new pending job and starts run on its own
+// goroutine. It returns immediately; the job's event log starts with a
 // "state: pending" event, so even an instant subscriber sees a
 // non-empty stream.
 func (r *Registry) Submit(spec Spec, run RunFunc) *Job {
@@ -173,19 +161,12 @@ func (r *Registry) Submit(spec Spec, run RunFunc) *Job {
 	return j
 }
 
-// drive waits for a worker slot, runs the job, and settles its
-// terminal state. It is the only writer of the pending→running
-// transition; Cancel can win any race by settling terminal first.
+// drive runs the job and settles its terminal state. It is the only
+// writer of the pending→running transition; Cancel can win any race by
+// settling terminal first.
 func (r *Registry) drive(ctx context.Context, j *Job, run RunFunc) {
-	select {
-	case r.sem <- struct{}{}:
-		defer func() { <-r.sem }()
-	case <-ctx.Done():
-		j.settle(Canceled, nil)
-		return
-	}
 	if !j.toRunning() {
-		return // canceled while queued
+		return // canceled before it started
 	}
 	out := runSafe(ctx, j, run)
 	switch {
@@ -203,8 +184,8 @@ func (r *Registry) drive(ctx context.Context, j *Job, run RunFunc) {
 	}
 }
 
-// runSafe contains a panicking RunFunc: the job fails, the worker
-// slot frees, the process lives.
+// runSafe contains a panicking RunFunc: the job fails, the process
+// lives.
 func runSafe(ctx context.Context, j *Job, run RunFunc) (out Outcome) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -225,12 +206,9 @@ func (r *Registry) Get(id string) (*Job, bool) {
 // Jobs returns a status snapshot of every retained job, newest first.
 func (r *Registry) Jobs() []Status {
 	r.mu.Lock()
-	ids := append([]string(nil), r.order...)
-	jobs := make([]*Job, 0, len(ids))
-	for i := len(ids) - 1; i >= 0; i-- {
-		if j, ok := r.jobs[ids[i]]; ok {
-			jobs = append(jobs, j)
-		}
+	jobs := make([]*Job, 0, len(r.order))
+	for i := len(r.order) - 1; i >= 0; i-- {
+		jobs = append(jobs, r.jobs[r.order[i]])
 	}
 	r.mu.Unlock()
 	out := make([]Status, len(jobs))
@@ -240,23 +218,9 @@ func (r *Registry) Jobs() []Status {
 	return out
 }
 
-// Counts returns how many retained jobs sit in each state — the feed
-// behind the active-jobs and queue-depth gauges and /healthz.
-func (r *Registry) Counts() map[State]int {
-	r.mu.Lock()
-	jobs := make([]*Job, 0, len(r.jobs))
-	for _, j := range r.jobs {
-		jobs = append(jobs, j)
-	}
-	r.mu.Unlock()
-	out := map[State]int{}
-	for _, j := range jobs {
-		j.mu.Lock()
-		out[j.state]++
-		j.mu.Unlock()
-	}
-	return out
-}
+// Running returns how many jobs are executing their RunFunc — the feed
+// behind the active-jobs gauge and /healthz.
+func (r *Registry) Running() int { return int(r.running.Load()) }
 
 // evictLocked trims the finished-job history to the ring bound,
 // oldest first. Live (pending/running) jobs are never evicted, so the
@@ -335,6 +299,7 @@ func (j *Job) toRunning() bool {
 		return false
 	}
 	j.state = Running
+	j.reg.running.Add(1)
 	j.started = time.Now()
 	j.appendLocked(Event{Type: EventState, Data: map[string]string{"state": string(Running)}})
 	return true
@@ -350,6 +315,9 @@ func (j *Job) settle(st State, data map[string]string) {
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
 		return
+	}
+	if j.state == Running {
+		j.reg.running.Add(-1)
 	}
 	j.state = st
 	j.finished = time.Now()
@@ -447,23 +415,17 @@ func (j *Job) Status() Status {
 		State:      j.state,
 		Created:    j.Created,
 		Events:     len(j.events),
+		Result:     j.result,
+	}
+	end := time.Now()
+	if !j.finished.IsZero() {
+		end = j.finished
+		st.Finished = &end
 	}
 	if !j.started.IsZero() {
 		t := j.started
 		st.Started = &t
-		switch {
-		case !j.finished.IsZero():
-			st.ElapsedSeconds = j.finished.Sub(j.started).Seconds()
-		default:
-			st.ElapsedSeconds = time.Since(j.started).Seconds()
-		}
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		st.Finished = &t
-	}
-	if j.result != nil {
-		st.Result = j.result
+		st.ElapsedSeconds = end.Sub(t).Seconds()
 	}
 	return st
 }

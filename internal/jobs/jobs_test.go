@@ -24,7 +24,7 @@ func settled(t *testing.T, j *Job) {
 }
 
 func TestDoneLifecycle(t *testing.T) {
-	r := New(1, 4)
+	r := New(0, 4)
 	j := r.Submit(Spec{Experiment: "T1", Scale: "quick"}, func(ctx context.Context, j *Job) Outcome {
 		j.Emit(EventPhase, map[string]string{"name": "measure/ladder", "state": "start"})
 		j.Emit(EventSection, map[string]string{"title": "ladder", "kind": "table"})
@@ -60,7 +60,7 @@ func TestDoneLifecycle(t *testing.T) {
 }
 
 func TestFailedLifecycle(t *testing.T) {
-	r := New(1, 4)
+	r := New(0, 4)
 	j := r.Submit(Spec{Experiment: "T1"}, func(ctx context.Context, j *Job) Outcome {
 		return Outcome{Err: errors.New("boom")}
 	})
@@ -76,7 +76,7 @@ func TestFailedLifecycle(t *testing.T) {
 }
 
 func TestPanickingRunFails(t *testing.T) {
-	r := New(1, 4)
+	r := New(0, 4)
 	j := r.Submit(Spec{Experiment: "T1"}, func(ctx context.Context, j *Job) Outcome {
 		panic("kaboom")
 	})
@@ -93,7 +93,7 @@ func TestCancelMidRun(t *testing.T) {
 	running := make(chan struct{})
 	release := make(chan struct{})
 	straggled := make(chan struct{})
-	r := New(1, 4)
+	r := New(0, 4)
 	j := r.Submit(Spec{Experiment: "M1"}, func(ctx context.Context, j *Job) Outcome {
 		close(running)
 		<-release
@@ -102,10 +102,16 @@ func TestCancelMidRun(t *testing.T) {
 		return Outcome{Data: map[string]string{"etag": `"late"`}}
 	})
 	<-running
+	if n := r.Running(); n != 1 {
+		t.Errorf("Running() = %d mid-run, want 1", n)
+	}
 	j.Cancel()
 	settled(t, j)
 	if got := j.State(); got != Canceled {
 		t.Fatalf("state = %s, want canceled", got)
+	}
+	if n := r.Running(); n != 0 {
+		t.Errorf("Running() = %d after cancel, want 0", n)
 	}
 	close(release)
 	<-straggled
@@ -126,40 +132,11 @@ func TestCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestCancelPending: with the single worker slot occupied, a queued
-// job cancels without ever running.
-func TestCancelPending(t *testing.T) {
-	block := make(chan struct{})
-	r := New(1, 4)
-	first := r.Submit(Spec{Experiment: "T1"}, func(ctx context.Context, j *Job) Outcome {
-		<-block
-		return Outcome{}
-	})
-	ran := false
-	second := r.Submit(Spec{Experiment: "T4"}, func(ctx context.Context, j *Job) Outcome {
-		ran = true
-		return Outcome{}
-	})
-	if got := second.State(); got != Pending {
-		t.Fatalf("queued job state = %s, want pending", got)
-	}
-	second.Cancel()
-	settled(t, second)
-	if got := second.State(); got != Canceled {
-		t.Fatalf("state = %s, want canceled", got)
-	}
-	close(block)
-	settled(t, first)
-	if ran {
-		t.Error("canceled pending job ran anyway")
-	}
-}
-
 // TestCanceledContextOutcome: a RunFunc that honors its context and
 // returns ctx.Err() yields a canceled job, not a failed one.
 func TestCanceledContextOutcome(t *testing.T) {
 	running := make(chan struct{})
-	r := New(1, 4)
+	r := New(0, 4)
 	j := r.Submit(Spec{Experiment: "M1"}, func(ctx context.Context, j *Job) Outcome {
 		close(running)
 		<-ctx.Done()
@@ -173,46 +150,10 @@ func TestCanceledContextOutcome(t *testing.T) {
 	}
 }
 
-// TestQueueDepth: jobs beyond the worker count sit pending; Counts
-// tracks the queue and drains as slots free.
-func TestQueueDepth(t *testing.T) {
-	block := make(chan struct{})
-	r := New(2, 8)
-	started := make(chan struct{}, 8)
-	var js []*Job
-	for i := 0; i < 5; i++ {
-		js = append(js, r.Submit(Spec{Experiment: "T1"}, func(ctx context.Context, j *Job) Outcome {
-			started <- struct{}{}
-			<-block
-			return Outcome{}
-		}))
-	}
-	<-started
-	<-started
-	deadline := time.Now().Add(wait)
-	for {
-		c := r.Counts()
-		if c[Running] == 2 && c[Pending] == 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("counts never reached 2 running / 3 pending: %v", c)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(block)
-	for _, j := range js {
-		settled(t, j)
-	}
-	if c := r.Counts(); c[Done] != 5 || c[Running] != 0 || c[Pending] != 0 {
-		t.Errorf("final counts = %v, want 5 done", c)
-	}
-}
-
 // TestHistoryRing: finished jobs beyond the history bound are evicted
 // oldest-first; live jobs survive eviction.
 func TestHistoryRing(t *testing.T) {
-	r := New(1, 2)
+	r := New(0, 2)
 	var finished []*Job
 	for i := 0; i < 4; i++ {
 		j := r.Submit(Spec{Experiment: fmt.Sprintf("T%d", i)}, func(ctx context.Context, j *Job) Outcome {
@@ -248,7 +189,7 @@ func TestHistoryRing(t *testing.T) {
 // from a seq skips what was already consumed.
 func TestSubscribeReplayAndLive(t *testing.T) {
 	step := make(chan struct{})
-	r := New(1, 4)
+	r := New(0, 4)
 	j := r.Submit(Spec{Experiment: "M1"}, func(ctx context.Context, j *Job) Outcome {
 		for i := 0; i < 3; i++ {
 			<-step
@@ -306,7 +247,7 @@ func TestSubscribeReplayAndLive(t *testing.T) {
 // nothing emitted after it lands (run with -race in CI).
 func TestConcurrentEmitters(t *testing.T) {
 	const emitters, each = 8, 50
-	r := New(1, 4)
+	r := New(0, 4)
 	j := r.Submit(Spec{Experiment: "M1"}, func(ctx context.Context, j *Job) Outcome {
 		var wg sync.WaitGroup
 		for e := 0; e < emitters; e++ {
@@ -351,7 +292,7 @@ func TestConcurrentEmitters(t *testing.T) {
 // goroutines' worth of bookkeeping, not a preallocated queue — a
 // per-job progress channel alone was 14 KiB.
 func TestSubmitAllocationBudget(t *testing.T) {
-	r := New(1, 4)
+	r := New(0, 4)
 	ctx := context.Background()
 	noop := func(context.Context, *Job) Outcome { return Outcome{} }
 	const rounds = 200

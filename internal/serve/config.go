@@ -13,16 +13,12 @@ type Config struct {
 	// server to Quick; set Full to also allow paper-scale runs.
 	ScaleLimit core.Scale
 
-	// RunFunc executes one experiment request; nil means core.Run
-	// (with live hooks on the async job path). Tests substitute it to
-	// count or stub executions; a stubbed run produces no live
-	// phase/section events, only the job's lifecycle ones.
+	// RunFunc executes one experiment request; nil means core.Run,
+	// with live hooks that feed the fill's phase/section events to
+	// every job on the key. Tests substitute it to count or stub
+	// executions; a stubbed run produces no live phase/section events,
+	// only the job's lifecycle ones.
 	RunFunc func(core.Experiment, core.Request) core.Result
-
-	// Jobs bounds how many async run jobs (POST /runs) execute
-	// concurrently; 0 means jobs.DefaultWorkers. Queued jobs wait in
-	// state "pending".
-	Jobs int
 
 	// JobsHistory bounds how many finished jobs GET /runs retains for
 	// inspection; 0 means jobs.DefaultHistory.

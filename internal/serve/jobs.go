@@ -10,7 +10,8 @@
 // off to the (now cached) synchronous GET /experiments/{id} — async
 // jobs fill the same single-flight memory/disk cache path as blocking
 // requests, so a job and a GET for the same (id, scale, platform)
-// coalesce into one execution.
+// coalesce into one execution, and every job on the key streams that
+// execution's phase and section events.
 package serve
 
 import (
@@ -94,14 +95,12 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// runJob executes one job's experiment through the shared results
-// cache: the fill coalesces with blocking requests and warm-up via
-// single-flight, loads from the disk store when warm there, and
-// writes fresh runs through — an async job leaves the cache exactly
-// as a synchronous GET would, and the result bytes/ETags are
-// byte-identical to the blocking path's. Only a fill this job owns
-// produces live phase/section events; a coalesced wait on someone
-// else's fill yields just the terminal event (tier "mem").
+// runJob executes one job's experiment through Server.result, the
+// call a blocking GET makes, so the job leaves the cache exactly as
+// the GET would and hands off byte-identical ETags. The job follows
+// the fill's phase/section events whether it owns the fill or waits on
+// someone else's (then its tier is "mem"); a key already filled yields
+// just the terminal event.
 //
 // Cancellation is checked at the edges: the shared fill itself is
 // never abandoned (another waiter may need it), so a cancel mid-run
@@ -119,23 +118,18 @@ func (s *Server) runJob(ctx context.Context, j *jobs.Job, e core.Experiment, req
 		// but this job ends canceled, not done.
 		return jobs.Outcome{Err: err}
 	}
+	url := "/experiments/" + e.ID + "?scale=" + req.Scale.String()
+	if req.Platform != "" {
+		url += "&platform=" + req.Platform
+	}
 	return jobs.Outcome{Data: map[string]string{
 		"etag":            rs.reps[ctText].etag,
 		"etag_csv":        rs.reps[ctCSV].etag,
 		"etag_json":       rs.reps[ctJSON].etag,
 		"elapsed_seconds": fmt.Sprintf("%.6f", rs.elapsed.Seconds()),
 		"tier":            rs.tier,
-		"url":             "/experiments/" + e.ID + "?scale=" + req.Scale.String() + platformQuery(req),
+		"url":             url,
 	}}
-}
-
-// platformQuery renders the ?platform= suffix for a request's
-// hand-off URL.
-func platformQuery(req core.Request) string {
-	if req.Platform == "" {
-		return ""
-	}
-	return "&platform=" + req.Platform
 }
 
 // handleJobList serves the status of every retained job, newest
@@ -256,36 +250,35 @@ func resumeFrom(lastEventID string) int {
 	return int(n) + 1
 }
 
-// jobHooks builds the RunHooks that turn one run's instrumentation
-// into the owning job's progress events: span transitions become
-// "phase" events, completed report sections become "section" events,
-// and the run's trace is stamped with the job ID so /debug/traces
-// ties back to /runs/{id}. No job (a blocking GET, warm-up) means no
-// hooks.
-func jobHooks(j *jobs.Job) core.RunHooks {
-	if j == nil {
-		return core.RunHooks{}
-	}
-	return core.RunHooks{
-		SpanAttrs: map[string]string{"job": j.ID},
+// hooks builds the RunHooks that turn one fill's instrumentation into
+// the entry's progress events: span transitions become "phase" events,
+// completed report sections become "section" events. An owner job's ID
+// is stamped on the run's trace, so /debug/traces ties back to
+// /runs/{id}.
+func (e *entry) hooks(owner *jobs.Job) core.RunHooks {
+	h := core.RunHooks{
 		Section: func(sec report.Section) {
-			j.Emit(jobs.EventSection, map[string]string{
+			e.emit(jobs.EventSection, map[string]string{
 				"title": sec.Title,
 				"kind":  sec.Kind,
 				"rows":  strconv.Itoa(len(sec.Rows)),
 			})
 		},
 		SpanStarted: func(sp *obs.Span) {
-			j.Emit(jobs.EventPhase, map[string]string{
+			e.emit(jobs.EventPhase, map[string]string{
 				"name": sp.Name, "state": "start",
 			})
 		},
 		SpanEnded: func(sp *obs.Span) {
-			j.Emit(jobs.EventPhase, map[string]string{
+			e.emit(jobs.EventPhase, map[string]string{
 				"name":            sp.Name,
 				"state":           "end",
 				"elapsed_seconds": fmt.Sprintf("%.6f", sp.Duration().Seconds()),
 			})
 		},
 	}
+	if owner != nil {
+		h.SpanAttrs = map[string]string{"job": owner.ID}
+	}
+	return h
 }

@@ -9,7 +9,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -167,6 +169,111 @@ func TestJobStreamRealRun(t *testing.T) {
 	// both wanted it.
 	if st := parseHealthz(t, ts.URL); st["runs"] != "1" || st["jobs_done"] != "1" {
 		t.Errorf("healthz after job+get = %v, want runs=1 jobs_done=1", st)
+	}
+}
+
+// TestCoalescedJobsStreamOneStory: two jobs on one cold key follow its
+// one fill. Whichever job owns the fill, both stream the run's phase
+// and section events in the same order with dense seqs, and the key
+// runs once.
+func TestCoalescedJobsStreamOneStory(t *testing.T) {
+	ts := newTestServer(t, Config{}) // real runs: F6 runs long enough for the second job to join
+	subs := []submitResponse{submitJob(t, ts.URL, "id=F6"), submitJob(t, ts.URL, "id=F6")}
+
+	var stories [2][]string
+	var tiers []string
+	for i, sub := range subs {
+		evs := drainSSE(t, ts.URL+sub.EventsURL, "")
+		for n, ev := range evs {
+			if ev.ID != n {
+				t.Errorf("job %d event %d has id %d — stream must be dense", i, n, ev.ID)
+			}
+			if ev.Event == jobs.EventPhase || ev.Event == jobs.EventSection {
+				stories[i] = append(stories[i], ev.Event+" "+fmt.Sprint(ev.Data.Data))
+			}
+		}
+		last := evs[len(evs)-1]
+		if last.Event != string(jobs.Done) {
+			t.Fatalf("job %d ended %+v, want done", i, last)
+		}
+		tiers = append(tiers, last.Data.Data["tier"])
+	}
+	if len(stories[0]) == 0 {
+		t.Fatal("the first job streamed no phase or section events")
+	}
+	if !slices.Equal(stories[0], stories[1]) {
+		t.Errorf("the two jobs streamed different progress:\n%q\n%q", stories[0], stories[1])
+	}
+	slices.Sort(tiers)
+	if fmt.Sprint(tiers) != "[mem run]" {
+		t.Errorf("tiers = %v, want one run and one mem", tiers)
+	}
+	if st := parseHealthz(t, ts.URL); st["runs"] != "1" {
+		t.Errorf("healthz runs = %s, want 1", st["runs"])
+	}
+}
+
+// TestJobsAreNotQueued: jobs on distinct cold keys all start at once;
+// nothing holds one back for a slot.
+func TestJobsAreNotQueued(t *testing.T) {
+	var runs atomic.Int32
+	stub := stubRun(&runs, 0)
+	started, release := make(chan struct{}, 4), make(chan struct{})
+	releaseAll := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseAll)
+	ts := newTestServer(t, Config{RunFunc: func(e core.Experiment, r core.Request) core.Result {
+		started <- struct{}{}
+		<-release
+		return stub(e, r)
+	}})
+	ids := []string{"T1", "T4", "F1", "M3"}
+	var subs []submitResponse
+	for _, id := range ids {
+		subs = append(subs, submitJob(t, ts.URL, "id="+id))
+	}
+	timeout := time.After(5 * time.Second)
+	for n := range ids {
+		select {
+		case <-started:
+		case <-timeout:
+			t.Fatalf("%d of %d jobs on distinct cold keys started", n, len(ids))
+		}
+	}
+	if st := parseHealthz(t, ts.URL); st["jobs_active"] != "4" {
+		t.Errorf("healthz jobs_active = %s with 4 jobs running, want 4", st["jobs_active"])
+	}
+	releaseAll()
+	for _, sub := range subs {
+		evs := drainSSE(t, ts.URL+sub.EventsURL, "")
+		if last := evs[len(evs)-1]; last.Event != string(jobs.Done) {
+			t.Errorf("job %s ended %+v, want done", sub.Job, last)
+		}
+	}
+}
+
+// TestPanickingJobFails: a job whose run panics ends failed, naming the
+// panic, and leaves the key cold, so a later GET runs it again.
+func TestPanickingJobFails(t *testing.T) {
+	var runs atomic.Int32
+	stub := stubRun(&runs, 0)
+	var calls atomic.Int32
+	ts := newTestServer(t, Config{RunFunc: func(e core.Experiment, r core.Request) core.Result {
+		if calls.Add(1) == 1 {
+			panic("job run blew up")
+		}
+		return stub(e, r)
+	}})
+	evs := drainSSE(t, ts.URL+submitJob(t, ts.URL, "id=T1").EventsURL, "")
+	last := evs[len(evs)-1]
+	if last.Event != string(jobs.Failed) || !strings.Contains(last.Data.Data["error"], "panicked") {
+		t.Fatalf("terminal = %+v, want failed mentioning the panic", last)
+	}
+	resp, body := doGet(t, ts.URL+"/experiments/T1", "", "")
+	if resp.StatusCode != http.StatusOK || !strings.Contains(body, "answer") {
+		t.Errorf("GET after the panicked job: %d %q, want 200", resp.StatusCode, body)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Errorf("T1 ran %d times, want 2 (the panicked fill was not cached)", n)
 	}
 }
 
@@ -334,7 +441,6 @@ func TestJobMetricsSurface(t *testing.T) {
 		`charhpc_jobs_total{state="failed"} 0`,
 		`charhpc_jobs_total{state="canceled"} 0`,
 		`charhpc_jobs_active 0`,
-		`charhpc_jobs_queued 0`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
@@ -356,39 +462,6 @@ func grepMetrics(body, substr string) string {
 		}
 	}
 	return strings.Join(out, "\n")
-}
-
-// TestJobQueueVisibility: with one worker slot held, a second job sits
-// pending and is visible on healthz and the queue gauge.
-func TestJobQueueVisibility(t *testing.T) {
-	block := make(chan struct{})
-	t.Cleanup(func() { close(block) })
-	started := make(chan struct{}, 2)
-	srvCfg := Config{Jobs: 1, RunFunc: func(e core.Experiment, r core.Request) core.Result {
-		started <- struct{}{}
-		<-block
-		return core.Result{}
-	}}
-	ts := newTestServer(t, srvCfg)
-	submitJob(t, ts.URL, "id=T1")
-	<-started
-	submitJob(t, ts.URL, "id=T4")
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := parseHealthz(t, ts.URL)
-		if st["jobs_active"] == "1" && st["jobs_queued"] == "1" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("healthz never showed 1 active / 1 queued: %v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	_, body := doGet(t, ts.URL+"/metrics", "", "")
-	if !strings.Contains(body, "charhpc_jobs_active 1") || !strings.Contains(body, "charhpc_jobs_queued 1") {
-		t.Errorf("gauges:\n%s", grepMetrics(body, "charhpc_jobs_"))
-	}
 }
 
 // TestEventStreamAntiBufferingHeaders pins the SSE hardening

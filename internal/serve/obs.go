@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/diskcache"
-	"repro/internal/jobs"
 	"repro/internal/obs"
 )
 
@@ -137,9 +136,7 @@ func (s *Server) registerScrapeGauges() {
 	reg.GaugeFunc("charhpc_build_info", "constant 1, labeled with the registry fingerprint",
 		func() float64 { return 1 }, obs.L("fingerprint", core.Fingerprint()))
 	reg.GaugeFunc("charhpc_jobs_active", "async run jobs currently executing",
-		func() float64 { return float64(s.jobs.Counts()[jobs.Running]) })
-	reg.GaugeFunc("charhpc_jobs_queued", "async run jobs waiting for a worker slot",
-		func() float64 { return float64(s.jobs.Counts()[jobs.Pending]) })
+		func() float64 { return float64(s.jobs.Running()) })
 }
 
 // Registry returns the server's metric registry, the one GET /metrics

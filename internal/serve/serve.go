@@ -84,7 +84,7 @@ func New(cfg Config) *Server {
 		cfg:       cfg,
 		listReps:  buildListReps(),
 		cache:     newCache(),
-		jobs:      jobs.New(cfg.Jobs, cfg.JobsHistory),
+		jobs:      jobs.New(0, cfg.JobsHistory),
 		mux:       http.NewServeMux(),
 		m:         newTelemetry(reg, cfg.Store),
 		traces:    obs.NewTraceBuffer(traceCapacity),
@@ -142,13 +142,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		stalePurged = s.cfg.Store.StalePurged()
 	}
 	// jobs_done is the lifetime counter, not the retained-history count
-	// (which saturates at the history bound); active and queued are live.
-	jc := s.jobs.Counts()
-	fmt.Fprintf(w, "ok runs=%d mem_hits=%d disk_loads=%d disk_errs=%d fingerprint=%s uptime_seconds=%d mem_entries=%d disk_entries=%d jobs_active=%d jobs_queued=%d jobs_done=%d custom_platforms=%d stale_purged=%d\n",
+	// (which saturates at the history bound); jobs_active is live.
+	fmt.Fprintf(w, "ok runs=%d mem_hits=%d disk_loads=%d disk_errs=%d fingerprint=%s uptime_seconds=%d mem_entries=%d disk_entries=%d jobs_active=%d jobs_done=%d custom_platforms=%d stale_purged=%d\n",
 		st.Runs, st.MemHits, st.DiskLoads, st.DiskErrs,
 		core.Fingerprint(), int(time.Since(s.start).Seconds()),
 		s.cache.len(), diskEntries,
-		jc[jobs.Running], jc[jobs.Pending], s.m.jobsDone.Value(),
+		s.jobs.Running(), s.m.jobsDone.Value(),
 		cluster.CustomCount(), stalePurged)
 }
 
@@ -258,12 +257,11 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 // result is the one call every entry point — blocking GET, async job,
 // warm-up — makes for a key's result set: the single-flight cache
 // lookup, fill on a cold key, and the memory-hit count. j is the async
-// job to report a run's progress to, nil otherwise; its hooks are only
-// built if this call ends up running the fill. A caller that found
-// the key cached or in flight gets tier "mem"; waiters on a failed
-// fill get its error, not a hit.
+// job that follows the fill's progress, nil otherwise. A caller that
+// found the key cached or in flight gets tier "mem"; waiters on a
+// failed fill get its error, not a hit.
 func (s *Server) result(e core.Experiment, req core.Request, j *jobs.Job) (resultSet, error) {
-	rs, hit, err := s.cache.get(key{e.ID, req}, func() (resultSet, error) { return s.fill(e, req, jobHooks(j)) })
+	rs, hit, err := s.cache.get(key{e.ID, req}, j, func(h core.RunHooks) (resultSet, error) { return s.fill(e, req, h) })
 	if hit {
 		rs.tier = "mem"
 		if err == nil {
@@ -275,12 +273,13 @@ func (s *Server) result(e core.Experiment, req core.Request, j *jobs.Job) (resul
 
 // fill produces the result set for one cold (id, scale, platform):
 // load from the disk store when a valid entry exists there,
-// otherwise execute the experiment — observed through h on the async
-// job path — and write the rendering through to the store
+// otherwise execute the experiment — observed through h, the cache
+// entry's progress hooks — and write the rendering through to the store
 // (best-effort: a failed write leaves the in-memory entry serving and
 // bumps disk_errs). It is only ever called by result, under the
-// cache's single flight, so the memory layer is strictly a
-// write-through front for the store. The set's tier reports how it was
+// cache's single flight, whose safeFill recovers a panic anywhere in
+// it, so the memory layer is strictly a write-through front for the
+// store. The set's tier reports how it was
 // produced ("disk" or "run", the latter also on a failed run), for job
 // terminal events, warm-up's run count and the cache-tier metrics.
 func (s *Server) fill(e core.Experiment, req core.Request, h core.RunHooks) (resultSet, error) {
@@ -292,7 +291,7 @@ func (s *Server) fill(e core.Experiment, req core.Request, h core.RunHooks) (res
 			return rs, nil
 		}
 	}
-	rs, err := renderResult(s.safeRun(e, req, h))
+	rs, err := renderResult(s.run(e, req, h))
 	rs.tier = "run"
 	if err == nil && st != nil && putReps(st, e.ID, req, rs) != nil {
 		s.m.diskErrs.Inc()
@@ -300,32 +299,28 @@ func (s *Server) fill(e core.Experiment, req core.Request, h core.RunHooks) (res
 	return rs, err
 }
 
-// safeRun drives one execution with the safety net both paths need: a
-// panicking run becomes an error Result instead of killing a worker
-// goroutine (and with it the process, on the Warm path), and the
-// job's own identity is stamped on the result so cache keys and JSON
-// envelopes never depend on what a wrapper echoed back. A configured
-// RunFunc (test stubs, wrappers) takes precedence and ignores the
-// hooks; the default path runs core.RunWithHooks so async jobs see
-// live phase/section events.
-func (s *Server) safeRun(e core.Experiment, req core.Request, h core.RunHooks) (res core.Result) {
+// run drives one execution and stamps the request's own identity on
+// the result, so cache keys and JSON envelopes never depend on what a
+// wrapper echoed back. A configured RunFunc (test stubs, wrappers)
+// takes precedence and ignores the hooks; the default path runs
+// core.RunWithHooks so the fill's followers see live phase/section
+// events.
+func (s *Server) run(e core.Experiment, req core.Request, h core.RunHooks) core.Result {
 	s.m.runTotal.Inc()
-	defer func() {
-		if r := recover(); r != nil {
-			res = core.Result{Err: fmt.Errorf("experiment run panicked: %v", r)}
-		}
-		res.Experiment, res.Req = e, req
-		// A real run carries its timing tree on the Recorder (core.Run
-		// attached it); retain it for GET /debug/traces. Disk loads and
-		// rebuilt cache entries have no span and are skipped.
-		if res.Rec != nil {
-			if sp := res.Rec.Span(); sp != nil {
-				s.traces.Add(sp)
-			}
-		}
-	}()
+	var res core.Result
 	if s.cfg.RunFunc != nil {
-		return s.cfg.RunFunc(e, req)
+		res = s.cfg.RunFunc(e, req)
+	} else {
+		res = core.RunWithHooks(e, req, h)
 	}
-	return core.RunWithHooks(e, req, h)
+	res.Experiment, res.Req = e, req
+	// A real run carries its timing tree on the Recorder (core.Run
+	// attached it); retain it for GET /debug/traces. Stubbed results
+	// have no span and are skipped.
+	if res.Rec != nil {
+		if sp := res.Rec.Span(); sp != nil {
+			s.traces.Add(sp)
+		}
+	}
+	return res
 }
