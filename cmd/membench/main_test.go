@@ -3,16 +3,16 @@ package main
 import (
 	"bytes"
 	"errors"
-	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files from the current output")
+	"repro/internal/mem"
+)
 
 // membench is the binary under test, built once from this directory.
 var membench string
@@ -50,51 +50,46 @@ func runBin(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	return o.String(), e.String(), cmd.ProcessState.ExitCode()
 }
 
-// TestModeledOutputGolden pins the paths that evaluate a preset's
-// analytic model: they read no clock, so their bytes are a function of
-// the preset. Regenerate on purpose with
-//
-//	go test ./cmd/membench -run TestModeledOutputGolden -update-golden
-func TestModeledOutputGolden(t *testing.T) {
+// TestParseSize covers the size grammar, including the products that
+// would wrap an int: those are rejected, not truncated.
+func TestParseSize(t *testing.T) {
 	for _, tc := range []struct {
-		golden string
-		args   []string
+		in   string
+		want int
 	}{
-		{"list.txt", []string{"-list"}},
-		{"model_bgp-64n.txt", []string{"-model", "bgp-64n"}},
-		{"model_bgp-64n_paged.txt", []string{"-model", "bgp-64n", "-mode", "paged"}},
-		{"model_fat-1n_numa.txt", []string{"-model", "fat-1n", "-numa"}},
+		{"4096", 4096},
+		{"4K", 4 << 10},
+		{"32m", 32 << 20},
+		{" 1G ", 1 << 30},
+		{fmt.Sprint(math.MaxInt), math.MaxInt},
+		{fmt.Sprint(math.MaxInt>>30) + "G", math.MaxInt >> 30 << 30},
 	} {
-		t.Run(strings.TrimSuffix(tc.golden, ".txt"), func(t *testing.T) {
-			got, stderr, code := runBin(t, tc.args...)
-			if code != 0 || stderr != "" {
-				t.Fatalf("membench %v: exit %d, stderr %q", tc.args, code, stderr)
-			}
-			path := filepath.Join("testdata", tc.golden)
-			if *updateGolden {
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (run with -update-golden to create): %v", err)
-			}
-			if got != string(want) {
-				t.Errorf("membench %v diverged from %s\n--- got ---\n%s--- want ---\n%s", tc.args, path, got, want)
-			}
-		})
+		if got, err := parseSize(tc.in); err != nil || got != tc.want {
+			t.Errorf("parseSize(%q) = %d, %v; want %d", tc.in, got, err, tc.want)
+		}
+	}
+	for _, in := range []string{
+		"", "K", "-4K", "0", "4X", "4.5M",
+		"8589934592G",  // wrapped to math.MinInt64
+		"17179869185G", // wrapped to 1 GiB
+		fmt.Sprint(math.MaxInt>>20+1) + "M",
+	} {
+		if got, err := parseSize(in); err == nil {
+			t.Errorf("parseSize(%q) = %d, want an error", in, got)
+		}
 	}
 }
 
-func TestBadModelAndModeExitNonZero(t *testing.T) {
+// TestBadSizesExitNonZero checks that a bad sweep fails before
+// anything is measured: non-zero exit, one line on stderr, nothing on
+// stdout.
+func TestBadSizesExitNonZero(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-model", "cray-1"}, `membench: unknown platform "cray-1" (use -list)`},
-		{[]string{"-model", "bgp-64n", "-mode", "huge"}, `membench: unknown mode "huge" (want paged or bigmem)`},
+		{[]string{"-min", "64K", "-max", "4K"}, "membench: -max 4K not above -min 64K"},
+		{[]string{"-min", "8589934592G", "-max", "16K"}, `membench: bad size "8589934592G"`},
 	} {
 		stdout, stderr, code := runBin(t, tc.args...)
 		if code == 0 {
@@ -109,6 +104,18 @@ func TestBadModelAndModeExitNonZero(t *testing.T) {
 	}
 }
 
+// assertHeaders fails t unless stdout holds every header. Column
+// padding follows the widest cell, so the comparison is field-wise.
+func assertHeaders(t *testing.T, stdout string, headers ...string) {
+	t.Helper()
+	squeezed := strings.Join(strings.Fields(stdout), " ")
+	for _, header := range headers {
+		if !strings.Contains(squeezed, header) {
+			t.Errorf("output lacks %q:\n%s", header, stdout)
+		}
+	}
+}
+
 // TestHostLadderAndFit runs the measuring path once at the smallest
 // useful parameters. The numbers are the host's, so only the shape is
 // asserted: both blocks appear, under their headers.
@@ -118,16 +125,42 @@ func TestHostLadderAndFit(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, stderr)
 	}
-	// Column padding follows the widest cell, so compare field-wise.
-	squeezed := strings.Join(strings.Fields(stdout), " ")
-	for _, header := range []string{
+	assertHeaders(t, stdout,
 		"== Pointer-chase latency ladder (host) ==",
 		"# series, working set (bytes), ns/access",
 		"== Fitted hierarchy (host) ==",
-		"level capacity latency (ns) R2",
-	} {
-		if !strings.Contains(squeezed, header) {
-			t.Errorf("host run output lacks %q:\n%s", header, stdout)
+		"level capacity latency (ns) R2")
+}
+
+// TestHostTLB runs the TLB sweep once at tiny parameters.
+func TestHostTLB(t *testing.T) {
+	stdout, stderr, code := runBin(t, "-min", "4K", "-max", "16K", "-points", "1",
+		"-iters", "4096", "-trials", "1", "-tlb", "-tlbpages", "64")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	assertHeaders(t, stdout,
+		"== Pointer-chase latency ladder (host) ==",
+		"== TLB stress (host) ==",
+		"# series, pages touched, ns/access")
+}
+
+// TestHostNUMA runs the placement probe once at tiny parameters. On a
+// UMA host the ladders coincide; either way all three series and the
+// split table appear.
+func TestHostNUMA(t *testing.T) {
+	stdout, stderr, code := runBin(t, "-min", "4K", "-max", "64K", "-points", "1",
+		"-iters", "4096", "-trials", "1", "-numa")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	assertHeaders(t, stdout,
+		"== NUMA placement latency ladder (host) ==",
+		"== Fitted NUMA split (host) ==",
+		"local (ns) remote (ns) ratio R2")
+	for _, p := range mem.Placements {
+		if !strings.Contains(stdout, "measured/"+p.String()) {
+			t.Errorf("output lacks the %s series:\n%s", p, stdout)
 		}
 	}
 }

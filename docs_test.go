@@ -144,11 +144,10 @@ func TestReadmeCoversRegistry(t *testing.T) {
 // flag.Int("jobs-history", ...).
 var flagDef = regexp.MustCompile(`flag\.[A-Z][A-Za-z0-9]*\("([a-z0-9-]+)"`)
 
-// TestReadmeCoversFlags keeps the serving commands' flag surface and
-// the docs in step: every flag charhpcd, charhpc-router and charhpc
-// define is mentioned as -name in README.md or the serve README, and a
-// retired flag, tool or function is mentioned nowhere but the change
-// history.
+// TestReadmeCoversFlags keeps the commands' flag surface and the docs
+// in step: every flag a command under cmd/ defines is mentioned as
+// -name in README.md or the serve README, and a retired flag, tool or
+// function is mentioned nowhere but the change history.
 func TestReadmeCoversFlags(t *testing.T) {
 	var docs string
 	for _, f := range []string{"README.md", filepath.Join("internal", "serve", "README.md")} {
@@ -158,8 +157,16 @@ func TestReadmeCoversFlags(t *testing.T) {
 		}
 		docs += string(body)
 	}
-	for _, cmd := range []string{"charhpcd", "charhpc-router", "charhpc"} {
-		srcs, err := filepath.Glob(filepath.Join("cmd", cmd, "*.go"))
+	cmds, err := filepath.Glob(filepath.Join("cmd", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cmds) == 0 {
+		t.Fatal("found no commands under cmd/")
+	}
+	for _, dir := range cmds {
+		cmd := filepath.Base(dir)
+		srcs, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,9 +243,13 @@ func TestReadmeCoversFlags(t *testing.T) {
 		{"Default" + "Workers", ""},
 		{"`" + "-jobs`", ""},
 		{"-jobs" + " N", ""},
+		{"membench -" + "model", ""},
+		{"-model " + "PRESET", ""},
+		{"cmd/membench/" + "testdata", ""},
+		{"FitNUMASplit" + "FromModel", ""},
 	}
 	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}

@@ -114,35 +114,30 @@ func runF15(w io.Writer, r Request) error {
 	results := make([]row, len(ms))
 	for i, m := range ms {
 		m.Placement = cluster.Cyclic
-		var rr row
-		cfg := mp.Config{Model: m}
-		err := mp.Run(p, cfg, func(c *mp.Comm) error {
+		rr, err := onRank0(p, mp.Config{Model: m}, func(c *mp.Comm) (row, error) {
 			ep, err := nas.EP(c, nas.EPConfig{
 				PairsPerRank: pairsPerRank, Seed: 1, ComputeRate: m.FlopsPerCore / 50,
 			})
 			if err != nil {
-				return err
+				return row{}, err
 			}
 			is, err := nas.IS(c, nas.ISConfig{
 				KeysPerRank: keysPerRank, MaxKey: 1 << 20, Seed: 2,
 			})
 			if err != nil {
-				return err
+				return row{}, err
 			}
 			_, st, err := stencil.Jacobi(c, stencil.Config{
 				NX: stencilN, NY: stencilN, Iters: 50, ComputeRate: 1e9,
 			})
 			if err != nil {
-				return err
+				return row{}, err
 			}
 			cgTime, err := runCG(c, a, b)
 			if err != nil {
-				return err
+				return row{}, err
 			}
-			if c.Rank() == 0 {
-				rr = row{ep: ep.MopsPerS, is: is.MKeysPerS, st: st.CellsPerS, cg: cgTime}
-			}
-			return nil
+			return row{ep: ep.MopsPerS, is: is.MKeysPerS, st: st.CellsPerS, cg: cgTime}, nil
 		})
 		if err != nil {
 			return fmt.Errorf("platform %s: %w", m.Name, err)

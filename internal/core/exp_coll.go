@@ -44,18 +44,9 @@ func collPlatform(r Request) (*cluster.Model, error) {
 // collective mk builds runs size-only (osu.CollectiveLatency), so its
 // buffers are slices of the shared mp.SizeOnlyBuf.
 func measureColl(cfg mp.Config, p, warm, iters int, mk func(c *mp.Comm) func() error) (float64, error) {
-	var lat float64
-	err := mp.Run(p, cfg, func(c *mp.Comm) error {
-		l, err := osu.CollectiveLatency(c, warm, iters, mk(c))
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			lat = l
-		}
-		return nil
+	return onRank0(p, cfg, func(c *mp.Comm) (float64, error) {
+		return osu.CollectiveLatency(c, warm, iters, mk(c))
 	})
-	return lat, err
 }
 
 func runF5(w io.Writer, r Request) error {

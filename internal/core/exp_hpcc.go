@@ -62,22 +62,13 @@ func runF8(w io.Writer, r Request) error {
 	fig := report.NewFigure(fmt.Sprintf("HPL scaling (strong: N=%d; weak: N grows as sqrt(p); NB=%d)", n, nb),
 		"processes", "GFLOP/s")
 	runOne := func(m *cluster.Model, p, order int) (float64, error) {
-		var g float64
-		cfg := mp.Config{Model: m}
-		err := mp.Run(p, cfg, func(c *mp.Comm) error {
+		return onRank0(p, mp.Config{Model: m}, func(c *mp.Comm) (float64, error) {
 			res, err := hpcc.HPL(c, hpcc.HPLConfig{
 				N: order, NB: nb, Seed: 7,
 				ComputeRate: m.FlopsPerCore, SkipCheck: true,
 			})
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				g = res.GFlops
-			}
-			return nil
+			return res.GFlops, err
 		})
-		return g, err
 	}
 	for _, m := range ms {
 		strong := fig.AddSeries(m.Name + "/strong")
@@ -125,19 +116,11 @@ func runF16(w io.Writer, r Request) error {
 	for _, m := range ms {
 		series := fig.AddSeries(m.Name)
 		for _, nb := range nbs {
-			var g float64
-			cfg := mp.Config{Model: m}
-			err := mp.Run(4, cfg, func(c *mp.Comm) error {
+			g, err := onRank0(4, mp.Config{Model: m}, func(c *mp.Comm) (float64, error) {
 				res, err := hpcc.HPL(c, hpcc.HPLConfig{
 					N: n, NB: nb, Seed: 7, ComputeRate: m.FlopsPerCore, SkipCheck: true,
 				})
-				if err != nil {
-					return err
-				}
-				if c.Rank() == 0 {
-					g = res.GFlops
-				}
-				return nil
+				return res.GFlops, err
 			})
 			if err != nil {
 				return fmt.Errorf("HPL %s NB=%d: %w", m.Name, nb, err)
@@ -165,19 +148,11 @@ func runF9(w io.Writer, r Request) error {
 			if p&(p-1) != 0 || p > m.Topo.Nodes {
 				continue
 			}
-			var g float64
-			cfg := mp.Config{Model: m}
-			err := mp.Run(p, cfg, func(c *mp.Comm) error {
+			g, err := onRank0(p, mp.Config{Model: m}, func(c *mp.Comm) (float64, error) {
 				res, err := hpcc.RandomAccess(c, hpcc.GUPSConfig{
 					TableBits: bits, Chunk: 1024, ComputeRate: 2e8,
 				})
-				if err != nil {
-					return err
-				}
-				if c.Rank() == 0 {
-					g = res.GUPS
-				}
-				return nil
+				return res.GUPS, err
 			})
 			if err != nil {
 				return fmt.Errorf("GUPS %s p=%d: %w", m.Name, p, err)
@@ -205,17 +180,9 @@ func runF10(w io.Writer, r Request) error {
 			if n%p != 0 || p > m.Topo.Nodes {
 				continue
 			}
-			var g float64
-			cfg := mp.Config{Model: m}
-			err := mp.Run(p, cfg, func(c *mp.Comm) error {
+			g, err := onRank0(p, mp.Config{Model: m}, func(c *mp.Comm) (float64, error) {
 				res, err := hpcc.PTRANS(c, hpcc.PTRANSConfig{N: n, Seed: 5, MemRate: m.MemBWPerCore})
-				if err != nil {
-					return err
-				}
-				if c.Rank() == 0 {
-					g = res.GBps
-				}
-				return nil
+				return res.GBps, err
 			})
 			if err != nil {
 				return fmt.Errorf("PTRANS %s p=%d: %w", m.Name, p, err)
@@ -241,19 +208,11 @@ func runF11(w io.Writer, r Request) error {
 	}
 	series := fig.AddSeries(m.Name)
 	for _, d := range dims {
-		var g float64
-		cfg := mp.Config{Model: m}
-		err := mp.Run(4, cfg, func(c *mp.Comm) error {
+		g, err := onRank0(4, mp.Config{Model: m}, func(c *mp.Comm) (float64, error) {
 			res, err := hpcc.DistFFT(c, hpcc.FFTConfig{
 				N1: d[0], N2: d[1], Seed: 3, ComputeRate: m.FlopsPerCore / 4,
 			})
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				g = res.GFlops
-			}
-			return nil
+			return res.GFlops, err
 		})
 		if err != nil {
 			return fmt.Errorf("FFT %dx%d: %w", d[0], d[1], err)
@@ -281,47 +240,45 @@ func runT3(w io.Writer, r Request) error {
 	t := report.NewTable(fmt.Sprintf("HPCC summary (%s, p=%d)", m.Name, p),
 		"kernel", "metric", "value")
 
-	cfg := mp.Config{Model: m}
-	err = mp.Run(p, cfg, func(c *mp.Comm) error {
+	type row struct{ hpl, gups, ptrans, fft, rnd, nat float64 }
+	k, err := onRank0(p, mp.Config{Model: m}, func(c *mp.Comm) (row, error) {
 		hpl, err := hpcc.HPL(c, hpcc.HPLConfig{
 			N: hplN, NB: 32, Seed: 7, ComputeRate: m.FlopsPerCore, SkipCheck: true,
 		})
 		if err != nil {
-			return err
+			return row{}, err
 		}
 		g, err := hpcc.RandomAccess(c, hpcc.GUPSConfig{TableBits: bits, Chunk: 1024, ComputeRate: 2e8})
 		if err != nil {
-			return err
+			return row{}, err
 		}
 		pt, err := hpcc.PTRANS(c, hpcc.PTRANSConfig{N: ptransN, Seed: 5, MemRate: m.MemBWPerCore})
 		if err != nil {
-			return err
+			return row{}, err
 		}
 		ff, err := hpcc.DistFFT(c, hpcc.FFTConfig{N1: fftD, N2: fftD, Seed: 3, ComputeRate: m.FlopsPerCore / 4})
 		if err != nil {
-			return err
+			return row{}, err
 		}
 		nat, err := hpcc.NaturalRing(c, 2048, 3, 20)
 		if err != nil {
-			return err
+			return row{}, err
 		}
 		rnd, err := hpcc.RandomRing(c, 2048, 3, 20, 99)
 		if err != nil {
-			return err
+			return row{}, err
 		}
-		if c.Rank() == 0 {
-			t.AddRow("HPL", "GFLOP/s", hpl.GFlops)
-			t.AddRow("RandomAccess", "GUPS", g.GUPS)
-			t.AddRow("PTRANS", "GB/s", pt.GBps)
-			t.AddRow("FFT", "GFLOP/s", ff.GFlops)
-			t.AddRow("RandomRing", "MB/s", rnd.Bandwidth/1e6)
-			t.AddRow("NaturalRing", "MB/s", nat.Bandwidth/1e6)
-		}
-		return nil
+		return row{hpl.GFlops, g.GUPS, pt.GBps, ff.GFlops, rnd.Bandwidth / 1e6, nat.Bandwidth / 1e6}, nil
 	})
 	if err != nil {
 		return err
 	}
+	t.AddRow("HPL", "GFLOP/s", k.hpl)
+	t.AddRow("RandomAccess", "GUPS", k.gups)
+	t.AddRow("PTRANS", "GB/s", k.ptrans)
+	t.AddRow("FFT", "GFLOP/s", k.fft)
+	t.AddRow("RandomRing", "MB/s", k.rnd)
+	t.AddRow("NaturalRing", "MB/s", k.nat)
 
 	// DGEMM and STREAM run on the host (real compute), one node's worth.
 	dg, err := hpcc.DGEMM(hpcc.DGEMMConfig{N: dgemmN(r.Scale), Threads: runtime.GOMAXPROCS(0), Reps: 3, Seed: 1})

@@ -247,8 +247,14 @@ func runM5(w io.Writer, r Request) error {
 		"platform", "true local", "fit local", "true remote", "fit remote",
 		"true ratio", "fit ratio", "R2")
 	for _, m := range ms {
+		// Big-memory mode, so no TLB term blurs the memory plateaus;
+		// the sweep runs to 8x the last cache level.
 		done := phase(w, "fit/"+m.Name)
-		split, err := perfmodel.FitNUMASplitFromModel(m.Mem, ppo)
+		big := m.Mem.WithMode(mem.BigMemory)
+		maxBytes := 8 * big.Levels[len(big.Levels)-1].Capacity
+		local := big.WithPlacement(mem.FirstTouch).Ladder(4<<10, maxBytes, ppo)
+		remote := big.WithPlacement(mem.Remote).Ladder(4<<10, maxBytes, ppo)
+		split, err := perfmodel.FitNUMASplit(local, remote, len(big.Levels)+1)
 		done()
 		if err != nil {
 			return fmt.Errorf("numa split %s: %w", m.Name, err)

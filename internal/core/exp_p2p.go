@@ -91,15 +91,9 @@ func runP2PCurve(cfg mp.Config, pc cluster.PathClass, pairs int, opts osu.Option
 	bench func(*mp.Comm, osu.Options) ([]osu.Sample, error)) ([]osu.Sample, error) {
 
 	cfg.Model = pairModel(cfg.Model, pc, pairs)
-	var out []osu.Sample
-	err := mp.Run(2*pairs, cfg, func(c *mp.Comm) error {
-		s, err := bench(c, opts)
-		if c.Rank() == 0 {
-			out = s
-		}
-		return err
+	return onRank0(2*pairs, cfg, func(c *mp.Comm) ([]osu.Sample, error) {
+		return bench(c, opts)
 	})
-	return out, err
 }
 
 func runF1(w io.Writer, r Request) error {

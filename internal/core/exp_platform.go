@@ -118,36 +118,31 @@ func runT4(w io.Writer, r Request) error {
 		if err != nil {
 			return row{}, err
 		}
-		rr := row{smallLat: lat[0].Value * 1e6, peakBW: bw[1].Value / 1e6}
-		err = mp.Run(p, cfg, func(c *mp.Comm) error {
+		rr, err := onRank0(p, cfg, func(c *mp.Comm) (row, error) {
 			buf := make([]float64, 1)
 			out := make([]float64, 1)
 			ar, err := osu.CollectiveLatency(c, 5, iters, func() error {
 				return c.Allreduce(mp.OpSum, buf, out)
 			})
 			if err != nil {
-				return err
+				return row{}, err
 			}
 			g, err := hpcc.RandomAccess(c, hpcc.GUPSConfig{TableBits: tableBits, Chunk: 1024, ComputeRate: 1e8})
 			if err != nil {
-				return err
+				return row{}, err
 			}
 			nat, err := hpcc.NaturalRing(c, 4096, 5, iters)
 			if err != nil {
-				return err
+				return row{}, err
 			}
 			rnd, err := hpcc.RandomRing(c, 4096, 5, iters, 99)
 			if err != nil {
-				return err
+				return row{}, err
 			}
-			if c.Rank() == 0 {
-				rr.allreduce = ar * 1e6
-				rr.gups = g.GUPS
-				rr.ringNat = nat.Bandwidth / 1e6
-				rr.ringRnd = rnd.Bandwidth / 1e6
-			}
-			return nil
+			return row{allreduce: ar * 1e6, gups: g.GUPS,
+				ringNat: nat.Bandwidth / 1e6, ringRnd: rnd.Bandwidth / 1e6}, nil
 		})
+		rr.smallLat, rr.peakBW = lat[0].Value*1e6, bw[1].Value/1e6
 		return rr, err
 	}
 	results := make([]row, len(ms))

@@ -11,6 +11,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/mp"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/report"
@@ -122,6 +123,21 @@ func spanOf(w io.Writer) *obs.Span {
 func phase(w io.Writer, name string) func() {
 	sp := spanOf(w).StartChild(name)
 	return sp.End
+}
+
+// onRank0 runs f on every rank of a p-rank world under cfg and returns
+// what rank 0's call returned — the one number (or row) an experiment
+// reads off a run — with the run's error.
+func onRank0[T any](p int, cfg mp.Config, f func(*mp.Comm) (T, error)) (T, error) {
+	var v T
+	err := mp.Run(p, cfg, func(c *mp.Comm) error {
+		x, err := f(c)
+		if c.Rank() == 0 {
+			v = x
+		}
+		return err
+	})
+	return v, err
 }
 
 // resolve maps experiment IDs to registry entries, failing on the

@@ -81,8 +81,8 @@ func ExampleFitHierarchy() {
 // mapping modes — placement composes with the paged/big-memory axis.
 // Then two ladders generated from the model under opposite placements
 // go to the split fit, which recovers the local/remote split.
-// perfmodel.FitNUMASplitFromModel packages these steps for M5 and
-// membench; `membench -numa` measures the host's placement ladders.
+// Experiment M5 runs these steps for each NUMA preset;
+// `membench -numa` measures the host's placement ladders.
 func ExampleFitNUMASplit() {
 	platform := cluster.FatNUMANode()
 	m := platform.Mem

@@ -55,22 +55,3 @@ func FitNUMASplit(local, remote []mem.Sample, maxLevels int) (NUMASplit, error) 
 	}
 	return s, nil
 }
-
-// FitNUMASplitFromModel runs the canonical split-recovery protocol
-// against an analytic model's own ladders — the one recipe experiment
-// M5 and `membench -model -numa` both follow, kept here so the CLI
-// cannot silently diverge from the experiment it reproduces: big-memory
-// mode (the TLB term would blur the memory plateaus), a sweep from
-// 4 KiB to 8x the last cache level's capacity, one ladder under
-// FirstTouch and one under Remote, fitted with maxLevels one above the
-// configured level count.
-func FitNUMASplitFromModel(m *mem.Model, pointsPerOctave int) (NUMASplit, error) {
-	if m == nil || len(m.Levels) == 0 {
-		return NUMASplit{}, fmt.Errorf("perfmodel: model without cache levels")
-	}
-	big := m.WithMode(mem.BigMemory)
-	maxBytes := 8 * big.Levels[len(big.Levels)-1].Capacity
-	local := big.WithPlacement(mem.FirstTouch).Ladder(4<<10, maxBytes, pointsPerOctave)
-	remote := big.WithPlacement(mem.Remote).Ladder(4<<10, maxBytes, pointsPerOctave)
-	return FitNUMASplit(local, remote, len(big.Levels)+1)
-}
