@@ -17,9 +17,13 @@
 //	membench -min 4K -max 256M -points 4 -fit
 //	membench -tlb -tlbpages 65536
 //	membench -numa -max 64M                 # host placement ladders + split fit
+//
+// -numa replaces the ladder, so it does not combine with -fit or -tlb;
+// asking for both is a usage error.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -55,6 +59,9 @@ func main() {
 	fail(err)
 	if maxBytes <= minBytes {
 		fail(fmt.Errorf("-max %s not above -min %s", *maxFlag, *minFlag))
+	}
+	if *numa && (*fit || *tlb) {
+		fail(errors.New("-numa runs instead of the ladder: it does not combine with -fit or -tlb"))
 	}
 	run(config{
 		minBytes: minBytes, maxBytes: maxBytes, points: *points,

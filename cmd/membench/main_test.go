@@ -80,27 +80,37 @@ func TestParseSize(t *testing.T) {
 	}
 }
 
-// TestBadSizesExitNonZero checks that a bad sweep fails before
-// anything is measured: non-zero exit, one line on stderr, nothing on
+// assertUsageError checks that membench args fails before anything is
+// measured: non-zero exit, the one line want on stderr, nothing on
 // stdout.
+func assertUsageError(t *testing.T, want string, args ...string) {
+	t.Helper()
+	stdout, stderr, code := runBin(t, args...)
+	if code == 0 {
+		t.Errorf("membench %v exited 0", args)
+	}
+	if strings.TrimSpace(stderr) != want {
+		t.Errorf("membench %v: stderr %q, want %q", args, stderr, want)
+	}
+	if stdout != "" {
+		t.Errorf("membench %v printed %q before failing", args, stdout)
+	}
+}
+
+// TestBadSizesExitNonZero checks that a bad sweep is a usage error.
 func TestBadSizesExitNonZero(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		want string
-	}{
-		{[]string{"-min", "64K", "-max", "4K"}, "membench: -max 4K not above -min 64K"},
-		{[]string{"-min", "8589934592G", "-max", "16K"}, `membench: bad size "8589934592G"`},
-	} {
-		stdout, stderr, code := runBin(t, tc.args...)
-		if code == 0 {
-			t.Errorf("membench %v exited 0", tc.args)
-		}
-		if strings.TrimSpace(stderr) != tc.want {
-			t.Errorf("membench %v: stderr %q, want %q", tc.args, stderr, tc.want)
-		}
-		if stdout != "" {
-			t.Errorf("membench %v printed %q before failing", tc.args, stdout)
-		}
+	assertUsageError(t, "membench: -max 4K not above -min 64K", "-min", "64K", "-max", "4K")
+	assertUsageError(t, `membench: bad size "8589934592G"`, "-min", "8589934592G", "-max", "16K")
+}
+
+// TestNUMAWithLadderFlagsExitNonZero: -numa replaces the ladder, so
+// asking for the ladder's TLB sweep or hierarchy fit beside it is a
+// usage error, not a silently dropped flag.
+func TestNUMAWithLadderFlagsExitNonZero(t *testing.T) {
+	const want = "membench: -numa runs instead of the ladder: it does not combine with -fit or -tlb"
+	for _, flags := range [][]string{{"-tlb"}, {"-fit"}, {"-tlb", "-fit"}} {
+		assertUsageError(t, want, append([]string{"-numa", "-min", "4K", "-max", "64K", "-points", "1",
+			"-iters", "4096", "-trials", "1"}, flags...)...)
 	}
 }
 

@@ -101,9 +101,9 @@ func raceBuild() bool {
 }
 
 // TestSimPingPongAllocBudget: in steady state a 1 MiB rendezvous round
-// trip allocates only its Request handles — the two payload buffers come
-// from the fabric's pool. Before the pool it allocated (and zeroed)
-// more than 2 MiB.
+// trip allocates next to nothing — the two payload buffers come from the
+// fabric's pool. Before the pool it allocated (and zeroed) more than
+// 2 MiB.
 func TestSimPingPongAllocBudget(t *testing.T) {
 	if raceBuild() {
 		t.Skip("sync.Pool drops Puts under -race")
@@ -124,6 +124,92 @@ func TestSimPingPongAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perTrip := (after.TotalAlloc - before.TotalAlloc) / trips; perTrip >= 4<<10 {
 		t.Errorf("1 MiB Sim ping-pong allocates %d bytes per round trip, budget 4 KiB", perTrip)
+	}
+}
+
+// TestMessagePathAllocatesNothing: in a warmed world the blocking
+// operations and the collectives built on them allocate nothing per
+// call. Eager sends return the Comm's completed request, the blocking
+// calls fill its two request slots, the mailbox hands over batches in
+// two alternating slices, payloads come from the pool, and size-only
+// reductions take their scratch from SizeOnlyBuf. Under -race the
+// operations still run, but sync.Pool drops Puts there, so the counts
+// are not checked.
+func TestMessagePathAllocatesNothing(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const warm, runs = 8, 100
+	type bufs struct {
+		msg, send, recv []byte
+		vec             []float64
+	}
+	ops := []struct {
+		name string
+		f    func(c *Comm, b *bufs) error
+	}{
+		{"Send-Recv", func(c *Comm, b *bufs) error {
+			peer := c.Rank() ^ 1
+			if c.Rank()%2 == 0 {
+				if err := c.Send(peer, 1, b.msg); err != nil {
+					return err
+				}
+				_, err := c.Recv(peer, 1, b.msg)
+				return err
+			}
+			if _, err := c.Recv(peer, 1, b.msg); err != nil {
+				return err
+			}
+			return c.Send(peer, 1, b.msg)
+		}},
+		{"SendRecv", func(c *Comm, b *bufs) error {
+			p := c.Size()
+			_, err := c.SendRecv((c.Rank()+1)%p, 1, b.msg, (c.Rank()+p-1)%p, 1, b.recv[:len(b.msg)])
+			return err
+		}},
+		{"Barrier", func(c *Comm, b *bufs) error { return c.Barrier() }},
+		{"Alltoall", func(c *Comm, b *bufs) error { return c.Alltoall(b.send, b.recv) }},
+		{"SizeOnly-Allreduce", func(c *Comm, b *bufs) error {
+			return c.SizeOnly(func() error { return c.Allreduce(OpSum, b.vec, b.vec) })
+		}},
+	}
+	for _, p := range []int{2, 4} {
+		for _, op := range ops {
+			t.Run(fmt.Sprintf("p=%d/%s", p, op.name), func(t *testing.T) {
+				var allocs float64
+				err := Run(p, simCfg(), func(c *Comm) error {
+					b := &bufs{
+						msg:  make([]byte, 8),
+						send: make([]byte, 64*p),
+						recv: make([]byte, 64*p),
+						vec:  SizeOnlyBuf[float64](4096),
+					}
+					for range warm {
+						if err := op.f(c, b); err != nil {
+							return err
+						}
+					}
+					var err error
+					call := func() {
+						if e := op.f(c, b); err == nil {
+							err = e
+						}
+					}
+					if c.Rank() == 0 {
+						allocs = testing.AllocsPerRun(runs, call)
+					} else {
+						for range runs + 1 { // AllocsPerRun adds a warm-up call
+							call()
+						}
+					}
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if allocs != 0 && !raceBuild() {
+					t.Errorf("%v allocations per call, want 0", allocs)
+				}
+			})
+		}
 	}
 }
 

@@ -78,7 +78,8 @@ const bcastPipelineChunk = 8 * 1024
 // bcastPipelineRing streams the buffer down the ring in fixed chunks:
 // each rank forwards chunk i while its predecessor is already sending
 // chunk i+1, so steady-state cost is one chunk time per chunk plus a
-// (p-2)-deep pipeline fill.
+// (p-2)-deep pipeline fill. The forward in flight holds the send slot;
+// it is done before the next forward reuses it.
 func (c *Comm) bcastPipelineRing(root int, buf []byte, tag int) error {
 	p := c.Size()
 	vrank := (c.rank - root + p) % p
@@ -110,7 +111,7 @@ func (c *Comm) bcastPipelineRing(root int, buf []byte, tag int) error {
 					return fmt.Errorf("mp: bcast pipeline send wait: %w", err)
 				}
 			}
-			req, err := c.isendInternal(next, chunkTag, chunk)
+			req, err := c.isendInto(reuse(&c.sreq), next, chunkTag, chunk)
 			if err != nil {
 				return fmt.Errorf("mp: bcast pipeline send chunk %d: %w", i, err)
 			}

@@ -26,23 +26,57 @@ type Comm struct {
 	sizeOnly   bool   // inside SizeOnly: sends carry lengths, not bytes
 	stats      OpStats
 	scratch    []float64 // reduction temporaries, see (*Comm).tmp
+
+	// inbox is the last batch taken from the rank's mailbox; packets
+	// before next are handled and cleared.
+	inbox []packet
+	next  int
+
+	// The blocking operations need no Request of their own: every eager
+	// send returns sent, which is complete, and sendInternal,
+	// recvInternal and sendRecvInternal fill sreq and rreq. A slot is
+	// reused only once it is done, when nothing links to it (see reuse).
+	sent       Request
+	sreq, rreq *Request
+	slots      [2]Request
 }
 
 func newComm(fab *fabric, rank int, cfg Config) *Comm {
-	return &Comm{
+	c := &Comm{
 		fab:       fab,
 		rank:      rank,
 		cfg:       cfg,
 		pendSends: make(map[uint64]*Request),
 		rndvRecvs: make(map[rndvKey]*Request),
 	}
+	c.sent = Request{c: c, done: true}
+	c.slots = [2]Request{{done: true}, {done: true}}
+	c.sreq, c.rreq = &c.slots[0], &c.slots[1]
+	return c
+}
+
+// reuse returns the request slot *s for another operation. A slot that
+// is not done was left by a failed operation and may still sit on
+// posted, pendSends or rndvRecvs, where a later packet would complete
+// it: it stays there, and *s becomes a fresh request, so no call
+// overwrites a linked request.
+func reuse(s **Request) *Request {
+	if !(*s).done {
+		*s = new(Request)
+	}
+	return *s
 }
 
 // tmp returns n float64s of reduction scratch with unspecified contents,
 // valid until the next tmp call on this rank: an algorithm that needs
 // two live temporaries takes both in one call. Callers only ever read
-// elements a copy or a receive has just written.
+// elements a copy or a receive has just written. Inside SizeOnly it is
+// the shared SizeOnlyBuf, which size-only receives never write and
+// combine never reads, so a size-only world allocates no scratch.
 func (c *Comm) tmp(n int) []float64 {
+	if c.sizeOnly {
+		return SizeOnlyBuf[float64](n)
+	}
 	if cap(c.scratch) < n {
 		c.scratch = make([]float64, n)
 	}
@@ -174,7 +208,7 @@ func (c *Comm) Send(dst, tag int, buf []byte) error {
 // sendInternal is Send without the user-tag check; collectives use
 // negative tags.
 func (c *Comm) sendInternal(dst, tag int, buf []byte) error {
-	req, err := c.isendInternal(dst, tag, buf)
+	req, err := c.isendInto(reuse(&c.sreq), dst, tag, buf)
 	if err != nil {
 		return err
 	}
@@ -182,15 +216,18 @@ func (c *Comm) sendInternal(dst, tag int, buf []byte) error {
 }
 
 // Isend starts a nonblocking send. The caller must not modify buf until
-// the returned request completes.
+// the returned request completes. An eager send is complete on return,
+// and every eager send of a rank returns the same completed request.
 func (c *Comm) Isend(dst, tag int, buf []byte) (*Request, error) {
 	if err := c.checkUserTag(tag); err != nil {
 		return nil, err
 	}
-	return c.isendInternal(dst, tag, buf)
+	return c.isendInto(nil, dst, tag, buf)
 }
 
-func (c *Comm) isendInternal(dst, tag int, buf []byte) (*Request, error) {
+// isendInto starts a send. An eager send returns c.sent; a rendezvous
+// send fills into, or a new Request if into is nil, and returns it.
+func (c *Comm) isendInto(into *Request, dst, tag int, buf []byte) (*Request, error) {
 	if err := c.checkPeer(dst); err != nil {
 		return nil, err
 	}
@@ -212,19 +249,22 @@ func (c *Comm) isendInternal(dst, tag int, buf []byte) (*Request, error) {
 		c.fab.addDelay(c.rank, rt.O+inject)
 		c.stats.SendsEager++
 		c.stats.BytesSent += uint64(len(buf))
-		return &Request{c: c, done: true}, nil
+		return &c.sent, nil
 	}
 	// Rendezvous: announce with RTS; payload moves when CTS arrives.
+	if into == nil {
+		into = new(Request)
+	}
 	c.seq++
-	req := &Request{c: c, rt: rt, slot: slot, buf: data, size: len(buf)}
-	c.pendSends[c.seq] = req
+	*into = Request{c: c, rt: rt, slot: slot, buf: data, size: len(buf)}
+	c.pendSends[c.seq] = into
 	if err := c.fab.send(rt, packet{kind: kindRTS, tag: tag, seq: c.seq, arrival: now + rt.O}); err != nil {
 		delete(c.pendSends, c.seq)
 		return nil, err
 	}
 	c.stats.SendsRndv++
 	c.stats.BytesSent += uint64(len(buf))
-	return req, nil
+	return into, nil
 }
 
 // Recv receives a message from rank src with the given tag into buf,
@@ -239,7 +279,7 @@ func (c *Comm) Recv(src, tag int, buf []byte) (Status, error) {
 // recvInternal is Recv without the user-tag check; collectives use
 // negative tags.
 func (c *Comm) recvInternal(src, tag int, buf []byte) (Status, error) {
-	req, err := c.irecvInternal(src, tag, buf)
+	req, err := c.irecvInto(reuse(&c.rreq), src, tag, buf)
 	if err != nil {
 		return Status{}, err
 	}
@@ -251,16 +291,17 @@ func (c *Comm) Irecv(src, tag int, buf []byte) (*Request, error) {
 	if err := c.checkUserTag(tag); err != nil {
 		return nil, err
 	}
-	return c.irecvInternal(src, tag, buf)
+	return c.irecvInto(new(Request), src, tag, buf)
 }
 
-func (c *Comm) irecvInternal(src, tag int, buf []byte) (*Request, error) {
+// irecvInto posts a receive in into and returns it.
+func (c *Comm) irecvInto(into *Request, src, tag int, buf []byte) (*Request, error) {
 	if err := c.checkPeer(src); err != nil {
 		return nil, err
 	}
-	req := &Request{c: c, src: src, tag: tag, buf: buf, post: c.Time()}
-	c.postRecv(req)
-	return req, nil
+	*into = Request{c: c, src: src, tag: tag, buf: buf, post: c.Time()}
+	c.postRecv(into)
+	return into, nil
 }
 
 // SendRecv performs a combined send and receive, safe against the
@@ -276,11 +317,11 @@ func (c *Comm) SendRecv(dst, sendTag int, sendBuf []byte, src, recvTag int, recv
 }
 
 func (c *Comm) sendRecvInternal(dst, sendTag int, sendBuf []byte, src, recvTag int, recvBuf []byte) (Status, error) {
-	rreq, err := c.irecvInternal(src, recvTag, recvBuf)
+	rreq, err := c.irecvInto(reuse(&c.rreq), src, recvTag, recvBuf)
 	if err != nil {
 		return Status{}, err
 	}
-	sreq, err := c.isendInternal(dst, sendTag, sendBuf)
+	sreq, err := c.isendInto(reuse(&c.sreq), dst, sendTag, sendBuf)
 	if err != nil {
 		return Status{}, err
 	}
@@ -404,15 +445,22 @@ func (c *Comm) handle(pkt packet) error {
 	return nil
 }
 
-// waitFor drives progress until req completes: it pulls packets off the
-// fabric one at a time, blocking, and handles each. It then charges a
-// delivered receive's arrival and overhead to the clock, once.
+// waitFor drives progress until req completes: it handles the packets
+// of the inbox in arrival order, taking the mailbox's next batch
+// (blocking) when the inbox runs out. It then charges a delivered
+// receive's arrival and overhead to the clock, once.
 func (c *Comm) waitFor(req *Request) error {
 	for !req.done {
-		pkt, ok := c.fab.recv(c.rank)
-		if !ok {
-			return ErrClosed
+		if c.next == len(c.inbox) {
+			batch, ok := c.fab.ports[c.rank].box.take(c.inbox[:0])
+			if !ok {
+				return ErrClosed
+			}
+			c.inbox, c.next = batch, 0
 		}
+		pkt := c.inbox[c.next]
+		c.inbox[c.next] = packet{} // release payload reference
+		c.next++
 		if err := c.handle(pkt); err != nil {
 			return err
 		}

@@ -181,10 +181,6 @@ func (f *fabric) send(r route, pkt packet) error {
 	return nil
 }
 
-// recv blocks until rank's next packet arrives. ok is false once the
-// fabric is closed and the mailbox drained.
-func (f *fabric) recv(rank int) (pkt packet, ok bool) { return f.ports[rank].box.get() }
-
 // now returns rank's virtual clock in seconds.
 func (f *fabric) now(rank int) float64 { return f.ports[rank].clock }
 
@@ -211,15 +207,17 @@ func (f *fabric) close() {
 	}
 }
 
-// mailbox is an unbounded FIFO of packets with blocking dequeue. It is
-// unbounded on purpose: MPI eager sends must not block the sender on a
-// slow receiver (flow control above would deadlock correct programs).
-// Its cond must have L = &mu before use.
+// mailbox is an unbounded FIFO of packets with a blocking, batched
+// dequeue. It is unbounded on purpose: MPI eager sends must not block
+// the sender on a slow receiver (flow control above would deadlock
+// correct programs). Its one reader takes everything queued at once,
+// under one lock, and hands back the emptied slice of its previous
+// batch to queue into next, so the two slices alternate and a steady
+// exchange allocates nothing. Its cond must have L = &mu before use.
 type mailbox struct {
 	mu     sync.Mutex
 	cond   sync.Cond
 	queue  []packet
-	head   int
 	closed bool
 }
 
@@ -235,28 +233,20 @@ func (m *mailbox) put(p packet) bool {
 	return true
 }
 
-func (m *mailbox) get() (packet, bool) {
+// take blocks until a packet is queued, then returns every queued packet
+// in arrival order and keeps spare, which must be empty, as the queue.
+// ok is false once the mailbox is closed and drained.
+func (m *mailbox) take(spare []packet) (batch []packet, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for m.head >= len(m.queue) && !m.closed {
+	for len(m.queue) == 0 && !m.closed {
 		m.cond.Wait()
 	}
-	if m.head >= len(m.queue) {
-		return packet{}, false // closed and drained
+	if len(m.queue) == 0 {
+		return spare, false // closed and drained
 	}
-	p := m.queue[m.head]
-	m.queue[m.head] = packet{} // release payload reference
-	m.head++
-	// Compact occasionally so the slice doesn't grow without bound.
-	if m.head > 64 && m.head*2 >= len(m.queue) {
-		n := copy(m.queue, m.queue[m.head:])
-		for i := n; i < len(m.queue); i++ {
-			m.queue[i] = packet{}
-		}
-		m.queue = m.queue[:n]
-		m.head = 0
-	}
-	return p, true
+	batch, m.queue = m.queue, spare
+	return batch, true
 }
 
 func (m *mailbox) close() {

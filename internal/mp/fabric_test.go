@@ -31,14 +31,19 @@ func simRow(t *testing.T, body func(t *testing.T)) {
 }
 
 // mustRecv takes rank's next packet, failing the test if the fabric is
-// closed.
+// closed. It takes a batch and puts back all but its first packet, ahead
+// of anything queued since, so a test reads packets one at a time.
 func mustRecv(t *testing.T, f *fabric, rank int) packet {
 	t.Helper()
-	pkt, ok := f.recv(rank)
+	m := &f.ports[rank].box
+	batch, ok := m.take(nil)
 	if !ok {
 		t.Fatal("fabric closed early")
 	}
-	return pkt
+	m.mu.Lock()
+	m.queue = append(batch[1:], m.queue...)
+	m.mu.Unlock()
+	return batch[0]
 }
 
 func TestFabricBasicDelivery(t *testing.T) {
@@ -127,7 +132,7 @@ func TestFabricCloseUnblocksRecv(t *testing.T) {
 		f := testFabric(t, 2, testModel())
 		done := make(chan bool)
 		go func() {
-			_, ok := f.recv(0)
+			_, ok := f.ports[0].box.take(nil)
 			done <- ok
 		}()
 		f.close()
@@ -269,23 +274,42 @@ func TestSimRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestMailboxCompaction(t *testing.T) {
+// TestMailboxTakeSwapsBatches: take hands over everything queued, in
+// arrival order, and keeps the reader's emptied batch as the queue, so
+// two slices alternate and a steady exchange allocates nothing. A closed
+// mailbox still yields what was queued before it reports closed.
+func TestMailboxTakeSwapsBatches(t *testing.T) {
 	m := &mailbox{}
 	m.cond.L = &m.mu
-	// Interleave puts and gets past the compaction threshold.
+	var spare []packet
+	arrays := map[*packet]bool{}
 	for round := 0; round < 10; round++ {
 		for i := 0; i < 100; i++ {
 			m.put(packet{seq: uint64(round*100 + i)})
 		}
-		for i := 0; i < 100; i++ {
-			p, ok := m.get()
-			if !ok || p.seq != uint64(round*100+i) {
-				t.Fatalf("round %d i %d: ok=%v seq=%d", round, i, ok, p.seq)
+		batch, ok := m.take(spare)
+		if !ok || len(batch) != 100 {
+			t.Fatalf("round %d: ok=%v, %d packets, want 100", round, ok, len(batch))
+		}
+		for i, p := range batch {
+			if p.seq != uint64(round*100+i) {
+				t.Fatalf("round %d i %d: seq=%d", round, i, p.seq)
 			}
 		}
+		arrays[unsafe.SliceData(batch)] = true
+		clear(batch)
+		spare = batch[:0]
 	}
-	if len(m.queue) > 200 {
-		t.Errorf("queue did not compact: len=%d", len(m.queue))
+	if len(arrays) != 2 {
+		t.Errorf("batches used %d backing arrays, want 2", len(arrays))
+	}
+	m.put(packet{seq: 1})
+	m.close()
+	if batch, ok := m.take(spare); !ok || len(batch) != 1 {
+		t.Errorf("after close: ok=%v, %d packets, want the one queued", ok, len(batch))
+	}
+	if _, ok := m.take(nil); ok {
+		t.Error("closed, drained mailbox reported a batch")
 	}
 }
 

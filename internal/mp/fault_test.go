@@ -165,3 +165,53 @@ func TestFaultBudgetAllowsPrefix(t *testing.T) {
 		t.Errorf("healthy-budget run failed: %v", got)
 	}
 }
+
+// TestFailedSendRecvLeavesNoSlotLinked: a SendRecv whose send fails
+// leaves its receive posted. The next blocking call must not reuse that
+// request while it is still linked in, or a later message would land in
+// a stale buffer and the request waiting for it would never complete.
+func TestFailedSendRecvLeavesNoSlotLinked(t *testing.T) {
+	for _, eager := range []int{0, -1} { // default eager, all rendezvous
+		t.Run(fmt.Sprintf("eager=%d", eager), func(t *testing.T) {
+			var failed atomic.Bool
+			cfg := Config{Model: testModel(), EagerThreshold: eager, sendHook: func(rank int) error {
+				if rank == 0 && failed.CompareAndSwap(false, true) {
+					return errInjected
+				}
+				return nil
+			}}
+			err := runWithTimeout(t, 2, cfg, func(c *Comm) error {
+				if c.Rank() == 1 {
+					if err := c.Send(0, 3, []byte("one")); err != nil {
+						return err
+					}
+					return c.Send(0, 3, []byte("two!"))
+				}
+				if _, err := c.SendRecv(1, 1, []byte("x"), 1, 2, make([]byte, 8)); !errors.Is(err, errInjected) {
+					return fmt.Errorf("SendRecv: err = %v, want the injected fault", err)
+				}
+				first := make([]byte, 8)
+				st, err := c.Recv(1, 3, first)
+				if err != nil || st.Count != 3 || string(first[:st.Count]) != "one" {
+					return fmt.Errorf("Recv after the fault: %q, %+v, %v; want \"one\", Count 3", first[:st.Count], st, err)
+				}
+				second := make([]byte, 8)
+				req, err := c.Irecv(1, 3, second)
+				if err != nil {
+					return err
+				}
+				st, err = req.Wait()
+				if err != nil || st.Count != 4 || string(second[:st.Count]) != "two!" {
+					return fmt.Errorf("Irecv after the fault: %q, %+v, %v; want \"two!\", Count 4", second[:st.Count], st, err)
+				}
+				if string(first[:3]) != "one" {
+					return fmt.Errorf("the first receive's buffer was overwritten: %q", first)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

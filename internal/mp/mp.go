@@ -34,6 +34,15 @@
 // call. Programs that would deadlock under MPI's semantics (e.g. two
 // ranks issuing large blocking sends to each other with no receives
 // posted) deadlock here too — by design.
+//
+// The message path allocates nothing in steady state. A rank takes
+// everything queued in its mailbox at once, under one lock, and handles
+// the batch from its Comm's inbox in arrival order. The blocking calls
+// (Send, Recv, SendRecv and every collective) keep their requests in two
+// slots on the Comm, and every eager send of a rank returns one shared,
+// already completed request, so a Request from Isend may be shared;
+// only rendezvous Isends and Irecvs allocate one. Payloads in flight
+// come from a pool.
 package mp
 
 import (

@@ -105,37 +105,41 @@ func (c *Comm) Allreduce(op Op, sendBuf, recvBuf []float64) error {
 // r <= p using the standard MPICH pre-step: the first 2*(p-r) ranks pair
 // up, evens ship their vector to odds and sit out. It returns the
 // virtual rank of this process among the r participants, or -1 if this
-// rank is idle, plus a mapping closure from virtual to real rank.
-func (c *Comm) foldToPow2(op Op, acc []float64, tag int) (newRank, pow2 int, toReal func(int) int, err error) {
+// rank is idle, plus rem, the number of ranks that sat out, which maps
+// virtual ranks to real ones (see toReal).
+func (c *Comm) foldToPow2(op Op, acc []float64, tag int) (newRank, pow2, rem int, err error) {
 	p := c.Size()
 	r := 1
 	for r*2 <= p {
 		r *= 2
 	}
-	rem := p - r
+	rem = p - r
 	switch {
 	case c.rank < 2*rem && c.rank%2 == 0:
 		if err := c.sendInternal(c.rank+1, tag, bytesview.F64(acc)); err != nil {
-			return 0, 0, nil, err
+			return 0, 0, 0, err
 		}
 		newRank = -1
 	case c.rank < 2*rem:
 		tmp := c.tmp(len(acc))
 		if _, err := c.recvInternal(c.rank-1, tag, bytesview.F64(tmp)); err != nil {
-			return 0, 0, nil, err
+			return 0, 0, 0, err
 		}
 		c.combine(op, acc, tmp)
 		newRank = c.rank / 2
 	default:
 		newRank = c.rank - rem
 	}
-	toReal = func(v int) int {
-		if v < rem {
-			return v*2 + 1
-		}
-		return v + rem
+	return newRank, r, rem, nil
+}
+
+// toReal maps virtual rank v among the participants of a fold that
+// idled rem ranks back to its real rank.
+func toReal(v, rem int) int {
+	if v < rem {
+		return v*2 + 1
 	}
-	return newRank, r, toReal, nil
+	return v + rem
 }
 
 // unfoldFromPow2 ships the final result back to the idle even ranks.
@@ -159,7 +163,7 @@ func (c *Comm) unfoldFromPow2(acc []float64, tag int) error {
 // allreduceRecDoubling exchanges full vectors with XOR partners in
 // log2(r) rounds. Latency-optimal; moves the whole vector each round.
 func (c *Comm) allreduceRecDoubling(op Op, acc []float64, tag int) error {
-	newRank, r, toReal, err := c.foldToPow2(op, acc, tag)
+	newRank, r, rem, err := c.foldToPow2(op, acc, tag)
 	if err != nil {
 		return fmt.Errorf("mp: allreduce fold: %w", err)
 	}
@@ -167,7 +171,7 @@ func (c *Comm) allreduceRecDoubling(op Op, acc []float64, tag int) error {
 		tmp := c.tmp(len(acc))
 		round := 1
 		for mask := 1; mask < r; mask <<= 1 {
-			peer := toReal(newRank ^ mask)
+			peer := toReal(newRank^mask, rem)
 			if _, err := c.sendRecvInternal(peer, tag-round, bytesview.F64(acc), peer, tag-round, bytesview.F64(tmp)); err != nil {
 				return fmt.Errorf("mp: allreduce rd round %d: %w", round, err)
 			}
@@ -185,7 +189,7 @@ func (c *Comm) allreduceRecDoubling(op Op, acc []float64, tag int) error {
 // by a recursive-doubling allgather: each rank moves ~2 vectors total
 // instead of log2(p), which wins for large vectors.
 func (c *Comm) allreduceRabenseifner(op Op, acc []float64, tag int) error {
-	newRank, r, toReal, err := c.foldToPow2(op, acc, tag)
+	newRank, r, rem, err := c.foldToPow2(op, acc, tag)
 	if err != nil {
 		return fmt.Errorf("mp: allreduce fold: %w", err)
 	}
@@ -202,7 +206,7 @@ func (c *Comm) allreduceRabenseifner(op Op, acc []float64, tag int) error {
 		lo, hi := 0, r
 		round := 1
 		for mask := r / 2; mask >= 1; mask >>= 1 {
-			peer := toReal(newRank ^ mask)
+			peer := toReal(newRank^mask, rem)
 			mid := (lo + hi) / 2
 			var keepLo, keepHi, sendLo, sendHi int
 			if newRank&mask == 0 {
@@ -223,7 +227,7 @@ func (c *Comm) allreduceRabenseifner(op Op, acc []float64, tag int) error {
 		// Allgather by recursive doubling: windows re-expand in the
 		// reverse order.
 		for mask := 1; mask < r; mask <<= 1 {
-			peer := toReal(newRank ^ mask)
+			peer := toReal(newRank^mask, rem)
 			// The window this rank currently owns.
 			ownLo := newRank &^ (mask - 1)
 			ownHi := ownLo + mask

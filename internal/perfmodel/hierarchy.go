@@ -11,6 +11,7 @@ package perfmodel
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 
@@ -48,15 +49,19 @@ const distinctRatio = 1.30
 
 // FitHierarchy recovers cache levels from a latency ladder. maxLevels
 // bounds the number of cache levels searched for (the segmentation uses
-// up to maxLevels+1 plateaus, the extra one being main memory). The fit
-// needs at least 2*(maxLevels+1) samples; sweeps should span from well
-// under the smallest expected capacity to well past the largest.
+// up to maxLevels+1 plateaus, the extra one being main memory). Every
+// plateau takes minSegLen samples: the fit refuses fewer than two
+// plateaus' worth, with an error wrapping ErrTooFewSamples, and resolves
+// all maxLevels levels only from 2*(maxLevels+1) samples up. Sweeps
+// should span from well under the smallest expected capacity to well
+// past the largest.
 func FitHierarchy(samples []mem.Sample, maxLevels int) (Hierarchy, error) {
 	if maxLevels < 1 {
 		maxLevels = 1
 	}
 	if len(samples) < 2*minSegLen {
-		return Hierarchy{}, ErrTooFewSamples
+		return Hierarchy{}, fmt.Errorf("%w: a hierarchy fit needs at least %d, got %d",
+			ErrTooFewSamples, 2*minSegLen, len(samples))
 	}
 	sorted := make([]mem.Sample, len(samples))
 	copy(sorted, samples)

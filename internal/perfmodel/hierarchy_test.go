@@ -1,6 +1,9 @@
 package perfmodel
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -120,8 +123,21 @@ func TestFitHierarchySingleLevel(t *testing.T) {
 	}
 }
 
+// TestFitHierarchyTooFew: a ladder shorter than two plateaus is refused
+// with ErrTooFewSamples, and the error states the real minimum and the
+// count it got; the first long enough is fitted.
 func TestFitHierarchyTooFew(t *testing.T) {
-	if _, err := FitHierarchy([]mem.Sample{{Bytes: 1, Seconds: 1}}, 2); err == nil {
-		t.Error("tiny input accepted")
+	ladder := []mem.Sample{{Bytes: 1, Seconds: 1}, {Bytes: 2, Seconds: 1}, {Bytes: 4, Seconds: 1}, {Bytes: 8, Seconds: 1}}
+	for n := range 2 * minSegLen {
+		_, err := FitHierarchy(ladder[:n], 2)
+		if !errors.Is(err, ErrTooFewSamples) {
+			t.Fatalf("%d samples: err = %v, want ErrTooFewSamples", n, err)
+		}
+		if want := fmt.Sprintf("needs at least %d, got %d", 2*minSegLen, n); !strings.Contains(err.Error(), want) {
+			t.Errorf("%d samples: err = %q, want it to say %q", n, err, want)
+		}
+	}
+	if _, err := FitHierarchy(ladder, 2); err != nil {
+		t.Errorf("%d samples: %v", len(ladder), err)
 	}
 }

@@ -24,8 +24,10 @@ type Hockney struct {
 // Predict returns the modeled one-way time for an s-byte message.
 func (h Hockney) Predict(s int) float64 { return h.Alpha + float64(s)*h.Beta }
 
-// ErrTooFewSamples is returned when a fit has fewer than two points.
-var ErrTooFewSamples = errors.New("perfmodel: need at least 2 samples")
+// ErrTooFewSamples is returned when a fit has fewer points than it
+// needs: two for FitHockney's latency curve, one for FitLogGP's
+// bandwidth curve, 2*minSegLen for FitHierarchy (whose error says so).
+var ErrTooFewSamples = errors.New("perfmodel: too few samples")
 
 // FitHockney fits the alpha-beta model to a latency curve
 // (osu.Latency output: size -> seconds).
