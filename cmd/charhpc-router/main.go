@@ -6,7 +6,9 @@
 // -addr at the router and cannot tell it from one daemon: blocking
 // GETs, async jobs with their SSE event streams, and the /platforms
 // resource all proxy through byte-for-byte (custom-platform
-// registrations fan out to every shard).
+// registrations fan out to every shard). A job's ID names its cache
+// key, so its status, cancel and event requests go to that key's
+// shards in ring order, and any router replica serves any job.
 //
 // Liveness is learned from traffic, with no probe loop: a shard whose
 // hop fails at the transport is tried last for a window (2 s, doubling

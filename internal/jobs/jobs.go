@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,11 +137,11 @@ func (r *Registry) SetMetrics(m Metrics) { r.m = m }
 // Submit registers a new pending job and starts run on its own
 // goroutine. It returns immediately; the job's event log starts with a
 // "state: pending" event, so even an instant subscriber sees a
-// non-empty stream.
+// non-empty stream. The job's ID names its spec (see ParseID).
 func (r *Registry) Submit(spec Spec, run RunFunc) *Job {
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &Job{
-		ID:      obs.NewRequestID(),
+		ID:      newID(spec),
 		Spec:    spec,
 		Created: time.Now(),
 		reg:     r,
@@ -159,6 +160,27 @@ func (r *Registry) Submit(spec Spec, run RunFunc) *Job {
 
 	go r.drive(ctx, j, run)
 	return j
+}
+
+// newID mints a job ID that names its spec:
+// <experiment>.<scale>.<platform>.<random>, e.g. T1.quick..0aedb8e7aebb846b
+// (the default platform is empty). Experiment IDs, scales, preset names
+// and custom-<hex> names never contain a ".", so ParseID recovers the
+// spec from the ID alone.
+func newID(spec Spec) string {
+	return spec.Experiment + "." + spec.Scale + "." + spec.Platform + "." + obs.NewRequestID()
+}
+
+// ParseID returns the spec a job ID names, and false for a string
+// Submit could not have minted (an ID from before IDs named their
+// spec, say). The shard router routes a job's requests by it, so it
+// keeps no table of where jobs went.
+func ParseID(id string) (Spec, bool) {
+	f := strings.SplitN(id, ".", 5)
+	if len(f) != 4 {
+		return Spec{}, false
+	}
+	return Spec{Experiment: f[0], Scale: f[1], Platform: f[2]}, true
 }
 
 // drive runs the job and settles its terminal state. It is the only

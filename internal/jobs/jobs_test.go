@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -308,4 +309,36 @@ func TestSubmitAllocationBudget(t *testing.T) {
 	if perJob := (after.TotalAlloc - before.TotalAlloc) / rounds; perJob >= 4<<10 {
 		t.Errorf("Submit+settle of a no-op job allocates %d B, want < 4 KiB", perJob)
 	}
+}
+
+// FuzzJobID: ParseID never panics, accepts exactly the strings with
+// three dots, and gives back the spec of any ID Submit mints for a spec
+// whose fields hold no dot.
+func FuzzJobID(f *testing.F) {
+	spec := Spec{Experiment: "T1", Scale: "quick"}
+	j := New(0, 4).Submit(spec, func(context.Context, *Job) Outcome { return Outcome{} })
+	if got, ok := ParseID(j.ID); !ok || got != spec {
+		f.Fatalf("ParseID(%q) = %+v, %v; want %+v", j.ID, got, ok, spec)
+	}
+	f.Add("T1", "quick", "", j.ID)
+	f.Add("F6", "full", "gige-8n", "0aedb8e7aebb846b")
+	f.Add("M5", "quick", "custom-0123456789ab", "T1.quick.edr-16n.")
+	f.Add("a.b", "", ".", "....")
+	f.Fuzz(func(t *testing.T, experiment, scale, platform, id string) {
+		got, ok := ParseID(id)
+		if ok != (strings.Count(id, ".") == 3) {
+			t.Fatalf("ParseID(%q) ok = %v with %d dots", id, ok, strings.Count(id, "."))
+		}
+		if ok && !strings.HasPrefix(id, got.Experiment+"."+got.Scale+"."+got.Platform+".") {
+			t.Fatalf("ParseID(%q) = %+v, not the ID's own fields", id, got)
+		}
+		spec := Spec{Experiment: experiment, Scale: scale, Platform: platform}
+		if strings.Contains(experiment+scale+platform, ".") {
+			return
+		}
+		minted := newID(spec)
+		if got, ok := ParseID(minted); !ok || got != spec {
+			t.Fatalf("ParseID(%q) = %+v, %v; want %+v", minted, got, ok, spec)
+		}
+	})
 }

@@ -1,7 +1,6 @@
 // Package lru is the one bounded least-recently-used map the serving
-// tier needs in three places: serve's custom-platform result
-// namespace, cluster's custom-platform registry, and the router's
-// job→shard routing table. Each caller already serialises access under
+// tier needs in two places: serve's custom-platform result namespace
+// and cluster's custom-platform registry. Each caller already serialises access under
 // its own mutex, so a Cache is not safe for concurrent use.
 package lru
 

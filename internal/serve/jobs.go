@@ -23,6 +23,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -61,21 +62,13 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		WriteBodyError(w, r, "run request", err)
 		return
 	}
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	// ParseMultipartForm drops ParseForm's error on a body that is not
-	// multipart, so the urlencoded parse runs first.
-	err = r.ParseForm()
-	if err == nil {
-		if err = r.ParseMultipartForm(MaxRunBody); errors.Is(err, http.ErrNotMultipart) {
-			err = nil
-		}
-	}
+	form, err := RunParams(r, body)
 	if err != nil {
 		WriteError(w, r, http.StatusBadRequest, codeBadRequest,
 			fmt.Sprintf("parsing request body: %v", err), "")
 		return
 	}
-	e, req, ok := s.parseRunRequest(w, r, r.FormValue("id"), r.FormValue("scale"), r.FormValue("platform"))
+	e, req, ok := s.parseRunRequest(w, r, form.Get("id"), form.Get("scale"), form.Get("platform"))
 	if !ok {
 		return
 	}
@@ -93,6 +86,29 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		StatusURL: "/runs/" + j.ID,
 		EventsURL: "/runs/" + j.ID + "/events",
 	})
+}
+
+// RunParams parses a POST /runs request's parameters from its query
+// and its body, already read whole under MaxRunBody, in r.FormValue's
+// precedence: an urlencoded body's values, then the query's, then a
+// multipart body's. Both tiers call it — the shard to run the job, the
+// router to key it — so a job is routed by the experiment it runs. r
+// itself is left as it was. On an error, the values that parsed come
+// back with it.
+func RunParams(r *http.Request, body []byte) (url.Values, error) {
+	c := r.WithContext(r.Context())
+	c.Body = io.NopCloser(bytes.NewReader(body))
+	c.Form, c.PostForm, c.MultipartForm = nil, nil, nil
+	// ParseMultipartForm drops ParseForm's error on a body that is not
+	// multipart, so the urlencoded parse runs first. Under MaxRunBody
+	// no part spills to a temporary file.
+	err := c.ParseForm()
+	if err == nil {
+		if err = c.ParseMultipartForm(MaxRunBody); errors.Is(err, http.ErrNotMultipart) {
+			err = nil
+		}
+	}
+	return c.Form, err
 }
 
 // runJob executes one job's experiment through Server.result, the

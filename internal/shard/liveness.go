@@ -16,7 +16,7 @@ const (
 	// one failed hop per 30 s, and a restarted one is back in rotation
 	// within 30 s even when nothing scrapes /healthz.
 	downCap      = 30 * time.Second
-	probeTimeout = time.Second // bounds /healthz probes and job lookups
+	probeTimeout = time.Second // bounds /healthz probes
 )
 
 // liveness maps each shard, fixed at New, to its window.

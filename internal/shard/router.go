@@ -4,12 +4,15 @@
 // platform)), so each shard's memory/disk cache stays hot for its
 // slice; a request whose shard fails at the transport is re-routed to
 // the next live ring successor and re-run there (the failover
-// counter records it). httputil.ReverseProxy relays each response
-// byte-for-byte — body, status, ETags — so a client cannot tell the
-// router from a single daemon; a shard that fails mid-stream aborts the
-// client's connection rather than end its body early. Every request
-// the router sends a shard, relayed or its own, goes through one hop
-// (Router.do), which is where liveness is learned.
+// counter records it). A job's ID names its key (jobs.ParseID), so its
+// status, cancel and event requests walk that key's shards in ring
+// order to the one that holds it: the router keeps no per-job state.
+// httputil.ReverseProxy relays each response byte-for-byte — body,
+// status, ETags — so a client cannot tell the router from a single
+// daemon; a shard that fails mid-stream aborts the client's connection
+// rather than end its body early. Every request the router sends a
+// shard, relayed or its own, goes through one hop (Router.do), which is
+// where liveness is learned.
 package shard
 
 import (
@@ -28,7 +31,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/lru"
+	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -40,12 +43,6 @@ const (
 	codeNoLiveShard    = "no_live_shard"
 	codeUpstreamFailed = "upstream_failed"
 )
-
-// maxJobRoutes bounds the router's job→shard routing table. Entries
-// past it evict least recently used first; an evicted (or never-seen)
-// job is re-located by probing the live shards, so the bound trades a
-// little lookup latency for memory, not correctness.
-const maxJobRoutes = 4096
 
 // Config parameterizes a Router.
 type Config struct {
@@ -68,12 +65,6 @@ type Router struct {
 	log       *obs.Logger
 	errLog    *log.Logger // the relay's, into log
 	start     time.Time
-
-	// jobs is the bounded job→shard routing memory: which shard accepted
-	// each submitted job, least recently used evicted first. A miss is
-	// recoverable (findJob), so eviction is safe.
-	jobsMu sync.Mutex
-	jobs   *lru.Cache[string, string]
 
 	reg           *obs.Registry
 	routedOK      map[string]*obs.Counter // charhpc_router_routed_total per shard, resolved in New
@@ -146,7 +137,6 @@ func New(cfg Config) (*Router, error) {
 			MaxIdleConnsPerHost: 64,
 			IdleConnTimeout:     downBase,
 		},
-		jobs:   lru.New[string, string](maxJobRoutes),
 		log:    cfg.AccessLog,
 		errLog: log.New(logSink{cfg.AccessLog}, "", 0),
 		start:  time.Now(),
@@ -211,20 +201,6 @@ func (rt *Router) Close() { rt.transport.CloseIdleConnections() }
 // the shard hop — never re-minted — so one ID greps across both the
 // router's and the shard's access logs.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.front.ServeHTTP(w, r) }
-
-// routeJob remembers which shard owns a job.
-func (rt *Router) routeJob(job, shard string) {
-	rt.jobsMu.Lock()
-	defer rt.jobsMu.Unlock()
-	rt.jobs.Put(job, shard)
-}
-
-// jobRoute returns the shard remembered for a job.
-func (rt *Router) jobRoute(job string) (string, bool) {
-	rt.jobsMu.Lock()
-	defer rt.jobsMu.Unlock()
-	return rt.jobs.Get(job)
-}
 
 // handleHealthz probes every shard concurrently, then aggregates the
 // pool's health on one line: first token "ok" while at least one shard
@@ -300,7 +276,7 @@ func (rt *Router) candidates(key string) []string {
 // handleAny proxies a keyless read (listings, platform reads) to any
 // live shard: the empty key's candidate order starts at a stable point.
 func (rt *Router) handleAny(w http.ResponseWriter, r *http.Request) {
-	rt.proxy(w, r, rt.candidates(""), nil, nil)
+	rt.proxy(w, r, &hop{targets: rt.candidates("")}, nil)
 }
 
 // routeKey builds the ring key from a run request's raw parameters and
@@ -319,79 +295,35 @@ func routeKey(id, scaleV, platform string) string {
 func (rt *Router) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	key := routeKey(r.PathValue("id"), q.Get("scale"), q.Get("platform"))
-	rt.proxy(w, r, rt.candidates(key), nil, nil)
+	rt.proxy(w, r, &hop{targets: rt.candidates(key)}, nil)
 }
 
-// handleSubmitRun routes the job to its key's shard and records which
-// shard accepted it, so the job's status/cancel/events requests follow
-// it there.
+// handleSubmitRun routes the job to its key's shard. The shard names
+// the job by that key (jobs.ParseID), so nothing about it is kept here.
 func (rt *Router) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxRunBody))
 	if err != nil {
 		serve.WriteBodyError(w, r, "run request", err)
 		return
 	}
-	form := runParams(r, body)
+	form, _ := serve.RunParams(r, body) // a form that does not parse is the shard's 400 to give
 	key := routeKey(form.Get("id"), form.Get("scale"), form.Get("platform"))
-	rt.proxy(w, r, rt.candidates(key), body, func(target string, status int, respBody []byte) {
-		if status != http.StatusAccepted {
-			return
-		}
-		var sub struct {
-			Job string `json:"job"`
-		}
-		if json.Unmarshal(respBody, &sub) == nil && sub.Job != "" {
-			rt.routeJob(sub.Job, target)
-		}
-	})
+	rt.proxy(w, r, &hop{targets: rt.candidates(key), body: body}, nil)
 }
 
-// runParams reads the POST /runs parameters in the precedence the
-// shard's r.FormValue gives them: an urlencoded form body's values
-// first, then the query's — so the router keys the job by the same
-// experiment the shard will run.
-func runParams(r *http.Request, body []byte) url.Values {
-	form := url.Values{}
-	if strings.Contains(r.Header.Get("Content-Type"), "application/x-www-form-urlencoded") {
-		form, _ = url.ParseQuery(string(body)) // like ParseForm, keep what parsed
-	}
-	for k, vs := range r.URL.Query() {
-		form[k] = append(form[k], vs...)
-	}
-	return form
-}
-
-// handleJob routes a job subresource (status, cancel, events) to the
-// shard that owns the job. Jobs are shard-local: a job whose shard
-// died is gone, so there is no failover hop here — a dead owner
-// answers 502 rather than a misleading 404 from a shard that never
-// saw the job.
+// handleJob routes a job subresource (status, cancel, events) by the
+// key the job's ID names: the shard that accepted the submit is the
+// first of that key's candidates that was up then, so the walk tries
+// them in ring order and a 404 is a miss, not an answer (see hop). An
+// ID that does not parse (unknown, or minted before IDs named their
+// key) is any shard's own 404, byte-identical to the single-daemon one.
 func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
-	job := r.PathValue("job")
-	target, ok := rt.jobRoute(job)
+	spec, ok := jobs.ParseID(r.PathValue("job"))
 	if !ok {
-		target, ok = rt.findJob(r, job)
-	}
-	if !ok {
-		// No live shard knows it: any shard's own 404 envelope is the
-		// canonical answer, byte-identical to the single-daemon one.
-		rt.proxy(w, r, rt.candidates(""), nil, nil)
+		rt.proxy(w, r, &hop{targets: rt.candidates("")}, nil)
 		return
 	}
-	rt.proxy(w, r, []string{target}, nil, nil)
-}
-
-// findJob locates a job the routing table has no entry for (the
-// table evicted it, or another router replica accepted the submit) by
-// asking each live shard for its status.
-func (rt *Router) findJob(r *http.Request, job string) (string, bool) {
-	for _, s := range rt.candidates("") {
-		if !rt.live.backingOff(s) && rt.ask(r, s, "/runs/"+url.PathEscape(job)) == http.StatusOK {
-			rt.routeJob(job, s)
-			return s, true
-		}
-	}
-	return "", false
+	rt.proxy(w, r, &hop{targets: rt.candidates(Key(spec.Experiment, spec.Scale, spec.Platform)), walk: true}, nil)
 }
 
 // handleJobList merges every live shard's GET /runs into one JSON
@@ -429,7 +361,7 @@ func (rt *Router) handlePlatformRegister(w http.ResponseWriter, r *http.Request)
 		serve.WriteBodyError(w, r, "platform spec", err)
 		return
 	}
-	rt.proxy(w, r, rt.candidates(""), body, func(target string, status int, respBody []byte) {
+	rt.proxy(w, r, &hop{targets: rt.candidates(""), body: body}, func(target string, status int, respBody []byte) {
 		if status != http.StatusCreated && status != http.StatusOK {
 			return
 		}
@@ -453,23 +385,20 @@ func (rt *Router) handlePlatformRegister(w http.ResponseWriter, r *http.Request)
 	})
 }
 
-// proxy relays the request to the first of targets that answers,
-// through httputil.ReverseProxy over a hop: a transport failure fails
-// over to the next target, and a response of any status is final and
-// relayed byte-for-byte. body, when non-nil, is the replayable request
-// body. onResponse, when non-nil, sees the buffered response before
-// anything is written (used to learn job→shard routes); leave it nil
-// on paths that stream. A shard that fails mid-body draws the 502
-// envelope on the buffered path and aborts the client connection on
-// the streaming one, so a truncated body never reaches a client as a
-// complete response.
-func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, targets []string, body []byte, onResponse func(target string, status int, body []byte)) {
-	if len(targets) == 0 {
+// proxy relays the request through httputil.ReverseProxy over h, and
+// the response h settles on byte-for-byte. onResponse, when non-nil,
+// sees the buffered response before anything is written (the platform
+// fan-out starts from it); leave it nil on paths that stream. A shard
+// that fails mid-body draws the 502 envelope on the buffered path and
+// aborts the client connection on the streaming one, so a truncated
+// body never reaches a client as a complete response.
+func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, h *hop, onResponse func(target string, status int, body []byte)) {
+	if len(h.targets) == 0 {
 		serve.WriteError(w, r, http.StatusServiceUnavailable, codeNoLiveShard,
 			"no shard is configured to serve this request", "GET /healthz reports per-shard liveness")
 		return
 	}
-	h := &hop{rt: rt, targets: targets, body: body}
+	h.rt = rt
 	(&httputil.ReverseProxy{
 		Rewrite:    func(*httputil.ProxyRequest) {}, // the hop picks each try's shard
 		Transport:  h,
@@ -507,19 +436,30 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, targets []string
 // the relay's Transport, and the way the router's own requests travel.
 // A transport failure fails over to the next target; a response of
 // any status is final. body, when non-nil, is replayed on every try.
+//
+// A walk (a job's requests) looks for the one shard that holds the
+// job: a 404 is a miss, drained, while a target is left to try. It
+// moves no failover counter and marks no shard down. Once a target has
+// failed at the transport, a 404 is never final — the job may be on
+// the shard that failed — so the walk ends in that failure, a 502.
 type hop struct {
 	rt      *Router
 	targets []string
 	body    []byte
+	walk    bool
 	target  string // the shard that answered
 }
 
 // RoundTrip implements http.RoundTripper.
 func (h *hop) RoundTrip(req *http.Request) (*http.Response, error) {
-	var err error
+	var failed error
 	for i, target := range h.targets {
-		var resp *http.Response
-		if resp, err = h.rt.do(target, req, h.body); err == nil {
+		resp, err := h.rt.do(target, req, h.body)
+		if err == nil {
+			if h.walk && resp.StatusCode == http.StatusNotFound && (i+1 < len(h.targets) || failed != nil) {
+				drain(resp)
+				continue
+			}
 			h.target = target
 			return resp, nil
 		}
@@ -532,9 +472,9 @@ func (h *hop) RoundTrip(req *http.Request) (*http.Response, error) {
 			h.rt.failovers.Inc()
 			h.rt.log.Info("failover", "shard", target, "error", err.Error(), "next", h.targets[i+1])
 		}
-		err = fmt.Errorf("%s: %w", target, err)
+		failed = fmt.Errorf("%s: %w", target, err)
 	}
-	return nil, fmt.Errorf("every candidate shard failed (last: %w)", err)
+	return nil, fmt.Errorf("no candidate shard answered (last failure: %w)", failed)
 }
 
 // send makes one request of the router's own — a probe, a listing, a

@@ -16,11 +16,11 @@ import (
 	"net/url"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/lru"
 	"repro/internal/report"
 	"repro/internal/serve"
 )
@@ -111,7 +111,13 @@ func (p *testPool) mirror(vnodes int) *Ring {
 
 func get(t *testing.T, url string, hdr map[string]string) (*http.Response, []byte) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, url, nil)
+	return call(t, http.MethodGet, url, hdr)
+}
+
+// call makes one request and returns its response with the body read.
+func call(t *testing.T, method, url string, hdr map[string]string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,11 +334,12 @@ func TestAllShardsDown(t *testing.T) {
 	}
 }
 
-// TestTruncatedShardBody: on the buffered POST paths a shard that dies
-// mid-body must draw the router's 502 envelope (and be marked down) —
-// not the shard's own headers over an implicit 200 and no bytes. On the
-// streaming paths (a chunked GET, an event stream) it must abort the
-// client's connection, so the client reads an unexpected EOF.
+// TestTruncatedShardBody: on the buffered path (POST /platforms) a
+// shard that dies mid-body must draw the router's 502 envelope (and be
+// marked down) — not the shard's own headers over an implicit 200 and
+// no bytes. On the streaming paths (a chunked GET, an event stream, a
+// submit) it must abort the client's connection, so the client reads
+// an unexpected EOF.
 func TestTruncatedShardBody(t *testing.T) {
 	p := newTestPool(t, 1, Config{}, func(_ int, _ http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -341,12 +348,12 @@ func TestTruncatedShardBody(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			buf.WriteString("HTTP/1.1 202 Accepted\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"job\":\"x")
+			buf.WriteString("HTTP/1.1 201 Created\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"name\":\"custom-")
 			buf.Flush()
 			conn.Close()
 		})
 	})
-	req, _ := http.NewRequest(http.MethodPost, p.proxy.URL+"/runs?id=T1", nil)
+	req, _ := http.NewRequest(http.MethodPost, p.proxy.URL+"/platforms", strings.NewReader(fanoutSpec))
 	req.Header.Set("Accept", "application/json")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -357,9 +364,6 @@ func TestTruncatedShardBody(t *testing.T) {
 	if resp.StatusCode != http.StatusBadGateway || !strings.Contains(string(body), `"code":"upstream_failed"`) {
 		t.Errorf("truncated shard response relayed as %d %q, want 502 upstream_failed", resp.StatusCode, body)
 	}
-	if _, ok := p.router.jobRoute("x"); ok {
-		t.Error("a job route was learned from a truncated response")
-	}
 	if st := p.router.Stats(); st.ShardsUp != 0 {
 		t.Errorf("shards_up = %d after a mid-body failure, want 0", st.ShardsUp)
 	}
@@ -367,9 +371,10 @@ func TestTruncatedShardBody(t *testing.T) {
 	// On the streaming paths the status line has gone out before the
 	// body fails, so the client must see the body fail — never a
 	// complete response under the shard's strong ETag.
-	for _, c := range []struct{ name, path, ctype string }{
-		{"chunked GET", "/experiments/T1", "text/plain; charset=utf-8"},
-		{"event stream", "/runs/j/events", "text/event-stream"},
+	for _, c := range []struct{ name, method, path, ctype string }{
+		{"chunked GET", http.MethodGet, "/experiments/T1", "text/plain; charset=utf-8"},
+		{"event stream", http.MethodGet, "/runs/T1.quick..0aedb8e7aebb846b/events", "text/event-stream"},
+		{"submit", http.MethodPost, "/runs?id=T1", "application/json"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			p := newTestPool(t, 1, Config{}, func(_ int, _ http.Handler) http.Handler {
@@ -385,7 +390,8 @@ func TestTruncatedShardBody(t *testing.T) {
 					conn.Close()
 				})
 			})
-			resp, err := http.Get(p.proxy.URL + c.path)
+			req, _ := http.NewRequest(c.method, p.proxy.URL+c.path, nil)
+			resp, err := http.DefaultClient.Do(req)
 			if err != nil {
 				return // failed before the headers: not relayed as complete either
 			}
@@ -470,24 +476,7 @@ func TestRequestIDPropagation(t *testing.T) {
 // headers the shard sets.
 func TestJobsThroughRouter(t *testing.T) {
 	p := newTestPool(t, 2, Config{}, nil)
-
-	resp, err := http.Post(p.proxy.URL+"/runs?id=T1&scale=quick", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", resp.StatusCode, body)
-	}
-	var sub struct {
-		Job       string `json:"job"`
-		StatusURL string `json:"status_url"`
-		EventsURL string `json:"events_url"`
-	}
-	if err := json.Unmarshal(body, &sub); err != nil || sub.Job == "" {
-		t.Fatalf("bad 202 body %s: %v", body, err)
-	}
+	sub := submit(t, p.proxy.URL, "id=T1&scale=quick")
 
 	evResp, err := http.Get(p.proxy.URL + sub.EventsURL)
 	if err != nil {
@@ -506,36 +495,7 @@ func TestJobsThroughRouter(t *testing.T) {
 	if got := evResp.Header.Get("Cache-Control"); got != "no-cache" {
 		t.Errorf("routed SSE Cache-Control = %q, want no-cache", got)
 	}
-	var terminal map[string]string
-	sc := bufio.NewScanner(evResp.Body)
-	deadline := time.After(10 * time.Second)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for sc.Scan() {
-			data, ok := strings.CutPrefix(sc.Text(), "data: ")
-			if !ok {
-				continue
-			}
-			var ev struct {
-				Type string            `json:"type"`
-				Data map[string]string `json:"data"`
-			}
-			if json.Unmarshal([]byte(data), &ev) != nil {
-				continue
-			}
-			if ev.Type == "done" || ev.Type == "failed" || ev.Type == "canceled" {
-				terminal = ev.Data
-				terminal["_type"] = ev.Type
-				return
-			}
-		}
-	}()
-	select {
-	case <-done:
-	case <-deadline:
-		t.Fatal("no terminal SSE event within 10s")
-	}
+	terminal := terminalEvent(t, evResp.Body)
 	if terminal["_type"] != "done" {
 		t.Fatalf("job ended %q: %v", terminal["_type"], terminal)
 	}
@@ -580,20 +540,6 @@ func TestJobsThroughRouter(t *testing.T) {
 		t.Errorf("merged GET /runs (%d) missing job %s: %s", lresp.StatusCode, sub.Job, lbody)
 	}
 
-	// A second router with a cold routing table still finds the job by
-	// probing the pool (a restarted router keeps serving old jobs).
-	rt2, err := New(Config{Shards: p.urls})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt2.Close()
-	proxy2 := httptest.NewServer(rt2)
-	defer proxy2.Close()
-	s2resp, s2body := get(t, proxy2.URL+sub.StatusURL, nil)
-	if s2resp.StatusCode != http.StatusOK {
-		t.Fatalf("cold-table status lookup: %d %s", s2resp.StatusCode, s2body)
-	}
-
 	// Unknown jobs keep the shard's own 404 envelope.
 	uresp, ubody := get(t, p.proxy.URL+"/runs/nope", map[string]string{"Accept": "application/json"})
 	dresp, dbody := get(t, p.urls[0]+"/runs/nope", map[string]string{"Accept": "application/json"})
@@ -605,49 +551,283 @@ func TestJobsThroughRouter(t *testing.T) {
 	}
 }
 
-// TestSubmitKeysOnBodyBeforeQuery: the shard's FormValue lets an
-// urlencoded body's parameters shadow the query's, so the router must
-// key a submit the same way — or a job would be routed as one
-// experiment and run as another.
-func TestSubmitKeysOnBodyBeforeQuery(t *testing.T) {
-	p := newTestPool(t, 2, Config{}, nil)
-	ring := p.mirror(0)
-	want := Key("T1", "quick", "")
-	owner, _ := ring.Owner(want)
-	// A query-string decoy owned by the other shard, so routing on the
-	// query would visibly land on the wrong one.
-	decoy := ""
-	for _, e := range core.All() {
-		if o, _ := ring.Owner(Key(e.ID, "quick", "")); o != owner {
-			decoy = e.ID
-			break
+// submitted is a 202 body for POST /runs.
+type submitted struct {
+	Job       string `json:"job"`
+	StatusURL string `json:"status_url"`
+	EventsURL string `json:"events_url"`
+}
+
+// submit POSTs /runs?query at base and returns the 202 body.
+func submit(t *testing.T, base, query string) submitted {
+	t.Helper()
+	resp, body := call(t, http.MethodPost, base+"/runs?"+query, nil)
+	var sub submitted
+	if resp.StatusCode != http.StatusAccepted || json.Unmarshal(body, &sub) != nil || sub.Job == "" {
+		t.Fatalf("submit %s: %d %s", query, resp.StatusCode, body)
+	}
+	return sub
+}
+
+// terminalEvent reads an event stream to its terminal event and
+// returns that event's data, its type under "_type".
+func terminalEvent(t *testing.T, stream io.Reader) map[string]string {
+	t.Helper()
+	var terminal map[string]string
+	sc := bufio.NewScanner(stream)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for sc.Scan() {
+			data, ok := strings.CutPrefix(sc.Text(), "data: ")
+			if !ok {
+				continue
+			}
+			var ev struct {
+				Type string            `json:"type"`
+				Data map[string]string `json:"data"`
+			}
+			if json.Unmarshal([]byte(data), &ev) != nil {
+				continue
+			}
+			if ev.Type == "done" || ev.Type == "failed" || ev.Type == "canceled" {
+				terminal = ev.Data
+				if terminal == nil {
+					terminal = map[string]string{}
+				}
+				terminal["_type"] = ev.Type
+				return
+			}
 		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no terminal SSE event within 10s")
 	}
-	if decoy == "" {
-		t.Skip("one shard owns every default key on this run's ports")
+	if terminal == nil {
+		t.Fatal("event stream ended without a terminal event")
 	}
-	resp, err := http.Post(p.proxy.URL+"/runs?id="+decoy, "application/x-www-form-urlencoded", strings.NewReader("id=T1"))
+	return terminal
+}
+
+// streamToDone reads a job's event stream at url to its terminal
+// event, which must be done.
+func streamToDone(t *testing.T, url string) {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", resp.StatusCode, body)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("events %s: %d %s", url, resp.StatusCode, body)
 	}
-	for i, u := range p.urls {
-		if u == owner {
-			eventually(t, "T1 to run on its owner", func() bool { return len(p.runs[i].list()) > 0 })
-		}
+	if ev := terminalEvent(t, resp.Body); ev["_type"] != "done" {
+		t.Fatalf("job ended %q: %v", ev["_type"], ev)
 	}
-	for i, u := range p.urls {
-		got := strings.Join(p.runs[i].list(), " ")
-		if u == owner && got != want {
-			t.Errorf("owner %s ran %q, want %q", u, got, want)
+}
+
+// TestJobsAcrossRouters: a job's ID names its key, so a router that
+// never saw the submit — a second replica, or one restarted — serves
+// the job's status, event stream and cancel with no table and no
+// failover.
+func TestJobsAcrossRouters(t *testing.T) {
+	p := newTestPool(t, 2, Config{}, nil)
+	first := submit(t, p.proxy.URL, "id=T1")
+	second := submit(t, p.proxy.URL, "id=M3")
+
+	b, err := New(Config{Shards: p.urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(b.Close)
+	proxyB := httptest.NewServer(b)
+	t.Cleanup(proxyB.Close)
+
+	if resp, body := get(t, proxyB.URL+first.StatusURL, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status through router B: %d %s", resp.StatusCode, body)
+	}
+	streamToDone(t, proxyB.URL+first.EventsURL)
+	resp, body := call(t, http.MethodDelete, proxyB.URL+second.StatusURL, nil)
+	var st struct {
+		ID string `json:"id"`
+	}
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &st) != nil || st.ID != second.Job {
+		t.Fatalf("DELETE through router B: %d %s", resp.StatusCode, body)
+	}
+	if f := b.Stats().Failovers; f != 0 {
+		t.Errorf("router B failed over %d times with every shard up", f)
+	}
+}
+
+// TestJobRingWalk: a job's requests walk its key's shards in ring
+// order. A job accepted by the successor while its owner backed off is
+// still reached once the owner is back, through the owner's 404, which
+// moves no failover and marks nothing down; a job whose shard died
+// answers 502; and an ID nothing holds, or one minted before IDs named
+// their key, answers the shard's own 404 bytes.
+func TestJobRingWalk(t *testing.T) {
+	t.Run("owner backed off at submit", func(t *testing.T) {
+		var refuse [2]atomic.Bool // closes the shard's submits unanswered
+		var asked [2]atomic.Int32 // job lookups each shard answered
+		p := newTestPool(t, 2, Config{}, func(i int, next http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if refuse[i].Load() && r.Method == http.MethodPost {
+					if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+						conn.Close()
+					}
+					return
+				}
+				if strings.HasPrefix(r.URL.Path, "/runs/") {
+					asked[i].Add(1)
+				}
+				next.ServeHTTP(w, r)
+			})
+		})
+		owner, _ := p.mirror(0).Owner(Key("T1", "quick", ""))
+		ownerIdx := 0
+		if p.urls[1] == owner {
+			ownerIdx = 1
 		}
-		if u != owner && got != "" {
-			t.Errorf("non-owner %s ran %q, want nothing", u, got)
+
+		// The owner fails the submit, which fails over to the successor
+		// and leaves the owner backing off.
+		refuse[ownerIdx].Store(true)
+		sub := submit(t, p.proxy.URL, "id=T1")
+		refuse[ownerIdx].Store(false)
+		if st := p.router.Stats(); st.Failovers != 1 || st.ShardsUp != 1 {
+			t.Fatalf("after the submit: %+v, want one failover and the owner down", st)
 		}
+		p.router.observe(owner, true) // the owner is back: first in ring order again
+
+		streamToDone(t, p.proxy.URL+sub.EventsURL)
+		for _, method := range []string{http.MethodGet, http.MethodDelete} {
+			if resp, body := call(t, method, p.proxy.URL+sub.StatusURL, nil); resp.StatusCode != http.StatusOK {
+				t.Errorf("%s %s: %d %s", method, sub.StatusURL, resp.StatusCode, body)
+			}
+		}
+		if n := asked[ownerIdx].Load(); n != 3 {
+			t.Errorf("owner answered %d job lookups, want 3 misses", n)
+		}
+		if st := p.router.Stats(); st.Failovers != 1 || st.ShardsUp != 2 {
+			t.Errorf("after the walk: %+v, want the submit's one failover and both shards up", st)
+		}
+	})
+
+	t.Run("accepting shard dead", func(t *testing.T) {
+		p := newTestPool(t, 2, Config{}, nil)
+		sub := submit(t, p.proxy.URL, "id=T1")
+		owner, _ := p.mirror(0).Owner(Key("T1", "quick", ""))
+		for i, u := range p.urls {
+			if u == owner {
+				p.shards[i].Close()
+			}
+		}
+		// Twice: the owner first in ring order, then backing off and last.
+		for _, path := range []string{sub.StatusURL, sub.EventsURL, sub.StatusURL} {
+			resp, body := get(t, p.proxy.URL+path, map[string]string{"Accept": "application/json"})
+			if resp.StatusCode != http.StatusBadGateway || !strings.Contains(string(body), `"code":"upstream_failed"`) {
+				t.Errorf("GET %s with its shard dead: %d %s, want 502 upstream_failed", path, resp.StatusCode, body)
+			}
+		}
+		resp, body := call(t, http.MethodDelete, p.proxy.URL+sub.StatusURL, nil)
+		if resp.StatusCode != http.StatusBadGateway {
+			t.Errorf("DELETE with its shard dead: %d %s, want 502", resp.StatusCode, body)
+		}
+	})
+
+	t.Run("unknown and pre-change IDs", func(t *testing.T) {
+		p := newTestPool(t, 3, Config{}, nil)
+		for _, job := range []string{"T1.quick..0000000000000000", "M3.full.gige-8n.0aedb8e7aebb846b", "0aedb8e7aebb846b"} {
+			for _, c := range []struct{ method, path string }{
+				{http.MethodGet, "/runs/" + job},
+				{http.MethodGet, "/runs/" + job + "/events"},
+				{http.MethodDelete, "/runs/" + job},
+			} {
+				hdr := map[string]string{"Accept": "application/json"}
+				routed, rbody := call(t, c.method, p.proxy.URL+c.path, hdr)
+				direct, dbody := call(t, c.method, p.urls[0]+c.path, hdr)
+				if routed.StatusCode != http.StatusNotFound || direct.StatusCode != http.StatusNotFound {
+					t.Errorf("%s %s: routed %d, direct %d, want 404", c.method, c.path, routed.StatusCode, direct.StatusCode)
+				}
+				if string(rbody) != string(dbody) || !strings.Contains(string(rbody), `"code":"unknown_job"`) {
+					t.Errorf("%s %s: routed %q, direct %q, want the same unknown_job bytes", c.method, c.path, rbody, dbody)
+				}
+			}
+		}
+		if st := p.router.Stats(); st.Failovers != 0 || st.ShardsUp != 3 {
+			t.Errorf("after the misses: %+v, want no failover and every shard up", st)
+		}
+	})
+}
+
+// TestSubmitKeysOnBodyBeforeQuery: the shard's FormValue lets an
+// urlencoded body's parameters shadow the query's, and reads a
+// multipart body too, so the router must key a submit the same way —
+// or a job would be routed as one experiment and run as another. Each
+// case runs an experiment owned by the other shard than the key a
+// router that read only the query would route it on.
+func TestSubmitKeysOnBodyBeforeQuery(t *testing.T) {
+	multipartID := func(id string) (string, string) {
+		var b strings.Builder
+		mw := multipart.NewWriter(&b)
+		mw.WriteField("id", id)
+		mw.Close()
+		return mw.FormDataContentType(), b.String()
+	}
+	for _, c := range []struct {
+		name, query string // query: what a query-only router would key on
+		body        func(id string) (ctype, body string)
+	}{
+		{"urlencoded body over a query id", "id=T1", func(id string) (string, string) {
+			return "application/x-www-form-urlencoded", "id=" + id
+		}},
+		{"multipart body, no query", "", multipartID},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := newTestPool(t, 2, Config{}, nil)
+			ring := p.mirror(0)
+			q, _ := url.ParseQuery(c.query)
+			wrong, _ := ring.Owner(Key(q.Get("id"), "quick", ""))
+			id := ""
+			for _, e := range core.All() {
+				if o, _ := ring.Owner(Key(e.ID, "quick", "")); o != wrong {
+					id = e.ID
+					break
+				}
+			}
+			if id == "" {
+				t.Skip("one shard owns every default key on this run's ports")
+			}
+			want := Key(id, "quick", "")
+			owner, _ := ring.Owner(want)
+			ctype, body := c.body(id)
+			resp, err := http.Post(p.proxy.URL+"/runs?"+c.query, ctype, strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rbody, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("submit: %d %s", resp.StatusCode, rbody)
+			}
+			for i, u := range p.urls {
+				if u == owner {
+					eventually(t, id+" to run on its owner", func() bool { return len(p.runs[i].list()) > 0 })
+				}
+			}
+			for i, u := range p.urls {
+				got := strings.Join(p.runs[i].list(), " ")
+				if u == owner && got != want {
+					t.Errorf("owner %s ran %q, want %q", u, got, want)
+				}
+				if u != owner && got != "" {
+					t.Errorf("non-owner %s ran %q, want nothing", u, got)
+				}
+			}
+		})
 	}
 }
 
@@ -894,32 +1074,5 @@ func TestRouterConfigValidation(t *testing.T) {
 	defer rt.Close()
 	if got := rt.Stats().ShardsTotal; got != 2 {
 		t.Errorf("normalized pool size %d, want 2 (scheme added, slash trimmed, dup removed)", got)
-	}
-}
-
-// TestJobTableEviction pins that the routing memory is bounded: past
-// the bound the least recently used route is dropped (and re-resolves
-// via the pool probe); lru's own test covers the order in detail.
-func TestJobTableEviction(t *testing.T) {
-	rt, err := New(Config{Shards: []string{"host1:8080"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	if rt.jobs.Len() != 0 {
-		t.Fatal("a new router remembers jobs")
-	}
-	rt.jobs = lru.New[string, string](2) // maxJobRoutes, shrunk
-	rt.routeJob("a", "s1")
-	rt.routeJob("b", "s2")
-	rt.routeJob("a", "s3") // update, not a new entry; a is now the most recent
-	rt.routeJob("c", "s4") // evicts b
-	if _, ok := rt.jobRoute("b"); ok {
-		t.Error("least recently used route survived past the cap")
-	}
-	for job, want := range map[string]string{"a": "s3", "c": "s4"} {
-		if s, ok := rt.jobRoute(job); !ok || s != want {
-			t.Errorf("%s -> %s,%v want %s", job, s, ok, want)
-		}
 	}
 }
