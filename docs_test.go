@@ -247,6 +247,18 @@ func TestReadmeCoversFlags(t *testing.T) {
 		{"-model " + "PRESET", ""},
 		{"cmd/membench/" + "testdata", ""},
 		{"FitNUMASplit" + "FromModel", ""},
+		{"GigE" + "Cluster", ""},
+		{"BigIB" + "Cluster", ""},
+		{"SMP" + "Node", ""},
+		{"BGP" + "Rack", ""},
+		{"FatNUMA" + "Node", ""},
+		{"GigE" + "Params", ""},
+		{"IB" + "Params", ""},
+		{"sharedMem" + "Links", ""},
+		{"xeon" + "Mem", ""},
+		{"bgp" + "Mem", ""},
+		{"opteron" + "Mem", ""},
+		{"cluster/" + "presets.go", ""},
 	}
 	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
 	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {

@@ -175,7 +175,7 @@ func TestLogGPTimes(t *testing.T) {
 
 func TestLogGPTransferMonotoneInSize(t *testing.T) {
 	f := func(s1, s2 uint16) bool {
-		m := IBParams()
+		m := Preset("ib-8n").Links.InterNode
 		a, b := int(s1), int(s2)
 		if a > b {
 			a, b = b, a
@@ -205,7 +205,7 @@ func TestPresetsValidate(t *testing.T) {
 func TestPresetLatencyOrdering(t *testing.T) {
 	// The physical hierarchy must hold: self < intra-socket < intra-node
 	// < inter-node small-message latency, on both fabrics.
-	for _, m := range []*Model{GigECluster(), IBCluster()} {
+	for _, m := range []*Model{Preset("gige-8n"), Preset("ib-8n")} {
 		prev := -1.0
 		for _, c := range []PathClass{Self, IntraSocket, IntraNode, InterNode} {
 			lat := m.Links.For(c).TransferTime(8)
@@ -218,7 +218,7 @@ func TestPresetLatencyOrdering(t *testing.T) {
 }
 
 func TestGigEVsIBRelation(t *testing.T) {
-	g, i := GigEParams(), IBParams()
+	g, i := Preset("gige-8n").Links.InterNode, Preset("ib-8n").Links.InterNode
 	if g.TransferTime(8) < 10*i.TransferTime(8) {
 		t.Error("GigE small-message latency should be >=10x IB")
 	}
@@ -228,7 +228,7 @@ func TestGigEVsIBRelation(t *testing.T) {
 }
 
 func TestModelValidateCatchesBadMemory(t *testing.T) {
-	m := IBCluster()
+	m := Preset("ib-8n")
 	m.MemBWPerSocket = 0
 	if err := m.Validate(); err == nil {
 		t.Error("zero memory bandwidth accepted")

@@ -138,8 +138,9 @@ type Spec struct {
 	Mem            *MemSpec     `json:"mem,omitempty"`
 }
 
-// Ceilings on what a custom spec may ask for. Presets are code and are
-// not checked; a spec arrives over POST /platforms. maxSpecCores is
+// Ceilings on what a spec may ask for, whether it arrives over POST
+// /platforms or is one of the embedded preset files (registry.go),
+// which pass the same ParseSpec at package init. maxSpecCores is
 // twice the largest preset (ib-64n, 512 cores) and four times
 // examples/platforms/edr-16n.json. No experiment's world grows with the
 // spec: the point-to-point experiments time each pair on a world of two
@@ -211,14 +212,13 @@ func (s *Spec) checkCeilings() error {
 	return nil
 }
 
-// ParseSpec decodes and validates one JSON platform document. Unknown
-// fields are rejected (a typo'd parameter must not silently become a
-// default), enum strings are normalized, the built model passes the
-// exact Validate() the presets would — so nothing a preset could not
-// be is ever registered — and the spec stays within the ceilings
-// above. The returned Spec is normalized: its Canonical() bytes, and
-// therefore its Name(), are independent of the input's field order,
-// whitespace, and omitted defaults.
+// ParseSpec decodes and validates one JSON platform document — a
+// custom's or a preset's. Unknown fields are rejected (a typo'd
+// parameter must not silently become a default), enum strings are
+// normalized, the built model passes Validate(), and the spec stays
+// within the ceilings above. The returned Spec is normalized: its
+// Canonical() bytes, and therefore its Name(), are independent of the
+// input's field order, whitespace, and omitted defaults.
 func ParseSpec(b []byte) (*Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
@@ -237,7 +237,7 @@ func ParseSpec(b []byte) (*Spec, error) {
 	if s.Mem != nil && s.Mem.Mode == "" {
 		s.Mem.Mode = mem.Paged.String()
 	}
-	m, err := s.build()
+	m, err := s.build("platform spec")
 	if err != nil {
 		return nil, err
 	}
@@ -270,21 +270,22 @@ func (s *Spec) Name() string {
 	return fmt.Sprintf("%s%x", CustomPrefix, sum[:6])
 }
 
-// Model builds a fresh Model from the spec, named by its content hash.
-// Like preset constructors, every call returns a new instance, so
-// callers may mutate placement or topology without aliasing. Only
-// validated specs (ParseSpec) should reach this.
-func (s *Spec) Model() *Model {
-	m, err := s.build()
+// model builds a fresh Model from a validated spec (ParseSpec) under
+// its registry name: a preset's own name, or the content-hash name a
+// custom was registered under, so a lookup never re-hashes. Every call
+// returns a new instance, so callers may mutate placement or topology
+// without aliasing.
+func (s *Spec) model(name string) *Model {
+	m, err := s.build(name)
 	if err != nil {
 		panic(fmt.Sprintf("cluster: building a validated spec failed: %v", err))
 	}
 	return m
 }
 
-// build constructs the Model, translating the enum strings. It is the
-// one place the spec and model vocabularies meet.
-func (s *Spec) build() (*Model, error) {
+// build constructs the Model named name, translating the enum strings.
+// It is the one place the spec and model vocabularies meet.
+func (s *Spec) build(name string) (*Model, error) {
 	var placement Placement
 	switch s.Placement {
 	case "", Block.String():
@@ -294,8 +295,15 @@ func (s *Spec) build() (*Model, error) {
 	default:
 		return nil, fmt.Errorf("cluster: unknown placement %q (want block or cyclic)", s.Placement)
 	}
-	m := &Model{
-		Name: s.Name(),
+	var mm *mem.Model
+	if s.Mem != nil {
+		var err error
+		if mm, err = s.Mem.build(); err != nil {
+			return nil, err
+		}
+	}
+	return &Model{
+		Name: name,
 		Topo: Topology{
 			Nodes:          s.Topology.Nodes,
 			SocketsPerNode: s.Topology.SocketsPerNode,
@@ -311,15 +319,8 @@ func (s *Spec) build() (*Model, error) {
 		MemBWPerSocket: s.MemBWPerSocket,
 		MemBWPerCore:   s.MemBWPerCore,
 		FlopsPerCore:   s.FlopsPerCore,
-	}
-	if s.Mem != nil {
-		mm, err := s.Mem.build()
-		if err != nil {
-			return nil, err
-		}
-		m.Mem = mm
-	}
-	return m, nil
+		Mem:            mm,
+	}, nil
 }
 
 // build constructs the mem.Model of a MemSpec.
@@ -337,32 +338,35 @@ func (ms *MemSpec) build() (*mem.Model, error) {
 	if name == "" {
 		name = "custom"
 	}
-	m := &mem.Model{
+	levels := make([]mem.Level, len(ms.Levels))
+	for i, l := range ms.Levels {
+		levels[i] = mem.Level{Name: l.Name, Capacity: l.CapacityBytes, Latency: l.LatencyS}
+	}
+	var numa mem.NUMA
+	if ms.NUMA != nil {
+		numa = mem.NUMA{
+			Nodes:         ms.NUMA.Nodes,
+			RemoteLatency: ms.NUMA.RemoteLatencyS,
+			RemoteTLBCost: ms.NUMA.RemoteTLBCostS,
+		}
+	}
+	return &mem.Model{
 		Name:           name,
+		Levels:         levels,
 		MemLatency:     ms.MemLatencyS,
 		TLB:            mem.TLB{Entries: ms.TLB.Entries, MissCost: ms.TLB.MissCostS},
 		PageBytes:      ms.PageBytes,
 		LargePageBytes: ms.LargePageBytes,
 		PageFaultCost:  ms.PageFaultCostS,
 		Mode:           mode,
-	}
-	for _, l := range ms.Levels {
-		m.Levels = append(m.Levels, mem.Level{Name: l.Name, Capacity: l.CapacityBytes, Latency: l.LatencyS})
-	}
-	if ms.NUMA != nil {
-		m.NUMA = mem.NUMA{
-			Nodes:         ms.NUMA.Nodes,
-			RemoteLatency: ms.NUMA.RemoteLatencyS,
-			RemoteTLBCost: ms.NUMA.RemoteTLBCostS,
-		}
-	}
-	return m, nil
+		NUMA:           numa,
+	}, nil
 }
 
 // customs is the process-wide registry of user-defined platforms,
 // keyed by content-hash name with LRU eviction past the limit. Specs
-// are stored as data and instantiated per Lookup, exactly like preset
-// constructors, so no caller ever aliases another's Model.
+// are stored as data and instantiated per Lookup, exactly like the
+// presets, so no caller ever aliases another's Model.
 var customs = struct {
 	mu    sync.Mutex
 	specs *lru.Cache[string, *Spec]
@@ -394,7 +398,7 @@ func lookupCustom(name string) (*Model, bool) {
 	if !ok {
 		return nil, false
 	}
-	return s.Model(), true
+	return s.model(name), true
 }
 
 // CustomSpec returns the registered spec behind a custom name, without

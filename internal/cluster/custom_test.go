@@ -67,7 +67,7 @@ func TestParseSpecValid(t *testing.T) {
 	if !IsCustomName(name) || len(name) != len(CustomPrefix)+12 {
 		t.Fatalf("bad custom name %q", name)
 	}
-	m := s.Model()
+	m := s.model(s.Name())
 	if m.Name != name {
 		t.Fatalf("model name %q != spec name %q", m.Name, name)
 	}
@@ -337,7 +337,7 @@ func TestParseSpecNUMAOnOneNode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("1-node NUMA spec rejected: %v", err)
 	}
-	caps := s.Model().Caps()
+	caps := s.model(s.Name()).Caps()
 	if caps&CapNUMA == 0 || caps&CapMultiNode != 0 {
 		t.Fatalf("caps = %v, want numa without multi-node", caps)
 	}
@@ -352,7 +352,7 @@ func TestParseSpecNoMem(t *testing.T) {
 	if err != nil {
 		t.Fatalf("mem-less spec rejected: %v", err)
 	}
-	if caps := s.Model().Caps(); caps&CapMemModel != 0 {
+	if caps := s.model(s.Name()).Caps(); caps&CapMemModel != 0 {
 		t.Fatalf("caps = %v, want no mem-model", caps)
 	}
 }
@@ -479,6 +479,14 @@ func TestCustomNamesSorted(t *testing.T) {
 // documents the ceilings were written for.
 func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(validSpecText))
+	for _, name := range Names() {
+		f.Add(presetFile(f, name))
+	}
+	example, err := os.ReadFile(exampleSpec)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(example)
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		s, err := ParseSpec(doc)
 		if err != nil {
@@ -492,7 +500,7 @@ func FuzzParseSpec(f *testing.F) {
 		if got := again.Canonical(); !bytes.Equal(got, canon) {
 			t.Fatalf("canonical bytes are not a fixed point:\n%s\n%s", canon, got)
 		}
-		if mm := s.Model().Mem; mm != nil {
+		if mm := s.model(s.Name()).Mem; mm != nil {
 			for _, mode := range []mem.Mode{mem.Paged, mem.BigMemory} {
 				if reach := mm.WithMode(mode).TLBReach(); reach <= 0 {
 					t.Fatalf("accepted spec has TLB reach %d in %v mode", reach, mode)

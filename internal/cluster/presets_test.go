@@ -1,6 +1,10 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
+	"io/fs"
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -110,5 +114,120 @@ func TestNUMAPresets(t *testing.T) {
 				t.Errorf("UMA preset %s under %s: %g != %g", name, p, got, base)
 			}
 		}
+	}
+}
+
+// TestPresetFilesAreListed keeps the embedded directory and the listing
+// order in step: every presets/*.json file is a listed preset, so a
+// file cannot sit unreachable and a listed name cannot lack its file.
+func TestPresetFilesAreListed(t *testing.T) {
+	entries, err := fs.ReadDir(presetFiles, "presets")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(presetNames) {
+		t.Errorf("presets/ holds %d files, the listing names %d presets", len(entries), len(presetNames))
+	}
+	for _, e := range entries {
+		if _, ok := presetSpec(strings.TrimSuffix(e.Name(), ".json")); !ok {
+			t.Errorf("presets/%s is not a listed preset", e.Name())
+		}
+	}
+}
+
+// presetFile returns the embedded spec file of a preset.
+func presetFile(tb testing.TB, name string) []byte {
+	tb.Helper()
+	b, err := presetFiles.ReadFile("presets/" + name + ".json")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// TestPresetRoundTripsAsCustom registers each preset's file as a
+// custom: a preset is a spec like any other, so the custom must
+// resolve to the same machine — the same model JSON apart from Name,
+// and the same capability tags.
+func TestPresetRoundTripsAsCustom(t *testing.T) {
+	defer PurgeCustoms()
+	PurgeCustoms()
+	for _, name := range Names() {
+		s, err := ParseSpec(presetFile(t, name))
+		if err != nil {
+			t.Fatalf("%s: ParseSpec: %v", name, err)
+		}
+		custom, _ := RegisterCustom(s)
+		cm, ok := Lookup(custom)
+		if !ok {
+			t.Fatalf("%s: registered as %s, which does not resolve", name, custom)
+		}
+		pm := Preset(name)
+		if cm.Caps() != pm.Caps() {
+			t.Errorf("%s: custom caps %v, preset caps %v", name, cm.Caps(), pm.Caps())
+		}
+		cm.Name = pm.Name
+		cj, _ := json.Marshal(cm)
+		pj, _ := json.Marshal(pm)
+		if !bytes.Equal(cj, pj) {
+			t.Errorf("%s: custom model differs from the preset:\n%s\n%s", name, cj, pj)
+		}
+	}
+}
+
+// TestPresetPanicsOnUnknownName pins Preset's contract: callers spell
+// preset names in code, so a misspelling is a programming error.
+func TestPresetPanicsOnUnknownName(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Preset accepted a name that is not a preset")
+		}
+	}()
+	Preset("no-such-platform")
+}
+
+// registerValidSpec registers validSpecText as a custom and returns
+// its name.
+func registerValidSpec(tb testing.TB) string {
+	tb.Helper()
+	s, err := ParseSpec([]byte(validSpecText))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	name, _ := RegisterCustom(s)
+	return name
+}
+
+// TestCustomLookupAllocatesLikeAPreset: both kinds build their model
+// from a decoded spec under the name they were found by, so a custom's
+// Lookup costs no more allocations than a preset's — it never
+// re-encodes or re-hashes the spec.
+func TestCustomLookupAllocatesLikeAPreset(t *testing.T) {
+	defer PurgeCustoms()
+	PurgeCustoms()
+	custom := registerValidSpec(t)
+	preset := testing.AllocsPerRun(100, func() { Lookup("ib-8n") })
+	got := testing.AllocsPerRun(100, func() { Lookup(custom) })
+	if got > preset {
+		t.Errorf("a custom Lookup allocates %v times, a preset's %v", got, preset)
+	}
+}
+
+func BenchmarkLookup(b *testing.B) {
+	defer PurgeCustoms()
+	PurgeCustoms()
+	custom := registerValidSpec(b)
+	for _, bc := range []struct{ name, platform string }{
+		{"preset", "bgp-64n"},
+		{"custom", custom},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := Lookup(bc.platform); !ok {
+					b.Fatal("lookup missed")
+				}
+			}
+		})
 	}
 }

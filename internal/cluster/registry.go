@@ -1,13 +1,14 @@
 // The preset registry: the named platform models experiments run on,
 // plus the capability tags that say which experiments are meaningful
-// on which preset. Before this existed every experiment hardcoded its
-// constructors; now the platform is a request axis — any experiment
-// can be asked for on any compatible preset by name, end to end
-// through internal/core, internal/serve, and the CLIs.
+// on which preset. Each preset is a spec file under presets/, decoded
+// by ParseSpec like any custom; the platform is a request axis — any
+// experiment can be asked for on any compatible preset by name, end to
+// end through internal/core, internal/serve, and the CLIs.
 package cluster
 
 import (
 	"crypto/sha256"
+	"embed"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -83,29 +84,50 @@ func (m *Model) Has(need Capability) bool {
 	return m.Caps()&need == need
 }
 
-// presets is the built-in registry, in the curated listing order:
-// the two 8-node fabrics the study brackets, the 64-node collective
-// scaling model, then the single-node and big-memory platforms.
-var presets = []struct {
-	name string
-	mk   func() *Model
-}{
-	{"gige-8n", GigECluster},
-	{"ib-8n", IBCluster},
-	{"ib-64n", BigIBCluster},
-	{"smp-1n", SMPNode},
-	{"fat-1n", FatNUMANode},
-	{"bgp-64n", BGPRack},
-}
+// presetNames is the curated listing order: the two 8-node fabrics
+// the study brackets (gigabit Ethernet and DDR InfiniBand, both with
+// dual-socket quad-core nodes), the 64-node collective scaling model,
+// then the single-node and big-memory platforms. Each name has a spec
+// file, presets/<name>.json, in the schema POST /platforms accepts.
+// Its values are representative published numbers of the era, not
+// measurements of any one machine; experiment T1 prints them.
+var presetNames = []string{"gige-8n", "ib-8n", "ib-64n", "smp-1n", "fat-1n", "bgp-64n"}
+
+//go:embed presets/*.json
+var presetFiles embed.FS
+
+// presets holds each preset's spec, decoded once by ParseSpec — the
+// path a POST /platforms body takes, ceilings included — in listing
+// order. A preset file that fails it panics at package init, so no
+// binary can start on a machine the service would refuse as a custom.
+var presets = func() []*Spec {
+	out := make([]*Spec, len(presetNames))
+	for i, name := range presetNames {
+		b, err := presetFiles.ReadFile("presets/" + name + ".json")
+		if err == nil {
+			out[i], err = ParseSpec(b)
+		}
+		if err != nil {
+			panic(fmt.Sprintf("cluster: preset %s: %v", name, err))
+		}
+	}
+	return out
+}()
 
 // Names returns every registered preset name in the registry's stable
 // listing order.
 func Names() []string {
-	out := make([]string, len(presets))
-	for i, p := range presets {
-		out[i] = p.name
+	return append([]string(nil), presetNames...)
+}
+
+// presetSpec returns the decoded spec of a preset name.
+func presetSpec(name string) (*Spec, bool) {
+	for i, n := range presetNames {
+		if n == name {
+			return presets[i], true
+		}
 	}
-	return out
+	return nil, false
 }
 
 // Lookup returns a fresh instance of the named platform — a preset, or
@@ -113,21 +135,34 @@ func Names() []string {
 // Each call constructs a new Model, so callers may mutate placement or
 // topology without aliasing other lookups.
 func Lookup(name string) (*Model, bool) {
-	for _, p := range presets {
-		if p.name == name {
-			return p.mk(), true
-		}
+	if s, ok := presetSpec(name); ok {
+		return s.model(name), true
 	}
 	return lookupCustom(name)
 }
+
+// Preset returns a fresh instance of the named preset. It panics on a
+// name that is not a preset: callers spell the name in code.
+func Preset(name string) *Model {
+	s, ok := presetSpec(name)
+	if !ok {
+		panic(fmt.Sprintf("cluster: no preset named %q", name))
+	}
+	return s.model(name)
+}
+
+// IBCluster returns the ib-8n preset. It exists only because the
+// repository's benchmark (bench/), which is frozen against this API,
+// calls it; everything else calls Preset("ib-8n").
+func IBCluster() *Model { return Preset("ib-8n") }
 
 // NamesWith returns the preset names whose models support every
 // capability in need, in registry order.
 func NamesWith(need Capability) []string {
 	var out []string
-	for _, p := range presets {
-		if p.mk().Has(need) {
-			out = append(out, p.name)
+	for _, name := range presetNames {
+		if Preset(name).Has(need) {
+			out = append(out, name)
 		}
 	}
 	return out
@@ -144,22 +179,20 @@ func NamesWith(need Capability) []string {
 // addressable here: their identity is content-hashed into their name,
 // so a custom-qualified cache key can never silently change meaning.
 func PresetShape(name string) (string, bool) {
-	for _, p := range presets {
-		if p.name != name {
-			continue
-		}
-		m := p.mk()
-		b, err := json.Marshal(m)
-		if err != nil {
-			// Presets are static Go values; a marshal failure is a
-			// programming error, not an input error.
-			panic(fmt.Sprintf("cluster: preset %s shape marshal: %v", name, err))
-		}
-		sum := sha256.Sum256(b)
-		return fmt.Sprintf("%s caps=%s topo=%s mem=%s params=%x",
-			p.name, m.Caps(), m.Topo.String(), memName(m), sum[:16]), true
+	s, ok := presetSpec(name)
+	if !ok {
+		return "", false
 	}
-	return "", false
+	m := s.model(name)
+	b, err := json.Marshal(m)
+	if err != nil {
+		// A model built from a decoded spec is plain data; a marshal
+		// failure is a programming error, not an input error.
+		panic(fmt.Sprintf("cluster: preset %s shape marshal: %v", name, err))
+	}
+	sum := sha256.Sum256(b)
+	return fmt.Sprintf("%s caps=%s topo=%s mem=%s params=%x",
+		name, m.Caps(), m.Topo.String(), memName(m), sum[:16]), true
 }
 
 // memName names the attached memory model, or "-" when absent.

@@ -7,15 +7,15 @@
 // that curve *shapes* (intra- vs inter-node gaps, bandwidth knees,
 // contention) reproduce those of a real machine.
 //
-// The built-in platforms form a named preset registry (registry.go):
-// Lookup resolves a preset name ("gige-8n", "ib-8n", "ib-64n",
+// The built-in platforms form a named preset registry (registry.go,
+// one spec per preset in presets/*.json): Lookup resolves a preset name ("gige-8n", "ib-8n", "ib-64n",
 // "smp-1n", "fat-1n", "bgp-64n") to a fresh Model, and Names/NamesWith
 // enumerate it. Every Model derives Capability tags from its structure
 // — CapMultiNode (an inter-node fabric exists), CapMemModel (an
 // analytic memory hierarchy is attached), CapNUMA (that hierarchy has
 // a local/remote split) — which internal/core experiments declare as
 // requirements, so "which experiment runs on which platform" is
-// decided by the registry, not by hardcoded constructor calls.
+// decided by the registry, not by hardcoded models.
 package cluster
 
 import (

@@ -218,15 +218,15 @@ func splitID(id string) (string, int) {
 }
 
 // platformsFor resolves a request's platform axis for an experiment:
-// "" instantiates the canonical constructors; an explicit name becomes
-// a one-element list looked up in the preset registry. Every model is
-// freshly constructed, so experiments may mutate placement or topology
-// without aliasing other runs.
-func platformsFor(r Request, canonical ...func() *cluster.Model) ([]*cluster.Model, error) {
+// "" instantiates the canonical presets; an explicit name becomes a
+// one-element list looked up in the registry. Every model is freshly
+// constructed, so experiments may mutate placement or topology without
+// aliasing other runs.
+func platformsFor(r Request, canonical ...string) ([]*cluster.Model, error) {
 	if r.Platform == "" {
 		ms := make([]*cluster.Model, len(canonical))
-		for i, mk := range canonical {
-			ms[i] = mk()
+		for i, name := range canonical {
+			ms[i] = cluster.Preset(name)
 		}
 		return ms, nil
 	}

@@ -189,7 +189,7 @@ func TestF4MultiPair(t *testing.T) {
 	if !strings.Contains(out, "msg=65536B") {
 		t.Errorf("F4 missing series: %s", out)
 	}
-	nic := 1 / cluster.IBCluster().Links.InterNode.GB / 1e6
+	nic := 1 / cluster.Preset("ib-8n").Links.InterNode.GB / 1e6
 	pts := figPoints(out)
 	if len(pts) != 3 {
 		t.Fatalf("F4: want 3 points, got %d in:\n%s", len(pts), out)

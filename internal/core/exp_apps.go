@@ -33,7 +33,7 @@ func runF14(w io.Writer, r Request) error {
 	if r.Scale == Full {
 		iters = 200
 	}
-	ms, err := platformsFor(r, cluster.IBCluster)
+	ms, err := platformsFor(r, "ib-8n")
 	if err != nil {
 		return err
 	}
@@ -76,7 +76,7 @@ func runF14(w io.Writer, r Request) error {
 // the last platform against the first and is dropped for a
 // single-platform request.
 func runF15(w io.Writer, r Request) error {
-	ms, err := platformsFor(r, cluster.GigECluster, cluster.IBCluster)
+	ms, err := platformsFor(r, "gige-8n", "ib-8n")
 	if err != nil {
 		return err
 	}

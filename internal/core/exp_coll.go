@@ -31,7 +31,7 @@ func collProcs(s Scale) []int {
 // configuration collective-scaling studies use. Past the node count it
 // wraps onto further cores: F6 allows that, F5 stops there.
 func collPlatform(r Request) (*cluster.Model, error) {
-	ms, err := platformsFor(r, cluster.BigIBCluster)
+	ms, err := platformsFor(r, "ib-64n")
 	if err != nil {
 		return nil, err
 	}

@@ -38,7 +38,7 @@ func hpccProcs(s Scale) []int {
 // canonical fabrics, or the requested preset, cyclic-placed so one
 // rank lands per node and the fabric dominates.
 func hpccPlatforms(r Request) ([]*cluster.Model, error) {
-	ms, err := platformsFor(r, cluster.IBCluster, cluster.GigECluster)
+	ms, err := platformsFor(r, "ib-8n", "gige-8n")
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +194,7 @@ func runF10(w io.Writer, r Request) error {
 }
 
 func runF11(w io.Writer, r Request) error {
-	ms, err := platformsFor(r, cluster.IBCluster)
+	ms, err := platformsFor(r, "ib-8n")
 	if err != nil {
 		return err
 	}
@@ -223,7 +223,7 @@ func runF11(w io.Writer, r Request) error {
 }
 
 func runT3(w io.Writer, r Request) error {
-	ms, err := platformsFor(r, cluster.IBCluster)
+	ms, err := platformsFor(r, "ib-8n")
 	if err != nil {
 		return err
 	}

@@ -41,14 +41,14 @@ func init() {
 // the commodity SMP node and the big-memory (BG/P-class) node — the
 // study's central contrast.
 func memPlatforms(r Request) ([]*cluster.Model, error) {
-	return platformsFor(r, cluster.SMPNode, cluster.BGPRack)
+	return platformsFor(r, "smp-1n", "bgp-64n")
 }
 
 // numaPlatforms resolves the placement experiments' platform axis. The
 // canonical set is the presets with a multi-node NUMA structure — the
 // fat four-socket node and the dual-controller BG/P node.
 func numaPlatforms(r Request) ([]*cluster.Model, error) {
-	return platformsFor(r, cluster.FatNUMANode, cluster.BGPRack)
+	return platformsFor(r, "fat-1n", "bgp-64n")
 }
 
 // runM1 renders the latency ladder: a measured pointer-chase sweep on

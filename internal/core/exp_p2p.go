@@ -97,7 +97,7 @@ func runP2PCurve(cfg mp.Config, pc cluster.PathClass, pairs int, opts osu.Option
 }
 
 func runF1(w io.Writer, r Request) error {
-	ms, err := platformsFor(r, cluster.IBCluster, cluster.GigECluster)
+	ms, err := platformsFor(r, "ib-8n", "gige-8n")
 	if err != nil {
 		return err
 	}
@@ -119,7 +119,7 @@ func runF1(w io.Writer, r Request) error {
 }
 
 func runF2(w io.Writer, r Request) error {
-	ms, err := platformsFor(r, cluster.IBCluster, cluster.GigECluster)
+	ms, err := platformsFor(r, "ib-8n", "gige-8n")
 	if err != nil {
 		return err
 	}
@@ -141,7 +141,7 @@ func runF2(w io.Writer, r Request) error {
 }
 
 func runF3(w io.Writer, r Request) error {
-	ms, err := platformsFor(r, cluster.IBCluster, cluster.GigECluster)
+	ms, err := platformsFor(r, "ib-8n", "gige-8n")
 	if err != nil {
 		return err
 	}
@@ -169,7 +169,7 @@ func runF3(w io.Writer, r Request) error {
 }
 
 func runF4(w io.Writer, r Request) error {
-	ms, err := platformsFor(r, cluster.IBCluster)
+	ms, err := platformsFor(r, "ib-8n")
 	if err != nil {
 		return err
 	}
@@ -196,7 +196,7 @@ func runF4(w io.Writer, r Request) error {
 }
 
 func runF12(w io.Writer, r Request) error {
-	ms, err := platformsFor(r, cluster.IBCluster)
+	ms, err := platformsFor(r, "ib-8n")
 	if err != nil {
 		return err
 	}
@@ -232,7 +232,7 @@ func runF12(w io.Writer, r Request) error {
 }
 
 func runF13(w io.Writer, r Request) error {
-	ms, err := platformsFor(r, cluster.GigECluster)
+	ms, err := platformsFor(r, "gige-8n")
 	if err != nil {
 		return err
 	}

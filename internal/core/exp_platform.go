@@ -43,7 +43,7 @@ func shortName(name string) string {
 // canonical testbed trio; an explicit platform prints that preset's
 // rows alone.
 func runT1(w io.Writer, r Request) error {
-	ms, err := platformsFor(r, cluster.SMPNode, cluster.GigECluster, cluster.IBCluster)
+	ms, err := platformsFor(r, "smp-1n", "gige-8n", "ib-8n")
 	if err != nil {
 		return err
 	}
@@ -90,7 +90,7 @@ func runT4(w io.Writer, r Request) error {
 		ringNat   float64 // natural ring bw (MB/s)
 		ringRnd   float64 // random ring bw (MB/s)
 	}
-	ms, err := platformsFor(r, cluster.GigECluster, cluster.IBCluster)
+	ms, err := platformsFor(r, "gige-8n", "ib-8n")
 	if err != nil {
 		return err
 	}

@@ -4,7 +4,6 @@ import (
 	"io"
 	"runtime"
 
-	"repro/internal/cluster"
 	"repro/internal/report"
 	"repro/internal/stream"
 )
@@ -24,7 +23,7 @@ func streamN(s Scale) int {
 }
 
 func runF7(w io.Writer, r Request) error {
-	ms, err := platformsFor(r, cluster.SMPNode)
+	ms, err := platformsFor(r, "smp-1n")
 	if err != nil {
 		return err
 	}

@@ -106,7 +106,7 @@ func fingerprintMaterial(id string, presetShape func(string) (string, bool)) ([]
 	}
 	// The preset shapes this experiment's results can depend on: every
 	// preset satisfying its Needs (which includes the canonical default
-	// set — canonical constructors are preset models). Custom platforms
+	// set — the canonical platforms are presets). Custom platforms
 	// are deliberately absent: their identity is content-hashed into
 	// the custom-<hash> name itself, so a custom-qualified cache key
 	// can never silently mean a different machine.

@@ -13,7 +13,7 @@ import (
 // sender on node 0 and its receiver on node 1, on the preset's own links;
 // m itself is left as it was.
 func TestPairModelClasses(t *testing.T) {
-	m := cluster.IBCluster()
+	m := cluster.Preset("ib-8n")
 	m.Placement = cluster.Cyclic
 	want := *m
 	for _, tc := range []struct {

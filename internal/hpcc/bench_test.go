@@ -11,7 +11,7 @@ import (
 // it: with SkipCheck, so the panel loop moves sizes and charges flop
 // counts but factors nothing.
 func BenchmarkHPLSim(b *testing.B) {
-	m := cluster.IBCluster()
+	m := cluster.Preset("ib-8n")
 	for i := 0; i < b.N; i++ {
 		err := mp.Run(4, mp.Config{Model: m}, func(c *mp.Comm) error {
 			_, err := HPL(c, HPLConfig{

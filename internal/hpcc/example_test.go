@@ -18,7 +18,7 @@ func ExampleRandomAccess() {
 	const ranks = 4
 	const bits = 16 // 64 Ki words -> 256 Ki updates
 
-	err := mp.Run(ranks, mp.Config{Model: cluster.IBCluster()}, func(c *mp.Comm) error {
+	err := mp.Run(ranks, mp.Config{Model: cluster.Preset("ib-8n")}, func(c *mp.Comm) error {
 		res, err := hpcc.RandomAccess(c, hpcc.GUPSConfig{
 			TableBits:   bits,
 			Verify:      true,

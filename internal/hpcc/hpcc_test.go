@@ -8,7 +8,7 @@ import (
 	"repro/internal/mp"
 )
 
-func sim() mp.Config { return mp.Config{Model: cluster.BigIBCluster()} }
+func sim() mp.Config { return mp.Config{Model: cluster.Preset("ib-64n")} }
 
 func TestColumnDistributionHelpers(t *testing.T) {
 	const nb, p = 4, 3
@@ -328,7 +328,7 @@ func TestNaturalRing(t *testing.T) {
 func TestRandomRingSlowerOnCluster(t *testing.T) {
 	// On a multi-node model with block placement, the random ring has
 	// more inter-node hops than the natural ring, so it must be slower.
-	m := cluster.IBCluster()
+	m := cluster.Preset("ib-8n")
 	n := m.Topo.TotalCores()
 	var nat, rnd RingResult
 	err := mp.Run(n, mp.Config{Model: m}, func(c *mp.Comm) error {

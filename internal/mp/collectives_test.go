@@ -15,7 +15,7 @@ var sizesUnderTest = []int{1, 2, 3, 4, 5, 7, 8, 16}
 func forEachSize(t *testing.T, f func(t *testing.T, p int, cfg Config)) {
 	t.Helper()
 	for _, p := range sizesUnderTest {
-		cfg := Config{Model: cluster.BigIBCluster()}
+		cfg := Config{Model: cluster.Preset("ib-64n")}
 		t.Run(fmt.Sprintf("p=%d/sim", p), func(t *testing.T) {
 			f(t, p, cfg)
 		})

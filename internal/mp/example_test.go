@@ -13,7 +13,7 @@ import (
 // and run a collective. Ranks print concurrently, so the lines come in
 // no fixed order.
 func ExampleRun() {
-	err := mp.Run(4, mp.Config{Model: cluster.SMPNode()}, func(c *mp.Comm) error {
+	err := mp.Run(4, mp.Config{Model: cluster.Preset("smp-1n")}, func(c *mp.Comm) error {
 		// Point-to-point: rank 0 sends a greeting to rank 1. A receive
 		// names its source and tag exactly.
 		const src, tag = 0, 1

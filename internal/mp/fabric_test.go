@@ -437,7 +437,7 @@ func TestReleasedBufferNeverAliasesLivePacket(t *testing.T) {
 // core of ib-64n, the largest preset. Each rank is placed once, so time
 // and bytes grow with the rank count alone.
 func BenchmarkNewFabric(b *testing.B) {
-	m := cluster.BigIBCluster()
+	m := cluster.Preset("ib-64n")
 	n := m.Topo.TotalCores()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

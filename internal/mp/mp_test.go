@@ -11,14 +11,14 @@ import (
 
 // testModel is the platform a test runs on unless it needs another:
 // ib-8n, whose 64 cores give every rank count here a core of its own.
-func testModel() *cluster.Model { return cluster.IBCluster() }
+func testModel() *cluster.Model { return cluster.Preset("ib-8n") }
 
 // configs returns the protocol configurations every semantic test runs
 // under: correctness must not depend on the eager/rendezvous split.
 func configs() map[string]Config {
 	return map[string]Config{
-		"sim":      {Model: cluster.BigIBCluster()},
-		"sim-rndv": {Model: cluster.BigIBCluster(), EagerThreshold: -1},
+		"sim":      {Model: cluster.Preset("ib-64n")},
+		"sim-rndv": {Model: cluster.Preset("ib-64n"), EagerThreshold: -1},
 	}
 }
 

@@ -180,10 +180,10 @@ func pinnedEight(c *Comm) error {
 
 func TestSimVirtualTimePinned(t *testing.T) {
 	t.Run("2ranks-intra-socket", func(t *testing.T) {
-		checkPinned(t, runPinned(t, 2, Config{Model: cluster.IBCluster()}, pinnedPair), pinnedPairWant)
+		checkPinned(t, runPinned(t, 2, Config{Model: cluster.Preset("ib-8n")}, pinnedPair), pinnedPairWant)
 	})
 	t.Run("8ranks-inter-node", func(t *testing.T) {
-		m := cluster.IBCluster()
+		m := cluster.Preset("ib-8n")
 		m.Placement = cluster.Cyclic // one rank per node: every path crosses a NIC
 		checkPinned(t, runPinned(t, 8, Config{Model: m}, pinnedEight), pinnedEightWant)
 	})
@@ -208,7 +208,7 @@ func TestSimScheduleIndependent(t *testing.T) {
 	}
 	sizeOnly := func(c *Comm) error { return c.SizeOnly(func() error { return script(c) }) }
 	for _, pl := range []cluster.Placement{cluster.Block, cluster.Cyclic} {
-		m := cluster.IBCluster()
+		m := cluster.Preset("ib-8n")
 		m.Placement = pl
 		want := runPinned(t, n, Config{Model: m}, script)
 		for rep := range repeats + sizeOnlyRepeats {

@@ -9,7 +9,7 @@ import (
 	"repro/internal/mp"
 )
 
-func sim() mp.Config { return mp.Config{Model: cluster.BigIBCluster()} }
+func sim() mp.Config { return mp.Config{Model: cluster.Preset("ib-64n")} }
 
 func TestEPStatistics(t *testing.T) {
 	// With many pairs, ~pi/4 of them are accepted and the Gaussian
@@ -88,7 +88,7 @@ func TestEPValidation(t *testing.T) {
 }
 
 func TestEPOnSimChargesTime(t *testing.T) {
-	m := cluster.IBCluster()
+	m := cluster.Preset("ib-8n")
 	err := mp.Run(4, mp.Config{Model: m}, func(c *mp.Comm) error {
 		res, err := EP(c, EPConfig{PairsPerRank: 10000, Seed: 2, ComputeRate: 1e8, Verify: true})
 		if err != nil {
@@ -169,8 +169,8 @@ func TestISOnSimFasterOnIB(t *testing.T) {
 	// The alltoallv redistribution is bisection-bound: IB must beat
 	// GigE at equal configuration.
 	rate := map[string]float64{}
-	for _, mk := range []func() *cluster.Model{cluster.GigECluster, cluster.IBCluster} {
-		m := mk()
+	for _, name := range []string{"gige-8n", "ib-8n"} {
+		m := cluster.Preset(name)
 		m.Placement = cluster.Cyclic
 		err := mp.Run(8, mp.Config{Model: m}, func(c *mp.Comm) error {
 			res, err := IS(c, ISConfig{KeysPerRank: 20000, MaxKey: 1 << 20, Seed: 5})

@@ -14,7 +14,7 @@ import (
 // binomial tree wins small messages and scatter-allgather wins large
 // ones — the textbook crossover experiment F6 maps fully.
 func ExampleCollectiveLatency() {
-	model := cluster.BigIBCluster()
+	model := cluster.Preset("ib-64n")
 	model.Placement = cluster.Cyclic // one rank per node
 	const p = 32
 

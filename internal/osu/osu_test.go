@@ -11,7 +11,7 @@ import (
 // simCfg runs benchmarks on the virtual-time fabric so results are
 // deterministic and fast.
 func simCfg() mp.Config {
-	return mp.Config{Model: cluster.IBCluster()}
+	return mp.Config{Model: cluster.Preset("ib-8n")}
 }
 
 func smallOpts() Options {
@@ -69,7 +69,7 @@ func TestLatencyIntraVsInterNode(t *testing.T) {
 	// exceed intra-node latency on the modeled cluster. Block placement
 	// puts ranks 0 and 1 on one socket, cyclic on two nodes.
 	latency := func(p cluster.Placement) float64 {
-		m := cluster.IBCluster()
+		m := cluster.Preset("ib-8n")
 		m.Placement = p
 		var lat float64
 		err := mp.Run(2, mp.Config{Model: m}, func(c *mp.Comm) error {
@@ -112,7 +112,7 @@ func TestBandwidthCurve(t *testing.T) {
 			}
 			// It must not exceed the modeled link bandwidth per pair by
 			// more than rounding (intra-socket paths here).
-			link := float64(n/2) * cluster.IBCluster().Links.IntraSocket.Bandwidth()
+			link := float64(n/2) * cluster.Preset("ib-8n").Links.IntraSocket.Bandwidth()
 			if samples[2].Value > 1.05*link {
 				return fmt.Errorf("bw %v exceeds modeled links %v", samples[2].Value, link)
 			}
@@ -158,12 +158,12 @@ func TestBiBandwidthAtLeastUnidirectional(t *testing.T) {
 // NIC, so the curve is the same under every schedule.
 func TestBandwidthAggregateWithinNIC(t *testing.T) {
 	opts := Options{Sizes: []int{1024, 4096, 65536, 1 << 20}, Warmup: 2, Iters: 10, Window: 16}
-	for _, preset := range []func() *cluster.Model{cluster.IBCluster, cluster.GigECluster} {
+	for _, name := range []string{"ib-8n", "gige-8n"} {
 		var prev []Sample
 		for _, pairs := range []int{1, 2, 4} {
 			// The shape core's pairModel gives F4: senders on node 0,
 			// receivers on node 1.
-			m := preset()
+			m := cluster.Preset(name)
 			m.Placement = cluster.Block
 			m.Topo = cluster.Topology{Nodes: 2, SocketsPerNode: 1, CoresPerSocket: pairs}
 			nicBW := 1 / m.Links.InterNode.GB

@@ -19,7 +19,7 @@ import (
 // big-memory ladder goes to the knee-point fit, which recovers the
 // levels. `membench -fit` runs the same fit on a measured host ladder.
 func ExampleFitHierarchy() {
-	platform := cluster.BGPRack()
+	platform := cluster.Preset("bgp-64n")
 	m := platform.Mem
 	fmt.Printf("platform %s: %d cache levels, %s base pages, %s large pages\n",
 		platform.Name, len(m.Levels), kib(m.PageBytes), kib(m.LargePageBytes))
@@ -84,7 +84,7 @@ func ExampleFitHierarchy() {
 // Experiment M5 runs these steps for each NUMA preset;
 // `membench -numa` measures the host's placement ladders.
 func ExampleFitNUMASplit() {
-	platform := cluster.FatNUMANode()
+	platform := cluster.Preset("fat-1n")
 	m := platform.Mem
 	fmt.Printf("platform %s: %d NUMA nodes, local %.0fns, remote %.0fns (ratio %.2f)\n\n",
 		platform.Name, m.NUMA.Nodes,

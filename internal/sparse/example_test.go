@@ -34,8 +34,8 @@ func ExampleDistCG() {
 	}
 
 	fmt.Printf("distributed CG: n=%d, %d nnz, p=%d ranks (one per node)\n\n", n, len(a.Val), p)
-	for _, mk := range []func() *cluster.Model{cluster.GigECluster, cluster.IBCluster} {
-		model := mk()
+	for _, name := range []string{"gige-8n", "ib-8n"} {
+		model := cluster.Preset(name)
 		model.Placement = cluster.Cyclic
 		var elapsed float64
 		var iters int

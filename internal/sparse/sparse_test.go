@@ -10,7 +10,7 @@ import (
 	"repro/internal/mp"
 )
 
-func sim() mp.Config { return mp.Config{Model: cluster.BigIBCluster()} }
+func sim() mp.Config { return mp.Config{Model: cluster.Preset("ib-64n")} }
 
 func TestCSRValidate(t *testing.T) {
 	good := &CSR{

@@ -18,7 +18,7 @@ import (
 func ExampleJacobi() {
 	const nx, ny = 32, 64
 	const p = 8
-	model := cluster.IBCluster()
+	model := cluster.Preset("ib-8n")
 	model.Placement = cluster.Cyclic
 
 	err := mp.Run(p, mp.Config{Model: model}, func(c *mp.Comm) error {

@@ -10,7 +10,7 @@ import (
 	"repro/internal/mp"
 )
 
-func sim() mp.Config { return mp.Config{Model: cluster.BigIBCluster()} }
+func sim() mp.Config { return mp.Config{Model: cluster.Preset("ib-64n")} }
 
 func TestSerialBoundaryAndSmoothing(t *testing.T) {
 	g := Serial(8, 8, 50)
@@ -135,8 +135,8 @@ func TestJacobiOnSimFabricsOrdering(t *testing.T) {
 	// Halo exchange is latency-sensitive at small NY: IB must beat
 	// GigE in modeled cell-update rate.
 	rate := map[string]float64{}
-	for _, mk := range []func() *cluster.Model{cluster.GigECluster, cluster.IBCluster} {
-		m := mk()
+	for _, name := range []string{"gige-8n", "ib-8n"} {
+		m := cluster.Preset(name)
 		m.Placement = cluster.Cyclic
 		err := mp.Run(8, mp.Config{Model: m}, func(c *mp.Comm) error {
 			_, res, err := Jacobi(c, Config{

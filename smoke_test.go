@@ -489,8 +489,9 @@ func TestSmokeRestartAndDeploy(t *testing.T) {
 }
 
 // buildDeploy builds charhpcd from a copy of go.mod, cmd/charhpcd and
-// the non-test sources under internal/ in which T1's default digest
-// line is edited, and returns the binary's path.
+// the non-test sources under internal/ — Go files and the embedded
+// digests.txt and preset specs — in which T1's default digest line is
+// edited, and returns the binary's path.
 func buildDeploy(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -519,7 +520,8 @@ func buildDeploy(t *testing.T) string {
 				}
 				return nil
 			}
-			if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") || e.Name() == "digests.txt" {
+			if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") ||
+				e.Name() == "digests.txt" || strings.HasSuffix(path, ".json") {
 				copyFile(path)
 			}
 			return nil
