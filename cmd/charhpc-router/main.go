@@ -21,14 +21,12 @@
 //
 //	charhpc-router -shards http://10.0.0.1:8080,http://10.0.0.2:8080
 //	charhpc-router -shards host1:8080,host2:8080 -addr :8079
-//	charhpc-router -warm                     # fan-out warm-up, partitioned by ring ownership
-//	charhpc-router -warm-platforms default,gige-8n
 //
-// Run the shards with -warm=false when the router drives -warm: the
-// router partitions the registry × platform plan by ring ownership so
-// each shard fills exactly the keys it will serve, on GOMAXPROCS
-// workers. Every shard gets shard.DefaultVNodes points on the ring, so
-// router replicas over one pool route alike.
+// A cold key fills on the shard that owns it, on its first request.
+// Every shard gets shard.DefaultVNodes points on the ring, so router
+// replicas over one pool route alike. -warm is accepted only as
+// -warm=false, for command lines written when the router had a
+// startup warm-up; -warm=true exits 2.
 //
 // Observability: GET /healthz probes the shards and aggregates their
 // liveness on one line; GET /metrics exposes the router's own instruments
@@ -38,13 +36,10 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
-	"time"
 
 	"repro/internal/serve"
 	"repro/internal/shard"
@@ -53,11 +48,13 @@ import (
 func main() {
 	addr := flag.String("addr", ":8079", "listen address")
 	shardsFlag := flag.String("shards", "", "comma-separated charhpcd base URLs (required), e.g. http://10.0.0.1:8080,http://10.0.0.2:8080")
-	warm := flag.Bool("warm", false, "drive the fan-out warm-up at startup, partitioned by ring ownership (run the shards with -warm=false)")
-	warmPlatforms := flag.String("warm-platforms", "default",
-		"comma-separated platform axis for the warm-up: 'default' is each experiment's canonical set, any other name is a preset")
+	warm := flag.Bool("warm", false, "removed: accepted only as false (a cold key fills on its owning shard's first request)")
 	logFormat := flag.String("log-format", "text", "log line format: text or json")
 	flag.Parse()
+	if *warm {
+		fmt.Fprintln(os.Stderr, "charhpc-router: -warm was removed: a cold key fills on its owning shard's first request (pass -warm=false or nothing)")
+		os.Exit(2)
+	}
 
 	logger, err := serve.DaemonLogger(*logFormat)
 	if err != nil {
@@ -83,28 +80,7 @@ func main() {
 	}
 	defer rt.Close()
 
-	platforms, err := serve.ParseWarmPlatforms(*warmPlatforms)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "charhpc-router: %v\n", err)
-		os.Exit(2)
-	}
-
 	err = serve.RunDaemon(logger, *addr, rt,
-		func(ctx context.Context) {
-			if !*warm {
-				return
-			}
-			t0 := time.Now()
-			workers := runtime.GOMAXPROCS(0)
-			n := rt.Warm(ctx, nil, platforms, workers)
-			if ctx.Err() != nil {
-				logger.Info("fan-out warm-up canceled", "warmed", n)
-				return
-			}
-			logger.Info("fan-out warm-up complete",
-				"elapsed", time.Since(t0).Round(time.Millisecond).String(),
-				"warmed", n, "workers", workers)
-		},
 		func() { logger.Info("routing", "addr", *addr, "shards", strings.Join(shards, ",")) },
 		func() []any {
 			st := rt.Stats()

@@ -1,29 +1,27 @@
 // Command charhpcd serves the characterization's experiment registry
-// over HTTP: cached, content-negotiated results with ETags, filled by
-// a parallel warm-up at startup (see internal/serve). With -cache-dir
-// the results cache persists across restarts: filled entries are
-// written through to disk, a restart warms from disk without
-// re-running, and the store self-invalidates when the binary or the
-// registry changes (see internal/diskcache). charhpc -cache-dir
-// shares the same store.
+// over HTTP: cached, content-negotiated results with ETags (see
+// internal/serve). A cold key fills on its first request, once however
+// many clients ask for it. With -cache-dir the results cache persists
+// across restarts: filled entries are written through to disk, a
+// restart serves them from disk without re-running, and the store
+// self-invalidates when the binary or the registry changes (see
+// internal/diskcache). charhpc -cache-dir shares the same store.
 //
 // The platform is a request axis: GET /experiments/{id}?platform=NAME
 // runs an experiment on one named preset (the listing advertises which
-// presets each experiment accepts). Warm-up fills the default-platform
-// quick cache on GOMAXPROCS workers; -warm-platforms extends it across
-// named presets — the warm-up set is experiments × platforms, with
-// incompatible pairs skipped.
+// presets each experiment accepts).
 //
 // Usage:
 //
-//	charhpcd                               # :8080, warm quick cache
-//	charhpcd -addr :9090                   # custom port
-//	charhpcd -warm=false -scale-limit full # cold start, allow full runs
-//	charhpcd -warm-platforms default,gige-8n,bgp-64n
+//	charhpcd                               # :8080, quick scale only
+//	charhpcd -addr :9090 -scale-limit full # custom port, allow full runs
 //	charhpcd -cache-dir /var/cache/charhpc -cache-max-bytes 67108864
 //	charhpcd -platform-dir /etc/charhpc/platforms   # preload custom machines
 //	charhpcd -log-format json -pprof        # machine logs + profiling
 //	charhpcd -jobs-history 128              # finished async jobs kept (GET /runs)
+//
+// -warm is accepted only as -warm=false, for command lines written
+// when the daemon had a startup warm-up; -warm=true exits 2.
 //
 // Beyond the blocking GET, runs can be submitted asynchronously:
 // POST /runs answers 202 with a job ID, GET /runs/{id}/events streams
@@ -45,12 +43,9 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/diskcache"
@@ -60,9 +55,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	warm := flag.Bool("warm", true, "fill the quick-scale cache in the background at startup")
-	warmPlatforms := flag.String("warm-platforms", "default",
-		"comma-separated platform axis for the warm-up: 'default' is each experiment's canonical set, any other name is a preset")
+	warm := flag.Bool("warm", false, "removed: accepted only as false (a cold key fills on its first request)")
 	scaleLimit := flag.String("scale-limit", "quick", "largest scale served: quick or full")
 	cacheDir := flag.String("cache-dir", "", "persist the results cache under this directory (empty = memory only)")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "LRU byte budget of cached preset results and, separately, of custom-platform results, so the directory can hold twice it (0 = unbounded)")
@@ -71,6 +64,10 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (off by default)")
 	logFormat := flag.String("log-format", "text", "log line format: text or json")
 	flag.Parse()
+	if *warm {
+		fmt.Fprintln(os.Stderr, "charhpcd: -warm was removed: a cold key fills on its first request (pass -warm=false or nothing)")
+		os.Exit(2)
+	}
 
 	logger, err := serve.DaemonLogger(*logFormat)
 	if err != nil {
@@ -110,32 +107,7 @@ func main() {
 		srv.EnablePprof()
 	}
 
-	// Resolve the warm-up platform axis after serve.New so names
-	// preloaded from -platform-dir resolve too; a typo still fails the
-	// start, not a background goroutine.
-	platforms, err := serve.ParseWarmPlatforms(*warmPlatforms)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "charhpcd: %v\n", err)
-		os.Exit(2)
-	}
-
 	err = serve.RunDaemon(logger, *addr, srv,
-		func(ctx context.Context) {
-			if !*warm {
-				return
-			}
-			t0 := time.Now()
-			workers := runtime.GOMAXPROCS(0)
-			n := srv.Warm(ctx, nil, platforms, workers)
-			st := srv.Stats()
-			if ctx.Err() != nil {
-				logger.Info("warm-up canceled", "runs", n)
-				return
-			}
-			logger.Info("warm-up complete",
-				"elapsed", time.Since(t0).Round(time.Millisecond).String(),
-				"runs", n, "disk_loads", st.DiskLoads, "workers", workers)
-		},
 		func() { logger.Info("listening", "addr", *addr, "scale_limit", limit.String()) },
 		func() []any {
 			st := srv.Stats()

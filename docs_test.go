@@ -178,8 +178,7 @@ func TestReadmeCoversFlags(t *testing.T) {
 			}
 			for _, m := range flagDef.FindAllStringSubmatch(string(body), -1) {
 				defined++
-				// -j must not pass on the strength of -jobs, nor -warm on
-				// -warm-platforms.
+				// -j must not pass on the strength of -jobs-history.
 				mention := regexp.MustCompile(`(^|[^A-Za-z0-9-])-` + regexp.QuoteMeta(m[1]) + `($|[^A-Za-z0-9-])`)
 				if !mention.MatchString(docs) {
 					t.Errorf("%s flag -%s is documented in neither README.md nor internal/serve/README.md", cmd, m[1])
@@ -259,6 +258,10 @@ func TestReadmeCoversFlags(t *testing.T) {
 		{"bgp" + "Mem", ""},
 		{"opteron" + "Mem", ""},
 		{"cluster/" + "presets.go", ""},
+		{"-warm-" + "platforms", ""},
+		{"Warm" + "Plan", ""},
+		{"charhpc_" + "warmup_", ""},
+		{"charhpc_router_" + "warm_", ""},
 	}
 	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
 	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {

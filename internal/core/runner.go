@@ -2,8 +2,8 @@
 // into Recorders, serially or on a worker pool. Experiments already
 // write to whatever writer they are handed and share no mutable
 // state, so independent runs compose freely across goroutines; the
-// pool here is what cmd/charhpc's -j flag drives (the results
-// service fills its cold cache on the same par.ForEach).
+// pool here is what cmd/charhpc's -j flag drives. The results service
+// uses neither: it runs each cold key on the request that asks for it.
 package core
 
 import (

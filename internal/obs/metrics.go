@@ -6,9 +6,10 @@
 //
 // Three instruments live here:
 //
-//   - Metrics: a Registry of atomic Counters, Gauges, and fixed-bucket
-//     Histograms, rendered in the Prometheus text exposition format
-//     (WritePrometheus) — what GET /metrics serves.
+//   - Metrics: a Registry of atomic Counters, fixed-bucket Histograms
+//     and gauges computed at scrape time (GaugeFunc), rendered in the
+//     Prometheus text exposition format (WritePrometheus) — what
+//     GET /metrics serves.
 //   - Logs: a line-oriented Logger emitting either human text or
 //     structured JSON, one object per line, with ordered key/value
 //     fields — what the daemon's access log and shutdown summary use.
@@ -77,34 +78,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a sample that can go up and down. A nil *Gauge is a valid
-// no-op.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
-
-// Add adjusts the gauge by n (may be negative).
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // Histogram is a fixed-bucket distribution. Bounds are inclusive
 // upper limits in ascending order; an implicit +Inf bucket catches
 // the rest. Observations accumulate a float64 sum (CAS loop) and
@@ -171,7 +144,6 @@ const (
 type series struct {
 	labels string // rendered {k="v",...} or ""
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 	fn     func() float64
 }
@@ -236,17 +208,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 		s.c = &Counter{}
 	}
 	return s.c
-}
-
-// Gauge returns the gauge named name with the given labels.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.lookup(name, help, kindGauge, labels)
-	if s.g == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time —
@@ -323,8 +284,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatSample(s.fn()))
 			case s.c != nil:
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.c.Value())
-			case s.g != nil:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.g.Value())
 			case s.h != nil:
 				writeHistogram(&b, f.name, s)
 			}

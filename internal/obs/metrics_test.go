@@ -97,9 +97,9 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_requests_total", "requests served", L("handler", "get"), L("code", "200")).Add(3)
 	r.Counter("b_requests_total", "requests served", L("handler", "get"), L("code", "404")).Inc()
-	r.Gauge("c_entries", "cache entries", L("tier", `we"ird`)).Set(7)
-	r.Gauge("c_entries", "cache entries", L("tier", `back\slash`)).Set(8)
-	r.Gauge("c_entries", "cache entries", L("tier", "new\nline")).Set(9)
+	r.GaugeFunc("c_entries", "cache entries", func() float64 { return 7 }, L("tier", `we"ird`))
+	r.GaugeFunc("c_entries", "cache entries", func() float64 { return 8 }, L("tier", `back\slash`))
+	r.GaugeFunc("c_entries", "cache entries", func() float64 { return 9 }, L("tier", "new\nline"))
 	r.Counter("e_wide_total", "more labels than the stack holds",
 		L("e", "5"), L("c", "3"), L("a", "1"), L("d", "4"), L("b", "2")).Inc()
 	r.GaugeFunc("d_uptime_seconds", "process uptime", func() float64 { return 1.5 })
@@ -193,5 +193,5 @@ func TestKindConflictPanics(t *testing.T) {
 			t.Error("gauge registration over a counter name did not panic")
 		}
 	}()
-	r.Gauge("x_total", "")
+	r.GaugeFunc("x_total", "", func() float64 { return 0 })
 }

@@ -179,11 +179,3 @@ func (c *cache) len() int {
 	defer c.mu.Unlock()
 	return len(c.entries)
 }
-
-// has reports whether k is cached or being filled.
-func (c *cache) has(k key) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[k]
-	return ok
-}

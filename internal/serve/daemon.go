@@ -1,6 +1,6 @@
 // The process lifecycle charhpcd and charhpc-router share: logger from
-// -log-format, signal context, background warm-up, http.Server with
-// the service's timeout posture, graceful shutdown, exit summary.
+// -log-format, signal context, http.Server with the service's timeout
+// posture, graceful shutdown, exit summary.
 package serve
 
 import (
@@ -28,23 +28,13 @@ func DaemonLogger(format string) (*obs.Logger, error) {
 }
 
 // RunDaemon serves handler on addr until SIGINT/SIGTERM or a listen
-// failure (logged and returned; a clean shutdown returns nil). warm
-// runs in the background under the signal context, listening logs the
-// daemon's start-up line, and summary returns the daemon's own
-// key/value fields for the exit-summary line.
+// failure (logged and returned; a clean shutdown returns nil).
+// listening logs the daemon's start-up line, and summary returns the
+// daemon's own key/value fields for the exit-summary line.
 func RunDaemon(logger *obs.Logger, addr string, handler http.Handler,
-	warm func(context.Context), listening func(), summary func() []any) error {
-	// The signal context is created before the warm-up starts so a
-	// SIGINT mid-warm cancels pending jobs instead of letting the
-	// pool run to completion.
+	listening func(), summary func() []any) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	warmDone := make(chan struct{})
-	go func() {
-		defer close(warmDone)
-		warm(ctx)
-	}()
 
 	hs := newDaemonServer(addr, handler)
 	start := time.Now()
@@ -69,11 +59,6 @@ func RunDaemon(logger *obs.Logger, addr string, handler http.Handler,
 		if err := hs.shutdown(5 * time.Second); err != nil {
 			logger.Error("shutdown", "error", err.Error())
 		}
-		// Wait for the warm-up to observe the cancellation: pending
-		// keys are skipped, so this blocks at most for the in-flight
-		// runs — not the rest of the pool — and cache writes settle
-		// before exit.
-		<-warmDone
 		// Final summary: always one JSON line (even under -log-format
 		// text) so a supervisor's log scraper gets the lifetime totals
 		// without parsing the human format.

@@ -1,5 +1,5 @@
 // The deploy-upgrade test harness: table-driven "simulated deploy"
-// tests that warm a disk store under one registry generation, mutate
+// tests that fill a disk store under one registry generation, mutate
 // exactly ONE fingerprint dependency (an experiment's identity, one
 // preset's parameters, the scale defs, the build identity) by
 // perturbing the fingerprints of exactly the experiments core proves
@@ -11,9 +11,8 @@
 package serve
 
 import (
-	"context"
 	"fmt"
-	"net/http/httptest"
+	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -26,7 +25,7 @@ import (
 	"repro/internal/report"
 )
 
-// The warm matrix: chosen so every mutation axis splits it
+// The deploy matrix: chosen so every mutation axis splits it
 // non-trivially. T1 and M3 can run on gige-8n; M5 needs NUMA and
 // cannot, so a gige-8n parameter change must leave M5 alone. M5 also
 // has no gige-8n key of its own — its default-set entry surviving is
@@ -46,8 +45,27 @@ func (k deployKey) String() string {
 	return k.id + "@" + k.platform
 }
 
-// deployMatrix returns the compatible (id, platform) keys Warm will
-// actually fill.
+// path is the quick-scale GET that fills or serves k.
+func (k deployKey) path() string {
+	if k.platform == "" {
+		return "/experiments/" + k.id
+	}
+	return "/experiments/" + k.id + "?platform=" + k.platform
+}
+
+// getKeys fills every key on the server at base the way traffic does:
+// one blocking GET each.
+func getKeys(t *testing.T, base string, keys []deployKey) {
+	t.Helper()
+	for _, k := range keys {
+		if resp, body := doGet(t, base+k.path(), "", ""); resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %s", k, resp.StatusCode, body)
+		}
+	}
+}
+
+// deployMatrix returns the compatible (id, platform) keys of the
+// matrix: the ones a GET can fill.
 func deployMatrix(t *testing.T) []deployKey {
 	t.Helper()
 	var keys []deployKey
@@ -110,7 +128,7 @@ func captureETags(t *testing.T, st *diskcache.Store, keys []deployKey) map[deplo
 		req := core.Request{Scale: core.Quick, Platform: k.platform}
 		rs, ok := loadReps(st, k.id, req)
 		if !ok {
-			t.Fatalf("key %s missing from warmed store", k)
+			t.Fatalf("key %s missing from the filled store", k)
 		}
 		out[k] = map[string]string{}
 		for _, ct := range offered {
@@ -188,14 +206,14 @@ func TestSimulatedDeployMatrix(t *testing.T) {
 				t.Fatal("case affects nothing — the mutation axis is dead")
 			}
 
-			// Deploy A: warm the full matrix under this binary's
+			// Deploy A: fill the full matrix under this binary's
 			// generation and record every entry's ETag.
 			var ranA sync.Map
 			var runsA atomic.Int32
 			srvA := New(Config{RunFunc: recordingStub(&ranA, &runsA), Store: openDeployStore(t, dir, nil)})
-			srvA.Warm(context.Background(), deployIDs, deployPlatforms, 4)
+			getKeys(t, newHTTPTestServer(t, srvA).URL, keys)
 			if got := int(runsA.Load()); got != len(keys) {
-				t.Fatalf("baseline warm ran %d, want %d", got, len(keys))
+				t.Fatalf("baseline fill ran %d, want %d", got, len(keys))
 			}
 			etagsA := captureETags(t, srvA.cfg.Store, keys)
 
@@ -207,7 +225,8 @@ func TestSimulatedDeployMatrix(t *testing.T) {
 			var runsB atomic.Int32
 			stB := openDeployStore(t, dir, movedB)
 			srvB := New(Config{RunFunc: recordingStub(&ranB, &runsB), Store: stB})
-			srvB.Warm(context.Background(), deployIDs, deployPlatforms, 4)
+			ts := newHTTPTestServer(t, srvB)
+			getKeys(t, ts.URL, keys)
 
 			// Open purged exactly the affected keys' entries.
 			if got, want := stB.StalePurged(), int64(len(wantAffected)); got != want {
@@ -229,9 +248,7 @@ func TestSimulatedDeployMatrix(t *testing.T) {
 			}
 
 			// Every surviving key replays its original ETag — on disk
-			// and over HTTP from the warmed deploy-B server itself.
-			ts := httptest.NewServer(srvB)
-			t.Cleanup(ts.Close)
+			// and over HTTP from the filled deploy-B server itself.
 			for _, k := range keys {
 				if wantAffected[k] {
 					continue
@@ -246,11 +263,7 @@ func TestSimulatedDeployMatrix(t *testing.T) {
 						t.Errorf("surviving key %s (%s): ETag %s != original %s", k, ct, got, etagsA[k][ct])
 					}
 				}
-				url := ts.URL + "/experiments/" + k.id
-				if k.platform != "" {
-					url += "?platform=" + k.platform
-				}
-				resp, body := doGet(t, url, "application/json", "")
+				resp, body := doGet(t, ts.URL+k.path(), "application/json", "")
 				if resp.StatusCode != 200 {
 					t.Errorf("GET %s after deploy: %d %s", k, resp.StatusCode, body)
 					continue
@@ -300,13 +313,13 @@ func TestNoOpRedeployLoadsEverything(t *testing.T) {
 	var ran sync.Map
 	var runs atomic.Int32
 	srvA := New(Config{RunFunc: recordingStub(&ran, &runs), Store: openDeployStore(t, dir, nil)})
-	srvA.Warm(context.Background(), deployIDs, deployPlatforms, 4)
+	getKeys(t, newHTTPTestServer(t, srvA).URL, keys)
 	etagsA := captureETags(t, srvA.cfg.Store, keys)
 
 	var runsB atomic.Int32
 	stB := openDeployStore(t, dir, nil)
 	srvB := New(Config{RunFunc: recordingStub(&ran, &runsB), Store: stB})
-	srvB.Warm(context.Background(), deployIDs, deployPlatforms, 4)
+	getKeys(t, newHTTPTestServer(t, srvB).URL, keys)
 	if got := stB.StalePurged(); got != 0 {
 		t.Errorf("no-op redeploy purged %d entries", got)
 	}
@@ -325,36 +338,35 @@ func TestNoOpRedeployLoadsEverything(t *testing.T) {
 	}
 }
 
-// TestWarmDiskLoadsEmitNoTraces pins the /debug/traces interaction:
-// a delta warm-up's disk loads replay persisted bytes without
+// TestDiskLoadsEmitNoTraces pins the /debug/traces interaction: a
+// restarted server's disk loads replay persisted bytes without
 // executing anything, so they must not append spans — empty or
 // otherwise — to the trace ring. Only real executions trace.
-func TestWarmDiskLoadsEmitNoTraces(t *testing.T) {
+func TestDiskLoadsEmitNoTraces(t *testing.T) {
 	dir := t.TempDir()
+	t1 := []deployKey{{id: "T1"}}
 	// Deploy A: a REAL run (RunFunc nil -> core.Run), which traces.
 	srvA := New(Config{Store: openDeployStore(t, dir, nil)})
-	if n := srvA.Warm(context.Background(), []string{"T1"}, nil, 2); n != 1 {
-		t.Fatalf("baseline warm executed %d, want 1", n)
+	getKeys(t, newHTTPTestServer(t, srvA).URL, t1)
+	if got := srvA.Stats().Runs; got != 1 {
+		t.Fatalf("baseline fill executed %d, want 1", got)
 	}
 	if got := len(srvA.traces.Recent(0)); got != 1 {
-		t.Fatalf("executed warm-up produced %d traces, want 1", got)
+		t.Fatalf("executed fill produced %d traces, want 1", got)
 	}
 
-	// Deploy B, nothing changed: the whole warm-up is disk loads.
+	// Deploy B, nothing changed: the fill is a disk load.
 	srvB := New(Config{Store: openDeployStore(t, dir, nil)})
-	if n := srvB.Warm(context.Background(), []string{"T1"}, nil, 2); n != 0 {
-		t.Fatalf("delta warm executed %d, want 0 (all from disk)", n)
-	}
-	if got := srvB.Stats().DiskLoads; got != 1 {
-		t.Fatalf("delta warm disk_loads = %d, want 1", got)
+	ts := newHTTPTestServer(t, srvB)
+	getKeys(t, ts.URL, t1)
+	if st := srvB.Stats(); st.Runs != 0 || st.DiskLoads != 1 {
+		t.Fatalf("restart fill stats = %+v, want Runs=0 DiskLoads=1 (all from disk)", st)
 	}
 	if got := srvB.traces.Recent(0); len(got) != 0 {
-		t.Errorf("disk-load warm-up emitted %d span trees into the trace ring, want 0", len(got))
+		t.Errorf("disk load emitted %d span trees into the trace ring, want 0", len(got))
 	}
-	// Serving the loaded entry over HTTP stays trace-free too: replays
+	// Serving the loaded entry again stays trace-free too: replays
 	// execute nothing.
-	ts := httptest.NewServer(srvB)
-	t.Cleanup(ts.Close)
 	doGet(t, ts.URL+"/experiments/T1", "application/json", "")
 	if got := srvB.traces.Recent(0); len(got) != 0 {
 		t.Errorf("replay added %d traces, want 0", len(got))

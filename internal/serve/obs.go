@@ -28,15 +28,11 @@ type telemetry struct {
 
 	// Cache-tier counters: how each request's result was produced.
 	runTotal  *obs.Counter // tier="run": experiment executions started
-	memHits   *obs.Counter // tier="mem": answered by a warm/in-flight memory entry
+	memHits   *obs.Counter // tier="mem": answered by a filled or in-flight memory entry
 	diskLoads *obs.Counter // tier="disk": cold keys filled from the disk store
 	diskErrs  *obs.Counter // failed disk-store writes
 
 	sfWait *obs.Histogram // time requests spent waiting on the single-flight entry
-
-	warmPlanned   *obs.Gauge // warm-up jobs planned (experiments × platforms, compatible)
-	warmCompleted *obs.Gauge // warm-up jobs resolved (loaded, run, or canceled)
-	warmRunning   *obs.Gauge // 1 while a Warm call is in flight
 
 	// Async job counters (POST /runs): submissions and terminal states.
 	jobsSubmitted *obs.Counter
@@ -67,12 +63,6 @@ func newTelemetry(reg *obs.Registry, store *diskcache.Store) *telemetry {
 		"failed cache operations (the entry still serves from memory)", obs.L("tier", "disk"))
 	m.sfWait = reg.Histogram("charhpc_singleflight_wait_seconds",
 		"time requests waited on an in-flight or cached single-flight entry", nil)
-	m.warmPlanned = reg.Gauge("charhpc_warmup_planned",
-		"warm-up jobs planned (compatible experiment x platform pairs)")
-	m.warmCompleted = reg.Gauge("charhpc_warmup_completed",
-		"warm-up jobs resolved: loaded from disk, executed, or canceled")
-	m.warmRunning = reg.Gauge("charhpc_warmup_running",
-		"1 while a warm-up pass is in flight")
 	jobState := func(st string) *obs.Counter {
 		return reg.Counter("charhpc_jobs_total",
 			"async run jobs by lifecycle edge (submitted) and terminal state (done, failed, canceled)",

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"regexp"
@@ -187,25 +186,5 @@ func TestPprofGated(t *testing.T) {
 	if resp, body := doGet(t, ts.URL+"/debug/pprof/", "", ""); resp.StatusCode != http.StatusOK ||
 		!strings.Contains(body, "goroutine") {
 		t.Errorf("pprof index after EnablePprof: %d", resp.StatusCode)
-	}
-}
-
-// TestWarmupGauges: after a warm pass the planned/completed gauges
-// agree and running has returned to zero.
-func TestWarmupGauges(t *testing.T) {
-	var runs atomic.Int32
-	srv := New(Config{RunFunc: stubRun(&runs, 0)})
-	srv.Warm(context.Background(), []string{"T1", "T4"}, nil, 2)
-	var buf bytes.Buffer
-	srv.Registry().WritePrometheus(&buf)
-	body := buf.String()
-	for series, want := range map[string]string{
-		"charhpc_warmup_planned":   "2",
-		"charhpc_warmup_completed": "2",
-		"charhpc_warmup_running":   "0",
-	} {
-		if got := metricValue(body, series); got != want {
-			t.Errorf("%s = %q, want %q", series, got, want)
-		}
 	}
 }

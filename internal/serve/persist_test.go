@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -74,7 +73,7 @@ func TestDiskPersistAcrossRestart(t *testing.T) {
 }
 
 // newHTTPTestServer hosts an already-built Server (newTestServer
-// builds its own, which hides the *Server needed for Stats and Warm).
+// builds its own, which hides the *Server needed for Stats).
 func newHTTPTestServer(t *testing.T, srv *Server) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(srv)
@@ -82,31 +81,34 @@ func newHTTPTestServer(t *testing.T, srv *Server) *httptest.Server {
 	return ts
 }
 
-func TestWarmLoadsFromDiskWithoutRunning(t *testing.T) {
+// TestRestartLoadsFromDiskWithoutRunning: keys a first server filled
+// load from disk on a restarted server's first GETs, run nothing, and
+// keep serving from memory after.
+func TestRestartLoadsFromDiskWithoutRunning(t *testing.T) {
 	dir := t.TempDir()
 	var runs atomic.Int32
 	run := stubRun(&runs, 0)
+	keys := []deployKey{{id: "T1"}, {id: "T4"}}
 
 	srv1 := New(Config{RunFunc: run, Store: openStore(t, dir, "fpA")})
-	if n := srv1.Warm(context.Background(), []string{"T1", "T4"}, nil, 2); n != 2 {
-		t.Fatalf("first warm ran %d, want 2", n)
+	getKeys(t, newHTTPTestServer(t, srv1).URL, keys)
+	if st := srv1.Stats(); st.Runs != 2 {
+		t.Fatalf("first fill ran %d, want 2", st.Runs)
 	}
 
 	srv2 := New(Config{RunFunc: run, Store: openStore(t, dir, "fpA")})
-	if n := srv2.Warm(context.Background(), []string{"T1", "T4"}, nil, 2); n != 0 {
-		t.Errorf("second warm ran %d, want 0 (all from disk)", n)
-	}
+	ts := newHTTPTestServer(t, srv2)
+	getKeys(t, ts.URL, keys)
 	if st := srv2.Stats(); st.Runs != 0 || st.DiskLoads != 2 {
-		t.Errorf("second warm stats = %+v, want Runs=0 DiskLoads=2", st)
+		t.Errorf("restart fill stats = %+v, want Runs=0 DiskLoads=2 (all from disk)", st)
 	}
 	// And the loaded entries actually serve.
-	ts := newHTTPTestServer(t, srv2)
 	resp, body := doGet(t, ts.URL+"/experiments/T4", "", "")
 	if resp.StatusCode != 200 || !strings.Contains(body, "answer") {
-		t.Errorf("disk-warmed entry not served: %d %q", resp.StatusCode, body)
+		t.Errorf("disk-loaded entry not served: %d %q", resp.StatusCode, body)
 	}
 	if runs.Load() != 2 {
-		t.Errorf("serving disk-warmed entries re-ran (runs=%d, want 2)", runs.Load())
+		t.Errorf("serving disk-loaded entries re-ran (runs=%d, want 2)", runs.Load())
 	}
 }
 
@@ -143,28 +145,6 @@ func mustGetExp(t *testing.T, id string) core.Experiment {
 		t.Fatalf("experiment %s not registered", id)
 	}
 	return e
-}
-
-func TestWarmCanceledPromptly(t *testing.T) {
-	var runs atomic.Int32
-	srv := New(Config{RunFunc: stubRun(&runs, 0)})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if n := srv.Warm(ctx, []string{"T1", "T4"}, nil, 1); n != 0 {
-		t.Errorf("canceled warm ran %d, want 0", n)
-	}
-	if runs.Load() != 0 {
-		t.Errorf("canceled warm executed %d experiments", runs.Load())
-	}
-	// Canceled claims were released: a later request runs and serves.
-	ts := newHTTPTestServer(t, srv)
-	resp, body := doGet(t, ts.URL+"/experiments/T1", "", "")
-	if resp.StatusCode != 200 || !strings.Contains(body, "answer") {
-		t.Errorf("request after canceled warm: %d %q", resp.StatusCode, body)
-	}
-	if runs.Load() != 1 {
-		t.Errorf("request after canceled warm ran %d, want 1", runs.Load())
-	}
 }
 
 func TestHealthzCounters(t *testing.T) {

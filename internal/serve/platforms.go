@@ -203,18 +203,17 @@ func (s *Server) persistPlatform(name string, spec *cluster.Spec) {
 // unparseable spec is logged and skipped, never fatal, and the
 // content-hash naming means a file registered under a stale filename
 // still gets its correct canonical name.
-func (s *Server) loadPlatformDir() int {
+func (s *Server) loadPlatformDir() {
 	if s.cfg.PlatformDir == "" {
-		return 0
+		return
 	}
 	ents, err := os.ReadDir(s.cfg.PlatformDir)
 	if err != nil {
 		if !os.IsNotExist(err) {
 			s.accessLog.Error("platform dir unreadable", "dir", s.cfg.PlatformDir, "error", err.Error())
 		}
-		return 0
+		return
 	}
-	n := 0
 	for _, ent := range ents {
 		if ent.IsDir() || filepath.Ext(ent.Name()) != ".json" {
 			continue
@@ -230,9 +229,6 @@ func (s *Server) loadPlatformDir() int {
 			s.accessLog.Error("platform file invalid", "file", path, "error", err.Error())
 			continue
 		}
-		if _, existed := cluster.RegisterCustom(spec); !existed {
-			n++
-		}
+		cluster.RegisterCustom(spec)
 	}
-	return n
 }

@@ -254,8 +254,8 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// result is the one call every entry point — blocking GET, async job,
-// warm-up — makes for a key's result set: the single-flight cache
+// result is the one call every entry point — blocking GET, async job —
+// makes for a key's result set: the single-flight cache
 // lookup, fill on a cold key, and the memory-hit count. j is the async
 // job that follows the fill's progress, nil otherwise. A caller that
 // found the key cached or in flight gets tier "mem"; waiters on a
@@ -281,7 +281,7 @@ func (s *Server) result(e core.Experiment, req core.Request, j *jobs.Job) (resul
 // it, so the memory layer is strictly a write-through front for the
 // store. The set's tier reports how it was
 // produced ("disk" or "run", the latter also on a failed run), for job
-// terminal events, warm-up's run count and the cache-tier metrics.
+// terminal events and the cache-tier metrics.
 func (s *Server) fill(e core.Experiment, req core.Request, h core.RunHooks) (resultSet, error) {
 	st := s.cfg.Store
 	if st != nil {

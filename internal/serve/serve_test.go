@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -393,39 +392,21 @@ func TestPanickingRunDoesNotWedgeCache(t *testing.T) {
 	}
 }
 
-func TestWarmSurvivesPanicAndSparseStubs(t *testing.T) {
-	// A panicking run during warm-up must not kill the process, and a
-	// stub RunFunc that doesn't echo back Result.Experiment must
-	// still land in the right cache slot.
-	var runs atomic.Int32
-	srv := New(Config{RunFunc: func(e core.Experiment, req core.Request) core.Result {
-		if runs.Add(1) == 1 {
-			panic("warm-up blew up")
-		}
+// TestSparseStubServedUnderRequestIdentity: a RunFunc whose result
+// carries no Experiment or Req is still cached and served under the
+// request's own key, and its JSON envelope names the request.
+func TestSparseStubServedUnderRequestIdentity(t *testing.T) {
+	ts := newTestServer(t, Config{RunFunc: func(core.Experiment, core.Request) core.Result {
 		rec := report.NewRecorder()
 		tbl := report.NewTable("sparse", "k", "v")
 		tbl.AddRow("answer", 42)
 		tbl.Fprint(rec)
 		return core.Result{Rec: rec} // no Experiment/Request stamped
 	}})
-	// One worker makes the panicking run deterministic: it is T1's.
-	if n := srv.Warm(context.Background(), []string{"T1", "T4"}, nil, 1); n != 2 {
-		t.Errorf("Warm ran %d, want 2", n)
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	// T4's sparse-stub result was cached under the right key.
 	resp, body := doGet(t, ts.URL+"/experiments/T4", "", "")
 	if resp.StatusCode != 200 || !strings.Contains(body, "answer") {
-		t.Errorf("sparse-stub warm result not served: %d %q", resp.StatusCode, body)
+		t.Errorf("sparse-stub result not served: %d %q", resp.StatusCode, body)
 	}
-	// T1's panicking fill was dropped; the retry runs the stub again.
-	resp, body = doGet(t, ts.URL+"/experiments/T1", "", "")
-	if resp.StatusCode != 200 || !strings.Contains(body, "answer") {
-		t.Errorf("retry after warm panic: %d %q", resp.StatusCode, body)
-	}
-	// The envelope identity comes from the job, not the stub.
 	_, jbody := doGet(t, ts.URL+"/experiments/T4", "application/json", "")
 	var doc resultJSON
 	if err := json.Unmarshal([]byte(jbody), &doc); err != nil {
@@ -433,53 +414,6 @@ func TestWarmSurvivesPanicAndSparseStubs(t *testing.T) {
 	}
 	if doc.ID != "T4" || doc.Scale != "quick" {
 		t.Errorf("envelope identity = %s/%s, want T4/quick", doc.ID, doc.Scale)
-	}
-}
-
-func TestWarmFillsCache(t *testing.T) {
-	srv := New(Config{})
-	n := srv.Warm(context.Background(), []string{"T1", "T4"}, nil, 2)
-	if n != 2 {
-		t.Errorf("Warm ran %d, want 2", n)
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	resp, body := doGet(t, ts.URL+"/experiments/T1", "", "")
-	if resp.StatusCode != 200 {
-		t.Fatalf("warmed get: %d %s", resp.StatusCode, body)
-	}
-	if !strings.Contains(body, "ib-8n") {
-		t.Errorf("warmed body is not the real T1 output: %q", body[:min(len(body), 80)])
-	}
-
-	// Re-warming the same ids is a no-op.
-	if n := srv.Warm(context.Background(), []string{"T1", "T4"}, nil, 2); n != 0 {
-		t.Errorf("re-warm ran %d experiments, want 0", n)
-	}
-}
-
-func TestWarmUsesCustomRunFunc(t *testing.T) {
-	// A custom RunFunc (limits, instrumentation, stubs) must produce
-	// the warmed results too, so the cache never holds output the
-	// wrapper didn't make.
-	var runs atomic.Int32
-	srv := New(Config{RunFunc: stubRun(&runs, 0)})
-	if n := srv.Warm(context.Background(), []string{"T1", "T4"}, nil, 2); n != 2 {
-		t.Errorf("Warm ran %d, want 2", n)
-	}
-	if runs.Load() != 2 {
-		t.Errorf("warm-up drove the custom RunFunc %d times, want 2", runs.Load())
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	resp, body := doGet(t, ts.URL+"/experiments/T1", "", "")
-	if resp.StatusCode != 200 || !strings.Contains(body, "answer") {
-		t.Errorf("warmed get did not serve the stub result: %d %q", resp.StatusCode, body)
-	}
-	if runs.Load() != 2 {
-		t.Errorf("warmed request re-ran the experiment (runs=%d)", runs.Load())
 	}
 }
 
@@ -646,22 +580,5 @@ func TestListAdvertisesPlatforms(t *testing.T) {
 	_, tbody := doGet(t, ts.URL+"/experiments", "", "")
 	if !strings.Contains(tbody, "platforms") || !strings.Contains(tbody, "gige-8n") {
 		t.Errorf("text listing missing platform column: %q", tbody[:min(len(tbody), 200)])
-	}
-}
-
-func TestWarmPlatformAxis(t *testing.T) {
-	var runs atomic.Int32
-	srv := New(Config{RunFunc: stubRun(&runs, 0)})
-	// T1 warms on both axes; F1 is incompatible with smp-1n and must
-	// be skipped there, not error the warm-up.
-	n := srv.Warm(context.Background(), []string{"T1", "F1"}, []string{"", "gige-8n", "smp-1n"}, 2)
-	want := 2 /* default */ + 2 /* gige */ + 1 /* smp: T1 only */
-	if n != want {
-		t.Errorf("Warm ran %d, want %d", n, want)
-	}
-	ts := newHTTPTestServer(t, srv)
-	doGet(t, ts.URL+"/experiments/T1?platform=gige-8n", "", "")
-	if got := runs.Load(); int(got) != want {
-		t.Errorf("warmed platform entry re-ran (runs=%d, want %d)", got, want)
 	}
 }

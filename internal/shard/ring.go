@@ -17,10 +17,6 @@
 //     resource; it fans custom-platform registrations out to every
 //     shard, health-checks the pool, and re-routes a failed request
 //     to the next live ring successor.
-//   - Warm: the fan-out warm-up — the registry × platform plan
-//     partitioned by ring ownership, so each shard fills exactly its
-//     own slice (run the shards with -warm=false and let the router
-//     drive the partitioned warm-up).
 //
 // Routing hashes only the key string, never the result, so any shard
 // can in principle serve any key — ownership is a cache-locality

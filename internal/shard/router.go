@@ -66,13 +66,10 @@ type Router struct {
 	errLog    *log.Logger // the relay's, into log
 	start     time.Time
 
-	reg           *obs.Registry
-	routedOK      map[string]*obs.Counter // charhpc_router_routed_total per shard, resolved in New
-	routedErr     map[string]*obs.Counter
-	failovers     *obs.Counter
-	warmPlanned   *obs.Gauge
-	warmCompleted *obs.Gauge
-	warmRunning   *obs.Gauge
+	reg       *obs.Registry
+	routedOK  map[string]*obs.Counter // charhpc_router_routed_total per shard, resolved in New
+	routedErr map[string]*obs.Counter
+	failovers *obs.Counter
 }
 
 // Stats is a snapshot of the router's own counters, for embedding
@@ -143,16 +140,10 @@ func New(cfg Config) (*Router, error) {
 		reg:    reg,
 		failovers: reg.Counter("charhpc_router_failovers_total",
 			"requests re-routed to a ring successor after their shard failed"),
-		warmPlanned: reg.Gauge("charhpc_router_warm_planned",
-			"fan-out warm-up keys planned across the shard pool"),
-		warmCompleted: reg.Gauge("charhpc_router_warm_completed",
-			"fan-out warm-up keys resolved (warmed or failed)"),
-		warmRunning: reg.Gauge("charhpc_router_warm_running",
-			"1 while a fan-out warm-up is in flight"),
 		routedOK:  make(map[string]*obs.Counter, len(shards)),
 		routedErr: make(map[string]*obs.Counter, len(shards)),
 	}
-	const routedHelp = "hops to each shard (relayed requests, probes, fan-outs, warm-up), by outcome (ok = shard answered, error = transport failure)"
+	const routedHelp = "hops to each shard (relayed requests, probes, fan-outs), by outcome (ok = shard answered, error = transport failure)"
 	for _, s := range shards {
 		rt.ring.Add(s)
 		rt.live.win[s] = &window{}
@@ -478,9 +469,9 @@ func (h *hop) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // send makes one request of the router's own — a probe, a listing, a
-// fan-out, a warm-up fill — through a hop over targets, carrying rid
-// (when set) as its request ID. The caller closes the response body.
-func (rt *Router) send(ctx context.Context, rid, method, path string, body []byte, targets ...string) (*http.Response, error) {
+// fan-out — through a hop to shard, carrying rid (when set) as its
+// request ID. The caller closes the response body.
+func (rt *Router) send(ctx context.Context, rid, method, path string, body []byte, shard string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, method, path, nil)
 	if err != nil {
 		return nil, err
@@ -491,7 +482,7 @@ func (rt *Router) send(ctx context.Context, rid, method, path string, body []byt
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json") // the one body it sends is a platform spec
 	}
-	return (&hop{rt: rt, targets: targets, body: body}).RoundTrip(req)
+	return (&hop{rt: rt, targets: []string{shard}, body: body}).RoundTrip(req)
 }
 
 // drain discards what is left of a response body, closes it and

@@ -1,12 +1,10 @@
 // Router tests: byte-identity of routed vs direct responses, routing
 // stickiness, health-checked failover, request-ID propagation, job
-// and platform fan-out, the fan-out warm-up's ring partition, and the
-// SSE proxy contract.
+// and platform fan-out, and the SSE proxy contract.
 package shard
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -1012,48 +1010,6 @@ const fanoutSpec = `{
     "numa": {"nodes": 2, "remote_latency_s": 1.25e-7, "remote_tlb_cost_s": 3e-8}
   }
 }`
-
-// TestWarmPartition pins the fan-out warm-up's central claim: the
-// registry × default-platform plan is partitioned by ring ownership —
-// every compatible key runs exactly once, on exactly the shard the
-// ring routes it to.
-func TestWarmPartition(t *testing.T) {
-	p := newTestPool(t, 4, Config{}, nil)
-	ring := p.mirror(0)
-
-	n := p.router.Warm(context.Background(), nil, nil, 4)
-	want := len(core.All())
-	if n != want {
-		t.Errorf("warmed %d keys, want every registered experiment (%d)", n, want)
-	}
-	ranTotal := 0
-	for i, u := range p.urls {
-		for _, k := range p.runs[i].list() {
-			ranTotal++
-			if owner, _ := ring.Owner(k); owner != u {
-				t.Errorf("warm-up ran %q on %s, ring owner is %s", k, u, owner)
-			}
-		}
-	}
-	if ranTotal != want {
-		t.Errorf("pool executed %d runs, want %d (each key exactly once)", ranTotal, want)
-	}
-
-	// Post-warm-up, a routed GET is a cache hit: no shard runs again.
-	for _, e := range core.All() {
-		resp, _ := get(t, p.proxy.URL+"/experiments/"+e.ID, nil)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("post-warm GET %s: %d", e.ID, resp.StatusCode)
-		}
-	}
-	after := 0
-	for i := range p.urls {
-		after += len(p.runs[i].list())
-	}
-	if after != ranTotal {
-		t.Errorf("routed GETs after warm-up re-ran %d keys; warm partition and routing disagree", after-ranTotal)
-	}
-}
 
 // TestRouterConfigValidation pins constructor errors and URL
 // normalization.

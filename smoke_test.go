@@ -569,7 +569,7 @@ func TestSmokeRouterFailover(t *testing.T) {
 	}
 	s1, s2 := shard("shard1"), shard("shard2")
 	router := startDaemon(t, "router", smokeBin(t, "charhpc-router"), func(addr string) []string {
-		return []string{"-addr", addr, "-shards", s1.addr + "," + s2.addr}
+		return []string{"-addr", addr, "-warm=false", "-shards", s1.addr + "," + s2.addr}
 	})
 
 	// Byte identity: the routed response carries the same strong ETag
@@ -618,5 +618,42 @@ func TestSmokeRouterFailover(t *testing.T) {
 	wantCounters(t, "restarted owner", mustGet(t, owner.url+"/healthz"), "runs=0", "disk_loads=1")
 	if got := metric(t, router.url, "charhpc_router_failovers_total"); got != failovers {
 		t.Fatalf("charhpc_router_failovers_total moved %v -> %v on a recovered pool", failovers, got)
+	}
+}
+
+// TestSmokeWarmFlagRemoved: both daemons still accept -warm=false,
+// which old command lines pass (the two smokes above start them so),
+// but -warm and -warm=true exit 2 with one line on stderr before they
+// listen.
+func TestSmokeWarmFlagRemoved(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+	for _, c := range []struct {
+		bin  string
+		args []string
+	}{
+		{"charhpcd", []string{"-addr", addr, "-warm=true"}},
+		{"charhpcd", []string{"-addr", addr, "-warm"}},
+		{"charhpc-router", []string{"-addr", addr, "-warm=true", "-shards", "127.0.0.1:1"}},
+		{"charhpc-router", []string{"-addr", addr, "-warm", "-shards", "127.0.0.1:1"}},
+	} {
+		var stderr bytes.Buffer
+		cmd := exec.Command(smokeBin(t, c.bin), c.args...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		if code := cmd.ProcessState.ExitCode(); code != 2 {
+			t.Errorf("%s %v: exit %d (%v), want 2", c.bin, c.args, code, err)
+		}
+		if msg := stderr.String(); strings.Count(msg, "\n") != 1 || !strings.Contains(msg, "-warm was removed") {
+			t.Errorf("%s %v: stderr %q, want one line saying -warm was removed", c.bin, c.args, msg)
+		}
+		if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+			conn.Close()
+			t.Errorf("%s %v: something listens on %s", c.bin, c.args, addr)
+		}
 	}
 }
