@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/jobs"
 )
 
 // submitResponse mirrors the serve package's 202 body for POST /runs.
@@ -25,23 +26,6 @@ type submitResponse struct {
 	State     string `json:"state"`
 	StatusURL string `json:"status_url"`
 	EventsURL string `json:"events_url"`
-}
-
-// jobEvent mirrors one record of the job's event log (internal/jobs
-// Event), as carried in each SSE data line.
-type jobEvent struct {
-	Seq  int               `json:"seq"`
-	Type string            `json:"type"`
-	Data map[string]string `json:"data"`
-}
-
-// terminal reports whether this event ends the stream.
-func (e jobEvent) terminal() bool {
-	switch e.Type {
-	case "done", "failed", "canceled":
-		return true
-	}
-	return false
 }
 
 // runSubmit is the -submit entry point: submits every selected
@@ -137,7 +121,7 @@ func followJob(addr, id string, sub submitResponse, rt *retrier) error {
 		return fmt.Errorf("events: %s", resp.Status)
 	}
 
-	var last jobEvent
+	var last jobs.Event
 	sections := 0
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -147,22 +131,22 @@ func followJob(addr, id string, sub submitResponse, rt *retrier) error {
 		if !ok {
 			continue
 		}
-		var ev jobEvent
+		var ev jobs.Event
 		if err := json.Unmarshal([]byte(data), &ev); err != nil {
 			return fmt.Errorf("events: bad frame %q: %v", data, err)
 		}
 		switch {
-		case ev.terminal():
+		case ev.Terminal():
 			last = ev
-		case ev.Type == "section":
+		case ev.Type == jobs.EventSection:
 			sections++
 			fmt.Printf("\r\033[K%s: section %q done (%d so far)", id, ev.Data["title"], sections)
-		case ev.Type == "phase" && ev.Data["state"] == "start":
+		case ev.Type == jobs.EventPhase && ev.Data["state"] == "start":
 			fmt.Printf("\r\033[K%s: %s ...", id, ev.Data["name"])
-		case ev.Type == "state":
+		case ev.Type == jobs.EventState:
 			fmt.Printf("\r\033[K%s: %s", id, ev.Data["state"])
 		}
-		if ev.terminal() {
+		if ev.Terminal() {
 			break
 		}
 	}
@@ -174,7 +158,7 @@ func followJob(addr, id string, sub submitResponse, rt *retrier) error {
 	}
 	fmt.Printf("\r\033[K%s: %s  [job %s, %ss, tier %s]\n",
 		id, last.Type, sub.Job, last.Data["elapsed_seconds"], last.Data["tier"])
-	if last.Type != "done" {
+	if last.Type != string(jobs.Done) {
 		if msg := last.Data["error"]; msg != "" {
 			return fmt.Errorf("job %s: %s", last.Type, msg)
 		}

@@ -262,6 +262,9 @@ func TestReadmeCoversFlags(t *testing.T) {
 		{"Warm" + "Plan", ""},
 		{"charhpc_" + "warmup_", ""},
 		{"charhpc_router_" + "warm_", ""},
+		{"Set" + "Metrics", ""},
+		{"diskcache." + "Metrics", ""},
+		{"jobs." + "Metrics", ""},
 	}
 	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
 	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {

@@ -37,6 +37,11 @@
 //     least-recently-used entries (Get touches the file's mtime) until
 //     preset and custom-platform entries each fit it.
 //
+// The store counts what it does (invalidations by reason, evictions,
+// body bytes Get served and Put wrote) and Counts reads the totals.
+// Nothing is wired in, so the purges of Open's reconcile are counted
+// by the time Open returns. Callers time Get and Put themselves.
+//
 // Multiple processes may share one directory: atomic renames make
 // concurrent writers last-one-wins per key, and validation makes
 // concurrent eviction or purging read as misses, never errors. Two
@@ -57,9 +62,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"repro/internal/obs"
 )
 
 const (
@@ -199,12 +203,13 @@ type Store struct {
 	dir      string
 	fps      Fingerprints
 	maxBytes int64      // LRU budget of each eviction namespace; 0 = unbounded
-	mu       sync.Mutex // serializes eviction scans and invalidation accounting
-	met      Metrics    // optional telemetry sinks; zero value is all no-ops
-	metSet   bool
-	pending  map[string]int64 // invalidations counted before SetMetrics wired sinks
+	mu       sync.Mutex // serializes eviction scans
 
 	stalePurged int64 // entries removed by Open's generation reconcile
+
+	// Lifetime totals behind Counts.
+	invalExperiment, invalFormat, invalChecksum atomic.Int64
+	evictions, getBytes, putBytes               atomic.Int64
 }
 
 // customPlatformPrefix mirrors cluster.CustomPrefix without importing
@@ -220,67 +225,29 @@ func isCustomEntry(name string) bool {
 	return len(parts) == 4 && strings.HasPrefix(parts[2], customPlatformPrefix)
 }
 
-// Metrics is the store's optional telemetry: set any subset of sinks
-// with SetMetrics and the store reports operation latencies, body
-// bytes moved, evictions, and per-reason invalidations into them.
-// Unset (nil) instruments are no-ops — obs instruments are nil-safe —
-// so partial wiring costs nothing.
-type Metrics struct {
-	GetSeconds *obs.Histogram // latency of every Get (hit or miss)
-	PutSeconds *obs.Histogram // latency of every Put (write + eviction scan)
-	GetBytes   *obs.Counter   // body bytes served from disk (hits only)
-	PutBytes   *obs.Counter   // body bytes written to disk
-	Evictions  *obs.Counter   // entry files removed by the LRU budget
-
-	// Per-reason invalidation counters (ReasonExperiment, ReasonFormat,
-	// ReasonChecksum). Invalidations that happened before SetMetrics —
-	// Open's generation reconcile runs first — are flushed into the
-	// counters when they are wired, so a scrape sees the startup purge.
-	InvalidatedExperiment *obs.Counter
-	InvalidatedFormat     *obs.Counter
-	InvalidatedChecksum   *obs.Counter
+// Counts is a snapshot of a store's lifetime counts, from Open's
+// reconcile on: entries invalidated by reason (ReasonExperiment,
+// ReasonFormat, ReasonChecksum), entry files evicted by the LRU budget,
+// and body bytes Get served and Put wrote.
+type Counts struct {
+	InvalidatedExperiment int64
+	InvalidatedFormat     int64
+	InvalidatedChecksum   int64
+	Evictions             int64
+	GetBytes              int64
+	PutBytes              int64
 }
 
-// SetMetrics wires the store's telemetry sinks and flushes
-// invalidations counted before wiring (Open runs before SetMetrics).
-// Call once, before the store is shared across goroutines.
-func (st *Store) SetMetrics(m Metrics) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.met = m
-	st.metSet = true
-	for reason, n := range st.pending {
-		st.invalCounter(reason).Add(n)
+// Counts returns the store's counts, each read atomically.
+func (st *Store) Counts() Counts {
+	return Counts{
+		InvalidatedExperiment: st.invalExperiment.Load(),
+		InvalidatedFormat:     st.invalFormat.Load(),
+		InvalidatedChecksum:   st.invalChecksum.Load(),
+		Evictions:             st.evictions.Load(),
+		GetBytes:              st.getBytes.Load(),
+		PutBytes:              st.putBytes.Load(),
 	}
-	st.pending = nil
-}
-
-// invalCounter maps a reason to its wired counter. Callers hold st.mu
-// or run before the store is shared.
-func (st *Store) invalCounter(reason string) *obs.Counter {
-	switch reason {
-	case ReasonExperiment:
-		return st.met.InvalidatedExperiment
-	case ReasonFormat:
-		return st.met.InvalidatedFormat
-	default:
-		return st.met.InvalidatedChecksum
-	}
-}
-
-// noteInvalidated counts one invalidated entry under its reason,
-// buffering until SetMetrics wires real counters.
-func (st *Store) noteInvalidated(reason string) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.metSet {
-		st.invalCounter(reason).Inc()
-		return
-	}
-	if st.pending == nil {
-		st.pending = map[string]int64{}
-	}
-	st.pending[reason]++
 }
 
 // Open roots a Store at dir (created if absent) for a binary with the
@@ -344,32 +311,32 @@ func (st *Store) reconcile() {
 		}
 		f, ok := decodeEntry(b)
 		if !ok {
-			st.dropStale(path, ReasonChecksum)
+			st.dropStale(path, &st.invalChecksum)
 			continue
 		}
 		if f.Format != entryFormat {
-			st.dropStale(path, ReasonFormat)
+			st.dropStale(path, &st.invalFormat)
 			continue
 		}
 		if name != entryName(Key{f.ID, f.Scale, f.Platform, f.ContentType}) ||
 			f.SHA256 != bodySum(f.Body) {
-			st.dropStale(path, ReasonChecksum)
+			st.dropStale(path, &st.invalChecksum)
 			continue
 		}
 		if fp := st.fps.For(f.ID); fp == "" || f.Fingerprint != fp {
-			st.dropStale(path, ReasonExperiment)
+			st.dropStale(path, &st.invalExperiment)
 		}
 	}
 }
 
-// dropStale removes one entry during reconcile, counting it as both an
-// invalidation (by reason) and a stale purge.
-func (st *Store) dropStale(path, reason string) {
+// dropStale removes one entry during reconcile, counting it as both a
+// stale purge and an invalidation on its reason's count.
+func (st *Store) dropStale(path string, reason *atomic.Int64) {
 	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 		return
 	}
 	st.stalePurged++
-	st.noteInvalidated(reason)
+	reason.Add(1)
 }
 
 // Dir returns the store's root directory.
@@ -389,7 +356,6 @@ func (st *Store) StalePurged() int64 { return st.stalePurged }
 // read as a miss; corrupt files are deleted so the slot heals on the
 // next Put. A hit refreshes the file's access time for LRU eviction.
 func (st *Store) Get(k Key) (Entry, bool) {
-	defer st.met.GetSeconds.ObserveSince(time.Now())
 	path := filepath.Join(st.dir, entryName(k))
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -398,14 +364,14 @@ func (st *Store) Get(k Key) (Entry, bool) {
 	f, ok := decodeEntry(b)
 	if !ok {
 		os.Remove(path)
-		st.noteInvalidated(ReasonChecksum)
+		st.invalChecksum.Add(1)
 		return Entry{}, false
 	}
 	if f.Format != entryFormat {
 		// A legacy or future-format entry: a miss, but NOT a delete —
 		// in a shared directory it may be another generation's valid
 		// work; Open's reconcile is where retired formats are purged.
-		st.noteInvalidated(ReasonFormat)
+		st.invalFormat.Add(1)
 		return Entry{}, false
 	}
 	if fp := st.fps.For(f.ID); fp == "" || f.Fingerprint != fp {
@@ -414,7 +380,7 @@ func (st *Store) Get(k Key) (Entry, bool) {
 		// another (newer) binary's perfectly valid entry; destroying
 		// it would discard that writer's completed runs. Stale files
 		// of a retired generation are purged by the next Open.
-		st.noteInvalidated(ReasonExperiment)
+		st.invalExperiment.Add(1)
 		return Entry{}, false
 	}
 	if f.ID != k.ID || f.Scale != k.Scale || f.Platform != k.Platform ||
@@ -422,12 +388,12 @@ func (st *Store) Get(k Key) (Entry, bool) {
 		// Corrupt or misnamed: valid for nobody, so deleting heals
 		// the slot for every sharer.
 		os.Remove(path)
-		st.noteInvalidated(ReasonChecksum)
+		st.invalChecksum.Add(1)
 		return Entry{}, false
 	}
 	now := time.Now()
 	os.Chtimes(path, now, now) // best-effort LRU touch
-	st.met.GetBytes.Add(int64(len(f.Body)))
+	st.getBytes.Add(int64(len(f.Body)))
 	return Entry{ETag: f.ETag, RunID: f.RunID, Elapsed: time.Duration(f.ElapsedNS), Body: f.Body}, true
 }
 
@@ -436,7 +402,6 @@ func (st *Store) Get(k Key) (Entry, bool) {
 // least-recently-used entries if the directory exceeds the size
 // budget. The just-written entry is never evicted by its own Put.
 func (st *Store) Put(k Key, e Entry) error {
-	defer st.met.PutSeconds.ObserveSince(time.Now())
 	fp := st.fps.For(k.ID)
 	if fp == "" {
 		// An experiment outside PerID has no fingerprint to stamp; a
@@ -465,7 +430,7 @@ func (st *Store) Put(k Key, e Entry) error {
 	if err := st.writeFile(name, b); err != nil {
 		return err
 	}
-	st.met.PutBytes.Add(int64(len(e.Body)))
+	st.putBytes.Add(int64(len(e.Body)))
 	st.evictExcept(name)
 	return nil
 }
@@ -579,7 +544,7 @@ func (st *Store) evictNamespace(files []os.FileInfo, budget int64, keep string) 
 			continue
 		}
 		os.Remove(filepath.Join(st.dir, f.Name()))
-		st.met.Evictions.Inc()
+		st.evictions.Add(1)
 		total -= f.Size()
 	}
 }

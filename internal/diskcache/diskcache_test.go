@@ -241,6 +241,11 @@ func TestLRUEvictionKeepsRecentlyRead(t *testing.T) {
 	if _, ok := st.Get(keys[2]); !ok {
 		t.Error("just-written entry was evicted by its own Put")
 	}
+	// Three bodies written, one evicted, three hits served.
+	want := Counts{Evictions: 1, PutBytes: 3 * 4096, GetBytes: 3 * 4096}
+	if got := st.Counts(); got != want {
+		t.Errorf("Counts() = %+v, want %+v", got, want)
+	}
 }
 
 func TestConcurrentWritersSharingDirectory(t *testing.T) {

@@ -12,8 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 func TestBodyBytesRoundTrip(t *testing.T) {
@@ -83,8 +81,6 @@ func TestCutEntryIsChecksumMissAndDeleted(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			st := mustOpen(t, dir, "fp1", 0)
-			sum := obs.NewRegistry().Counter("inval", "", obs.L("reason", ReasonChecksum))
-			st.SetMetrics(Metrics{InvalidatedChecksum: sum})
 			path := filepath.Join(dir, entryName(testKey))
 			if err := os.WriteFile(path, whole[:n], 0o644); err != nil {
 				t.Fatal(err)
@@ -95,7 +91,7 @@ func TestCutEntryIsChecksumMissAndDeleted(t *testing.T) {
 			if _, err := os.Stat(path); !os.IsNotExist(err) {
 				t.Errorf("cut entry not deleted on Get: %v", err)
 			}
-			if got := sum.Value(); got != 1 {
+			if got := st.Counts().InvalidatedChecksum; got != 1 {
 				t.Errorf("checksum invalidations = %d, want 1", got)
 			}
 		})
@@ -122,17 +118,13 @@ func TestRetiredV3EntriesPurgedAsFormat(t *testing.T) {
 	}
 
 	st := mustOpenFPS(t, dir, fps, 0)
-	reg := obs.NewRegistry()
-	format := reg.Counter("inval", "", obs.L("reason", ReasonFormat))
-	sum := reg.Counter("inval", "", obs.L("reason", ReasonChecksum))
-	st.SetMetrics(Metrics{InvalidatedFormat: format, InvalidatedChecksum: sum})
 	if n := st.StalePurged(); n != 2 {
 		t.Errorf("StalePurged = %d, want 2", n)
 	}
-	if got := format.Value(); got != 2 {
+	if got := st.Counts().InvalidatedFormat; got != 2 {
 		t.Errorf("format invalidations = %d, want 2", got)
 	}
-	if got := sum.Value(); got != 0 {
+	if got := st.Counts().InvalidatedChecksum; got != 0 {
 		t.Errorf("checksum invalidations = %d, want 0", got)
 	}
 	if n := st.Len(); n != 0 {

@@ -10,8 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 // wholeJSONEntry is the file layout of formats 1 to 3: one JSON object
@@ -73,12 +71,10 @@ func TestLegacyEntryPurged(t *testing.T) {
 			}
 
 			st := mustOpenFPS(t, dir, perIDFingerprints("gen2", map[string]string{"T1": "fpT1"}), 0)
-			format := obs.NewRegistry().Counter("inval", "", obs.L("reason", ReasonFormat))
-			st.SetMetrics(Metrics{InvalidatedFormat: format})
 			if n := st.StalePurged(); n != 1 {
 				t.Errorf("StalePurged = %d, want 1", n)
 			}
-			if got := format.Value(); got != 1 {
+			if got := st.Counts().InvalidatedFormat; got != 1 {
 				t.Errorf("format invalidations after open = %d, want 1", got)
 			}
 			if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -91,7 +87,7 @@ func TestLegacyEntryPurged(t *testing.T) {
 			if _, ok := st.Get(testKey); ok {
 				t.Error("legacy entry served")
 			}
-			if got := format.Value(); got != 2 {
+			if got := st.Counts().InvalidatedFormat; got != 2 {
 				t.Errorf("format invalidations after Get = %d, want 2", got)
 			}
 			if _, err := os.Stat(path); err != nil {
@@ -152,12 +148,10 @@ func TestFormatBumpAloneTriggersReconcile(t *testing.T) {
 	}
 
 	st := mustOpenFPS(t, dir, fps, 0)
-	format := obs.NewRegistry().Counter("inval", "", obs.L("reason", ReasonFormat))
-	st.SetMetrics(Metrics{InvalidatedFormat: format})
 	if n := st.StalePurged(); n != 3 {
 		t.Errorf("StalePurged = %d, want 3 (the format-2 set)", n)
 	}
-	if got := format.Value(); got != 3 {
+	if got := st.Counts().InvalidatedFormat; got != 3 {
 		t.Errorf("format invalidations = %d, want 3", got)
 	}
 	if n := st.Len(); n != 0 {

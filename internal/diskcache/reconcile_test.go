@@ -9,8 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 // writeMarker plants the store's FINGERPRINT generation marker as a
@@ -175,8 +173,9 @@ func TestFutureFormatEntryIsMissNotDelete(t *testing.T) {
 }
 
 // TestInvalidationMetricsFlushAfterOpen: reasons counted during Open's
-// reconcile (which necessarily runs before SetMetrics can) land in the
-// wired counters, so a post-startup scrape sees the purge.
+// reconcile are in the store's counts as soon as Open returns, with no
+// wiring step, so a post-startup scrape sees the purge; later
+// invalidations add to them.
 func TestInvalidationMetricsFlushAfterOpen(t *testing.T) {
 	dir := t.TempDir()
 	keyA := Key{ID: "A", Scale: "quick", ContentType: "text/plain"}
@@ -194,31 +193,23 @@ func TestInvalidationMetricsFlushAfterOpen(t *testing.T) {
 	}
 
 	st2 := mustOpenFPS(t, dir, perIDFingerprints("gen2", map[string]string{"A": "fpA2", "B": "fpB1"}), 0)
-	reg := obs.NewRegistry()
-	exp := reg.Counter("inval", "", obs.L("reason", ReasonExperiment))
-	form := reg.Counter("inval", "", obs.L("reason", ReasonFormat))
-	sum := reg.Counter("inval", "", obs.L("reason", ReasonChecksum))
-	st2.SetMetrics(Metrics{
-		InvalidatedExperiment: exp,
-		InvalidatedFormat:     form,
-		InvalidatedChecksum:   sum,
-	})
-	if got := exp.Value(); got != 1 {
+	c := st2.Counts()
+	if got := c.InvalidatedExperiment; got != 1 {
 		t.Errorf("experiment invalidations = %d, want 1", got)
 	}
-	if got := form.Value(); got != 0 {
+	if got := c.InvalidatedFormat; got != 0 {
 		t.Errorf("format invalidations = %d, want 0", got)
 	}
-	if got := sum.Value(); got != 1 {
+	if got := c.InvalidatedChecksum; got != 1 {
 		t.Errorf("checksum invalidations = %d, want 1", got)
 	}
-	// Post-wire invalidations count directly: plant a stale-fp entry
-	// and Get it.
+	// Later invalidations add to the same counts: plant a stale-fp
+	// entry and Get it.
 	writeCurrentEntry(t, dir, "fpA-stale", keyA, "stale")
 	if _, ok := st2.Get(keyA); ok {
 		t.Fatal("stale entry served")
 	}
-	if got := exp.Value(); got != 2 {
+	if got := st2.Counts().InvalidatedExperiment; got != 2 {
 		t.Errorf("experiment invalidations after stale Get = %d, want 2", got)
 	}
 }

@@ -16,6 +16,12 @@
 // pending job never runs, and a running job transitions immediately
 // while its work is left to finish in the background (detached); late
 // events and the late outcome are discarded.
+//
+// The registry keeps its own counts (submissions, each terminal state,
+// events appended, jobs running) and Counts reads them; serve exposes
+// them at scrape. A terminal state is counted in the critical section
+// that logs its event, so a reader that has seen the event sees the
+// count.
 package jobs
 
 import (
@@ -88,15 +94,16 @@ type Outcome struct {
 // becomes the terminal event unless the job was already canceled.
 type RunFunc func(ctx context.Context, j *Job) Outcome
 
-// Metrics are the optional instruments the registry drives. All
-// obs instruments are nil-safe, so the zero value disables metrics
-// without a single branch here.
-type Metrics struct {
-	Submitted *obs.Counter // jobs accepted
-	Done      *obs.Counter // terminal state counters
-	Failed    *obs.Counter
-	Canceled  *obs.Counter
-	Events    *obs.Counter // progress events appended across all jobs
+// Counts is a snapshot of a registry's counts. Running is live; the
+// rest are lifetime totals that never decrease, whatever the history
+// bound evicts.
+type Counts struct {
+	Submitted int64 // jobs accepted
+	Done      int64 // jobs settled in each terminal state
+	Failed    int64
+	Canceled  int64
+	Events    int64 // progress events appended across all jobs
+	Running   int64 // jobs executing their RunFunc now
 }
 
 // DefaultHistory is the finished-job bound when New is given zero. It
@@ -110,7 +117,6 @@ const DefaultHistory = 1024
 // inspection. Safe for concurrent use.
 type Registry struct {
 	history int
-	m       Metrics
 
 	mu    sync.Mutex
 	jobs  map[string]*Job
@@ -118,6 +124,8 @@ type Registry struct {
 
 	finished atomic.Int64 // terminal jobs in the table; settle counts up, eviction down
 	running  atomic.Int64 // jobs in state running; toRunning counts up, settle down
+
+	submitted, done, failed, canceled, events atomic.Int64 // lifetime totals behind Counts
 }
 
 // New builds a registry retaining the last `history` finished jobs
@@ -130,9 +138,6 @@ func New(_, history int) *Registry {
 	}
 	return &Registry{history: history, jobs: map[string]*Job{}}
 }
-
-// SetMetrics wires the registry's instruments. Call before traffic.
-func (r *Registry) SetMetrics(m Metrics) { r.m = m }
 
 // Submit registers a new pending job and starts run on its own
 // goroutine. It returns immediately; the job's event log starts with a
@@ -156,7 +161,7 @@ func (r *Registry) Submit(spec Spec, run RunFunc) *Job {
 	r.order = append(r.order, j.ID)
 	r.evictLocked()
 	r.mu.Unlock()
-	r.m.Submitted.Inc()
+	r.submitted.Add(1)
 
 	go r.drive(ctx, j, run)
 	return j
@@ -240,9 +245,18 @@ func (r *Registry) Jobs() []Status {
 	return out
 }
 
-// Running returns how many jobs are executing their RunFunc — the feed
-// behind the active-jobs gauge and /healthz.
-func (r *Registry) Running() int { return int(r.running.Load()) }
+// Counts returns the registry's counts, each read atomically — what
+// serve exposes on /metrics and /healthz.
+func (r *Registry) Counts() Counts {
+	return Counts{
+		Submitted: r.submitted.Load(),
+		Done:      r.done.Load(),
+		Failed:    r.failed.Load(),
+		Canceled:  r.canceled.Load(),
+		Events:    r.events.Load(),
+		Running:   r.running.Load(),
+	}
+}
 
 // evictLocked trims the finished-job history to the ring bound,
 // oldest first. Live (pending/running) jobs are never evicted, so the
@@ -309,7 +323,7 @@ func (j *Job) appendLocked(ev Event) {
 	j.events = append(j.events, ev)
 	close(j.notify)
 	j.notify = make(chan struct{})
-	j.reg.m.Events.Inc()
+	j.reg.events.Add(1)
 }
 
 // toRunning moves pending→running and logs the transition in the same
@@ -329,9 +343,9 @@ func (j *Job) toRunning() bool {
 
 // settle moves the job to a terminal state exactly once: the first
 // caller wins (Cancel racing a finishing run, or vice versa) and logs
-// the terminal event in the same critical section, so a reader never
-// sees a terminal state without its event or its counter. Later calls
-// no-op.
+// the terminal event and counts the state in the same critical
+// section, so a reader never sees a terminal state without its event,
+// or its event without its count. Later calls no-op.
 func (j *Job) settle(st State, data map[string]string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -348,11 +362,11 @@ func (j *Job) settle(st State, data map[string]string) {
 	j.reg.finished.Add(1)
 	switch st {
 	case Done:
-		j.reg.m.Done.Inc()
+		j.reg.done.Add(1)
 	case Failed:
-		j.reg.m.Failed.Inc()
+		j.reg.failed.Add(1)
 	case Canceled:
-		j.reg.m.Canceled.Inc()
+		j.reg.canceled.Add(1)
 	}
 }
 

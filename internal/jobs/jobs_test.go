@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -103,16 +104,16 @@ func TestCancelMidRun(t *testing.T) {
 		return Outcome{Data: map[string]string{"etag": `"late"`}}
 	})
 	<-running
-	if n := r.Running(); n != 1 {
-		t.Errorf("Running() = %d mid-run, want 1", n)
+	if n := r.Counts().Running; n != 1 {
+		t.Errorf("Counts().Running = %d mid-run, want 1", n)
 	}
 	j.Cancel()
 	settled(t, j)
 	if got := j.State(); got != Canceled {
 		t.Fatalf("state = %s, want canceled", got)
 	}
-	if n := r.Running(); n != 0 {
-		t.Errorf("Running() = %d after cancel, want 0", n)
+	if n := r.Counts().Running; n != 0 {
+		t.Errorf("Counts().Running = %d after cancel, want 0", n)
 	}
 	close(release)
 	<-straggled
@@ -286,6 +287,43 @@ func TestConcurrentEmitters(t *testing.T) {
 		if ev.Terminal() != (i == len(evs)-1) {
 			t.Fatalf("event %d %q: only the last event may be terminal", i, ev.Type)
 		}
+	}
+}
+
+// TestTerminalCountVisibleAtSettle: settle counts a terminal state in
+// the critical section that logs its event, so once WaitSettled returns
+// for a job, its done is already in Counts, whatever other jobs are
+// settling at the same moment. A scrape right after a job's terminal
+// SSE event relies on this. Run with -race in CI.
+func TestTerminalCountVisibleAtSettle(t *testing.T) {
+	const n = 16
+	r := New(0, n)
+	release := make(chan struct{})
+	run := func(context.Context, *Job) Outcome { <-release; return Outcome{} }
+	var seen atomic.Int64 // jobs whose WaitSettled has returned
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		j := r.Submit(Spec{Experiment: "T1", Scale: "quick"}, run)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), wait)
+			defer cancel()
+			if err := j.WaitSettled(ctx); err != nil {
+				t.Errorf("job %s never settled: %v", j.ID, err)
+				return
+			}
+			if min, got := seen.Add(1), r.Counts().Done; got < min {
+				t.Errorf("done = %d after %d jobs settled: a terminal event was seen before its count", got, min)
+			}
+		}()
+	}
+	close(release)
+	wg.Wait()
+	// pending + running + done per job.
+	want := Counts{Submitted: n, Done: n, Events: 3 * n}
+	if got := r.Counts(); got != want {
+		t.Errorf("Counts() = %+v, want %+v", got, want)
 	}
 }
 

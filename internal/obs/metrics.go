@@ -6,8 +6,9 @@
 //
 // Three instruments live here:
 //
-//   - Metrics: a Registry of atomic Counters, fixed-bucket Histograms
-//     and gauges computed at scrape time (GaugeFunc), rendered in the
+//   - Metrics: a Registry of atomic Counters, fixed-bucket Histograms,
+//     and counters and gauges read at scrape time from counts another
+//     package keeps (CounterFunc, GaugeFunc), rendered in the
 //     Prometheus text exposition format (WritePrometheus) — what
 //     GET /metrics serves.
 //   - Logs: a line-oriented Logger emitting either human text or
@@ -53,8 +54,8 @@ var DefBuckets = []float64{
 }
 
 // Counter is a monotonically increasing sample. Like every instrument
-// here, a nil *Counter is a valid no-op — optional instrumentation
-// (diskcache.Metrics, unwired hooks) calls through without guards.
+// here, a nil *Counter is a valid no-op, so optional instrumentation
+// calls through without guards.
 type Counter struct {
 	v atomic.Int64
 }
@@ -140,10 +141,13 @@ const (
 	kindHistogram metricKind = "histogram"
 )
 
-// series is one labeled instrument inside a family.
+// series is one labeled instrument inside a family. A counter series
+// renders count, its Counter's Value or a CounterFunc; a gauge renders
+// fn.
 type series struct {
 	labels string // rendered {k="v",...} or ""
 	c      *Counter
+	count  func() int64
 	h      *Histogram
 	fn     func() float64
 }
@@ -206,8 +210,18 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	s := r.lookup(name, help, kindCounter, labels)
 	if s.c == nil {
 		s.c = &Counter{}
+		s.count = s.c.Value
 	}
 	return s.c
+}
+
+// CounterFunc registers a counter whose value is read at scrape time
+// from a count another package keeps. fn must never decrease. It
+// renders exactly as a Counter does.
+func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Label) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.lookup(name, help, kindCounter, labels).count = fn
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time —
@@ -282,8 +296,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			switch {
 			case s.fn != nil:
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatSample(s.fn()))
-			case s.c != nil:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.c.Value())
+			case s.count != nil:
+				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.count())
 			case s.h != nil:
 				writeHistogram(&b, f.name, s)
 			}
@@ -361,7 +375,11 @@ func escapeHelp(v string) string {
 }
 
 // formatSample renders a float sample the way Prometheus clients do:
-// shortest round-trip representation, integers without an exponent.
+// integers below 2^53 (all exact in a float64) in plain digits, the
+// rest as the shortest round-trip representation.
 func formatSample(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1<<53 {
+		return strconv.FormatInt(int64(v), 10)
+	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -92,11 +92,13 @@ func TestCounterMonotonicUnderConcurrentScrape(t *testing.T) {
 
 // TestPrometheusExpositionGolden pins the exact exposition bytes for a
 // small fixed registry: HELP/TYPE lines, sorted families and series,
-// label escaping, histogram bucket/sum/count suffixes.
+// label escaping, histogram bucket/sum/count suffixes, and a
+// scrape-time counter sharing a family with held ones.
 func TestPrometheusExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_requests_total", "requests served", L("handler", "get"), L("code", "200")).Add(3)
 	r.Counter("b_requests_total", "requests served", L("handler", "get"), L("code", "404")).Inc()
+	r.CounterFunc("b_requests_total", "requests served", func() int64 { return 1000000 }, L("handler", "put"), L("code", "200"))
 	r.GaugeFunc("c_entries", "cache entries", func() float64 { return 7 }, L("tier", `we"ird`))
 	r.GaugeFunc("c_entries", "cache entries", func() float64 { return 8 }, L("tier", `back\slash`))
 	r.GaugeFunc("c_entries", "cache entries", func() float64 { return 9 }, L("tier", "new\nline"))
@@ -122,6 +124,7 @@ a_seconds_count 3
 # HELP b_requests_total requests served
 # TYPE b_requests_total counter
 b_requests_total{code="200",handler="get"} 3
+b_requests_total{code="200",handler="put"} 1000000
 b_requests_total{code="404",handler="get"} 1
 # HELP c_entries cache entries
 # TYPE c_entries gauge
@@ -194,4 +197,24 @@ func TestKindConflictPanics(t *testing.T) {
 		}
 	}()
 	r.GaugeFunc("x_total", "", func() float64 { return 0 })
+}
+
+// TestFormatSample: integral samples print in plain digits whatever
+// their size, fractions as the shortest round-trip form.
+func TestFormatSample(t *testing.T) {
+	for _, tc := range []struct {
+		v    float64
+		want string
+	}{
+		{3, "3"},
+		{999999, "999999"},
+		{1e6, "1000000"},
+		{1234567, "1234567"},
+		{0.0005, "0.0005"},
+		{2.5, "2.5"},
+	} {
+		if got := formatSample(tc.v); got != tc.want {
+			t.Errorf("formatSample(%v) = %q, want %q", tc.v, got, tc.want)
+		}
+	}
 }

@@ -97,14 +97,13 @@ type cache struct {
 	// bounds how many are held.
 	custom *lru.Cache[key, struct{}]
 
-	// waits, when set, records how long hits blocked on an entry's
-	// done channel: ~0 for filled entries, the remaining run time for
-	// in-flight ones. Nil-safe (obs instruments no-op on nil).
+	// waits records how long hits blocked on an entry's done channel:
+	// ~0 for filled entries, the remaining run time for in-flight ones.
 	waits *obs.Histogram
 }
 
-func newCache() *cache {
-	return &cache{entries: map[key]*entry{}, custom: lru.New[key, struct{}](DefaultCustomCacheEntries)}
+func newCache(waits *obs.Histogram) *cache {
+	return &cache{entries: map[key]*entry{}, custom: lru.New[key, struct{}](DefaultCustomCacheEntries), waits: waits}
 }
 
 // noteCustom records a completed custom-platform entry as most

@@ -126,7 +126,7 @@ func captureETags(t *testing.T, st *diskcache.Store, keys []deployKey) map[deplo
 	out := map[deployKey]map[string]string{}
 	for _, k := range keys {
 		req := core.Request{Scale: core.Quick, Platform: k.platform}
-		rs, ok := loadReps(st, k.id, req)
+		rs, ok := loadReps(st, nil, k.id, req)
 		if !ok {
 			t.Fatalf("key %s missing from the filled store", k)
 		}
@@ -253,7 +253,7 @@ func TestSimulatedDeployMatrix(t *testing.T) {
 				if wantAffected[k] {
 					continue
 				}
-				rs, ok := loadReps(stB, k.id, core.Request{Scale: core.Quick, Platform: k.platform})
+				rs, ok := loadReps(stB, nil, k.id, core.Request{Scale: core.Quick, Platform: k.platform})
 				if !ok {
 					t.Errorf("surviving key %s missing after deploy", k)
 					continue

@@ -20,9 +20,9 @@ import (
 // ctProm is the Prometheus text exposition content type.
 const ctProm = "text/plain; version=0.0.4; charset=utf-8"
 
-// telemetry bundles the server's instruments. All of them live in one
-// obs.Registry (scraped by GET /metrics); the handles are cached here
-// so hot paths skip the registry's name lookup.
+// telemetry bundles the instruments serve drives itself. All of them
+// live in one obs.Registry (scraped by GET /metrics); the handles are
+// cached here so hot paths skip the registry's name lookup.
 type telemetry struct {
 	reg *obs.Registry
 
@@ -34,12 +34,8 @@ type telemetry struct {
 
 	sfWait *obs.Histogram // time requests spent waiting on the single-flight entry
 
-	// Async job counters (POST /runs): submissions and terminal states.
-	jobsSubmitted *obs.Counter
-	jobsDone      *obs.Counter
-	jobsFailed    *obs.Counter
-	jobsCanceled  *obs.Counter
-	jobEvents     *obs.Counter // progress events appended across all job logs
+	// Latency of the disk store's Get and Put calls; nil without a store.
+	storeGet, storePut *obs.Histogram
 
 	// Custom-platform registration counters (POST /platforms).
 	customRegistered *obs.Counter // state="registered": first sighting of a machine
@@ -47,9 +43,11 @@ type telemetry struct {
 	customRejected   *obs.Counter // state="rejected": invalid or oversized spec
 }
 
-// newTelemetry registers the server's instruments on reg and, when a
-// disk store is configured, wires its operation metrics too.
-func newTelemetry(reg *obs.Registry, store *diskcache.Store) *telemetry {
+// newTelemetry registers the server's instruments on reg: those serve
+// drives, and the series read at scrape time from counts kept where
+// they are counted — the job registry's, the disk store's and the
+// server's own.
+func (s *Server) newTelemetry(reg *obs.Registry) *telemetry {
 	m := &telemetry{reg: reg}
 	tier := func(t string) *obs.Counter {
 		return reg.Counter("charhpc_cache_requests_total",
@@ -63,17 +61,6 @@ func newTelemetry(reg *obs.Registry, store *diskcache.Store) *telemetry {
 		"failed cache operations (the entry still serves from memory)", obs.L("tier", "disk"))
 	m.sfWait = reg.Histogram("charhpc_singleflight_wait_seconds",
 		"time requests waited on an in-flight or cached single-flight entry", nil)
-	jobState := func(st string) *obs.Counter {
-		return reg.Counter("charhpc_jobs_total",
-			"async run jobs by lifecycle edge (submitted) and terminal state (done, failed, canceled)",
-			obs.L("state", st))
-	}
-	m.jobsSubmitted = jobState("submitted")
-	m.jobsDone = jobState("done")
-	m.jobsFailed = jobState("failed")
-	m.jobsCanceled = jobState("canceled")
-	m.jobEvents = reg.Counter("charhpc_job_events_total",
-		"progress events appended across all job event logs")
 	customState := func(st string) *obs.Counter {
 		return reg.Counter("charhpc_custom_platforms",
 			"custom-platform registrations by outcome (registered, duplicate, rejected)",
@@ -82,51 +69,46 @@ func newTelemetry(reg *obs.Registry, store *diskcache.Store) *telemetry {
 	m.customRegistered = customState("registered")
 	m.customDuplicate = customState("duplicate")
 	m.customRejected = customState("rejected")
-	if store != nil {
+
+	jobCounts := s.jobs.Counts
+	const jobsHelp = "async run jobs by lifecycle edge (submitted) and terminal state (done, failed, canceled)"
+	reg.CounterFunc("charhpc_jobs_total", jobsHelp, func() int64 { return jobCounts().Submitted }, obs.L("state", "submitted"))
+	reg.CounterFunc("charhpc_jobs_total", jobsHelp, func() int64 { return jobCounts().Done }, obs.L("state", "done"))
+	reg.CounterFunc("charhpc_jobs_total", jobsHelp, func() int64 { return jobCounts().Failed }, obs.L("state", "failed"))
+	reg.CounterFunc("charhpc_jobs_total", jobsHelp, func() int64 { return jobCounts().Canceled }, obs.L("state", "canceled"))
+	reg.CounterFunc("charhpc_job_events_total", "progress events appended across all job event logs",
+		func() int64 { return jobCounts().Events })
+	reg.GaugeFunc("charhpc_jobs_active", "async run jobs currently executing",
+		func() float64 { return float64(jobCounts().Running) })
+
+	if st := s.cfg.Store; st != nil {
 		op := func(o string) *obs.Histogram {
 			return reg.Histogram("charhpc_diskcache_op_seconds",
 				"disk store operation latency", nil, obs.L("op", o))
 		}
-		by := func(o string) *obs.Counter {
-			return reg.Counter("charhpc_diskcache_bytes_total",
-				"result body bytes moved through the disk store", obs.L("op", o))
-		}
-		inval := func(reason string) *obs.Counter {
-			return reg.Counter("charhpc_cache_invalidated_total",
-				"disk entries invalidated, by reason (experiment = fingerprint delta, format = entry version, checksum = corruption)",
-				obs.L("reason", reason))
-		}
-		store.SetMetrics(diskcache.Metrics{
-			GetSeconds: op("get"),
-			PutSeconds: op("put"),
-			GetBytes:   by("get"),
-			PutBytes:   by("put"),
-			Evictions: reg.Counter("charhpc_diskcache_evictions_total",
-				"disk store entry files evicted by the LRU byte budget"),
-			InvalidatedExperiment: inval(diskcache.ReasonExperiment),
-			InvalidatedFormat:     inval(diskcache.ReasonFormat),
-			InvalidatedChecksum:   inval(diskcache.ReasonChecksum),
-		})
+		m.storeGet, m.storePut = op("get"), op("put")
+		const bytesHelp = "result body bytes moved through the disk store"
+		reg.CounterFunc("charhpc_diskcache_bytes_total", bytesHelp, func() int64 { return st.Counts().GetBytes }, obs.L("op", "get"))
+		reg.CounterFunc("charhpc_diskcache_bytes_total", bytesHelp, func() int64 { return st.Counts().PutBytes }, obs.L("op", "put"))
+		reg.CounterFunc("charhpc_diskcache_evictions_total", "disk store entry files evicted by the LRU byte budget",
+			func() int64 { return st.Counts().Evictions })
+		const invalHelp = "disk entries invalidated, by reason (experiment = fingerprint delta, format = entry version, checksum = corruption)"
+		reg.CounterFunc("charhpc_cache_invalidated_total", invalHelp, func() int64 { return st.Counts().InvalidatedExperiment },
+			obs.L("reason", diskcache.ReasonExperiment))
+		reg.CounterFunc("charhpc_cache_invalidated_total", invalHelp, func() int64 { return st.Counts().InvalidatedFormat },
+			obs.L("reason", diskcache.ReasonFormat))
+		reg.CounterFunc("charhpc_cache_invalidated_total", invalHelp, func() int64 { return st.Counts().InvalidatedChecksum },
+			obs.L("reason", diskcache.ReasonChecksum))
+		reg.GaugeFunc("charhpc_cache_entries", "entries per cache tier",
+			func() float64 { return float64(st.Len()) }, obs.L("tier", "disk"))
 	}
-	return m
-}
-
-// registerScrapeGauges adds the computed-at-scrape gauges that need
-// the fully built server: uptime, cache entry counts, build identity.
-func (s *Server) registerScrapeGauges() {
-	reg := s.m.reg
-	reg.GaugeFunc("charhpc_uptime_seconds", "seconds since the server was built",
-		func() float64 { return time.Since(s.start).Seconds() })
 	reg.GaugeFunc("charhpc_cache_entries", "entries per cache tier",
 		func() float64 { return float64(s.cache.len()) }, obs.L("tier", "mem"))
-	if s.cfg.Store != nil {
-		reg.GaugeFunc("charhpc_cache_entries", "entries per cache tier",
-			func() float64 { return float64(s.cfg.Store.Len()) }, obs.L("tier", "disk"))
-	}
+	reg.GaugeFunc("charhpc_uptime_seconds", "seconds since the server was built",
+		func() float64 { return time.Since(s.start).Seconds() })
 	reg.GaugeFunc("charhpc_build_info", "constant 1, labeled with the registry fingerprint",
 		func() float64 { return 1 }, obs.L("fingerprint", core.Fingerprint()))
-	reg.GaugeFunc("charhpc_jobs_active", "async run jobs currently executing",
-		func() float64 { return float64(s.jobs.Running()) })
+	return m
 }
 
 // Registry returns the server's metric registry, the one GET /metrics

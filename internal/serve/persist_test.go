@@ -110,6 +110,9 @@ func TestRestartLoadsFromDiskWithoutRunning(t *testing.T) {
 	if runs.Load() != 2 {
 		t.Errorf("serving disk-loaded entries re-ran (runs=%d, want 2)", runs.Load())
 	}
+	if st := srv2.Stats(); st.DiskLoads != 2 {
+		t.Errorf("disk_loads=%d after serving loaded keys again, want 2", st.DiskLoads)
+	}
 }
 
 func TestFingerprintChangeInvalidatesStore(t *testing.T) {

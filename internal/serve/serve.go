@@ -83,29 +83,20 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		listReps:  buildListReps(),
-		cache:     newCache(),
 		jobs:      jobs.New(0, cfg.JobsHistory),
 		mux:       http.NewServeMux(),
-		m:         newTelemetry(reg, cfg.Store),
 		traces:    obs.NewTraceBuffer(traceCapacity),
 		accessLog: cfg.AccessLog,
 		start:     time.Now(),
 	}
+	s.m = s.newTelemetry(reg)
+	s.cache = newCache(s.m.sfWait)
 	s.front = Middleware{
 		Next: s.mux, Registry: reg,
 		RequestsName: "charhpc_requests_total", RequestsHelp: "HTTP requests served",
 		LatencyName: "charhpc_request_seconds", LatencyHelp: "HTTP request latency",
 		Log: cfg.AccessLog, LogMsg: "request",
 	}
-	s.cache.waits = s.m.sfWait
-	s.jobs.SetMetrics(jobs.Metrics{
-		Submitted: s.m.jobsSubmitted,
-		Done:      s.m.jobsDone,
-		Failed:    s.m.jobsFailed,
-		Canceled:  s.m.jobsCanceled,
-		Events:    s.m.jobEvents,
-	})
-	s.registerScrapeGauges()
 	s.loadPlatformDir()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /experiments", s.handleList)
@@ -141,13 +132,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		diskEntries = s.cfg.Store.Len()
 		stalePurged = s.cfg.Store.StalePurged()
 	}
-	// jobs_done is the lifetime counter, not the retained-history count
+	// jobs_done is the lifetime count, not the retained-history count
 	// (which saturates at the history bound); jobs_active is live.
+	jc := s.jobs.Counts()
 	fmt.Fprintf(w, "ok runs=%d mem_hits=%d disk_loads=%d disk_errs=%d fingerprint=%s uptime_seconds=%d mem_entries=%d disk_entries=%d jobs_active=%d jobs_done=%d custom_platforms=%d stale_purged=%d\n",
 		st.Runs, st.MemHits, st.DiskLoads, st.DiskErrs,
 		core.Fingerprint(), int(time.Since(s.start).Seconds()),
 		s.cache.len(), diskEntries,
-		s.jobs.Running(), s.m.jobsDone.Value(),
+		jc.Running, jc.Done,
 		cluster.CustomCount(), stalePurged)
 }
 
@@ -285,7 +277,7 @@ func (s *Server) result(e core.Experiment, req core.Request, j *jobs.Job) (resul
 func (s *Server) fill(e core.Experiment, req core.Request, h core.RunHooks) (resultSet, error) {
 	st := s.cfg.Store
 	if st != nil {
-		if rs, ok := loadReps(st, e.ID, req); ok {
+		if rs, ok := loadReps(st, s.m.storeGet, e.ID, req); ok {
 			s.m.diskLoads.Inc()
 			rs.tier = "disk"
 			return rs, nil
@@ -293,7 +285,7 @@ func (s *Server) fill(e core.Experiment, req core.Request, h core.RunHooks) (res
 	}
 	rs, err := renderResult(s.run(e, req, h))
 	rs.tier = "run"
-	if err == nil && st != nil && putReps(st, e.ID, req, rs) != nil {
+	if err == nil && st != nil && putReps(st, s.m.storePut, e.ID, req, rs) != nil {
 		s.m.diskErrs.Inc()
 	}
 	return rs, err

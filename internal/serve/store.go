@@ -3,15 +3,19 @@
 // framed back to back, so one atomic rename carries the whole set.
 // loadReps is the layout's only reader and putReps its only writer;
 // the daemon's write-through cache and the CLI's
-// StoreResult/LoadResult both go through them.
+// StoreResult/LoadResult both go through them. The daemon times each
+// store call on charhpc_diskcache_op_seconds; the CLI passes no
+// instrument.
 package serve
 
 import (
 	"encoding/binary"
 	"encoding/json"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/diskcache"
+	"repro/internal/obs"
 	"repro/internal/report"
 )
 
@@ -56,10 +60,13 @@ func decodeResultSet(b []byte) (map[string]rep, bool) {
 }
 
 // loadReps fetches the result set of (id, scale, platform) from the
-// disk store. A frame that fails to decode reads as a miss: the caller
-// re-runs and the next putReps overwrites it.
-func loadReps(st *diskcache.Store, id string, req core.Request) (resultSet, bool) {
+// disk store, observing the Get call alone on lat (nil-safe). A frame
+// that fails to decode reads as a miss: the caller re-runs and the next
+// putReps overwrites it.
+func loadReps(st *diskcache.Store, lat *obs.Histogram, id string, req core.Request) (resultSet, bool) {
+	t0 := time.Now()
 	ent, ok := st.Get(storeKey(id, req))
+	lat.ObserveSince(t0)
 	if !ok {
 		return resultSet{}, false
 	}
@@ -67,9 +74,12 @@ func loadReps(st *diskcache.Store, id string, req core.Request) (resultSet, bool
 	return resultSet{reps: reps, elapsed: ent.Elapsed}, ok
 }
 
-// putReps persists one fill's representations as one entry.
-func putReps(st *diskcache.Store, id string, req core.Request, rs resultSet) error {
-	return st.Put(storeKey(id, req), diskcache.Entry{Elapsed: rs.elapsed, Body: encodeResultSet(rs.reps)})
+// putReps persists one fill's representations as one entry, observing
+// the Put call alone, not the framing, on lat (nil-safe).
+func putReps(st *diskcache.Store, lat *obs.Histogram, id string, req core.Request, rs resultSet) error {
+	k, e := storeKey(id, req), diskcache.Entry{Elapsed: rs.elapsed, Body: encodeResultSet(rs.reps)}
+	defer lat.ObserveSince(time.Now())
+	return st.Put(k, e)
 }
 
 // StoreResult renders one captured execution into all negotiable
@@ -81,7 +91,7 @@ func StoreResult(st *diskcache.Store, res core.Result) error {
 	if err != nil {
 		return err
 	}
-	return putReps(st, res.Experiment.ID, res.Req, rs)
+	return putReps(st, nil, res.Experiment.ID, res.Req, rs)
 }
 
 // LoadResult reconstructs a cached execution of e for request req from
@@ -91,7 +101,7 @@ func StoreResult(st *diskcache.Store, res core.Result) error {
 // round-trip's other half). Elapsed is the original run's wall time.
 // Missing or invalid entries return ok=false.
 func LoadResult(st *diskcache.Store, e core.Experiment, req core.Request) (core.Result, bool) {
-	rs, ok := loadReps(st, e.ID, req)
+	rs, ok := loadReps(st, nil, e.ID, req)
 	if !ok {
 		return core.Result{}, false
 	}
