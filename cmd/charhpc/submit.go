@@ -18,15 +18,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/jobs"
+	"repro/internal/serve"
 )
-
-// submitResponse mirrors the serve package's 202 body for POST /runs.
-type submitResponse struct {
-	Job       string `json:"job"`
-	State     string `json:"state"`
-	StatusURL string `json:"status_url"`
-	EventsURL string `json:"events_url"`
-}
 
 // runSubmit is the -submit entry point: submits every selected
 // experiment to the daemon at addr and, with follow, streams each
@@ -95,7 +88,7 @@ func submitOne(addr, id string, req core.Request, follow bool, rt *retrier) erro
 	if resp.StatusCode != http.StatusAccepted {
 		return fmt.Errorf("submit: %s: %s", resp.Status, strings.TrimSpace(string(body)))
 	}
-	var sub submitResponse
+	var sub serve.SubmitResponse
 	if err := json.Unmarshal(body, &sub); err != nil {
 		return fmt.Errorf("submit: bad response: %v", err)
 	}
@@ -109,7 +102,7 @@ func submitOne(addr, id string, req core.Request, follow bool, rt *retrier) erro
 // followJob streams one job's SSE feed, rendering phase/section
 // progress as a single live-updating line, then prints the result
 // body the terminal event points at.
-func followJob(addr, id string, sub submitResponse, rt *retrier) error {
+func followJob(addr, id string, sub serve.SubmitResponse, rt *retrier) error {
 	resp, err := rt.do(func() (*http.Response, error) {
 		return http.Get(addr + sub.EventsURL)
 	})

@@ -265,6 +265,8 @@ func TestReadmeCoversFlags(t *testing.T) {
 		{"Set" + "Metrics", ""},
 		{"diskcache." + "Metrics", ""},
 		{"jobs." + "Metrics", ""},
+		{"handler" + "Label", ""},
+		{"submit" + "Response", ""},
 	}
 	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
 	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
@@ -374,6 +376,64 @@ func TestReadmeCoversMetrics(t *testing.T) {
 	for name := range documented {
 		if !scraped[name] {
 			t.Errorf("internal/serve/README.md documents %s, which no /metrics scrape exposes", name)
+		}
+	}
+}
+
+// routeRow matches the first cell of a row of the serve README's
+// endpoint table, "METHOD /path", up to a query string.
+var routeRow = regexp.MustCompile("(?m)^\\| `([A-Z]+ /[^`?]*)")
+
+// handlerVocab matches the serve README's list of handler label values.
+var handlerVocab = regexp.MustCompile("The `handler` label is a bounded vocabulary \\(([^)]*)\\)")
+
+// TestReadmeCoversRoutes keeps the serve README's endpoint table and
+// handler vocabulary in step with serve.Routes, which both tiers
+// mount: every route is a row and every row a route, except the
+// optional pprof row; the vocabulary is the routes' labels plus
+// "pprof" and "other".
+func TestReadmeCoversRoutes(t *testing.T) {
+	body, err := os.ReadFile(filepath.Join("internal", "serve", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, m := range routeRow.FindAllStringSubmatch(string(body), -1) {
+		documented[m[1]] = true
+	}
+	declared := map[string]bool{"GET /debug/pprof/": true}
+	labels := map[string]bool{"pprof": true, "other": true}
+	for _, rt := range serve.Routes {
+		declared[rt.Pattern] = true
+		labels[rt.Label] = true
+	}
+	for p := range declared {
+		if !documented[p] {
+			t.Errorf("serve.Routes declares %s, which internal/serve/README.md's endpoint table lacks", p)
+		}
+	}
+	for p := range documented {
+		if !declared[p] {
+			t.Errorf("internal/serve/README.md documents %s, which serve.Routes does not declare", p)
+		}
+	}
+
+	m := handlerVocab.FindStringSubmatch(string(body))
+	if m == nil {
+		t.Fatal("found no handler label vocabulary in internal/serve/README.md")
+	}
+	listed := map[string]bool{}
+	for _, cell := range strings.Split(m[1], ",") {
+		listed[strings.Trim(strings.TrimSpace(cell), "`")] = true
+	}
+	for l := range labels {
+		if !listed[l] {
+			t.Errorf("internal/serve/README.md's handler vocabulary lacks %q", l)
+		}
+	}
+	for l := range listed {
+		if !labels[l] {
+			t.Errorf("internal/serve/README.md's handler vocabulary lists %q, which no route is counted under", l)
 		}
 	}
 }

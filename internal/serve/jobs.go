@@ -42,8 +42,9 @@ const ctSSE = "text/event-stream"
 // with 413 body_too_large.
 const MaxRunBody = 64 << 10
 
-// submitResponse is the 202 body for POST /runs.
-type submitResponse struct {
+// SubmitResponse is the 202 body for POST /runs, which the CLI's
+// -submit mode decodes.
+type SubmitResponse struct {
 	Job       string `json:"job"`
 	State     string `json:"state"`
 	StatusURL string `json:"status_url"`
@@ -80,7 +81,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		})
 
 	w.Header().Set("Location", "/runs/"+j.ID)
-	WriteJSON(w, http.StatusAccepted, submitResponse{
+	WriteJSON(w, http.StatusAccepted, SubmitResponse{
 		Job:       j.ID,
 		State:     string(j.State()),
 		StatusURL: "/runs/" + j.ID,

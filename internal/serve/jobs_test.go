@@ -21,7 +21,7 @@ import (
 )
 
 // submitJob POSTs /runs with the given query and decodes the 202 body.
-func submitJob(t *testing.T, base, query string) submitResponse {
+func submitJob(t *testing.T, base, query string) SubmitResponse {
 	t.Helper()
 	resp, err := http.Post(base+"/runs?"+query, "", nil)
 	if err != nil {
@@ -31,7 +31,7 @@ func submitJob(t *testing.T, base, query string) submitResponse {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST /runs?%s: %d, want 202", query, resp.StatusCode)
 	}
-	var sub submitResponse
+	var sub SubmitResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestJobStreamRealRun(t *testing.T) {
 // runs once.
 func TestCoalescedJobsStreamOneStory(t *testing.T) {
 	ts := newTestServer(t, Config{}) // real runs: F6 runs long enough for the second job to join
-	subs := []submitResponse{submitJob(t, ts.URL, "id=F6"), submitJob(t, ts.URL, "id=F6")}
+	subs := []SubmitResponse{submitJob(t, ts.URL, "id=F6"), submitJob(t, ts.URL, "id=F6")}
 
 	var stories [2][]string
 	var tiers []string
@@ -227,7 +227,7 @@ func TestJobsAreNotQueued(t *testing.T) {
 		return stub(e, r)
 	}})
 	ids := []string{"T1", "T4", "F1", "M3"}
-	var subs []submitResponse
+	var subs []SubmitResponse
 	for _, id := range ids {
 		subs = append(subs, submitJob(t, ts.URL, "id="+id))
 	}
@@ -506,7 +506,7 @@ func FuzzLastEventID(f *testing.F) {
 	srv := New(Config{RunFunc: stubRun(&runs, 0)})
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/runs?id=T1", nil))
-	var sub submitResponse
+	var sub SubmitResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &sub); err != nil || rec.Code != http.StatusAccepted {
 		f.Fatalf("submit: %d %s", rec.Code, rec.Body)
 	}

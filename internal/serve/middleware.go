@@ -1,13 +1,12 @@
-// The HTTP front end charhpcd and charhpc-router share: request IDs,
-// the per-handler request counter and latency histogram, and one
-// access-log line per request. Both tiers wrap their mux in a
-// Middleware, so the label vocabulary and log fields cannot drift.
+// The HTTP front end charhpcd and charhpc-router share: the routes,
+// request IDs, the per-route request counter and latency histogram,
+// and one access-log line per request. Both tiers mount Routes and wrap
+// their mux in a Middleware, so routes, labels and log cannot drift.
 package serve
 
 import (
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -26,6 +25,49 @@ type Middleware struct {
 	LogMsg string
 }
 
+// Routes is the API both tiers serve, declared once: each route's
+// method and path as http.ServeMux reads them, and the handler label a
+// request that matched it is counted under. A request that matches no
+// route (a 404 or 405) is "other"; a label is never the raw path, whose
+// cardinality is caller-controlled.
+var Routes = []struct{ Pattern, Label string }{
+	{"GET /healthz", "healthz"},
+	{"GET /metrics", "metrics"},
+	{"GET /debug/traces", "debug_traces"},
+	{"GET /experiments", "experiments_list"},
+	{"GET /experiments/{id}", "experiment_get"},
+	{"GET /platforms", "platforms"},
+	{"POST /platforms", "platform_register"},
+	{"GET /platforms/{name}", "platform_get"},
+	{"GET /runs", "runs"},
+	{"POST /runs", "run_submit"},
+	{"GET /runs/{job}", "run_get"},
+	{"DELETE /runs/{job}", "run_cancel"},
+	{"GET /runs/{job}/events", "run_events"},
+}
+
+// Mount registers handlers[label] for every route in Routes. It
+// panics on a route without a handler, so no tier can drop one.
+func Mount(mux *http.ServeMux, handlers map[string]http.HandlerFunc) {
+	for _, rt := range Routes {
+		h := handlers[rt.Label]
+		if h == nil {
+			panic("serve: no handler for " + rt.Pattern)
+		}
+		mux.HandleFunc(rt.Pattern, labeled(rt.Label, h))
+	}
+}
+
+// labeled names the matched route to the Middleware, then runs h on
+// the same writer, so h still sees its http.Flusher. A mux that Mount
+// fills is served only as a Middleware's Next, so w is its writer.
+func labeled(label string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		w.(*statusWriter).label = label
+		h(w, r)
+	}
+}
+
 // RequestIDHeader is X-Request-ID in net/http's canonical spelling, so
 // Header.Get and Set need not re-canonicalise (and allocate) per call.
 const RequestIDHeader = "X-Request-Id"
@@ -42,15 +84,14 @@ func (m *Middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		r.Header.Set(RequestIDHeader, rid)
 	}
 	w.Header().Set(RequestIDHeader, rid)
-	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK, label: "other"}
 	m.Next.ServeHTTP(sw, r)
 
-	handler := handlerLabel(r.URL.Path)
 	elapsed := time.Since(t0)
 	m.Registry.Counter(m.RequestsName, m.RequestsHelp,
-		obs.L("handler", handler), obs.L("code", strconv.Itoa(sw.code))).Inc()
+		obs.L("handler", sw.label), obs.L("code", strconv.Itoa(sw.code))).Inc()
 	m.Registry.Histogram(m.LatencyName, m.LatencyHelp, nil,
-		obs.L("handler", handler)).Observe(elapsed.Seconds())
+		obs.L("handler", sw.label)).Observe(elapsed.Seconds())
 	m.Log.Info(m.LogMsg,
 		"request_id", rid,
 		"method", r.Method,
@@ -62,12 +103,13 @@ func (m *Middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	)
 }
 
-// statusWriter captures the status code and body size a handler
-// produced, for the request metrics and access log.
+// statusWriter captures the route's label and the status code and body
+// size its handler produced, for the request metrics and access log.
 type statusWriter struct {
 	http.ResponseWriter
 	code  int
 	bytes int64
+	label string // "other" until a route's handler runs
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -86,36 +128,5 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 func (w *statusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
-	}
-}
-
-// handlerLabel maps a request path to a bounded metric label — never
-// the raw path, whose cardinality is caller-controlled.
-func handlerLabel(path string) string {
-	switch {
-	case path == "/healthz":
-		return "healthz"
-	case path == "/metrics":
-		return "metrics"
-	case path == "/debug/traces":
-		return "debug_traces"
-	case strings.HasPrefix(path, "/debug/pprof"):
-		return "pprof"
-	case path == "/experiments":
-		return "experiments_list"
-	case strings.HasPrefix(path, "/experiments/"):
-		return "experiment_get"
-	case path == "/platforms":
-		return "platforms"
-	case strings.HasPrefix(path, "/platforms/"):
-		return "platform_get"
-	case path == "/runs":
-		return "runs"
-	case strings.HasPrefix(path, "/runs/") && strings.HasSuffix(path, "/events"):
-		return "run_events"
-	case strings.HasPrefix(path, "/runs/"):
-		return "run_get"
-	default:
-		return "other"
 	}
 }

@@ -144,14 +144,15 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, spans)
 }
 
-// EnablePprof mounts net/http/pprof's handlers under /debug/pprof/ on
-// the server's own mux (the daemon's -pprof flag; off by default — the
-// profile endpoints can pause the process and belong behind an
-// operator's explicit choice, never on an internet-facing default).
+// EnablePprof mounts net/http/pprof's handlers, as handler "pprof",
+// under /debug/pprof/ on the server's own mux (the daemon's -pprof
+// flag; off by default — the profile endpoints can pause the process
+// and belong behind an operator's explicit choice, never on an
+// internet-facing default).
 func (s *Server) EnablePprof() {
-	s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+	s.mux.HandleFunc("GET /debug/pprof/", labeled("pprof", pprof.Index))
+	s.mux.HandleFunc("GET /debug/pprof/cmdline", labeled("pprof", pprof.Cmdline))
+	s.mux.HandleFunc("GET /debug/pprof/profile", labeled("pprof", pprof.Profile))
+	s.mux.HandleFunc("GET /debug/pprof/symbol", labeled("pprof", pprof.Symbol))
+	s.mux.HandleFunc("GET /debug/pprof/trace", labeled("pprof", pprof.Trace))
 }

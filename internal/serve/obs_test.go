@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strings"
 	"sync/atomic"
@@ -175,16 +176,44 @@ func TestAccessLog(t *testing.T) {
 	}
 }
 
-// TestPprofGated: the profile endpoints exist only after EnablePprof.
+// TestPprofGated: the profile endpoints exist only after EnablePprof,
+// and are counted as handler "pprof" once they do; before, the request
+// matches no route and is "other".
 func TestPprofGated(t *testing.T) {
 	srv := New(Config{})
-	ts := newHTTPTestServer(t, srv)
-	if resp, _ := doGet(t, ts.URL+"/debug/pprof/", "", ""); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("pprof on by default: %d", resp.StatusCode)
+	get := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/", nil))
+		return rec
+	}
+	counted := func(handler, code string) int64 {
+		return srv.Registry().Counter("charhpc_requests_total", "",
+			obs.L("handler", handler), obs.L("code", code)).Value()
+	}
+	if rec := get(); rec.Code != http.StatusNotFound || counted("other", "404") != 1 {
+		t.Errorf("pprof on by default: %d, other/404 counted %d", rec.Code, counted("other", "404"))
 	}
 	srv.EnablePprof()
-	if resp, body := doGet(t, ts.URL+"/debug/pprof/", "", ""); resp.StatusCode != http.StatusOK ||
-		!strings.Contains(body, "goroutine") {
-		t.Errorf("pprof index after EnablePprof: %d", resp.StatusCode)
+	if rec := get(); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "goroutine") {
+		t.Errorf("pprof index after EnablePprof: %d", rec.Code)
 	}
+	if n := counted("pprof", "200"); n != 1 {
+		t.Errorf("pprof index counted %d times as handler=pprof, want 1", n)
+	}
+}
+
+// TestMountPanicsOnMissingHandler: a tier that leaves a route of
+// Routes without a handler fails at construction, not at request time.
+func TestMountPanicsOnMissingHandler(t *testing.T) {
+	handlers := map[string]http.HandlerFunc{}
+	for _, rt := range Routes[1:] {
+		handlers[rt.Label] = func(http.ResponseWriter, *http.Request) {}
+	}
+	defer func() {
+		if p, _ := recover().(string); !strings.Contains(p, Routes[0].Pattern) {
+			t.Errorf("Mount without a %q handler: panic %q, want one naming %q",
+				Routes[0].Label, p, Routes[0].Pattern)
+		}
+	}()
+	Mount(http.NewServeMux(), handlers)
 }

@@ -1,18 +1,12 @@
 // Package serve exposes the experiment registry over HTTP — the first
 // layer of the system that faces traffic rather than a terminal.
 //
-// Endpoints:
-//
-//	GET /healthz                          liveness probe
-//	GET /experiments                      registry listing (incl. valid platforms)
-//	GET /experiments/{id}?scale=quick|full&platform=NAME
-//	                                      one experiment's results
-//
-// The platform query parameter selects a preset from
-// internal/cluster's registry; omitted, the experiment runs on its
-// canonical platform set. Unknown or incompatible platform names are
-// rejected with 400 before anything runs — the listing advertises the
-// valid presets per experiment.
+// Routes declares every endpoint; the README's endpoint table describes
+// each. The platform query parameter of GET /experiments/{id} selects
+// a preset from internal/cluster's registry; omitted, the experiment
+// runs on its canonical platform set. Unknown or incompatible platform
+// names are rejected with 400 before anything runs — the listing
+// advertises the valid presets per experiment.
 //
 // Results are rendered in the content type negotiated via the Accept
 // header — text/plain (the report table format), text/csv, or
@@ -98,19 +92,21 @@ func New(cfg Config) *Server {
 		Log: cfg.AccessLog, LogMsg: "request",
 	}
 	s.loadPlatformDir()
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /experiments", s.handleList)
-	s.mux.HandleFunc("GET /experiments/{id}", s.handleGet)
-	s.mux.HandleFunc("GET /platforms", s.handlePlatformList)
-	s.mux.HandleFunc("POST /platforms", s.handlePlatformRegister)
-	s.mux.HandleFunc("GET /platforms/{name}", s.handlePlatformGet)
-	s.mux.HandleFunc("GET /debug/traces", s.handleTraces)
-	s.mux.HandleFunc("POST /runs", s.handleSubmitRun)
-	s.mux.HandleFunc("GET /runs", s.handleJobList)
-	s.mux.HandleFunc("GET /runs/{job}", s.handleJobGet)
-	s.mux.HandleFunc("DELETE /runs/{job}", s.handleJobCancel)
-	s.mux.HandleFunc("GET /runs/{job}/events", s.handleJobEvents)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	Mount(s.mux, map[string]http.HandlerFunc{
+		"healthz":           s.handleHealthz,
+		"metrics":           s.handleMetrics,
+		"debug_traces":      s.handleTraces,
+		"experiments_list":  s.handleList,
+		"experiment_get":    s.handleGet,
+		"platforms":         s.handlePlatformList,
+		"platform_register": s.handlePlatformRegister,
+		"platform_get":      s.handlePlatformGet,
+		"runs":              s.handleJobList,
+		"run_submit":        s.handleSubmitRun,
+		"run_get":           s.handleJobGet,
+		"run_cancel":        s.handleJobCancel,
+		"run_events":        s.handleJobEvents,
+	})
 	return s
 }
 

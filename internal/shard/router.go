@@ -168,19 +168,21 @@ func New(cfg Config) (*Router, error) {
 		LatencyName: "charhpc_router_proxy_seconds", LatencyHelp: "routed request latency, shard hop included",
 		Log: cfg.AccessLog, LogMsg: "routed",
 	}
-	mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	mux.HandleFunc("GET /experiments", rt.handleAny)
-	mux.HandleFunc("GET /experiments/{id}", rt.handleExperiment)
-	mux.HandleFunc("GET /platforms", rt.handleAny)
-	mux.HandleFunc("GET /platforms/{name}", rt.handleAny)
-	mux.HandleFunc("POST /platforms", rt.handlePlatformRegister)
-	mux.HandleFunc("POST /runs", rt.handleSubmitRun)
-	mux.HandleFunc("GET /runs", rt.handleJobList)
-	mux.HandleFunc("GET /runs/{job}", rt.handleJob)
-	mux.HandleFunc("DELETE /runs/{job}", rt.handleJob)
-	mux.HandleFunc("GET /runs/{job}/events", rt.handleJob)
-	mux.HandleFunc("GET /debug/traces", rt.handleAny)
+	serve.Mount(mux, map[string]http.HandlerFunc{
+		"healthz":           rt.handleHealthz,
+		"metrics":           rt.handleMetrics,
+		"debug_traces":      rt.handleAny,
+		"experiments_list":  rt.handleAny,
+		"experiment_get":    rt.handleExperiment,
+		"platforms":         rt.handleAny,
+		"platform_register": rt.handlePlatformRegister,
+		"platform_get":      rt.handleAny,
+		"runs":              rt.handleJobList,
+		"run_submit":        rt.handleSubmitRun,
+		"run_get":           rt.handleJob,
+		"run_cancel":        rt.handleJob,
+		"run_events":        rt.handleJob,
+	})
 	return rt, nil
 }
 

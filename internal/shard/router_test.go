@@ -549,18 +549,11 @@ func TestJobsThroughRouter(t *testing.T) {
 	}
 }
 
-// submitted is a 202 body for POST /runs.
-type submitted struct {
-	Job       string `json:"job"`
-	StatusURL string `json:"status_url"`
-	EventsURL string `json:"events_url"`
-}
-
 // submit POSTs /runs?query at base and returns the 202 body.
-func submit(t *testing.T, base, query string) submitted {
+func submit(t *testing.T, base, query string) serve.SubmitResponse {
 	t.Helper()
 	resp, body := call(t, http.MethodPost, base+"/runs?"+query, nil)
-	var sub submitted
+	var sub serve.SubmitResponse
 	if resp.StatusCode != http.StatusAccepted || json.Unmarshal(body, &sub) != nil || sub.Job == "" {
 		t.Fatalf("submit %s: %d %s", query, resp.StatusCode, body)
 	}
